@@ -8,11 +8,21 @@ set -eux
 export RUSTFLAGS="-D warnings"
 
 cargo build --release --offline
-cargo test -q --offline
+# Every crate's tests, not just the root package's: the verifier mutation
+# suite, the property tests and the transport FIFO tests live in members.
+cargo test -q --offline --workspace
 
-# Observability: trace analyses + a traced end-to-end run whose Chrome
-# JSON export self-validates through the in-repo parser before writing.
-cargo test -q --offline -p babelflow-trace
+# The benchmark package (its own workspace): its unit tests, then a short
+# run of every workload, which exits nonzero on any wrong answer or on a
+# counter that moves between repetitions.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+for w in dispatch composite mergetree; do
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$w" --seed 7 --seconds 2
+done
+
+# Observability: a traced end-to-end run whose Chrome JSON export
+# self-validates through the in-repo parser before writing.
 cargo run --release --offline --example quickstart -- --trace /tmp/babelflow_trace.json
 test -s /tmp/babelflow_trace.json
 
@@ -25,9 +35,8 @@ cargo run --release --offline --example fault_drill
 # Perf smoke: re-measure the fast-path counters and compare against the
 # committed BENCH_controllers.json baseline. Exits nonzero if steady-state
 # graph queries or per-delivery allocations become nonzero, if structural
-# counters (payload clones) move at all, if transport counters leave a
-# 1.5x band, or if the 1024-leaf k-way reduction's legacy-vs-plan query
-# ratio drops below 10x (see DESIGN.md §12).
+# counters (payload clones) move at all, or if transport counters leave a
+# 1.5x band (see DESIGN.md §12).
 cargo run --release --offline -p babelflow-bench --bin perf_smoke -- --check
 
 # Verifier smoke: every graph family must lint clean (zero diagnostics)

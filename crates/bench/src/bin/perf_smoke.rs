@@ -1,31 +1,30 @@
 //! Perf smoke: deterministic fast-path counters for every backend and
-//! graph family, plus the headline plan-vs-procedural query ratio on a
-//! 1024-leaf k-way reduction.
+//! graph family.
 //!
 //! * `perf_smoke` — measure and (re)write `BENCH_controllers.json`.
 //! * `perf_smoke --check` — re-measure and fail (exit 1) if the structural
 //!   counters regress against the committed baseline, if any delivery
-//!   allocates, or if the 1024-leaf query ratio drops below 10×.
+//!   allocates, or if a run with a prebuilt plan queries the graph.
 //!
 //! Structural counters (`task_queries`, `payload_clones`,
 //! `delivery_allocs`) are exact-compared: they are functions of graph,
 //! placement, and code path, not of scheduling. Transport counters
 //! (`envelopes_sent`, `batches_sent`) get a 1.5× band because retransmit
-//! timers may fire on a loaded machine. `ns_per_op` is informational only.
+//! timers may fire on a loaded machine. Wall-clock time is perfbench's
+//! job, not this binary's.
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use babelflow_core::{
-    preflight, Blob, BlockMap, CallbackId, Controller, CountingGraph, InitialInputs, ModuloMap,
-    Payload, Registry, ShardId, ShardPlan, TaskGraph, TaskId,
+    Blob, BlockMap, CallbackId, Controller, InitialInputs, Payload, Registry, ShardPlan,
+    TaskGraph, TaskId,
 };
 use babelflow_graphs::{BinarySwap, Broadcast, KWayMerge, NeighborGraph, Reduction};
 use babelflow_trace::json::{parse, Json};
 
 const BASELINE: &str = "BENCH_controllers.json";
-const RATIO_FLOOR: f64 = 10.0;
 const TRANSPORT_BAND: f64 = 1.5;
 
 fn pay(v: u64) -> Payload {
@@ -83,7 +82,6 @@ struct Sample {
     delivery_allocs: u64,
     envelopes_sent: u64,
     batches_sent: u64,
-    ns_per_op: u64,
 }
 
 const SHARDS: u32 = 3;
@@ -101,11 +99,9 @@ fn controller(backend: &str, plan: Arc<ShardPlan>) -> Box<dyn Controller> {
         "mpi-blocking" => Box::new(
             babelflow_mpi::BlockingMpiController::new().with_timeout(timeout).with_plan(plan),
         ),
-        "charm" => Box::new(
-            babelflow_charm::CharmController::new(SHARDS as usize)
-                .with_timeout(timeout)
-                .with_plan(plan),
-        ),
+        "charm" => {
+            Box::new(babelflow_charm::CharmController::new(SHARDS as usize).with_plan(plan))
+        }
         "legion-spmd" => Box::new(
             babelflow_legion::LegionSpmdController::new(SHARDS as usize)
                 .with_timeout(timeout)
@@ -134,8 +130,7 @@ fn families() -> Vec<(&'static str, Arc<dyn TaskGraph>)> {
 }
 
 /// One steady-state run per backend/family for the counters (the plan is
-/// prebuilt, so `task_queries` measures the run, not the build), plus two
-/// timed runs for ns/op.
+/// prebuilt, so `task_queries` measures the run, not the build).
 fn measure_matrix() -> Vec<Sample> {
     let mut out = Vec::new();
     for (family, graph) in families() {
@@ -150,15 +145,6 @@ fn measure_matrix() -> Vec<Sample> {
             let report = controller(backend, plan.clone())
                 .run(&*graph, &map, &reg, inputs.clone())
                 .unwrap_or_else(|e| panic!("{backend}/{family}: {e}"));
-            let timed = 2u32;
-            let start = Instant::now();
-            for _ in 0..timed {
-                controller(backend, plan.clone())
-                    .run(&*graph, &map, &reg, inputs.clone())
-                    .unwrap();
-            }
-            let ns_per_op =
-                start.elapsed().as_nanos() as u64 / timed as u64 / graph.size() as u64;
             let p = &report.stats.perf;
             out.push(Sample {
                 backend,
@@ -169,77 +155,18 @@ fn measure_matrix() -> Vec<Sample> {
                 delivery_allocs: p.delivery_allocs,
                 envelopes_sent: p.envelopes_sent,
                 batches_sent: p.batches_sent,
-                ns_per_op,
             });
         }
     }
     out
 }
 
-#[derive(Debug, Clone, PartialEq)]
-struct Headline {
-    legacy_queries: u64,
-    plan_queries: u64,
-    query_ratio: f64,
-    delivery_allocs: u64,
-}
-
-/// The acceptance measurement: replay the legacy (plan-free) call pattern
-/// — preflight + static schedule + per-rank local graphs, once per run —
-/// against a counting wrapper, versus one plan build amortized over the
-/// same number of runs.
-fn measure_headline() -> Headline {
-    const RUNS: u32 = 8;
-    const RANKS: u32 = 4;
-    let graph = Reduction::new(1024, 4);
-    let reg = registry_for(&graph);
-    let inputs = inputs_for(&graph);
-    let map = ModuloMap::new(RANKS, graph.size() as u64);
-
-    // Legacy: every run re-walks the procedural graph for validation,
-    // scheduling, and each rank's local subgraph.
-    let cg = CountingGraph::new(&graph);
-    for _ in 0..RUNS {
-        preflight(&cg, &reg, &inputs).unwrap();
-        babelflow_mpi::static_schedule(&cg);
-        for shard in 0..RANKS {
-            let _ = cg.local_graph(ShardId(shard), &map);
-        }
-    }
-    let legacy_queries = cg.queries();
-
-    // Fast path: one build, then the plan serves every run.
-    let cg = CountingGraph::new(&graph);
-    let plan = Arc::new(ShardPlan::build(&cg, &map));
-    let mut plan_queries = cg.queries();
-    let mut delivery_allocs = 0;
-    for _ in 0..RUNS {
-        let report = babelflow_mpi::MpiController::new()
-            .with_workers(2)
-            .with_plan(plan.clone())
-            .run(&graph, &map, &reg, inputs.clone())
-            .unwrap();
-        plan_queries += report.stats.perf.task_queries;
-        delivery_allocs += report.stats.perf.delivery_allocs;
-    }
-    Headline {
-        legacy_queries,
-        plan_queries,
-        query_ratio: legacy_queries as f64 / plan_queries.max(1) as f64,
-        delivery_allocs,
-    }
-}
-
-fn render_json(headline: &Headline, samples: &[Sample]) -> String {
+fn render_json(samples: &[Sample]) -> String {
     let mut s = String::from("{\n  \"schema\": \"babelflow-perf-smoke-v1\",\n");
-    s.push_str(&format!(
-        "  \"kway_1024\": {{\"legacy_queries\": {}, \"plan_queries\": {}, \"query_ratio\": {:.2}, \"delivery_allocs\": {}}},\n",
-        headline.legacy_queries, headline.plan_queries, headline.query_ratio, headline.delivery_allocs
-    ));
     s.push_str("  \"results\": [\n");
     for (i, r) in samples.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"family\": \"{}\", \"tasks\": {}, \"task_queries\": {}, \"payload_clones\": {}, \"delivery_allocs\": {}, \"envelopes_sent\": {}, \"batches_sent\": {}, \"ns_per_op\": {}}}{}\n",
+            "    {{\"backend\": \"{}\", \"family\": \"{}\", \"tasks\": {}, \"task_queries\": {}, \"payload_clones\": {}, \"delivery_allocs\": {}, \"envelopes_sent\": {}, \"batches_sent\": {}}}{}\n",
             r.backend,
             r.family,
             r.tasks,
@@ -248,7 +175,6 @@ fn render_json(headline: &Headline, samples: &[Sample]) -> String {
             r.delivery_allocs,
             r.envelopes_sent,
             r.batches_sent,
-            r.ns_per_op,
             if i + 1 == samples.len() { "" } else { "," }
         ));
     }
@@ -263,22 +189,9 @@ fn field(j: &Json, key: &str) -> u64 {
 }
 
 /// Enforce the invariants every measurement must satisfy regardless of any
-/// baseline: zero-alloc delivery and the ≥10× query ratio.
-fn check_invariants(headline: &Headline, samples: &[Sample]) -> Vec<String> {
+/// baseline: zero-alloc delivery and zero steady-state graph queries.
+fn check_invariants(samples: &[Sample]) -> Vec<String> {
     let mut fails = Vec::new();
-    if headline.query_ratio < RATIO_FLOOR {
-        fails.push(format!(
-            "1024-leaf k-way reduction query ratio {:.2} fell below the {RATIO_FLOOR}x floor \
-             ({} legacy vs {} plan queries)",
-            headline.query_ratio, headline.legacy_queries, headline.plan_queries
-        ));
-    }
-    if headline.delivery_allocs != 0 {
-        fails.push(format!(
-            "1024-leaf runs made {} per-delivery allocations (must be 0)",
-            headline.delivery_allocs
-        ));
-    }
     for r in samples {
         if r.delivery_allocs != 0 {
             fails.push(format!(
@@ -296,24 +209,8 @@ fn check_invariants(headline: &Headline, samples: &[Sample]) -> Vec<String> {
     fails
 }
 
-fn check_against_baseline(
-    baseline: &Json,
-    headline: &Headline,
-    samples: &[Sample],
-) -> Vec<String> {
+fn check_against_baseline(baseline: &Json, samples: &[Sample]) -> Vec<String> {
     let mut fails = Vec::new();
-    let base_head = baseline.get("kway_1024").expect("baseline has kway_1024");
-    if field(base_head, "legacy_queries") != headline.legacy_queries
-        || field(base_head, "plan_queries") != headline.plan_queries
-    {
-        fails.push(format!(
-            "kway_1024 query counts moved: baseline {}/{}, measured {}/{}",
-            field(base_head, "legacy_queries"),
-            field(base_head, "plan_queries"),
-            headline.legacy_queries,
-            headline.plan_queries
-        ));
-    }
     let rows = baseline
         .get("results")
         .and_then(Json::as_arr)
@@ -363,32 +260,23 @@ fn check_against_baseline(
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
 
-    let headline = measure_headline();
     let samples = measure_matrix();
 
-    let mut fails = check_invariants(&headline, &samples);
+    let mut fails = check_invariants(&samples);
     if check {
         let text = std::fs::read_to_string(BASELINE)
             .unwrap_or_else(|e| panic!("--check needs a committed {BASELINE}: {e}"));
         let baseline = parse(&text).expect("baseline parses as JSON");
-        fails.extend(check_against_baseline(&baseline, &headline, &samples));
+        fails.extend(check_against_baseline(&baseline, &samples));
         if fails.is_empty() {
-            println!(
-                "perf smoke OK: query ratio {:.1}x, {} backend/family cells match {BASELINE}",
-                headline.query_ratio,
-                samples.len()
-            );
+            println!("perf smoke OK: {} backend/family cells match {BASELINE}", samples.len());
         }
     } else {
-        let json = render_json(&headline, &samples);
+        let json = render_json(&samples);
         // Self-validate through the in-repo parser before writing.
         parse(&json).expect("rendered JSON parses");
         std::fs::write(BASELINE, &json).expect("write baseline");
-        println!(
-            "wrote {BASELINE}: query ratio {:.1}x over {} cells",
-            headline.query_ratio,
-            samples.len()
-        );
+        println!("wrote {BASELINE}: {} cells", samples.len());
     }
 
     if !fails.is_empty() {

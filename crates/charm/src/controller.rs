@@ -9,14 +9,13 @@
 //! chares uses remote procedure calls."
 //!
 //! Accordingly this controller ignores the user's `TaskMap` for placement
-//! (the runtime places and rebalances chares itself), creates one chare per
-//! task with chare index == task id, and starts the dataflow by delivering
-//! the initial payloads to the input chares. Graph structure comes from a
-//! [`ShardPlan`] built once up front, so chare construction and routing
-//! never re-query the procedural graph.
+//! (the runtime places chares itself, statically by index), creates one
+//! chare per task with chare index == task id, and starts the dataflow by
+//! delivering the initial payloads to the input chares. Graph structure
+//! comes from a [`ShardPlan`] built once up front, so chare construction
+//! and routing never re-query the procedural graph.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use babelflow_core::fault::{catch_invoke, MAX_TASK_RETRIES};
 use babelflow_core::sync::Counter;
@@ -26,45 +25,23 @@ use babelflow_core::{
     RunReport, ShardPlan, TaskGraph, TaskId, TaskMap,
 };
 
-use crate::runtime::{Chare, ChareCtx, CharmRuntime, LoadBalance};
+use crate::runtime::{Chare, ChareCtx, CharmRuntime};
 
-/// Charm++-style controller: tasks as migratable chares with periodic load
-/// balancing.
+/// Charm++-style controller: tasks as chares, placed statically over
+/// processing elements and run message-driven.
 #[derive(Clone, Debug)]
 pub struct CharmController {
     /// Processing elements (worker threads) to schedule chares on.
     pub pes: usize,
-    /// Load-balancing strategy (paper experiments use periodic).
-    pub lb: LoadBalance,
-    /// Quiescence-stall timeout.
-    pub timeout: Duration,
     /// Prebuilt execution plan. When absent, one is built (and its graph
     /// queries charged to `PerfStats::task_queries`) on each run.
     pub plan: Option<Arc<ShardPlan>>,
 }
 
 impl CharmController {
-    /// Controller over `pes` processing elements with periodic load
-    /// balancing every 50 ms.
+    /// Controller over `pes` processing elements.
     pub fn new(pes: usize) -> Self {
-        CharmController {
-            pes,
-            lb: LoadBalance::Periodic(Duration::from_millis(50)),
-            timeout: Duration::from_secs(10),
-            plan: None,
-        }
-    }
-
-    /// Set the load-balancing strategy.
-    pub fn with_lb(mut self, lb: LoadBalance) -> Self {
-        self.lb = lb;
-        self
-    }
-
-    /// Set the quiescence-stall timeout.
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
-        self
+        CharmController { pes, plan: None }
     }
 
     /// Execute from a prebuilt plan instead of querying the graph.
@@ -176,10 +153,6 @@ impl Chare for TaskChare {
         }
         true
     }
-
-    fn footprint(&self) -> usize {
-        std::mem::size_of::<Self>()
-    }
 }
 
 impl Controller for CharmController {
@@ -234,10 +207,7 @@ impl Controller for CharmController {
             }
         }
 
-        let rt = CharmRuntime::new(self.pes)
-            .with_lb(self.lb)
-            .with_timeout(self.timeout)
-            .with_sink(sink);
+        let rt = CharmRuntime::new(self.pes).with_sink(sink);
         let result = rt.run(&indices, factory, bootstrap);
 
         if let Some(err) = error.lock().take() {

@@ -2,9 +2,10 @@
 //!
 //! Charm++-like backend for BabelFlow-RS: a chare-array runtime substrate
 //! ([`runtime`]) and the task-graph controller built on it
-//! ([`CharmController`], §IV-B of the paper). Tasks become migratable
-//! chares scheduled message-driven over processing elements, with optional
-//! periodic load balancing — no task map required.
+//! ([`CharmController`], §IV-B of the paper). Tasks become chares placed
+//! statically over processing elements and scheduled message-driven — no
+//! task map required. A run ends at quiescence, detected by counting
+//! in-flight messages.
 
 #![warn(missing_docs)]
 
@@ -12,16 +13,17 @@ pub mod controller;
 pub mod runtime;
 
 pub use controller::CharmController;
-pub use runtime::{Chare, ChareCtx, CharmRuntime, CharmStats, LoadBalance};
+pub use runtime::{Chare, ChareCtx, CharmRuntime, CharmStats};
 
 #[cfg(test)]
 mod tests {
     use std::collections::HashMap;
+    use std::sync::Arc;
     use std::time::Duration;
 
     use babelflow_core::{
         canonical_outputs, run_serial, Blob, CallbackId, Controller, ModuloMap, Payload,
-        Registry, TaskGraph, TaskId,
+        Registry, ShardPlan, TaskGraph, TaskId,
     };
     use babelflow_graphs::{KWayMerge, Reduction};
 
@@ -66,9 +68,49 @@ mod tests {
     }
 
     #[test]
-    fn charm_with_lb_matches_serial_on_merge_dataflow() {
+    fn reused_controller_repeats_its_stats_on_long_runs() {
+        // Every callback sleeps, so each run lasts well over 100 ms; with
+        // static placement the counters still depend on the graph alone.
+        let g = Reduction::new(16, 4);
+        let mut reg = Registry::new();
+        for cb in 0..3 {
+            reg.register(CallbackId(cb), |inputs, _| {
+                std::thread::sleep(Duration::from_millis(10));
+                vec![pay(inputs.iter().map(val).sum())]
+            });
+        }
+        let inputs: HashMap<TaskId, Vec<Payload>> = g
+            .leaf_ids()
+            .into_iter()
+            .enumerate()
+            .map(|(i, id)| (id, vec![pay(i as u64)]))
+            .collect();
+        let map = ModuloMap::new(1, g.size() as u64);
+        let mut c = CharmController::new(2).with_plan(Arc::new(ShardPlan::build(&g, &map)));
+        let runs: Vec<_> =
+            (0..3).map(|_| c.run(&g, &map, &reg, inputs.clone()).unwrap()).collect();
+        for run in &runs[1..] {
+            assert_eq!(run.stats, runs[0].stats);
+            assert_eq!(canonical_outputs(run), canonical_outputs(&runs[0]));
+        }
+        // Chare `idx` sits on PE `idx % 2`: an edge crosses PEs when its
+        // ends differ in parity, and every bootstrap comes from the host.
+        let edges: Vec<(u64, u64)> = g
+            .ids()
+            .into_iter()
+            .flat_map(|id| g.task(id).unwrap().outgoing.concat().into_iter().map(move |d| (id, d)))
+            .filter(|(_, dst)| !dst.is_external())
+            .map(|(src, dst)| (src.0, dst.0))
+            .collect();
+        let cross = edges.iter().filter(|(s, d)| s % 2 != d % 2).count() as u64;
+        assert_eq!(runs[0].stats.remote_messages, cross + inputs.len() as u64);
+        assert_eq!(runs[0].stats.local_messages, edges.len() as u64 - cross);
+    }
+
+    #[test]
+    fn charm_matches_serial_on_merge_dataflow() {
         // The merge dataflow exercises fan-out broadcasts and multi-slot
-        // inputs under migration.
+        // inputs.
         let g = KWayMerge::new(4, 2);
         let mut reg = Registry::new();
         let root_join = g.join_id(2, 0);
@@ -104,8 +146,7 @@ mod tests {
 
         let serial = run_serial(&g, &reg, inputs.clone()).unwrap();
         let map = ModuloMap::new(1, g.size() as u64);
-        let mut c = CharmController::new(3)
-            .with_lb(LoadBalance::Periodic(Duration::from_millis(1)));
+        let mut c = CharmController::new(3);
         let report = c.run(&g, &map, &reg, inputs).unwrap();
         assert_eq!(canonical_outputs(&report), canonical_outputs(&serial));
     }
@@ -147,7 +188,7 @@ mod tests {
             .map(|id| (id, vec![pay(1)]))
             .collect();
         let map = ModuloMap::new(1, g.size() as u64);
-        let mut c = CharmController::new(2).with_timeout(Duration::from_secs(2));
+        let mut c = CharmController::new(2);
         let err = c.run(&g, &map, &reg, inputs).unwrap_err();
         assert!(
             matches!(err, babelflow_core::ControllerError::TaskError { attempts: 4, .. }),
@@ -167,7 +208,7 @@ mod tests {
             inputs.insert(*id, vec![pay(i as u64)]);
         }
         inputs.insert(leaves[0], vec![]);
-        let mut c = CharmController::new(2).with_timeout(Duration::from_millis(100));
+        let mut c = CharmController::new(2);
         assert!(c.run(&g, &map, &reg, inputs).is_err());
     }
 }

@@ -3,27 +3,33 @@
 //! Charm++ programs are collections of *chares* — "migratable objects that
 //! represent the basic unit of parallel computation" — addressed by array
 //! index, executing entry methods in response to messages, scheduled
-//! message-driven on processing elements (PEs), and periodically migrated
-//! by a load balancer. Rust has no Charm++ binding, so this module builds
-//! that execution model from threads and channels:
+//! message-driven on processing elements (PEs). Rust has no Charm++
+//! binding, so this module builds that execution model from threads and
+//! channels:
 //!
-//! * a **chare array** indexed by `u64`, with a location manager mapping
-//!   each index to its current PE;
+//! * a **chare array** indexed by `u64`, placed statically: chare `idx`
+//!   lives on PE `idx % pes` for the whole run;
 //! * **PEs** (threads) running a message-driven scheduler loop;
 //! * **remote method invocation**: `ctx.send(idx, …)` routes a message to
-//!   the chare's current PE, forwarding if it raced with a migration;
-//! * a **periodic measurement-based load balancer** migrating chares from
-//!   busy PEs to idle ones (the paper's experiments "use periodic load
-//!   balance").
+//!   the chare's PE;
+//! * **quiescence detection by counting**: a message is in flight from its
+//!   send until its entry method returns, so the run ends the moment that
+//!   count reaches zero — complete if every chare retired, stalled (with
+//!   the exact set of unretired chares) otherwise.
+//!
+//! Charm++'s periodic measurement-based load balancer (the paper's
+//! experiments "use periodic load balance") does not run on these threads:
+//! a wall-clock balancer would make placement, and with it every message
+//! counter, depend on timing. `babelflow-sim` models it deterministically
+//! (`LbModel`) for the load-balancing figure.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
+use babelflow_core::sync::{Condvar, Mutex, WorkPool};
 use babelflow_core::trace::{noop_sink, now_ns, SpanKind, TraceEvent, TraceSink, HOST_RANK};
 use babelflow_core::{Payload, TaskId};
-use babelflow_core::sync::{Mutex, WorkPool};
 
 /// A message-driven parallel object hosted by the runtime.
 pub trait Chare: Send {
@@ -31,36 +37,16 @@ pub trait Chare: Send {
     /// its work and should retire (one-shot dataflow tasks retire after
     /// executing).
     fn on_message(&mut self, src: TaskId, payload: Payload, ctx: &mut ChareCtx<'_>) -> bool;
-
-    /// Approximate bytes of state moved on migration (for statistics).
-    fn footprint(&self) -> usize {
-        0
-    }
 }
 
-/// Directives a PE scheduler processes.
-enum Directive {
-    /// Entry-method invocation on a chare.
-    Deliver {
-        idx: u64,
-        src: TaskId,
-        payload: Payload,
-        /// [`now_ns`] at send time (0 when tracing is off); the receiving
-        /// PE turns the gap until execution into a queue-wait span.
-        sent_ns: u64,
-    },
-    /// Load-balancer order: pack chare `idx` and ship it to PE `to`.
-    Migrate {
-        idx: u64,
-        to: usize,
-    },
-    /// Inbound migrated chare.
-    Install {
-        idx: u64,
-        chare: Box<dyn Chare>,
-    },
-    /// Drain and exit.
-    Stop,
+/// An entry-method invocation queued on the PE hosting chare `idx`.
+struct Delivery {
+    idx: u64,
+    src: TaskId,
+    payload: Payload,
+    /// [`now_ns`] at send time (0 when tracing is off); the receiving
+    /// PE turns the gap until execution into a queue-wait span.
+    sent_ns: u64,
 }
 
 /// Counters the runtime reports after a run.
@@ -70,8 +56,6 @@ pub struct CharmStats {
     pub local_messages: u64,
     /// Entry-method messages that crossed PEs.
     pub cross_pe_messages: u64,
-    /// Chares migrated by the load balancer.
-    pub migrations: u64,
     /// Chares retired (tasks executed).
     pub retired: u64,
     /// Messages dropped because their target chare had already retired.
@@ -79,27 +63,28 @@ pub struct CharmStats {
 }
 
 struct Shared {
-    /// Location manager: chare index -> current PE.
-    locations: Mutex<HashMap<u64, usize>>,
-    /// PE scheduler queues: one [`WorkPool`] whose *pinned* lanes replace
-    /// the old per-PE channels. Directives target a specific PE (a chare's
-    /// owner), so they ride the pinned lane stealing never touches —
-    /// migration stays the load balancer's job, not the scheduler's.
-    pool: WorkPool<Directive>,
+    pes: usize,
+    /// PE scheduler queues. Every delivery rides its target PE's *pinned*
+    /// lane, which stealing never touches, so a chare only runs on its PE.
+    pool: WorkPool<Delivery>,
     /// External outputs collected across PEs.
     outputs: Mutex<BTreeMap<TaskId, Vec<Payload>>>,
-    /// Retired-chare count (quiescence detection).
+    /// Messages sent whose entry method has not yet returned. A send
+    /// counts before it pushes and a PE uncounts after the handler, whose
+    /// own sends were counted first, so zero means quiescence: nothing
+    /// queued and nothing running.
+    in_flight: AtomicU64,
+    /// Set when a PE thread panicked; also the lock that the coordinator's
+    /// wait on `quiescent` and its notifiers share.
+    pe_panicked: Mutex<bool>,
+    quiescent: Condvar,
+    /// Retired-chare count.
     retired: AtomicU64,
-    /// Busy nanoseconds per PE (load metric for the balancer).
-    busy_ns: Vec<AtomicU64>,
     /// Message counters.
     local_msgs: AtomicU64,
     cross_msgs: AtomicU64,
-    migrations: AtomicU64,
     /// Messages addressed to already-retired chares (protocol violations).
     late_msgs: AtomicU64,
-    /// Set when the coordinator tears the run down (stall or completion).
-    stopping: AtomicBool,
     /// Trace consumer shared by every PE (the no-op sink by default).
     sink: Arc<dyn TraceSink>,
     /// Cached `sink.enabled()` so hot paths pay one load, not a vcall.
@@ -107,21 +92,22 @@ struct Shared {
 }
 
 impl Shared {
-    /// Route a message to a chare's current PE. Messages to retired
-    /// chares are dropped and counted — a correct dataflow never produces
-    /// them, and the quiescence timeout surfaces any resulting stall.
+    /// The PE that hosts chare `idx`.
+    fn pe_of(&self, idx: u64) -> usize {
+        (idx % self.pes as u64) as usize
+    }
+
+    /// Route a message to a chare's PE.
     fn send(&self, from_pe: usize, idx: u64, src: TaskId, payload: Payload) {
-        let Some(pe) = self.locations.lock().get(&idx).copied() else {
-            self.late_msgs.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
+        let pe = self.pe_of(idx);
         if pe == from_pe {
             self.local_msgs.fetch_add(1, Ordering::Relaxed);
         } else {
             self.cross_msgs.fetch_add(1, Ordering::Relaxed);
         }
         let sent_ns = if self.tracing { now_ns() } else { 0 };
-        self.pool.push_to(pe, Directive::Deliver { idx, src, payload, sent_ns });
+        self.in_flight.fetch_add(1, Ordering::SeqCst);
+        self.pool.push_to(pe, Delivery { idx, src, payload, sent_ns });
         if self.tracing {
             let rank = if from_pe == usize::MAX { HOST_RANK } else { from_pe as u32 };
             // Payloads move by shared reference between PEs: bytes = 0.
@@ -130,6 +116,35 @@ impl Shared {
                     .with_task(src, babelflow_core::CallbackId(u32::MAX))
                     .with_message(TaskId(idx), 0),
             );
+        }
+    }
+
+    /// Uncount one handled delivery; the last one wakes the coordinator.
+    fn delivered(&self) {
+        if self.in_flight.fetch_sub(1, Ordering::SeqCst) == 1 {
+            let _lock = self.pe_panicked.lock();
+            self.quiescent.notify_all();
+        }
+    }
+
+    /// Block until no message is in flight, or until a PE thread panicked.
+    fn wait_quiescent(&self) {
+        let mut pe_panicked = self.pe_panicked.lock();
+        while self.in_flight.load(Ordering::SeqCst) != 0 && !*pe_panicked {
+            self.quiescent.wait(&mut pe_panicked);
+        }
+    }
+}
+
+/// Wakes the coordinator when its PE thread unwinds: a dead PE never
+/// drains its lane, so the in-flight count could never reach zero.
+struct PanicAlarm<'a>(&'a Shared);
+
+impl Drop for PanicAlarm<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            *self.0.pe_panicked.lock() = true;
+            self.0.quiescent.notify_all();
         }
     }
 }
@@ -173,52 +188,19 @@ impl ChareCtx<'_> {
     }
 }
 
-/// Load-balancing strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoadBalance {
-    /// Never migrate.
-    Off,
-    /// Every period, migrate pending chares from the busiest PE to the
-    /// least busy one ("periodic load balance", as used in the paper's
-    /// experiments).
-    Periodic(Duration),
-}
-
 /// The chare-array runtime.
 pub struct CharmRuntime {
     /// Number of processing elements (worker threads).
     pub pes: usize,
-    /// Load-balancing strategy.
-    pub lb: LoadBalance,
-    /// Quiescence timeout: if no chare retires for this long, the run is
-    /// declared stalled.
-    pub timeout: Duration,
     /// Trace consumer (no-op by default).
     pub sink: Arc<dyn TraceSink>,
 }
 
 impl CharmRuntime {
-    /// Runtime with `pes` processing elements and no load balancing.
+    /// Runtime with `pes` processing elements.
     pub fn new(pes: usize) -> Self {
         assert!(pes > 0, "need at least one PE");
-        CharmRuntime {
-            pes,
-            lb: LoadBalance::Off,
-            timeout: Duration::from_secs(10),
-            sink: noop_sink(),
-        }
-    }
-
-    /// Enable a load-balancing strategy.
-    pub fn with_lb(mut self, lb: LoadBalance) -> Self {
-        self.lb = lb;
-        self
-    }
-
-    /// Set the quiescence timeout.
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
-        self
+        CharmRuntime { pes, sink: noop_sink() }
     }
 
     /// Record trace events into `sink`.
@@ -227,15 +209,15 @@ impl CharmRuntime {
         self
     }
 
-    /// Execute a chare array until every chare has retired.
+    /// Execute a chare array until no message is in flight.
     ///
-    /// `indices` enumerates the chare array (placed round-robin over PEs,
-    /// Charm++'s default block map); `factory` constructs each chare;
-    /// `initial` is the set of bootstrap messages (from the main chare in
-    /// Charm++ terms).
+    /// `indices` enumerates the chare array (chare `idx` is placed on PE
+    /// `idx % pes`); `factory` constructs each chare; `initial` is the set
+    /// of bootstrap messages (from the main chare in Charm++ terms).
     ///
-    /// Returns the external outputs and run statistics, or the indices of
-    /// unretired chares if the run stalls.
+    /// Returns the external outputs and run statistics, or the sorted
+    /// indices of unretired chares if the run quiesces before every chare
+    /// retired.
     pub fn run<F>(
         &self,
         indices: &[u64],
@@ -245,254 +227,100 @@ impl CharmRuntime {
     where
         F: Fn(u64) -> Box<dyn Chare> + Send + Sync,
     {
-        let total = indices.len() as u64;
-        let locations: HashMap<u64, usize> =
-            indices.iter().enumerate().map(|(i, &idx)| (idx, i % self.pes)).collect();
-
-        let shared = Arc::new(Shared {
-            locations: Mutex::new(locations),
+        let shared = Shared {
+            pes: self.pes,
             pool: WorkPool::new(self.pes),
             outputs: Mutex::new(BTreeMap::new()),
+            in_flight: AtomicU64::new(0),
+            pe_panicked: Mutex::new(false),
+            quiescent: Condvar::new(),
             retired: AtomicU64::new(0),
-            busy_ns: (0..self.pes).map(|_| AtomicU64::new(0)).collect(),
             local_msgs: AtomicU64::new(0),
             cross_msgs: AtomicU64::new(0),
-            migrations: AtomicU64::new(0),
             late_msgs: AtomicU64::new(0),
-            stopping: AtomicBool::new(false),
             sink: self.sink.clone(),
             tracing: self.sink.enabled(),
-        });
+        };
 
         // Bootstrap messages, routed like any remote invocation.
         for (idx, src, payload) in initial {
             shared.send(usize::MAX, idx, src, payload);
         }
 
-        let factory = &factory;
-        let result: Result<(), Vec<u64>> = std::thread::scope(|s| {
-            // PE scheduler threads.
-            for pe in 0..self.pes {
-                let shared = shared.clone();
-                let my: Vec<u64> = shared
-                    .locations
-                    .lock()
-                    .iter()
-                    .filter(|(_, &p)| p == pe)
-                    .map(|(&i, _)| i)
-                    .collect();
-                s.spawn(move || pe_main(pe, shared, my, factory));
-            }
-
-            // Optional periodic load balancer.
-            let lb_handle = if let LoadBalance::Periodic(period) = self.lb {
-                let shared = shared.clone();
-                let pes = self.pes;
-                let total = total;
-                Some(s.spawn(move || lb_main(shared, pes, total, period)))
-            } else {
-                None
-            };
-
-            // Quiescence detection: wait until all chares retire, with a
-            // stall timeout.
-            let deadline_step = self.timeout;
-            let mut last_retired = 0;
-            let mut last_progress = Instant::now();
-            let quiesced = loop {
-                let retired = shared.retired.load(Ordering::Acquire);
-                if retired >= total {
-                    break true;
-                }
-                if retired != last_retired {
-                    last_retired = retired;
-                    last_progress = Instant::now();
-                } else if last_progress.elapsed() > deadline_step {
-                    break false;
-                }
-                std::thread::sleep(Duration::from_micros(200));
-            };
-
-            // Tear down.
-            shared.stopping.store(true, Ordering::Release);
-            for pe in 0..self.pes {
-                shared.pool.push_to(pe, Directive::Stop);
-            }
-            shared.pool.close();
-            if let Some(h) = lb_handle {
-                let _ = h.join();
-            }
-
-            if quiesced {
-                Ok(())
-            } else {
-                // Report which chares never retired. Retired ones are
-                // removed from the location table.
-                let pending: Vec<u64> = {
-                    let locs = shared.locations.lock();
-                    let mut v: Vec<u64> = locs.keys().copied().collect();
-                    v.sort();
-                    v
-                };
-                Err(pending)
-            }
+        let (shared_ref, factory) = (&shared, &factory);
+        let mut pending: Vec<u64> = std::thread::scope(|s| {
+            let pes: Vec<_> = (0..self.pes)
+                .map(|pe| s.spawn(move || pe_main(pe, shared_ref, indices, factory)))
+                .collect();
+            shared_ref.wait_quiescent();
+            // Nothing is queued at quiescence, so closing the pool just
+            // lets each PE return its unretired chares.
+            shared_ref.pool.close();
+            pes.into_iter()
+                .flat_map(|pe| pe.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                .collect()
         });
+        if !pending.is_empty() {
+            pending.sort_unstable();
+            return Err(pending);
+        }
 
-        result?;
-
-        let outputs = std::mem::take(&mut *shared.outputs.lock());
+        let outputs = shared.outputs.into_inner();
         let stats = CharmStats {
-            local_messages: shared.local_msgs.load(Ordering::Relaxed),
-            cross_pe_messages: shared.cross_msgs.load(Ordering::Relaxed),
-            migrations: shared.migrations.load(Ordering::Relaxed),
-            retired: shared.retired.load(Ordering::Relaxed),
-            late_messages: shared.late_msgs.load(Ordering::Relaxed),
+            local_messages: shared.local_msgs.into_inner(),
+            cross_pe_messages: shared.cross_msgs.into_inner(),
+            retired: shared.retired.into_inner(),
+            late_messages: shared.late_msgs.into_inner(),
         };
         Ok((outputs, stats))
     }
 }
 
-/// PE scheduler loop: message-driven execution of hosted chares.
-fn pe_main<F>(
-    pe: usize,
-    shared: Arc<Shared>,
-    my_indices: Vec<u64>,
-    factory: &F,
-) where
+/// PE scheduler loop: message-driven execution of the chares placed on
+/// `pe`. Returns the indices of the chares that never retired.
+fn pe_main<F>(pe: usize, shared: &Shared, indices: &[u64], factory: &F) -> Vec<u64>
+where
     F: Fn(u64) -> Box<dyn Chare> + Send + Sync,
 {
+    let _alarm = PanicAlarm(shared);
     // Eagerly construct the chares placed here (Charm++ constructs array
     // elements at insertion).
-    let mut chares: HashMap<u64, Box<dyn Chare>> =
-        my_indices.into_iter().map(|i| (i, factory(i))).collect();
-    // Messages for chares that are migrating toward this PE but whose
-    // state has not arrived yet.
-    let mut waiting: HashMap<u64, Vec<(TaskId, Payload, u64)>> = HashMap::new();
+    let mut chares: HashMap<u64, Box<dyn Chare>> = indices
+        .iter()
+        .filter(|&&idx| shared.pe_of(idx) == pe)
+        .map(|&idx| (idx, factory(idx)))
+        .collect();
 
-    // `recv` blocks on the pinned lane (and would steal floating work, but
-    // every directive is pinned); `None` means the pool closed under us.
-    while let Some(directive) = shared.pool.recv(pe) {
-        match directive {
-            Directive::Stop => return,
-            Directive::Deliver { idx, src, payload, sent_ns } => {
-                if chares.contains_key(&idx) {
-                    run_entry(pe, &shared, &mut chares, idx, src, payload, sent_ns);
-                } else {
-                    let owner = shared.locations.lock().get(&idx).copied();
-                    match owner {
-                        Some(p) if p == pe => {
-                            // Inbound migration in flight: stash until the
-                            // state arrives.
-                            waiting.entry(idx).or_default().push((src, payload, sent_ns));
-                        }
-                        Some(p) => {
-                            // Raced with an outbound migration: forward,
-                            // keeping the original send stamp.
-                            shared
-                                .pool
-                                .push_to(p, Directive::Deliver { idx, src, payload, sent_ns });
-                        }
-                        None => {
-                            // Chare already retired: late/duplicate message.
-                            // Dataflow chares retire only after all inputs,
-                            // so this indicates a protocol violation; drop
-                            // and count it (the quiescence timeout surfaces
-                            // any resulting stall).
-                            shared.late_msgs.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
+    // `recv` blocks on the pinned lane; `None` means the run is over.
+    while let Some(Delivery { idx, src, payload, sent_ns }) = shared.pool.recv(pe) {
+        match chares.get_mut(&idx) {
+            Some(chare) => {
+                if shared.tracing {
+                    // The in-flight + inbox time of this message, charged
+                    // to the receiving chare (its task id is its array
+                    // index by convention).
+                    shared.sink.record(
+                        TraceEvent::span(SpanKind::QueueWait, sent_ns, now_ns(), pe as u32, 0)
+                            .with_task(TaskId(idx), babelflow_core::CallbackId(u32::MAX))
+                            .with_message(src, 0),
+                    );
+                }
+                let mut ctx = ChareCtx { shared, pe, self_idx: idx };
+                if chare.on_message(src, payload, &mut ctx) {
+                    chares.remove(&idx);
+                    shared.retired.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            Directive::Migrate { idx, to } => {
-                if let Some(chare) = chares.remove(&idx) {
-                    shared.locations.lock().insert(idx, to);
-                    shared.migrations.fetch_add(1, Ordering::Relaxed);
-                    shared.pool.push_to(to, Directive::Install { idx, chare });
-                }
-                // If the chare is not here (already migrated or retired),
-                // the directive is stale: ignore.
-            }
-            Directive::Install { idx, chare } => {
-                chares.insert(idx, chare);
-                if let Some(msgs) = waiting.remove(&idx) {
-                    for (src, payload, sent_ns) in msgs {
-                        run_entry(pe, &shared, &mut chares, idx, src, payload, sent_ns);
-                    }
-                }
+            // Chare already retired: dataflow chares retire only after all
+            // their inputs, so this is a protocol violation. Drop and count
+            // it; any resulting stall surfaces at quiescence.
+            None => {
+                shared.late_msgs.fetch_add(1, Ordering::Relaxed);
             }
         }
+        shared.delivered();
     }
-}
-
-/// Execute one entry method, handling retirement.
-#[allow(clippy::too_many_arguments)]
-fn run_entry(
-    pe: usize,
-    shared: &Arc<Shared>,
-    chares: &mut HashMap<u64, Box<dyn Chare>>,
-    idx: u64,
-    src: TaskId,
-    payload: Payload,
-    sent_ns: u64,
-) {
-    let start = Instant::now();
-    if shared.tracing {
-        let t = now_ns();
-        // The in-flight + inbox time of this message, charged to the
-        // receiving chare (its task id is its array index by convention).
-        shared.sink.record(
-            TraceEvent::span(SpanKind::QueueWait, sent_ns, t, pe as u32, 0)
-                .with_task(TaskId(idx), babelflow_core::CallbackId(u32::MAX))
-                .with_message(src, 0),
-        );
-    }
-    let mut ctx = ChareCtx { shared, pe, self_idx: idx };
-    let retired = {
-        let chare = chares.get_mut(&idx).expect("caller checked presence");
-        chare.on_message(src, payload, &mut ctx)
-    };
-    shared.busy_ns[pe].fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    if retired {
-        chares.remove(&idx);
-        shared.locations.lock().remove(&idx);
-        shared.retired.fetch_add(1, Ordering::AcqRel);
-    }
-}
-
-/// Periodic measurement-based load balancer: shifts chares from the
-/// busiest PE to the least busy one each period.
-fn lb_main(shared: Arc<Shared>, pes: usize, total: u64, period: Duration) {
-    let mut prev_busy = vec![0u64; pes];
-    while shared.retired.load(Ordering::Acquire) < total
-        && !shared.stopping.load(Ordering::Acquire)
-    {
-        std::thread::sleep(period);
-        let busy: Vec<u64> =
-            shared.busy_ns.iter().map(|b| b.load(Ordering::Relaxed)).collect();
-        let delta: Vec<u64> =
-            busy.iter().zip(&prev_busy).map(|(b, p)| b - p).collect();
-        prev_busy = busy;
-
-        let (max_pe, _) = match delta.iter().enumerate().max_by_key(|(_, &d)| d) {
-            Some(x) => x,
-            None => continue,
-        };
-        let (min_pe, _) = match delta.iter().enumerate().min_by_key(|(_, &d)| d) {
-            Some(x) => x,
-            None => continue,
-        };
-        if max_pe == min_pe {
-            continue;
-        }
-        // Move one not-yet-retired chare from the busiest PE.
-        let candidate = {
-            let locs = shared.locations.lock();
-            locs.iter().find(|(_, &p)| p == max_pe).map(|(&i, _)| i)
-        };
-        if let Some(idx) = candidate {
-            shared.pool.push_to(max_pe, Directive::Migrate { idx, to: min_pe });
-        }
-    }
+    chares.into_keys().collect()
 }
 
 #[cfg(test)]
@@ -562,7 +390,7 @@ mod tests {
 
     #[test]
     fn stalled_run_reports_pending_chares() {
-        let rt = CharmRuntime::new(2).with_timeout(Duration::from_millis(100));
+        let rt = CharmRuntime::new(2);
         // Chare 1 never gets its second value; 2 never fires.
         let initial = vec![
             (0, TaskId::EXTERNAL, pay(1)),
@@ -571,46 +399,6 @@ mod tests {
         ];
         let pending = rt.run(&[0, 1, 2], chain_factory, initial).unwrap_err();
         assert_eq!(pending, vec![1, 2]);
-    }
-
-    #[test]
-    fn periodic_lb_migrates_and_stays_correct() {
-        // Imbalanced work: chare 0 sleeps, others are quick. With a short
-        // LB period, migrations happen and the result is unchanged.
-        struct Sleepy(Accum);
-        impl Chare for Sleepy {
-            fn on_message(&mut self, src: TaskId, p: Payload, ctx: &mut ChareCtx<'_>) -> bool {
-                std::thread::sleep(Duration::from_millis(3));
-                self.0.on_message(src, p, ctx)
-            }
-        }
-        let factory = |idx: u64| -> Box<dyn Chare> {
-            Box::new(Sleepy(Accum {
-                need: 2,
-                got: Vec::new(),
-                forward_to: (idx < 8).then_some(8),
-                id: TaskId(idx),
-            }))
-        };
-        let rt = CharmRuntime::new(2).with_lb(LoadBalance::Periodic(Duration::from_millis(2)));
-        let mut initial = Vec::new();
-        for idx in 0..8 {
-            initial.push((idx, TaskId::EXTERNAL, pay(idx)));
-            initial.push((idx, TaskId::EXTERNAL, pay(100)));
-        }
-        // Chare 8 needs 8 inputs... need=2 is wrong for it; use need=8.
-        let factory = move |idx: u64| -> Box<dyn Chare> {
-            if idx == 8 {
-                Box::new(Accum { need: 8, got: Vec::new(), forward_to: None, id: TaskId(8) })
-            } else {
-                factory(idx)
-            }
-        };
-        let indices: Vec<u64> = (0..9).collect();
-        let (outputs, _stats) = rt.run(&indices, factory, initial).unwrap();
-        // Sum of (idx + 100 + idx? no: each leaf sums its two inputs
-        // idx + 100, then 8 sums the 8 results: Σ(idx+100) = 28 + 800.
-        assert_eq!(val(&outputs[&TaskId(8)][0]), 828);
     }
 
     #[test]
@@ -623,7 +411,22 @@ mod tests {
             (1, TaskId::EXTERNAL, pay(4)),
         ];
         let (_, stats) = rt.run(&[0, 1, 2], chain_factory, initial).unwrap();
-        // Bootstraps (4, sent from "outside" = cross) + 2 forwards.
-        assert_eq!(stats.local_messages + stats.cross_pe_messages, 6);
+        // Bootstraps (4, sent from "outside" = cross) + 2 forwards: 0 -> 2
+        // stays on PE 0, 1 -> 2 crosses from PE 1.
+        assert_eq!((stats.local_messages, stats.cross_pe_messages), (1, 5));
+    }
+
+    #[test]
+    #[should_panic(expected = "chare exploded")]
+    fn panicking_chare_propagates_instead_of_hanging() {
+        struct Bomb;
+        impl Chare for Bomb {
+            fn on_message(&mut self, _: TaskId, _: Payload, _: &mut ChareCtx<'_>) -> bool {
+                panic!("chare exploded")
+            }
+        }
+        let rt = CharmRuntime::new(2);
+        let factory = |_| -> Box<dyn Chare> { Box::new(Bomb) };
+        let _ = rt.run(&[0, 1], factory, vec![(1, TaskId::EXTERNAL, pay(0))]);
     }
 }

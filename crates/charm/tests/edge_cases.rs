@@ -1,10 +1,8 @@
-//! Edge-case tests for the chare-array runtime: migration racing with
-//! in-flight messages, stale balancer directives, and oversubscription.
-
-use std::time::Duration;
+//! Edge-case tests for the chare-array runtime: oversubscription and
+//! messages to retired chares.
 
 use babelflow_core::{Blob, Payload, PayloadData, TaskId};
-use babelflow_charm::{Chare, ChareCtx, CharmRuntime, LoadBalance};
+use babelflow_charm::{Chare, ChareCtx, CharmRuntime};
 
 fn pay(v: u64) -> Payload {
     Payload::wrap(Blob(v.to_le_bytes().to_vec()))
@@ -36,38 +34,6 @@ impl Chare for Hop {
             None => ctx.emit_external(TaskId(self.id), pay(self.got + self.id)),
         }
         true
-    }
-
-    fn footprint(&self) -> usize {
-        std::mem::size_of::<Self>()
-    }
-}
-
-/// A long pipeline under an aggressive balancer: every hop is a migration
-/// candidate while its successor's message is in flight.
-#[test]
-fn migration_races_with_in_flight_messages() {
-    let len = 64u64;
-    let factory = move |idx: u64| -> Box<dyn Chare> {
-        Box::new(Hop {
-            id: idx,
-            need: 1,
-            got: 0,
-            seen: 0,
-            next: (idx + 1 < len).then_some(idx + 1),
-        })
-    };
-    for trial in 0..5 {
-        let rt = CharmRuntime::new(4)
-            .with_lb(LoadBalance::Periodic(Duration::from_micros(200 + trial * 70)))
-            .with_timeout(Duration::from_secs(10));
-        let indices: Vec<u64> = (0..len).collect();
-        let (outputs, stats) =
-            rt.run(&indices, factory, vec![(0, TaskId::EXTERNAL, pay(1))]).unwrap();
-        // 1 + Σ(0..len) accumulated along the chain.
-        let expected = 1 + (0..len).sum::<u64>();
-        assert_eq!(val(&outputs[&TaskId(len - 1)][0]), expected, "trial {trial}");
-        assert_eq!(stats.retired, len);
     }
 }
 
@@ -110,7 +76,7 @@ fn late_messages_are_counted_not_fatal() {
             true
         }
     }
-    let rt = CharmRuntime::new(1).with_timeout(Duration::from_secs(5));
+    let rt = CharmRuntime::new(1);
     let factory = |_| -> Box<dyn Chare> { Box::new(Echo) };
     let (outputs, stats) = rt
         .run(&[0, 1], factory, vec![(0, TaskId::EXTERNAL, pay(7))])

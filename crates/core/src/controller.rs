@@ -293,71 +293,9 @@ pub trait Controller {
     fn name(&self) -> &'static str;
 }
 
-/// Validate registry bindings and initial inputs before a run; shared by
-/// all controllers.
-pub fn preflight(
-    graph: &dyn TaskGraph,
-    registry: &Registry,
-    initial: &InitialInputs,
-) -> Result<()> {
-    let missing = registry.missing(&graph.callback_ids());
-    if !missing.is_empty() {
-        return Err(ControllerError::UnboundCallbacks(missing));
-    }
-    for id in graph.input_tasks() {
-        let task = graph.task(id).expect("input_tasks returned unknown id");
-        let expected = task.incoming.iter().filter(|t| t.is_external()).count();
-        let got = initial.get(&id).map_or(0, Vec::len);
-        if expected != got {
-            return Err(ControllerError::BadInitialInputs { task: id, expected, got });
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::ExplicitGraph;
-    use crate::payload::Blob;
-    use crate::task::Task;
-
-    fn one_task_graph() -> ExplicitGraph {
-        let mut t = Task::new(TaskId(0), CallbackId(0));
-        t.incoming = vec![TaskId::EXTERNAL];
-        t.outgoing = vec![vec![TaskId::EXTERNAL]];
-        ExplicitGraph::new(vec![t], vec![CallbackId(0)])
-    }
-
-    #[test]
-    fn preflight_catches_unbound_callbacks() {
-        let g = one_task_graph();
-        let r = Registry::new();
-        let err = preflight(&g, &r, &HashMap::new()).unwrap_err();
-        assert!(matches!(err, ControllerError::UnboundCallbacks(v) if v == vec![CallbackId(0)]));
-    }
-
-    #[test]
-    fn preflight_catches_missing_inputs() {
-        let g = one_task_graph();
-        let mut r = Registry::new();
-        r.register(CallbackId(0), |i, _| i);
-        let err = preflight(&g, &r, &HashMap::new()).unwrap_err();
-        assert!(matches!(
-            err,
-            ControllerError::BadInitialInputs { task, expected: 1, got: 0 } if task == TaskId(0)
-        ));
-    }
-
-    #[test]
-    fn preflight_accepts_complete_setup() {
-        let g = one_task_graph();
-        let mut r = Registry::new();
-        r.register(CallbackId(0), |i, _| i);
-        let mut init = HashMap::new();
-        init.insert(TaskId(0), vec![Payload::wrap(Blob(vec![]))]);
-        assert!(preflight(&g, &r, &init).is_ok());
-    }
 
     fn stats(
         te: u64,

@@ -58,7 +58,6 @@ pub mod codec;
 pub mod compose;
 pub mod controller;
 pub mod dot;
-pub mod exec;
 pub mod fault;
 pub mod graph;
 pub mod ids;
@@ -79,10 +78,9 @@ pub use buffer::{Bytes, BytesMut};
 pub use codec::{DecodeError, Decoder, Encoder};
 pub use compose::{ChainGraph, Link, OffsetGraph};
 pub use controller::{
-    preflight, Controller, ControllerError, InitialInputs, PerfStats, RecoveryStats, Result,
-    RunReport, RunStats,
+    Controller, ControllerError, InitialInputs, PerfStats, RecoveryStats, Result, RunReport,
+    RunStats,
 };
-pub use exec::InputBuffer;
 pub use fault::{
     catch_invoke, inject_panics, quiet_panic_hook, FaultPlan, MAX_TASK_RETRIES, PANIC_MARKER,
 };
@@ -91,7 +89,7 @@ pub use graph::{assert_valid, validate, ExplicitGraph, GraphDefect, TaskGraph};
 pub use ids::{CallbackId, ShardId, TaskId};
 pub use lint::{lint_bindings, lint_plan, Diagnostic, DiagnosticCode, Severity, VerifyReport};
 pub use payload::{Blob, Payload, PayloadData, PayloadError};
-pub use plan::{CountingGraph, PlanBuffer, PlanTask, Route, ShardPlan};
+pub use plan::{PlanBuffer, PlanTask, Route, ShardPlan};
 pub use registry::{Callback, DuplicateCallback, Registry};
 pub use serial::{canonical_outputs, run_serial, SerialController};
 pub use stats::{graph_stats, GraphStats};

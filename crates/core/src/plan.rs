@@ -30,7 +30,6 @@ use crate::ids::{CallbackId, ShardId, TaskId};
 use crate::lint::{self, VerifyReport};
 use crate::payload::Payload;
 use crate::registry::Registry;
-use crate::sync::Counter;
 use crate::task::Task;
 use crate::taskmap::TaskMap;
 
@@ -355,10 +354,9 @@ impl ShardPlan {
 /// Input-slot buffer for one pending task, driven by a [`PlanTask`]'s
 /// precomputed source map instead of the task's raw edge list.
 ///
-/// Unlike [`InputBuffer`](crate::exec::InputBuffer) it does not own a
-/// [`Task`] — the task stays interned in the plan — so creating one per
-/// pending task clones nothing, and [`PlanBuffer::deliver`] allocates
-/// nothing.
+/// It does not own a [`Task`] — the task stays interned in the plan — so
+/// creating one per pending task clones nothing, and
+/// [`PlanBuffer::deliver`] allocates nothing.
 #[derive(Debug)]
 pub struct PlanBuffer {
     ix: u32,
@@ -422,53 +420,48 @@ impl PlanBuffer {
     }
 }
 
-/// A [`TaskGraph`] wrapper counting every procedural `task()` query.
-///
-/// Used by benchmarks to measure the query cost of the legacy
-/// (plan-free) call pattern — `preflight` + per-shard `local_graph` +
-/// whole-graph scans — against the same graph the fast path plans over.
-pub struct CountingGraph<'g> {
-    inner: &'g dyn TaskGraph,
-    queries: Counter,
-}
-
-impl<'g> CountingGraph<'g> {
-    /// Wrap `inner`, starting the query count at zero.
-    pub fn new(inner: &'g dyn TaskGraph) -> Self {
-        CountingGraph { inner, queries: Counter::new(0) }
-    }
-
-    /// Number of `task()` calls observed so far.
-    pub fn queries(&self) -> u64 {
-        self.queries.get()
-    }
-}
-
-impl TaskGraph for CountingGraph<'_> {
-    fn size(&self) -> usize {
-        self.inner.size()
-    }
-
-    fn task(&self, id: TaskId) -> Option<Task> {
-        self.queries.next();
-        self.inner.task(id)
-    }
-
-    fn callback_ids(&self) -> Vec<CallbackId> {
-        self.inner.callback_ids()
-    }
-
-    fn ids(&self) -> Vec<TaskId> {
-        self.inner.ids()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::ExplicitGraph;
     use crate::payload::Blob;
+    use crate::sync::Counter;
     use crate::taskmap::ModuloMap;
+
+    /// A [`TaskGraph`] wrapper counting every procedural `task()` query.
+    struct CountingGraph<'g> {
+        inner: &'g dyn TaskGraph,
+        queries: Counter,
+    }
+
+    impl<'g> CountingGraph<'g> {
+        fn new(inner: &'g dyn TaskGraph) -> Self {
+            CountingGraph { inner, queries: Counter::new(0) }
+        }
+
+        fn queries(&self) -> u64 {
+            self.queries.get()
+        }
+    }
+
+    impl TaskGraph for CountingGraph<'_> {
+        fn size(&self) -> usize {
+            self.inner.size()
+        }
+
+        fn task(&self, id: TaskId) -> Option<Task> {
+            self.queries.next();
+            self.inner.task(id)
+        }
+
+        fn callback_ids(&self) -> Vec<CallbackId> {
+            self.inner.callback_ids()
+        }
+
+        fn ids(&self) -> Vec<TaskId> {
+            self.inner.ids()
+        }
+    }
 
     /// A diamond: 0 -> {1, 2} -> 3, with external input at 0 and external
     /// output at 3; task 3 takes both inputs from slot-ordered producers.

@@ -15,7 +15,7 @@
 //! fast path and batched sends), so benchmark deltas between the two
 //! isolate exactly the scheduling difference.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -75,49 +75,6 @@ impl BlockingMpiController {
         self.plan = Some(plan);
         self
     }
-}
-
-/// Global topological order of the graph (Kahn's algorithm, id-tiebroken):
-/// the static schedule every rank follows. Any topological order is a valid
-/// blocking schedule; id tie-breaking makes it deterministic.
-///
-/// Legacy (procedural) form, querying `graph.task()` per id; the
-/// controller itself uses the query-free [`ShardPlan::static_schedule`],
-/// which produces the identical order. Kept public for benchmarks
-/// measuring the legacy call pattern.
-pub fn static_schedule(graph: &dyn TaskGraph) -> HashMap<TaskId, usize> {
-    let ids = graph.ids();
-    let tasks: HashMap<TaskId, babelflow_core::Task> =
-        ids.iter().filter_map(|&id| graph.task(id).map(|t| (id, t))).collect();
-    let mut indegree: HashMap<TaskId, usize> = tasks
-        .values()
-        .map(|t| (t.id, t.incoming.iter().filter(|s| !s.is_external()).count()))
-        .collect();
-    let mut frontier: Vec<TaskId> =
-        indegree.iter().filter(|(_, &d)| d == 0).map(|(&id, _)| id).collect();
-    frontier.sort();
-    let mut queue: VecDeque<TaskId> = frontier.into();
-    let mut order = HashMap::with_capacity(tasks.len());
-    while let Some(id) = queue.pop_front() {
-        let pos = order.len();
-        order.insert(id, pos);
-        let mut next = Vec::new();
-        for dsts in &tasks[&id].outgoing {
-            for &dst in dsts {
-                if dst.is_external() {
-                    continue;
-                }
-                let d = indegree.get_mut(&dst).expect("edge target exists");
-                *d -= 1;
-                if *d == 0 {
-                    next.push(dst);
-                }
-            }
-        }
-        next.sort();
-        queue.extend(next);
-    }
-    order
 }
 
 impl Controller for BlockingMpiController {

@@ -26,7 +26,7 @@ pub mod insitu;
 pub mod reliable;
 pub mod wire;
 
-pub use blocking::{static_schedule, BlockingMpiController};
+pub use blocking::BlockingMpiController;
 pub use comm::{pack_batch, unpack_batch, Envelope, FaultPlan, RankComm, World, TAG_BATCH};
 pub use controller::{MpiController, DEFAULT_TIMEOUT};
 pub use insitu::{InSituRank, InSituWorld};
@@ -275,22 +275,6 @@ use babelflow_graphs::{BinarySwap, Reduction};
             .run(&g, &map, &reg, reduction_inputs(&g))
             .unwrap_err();
         assert!(matches!(err, ControllerError::TaskError { .. }), "got {err}");
-    }
-
-    #[test]
-    fn static_schedule_is_topological() {
-        let g = Reduction::new(8, 2);
-        let sched = static_schedule(&g);
-        for id in g.ids() {
-            let t = g.task(id).unwrap();
-            for dsts in &t.outgoing {
-                for dst in dsts {
-                    if !dst.is_external() {
-                        assert!(sched[&id] < sched[dst], "{id} must precede {dst}");
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -10,7 +10,6 @@ use babelflow_core::{
 };
 use babelflow_graphs::Reduction;
 use babelflow_mpi::{BlockingMpiController, MpiController};
-use babelflow_core::proptest_lite as proptest;
 use babelflow_core::proptest_lite::prelude::*;
 
 fn val(p: &Payload) -> u64 {

@@ -6,7 +6,6 @@ use babelflow_graphs::{KWayMerge, Reduction};
 use babelflow_sim::{
     simulate, CompositeKind, MachineConfig, MergeTreeCost, RenderCost, RuntimeCosts,
 };
-use babelflow_core::proptest_lite as proptest;
 use babelflow_core::proptest_lite::prelude::*;
 
 fn presets() -> Vec<RuntimeCosts> {

@@ -89,7 +89,7 @@ fn main() {
                     .with_faults(faults.message_faults()),
             ),
         ),
-        ("charm", Box::new(babelflow::charm::CharmController::new(2).with_timeout(timeout))),
+        ("charm", Box::new(babelflow::charm::CharmController::new(2))),
         (
             "legion-spmd",
             Box::new(babelflow::legion::LegionSpmdController::new(2).with_timeout(timeout)),

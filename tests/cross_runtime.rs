@@ -259,7 +259,7 @@ fn run_conformance_case(case_seed: u64) -> Result<(), String> {
                     .with_faults(plan.message_faults()),
             ),
         ),
-        ("charm", Box::new(babelflow::charm::CharmController::new(2).with_timeout(timeout))),
+        ("charm", Box::new(babelflow::charm::CharmController::new(2))),
         (
             "legion-spmd",
             Box::new(babelflow::legion::LegionSpmdController::new(2).with_timeout(timeout)),

@@ -4,14 +4,19 @@
 //! * `perf_smoke` — measure and (re)write `BENCH_controllers.json`.
 //! * `perf_smoke --check` — re-measure and fail (exit 1) if the structural
 //!   counters regress against the committed baseline, if any delivery
-//!   allocates, or if a run with a prebuilt plan queries the graph.
+//!   allocates, if a run with a prebuilt plan queries the graph, or if a
+//!   fault-free run retransmits.
 //!
 //! Structural counters (`task_queries`, `payload_clones`,
 //! `delivery_allocs`) are exact-compared: they are functions of graph,
-//! placement, and code path, not of scheduling. Transport counters
-//! (`envelopes_sent`, `batches_sent`) get a 1.5× band because retransmit
-//! timers may fire on a loaded machine. Wall-clock time is perfbench's
-//! job, not this binary's.
+//! placement, and code path, not of scheduling. Every cell is fault-free,
+//! so `retransmits` must be exactly 0: the reliable layer reads queued
+//! acks before it looks for overdue messages, so only a message that is
+//! really lost (or a peer stalled past the retransmit timeout) is sent
+//! twice. Transport counters (`envelopes_sent`, `batches_sent`) get a
+//! 1.5× band because how sends and acks coalesce into envelopes depends
+//! on thread timing. Wall-clock time is perfbench's job, not this
+//! binary's.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -82,6 +87,7 @@ struct Sample {
     delivery_allocs: u64,
     envelopes_sent: u64,
     batches_sent: u64,
+    retransmits: u64,
 }
 
 const SHARDS: u32 = 3;
@@ -155,6 +161,7 @@ fn measure_matrix() -> Vec<Sample> {
                 delivery_allocs: p.delivery_allocs,
                 envelopes_sent: p.envelopes_sent,
                 batches_sent: p.batches_sent,
+                retransmits: report.stats.recovery.retransmits,
             });
         }
     }
@@ -166,7 +173,7 @@ fn render_json(samples: &[Sample]) -> String {
     s.push_str("  \"results\": [\n");
     for (i, r) in samples.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"family\": \"{}\", \"tasks\": {}, \"task_queries\": {}, \"payload_clones\": {}, \"delivery_allocs\": {}, \"envelopes_sent\": {}, \"batches_sent\": {}}}{}\n",
+            "    {{\"backend\": \"{}\", \"family\": \"{}\", \"tasks\": {}, \"task_queries\": {}, \"payload_clones\": {}, \"delivery_allocs\": {}, \"envelopes_sent\": {}, \"batches_sent\": {}, \"retransmits\": {}}}{}\n",
             r.backend,
             r.family,
             r.tasks,
@@ -175,6 +182,7 @@ fn render_json(samples: &[Sample]) -> String {
             r.delivery_allocs,
             r.envelopes_sent,
             r.batches_sent,
+            r.retransmits,
             if i + 1 == samples.len() { "" } else { "," }
         ));
     }
@@ -189,7 +197,8 @@ fn field(j: &Json, key: &str) -> u64 {
 }
 
 /// Enforce the invariants every measurement must satisfy regardless of any
-/// baseline: zero-alloc delivery and zero steady-state graph queries.
+/// baseline: zero-alloc delivery, zero steady-state graph queries and, the
+/// runs being fault-free, zero retransmits.
 fn check_invariants(samples: &[Sample]) -> Vec<String> {
     let mut fails = Vec::new();
     for r in samples {
@@ -203,6 +212,12 @@ fn check_invariants(samples: &[Sample]) -> Vec<String> {
             fails.push(format!(
                 "{}/{}: {} steady-state graph queries with a prebuilt plan (must be 0)",
                 r.backend, r.family, r.task_queries
+            ));
+        }
+        if r.retransmits != 0 {
+            fails.push(format!(
+                "{}/{}: {} retransmits on a fault-free run (must be 0)",
+                r.backend, r.family, r.retransmits
             ));
         }
     }

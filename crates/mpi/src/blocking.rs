@@ -28,7 +28,7 @@ use babelflow_core::{
 };
 
 use crate::comm::{FaultPlan, RankComm, World};
-use crate::controller::DEFAULT_TIMEOUT;
+use crate::controller::{rank_outcome, DEFAULT_TIMEOUT};
 use crate::reliable::ReliableEndpoint;
 use crate::wire::{DataflowMsg, TAG_DATAFLOW};
 
@@ -123,7 +123,7 @@ impl Controller for BlockingMpiController {
                         })
                     })
                     .collect();
-                handles.into_iter().map(|h| h.join().expect("rank thread panicked")).collect()
+                handles.into_iter().enumerate().map(|(r, h)| rank_outcome(r, h.join())).collect()
             });
 
         let mut report = RunReport::default();
@@ -151,20 +151,16 @@ fn blocking_rank_main(
     timeout: Duration,
     sink: Arc<dyn TraceSink>,
 ) -> Result<(BTreeMap<TaskId, Vec<Payload>>, RunStats)> {
+    // As in `rank_main`, dropping `rel` on an error or a panic marks this
+    // rank finished.
     let mut rel = ReliableEndpoint::new(ep);
-    match blocking_rank_inner(&mut rel, plan, registry, initial, schedule, timeout, sink) {
-        Ok((outputs, mut stats)) => {
-            rel.flush(timeout);
-            stats.recovery.merge(&rel.stats);
-            stats.perf.envelopes_sent += rel.envelopes_sent;
-            stats.perf.batches_sent += rel.batches_sent;
-            Ok((outputs, stats))
-        }
-        Err(e) => {
-            rel.mark_finished();
-            Err(e)
-        }
-    }
+    let (outputs, mut stats) =
+        blocking_rank_inner(&mut rel, plan, registry, initial, schedule, timeout, sink)?;
+    rel.flush(timeout);
+    stats.recovery.merge(&rel.stats);
+    stats.perf.envelopes_sent += rel.envelopes_sent;
+    stats.perf.batches_sent += rel.batches_sent;
+    Ok((outputs, stats))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -371,6 +367,9 @@ fn blocking_rank_inner(
         }
         // One envelope per destination for this task's whole fan-out.
         rel.flush_sends();
+        // Ack what arrived while the callback ran now, not when this rank
+        // next blocks: a peer's retransmit timer keeps running meanwhile.
+        rel.drain_inbox();
     }
 
     Ok((outputs, stats))

@@ -30,6 +30,13 @@ pub use babelflow_core::fault::FaultPlan;
 /// reliable layer recovers every part together.
 pub const TAG_BATCH: u32 = u32::MAX - 1;
 
+/// Tag reserved for the shutdown wake: an empty control envelope that the
+/// last rank to [`mark_finished`](RankComm::mark_finished) puts straight
+/// into every peer's inbox, so a rank blocked at the shutdown barrier
+/// leaves at once. It bypasses fault injection and is not counted as
+/// delivered.
+pub const TAG_WAKE: u32 = u32::MAX - 2;
+
 /// Encode `parts` into one batch body: `u32 count`, then per part
 /// `u32 tag, u32 len, len bytes` (all little-endian).
 ///
@@ -270,10 +277,21 @@ impl RankComm {
     /// Idempotent. Part of the reliable layer's shutdown barrier — a rank
     /// keeps servicing (re-acking) incoming traffic until
     /// [`all_finished`](Self::all_finished), so peers never retransmit
-    /// into a torn-down endpoint.
+    /// into a torn-down endpoint. The rank that completes the barrier
+    /// sends every peer a [`TAG_WAKE`] envelope, so their blocking wait at
+    /// the barrier ends at once. Dropping the endpoint (an error return or
+    /// a panicking rank thread) marks it finished too.
     pub fn mark_finished(&self) {
-        if !self.finished_flag.replace(true) {
-            self.shared.finished.next();
+        if self.finished_flag.replace(true) {
+            return;
+        }
+        if self.shared.finished.next() + 1 == self.n as u64 {
+            for (dst, inbox) in self.shared.inboxes.iter().enumerate() {
+                if dst != self.rank {
+                    let wake = Envelope { src: self.rank, tag: TAG_WAKE, body: Bytes::new() };
+                    let _ = inbox.send(wake);
+                }
+            }
         }
     }
 
@@ -281,6 +299,14 @@ impl RankComm {
     /// [`mark_finished`](Self::mark_finished).
     pub fn all_finished(&self) -> bool {
         self.shared.finished.get() >= self.n as u64
+    }
+}
+
+impl Drop for RankComm {
+    /// A dropped endpoint can never ack again: release the peers waiting
+    /// for it at the shutdown barrier.
+    fn drop(&mut self) {
+        self.mark_finished();
     }
 }
 
@@ -392,6 +418,40 @@ mod tests {
         assert!(!b.all_finished());
         b.mark_finished();
         assert!(a.all_finished() && b.all_finished());
+    }
+
+    #[test]
+    fn last_finisher_wakes_every_peer_outside_the_fault_plan() {
+        // Rank 2's first message to each peer is dropped, yet its wakes
+        // arrive: they take no fault sequence number and are not counted.
+        let faults = FaultPlan { drop: vec![(2, 0, 0), (2, 1, 0)], ..FaultPlan::none() };
+        let mut w = World::with_faults(3, faults);
+        let eps = w.endpoints();
+        eps[0].mark_finished();
+        eps[1].mark_finished();
+        assert!(eps.iter().all(|ep| ep.try_recv().is_none()), "no wake before the last finisher");
+        eps[2].mark_finished();
+        for ep in &eps[..2] {
+            let wake = ep.try_recv().expect("woken");
+            assert_eq!((wake.src, wake.tag, wake.body.len()), (2, TAG_WAKE, 0));
+            assert!(ep.try_recv().is_none());
+        }
+        assert!(eps[2].try_recv().is_none(), "the last finisher does not wake itself");
+        assert_eq!(w.delivered(), 0);
+        eps[2].isend(0, 0, Bytes::from_static(b"lost"));
+        eps[2].isend(0, 0, Bytes::from_static(b"kept"));
+        assert_eq!(eps[0].try_recv().unwrap().body.as_ref(), b"kept");
+        assert_eq!(w.delivered(), 1);
+    }
+
+    #[test]
+    fn dropping_an_endpoint_marks_it_finished() {
+        let mut w = World::new(2);
+        let a = w.endpoint(0);
+        drop(w.endpoint(1));
+        assert!(!a.all_finished());
+        a.mark_finished();
+        assert!(a.all_finished());
     }
 
     #[test]

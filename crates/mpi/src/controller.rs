@@ -122,6 +122,13 @@ impl MpiController {
 /// What one rank produced.
 pub(crate) type RankOutcome = Result<(BTreeMap<TaskId, Vec<Payload>>, RunStats)>;
 
+/// A rank thread's outcome from its join: a panic that escaped the rank
+/// (callbacks are guarded by `catch_invoke`; this is anything else, a
+/// trace sink for one) becomes an error instead of aborting the host.
+pub(crate) fn rank_outcome(rank: usize, joined: std::thread::Result<RankOutcome>) -> RankOutcome {
+    joined.unwrap_or_else(|_| Err(ControllerError::Runtime(format!("rank {rank} thread panicked"))))
+}
+
 impl Controller for MpiController {
     fn run_traced(
         &mut self,
@@ -169,7 +176,7 @@ impl Controller for MpiController {
                     })
                 })
                 .collect();
-            handles.into_iter().map(|h| h.join().expect("rank thread panicked")).collect()
+            handles.into_iter().enumerate().map(|(r, h)| rank_outcome(r, h.join())).collect()
         });
 
         let mut report = RunReport::default();
@@ -258,24 +265,29 @@ pub(crate) fn rank_main(
     faults: &FaultPlan,
     sink: Arc<dyn TraceSink>,
 ) -> RankOutcome {
+    // On an error return or a panic, dropping `rel` marks this rank
+    // finished, which releases peers lingering at the shutdown barrier.
     let mut rel = ReliableEndpoint::new(ep);
-    match rank_main_inner(&mut rel, plan, registry, initial, workers, timeout, faults, sink) {
-        Ok((outputs, mut stats)) => {
-            // Drain: wait for our acks, then linger re-acking peers until
-            // the whole world is finished. A `false` here means a peer
-            // died without reaching the barrier — its own outcome carries
-            // the error, ours is complete.
-            rel.flush(timeout);
-            stats.recovery.merge(&rel.stats);
-            stats.perf.envelopes_sent += rel.envelopes_sent;
-            stats.perf.batches_sent += rel.batches_sent;
-            Ok((outputs, stats))
-        }
-        Err(e) => {
-            // Unblock peers lingering at the shutdown barrier.
-            rel.mark_finished();
-            Err(e)
-        }
+    let (outputs, mut stats) =
+        rank_main_inner(&mut rel, plan, registry, initial, workers, timeout, faults, sink)?;
+    // Drain: wait for our acks, then linger re-acking peers until the
+    // whole world is finished. A `false` here means a peer died without
+    // reaching the barrier — its own outcome carries the error, ours is
+    // complete.
+    rel.flush(timeout);
+    stats.recovery.merge(&rel.stats);
+    stats.perf.envelopes_sent += rel.envelopes_sent;
+    stats.perf.batches_sent += rel.batches_sent;
+    Ok((outputs, stats))
+}
+
+/// Closes the pool when dropped, also when the control loop unwinds, so
+/// the scope's join of the workers cannot hang.
+struct ClosePool<'a>(&'a WorkPool<WorkItem>);
+
+impl Drop for ClosePool<'_> {
+    fn drop(&mut self) {
+        self.0.close();
     }
 }
 
@@ -419,212 +431,209 @@ fn rank_main_inner(
         }
         drop(done_tx);
 
-        let result = (|| -> Result<(BTreeMap<TaskId, Vec<Payload>>, RunStats)> {
-            let mut outputs: BTreeMap<TaskId, Vec<Payload>> = BTreeMap::new();
-            let mut stats = RunStats::default();
-            let mut executed = 0usize;
-            let mut inflight: HashMap<TaskId, Inflight> = HashMap::new();
-            let mut completed: HashSet<TaskId> = HashSet::new();
+        // Release the workers however the loop ends — error return or
+        // unwind included; the scope's join needs them to exit.
+        let _close = ClosePool(&pool);
 
-            let initially_ready: Vec<TaskId> = {
-                let mut r: Vec<TaskId> = buffers
-                    .iter()
-                    .filter(|(_, b)| b.ready())
-                    .map(|(&id, _)| id)
-                    .collect();
-                r.sort();
-                r
-            };
-            dispatch_ready(&mut buffers, initially_ready, &pool, &mut inflight, &mut stats, tracing);
+        let mut outputs: BTreeMap<TaskId, Vec<Payload>> = BTreeMap::new();
+        let mut stats = RunStats::default();
+        let mut executed = 0usize;
+        let mut inflight: HashMap<TaskId, Inflight> = HashMap::new();
+        let mut completed: HashSet<TaskId> = HashSet::new();
 
-            // Short select tick (drives retransmits and re-fires) decoupled
-            // from the stall timeout (no progress at all for `timeout`).
-            let tick = Duration::from_millis(10).min(timeout);
-            let refire_after =
-                (timeout / 8).clamp(Duration::from_millis(50), Duration::from_secs(2));
-            let mut last_progress = Instant::now();
+        let initially_ready: Vec<TaskId> = {
+            let mut r: Vec<TaskId> = buffers
+                .iter()
+                .filter(|(_, b)| b.ready())
+                .map(|(&id, _)| id)
+                .collect();
+            r.sort();
+            r
+        };
+        dispatch_ready(&mut buffers, initially_ready, &pool, &mut inflight, &mut stats, tracing);
 
-            while executed < local_total {
-                // Reliable layer first: deliver whatever is in order.
-                let mut newly_ready = Vec::new();
-                while let Some((src_rank, _tag, body)) = rel.pop_ready() {
-                    let recv_start = if tracing { now_ns() } else { 0 };
-                    let wire_bytes = body.len() as u64;
-                    let msg = DataflowMsg::decode(&body).ok_or_else(|| {
-                        ControllerError::Runtime(format!("malformed message from rank {src_rank}"))
-                    })?;
-                    let buf = buffers.get_mut(&msg.dst_task).ok_or_else(|| {
-                        ControllerError::Runtime(format!(
-                            "message for unknown/finished task {}", msg.dst_task
-                        ))
-                    })?;
-                    let dst_pt = plan.task(buf.ix());
-                    if !buf.deliver(dst_pt, msg.src_task, Payload::Buffer(msg.payload)) {
-                        return Err(ControllerError::Runtime(format!(
-                            "unexpected delivery {} -> {}", msg.src_task, msg.dst_task
-                        )));
-                    }
-                    if tracing {
-                        sink.record(
-                            TraceEvent::span(
-                                SpanKind::MsgRecv,
-                                recv_start,
-                                now_ns(),
-                                my_rank,
-                                CONTROL_THREAD,
-                            )
-                            .with_task(msg.dst_task, dst_pt.callback())
-                            .with_message(msg.src_task, wire_bytes),
-                        );
-                    }
-                    if buf.ready() {
-                        newly_ready.push(msg.dst_task);
-                    }
-                    last_progress = Instant::now();
+        // Short select tick (drives retransmits and re-fires) decoupled
+        // from the stall timeout (no progress at all for `timeout`).
+        let tick = Duration::from_millis(10).min(timeout);
+        let refire_after =
+            (timeout / 8).clamp(Duration::from_millis(50), Duration::from_secs(2));
+        let mut last_progress = Instant::now();
+
+        while executed < local_total {
+            // Reliable layer first: deliver whatever is in order.
+            let mut newly_ready = Vec::new();
+            while let Some((src_rank, _tag, body)) = rel.pop_ready() {
+                let recv_start = if tracing { now_ns() } else { 0 };
+                let wire_bytes = body.len() as u64;
+                let msg = DataflowMsg::decode(&body).ok_or_else(|| {
+                    ControllerError::Runtime(format!("malformed message from rank {src_rank}"))
+                })?;
+                let buf = buffers.get_mut(&msg.dst_task).ok_or_else(|| {
+                    ControllerError::Runtime(format!(
+                        "message for unknown/finished task {}", msg.dst_task
+                    ))
+                })?;
+                let dst_pt = plan.task(buf.ix());
+                if !buf.deliver(dst_pt, msg.src_task, Payload::Buffer(msg.payload)) {
+                    return Err(ControllerError::Runtime(format!(
+                        "unexpected delivery {} -> {}", msg.src_task, msg.dst_task
+                    )));
                 }
-                dispatch_ready(&mut buffers, newly_ready, &pool, &mut inflight, &mut stats, tracing);
+                if tracing {
+                    sink.record(
+                        TraceEvent::span(
+                            SpanKind::MsgRecv,
+                            recv_start,
+                            now_ns(),
+                            my_rank,
+                            CONTROL_THREAD,
+                        )
+                        .with_task(msg.dst_task, dst_pt.callback())
+                        .with_message(msg.src_task, wire_bytes),
+                    );
+                }
+                if buf.ready() {
+                    newly_ready.push(msg.dst_task);
+                }
+                last_progress = Instant::now();
+            }
+            dispatch_ready(&mut buffers, newly_ready, &pool, &mut inflight, &mut stats, tracing);
 
-                // Biased two-way select: worker completions first, then network
-                // envelopes, then the protocol tick.
-                let sel = select2(&done_rx, rel.inbox(), tick);
-                match sel {
-                    Select2::A(DoneItem { ix, outputs: result, retries }) => {
-                        stats.recovery.retries += retries;
-                        let pt = plan.task(ix);
-                        let id = pt.id();
-                        if !completed.insert(id) {
-                            // A re-fired task completing a second time: its
-                            // outputs were already routed (exactly-once).
-                            continue;
-                        }
-                        if let Some(inf) = inflight.remove(&id) {
-                            // Each execution attempt cloned the inputs once
-                            // inside the worker.
-                            stats.perf.payload_clones +=
-                                inf.inputs.len() as u64 * (retries + 1);
-                        }
-                        let outs = result?;
-                        executed += 1;
-                        stats.tasks_executed += 1;
-                        last_progress = Instant::now();
+            // Biased two-way select: worker completions first, then network
+            // envelopes, then the protocol tick.
+            let sel = select2(&done_rx, rel.inbox(), tick);
+            match sel {
+                Select2::A(DoneItem { ix, outputs: result, retries }) => {
+                    stats.recovery.retries += retries;
+                    let pt = plan.task(ix);
+                    let id = pt.id();
+                    if !completed.insert(id) {
+                        // A re-fired task completing a second time: its
+                        // outputs were already routed (exactly-once).
+                        continue;
+                    }
+                    if let Some(inf) = inflight.remove(&id) {
+                        // Each execution attempt cloned the inputs once
+                        // inside the worker.
+                        stats.perf.payload_clones +=
+                            inf.inputs.len() as u64 * (retries + 1);
+                    }
+                    let outs = result?;
+                    executed += 1;
+                    stats.tasks_executed += 1;
+                    last_progress = Instant::now();
 
-                        let mut newly_ready = Vec::new();
-                        for (slot, payload) in outs.into_iter().enumerate() {
-                            for route in &pt.routes[slot] {
-                                if route.is_external() {
-                                    outputs.entry(id).or_default().push(payload.clone());
-                                    stats.perf.payload_clones += 1;
-                                } else if route.shard == my_shard {
-                                    let dst = route.dst;
-                                    // In-memory fast path: skip serialization.
-                                    let buf = buffers.get_mut(&dst).ok_or_else(|| {
-                                        ControllerError::Runtime(format!(
-                                            "local consumer {dst} missing or already executed"
-                                        ))
-                                    })?;
-                                    let dst_pt = plan.task(buf.ix());
-                                    if !buf.deliver(dst_pt, id, payload.clone()) {
-                                        return Err(ControllerError::Runtime(format!(
-                                            "unexpected local delivery {} -> {dst}", id
-                                        )));
-                                    }
-                                    stats.perf.payload_clones += 1;
-                                    stats.local_messages += 1;
-                                    if tracing {
-                                        let t = now_ns();
-                                        // In-memory move: no serialization, bytes = 0.
-                                        sink.record(
-                                            TraceEvent::span(
-                                                SpanKind::MsgSend,
-                                                t,
-                                                t,
-                                                my_rank,
-                                                CONTROL_THREAD,
-                                            )
-                                            .with_task(id, pt.callback())
-                                            .with_message(dst, 0),
-                                        );
-                                    }
-                                    if buf.ready() {
-                                        newly_ready.push(dst);
-                                    }
-                                } else {
-                                    let send_start = if tracing { now_ns() } else { 0 };
-                                    let msg = DataflowMsg::from_payload(route.dst, id, &payload);
-                                    let body = msg.encode();
-                                    stats.remote_messages += 1;
-                                    stats.remote_bytes += body.len() as u64;
-                                    let wire_bytes = body.len() as u64;
-                                    rel.send(route.shard.0 as usize, TAG_DATAFLOW, body);
-                                    if tracing {
-                                        sink.record(
-                                            TraceEvent::span(
-                                                SpanKind::MsgSend,
-                                                send_start,
-                                                now_ns(),
-                                                my_rank,
-                                                CONTROL_THREAD,
-                                            )
-                                            .with_task(id, pt.callback())
-                                            .with_message(route.dst, wire_bytes),
-                                        );
-                                    }
+                    let mut newly_ready = Vec::new();
+                    for (slot, payload) in outs.into_iter().enumerate() {
+                        for route in &pt.routes[slot] {
+                            if route.is_external() {
+                                outputs.entry(id).or_default().push(payload.clone());
+                                stats.perf.payload_clones += 1;
+                            } else if route.shard == my_shard {
+                                let dst = route.dst;
+                                // In-memory fast path: skip serialization.
+                                let buf = buffers.get_mut(&dst).ok_or_else(|| {
+                                    ControllerError::Runtime(format!(
+                                        "local consumer {dst} missing or already executed"
+                                    ))
+                                })?;
+                                let dst_pt = plan.task(buf.ix());
+                                if !buf.deliver(dst_pt, id, payload.clone()) {
+                                    return Err(ControllerError::Runtime(format!(
+                                        "unexpected local delivery {} -> {dst}", id
+                                    )));
+                                }
+                                stats.perf.payload_clones += 1;
+                                stats.local_messages += 1;
+                                if tracing {
+                                    let t = now_ns();
+                                    // In-memory move: no serialization, bytes = 0.
+                                    sink.record(
+                                        TraceEvent::span(
+                                            SpanKind::MsgSend,
+                                            t,
+                                            t,
+                                            my_rank,
+                                            CONTROL_THREAD,
+                                        )
+                                        .with_task(id, pt.callback())
+                                        .with_message(dst, 0),
+                                    );
+                                }
+                                if buf.ready() {
+                                    newly_ready.push(dst);
+                                }
+                            } else {
+                                let send_start = if tracing { now_ns() } else { 0 };
+                                let msg = DataflowMsg::from_payload(route.dst, id, &payload);
+                                let body = msg.encode();
+                                stats.remote_messages += 1;
+                                stats.remote_bytes += body.len() as u64;
+                                let wire_bytes = body.len() as u64;
+                                rel.send(route.shard.0 as usize, TAG_DATAFLOW, body);
+                                if tracing {
+                                    sink.record(
+                                        TraceEvent::span(
+                                            SpanKind::MsgSend,
+                                            send_start,
+                                            now_ns(),
+                                            my_rank,
+                                            CONTROL_THREAD,
+                                        )
+                                        .with_task(id, pt.callback())
+                                        .with_message(route.dst, wire_bytes),
+                                    );
                                 }
                             }
                         }
-                        // One envelope per destination for this task's whole
-                        // fan-out.
-                        rel.flush_sends();
-                        dispatch_ready(
-                            &mut buffers, newly_ready, &pool, &mut inflight, &mut stats, tracing,
-                        );
                     }
-                    Select2::B(env) => {
-                        rel.handle(env);
-                    }
-                    Select2::DisconnectedA => {
-                        return Err(ControllerError::Runtime("worker pool died".into()));
-                    }
-                    Select2::DisconnectedB => {
-                        return Err(ControllerError::Runtime("world torn down".into()));
-                    }
-                    Select2::Timeout => {
-                        rel.tick();
-                        // Re-fire tasks whose completion is overdue — their
-                        // worker died holding them. Idempotence makes the
-                        // duplicate execution harmless; `completed` dedups.
-                        let now = Instant::now();
-                        for inf in inflight.values_mut() {
-                            if now.duration_since(inf.dispatched_at) >= refire_after
-                                && inf.refires < MAX_TASK_RETRIES
-                            {
-                                inf.refires += 1;
-                                inf.dispatched_at = now;
-                                stats.recovery.retries += 1;
-                                stats.perf.payload_clones += inf.inputs.len() as u64;
-                                pool.push(WorkItem {
-                                    ix: inf.ix,
-                                    inputs: inf.inputs.clone(),
-                                    ready_ns: if tracing { now_ns() } else { 0 },
-                                });
-                            }
+                    // One envelope per destination for this task's whole
+                    // fan-out.
+                    rel.flush_sends();
+                    dispatch_ready(
+                        &mut buffers, newly_ready, &pool, &mut inflight, &mut stats, tracing,
+                    );
+                }
+                Select2::B(env) => {
+                    rel.handle(env);
+                }
+                Select2::DisconnectedA => {
+                    return Err(ControllerError::Runtime("worker pool died".into()));
+                }
+                Select2::DisconnectedB => {
+                    return Err(ControllerError::Runtime("world torn down".into()));
+                }
+                Select2::Timeout => {
+                    rel.tick();
+                    // Re-fire tasks whose completion is overdue — their
+                    // worker died holding them. Idempotence makes the
+                    // duplicate execution harmless; `completed` dedups.
+                    let now = Instant::now();
+                    for inf in inflight.values_mut() {
+                        if now.duration_since(inf.dispatched_at) >= refire_after
+                            && inf.refires < MAX_TASK_RETRIES
+                        {
+                            inf.refires += 1;
+                            inf.dispatched_at = now;
+                            stats.recovery.retries += 1;
+                            stats.perf.payload_clones += inf.inputs.len() as u64;
+                            pool.push(WorkItem {
+                                ix: inf.ix,
+                                inputs: inf.inputs.clone(),
+                                ready_ns: if tracing { now_ns() } else { 0 },
+                            });
                         }
-                        if last_progress.elapsed() >= timeout {
-                            let mut pending: Vec<TaskId> =
-                                buffers.keys().copied().chain(inflight.keys().copied()).collect();
-                            pending.sort();
-                            return Err(ControllerError::Deadlock { pending });
-                        }
+                    }
+                    if last_progress.elapsed() >= timeout {
+                        let mut pending: Vec<TaskId> =
+                            buffers.keys().copied().chain(inflight.keys().copied()).collect();
+                        pending.sort();
+                        return Err(ControllerError::Deadlock { pending });
                     }
                 }
             }
+        }
 
-            Ok((outputs, stats))
-        })();
-
-        // Release the workers whether the loop succeeded or not; the scope
-        // join below needs them to exit.
-        pool.close();
-        result
+        Ok((outputs, stats))
     })
 }

@@ -27,7 +27,9 @@ pub mod reliable;
 pub mod wire;
 
 pub use blocking::BlockingMpiController;
-pub use comm::{pack_batch, unpack_batch, Envelope, FaultPlan, RankComm, World, TAG_BATCH};
+pub use comm::{
+    pack_batch, unpack_batch, Envelope, FaultPlan, RankComm, World, TAG_BATCH, TAG_WAKE,
+};
 pub use controller::{MpiController, DEFAULT_TIMEOUT};
 pub use insitu::{InSituRank, InSituWorld};
 pub use reliable::{ReliableEndpoint, BASE_RTO, TAG_ACK};
@@ -275,6 +277,45 @@ use babelflow_graphs::{BinarySwap, Reduction};
             .run(&g, &map, &reg, reduction_inputs(&g))
             .unwrap_err();
         assert!(matches!(err, ControllerError::TaskError { .. }), "got {err}");
+    }
+
+    /// Panics on the first `MsgRecv` it is handed, from whichever rank
+    /// thread records it.
+    struct PanicOnFirstRecv(std::sync::atomic::AtomicBool);
+
+    impl babelflow_core::TraceSink for PanicOnFirstRecv {
+        fn record(&self, event: babelflow_core::TraceEvent) {
+            if event.kind == babelflow_core::SpanKind::MsgRecv
+                && !self.0.swap(true, std::sync::atomic::Ordering::SeqCst)
+            {
+                panic!("{}: trace sink fails", babelflow_core::PANIC_MARKER);
+            }
+        }
+    }
+
+    #[test]
+    fn panicking_rank_thread_is_an_error_not_an_abort() {
+        babelflow_core::quiet_panic_hook();
+        // Root and one leaf on rank 0, the other leaf on rank 1: rank 0
+        // acks rank 1's only message, then panics recording its receipt,
+        // while rank 1 waits at the shutdown barrier.
+        let g = Reduction::new(2, 2);
+        let reg = sum_registry();
+        let map = ModuloMap::new(2, g.size() as u64);
+        for blocking in [false, true] {
+            let sink = std::sync::Arc::new(PanicOnFirstRecv(Default::default()));
+            let started = std::time::Instant::now();
+            let result = if blocking {
+                BlockingMpiController::new().run_traced(&g, &map, &reg, reduction_inputs(&g), sink)
+            } else {
+                MpiController::new().run_traced(&g, &map, &reg, reduction_inputs(&g), sink)
+            };
+            let err = result.unwrap_err();
+            assert!(matches!(err, ControllerError::Runtime(_)), "blocking={blocking}: {err}");
+            // The default timeout is 10 s; the panicking rank's endpoint
+            // releases its peer as it unwinds.
+            assert!(started.elapsed() < Duration::from_secs(2), "blocking={blocking}");
+        }
     }
 
     #[test]

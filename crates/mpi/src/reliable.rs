@@ -21,7 +21,10 @@
 //!   recovers every part together. Per-(src, dst) FIFO order is preserved
 //!   because parts are packed in send order and unpacked in order;
 //! * unacknowledged messages are retransmitted on [`tick`] with
-//!   exponential backoff, re-batched per destination in sequence order;
+//!   exponential backoff, re-batched per destination in sequence order.
+//!   Retransmit deadlines live in a min-heap with lazy deletion, so a
+//!   tick examines only the entries that are due (plus stale entries for
+//!   messages acked or retransmitted since), never the whole unacked set;
 //! * the receiver acks every accepted arrival (even duplicates — the
 //!   original ack may itself have been lost), batching all acks triggered
 //!   by one incoming envelope into one reply envelope, delivers in
@@ -41,19 +44,24 @@
 //! two-phase barrier: transmit anything still staged, drain until all own
 //! sends are acked, declare finished ([`RankComm::mark_finished`]), then
 //! linger — re-acking whatever still arrives — until the whole world is
-//! finished.
+//! finished. Both phases block on the inbox, never on a fixed poll: the
+//! drain reads every queued envelope (the acks that piled up while the
+//! rank was busy) before it looks for overdue messages, then sleeps until
+//! the next envelope or retransmit deadline; the linger wakes on the
+//! control envelope the last rank to finish puts in every peer's inbox.
 //!
 //! [`tick`]: ReliableEndpoint::tick
 //! [`flush`]: ReliableEndpoint::flush
 //! [`flush_sends`]: ReliableEndpoint::flush_sends
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
 use babelflow_core::channel::Receiver;
 use babelflow_core::{Bytes, BytesMut, RecoveryStats};
 
-use crate::comm::{pack_batch, unpack_batch, Envelope, RankComm, TAG_BATCH};
+use crate::comm::{pack_batch, unpack_batch, Envelope, RankComm, TAG_BATCH, TAG_WAKE};
 
 /// Tag reserved for acknowledgements (controllers use small tags; the
 /// dataflow tag is 0).
@@ -76,16 +84,21 @@ pub const DEFAULT_REORDER_WINDOW: u64 = 1024;
 struct Pending {
     tag: u32,
     framed: Bytes,
-    sent_at: Instant,
+    /// Transmissions so far beyond the first; also the generation of the
+    /// message's live [`Deadline`].
     attempts: u32,
 }
 
-impl Pending {
-    fn overdue(&self, now: Instant) -> bool {
-        let rto = BASE_RTO * 2u32.saturating_pow(self.attempts.min(6));
-        now.duration_since(self.sent_at) >= rto
-    }
+/// Retransmit timeout after `attempts` retransmissions.
+fn rto(attempts: u32) -> Duration {
+    BASE_RTO * 2u32.saturating_pow(attempts.min(6))
 }
+
+/// A retransmit deadline: (due, dst, seq, attempts). Wrapped in
+/// [`Reverse`] it orders a [`BinaryHeap`] earliest-first. An entry is
+/// stale once its message is acked or retransmitted again (its `attempts`
+/// no longer matches); stale entries are dropped when popped.
+type Deadline = Reverse<(Instant, usize, u64, u32)>;
 
 /// A [`RankComm`] wrapped with the ack/retransmit protocol.
 ///
@@ -98,6 +111,9 @@ pub struct ReliableEndpoint {
     next_seq: Vec<u64>,
     /// Sent and not yet acked, keyed (dst, seq).
     unacked: HashMap<(usize, u64), Pending>,
+    /// One deadline per transmission of an `unacked` message, earliest
+    /// first; lazily deleted (see [`Deadline`]).
+    deadlines: BinaryHeap<Deadline>,
     /// Staged, not-yet-transmitted sends per destination: (seq, tag).
     /// The framed bytes live in `unacked`; staging holds only the key.
     outbox: Vec<Vec<(u64, u32)>>,
@@ -126,6 +142,9 @@ pub struct ReliableEndpoint {
     pub envelopes_sent: u64,
     /// How many of those envelopes were multi-part [`TAG_BATCH`] frames.
     pub batches_sent: u64,
+    /// Retransmit deadlines [`tick`](Self::tick) examined: every entry it
+    /// popped (overdue or stale) plus the not-yet-due entry it stopped at.
+    pub rto_scanned: u64,
 }
 
 fn frame(seq: u64, body: &Bytes) -> Bytes {
@@ -156,6 +175,7 @@ impl ReliableEndpoint {
             ep,
             next_seq: vec![0; n],
             unacked: HashMap::new(),
+            deadlines: BinaryHeap::new(),
             outbox: vec![Vec::new(); n],
             ack_stage: vec![Vec::new(); n],
             batch_limit: DEFAULT_BATCH_LIMIT,
@@ -167,6 +187,7 @@ impl ReliableEndpoint {
             stats: RecoveryStats::default(),
             envelopes_sent: 0,
             batches_sent: 0,
+            rto_scanned: 0,
         }
     }
 
@@ -209,10 +230,7 @@ impl ReliableEndpoint {
         let seq = self.next_seq[dst];
         self.next_seq[dst] += 1;
         let framed = frame(seq, &body);
-        self.unacked.insert(
-            (dst, seq),
-            Pending { tag, framed, sent_at: Instant::now(), attempts: 0 },
-        );
+        self.unacked.insert((dst, seq), Pending { tag, framed, attempts: 0 });
         self.outbox[dst].push((seq, tag));
         if self.outbox[dst].len() >= self.batch_limit {
             self.flush_dst(dst);
@@ -233,17 +251,15 @@ impl ReliableEndpoint {
             return;
         }
         let staged = std::mem::take(&mut self.outbox[dst]);
-        let now = Instant::now();
-        let parts: Vec<(u32, Bytes)> = staged
-            .iter()
-            .filter_map(|&(seq, tag)| {
-                let pending = self.unacked.get_mut(&(dst, seq))?;
-                // The RTO clock starts at actual transmission, not at
-                // staging time.
-                pending.sent_at = now;
-                Some((tag, pending.framed.clone()))
-            })
-            .collect();
+        // The RTO clock starts at actual transmission, not at staging time.
+        let due = Instant::now() + rto(0);
+        let mut parts = Vec::with_capacity(staged.len());
+        for (seq, tag) in staged {
+            if let Some(pending) = self.unacked.get(&(dst, seq)) {
+                self.deadlines.push(Reverse((due, dst, seq, 0)));
+                parts.push((tag, pending.framed.clone()));
+            }
+        }
         self.transmit(dst, parts);
     }
 
@@ -269,8 +285,12 @@ impl ReliableEndpoint {
     /// Process one raw envelope: consume acks, ack + order + dedup data.
     /// In-order data becomes available via [`pop_ready`](Self::pop_ready).
     /// All acks the envelope triggers go out as one reply envelope.
+    /// [`TAG_WAKE`] control envelopes carry nothing and are ignored.
     pub fn handle(&mut self, env: Envelope) {
         let src = env.src;
+        if env.tag == TAG_WAKE {
+            return;
+        }
         if env.tag == TAG_BATCH {
             if let Some(parts) = unpack_batch(&env.body) {
                 for (tag, body) in parts {
@@ -338,6 +358,14 @@ impl ReliableEndpoint {
         self.transmit(src, parts);
     }
 
+    /// Handle every envelope already queued in the inbox, without
+    /// blocking.
+    pub fn drain_inbox(&mut self) {
+        while let Some(env) = self.ep.try_recv() {
+            self.handle(env);
+        }
+    }
+
     /// Next in-order message, if any: `(src_rank, tag, body)`.
     pub fn pop_ready(&mut self) -> Option<(usize, u32, Bytes)> {
         self.ready.pop_front()
@@ -346,16 +374,22 @@ impl ReliableEndpoint {
     /// Transmit staged sends, then retransmit every overdue
     /// unacknowledged message (exponential backoff per message),
     /// re-batched per destination in sequence order. Call periodically
-    /// from the progress loop.
+    /// from the progress loop. Costs O(overdue + stale) heap pops, not
+    /// O(unacked): see [`rto_scanned`](Self::rto_scanned).
     pub fn tick(&mut self) {
         self.flush_sends();
         let now = Instant::now();
-        let mut overdue: Vec<(usize, u64)> = self
-            .unacked
-            .iter()
-            .filter(|(_, p)| p.overdue(now))
-            .map(|(&k, _)| k)
-            .collect();
+        let mut overdue: Vec<(usize, u64)> = Vec::new();
+        while let Some(&Reverse((due, dst, seq, attempts))) = self.deadlines.peek() {
+            self.rto_scanned += 1;
+            if due > now {
+                break;
+            }
+            self.deadlines.pop();
+            if self.unacked.get(&(dst, seq)).is_some_and(|p| p.attempts == attempts) {
+                overdue.push((dst, seq));
+            }
+        }
         if overdue.is_empty() {
             return;
         }
@@ -367,10 +401,11 @@ impl ReliableEndpoint {
             let dst = overdue[i].0;
             let mut parts = Vec::new();
             while i < overdue.len() && overdue[i].0 == dst {
-                let key = overdue[i];
-                let pending = self.unacked.get_mut(&key).expect("still pending");
-                pending.sent_at = now;
+                let (_, seq) = overdue[i];
+                let pending = self.unacked.get_mut(&(dst, seq)).expect("still pending");
                 pending.attempts += 1;
+                let attempts = pending.attempts;
+                self.deadlines.push(Reverse((now + rto(attempts), dst, seq, attempts)));
                 self.stats.retransmits += 1;
                 parts.push((pending.tag, pending.framed.clone()));
                 i += 1;
@@ -384,38 +419,46 @@ impl ReliableEndpoint {
         self.unacked.is_empty()
     }
 
-    /// Declare this rank finished without draining (error paths): peers
-    /// stop waiting for it at the shutdown barrier.
-    pub fn mark_finished(&self) {
-        self.ep.mark_finished();
-    }
-
     /// Two-phase shutdown, bounded by `stall`: (1) transmit staged sends
     /// and drain until all own sends are acked, (2) mark this rank
     /// finished and linger — re-acking retransmits — until every rank is
-    /// finished. Returns false if the deadline expired first (a peer died
-    /// without marking itself finished); the caller's own results are
-    /// complete either way.
+    /// finished. Neither phase polls: each blocks on the inbox until the
+    /// next envelope (acks, retransmits, the finish wake) or the next
+    /// retransmit deadline. Returns false if the deadline expired first
+    /// (a peer died without marking itself finished); the caller's own
+    /// results are complete either way. Dropping the endpoint without
+    /// flushing (error paths) still marks the rank finished.
     pub fn flush(&mut self, stall: Duration) -> bool {
         self.flush_sends();
         let deadline = Instant::now() + stall;
-        let poll = Duration::from_millis(2);
-        while !self.all_acked() {
-            if Instant::now() >= deadline {
-                self.mark_finished();
+        loop {
+            // Acks that piled up while the rank was busy come first: only
+            // what is still unacked after them can be overdue.
+            self.drain_inbox();
+            if self.all_acked() {
+                break;
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                self.ep.mark_finished();
                 return false;
             }
             self.tick();
-            if let Some(env) = self.ep.recv_timeout(poll) {
+            let next_rto = self.deadlines.peek().map(|&Reverse((due, ..))| due);
+            let wake = next_rto.map_or(deadline, |due| due.min(deadline));
+            if let Some(env) = self.ep.recv_timeout(wake.saturating_duration_since(now)) {
                 self.handle(env);
             }
         }
-        self.mark_finished();
+        self.ep.mark_finished();
         while !self.ep.all_finished() {
-            if Instant::now() >= deadline {
+            let now = Instant::now();
+            if now >= deadline {
                 return false;
             }
-            if let Some(env) = self.ep.recv_timeout(poll) {
+            // The last rank to finish wakes this wait (see
+            // `RankComm::mark_finished`).
+            if let Some(env) = self.ep.recv_timeout(deadline - now) {
                 self.handle(env);
             }
         }
@@ -602,6 +645,102 @@ mod tests {
         // seq 3 is now in-window (expected 2, window 2) and is accepted.
         b.handle(part(3));
         assert_eq!(b.reorder[0].len(), 1);
+    }
+
+    /// Hand every envelope queued for `ep` to it; returns how many.
+    fn drain(ep: &mut ReliableEndpoint) -> usize {
+        let mut n = 0;
+        while let Some(env) = ep.ep.try_recv() {
+            ep.handle(env);
+            n += 1;
+        }
+        n
+    }
+
+    #[test]
+    fn queued_acks_are_read_before_anything_is_retransmitted() {
+        let mut w = World::new(2);
+        let mut eps: Vec<ReliableEndpoint> =
+            w.endpoints().into_iter().map(ReliableEndpoint::new).collect();
+        let mut b = eps.pop().unwrap();
+        let mut a = eps.pop().unwrap();
+        for i in 0..500u64 {
+            a.send(1, 7, Bytes::from(i.to_le_bytes().to_vec()));
+        }
+        a.flush_sends();
+        assert!(drain(&mut b) > 0);
+        b.ep.mark_finished();
+        // Every ack now sits unread in a's inbox, long past its RTO.
+        std::thread::sleep(2 * BASE_RTO);
+        assert!(a.flush(Duration::from_secs(1)));
+        assert_eq!(a.stats.retransmits, 0, "{:?}", a.stats);
+    }
+
+    #[test]
+    fn tick_examines_only_due_deadlines() {
+        let mut w = World::new(2);
+        let mut eps = w.endpoints();
+        let _b = eps.pop().unwrap();
+        // Everything stays staged until the tick transmits it, so no
+        // deadline can be due when the tick scans.
+        let mut a = ReliableEndpoint::new(eps.pop().unwrap()).with_batch_limit(usize::MAX);
+        for i in 0..1000u64 {
+            a.send(1, 7, Bytes::from(i.to_le_bytes().to_vec()));
+        }
+        a.tick();
+        assert_eq!(a.rto_scanned, 1, "1000 outstanding, none due: one peek");
+        assert_eq!(a.stats.retransmits, 0);
+    }
+
+    #[test]
+    fn tick_pops_exactly_the_overdue_and_stale_deadlines() {
+        // Rank 0's envelope #3 is lost; batch_limit 1 gives one deadline
+        // per message.
+        let faults = FaultPlan { drop: vec![(0, 1, 3)], ..FaultPlan::none() };
+        let mut w = World::with_faults(2, faults);
+        let mut eps: Vec<ReliableEndpoint> = w
+            .endpoints()
+            .into_iter()
+            .map(|ep| ReliableEndpoint::new(ep).with_batch_limit(1))
+            .collect();
+        let mut b = eps.pop().unwrap();
+        let mut a = eps.pop().unwrap();
+        let sent = 10u64;
+        for i in 0..sent {
+            a.send(1, 7, Bytes::from(i.to_le_bytes().to_vec()));
+        }
+        assert_eq!(drain(&mut b), sent as usize - 1);
+        assert_eq!(drain(&mut a), sent as usize - 1, "one ack envelope per arrival");
+        std::thread::sleep(BASE_RTO + Duration::from_millis(5));
+        a.tick();
+        // Every deadline is due: 1 overdue (seq 3) + 9 stale (acked).
+        assert_eq!((a.rto_scanned, a.stats.retransmits), (sent, 1));
+        // The retransmit's own deadline is the only entry left, not due.
+        a.tick();
+        assert_eq!(a.rto_scanned, sent + 1);
+        drain(&mut b);
+        drain(&mut a);
+        assert!(a.all_acked());
+        let ready: Vec<u64> = std::iter::from_fn(|| b.pop_ready())
+            .map(|(_, _, body)| u64::from_le_bytes(body.as_ref().try_into().unwrap()))
+            .collect();
+        assert_eq!(ready, (0..sent).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn wake_envelopes_are_ignored() {
+        let mut w = World::new(2);
+        let mut eps = w.endpoints();
+        let mut b = ReliableEndpoint::new(eps.pop().unwrap());
+        let a = eps.pop().unwrap();
+        b.ep.mark_finished();
+        a.mark_finished();
+        let wake = b.ep.try_recv().expect("the last finisher wakes its peer");
+        assert_eq!(wake.tag, TAG_WAKE);
+        b.handle(wake);
+        assert!(b.pop_ready().is_none());
+        assert_eq!(b.envelopes_sent, 0, "no ack for a wake");
+        assert_eq!(b.stats, RecoveryStats::default());
     }
 
     #[test]

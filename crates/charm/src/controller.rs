@@ -17,12 +17,11 @@
 
 use std::sync::Arc;
 
-use babelflow_core::fault::{catch_invoke, MAX_TASK_RETRIES};
 use babelflow_core::sync::Counter;
-use babelflow_core::trace::{now_ns, SpanKind, TraceEvent, TraceSink};
+use babelflow_core::trace::TraceSink;
 use babelflow_core::{
-    Callback, Controller, ControllerError, InitialInputs, Payload, PlanBuffer, Registry, Result,
-    RunReport, ShardPlan, TaskGraph, TaskId, TaskMap,
+    exec, Callback, Controller, ControllerError, InitialInputs, Payload, PlanBuffer, Registry,
+    Result, RunReport, RunStats, ShardPlan, TaskId,
 };
 
 use crate::runtime::{Chare, ChareCtx, CharmRuntime};
@@ -33,21 +32,12 @@ use crate::runtime::{Chare, ChareCtx, CharmRuntime};
 pub struct CharmController {
     /// Processing elements (worker threads) to schedule chares on.
     pub pes: usize,
-    /// Prebuilt execution plan. When absent, one is built (and its graph
-    /// queries charged to `PerfStats::task_queries`) on each run.
-    pub plan: Option<Arc<ShardPlan>>,
 }
 
 impl CharmController {
     /// Controller over `pes` processing elements.
     pub fn new(pes: usize) -> Self {
-        CharmController { pes, plan: None }
-    }
-
-    /// Execute from a prebuilt plan instead of querying the graph.
-    pub fn with_plan(mut self, plan: Arc<ShardPlan>) -> Self {
-        self.plan = Some(plan);
-        self
+        CharmController { pes }
     }
 }
 
@@ -66,18 +56,18 @@ struct TaskChare {
 
 type ErrorSink = std::sync::Arc<babelflow_core::sync::Mutex<Option<ControllerError>>>;
 
+/// Keep the first error of the run.
+fn fail(error: &ErrorSink, err: ControllerError) {
+    error.lock().get_or_insert(err);
+}
+
 impl Chare for TaskChare {
     fn on_message(&mut self, src: TaskId, payload: Payload, ctx: &mut ChareCtx<'_>) -> bool {
         let ix = self.buffer.ix();
         let pt = self.plan.task(ix);
         if !self.buffer.deliver(pt, src, payload) {
-            let mut slot = self.error.lock();
-            if slot.is_none() {
-                *slot = Some(ControllerError::Runtime(format!(
-                    "unexpected delivery {src} -> {}",
-                    pt.id()
-                )));
-            }
+            let err = ControllerError::Runtime(format!("unexpected delivery {src} -> {}", pt.id()));
+            fail(&self.error, err);
             // Retire so the run drains instead of stalling on a poisoned
             // chare; the error sink carries the real failure out.
             return true;
@@ -86,94 +76,45 @@ impl Chare for TaskChare {
             return false;
         }
         // Execute: translate the chare id back into a task and run it.
-        let buffer = std::mem::replace(&mut self.buffer, PlanBuffer::new(&self.plan, ix));
-        let inputs = buffer.take();
-        let tracing = ctx.tracing();
         // Chares re-execute a faulted entry method in place: inputs are
         // retained until the callback succeeds, so recovery needs no
         // cooperation from the runtime's messaging layer.
-        let mut attempts = 0u32;
-        let outputs = loop {
-            attempts += 1;
-            self.clones.fetch_add(inputs.len() as u64);
-            let exec_start = if tracing { now_ns() } else { 0 };
-            let result = catch_invoke(&self.callback, inputs.clone(), pt.id());
-            if tracing {
-                let end = now_ns();
-                let (pe, sink) = (ctx.pe() as u32, ctx.trace_sink());
-                sink.record(
-                    TraceEvent::span(SpanKind::Callback, exec_start, end, pe, 0)
-                        .with_task(pt.id(), pt.callback()),
-                );
-                // The runtime sees only messages; the per-attempt task span
-                // is the chare's to emit, on the entry method that fired.
-                sink.record(
-                    TraceEvent::span(SpanKind::TaskExec, exec_start, end, pe, 0)
-                        .with_task(pt.id(), pt.callback()),
-                );
-            }
-            match result {
-                Ok(outputs) => break outputs,
-                Err(reason) => {
-                    if attempts > MAX_TASK_RETRIES {
-                        let mut slot = self.error.lock();
-                        if slot.is_none() {
-                            *slot = Some(ControllerError::TaskError {
-                                task: pt.id(),
-                                attempts,
-                                reason,
-                            });
-                        }
-                        return true;
+        let buffer = std::mem::replace(&mut self.buffer, PlanBuffer::new(&self.plan, ix));
+        let inputs = buffer.take();
+        let mut stats = RunStats::default();
+        let ctx = &*ctx;
+        let send = |outs: Vec<Payload>, stats: &mut RunStats| -> Result<()> {
+            for (slot, payload) in outs.into_iter().enumerate() {
+                for route in &pt.routes[slot] {
+                    stats.perf.payload_clones += 1;
+                    if route.is_external() {
+                        ctx.emit_external(pt.id(), payload.clone());
+                    } else {
+                        ctx.send(route.dst.0, pt.id(), payload.clone());
                     }
-                    self.retries.next();
                 }
             }
+            Ok(())
         };
-        if outputs.len() != pt.fan_out() {
-            let mut slot = self.error.lock();
-            if slot.is_none() {
-                *slot = Some(ControllerError::BadOutputArity {
-                    task: pt.id(),
-                    expected: pt.fan_out(),
-                    got: outputs.len(),
-                });
-            }
-            return true;
-        }
-        for (slot, payload) in outputs.into_iter().enumerate() {
-            for route in &pt.routes[slot] {
-                self.clones.next();
-                if route.is_external() {
-                    ctx.emit_external(pt.id(), payload.clone());
-                } else {
-                    ctx.send(route.dst.0, pt.id(), payload.clone());
-                }
-            }
+        let row = (ctx.pe() as u32, 0);
+        let result = exec(pt, &self.callback, &inputs, row, ctx.trace_sink(), &mut stats, send);
+        self.clones.fetch_add(stats.perf.payload_clones);
+        self.retries.fetch_add(stats.recovery.retries);
+        if let Err(err) = result {
+            fail(&self.error, err);
         }
         true
     }
 }
 
 impl Controller for CharmController {
-    fn run_traced(
+    fn execute(
         &mut self,
-        graph: &dyn TaskGraph,
-        map: &dyn TaskMap, // placement ignored; only used if a plan must be built
+        plan: &Arc<ShardPlan>,
         registry: &Registry,
         initial: InitialInputs,
         sink: Arc<dyn TraceSink>,
     ) -> Result<RunReport> {
-        let (plan, built_queries) = match &self.plan {
-            Some(p) => (p.clone(), 0),
-            None => {
-                let p = Arc::new(ShardPlan::build(graph, map));
-                let q = p.build_queries();
-                (p, q)
-            }
-        };
-        plan.preflight(registry, &initial)?;
-
         let indices: Vec<u64> = plan.tasks().iter().map(|pt| pt.id().0).collect();
         let error: ErrorSink = Default::default();
         let retries = Arc::new(Counter::new(0));
@@ -216,13 +157,11 @@ impl Controller for CharmController {
 
         match result {
             Ok((outputs, stats)) => {
-                let mut report = RunReport::default();
-                report.outputs = outputs;
+                let mut report = RunReport { outputs, ..RunReport::default() };
                 report.stats.tasks_executed = stats.retired;
                 report.stats.local_messages = stats.local_messages;
                 report.stats.remote_messages = stats.cross_pe_messages;
                 report.stats.recovery.retries = retries.get();
-                report.stats.perf.task_queries = built_queries;
                 report.stats.perf.payload_clones = clones.get();
                 Ok(report)
             }

@@ -161,12 +161,12 @@ pub struct ChareCtx<'a> {
 impl ChareCtx<'_> {
     /// Asynchronously invoke chare `idx` with a payload (remote procedure
     /// call in the paper's terms).
-    pub fn send(&mut self, idx: u64, src: TaskId, payload: Payload) {
+    pub fn send(&self, idx: u64, src: TaskId, payload: Payload) {
         self.shared.send(self.pe, idx, src, payload);
     }
 
     /// Emit a result to the host application.
-    pub fn emit_external(&mut self, task: TaskId, payload: Payload) {
+    pub fn emit_external(&self, task: TaskId, payload: Payload) {
         self.shared.outputs.lock().entry(task).or_default().push(payload);
     }
 

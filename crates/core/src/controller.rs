@@ -3,9 +3,12 @@
 //! "All runtime controllers share the same interface by deriving from the
 //! same base class to make switching between controllers easy." In Rust the
 //! base class is the [`Controller`] trait: every backend — serial, MPI-like,
-//! Charm++-like, Legion-like, and the discrete-event simulator — implements
-//! `run`, so an algorithm written once against a [`TaskGraph`] executes on
-//! any of them unmodified.
+//! Charm++-like and Legion-like — implements [`Controller::execute`] over a
+//! prebuilt [`ShardPlan`], and the trait's provided `run`/`run_traced`
+//! build that plan from a [`TaskGraph`], so an algorithm written once runs
+//! on any of them unmodified. Each backend's `execute` supplies only
+//! scheduling and transport; running one task is the shared
+//! [`exec`](crate::exec::exec).
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -14,6 +17,7 @@ use crate::graph::TaskGraph;
 use crate::ids::{CallbackId, TaskId};
 use crate::lint::VerifyReport;
 use crate::payload::Payload;
+use crate::plan::ShardPlan;
 use crate::registry::Registry;
 use crate::taskmap::TaskMap;
 use crate::trace::{noop_sink, TraceSink};
@@ -80,13 +84,13 @@ impl std::fmt::Display for RunStats {
 
 /// Deterministic fast-path counters.
 ///
-/// The build machines this repo is benchmarked on have a single core, so
-/// wall-clock timings are too noisy to gate on. These counters are exact
-/// and reproducible: they measure the *work the controller avoided* — how
-/// often the procedural graph was re-queried, how many payload handles
-/// were cloned for routing, how many deliveries had to allocate, and how
-/// well the transport coalesced envelopes. The perf smoke in `ci.sh`
-/// regresses on these, not on nanoseconds.
+/// The build machines this repo is benchmarked on have two cores shared
+/// with other work, so wall-clock timings are too noisy to gate on. These
+/// counters are exact and reproducible: they measure the *work the
+/// controller avoided* — how often the procedural graph was re-queried,
+/// how many payload handles were cloned for routing, how many deliveries
+/// had to allocate, and how well the transport coalesced envelopes. The
+/// perf smoke in `ci.sh` regresses on these, not on nanoseconds.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct PerfStats {
     /// Procedural `TaskGraph::task()` invocations (plan builds count each
@@ -258,7 +262,30 @@ impl std::error::Error for ControllerError {}
 pub type Result<T> = std::result::Result<T, ControllerError>;
 
 /// A runtime backend capable of executing task graphs.
+///
+/// A backend implements [`execute`](Self::execute) over a prebuilt,
+/// preflighted [`ShardPlan`]. Callers use the provided
+/// [`run`](Self::run)/[`run_traced`](Self::run_traced), which build the
+/// plan from the graph and map (charging its queries to
+/// [`PerfStats::task_queries`]), or [`with_plan`](Self::with_plan) to reuse
+/// one plan across runs.
 pub trait Controller {
+    /// Execute `plan` with implementations from `registry` and external
+    /// inputs `initial`, emitting trace events into `sink`. Blocks until
+    /// the dataflow drains and returns the external outputs. The plan has
+    /// already passed [`ShardPlan::preflight`] against `registry` and
+    /// `initial`.
+    fn execute(
+        &mut self,
+        plan: &Arc<ShardPlan>,
+        registry: &Registry,
+        initial: InitialInputs,
+        sink: Arc<dyn TraceSink>,
+    ) -> Result<RunReport>;
+
+    /// Human-readable backend name (used in reports and benchmarks).
+    fn name(&self) -> &'static str;
+
     /// Execute `graph` with tasks placed by `map`, implementations from
     /// `registry`, and external inputs `initial`. Blocks until the dataflow
     /// drains and returns the external outputs.
@@ -287,10 +314,70 @@ pub trait Controller {
         registry: &Registry,
         initial: InitialInputs,
         sink: Arc<dyn TraceSink>,
-    ) -> Result<RunReport>;
+    ) -> Result<RunReport> {
+        let plan = Arc::new(ShardPlan::build(graph, map));
+        let mut report = run_plan(self, &plan, registry, initial, sink)?;
+        report.stats.perf.task_queries += plan.build_queries();
+        Ok(report)
+    }
 
-    /// Human-readable backend name (used in reports and benchmarks).
-    fn name(&self) -> &'static str;
+    /// Reuse a prebuilt `plan` on every run instead of building one: the
+    /// returned controller's `run`/`run_traced` ignore their graph and map
+    /// (the plan must have been built from the same pair) and make zero
+    /// procedural graph queries.
+    fn with_plan(self, plan: Arc<ShardPlan>) -> WithPlan<Self>
+    where
+        Self: Sized,
+    {
+        WithPlan { inner: self, plan }
+    }
+}
+
+/// A controller bound to a prebuilt plan; see [`Controller::with_plan`].
+#[derive(Debug, Clone)]
+pub struct WithPlan<C> {
+    inner: C,
+    plan: Arc<ShardPlan>,
+}
+
+impl<C: Controller> Controller for WithPlan<C> {
+    fn execute(
+        &mut self,
+        plan: &Arc<ShardPlan>,
+        registry: &Registry,
+        initial: InitialInputs,
+        sink: Arc<dyn TraceSink>,
+    ) -> Result<RunReport> {
+        self.inner.execute(plan, registry, initial, sink)
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn run_traced(
+        &mut self,
+        _graph: &dyn TaskGraph,
+        _map: &dyn TaskMap,
+        registry: &Registry,
+        initial: InitialInputs,
+        sink: Arc<dyn TraceSink>,
+    ) -> Result<RunReport> {
+        let plan = self.plan.clone();
+        run_plan(&mut self.inner, &plan, registry, initial, sink)
+    }
+}
+
+/// The single entry into a backend: preflight the plan, then execute it.
+fn run_plan<C: Controller + ?Sized>(
+    ctrl: &mut C,
+    plan: &Arc<ShardPlan>,
+    registry: &Registry,
+    initial: InitialInputs,
+    sink: Arc<dyn TraceSink>,
+) -> Result<RunReport> {
+    plan.preflight(registry, &initial)?;
+    ctrl.execute(plan, registry, initial, sink)
 }
 
 #[cfg(test)]

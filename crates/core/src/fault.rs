@@ -10,11 +10,9 @@
 //!   [`Registry`] level, so every backend is poisoned identically), and
 //!   worker death (consumed by the asynchronous MPI controller's pool) —
 //!   plus seeded random schedule generation for the conformance suite;
-//! * the recovery helpers controllers build retry loops from:
-//!   [`catch_invoke`] (one guarded callback attempt) and
-//!   [`MAX_TASK_RETRIES`] (how many re-executions a poisoned task gets
-//!   before it surfaces as
-//!   [`TaskError`](crate::controller::ControllerError::TaskError)).
+//! * the retry budget, [`MAX_TASK_RETRIES`]: how many re-executions a
+//!   poisoned task gets in [`exec`](crate::exec::exec) before it surfaces
+//!   as [`TaskError`](crate::controller::ControllerError::TaskError).
 //!
 //! Injected panics carry [`PANIC_MARKER`] in their message;
 //! [`quiet_panic_hook`] suppresses exactly those from stderr so a test run
@@ -22,13 +20,12 @@
 //! callback bugs still print.
 
 use std::collections::HashSet;
-use std::panic::{self, AssertUnwindSafe};
+use std::panic;
 use std::sync::{Arc, Once};
 use std::time::Duration;
 
 use crate::ids::TaskId;
-use crate::payload::Payload;
-use crate::registry::{Callback, Registry};
+use crate::registry::Registry;
 use crate::rng::Rng;
 use crate::sync::Mutex;
 
@@ -190,31 +187,11 @@ pub fn quiet_panic_hook() {
     });
 }
 
-/// One guarded callback attempt: invoke `cb` and convert an unwind into
-/// `Err(message)` so a poisoned task becomes a retried task instead of a
-/// crashed worker thread. Controllers clone the inputs per attempt (tasks
-/// are idempotent, inputs are cheap shared handles) and loop up to
-/// [`MAX_TASK_RETRIES`] times.
-pub fn catch_invoke(
-    cb: &Callback,
-    inputs: Vec<Payload>,
-    id: TaskId,
-) -> std::result::Result<Vec<Payload>, String> {
-    match panic::catch_unwind(AssertUnwindSafe(|| cb(inputs, id))) {
-        Ok(outputs) => Ok(outputs),
-        Err(e) => Err(e
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_else(|| "callback panicked".to_string())),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ids::CallbackId;
-    use crate::payload::Blob;
+    use crate::payload::{Blob, Payload};
 
     #[test]
     fn random_plans_are_deterministic_in_the_seed() {
@@ -253,28 +230,23 @@ mod tests {
 
     #[test]
     fn injected_panic_fires_exactly_once() {
+        quiet_panic_hook();
         let mut r = Registry::new();
         r.register(CallbackId(0), |_, _| vec![Payload::wrap(Blob(vec![1]))]);
         let plan = FaultPlan { panic_once: vec![TaskId(5)], ..FaultPlan::none() };
         let poisoned = inject_panics(&r, &plan);
         let cb = poisoned.get(CallbackId(0)).unwrap();
+        let panics = |cb: &crate::registry::Callback, id| {
+            panic::catch_unwind(panic::AssertUnwindSafe(|| cb(vec![], id))).is_err()
+        };
 
         // First invocation of task 5 panics; the retry succeeds.
-        assert!(catch_invoke(cb, vec![], TaskId(5)).is_err());
-        assert!(catch_invoke(cb, vec![], TaskId(5)).is_ok());
+        assert!(panics(cb, TaskId(5)));
+        assert!(!panics(cb, TaskId(5)));
         // Other tasks served by the same callback are unaffected.
-        assert!(catch_invoke(cb, vec![], TaskId(6)).is_ok());
+        assert!(!panics(cb, TaskId(6)));
         // The original registry stays clean.
-        assert!(catch_invoke(r.get(CallbackId(0)).unwrap(), vec![], TaskId(5)).is_ok());
-    }
-
-    #[test]
-    fn catch_invoke_reports_the_panic_message() {
-        quiet_panic_hook();
-        let mut r = Registry::new();
-        r.register(CallbackId(0), |_, _| panic!("{PANIC_MARKER}: boom"));
-        let err = catch_invoke(r.get(CallbackId(0)).unwrap(), vec![], TaskId(0)).unwrap_err();
-        assert!(err.contains("boom"), "got {err}");
+        assert!(!panics(r.get(CallbackId(0)).unwrap(), TaskId(5)));
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! tasks of an algorithm from the dataflow connecting them. An algorithm is
 //! described once, as a [`TaskGraph`] of idempotent tasks exchanging
 //! [`Payload`]s, and then executed unmodified by any of several runtime
-//! [`Controller`]s (serial, MPI-like, Charm++-like, Legion-like, or the
-//! discrete-event cluster simulator).
+//! [`Controller`]s (serial, MPI-like, Charm++-like or Legion-like). The
+//! discrete-event cluster simulator in `babelflow-sim` models the same
+//! graphs at scale.
 //!
 //! The user performs the paper's three basic steps:
 //!
@@ -58,6 +59,7 @@ pub mod codec;
 pub mod compose;
 pub mod controller;
 pub mod dot;
+pub mod exec;
 pub mod fault;
 pub mod graph;
 pub mod ids;
@@ -79,11 +81,10 @@ pub use codec::{DecodeError, Decoder, Encoder};
 pub use compose::{ChainGraph, Link, OffsetGraph};
 pub use controller::{
     Controller, ControllerError, InitialInputs, PerfStats, RecoveryStats, Result, RunReport,
-    RunStats,
+    RunStats, WithPlan,
 };
-pub use fault::{
-    catch_invoke, inject_panics, quiet_panic_hook, FaultPlan, MAX_TASK_RETRIES, PANIC_MARKER,
-};
+pub use exec::exec;
+pub use fault::{inject_panics, quiet_panic_hook, FaultPlan, MAX_TASK_RETRIES, PANIC_MARKER};
 pub use dot::{to_dot, to_dot_styled, to_dot_subset};
 pub use graph::{assert_valid, validate, ExplicitGraph, GraphDefect, TaskGraph};
 pub use ids::{CallbackId, ShardId, TaskId};

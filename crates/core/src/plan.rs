@@ -6,8 +6,9 @@
 //! graph per message (and re-clones the returned `Task`) pays that
 //! computation on the hot path, once per delivery. A [`ShardPlan`] is
 //! built **once** per run (or once ever, via
-//! `Controller::with_plan`-style reuse): it queries every task exactly
-//! one time and precomputes everything the steady state needs —
+//! [`Controller::with_plan`](crate::Controller::with_plan)): it queries
+//! every task exactly one time and precomputes everything the steady
+//! state needs —
 //!
 //! * an interned task table (no more `Task` clones per query),
 //! * fan-in counts and per-source input-slot maps (no per-delivery

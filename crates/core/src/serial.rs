@@ -9,16 +9,13 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
-use crate::controller::{
-    Controller, ControllerError, InitialInputs, Result, RunReport, RunStats,
-};
-use crate::fault::{catch_invoke, MAX_TASK_RETRIES};
+use crate::controller::{Controller, ControllerError, InitialInputs, Result, RunReport, RunStats};
+use crate::exec::exec;
 use crate::graph::TaskGraph;
 use crate::ids::TaskId;
 use crate::payload::Payload;
 use crate::plan::{PlanBuffer, ShardPlan};
 use crate::registry::Registry;
-use crate::taskmap::TaskMap;
 use crate::trace::{now_ns, SpanKind, TraceEvent, TraceSink};
 
 /// Single-threaded, deterministic task-graph executor.
@@ -27,44 +24,24 @@ use crate::trace::{now_ns, SpanKind, TraceEvent, TraceSink};
 /// order of readiness (ties broken by task id at start-up), which yields a
 /// valid topological order of the dataflow.
 #[derive(Debug, Default, Clone)]
-pub struct SerialController {
-    plan: Option<Arc<ShardPlan>>,
-}
+pub struct SerialController;
 
 impl SerialController {
     /// Create a serial controller.
     pub fn new() -> Self {
-        SerialController::default()
-    }
-
-    /// Reuse a prebuilt [`ShardPlan`] instead of building one per run.
-    /// Repeated runs of the same dataflow then make zero procedural
-    /// `task()` queries.
-    pub fn with_plan(mut self, plan: Arc<ShardPlan>) -> Self {
-        self.plan = Some(plan);
-        self
+        SerialController
     }
 }
 
 impl Controller for SerialController {
-    fn run_traced(
+    fn execute(
         &mut self,
-        graph: &dyn TaskGraph,
-        map: &dyn TaskMap,
+        plan: &Arc<ShardPlan>,
         registry: &Registry,
         initial: InitialInputs,
         sink: Arc<dyn TraceSink>,
     ) -> Result<RunReport> {
         let mut stats = RunStats::default();
-        let plan = match &self.plan {
-            Some(p) => p.clone(),
-            None => {
-                let p = Arc::new(ShardPlan::build(graph, map));
-                stats.perf.task_queries += p.build_queries();
-                p
-            }
-        };
-        plan.preflight(registry, &initial)?;
         let tracing = sink.enabled();
 
         let mut ids: Vec<TaskId> = plan.tasks().iter().map(|pt| pt.id()).collect();
@@ -74,7 +51,7 @@ impl Controller for SerialController {
             .iter()
             .map(|&id| {
                 let ix = plan.index_of(id).expect("plan indexes its own ids");
-                (id, PlanBuffer::new(&plan, ix))
+                (id, PlanBuffer::new(plan, ix))
             })
             .collect();
 
@@ -109,109 +86,57 @@ impl Controller for SerialController {
         while let Some(id) = queue.pop_front() {
             let st = states.remove(&id).expect("queued task has state");
             let pt = plan.task(st.ix());
-            let exec_start = if tracing { now_ns() } else { 0 };
             if tracing {
-                let ready = ready_at.remove(&id).unwrap_or(exec_start);
+                let now = now_ns();
+                let ready = ready_at.remove(&id).unwrap_or(now);
                 sink.record(
-                    TraceEvent::span(SpanKind::QueueWait, ready, exec_start, 0, 0)
+                    TraceEvent::span(SpanKind::QueueWait, ready, now, 0, 0)
                         .with_task(id, pt.callback()),
                 );
             }
             let inputs: Vec<Payload> = st.take();
             let cb = registry.get(pt.callback()).expect("preflight checked bindings");
-            // Tasks are idempotent, so a panicking callback is caught and
-            // re-executed from the same (retained) inputs instead of
-            // unwinding through the run loop. Failed attempts emit their
-            // own Callback + TaskExec span pair so retries show in traces.
-            let mut attempts = 0u32;
-            let outputs = loop {
-                attempts += 1;
-                let cb_start = if tracing { now_ns() } else { 0 };
-                stats.perf.payload_clones += inputs.len() as u64;
-                match catch_invoke(cb, inputs.clone(), id) {
-                    Ok(outs) => {
-                        if tracing {
-                            sink.record(
-                                TraceEvent::span(SpanKind::Callback, cb_start, now_ns(), 0, 0)
-                                    .with_task(id, pt.callback()),
-                            );
-                        }
-                        break outs;
-                    }
-                    Err(reason) => {
-                        if tracing {
-                            let end = now_ns();
-                            sink.record(
-                                TraceEvent::span(SpanKind::Callback, cb_start, end, 0, 0)
-                                    .with_task(id, pt.callback()),
-                            );
-                            sink.record(
-                                TraceEvent::span(SpanKind::TaskExec, cb_start, end, 0, 0)
-                                    .with_task(id, pt.callback()),
-                            );
-                        }
-                        if attempts > MAX_TASK_RETRIES {
-                            return Err(ControllerError::TaskError { task: id, attempts, reason });
-                        }
-                        stats.recovery.retries += 1;
-                    }
-                }
-            };
-            stats.tasks_executed += 1;
-
-            if outputs.len() != pt.fan_out() {
-                return Err(ControllerError::BadOutputArity {
-                    task: id,
-                    expected: pt.fan_out(),
-                    got: outputs.len(),
-                });
-            }
-
-            for (slot, payload) in outputs.into_iter().enumerate() {
-                for route in &pt.routes[slot] {
-                    let dst = route.dst;
-                    if dst.is_external() {
+            let outputs = &mut report.outputs;
+            exec(pt, cb, &inputs, (0, 0), &*sink, &mut stats, |outs, stats| {
+                stats.tasks_executed += 1;
+                for (slot, payload) in outs.into_iter().enumerate() {
+                    for route in &pt.routes[slot] {
+                        let dst = route.dst;
                         stats.perf.payload_clones += 1;
-                        report.outputs.entry(id).or_insert_with(Vec::new).push(payload.clone());
-                        continue;
-                    }
-                    let send_start = if tracing { now_ns() } else { 0 };
-                    let dst_state = states.get_mut(&dst).ok_or_else(|| {
-                        ControllerError::Runtime(format!(
-                            "task {id} sent to unknown or already-executed task {dst}"
-                        ))
-                    })?;
-                    let dst_pt = plan.task(dst_state.ix());
-                    stats.perf.payload_clones += 1;
-                    if !dst_state.deliver(dst_pt, id, payload.clone()) {
-                        return Err(ControllerError::Runtime(format!(
-                            "task {dst} has no free input slot for producer {id}"
-                        )));
-                    }
-                    stats.local_messages += 1;
-                    if tracing {
-                        // In-memory move: no serialization, bytes = 0.
-                        sink.record(
-                            TraceEvent::span(SpanKind::MsgSend, send_start, now_ns(), 0, 0)
-                                .with_task(id, pt.callback())
-                                .with_message(dst, 0),
-                        );
-                    }
-                    if dst_state.ready() {
-                        if tracing {
-                            ready_at.insert(dst, now_ns());
+                        if dst.is_external() {
+                            outputs.entry(id).or_default().push(payload.clone());
+                            continue;
                         }
-                        queue.push_back(dst);
+                        let send_start = if tracing { now_ns() } else { 0 };
+                        let dst_state = states.get_mut(&dst).ok_or_else(|| {
+                            ControllerError::Runtime(format!(
+                                "task {id} sent to unknown or already-executed task {dst}"
+                            ))
+                        })?;
+                        if !dst_state.deliver(plan.task(dst_state.ix()), id, payload.clone()) {
+                            return Err(ControllerError::Runtime(format!(
+                                "task {dst} has no free input slot for producer {id}"
+                            )));
+                        }
+                        stats.local_messages += 1;
+                        if tracing {
+                            // In-memory move: no serialization, bytes = 0.
+                            sink.record(
+                                TraceEvent::span(SpanKind::MsgSend, send_start, now_ns(), 0, 0)
+                                    .with_task(id, pt.callback())
+                                    .with_message(dst, 0),
+                            );
+                        }
+                        if dst_state.ready() {
+                            if tracing {
+                                ready_at.insert(dst, now_ns());
+                            }
+                            queue.push_back(dst);
+                        }
                     }
                 }
-            }
-
-            if tracing {
-                sink.record(
-                    TraceEvent::span(SpanKind::TaskExec, exec_start, now_ns(), 0, 0)
-                        .with_task(id, pt.callback()),
-                );
-            }
+                Ok(())
+            })?;
         }
 
         if !states.is_empty() {

@@ -33,11 +33,11 @@ use crate::ids::{CallbackId, TaskId};
 /// What a [`TraceEvent`] span measured.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SpanKind {
-    /// One dataflow task's execution on a worker: input assembly, the user
-    /// callback, and output routing where the backend performs them
-    /// together. Every controller emits **exactly one** `TaskExec` span
-    /// per task — the invariant the coverage and critical-path analyses
-    /// rely on.
+    /// One attempt at a dataflow task on a worker: the user callback and,
+    /// for the successful attempt, output routing (see
+    /// [`exec`](crate::exec::exec)). A fault-free run has **exactly one**
+    /// `TaskExec` span per task — the invariant the coverage and
+    /// critical-path analyses rely on; each retried attempt adds one.
     TaskExec,
     /// The user callback invocation alone, nested inside its task's
     /// [`SpanKind::TaskExec`] span on the same thread.

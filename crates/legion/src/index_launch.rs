@@ -20,12 +20,11 @@ use std::time::Duration;
 
 use babelflow_core::trace::TraceSink;
 use babelflow_core::{
-    Controller, ControllerError, InitialInputs, Registry, Result, RunReport, ShardPlan, Task,
-    TaskGraph, TaskId, TaskMap,
+    Controller, InitialInputs, Registry, Result, RunReport, ShardPlan, Task, TaskGraph, TaskId,
 };
 
-use crate::runtime::{LegionRuntime, WaitOutcome};
-use crate::spmd::{attach_inputs, build_task_launcher, Sinks};
+use crate::runtime::LegionRuntime;
+use crate::spmd::{attach_inputs, build_task_launcher, finish, Sinks};
 
 /// Legion-style index-launch controller.
 #[derive(Clone, Debug)]
@@ -34,26 +33,17 @@ pub struct LegionIndexLaunchController {
     pub workers: usize,
     /// Stall-detection timeout.
     pub timeout: Duration,
-    /// Prebuilt execution plan. When absent, one is built (and its graph
-    /// queries charged to `PerfStats::task_queries`) on each run.
-    pub plan: Option<Arc<ShardPlan>>,
 }
 
 impl LegionIndexLaunchController {
     /// Controller executing on `workers` threads.
     pub fn new(workers: usize) -> Self {
-        LegionIndexLaunchController { workers, timeout: Duration::from_secs(10), plan: None }
+        LegionIndexLaunchController { workers, timeout: Duration::from_secs(10) }
     }
 
     /// Set the stall-detection timeout.
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
         self.timeout = timeout;
-        self
-    }
-
-    /// Execute from a prebuilt plan instead of querying the graph.
-    pub fn with_plan(mut self, plan: Arc<ShardPlan>) -> Self {
-        self.plan = Some(plan);
         self
     }
 }
@@ -117,88 +107,34 @@ fn crawl_rounds_from(tasks: &HashMap<TaskId, Task>) -> Vec<Vec<TaskId>> {
 }
 
 impl Controller for LegionIndexLaunchController {
-    fn run_traced(
+    fn execute(
         &mut self,
-        graph: &dyn TaskGraph,
-        map: &dyn TaskMap, // placement unused; only consulted if a plan must be built
+        plan: &Arc<ShardPlan>,
         registry: &Registry,
         initial: InitialInputs,
         sink: Arc<dyn TraceSink>,
     ) -> Result<RunReport> {
-        let (plan, built_queries) = match &self.plan {
-            Some(p) => (p.clone(), 0),
-            None => {
-                let p = Arc::new(ShardPlan::build(graph, map));
-                let q = p.build_queries();
-                (p, q)
-            }
-        };
-        plan.preflight(registry, &initial)?;
         let rt = LegionRuntime::with_sink(self.workers, sink);
-        attach_inputs(&rt, &plan, &initial);
+        attach_inputs(&rt, plan, &initial);
 
         let no_barriers = Arc::new(HashMap::new());
         let sinks = Arc::new(Sinks::default());
-        let rounds = plan_rounds(&plan);
 
         // One index launch per round, all staged by this (parent) thread.
-        for round in &rounds {
+        for round in &plan_rounds(plan) {
+            // No task map: every point runs on "rank" 0.
             let mut launchers: Vec<Option<_>> = round
                 .iter()
                 .map(|&id| {
-                    let pt = plan.task_by_id(id).expect("round ids are tasks");
-                    let callback = registry
-                        .get(pt.callback())
-                        .expect("preflight checked bindings")
-                        .clone();
-                    Some(build_task_launcher(
-                        pt.task.clone(),
-                        callback,
-                        no_barriers.clone(),
-                        sinks.clone(),
-                        Vec::new(),
-                        // No task map: every point runs "rank" 0.
-                        0,
-                    ))
+                    let ix = plan.index_of(id).expect("round ids are tasks");
+                    Some(build_task_launcher(plan, ix, registry, &no_barriers, &sinks, 0))
                 })
                 .collect();
             rt.index_launch("round", round.len() as u64, |p| {
                 launchers[p as usize].take().expect("each point launched once")
             });
         }
-
-        let finished = rt.wait_all(self.timeout);
-        if let Some(err) = sinks.error.lock().take() {
-            return Err(err);
-        }
-        match finished {
-            WaitOutcome::Completed => {}
-            WaitOutcome::Stalled { .. } => {
-                let executed = sinks.executed.lock();
-                let mut pending: Vec<TaskId> = plan
-                    .tasks()
-                    .iter()
-                    .map(|pt| pt.id())
-                    .filter(|id| !executed.contains(id))
-                    .collect();
-                pending.sort();
-                return Err(ControllerError::Deadlock { pending });
-            }
-            WaitOutcome::NoWorkers { outstanding } => {
-                return Err(ControllerError::Runtime(format!(
-                    "runtime has zero workers; {outstanding} tasks can never run"
-                )));
-            }
-        }
-
-        let mut report = RunReport::default();
-        report.outputs = std::mem::take(&mut *sinks.outputs.lock());
-        report.stats.tasks_executed = sinks.executed.lock().len() as u64;
-        report.stats.local_messages = rt.stats().tasks_launched;
-        report.stats.recovery.retries = sinks.retries.get();
-        report.stats.perf.task_queries = built_queries;
-        report.stats.perf.payload_clones = sinks.clones.get();
-        Ok(report)
+        finish(&rt, self.timeout, plan, &sinks)
     }
 
     fn name(&self) -> &'static str {

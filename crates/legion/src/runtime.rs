@@ -15,8 +15,8 @@
 //!   explicit task edges;
 //! * **three launcher kinds** — single task, index launch, must-epoch —
 //!   with the cost of preparing and scheduling subtasks *borne by the
-//!   parent* and measured ("the costs for preparing and scheduling tasks is
-//!   borne by its parent task and roughly proportional to the number of
+//!   parent*, on its thread ("the costs for preparing and scheduling tasks
+//!   is borne by its parent task and roughly proportional to the number of
 //!   subtasks used");
 //! * **phase barriers**: "a lightweight producer-consumer synchronization
 //!   mechanism that allow a set of producer operations to notify a set of
@@ -28,7 +28,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use babelflow_core::trace::{noop_sink, now_ns, SpanKind, TraceEvent, TraceSink, HOST_RANK};
+use babelflow_core::trace::{
+    noop_sink, now_ns, SpanKind, TraceEvent, TraceSink, CONTROL_THREAD, HOST_RANK,
+};
 use babelflow_core::Payload;
 use babelflow_core::sync::{Condvar, Mutex, WorkDeques};
 
@@ -177,18 +179,14 @@ impl WaitOutcome {
     }
 }
 
-/// Runtime counters; the source of Fig. 3's staging/compute split.
+/// Runtime launch counters. (Fig. 3's staging/compute split is modelled
+/// by `babelflow-sim`, not measured here.)
 #[derive(Debug, Default, Clone)]
 pub struct LegionStats {
     /// Individual tasks launched (points count individually).
     pub tasks_launched: u64,
     /// Launcher objects processed (an index launch is one).
     pub launches: u64,
-    /// Nanoseconds parents spent preparing/scheduling subtasks ("task
-    /// staging" in Fig. 3).
-    pub staging_ns: u64,
-    /// Nanoseconds spent inside task bodies ("task computation").
-    pub exec_ns: u64,
 }
 
 #[derive(Default)]
@@ -237,8 +235,6 @@ struct SchedState {
 struct Inner {
     state: Mutex<SchedState>,
     cv: Condvar,
-    stats_staging_ns: AtomicU64,
-    stats_exec_ns: AtomicU64,
     stats_tasks: AtomicU64,
     stats_launches: AtomicU64,
     next_barrier: AtomicU64,
@@ -255,9 +251,17 @@ pub struct LegionRuntime {
 /// Handle passed to executing task bodies.
 pub struct TaskCtx<'a> {
     inner: &'a Inner,
+    worker: u32,
 }
 
 impl TaskCtx<'_> {
+    /// The worker thread running this task, the trace row's thread.
+    /// Must-epoch tasks run outside the pool and report
+    /// [`CONTROL_THREAD`].
+    pub fn worker(&self) -> u32 {
+        self.worker
+    }
+
     /// Read the physical instance of a region declared with `Read`.
     ///
     /// # Panics
@@ -351,7 +355,6 @@ fn trigger(st: &mut SchedState, pre: Precondition) {
 /// Submit a launcher: dependence analysis + enqueue. This work runs on the
 /// caller's thread — the parent pays.
 fn submit(inner: &Inner, launcher: TaskLauncher) {
-    let start = Instant::now();
     let mut st = inner.state.lock();
     st.outstanding += 1;
     let mut unmet = 0usize;
@@ -390,9 +393,6 @@ fn submit(inner: &Inner, launcher: TaskLauncher) {
     }
     drop(st);
     inner.cv.notify_all();
-    inner
-        .stats_staging_ns
-        .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
     inner.stats_tasks.fetch_add(1, Ordering::Relaxed);
 }
 
@@ -424,8 +424,6 @@ impl LegionRuntime {
                 tracing,
             }),
             cv: Condvar::new(),
-            stats_staging_ns: AtomicU64::new(0),
-            stats_exec_ns: AtomicU64::new(0),
             stats_tasks: AtomicU64::new(0),
             stats_launches: AtomicU64::new(0),
             next_barrier: AtomicU64::new(0),
@@ -486,7 +484,7 @@ impl LegionRuntime {
                 self.inner.stats_tasks.fetch_add(1, Ordering::Relaxed);
                 let inner = self.inner.clone();
                 s.spawn(move || {
-                    let ctx = TaskCtx { inner: &inner };
+                    let ctx = TaskCtx { inner: &inner, worker: CONTROL_THREAD };
                     (t.body)(&ctx);
                 });
             }
@@ -563,8 +561,6 @@ impl LegionRuntime {
         LegionStats {
             tasks_launched: self.inner.stats_tasks.load(Ordering::Relaxed),
             launches: self.inner.stats_launches.load(Ordering::Relaxed),
-            staging_ns: self.inner.stats_staging_ns.load(Ordering::Relaxed),
-            exec_ns: self.inner.stats_exec_ns.load(Ordering::Relaxed),
         }
     }
 }
@@ -586,7 +582,8 @@ fn worker_main(inner: &Inner, worker: u32) {
         let ReadyTask { body, trace_task, ready_ns } = task;
         if trace_task != u64::MAX && inner.sink.enabled() {
             // The runtime has no shard notion; the task body records its
-            // execution span with the controller's rank.
+            // execution span with the controller's rank on this worker's
+            // thread.
             inner.sink.record(
                 TraceEvent::span(SpanKind::QueueWait, ready_ns, now_ns(), HOST_RANK, worker)
                     .with_task(
@@ -595,12 +592,7 @@ fn worker_main(inner: &Inner, worker: u32) {
                     ),
             );
         }
-        let start = Instant::now();
-        let ctx = TaskCtx { inner };
-        body(&ctx);
-        inner
-            .stats_exec_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        body(&TaskCtx { inner, worker });
         let mut st = inner.state.lock();
         st.outstanding -= 1;
         drop(st);
@@ -714,7 +706,6 @@ mod tests {
         let stats = rt.stats();
         assert_eq!(stats.tasks_launched, 32);
         assert_eq!(stats.launches, 1);
-        assert!(stats.staging_ns > 0);
     }
 
     #[test]

@@ -17,16 +17,15 @@
 //! edges additionally get a one-arrival phase barrier that the producer
 //! arrives at after writing the shared region.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 
-use babelflow_core::fault::{catch_invoke, MAX_TASK_RETRIES};
 use babelflow_core::sync::{Counter, Mutex};
 use babelflow_core::trace::{now_ns, SpanKind, TraceEvent, TraceSink};
 use babelflow_core::{
-    Callback, Controller, ControllerError, InitialInputs, Payload, PlanTask, Registry, Result,
-    RunReport, ShardId, ShardPlan, Task, TaskGraph, TaskId, TaskMap,
+    exec, Controller, ControllerError, InitialInputs, Payload, Registry, Result,
+    RunReport, RunStats, ShardId, ShardPlan, TaskId,
 };
 
 use crate::edges::{input_regions, output_regions};
@@ -39,15 +38,12 @@ pub struct LegionSpmdController {
     pub workers: usize,
     /// Stall-detection timeout.
     pub timeout: Duration,
-    /// Prebuilt execution plan. When absent, one is built (and its graph
-    /// queries charged to `PerfStats::task_queries`) on each run.
-    pub plan: Option<Arc<ShardPlan>>,
 }
 
 impl LegionSpmdController {
     /// Controller executing on `workers` threads.
     pub fn new(workers: usize) -> Self {
-        LegionSpmdController { workers, timeout: Duration::from_secs(10), plan: None }
+        LegionSpmdController { workers, timeout: Duration::from_secs(10) }
     }
 
     /// Set the stall-detection timeout.
@@ -55,26 +51,20 @@ impl LegionSpmdController {
         self.timeout = timeout;
         self
     }
-
-    /// Execute from a prebuilt plan instead of querying the graph.
-    pub fn with_plan(mut self, plan: Arc<ShardPlan>) -> Self {
-        self.plan = Some(plan);
-        self
-    }
 }
 
 /// Shared output/error sinks for task bodies.
 #[derive(Default)]
 pub(crate) struct Sinks {
-    pub(crate) outputs: Mutex<BTreeMap<TaskId, Vec<Payload>>>,
-    pub(crate) executed: Mutex<std::collections::HashSet<TaskId>>,
-    pub(crate) error: Mutex<Option<ControllerError>>,
+    outputs: Mutex<BTreeMap<TaskId, Vec<Payload>>>,
+    executed: Mutex<HashSet<TaskId>>,
+    error: Mutex<Option<ControllerError>>,
     /// Callback re-executions after captured panics, surfaced as
     /// `RunStats::recovery.retries`.
-    pub(crate) retries: Counter,
+    retries: Counter,
     /// Payload clones (inputs handed to callbacks, outputs copied into
     /// regions), surfaced as `PerfStats::payload_clones`.
-    pub(crate) clones: Counter,
+    clones: Counter,
 }
 
 /// Attach every external input payload as a pre-mapped physical region.
@@ -92,181 +82,145 @@ pub(crate) fn attach_inputs(rt: &LegionRuntime, plan: &ShardPlan, initial: &Init
     }
 }
 
-/// Build the fully owned single-task launcher for one dataflow task.
+/// Build the fully owned single-task launcher for plan task `ix`.
 ///
-/// `barrier_of` maps cross-shard edge regions to their phase barrier; pass
-/// an empty map for index-launch mode (plain region dependences).
+/// `barriers` maps cross-shard edge regions to their phase barrier (empty
+/// in index-launch mode): an input region with a barrier is gated by it,
+/// which implies the region was written; every other input is a region
+/// dependence. Spans go on the `rank` row, on the thread of the worker
+/// that runs the task.
 pub(crate) fn build_task_launcher(
-    task: Task,
-    callback: Callback,
-    barriers: Arc<HashMap<RegionKey, u64>>,
-    sinks: Arc<Sinks>,
-    cross_shard_inputs: Vec<u64>,
+    plan: &Arc<ShardPlan>,
+    ix: u32,
+    registry: &Registry,
+    barriers: &Arc<HashMap<RegionKey, u64>>,
+    sinks: &Arc<Sinks>,
     rank: u32,
 ) -> TaskLauncher {
-    let in_regions = input_regions(&task);
-
-    let mut reqs = Vec::new();
-    for (slot, _) in task.incoming.iter().enumerate() {
-        let region = in_regions[slot];
-        // Cross-shard inputs are gated by their barrier (which implies the
-        // region was written); everything else is a region dependence.
-        if !barriers.contains_key(&region) {
-            reqs.push(RegionRequirement::read(region));
+    let pt = plan.task(ix);
+    let callback = registry.get(pt.callback()).expect("preflight checked bindings").clone();
+    let in_regions = input_regions(&pt.task);
+    let (mut reqs, mut waits) = (Vec::new(), Vec::new());
+    for &region in &in_regions {
+        match barriers.get(&region) {
+            Some(&b) => waits.push(b),
+            None => reqs.push(RegionRequirement::read(region)),
         }
     }
+    let trace_task = pt.id().0;
+    let (plan, barriers, sinks) = (plan.clone(), barriers.clone(), sinks.clone());
 
-    let trace_task = task.id.0;
     let mut launcher = TaskLauncher::new(
         "dataflow-task",
         Box::new(move |ctx| {
+            let pt = plan.task(ix);
             let tracing = ctx.tracing();
-            let exec_start = if tracing { now_ns() } else { 0 };
-            let inputs: Vec<Payload> = in_regions.iter().map(|&r| ctx.read_region(r)).collect();
             // Physical regions are immutable once written, so a faulted
             // callback re-reads the same inputs: re-execution in place.
-            let mut attempts = 0u32;
-            let outputs = loop {
-                attempts += 1;
-                sinks.clones.fetch_add(inputs.len() as u64);
-                let cb_start = if tracing { now_ns() } else { 0 };
-                let result = catch_invoke(&callback, inputs.clone(), task.id);
-                if tracing {
-                    ctx.trace_sink().record(
-                        TraceEvent::span(SpanKind::Callback, cb_start, now_ns(), rank, 0)
-                            .with_task(task.id, task.callback),
-                    );
-                }
-                match result {
-                    Ok(outputs) => break outputs,
-                    Err(reason) => {
-                        if tracing {
-                            // The failed attempt still occupied the worker:
-                            // record it as its own task-execution span.
-                            ctx.trace_sink().record(
-                                TraceEvent::span(SpanKind::TaskExec, cb_start, now_ns(), rank, 0)
-                                    .with_task(task.id, task.callback),
-                            );
-                        }
-                        if attempts > MAX_TASK_RETRIES {
-                            let mut err = sinks.error.lock();
-                            if err.is_none() {
-                                *err = Some(ControllerError::TaskError {
-                                    task: task.id,
-                                    attempts,
-                                    reason,
-                                });
-                            }
-                            return;
-                        }
-                        sinks.retries.next();
+            let inputs: Vec<Payload> = in_regions.iter().map(|&r| ctx.read_region(r)).collect();
+            let write = |outs: Vec<Payload>, stats: &mut RunStats| -> Result<()> {
+                for (slot, region) in output_regions(&pt.task) {
+                    stats.perf.payload_clones += 1;
+                    if TaskId(region.dst).is_external() {
+                        sinks.outputs.lock().entry(pt.id()).or_default().push(outs[slot].clone());
+                        continue;
+                    }
+                    let send_start = if tracing { now_ns() } else { 0 };
+                    ctx.write_region(region, outs[slot].clone());
+                    if let Some(&b) = barriers.get(&region) {
+                        ctx.arrive(b);
+                    }
+                    if tracing {
+                        // Region writes move payloads in memory: bytes = 0.
+                        ctx.trace_sink().record(
+                            TraceEvent::span(
+                                SpanKind::MsgSend,
+                                send_start,
+                                now_ns(),
+                                rank,
+                                ctx.worker(),
+                            )
+                            .with_task(pt.id(), pt.callback())
+                            .with_message(TaskId(region.dst), 0),
+                        );
                     }
                 }
+                Ok(())
             };
-            if outputs.len() != task.fan_out() {
-                let mut err = sinks.error.lock();
-                if err.is_none() {
-                    *err = Some(ControllerError::BadOutputArity {
-                        task: task.id,
-                        expected: task.fan_out(),
-                        got: outputs.len(),
-                    });
+            let mut stats = RunStats::default();
+            let row = (rank, ctx.worker());
+            let result = exec(pt, &callback, &inputs, row, ctx.trace_sink(), &mut stats, write);
+            sinks.clones.fetch_add(stats.perf.payload_clones);
+            sinks.retries.fetch_add(stats.recovery.retries);
+            match result {
+                Ok(()) => {
+                    sinks.executed.lock().insert(pt.id());
                 }
-                return;
-            }
-            for (slot, region) in output_regions(&task) {
-                sinks.clones.next();
-                if TaskId(region.dst).is_external() {
-                    sinks
-                        .outputs
-                        .lock()
-                        .entry(task.id)
-                        .or_default()
-                        .push(outputs[slot].clone());
-                    continue;
+                Err(err) => {
+                    sinks.error.lock().get_or_insert(err);
                 }
-                let send_start = if tracing { now_ns() } else { 0 };
-                ctx.write_region(region, outputs[slot].clone());
-                if let Some(&b) = barriers.get(&region) {
-                    ctx.arrive(b);
-                }
-                if tracing {
-                    // Region writes move payloads in memory: bytes = 0.
-                    ctx.trace_sink().record(
-                        TraceEvent::span(SpanKind::MsgSend, send_start, now_ns(), rank, 0)
-                            .with_task(task.id, task.callback)
-                            .with_message(TaskId(region.dst), 0),
-                    );
-                }
-            }
-            sinks.executed.lock().insert(task.id);
-            if tracing {
-                ctx.trace_sink().record(
-                    TraceEvent::span(SpanKind::TaskExec, exec_start, now_ns(), rank, 0)
-                        .with_task(task.id, task.callback),
-                );
             }
         }),
     );
     launcher.requirements = reqs;
-    launcher.barriers = cross_shard_inputs;
+    launcher.barriers = waits;
     launcher.trace_task = trace_task;
     launcher
 }
 
-/// Classify a task's inputs and construct its launcher with barriers for
-/// cross-shard edges. Shard placement comes from the plan, never the map.
-fn launcher_for(
-    pt: &PlanTask,
+/// Wait for every launched task and turn the run into a report: the
+/// first task error if any, a deadlock naming the tasks that never ran, or
+/// the outputs and counters.
+pub(crate) fn finish(
+    rt: &LegionRuntime,
+    timeout: Duration,
     plan: &ShardPlan,
-    registry: &Registry,
-    barriers: &Arc<HashMap<RegionKey, u64>>,
-    sinks: &Arc<Sinks>,
-) -> TaskLauncher {
-    let in_regions = input_regions(&pt.task);
-    let home = pt.shard;
-    let mut waits = Vec::new();
-    for (slot, &src) in pt.task.incoming.iter().enumerate() {
-        if !src.is_external()
-            && plan.task_by_id(src).expect("edge source exists").shard != home
-        {
-            if let Some(&b) = barriers.get(&in_regions[slot]) {
-                waits.push(b);
-            }
+    sinks: &Sinks,
+) -> Result<RunReport> {
+    let finished = rt.wait_all(timeout);
+    if let Some(err) = sinks.error.lock().take() {
+        return Err(err);
+    }
+    match finished {
+        WaitOutcome::Completed => {}
+        WaitOutcome::Stalled { .. } => {
+            let executed = sinks.executed.lock();
+            let mut pending: Vec<TaskId> = plan
+                .tasks()
+                .iter()
+                .map(|pt| pt.id())
+                .filter(|id| !executed.contains(id))
+                .collect();
+            pending.sort();
+            return Err(ControllerError::Deadlock { pending });
+        }
+        WaitOutcome::NoWorkers { outstanding } => {
+            return Err(ControllerError::Runtime(format!(
+                "runtime has zero workers; {outstanding} tasks can never run"
+            )));
         }
     }
-    let callback = registry.get(pt.callback()).expect("preflight checked bindings").clone();
-    build_task_launcher(
-        pt.task.clone(),
-        callback,
-        barriers.clone(),
-        sinks.clone(),
-        waits,
-        home.0,
-    )
+
+    let outputs = std::mem::take(&mut *sinks.outputs.lock());
+    let mut report = RunReport { outputs, ..RunReport::default() };
+    report.stats.tasks_executed = sinks.executed.lock().len() as u64;
+    report.stats.local_messages = rt.stats().tasks_launched;
+    report.stats.recovery.retries = sinks.retries.get();
+    report.stats.perf.payload_clones = sinks.clones.get();
+    Ok(report)
 }
 
 impl Controller for LegionSpmdController {
-    fn run_traced(
+    fn execute(
         &mut self,
-        graph: &dyn TaskGraph,
-        map: &dyn TaskMap,
+        plan: &Arc<ShardPlan>,
         registry: &Registry,
         initial: InitialInputs,
         sink: Arc<dyn TraceSink>,
     ) -> Result<RunReport> {
-        let (plan, built_queries) = match &self.plan {
-            Some(p) => (p.clone(), 0),
-            None => {
-                let p = Arc::new(ShardPlan::build(graph, map));
-                let q = p.build_queries();
-                (p, q)
-            }
-        };
-        plan.preflight(registry, &initial)?;
         let shards = plan.num_shards();
         let rt = LegionRuntime::with_sink(self.workers, sink);
-        attach_inputs(&rt, &plan, &initial);
+        attach_inputs(&rt, plan, &initial);
 
         // One phase barrier per cross-shard edge.
         let mut barriers: HashMap<RegionKey, u64> = HashMap::new();
@@ -292,7 +246,10 @@ impl Controller for LegionSpmdController {
             let launchers: Vec<TaskLauncher> = plan
                 .local(ShardId(shard))
                 .iter()
-                .map(|&ix| launcher_for(plan.task(ix), &plan, registry, &barriers, &sinks))
+                .map(|&ix| {
+                    let home = plan.task(ix).shard.0;
+                    build_task_launcher(plan, ix, registry, &barriers, &sinks, home)
+                })
                 .collect();
             shard_tasks.push(TaskLauncher::new(
                 "spmd-shard",
@@ -304,39 +261,7 @@ impl Controller for LegionSpmdController {
             ));
         }
         rt.must_epoch_launch(shard_tasks);
-
-        let finished = rt.wait_all(self.timeout);
-        if let Some(err) = sinks.error.lock().take() {
-            return Err(err);
-        }
-        match finished {
-            WaitOutcome::Completed => {}
-            WaitOutcome::Stalled { .. } => {
-                let executed = sinks.executed.lock();
-                let mut pending: Vec<TaskId> = plan
-                    .tasks()
-                    .iter()
-                    .map(|pt| pt.id())
-                    .filter(|id| !executed.contains(id))
-                    .collect();
-                pending.sort();
-                return Err(ControllerError::Deadlock { pending });
-            }
-            WaitOutcome::NoWorkers { outstanding } => {
-                return Err(ControllerError::Runtime(format!(
-                    "runtime has zero workers; {outstanding} tasks can never run"
-                )));
-            }
-        }
-
-        let mut report = RunReport::default();
-        report.outputs = std::mem::take(&mut *sinks.outputs.lock());
-        report.stats.tasks_executed = sinks.executed.lock().len() as u64;
-        report.stats.local_messages = rt.stats().tasks_launched;
-        report.stats.recovery.retries = sinks.retries.get();
-        report.stats.perf.task_queries = built_queries;
-        report.stats.perf.payload_clones = sinks.clones.get();
-        Ok(report)
+        finish(&rt, self.timeout, plan, &sinks)
     }
 
     fn name(&self) -> &'static str {

@@ -9,7 +9,8 @@
 //! data has been received, in the order in which this data arrived."
 //!
 //! Fidelity notes:
-//! * static task→rank allocation via the user's [`TaskMap`], precompiled
+//! * static task→rank allocation via the user's
+//!   [`TaskMap`](babelflow_core::TaskMap), precompiled
 //!   into a [`ShardPlan`] so the steady state never re-queries the
 //!   procedural graph (see `crate::plan` in `babelflow-core`);
 //! * per-rank controller thread + a pool of worker threads executing ready
@@ -36,22 +37,22 @@
 //! tick: the run only deadlocks when nothing has progressed for the full
 //! `timeout`.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use babelflow_core::channel::{select2, unbounded, Select2};
-use babelflow_core::fault::{catch_invoke, MAX_TASK_RETRIES};
+use babelflow_core::fault::MAX_TASK_RETRIES;
 use babelflow_core::sync::WorkPool;
 use babelflow_core::trace::{now_ns, SpanKind, TraceEvent, TraceSink, CONTROL_THREAD};
 use babelflow_core::{
-    Controller, ControllerError, InitialInputs, Payload, PlanBuffer, Registry, Result, RunReport,
-    RunStats, ShardId, ShardPlan, TaskGraph, TaskId, TaskMap,
+    exec, Controller, ControllerError, InitialInputs, Payload, PlanBuffer, Registry, Result,
+    RunReport, RunStats, ShardPlan, TaskId,
 };
 
-use crate::comm::{FaultPlan, RankComm, World};
+use crate::comm::FaultPlan;
+use crate::rank::{run_world, RankOutcome, RankState};
 use crate::reliable::ReliableEndpoint;
-use crate::wire::{DataflowMsg, TAG_DATAFLOW};
 
 /// Default per-rank stall timeout before declaring the dataflow dead.
 pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(10);
@@ -65,22 +66,15 @@ pub struct MpiController {
     /// Stall-detection timeout per rank: how long a rank tolerates zero
     /// progress (no completion, no delivery) before giving up.
     pub timeout: Duration,
-    /// Fault injection for tests: transport faults feed the [`World`],
-    /// `kill_worker` entries kill this controller's pool threads.
+    /// Fault injection for tests: transport faults feed the
+    /// [`World`](crate::comm::World), `kill_worker` entries kill this
+    /// controller's pool threads.
     pub faults: FaultPlan,
-    /// Prebuilt execution plan; when absent one is built (and its query
-    /// cost counted) per run.
-    pub plan: Option<Arc<ShardPlan>>,
 }
 
 impl Default for MpiController {
     fn default() -> Self {
-        MpiController {
-            workers_per_rank: 2,
-            timeout: DEFAULT_TIMEOUT,
-            faults: FaultPlan::none(),
-            plan: None,
-        }
+        MpiController { workers_per_rank: 2, timeout: DEFAULT_TIMEOUT, faults: FaultPlan::none() }
     }
 }
 
@@ -109,84 +103,20 @@ impl MpiController {
         self.faults = faults;
         self
     }
-
-    /// Reuse a prebuilt [`ShardPlan`] (it must have been built against the
-    /// same graph and map this run uses): repeated runs then perform zero
-    /// procedural graph queries.
-    pub fn with_plan(mut self, plan: Arc<ShardPlan>) -> Self {
-        self.plan = Some(plan);
-        self
-    }
-}
-
-/// What one rank produced.
-pub(crate) type RankOutcome = Result<(BTreeMap<TaskId, Vec<Payload>>, RunStats)>;
-
-/// A rank thread's outcome from its join: a panic that escaped the rank
-/// (callbacks are guarded by `catch_invoke`; this is anything else, a
-/// trace sink for one) becomes an error instead of aborting the host.
-pub(crate) fn rank_outcome(rank: usize, joined: std::thread::Result<RankOutcome>) -> RankOutcome {
-    joined.unwrap_or_else(|_| Err(ControllerError::Runtime(format!("rank {rank} thread panicked"))))
 }
 
 impl Controller for MpiController {
-    fn run_traced(
+    fn execute(
         &mut self,
-        graph: &dyn TaskGraph,
-        map: &dyn TaskMap,
+        plan: &Arc<ShardPlan>,
         registry: &Registry,
         initial: InitialInputs,
         sink: Arc<dyn TraceSink>,
     ) -> Result<RunReport> {
-        let mut built_queries = 0u64;
-        let plan = match &self.plan {
-            Some(p) => p.clone(),
-            None => {
-                let p = Arc::new(ShardPlan::build(graph, map));
-                built_queries = p.build_queries();
-                p
-            }
-        };
-        plan.preflight(registry, &initial)?;
-        let nranks = plan.num_shards() as usize;
-        let mut world = World::with_faults(nranks, self.faults.clone());
-        let endpoints = world.endpoints();
-
-        // "Each rank creates only the portion of the tasks assigned to it"
-        // and receives only the initial inputs local to it.
-        let mut rank_inputs: Vec<InitialInputs> = (0..nranks).map(|_| HashMap::new()).collect();
-        for (task, payloads) in initial {
-            let shard = plan.task_by_id(task).expect("preflight checked inputs").shard;
-            rank_inputs[shard.0 as usize].insert(task, payloads);
-        }
-
-        let timeout = self.timeout;
-        let workers = self.workers_per_rank;
-        let faults = &self.faults;
-
-        let outcomes: Vec<RankOutcome> = std::thread::scope(|s| {
-            let handles: Vec<_> = endpoints
-                .into_iter()
-                .zip(rank_inputs)
-                .map(|(ep, inputs)| {
-                    let sink = sink.clone();
-                    let plan = plan.clone();
-                    s.spawn(move || {
-                        rank_main(ep, &plan, registry, inputs, workers, timeout, faults, sink)
-                    })
-                })
-                .collect();
-            handles.into_iter().enumerate().map(|(r, h)| rank_outcome(r, h.join())).collect()
-        });
-
-        let mut report = RunReport::default();
-        for outcome in outcomes {
-            let (outputs, stats) = outcome?;
-            report.outputs.extend(outputs);
-            report.stats.merge(&stats);
-        }
-        report.stats.perf.task_queries += built_queries;
-        Ok(report)
+        let (workers, timeout, faults) = (self.workers_per_rank, self.timeout, &self.faults);
+        run_world(plan, faults, timeout, initial, |rel, inputs| {
+            rank_main(rel, plan, registry, inputs, workers, timeout, faults, &*sink)
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -208,9 +138,10 @@ struct WorkItem {
 /// Result returned by a worker.
 struct DoneItem {
     ix: u32,
-    outputs: std::result::Result<Vec<Payload>, ControllerError>,
-    /// In-place panic retries the worker performed.
-    retries: u64,
+    outputs: Result<Vec<Payload>>,
+    /// What executing the task cost: in-place panic retries and the
+    /// inputs cloned per attempt.
+    stats: RunStats,
 }
 
 /// A dispatched-but-not-completed task with its inputs retained so it can
@@ -254,33 +185,6 @@ fn dispatch_ready(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn rank_main(
-    ep: RankComm,
-    plan: &Arc<ShardPlan>,
-    registry: &Registry,
-    initial: InitialInputs,
-    workers: usize,
-    timeout: Duration,
-    faults: &FaultPlan,
-    sink: Arc<dyn TraceSink>,
-) -> RankOutcome {
-    // On an error return or a panic, dropping `rel` marks this rank
-    // finished, which releases peers lingering at the shutdown barrier.
-    let mut rel = ReliableEndpoint::new(ep);
-    let (outputs, mut stats) =
-        rank_main_inner(&mut rel, plan, registry, initial, workers, timeout, faults, sink)?;
-    // Drain: wait for our acks, then linger re-acking peers until the
-    // whole world is finished. A `false` here means a peer died without
-    // reaching the barrier — its own outcome carries the error, ours is
-    // complete.
-    rel.flush(timeout);
-    stats.recovery.merge(&rel.stats);
-    stats.perf.envelopes_sent += rel.envelopes_sent;
-    stats.perf.batches_sent += rel.batches_sent;
-    Ok((outputs, stats))
-}
-
 /// Closes the pool when dropped, also when the control loop unwinds, so
 /// the scope's join of the workers cannot hang.
 struct ClosePool<'a>(&'a WorkPool<WorkItem>);
@@ -291,8 +195,11 @@ impl Drop for ClosePool<'_> {
     }
 }
 
+/// One rank of the asynchronous controller: a control thread that
+/// receives messages, routes completed tasks' outputs and dispatches ready
+/// tasks to a pool of `workers` threads.
 #[allow(clippy::too_many_arguments)]
-fn rank_main_inner(
+pub(crate) fn rank_main(
     rel: &mut ReliableEndpoint,
     plan: &Arc<ShardPlan>,
     registry: &Registry,
@@ -300,51 +207,28 @@ fn rank_main_inner(
     workers: usize,
     timeout: Duration,
     faults: &FaultPlan,
-    sink: Arc<dyn TraceSink>,
-) -> Result<(BTreeMap<TaskId, Vec<Payload>>, RunStats)> {
-    let my_shard = ShardId(rel.rank() as u32);
-    let local = plan.local(my_shard);
-    let local_total = local.len();
-    let mut buffers: HashMap<TaskId, PlanBuffer> = local
-        .iter()
-        .map(|&ix| (plan.task(ix).id(), PlanBuffer::new(plan, ix)))
-        .collect();
-
-    for (task, payloads) in initial {
-        let buf = buffers
-            .get_mut(&task)
-            .ok_or_else(|| ControllerError::Runtime(format!("initial input for non-local task {task}")))?;
-        let pt = plan.task(buf.ix());
-        for p in payloads {
-            if !buf.deliver(pt, TaskId::EXTERNAL, p) {
-                return Err(ControllerError::Runtime(format!("too many initial inputs for {task}")));
-            }
-        }
-    }
-
+    sink: &dyn TraceSink,
+) -> RankOutcome {
+    let mut state = RankState::new(plan, rel, initial, sink)?;
+    let local_total = state.buffers.len();
     let tracing = sink.enabled();
     let my_rank = rel.rank() as u32;
-    let kills: Arc<HashSet<u32>> = Arc::new(
-        faults
-            .kill_worker
-            .iter()
-            .filter(|&&(r, _)| r == rel.rank())
-            .map(|&(_, w)| w)
-            .collect(),
-    );
+    let kills: HashSet<u32> = faults
+        .kill_worker
+        .iter()
+        .filter(|&&(r, _)| r == rel.rank())
+        .map(|&(_, w)| w)
+        .collect();
     let pool: WorkPool<WorkItem> = WorkPool::new(workers);
     let (done_tx, done_rx) = unbounded::<DoneItem>();
 
     std::thread::scope(|s| {
         // Worker pool: executes ready tasks in the order their inputs
-        // completed, retrying a panicking callback in place. Idle workers
-        // steal from busy siblings' deques.
+        // completed, retrying a panicking callback in place, and hands the
+        // outputs to the control thread. Idle workers steal from busy
+        // siblings' deques.
         for worker_idx in 0..workers as u32 {
-            let pool = pool.clone();
-            let done_tx = done_tx.clone();
-            let sink = sink.clone();
-            let kills = kills.clone();
-            let plan = plan.clone();
+            let (pool, done_tx, kills) = (pool.clone(), done_tx.clone(), &kills);
             s.spawn(move || {
                 while let Some(WorkItem { ix, inputs, ready_ns }) = pool.recv(worker_idx as usize)
                 {
@@ -355,77 +239,29 @@ fn rank_main_inner(
                         break;
                     }
                     let pt = plan.task(ix);
-                    let (task_id, task_cb) = (pt.id(), pt.callback());
-                    let pickup = if tracing { now_ns() } else { 0 };
                     if tracing {
                         sink.record(
                             TraceEvent::span(
                                 SpanKind::QueueWait,
                                 ready_ns,
-                                pickup,
+                                now_ns(),
                                 my_rank,
                                 worker_idx,
                             )
-                            .with_task(task_id, task_cb),
+                            .with_task(pt.id(), pt.callback()),
                         );
                     }
-                    let cb = registry.get(task_cb).expect("preflight checked bindings");
-                    let mut retries = 0u64;
-                    let result = loop {
-                        let attempt_start = if tracing { now_ns() } else { 0 };
-                        let attempt = catch_invoke(cb, inputs.clone(), task_id);
-                        if tracing {
-                            // Every attempt — failed ones included — gets
-                            // its own Callback + TaskExec span pair, so
-                            // retries are visible in the trace.
-                            let end = now_ns();
-                            sink.record(
-                                TraceEvent::span(
-                                    SpanKind::Callback,
-                                    attempt_start,
-                                    end,
-                                    my_rank,
-                                    worker_idx,
-                                )
-                                .with_task(task_id, task_cb),
-                            );
-                            sink.record(
-                                TraceEvent::span(
-                                    SpanKind::TaskExec,
-                                    attempt_start,
-                                    end,
-                                    my_rank,
-                                    worker_idx,
-                                )
-                                .with_task(task_id, task_cb),
-                            );
-                        }
-                        match attempt {
-                            Ok(outs) => break Ok(outs),
-                            Err(reason) => {
-                                if retries >= MAX_TASK_RETRIES as u64 {
-                                    break Err(ControllerError::TaskError {
-                                        task: task_id,
-                                        attempts: retries as u32 + 1,
-                                        reason,
-                                    });
-                                }
-                                retries += 1;
-                            }
-                        }
+                    let cb = registry.get(pt.callback()).expect("preflight checked bindings");
+                    let mut stats = RunStats::default();
+                    let handoff = |outs: Vec<Payload>, stats: &mut RunStats| -> Result<()> {
+                        let stats = std::mem::take(stats);
+                        let _ = done_tx.send(DoneItem { ix, outputs: Ok(outs), stats });
+                        Ok(())
                     };
-                    let outputs = result.and_then(|outs| {
-                        if outs.len() == pt.fan_out() {
-                            Ok(outs)
-                        } else {
-                            Err(ControllerError::BadOutputArity {
-                                task: task_id,
-                                expected: pt.fan_out(),
-                                got: outs.len(),
-                            })
-                        }
-                    });
-                    let _ = done_tx.send(DoneItem { ix, outputs, retries });
+                    let row = (my_rank, worker_idx);
+                    if let Err(e) = exec(pt, cb, &inputs, row, sink, &mut stats, handoff) {
+                        let _ = done_tx.send(DoneItem { ix, outputs: Err(e), stats });
+                    }
                 }
             });
         }
@@ -435,22 +271,15 @@ fn rank_main_inner(
         // unwind included; the scope's join needs them to exit.
         let _close = ClosePool(&pool);
 
-        let mut outputs: BTreeMap<TaskId, Vec<Payload>> = BTreeMap::new();
         let mut stats = RunStats::default();
         let mut executed = 0usize;
         let mut inflight: HashMap<TaskId, Inflight> = HashMap::new();
         let mut completed: HashSet<TaskId> = HashSet::new();
 
-        let initially_ready: Vec<TaskId> = {
-            let mut r: Vec<TaskId> = buffers
-                .iter()
-                .filter(|(_, b)| b.ready())
-                .map(|(&id, _)| id)
-                .collect();
-            r.sort();
-            r
-        };
-        dispatch_ready(&mut buffers, initially_ready, &pool, &mut inflight, &mut stats, tracing);
+        let mut ready: Vec<TaskId> =
+            state.buffers.iter().filter(|(_, b)| b.ready()).map(|(&id, _)| id).collect();
+        ready.sort();
+        dispatch_ready(&mut state.buffers, ready, &pool, &mut inflight, &mut stats, tracing);
 
         // Short select tick (drives retransmits and re-fires) decoupled
         // from the stall timeout (no progress at all for `timeout`).
@@ -461,50 +290,17 @@ fn rank_main_inner(
 
         while executed < local_total {
             // Reliable layer first: deliver whatever is in order.
-            let mut newly_ready = Vec::new();
-            while let Some((src_rank, _tag, body)) = rel.pop_ready() {
-                let recv_start = if tracing { now_ns() } else { 0 };
-                let wire_bytes = body.len() as u64;
-                let msg = DataflowMsg::decode(&body).ok_or_else(|| {
-                    ControllerError::Runtime(format!("malformed message from rank {src_rank}"))
-                })?;
-                let buf = buffers.get_mut(&msg.dst_task).ok_or_else(|| {
-                    ControllerError::Runtime(format!(
-                        "message for unknown/finished task {}", msg.dst_task
-                    ))
-                })?;
-                let dst_pt = plan.task(buf.ix());
-                if !buf.deliver(dst_pt, msg.src_task, Payload::Buffer(msg.payload)) {
-                    return Err(ControllerError::Runtime(format!(
-                        "unexpected delivery {} -> {}", msg.src_task, msg.dst_task
-                    )));
-                }
-                if tracing {
-                    sink.record(
-                        TraceEvent::span(
-                            SpanKind::MsgRecv,
-                            recv_start,
-                            now_ns(),
-                            my_rank,
-                            CONTROL_THREAD,
-                        )
-                        .with_task(msg.dst_task, dst_pt.callback())
-                        .with_message(msg.src_task, wire_bytes),
-                    );
-                }
-                if buf.ready() {
-                    newly_ready.push(msg.dst_task);
-                }
+            let mut ready = Vec::new();
+            if state.receive(rel, &mut ready)? {
                 last_progress = Instant::now();
             }
-            dispatch_ready(&mut buffers, newly_ready, &pool, &mut inflight, &mut stats, tracing);
+            dispatch_ready(&mut state.buffers, ready, &pool, &mut inflight, &mut stats, tracing);
 
             // Biased two-way select: worker completions first, then network
             // envelopes, then the protocol tick.
-            let sel = select2(&done_rx, rel.inbox(), tick);
-            match sel {
-                Select2::A(DoneItem { ix, outputs: result, retries }) => {
-                    stats.recovery.retries += retries;
+            match select2(&done_rx, rel.inbox(), tick) {
+                Select2::A(DoneItem { ix, outputs, stats: cost }) => {
+                    stats.merge(&cost);
                     let pt = plan.task(ix);
                     let id = pt.id();
                     if !completed.insert(id) {
@@ -512,86 +308,16 @@ fn rank_main_inner(
                         // outputs were already routed (exactly-once).
                         continue;
                     }
-                    if let Some(inf) = inflight.remove(&id) {
-                        // Each execution attempt cloned the inputs once
-                        // inside the worker.
-                        stats.perf.payload_clones +=
-                            inf.inputs.len() as u64 * (retries + 1);
-                    }
-                    let outs = result?;
+                    inflight.remove(&id);
+                    let outs = outputs?;
                     executed += 1;
                     stats.tasks_executed += 1;
                     last_progress = Instant::now();
 
-                    let mut newly_ready = Vec::new();
-                    for (slot, payload) in outs.into_iter().enumerate() {
-                        for route in &pt.routes[slot] {
-                            if route.is_external() {
-                                outputs.entry(id).or_default().push(payload.clone());
-                                stats.perf.payload_clones += 1;
-                            } else if route.shard == my_shard {
-                                let dst = route.dst;
-                                // In-memory fast path: skip serialization.
-                                let buf = buffers.get_mut(&dst).ok_or_else(|| {
-                                    ControllerError::Runtime(format!(
-                                        "local consumer {dst} missing or already executed"
-                                    ))
-                                })?;
-                                let dst_pt = plan.task(buf.ix());
-                                if !buf.deliver(dst_pt, id, payload.clone()) {
-                                    return Err(ControllerError::Runtime(format!(
-                                        "unexpected local delivery {} -> {dst}", id
-                                    )));
-                                }
-                                stats.perf.payload_clones += 1;
-                                stats.local_messages += 1;
-                                if tracing {
-                                    let t = now_ns();
-                                    // In-memory move: no serialization, bytes = 0.
-                                    sink.record(
-                                        TraceEvent::span(
-                                            SpanKind::MsgSend,
-                                            t,
-                                            t,
-                                            my_rank,
-                                            CONTROL_THREAD,
-                                        )
-                                        .with_task(id, pt.callback())
-                                        .with_message(dst, 0),
-                                    );
-                                }
-                                if buf.ready() {
-                                    newly_ready.push(dst);
-                                }
-                            } else {
-                                let send_start = if tracing { now_ns() } else { 0 };
-                                let msg = DataflowMsg::from_payload(route.dst, id, &payload);
-                                let body = msg.encode();
-                                stats.remote_messages += 1;
-                                stats.remote_bytes += body.len() as u64;
-                                let wire_bytes = body.len() as u64;
-                                rel.send(route.shard.0 as usize, TAG_DATAFLOW, body);
-                                if tracing {
-                                    sink.record(
-                                        TraceEvent::span(
-                                            SpanKind::MsgSend,
-                                            send_start,
-                                            now_ns(),
-                                            my_rank,
-                                            CONTROL_THREAD,
-                                        )
-                                        .with_task(id, pt.callback())
-                                        .with_message(route.dst, wire_bytes),
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    // One envelope per destination for this task's whole
-                    // fan-out.
-                    rel.flush_sends();
+                    let mut ready = Vec::new();
+                    state.route(rel, pt, outs, CONTROL_THREAD, &mut stats, &mut ready)?;
                     dispatch_ready(
-                        &mut buffers, newly_ready, &pool, &mut inflight, &mut stats, tracing,
+                        &mut state.buffers, ready, &pool, &mut inflight, &mut stats, tracing,
                     );
                 }
                 Select2::B(env) => {
@@ -625,8 +351,12 @@ fn rank_main_inner(
                         }
                     }
                     if last_progress.elapsed() >= timeout {
-                        let mut pending: Vec<TaskId> =
-                            buffers.keys().copied().chain(inflight.keys().copied()).collect();
+                        let mut pending: Vec<TaskId> = state
+                            .buffers
+                            .keys()
+                            .copied()
+                            .chain(inflight.keys().copied())
+                            .collect();
                         pending.sort();
                         return Err(ControllerError::Deadlock { pending });
                     }
@@ -634,6 +364,6 @@ fn rank_main_inner(
             }
         }
 
-        Ok((outputs, stats))
+        Ok((std::mem::take(&mut state.outputs), stats))
     })
 }

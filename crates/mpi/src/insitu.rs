@@ -26,6 +26,7 @@ use babelflow_core::{
 
 use crate::comm::World;
 use crate::controller::{rank_main, DEFAULT_TIMEOUT};
+use crate::rank::run_rank;
 
 /// A dataflow world prepared for in-situ coupling.
 pub struct InSituWorld {
@@ -138,16 +139,18 @@ impl InSituRank {
                 )));
             }
         }
-        rank_main(
-            self.ep,
-            &self.plan,
-            &self.registry,
-            local_inputs,
-            self.workers,
-            self.timeout,
-            &crate::comm::FaultPlan::none(),
-            babelflow_core::trace::noop_sink(),
-        )
+        run_rank(self.ep, self.timeout, |rel| {
+            rank_main(
+                rel,
+                &self.plan,
+                &self.registry,
+                local_inputs,
+                self.workers,
+                self.timeout,
+                &crate::comm::FaultPlan::none(),
+                &babelflow_core::NoopSink,
+            )
+        })
     }
 }
 

@@ -23,6 +23,7 @@ pub mod blocking;
 pub mod comm;
 pub mod controller;
 pub mod insitu;
+mod rank;
 pub mod reliable;
 pub mod wire;
 

@@ -6,9 +6,9 @@
 //! * [`TraceSummary`] — aggregate metrics: per-callback latency
 //!   histograms (log2 buckets) and bytes, plus per-rank utilization.
 //! * Invariant checks — [`check_coverage`] (every graph task has exactly
-//!   one `TaskExec` span) and [`check_well_nested`] (serial-style traces:
-//!   callback spans sit inside their task spans, task spans on one thread
-//!   never overlap).
+//!   one `TaskExec` span) and [`check_well_nested`] (any backend, retries
+//!   included: callback spans sit inside their attempt's task span, task
+//!   spans on one thread never overlap).
 //! * [`observed_critical_path`] — the chain of task executions that
 //!   actually gated the run, recovered by walking back from the last
 //!   finisher through each task's last-finishing parent. On a balanced
@@ -314,13 +314,15 @@ pub fn check_coverage_effective(
 
 /// Check span nesting: on each `(rank, thread)` row, `TaskExec` spans
 /// must not overlap each other, and every `Callback` span must lie
-/// inside the `TaskExec` span of the same task. Holds by construction
-/// for the serial controller; parallel backends satisfy it per worker.
+/// inside a `TaskExec` span of the same task on the same row. A retried
+/// task has one `TaskExec` span per attempt, so each callback is matched
+/// to the one that contains it. Holds for every backend, whose workers
+/// each have their own row.
 pub fn check_well_nested(trace: &Trace) -> Result<(), String> {
-    let mut exec_of: HashMap<TaskId, &TraceEvent> = HashMap::new();
+    let mut execs_of: HashMap<TaskId, Vec<&TraceEvent>> = HashMap::new();
     let mut rows: HashMap<(u32, u32), Vec<&TraceEvent>> = HashMap::new();
     for e in trace.of_kind(SpanKind::TaskExec) {
-        exec_of.entry(e.task).or_insert(e);
+        execs_of.entry(e.task).or_default().push(e);
         rows.entry((e.rank, e.thread)).or_default().push(e);
     }
     for ((rank, thread), spans) in &rows {
@@ -337,22 +339,26 @@ pub fn check_well_nested(trace: &Trace) -> Result<(), String> {
         }
     }
     for cb in trace.of_kind(SpanKind::Callback) {
-        let Some(exec) = exec_of.get(&cb.task) else {
+        let Some(execs) = execs_of.get(&cb.task) else {
             return Err(format!("callback span for {} has no task span", cb.task));
         };
-        if cb.start_ns < exec.start_ns || cb.end_ns > exec.end_ns {
+        let contains = |e: &&&TraceEvent| e.start_ns <= cb.start_ns && cb.end_ns <= e.end_ns;
+        let same_row = |e: &&&TraceEvent| (e.rank, e.thread) == (cb.rank, cb.thread);
+        if execs.iter().any(|e| contains(&e) && same_row(&e)) {
+            continue;
+        }
+        let Some(exec) = execs.iter().find(contains) else {
+            let exec = execs.iter().find(same_row).unwrap_or(&execs[0]);
             return Err(format!(
                 "callback span [{}, {}) of {} escapes its task span [{}, {})",
                 cb.start_ns, cb.end_ns, cb.task, exec.start_ns, exec.end_ns
             ));
-        }
-        if (cb.rank, cb.thread) != (exec.rank, exec.thread) {
-            return Err(format!(
-                "callback of {} ran on rank {} thread {} but its task span is on \
-                 rank {} thread {}",
-                cb.task, cb.rank, cb.thread, exec.rank, exec.thread
-            ));
-        }
+        };
+        return Err(format!(
+            "callback of {} ran on rank {} thread {} but its task span is on \
+             rank {} thread {}",
+            cb.task, cb.rank, cb.thread, exec.rank, exec.thread
+        ));
     }
     Ok(())
 }
@@ -544,6 +550,36 @@ mod tests {
         let parallel =
             Trace::from_events(vec![exec(0, 0, 10, 0, 0), exec(1, 5, 20, 0, 1)]);
         assert_eq!(check_well_nested(&parallel), Ok(()));
+    }
+
+    #[test]
+    fn well_nested_matches_each_retry_to_its_own_attempt() {
+        let cb = |task: u64, s: u64, e: u64, thread: u32| {
+            TraceEvent::span(SpanKind::Callback, s, e, 0, thread)
+                .with_task(TaskId(task), CallbackId(0))
+        };
+        // A failed attempt's task span equals its callback span; the
+        // successful attempt's runs on past its callback into routing.
+        let retried = Trace::from_events(vec![
+            exec(0, 0, 5, 0, 0),
+            cb(0, 0, 5, 0),
+            exec(0, 6, 20, 0, 0),
+            cb(0, 6, 10, 0),
+        ]);
+        assert_eq!(check_well_nested(&retried), Ok(()));
+
+        // The second callback must still sit inside some attempt.
+        let escaping = Trace::from_events(vec![
+            exec(0, 0, 5, 0, 0),
+            cb(0, 0, 5, 0),
+            exec(0, 6, 20, 0, 0),
+            cb(0, 6, 25, 0),
+        ]);
+        assert!(check_well_nested(&escaping).unwrap_err().contains("escapes"));
+
+        // Containment on another row does not count.
+        let elsewhere = Trace::from_events(vec![exec(0, 0, 10, 0, 0), cb(0, 2, 8, 1)]);
+        assert!(check_well_nested(&elsewhere).unwrap_err().contains("thread 1"));
     }
 
     #[test]

@@ -126,15 +126,20 @@ fn observed_critical_path_matches_structural_depth() {
 }
 
 #[test]
-fn serial_trace_is_well_nested_with_matched_callbacks() {
-    let (graph, trace) = record(&mut babelflow_core::SerialController::new());
-    check_well_nested(&trace).unwrap();
-    // One callback span per task, nested in its exec span.
-    assert_eq!(
-        trace.of_kind(SpanKind::Callback).count(),
-        graph_stats(&graph).tasks
-    );
+fn every_trace_is_well_nested_with_matched_callbacks() {
+    for mut ctrl in all_controllers() {
+        let (graph, trace) = record(ctrl.as_mut());
+        check_well_nested(&trace).unwrap_or_else(|e| panic!("{}: {e}", ctrl.name()));
+        // One callback span per task, nested in its exec span.
+        assert_eq!(
+            trace.of_kind(SpanKind::Callback).count(),
+            graph_stats(&graph).tasks,
+            "{}",
+            ctrl.name()
+        );
+    }
     // Serial also queues every task exactly once.
+    let (graph, trace) = record(&mut babelflow_core::SerialController::new());
     assert_eq!(
         trace.of_kind(SpanKind::QueueWait).count(),
         graph_stats(&graph).tasks

@@ -2,7 +2,7 @@
 //! callback still byte-matches the fault-free serial run, and its trace
 //! tells the recovery story — retried attempts appear as *extra*
 //! `TaskExec` spans, while effective coverage (at-least-once execution,
-//! exactly-once effect) still holds.
+//! exactly-once effect) and span nesting still hold.
 
 use std::collections::HashMap;
 use std::time::Duration;
@@ -12,7 +12,9 @@ use babelflow_core::{
     Payload, Registry, ShardId, SpanKind, TaskGraph, TaskId,
 };
 use babelflow_graphs::Reduction;
-use babelflow_trace::{check_coverage, check_coverage_effective, CoverageError, TraceRecorder};
+use babelflow_trace::{
+    check_coverage, check_coverage_effective, check_well_nested, CoverageError, TraceRecorder,
+};
 
 fn val(p: &Payload) -> u64 {
     u64::from_le_bytes(p.extract::<Blob>().unwrap().0.as_slice().try_into().unwrap())
@@ -103,4 +105,40 @@ fn clean_traces_satisfy_both_coverage_checks() {
     assert!(report.stats.recovery.is_clean(), "stats: {}", report.stats);
     check_coverage(&trace, &graph).expect("strict coverage on a clean run");
     check_coverage_effective(&trace, &graph).expect("effective coverage on a clean run");
+}
+
+#[test]
+fn retried_traces_stay_well_nested_on_every_backend() {
+    let graph = Reduction::new(16, 4);
+    let map = FnMap::new(2, graph.ids(), |t| ShardId((t.0 % 2) as u32));
+    let reg = registry();
+    let serial = run_serial(&graph, &reg, inputs(&graph)).unwrap();
+    let faults = FaultPlan { panic_once: vec![graph.root_id()], ..FaultPlan::none() };
+    let controllers: Vec<Box<dyn Controller>> = vec![
+        Box::new(babelflow_core::SerialController::new()),
+        Box::new(babelflow_mpi::MpiController::new()),
+        Box::new(babelflow_mpi::BlockingMpiController::new()),
+        Box::new(babelflow_charm::CharmController::new(2)),
+        Box::new(babelflow_legion::LegionSpmdController::new(2)),
+        Box::new(babelflow_legion::LegionIndexLaunchController::new(2)),
+    ];
+    for mut ctrl in controllers {
+        // `panic_once` is spent by the first run, so arm it per backend.
+        let poisoned = inject_panics(&reg, &faults);
+        let recorder = TraceRecorder::shared();
+        let report = ctrl
+            .run_traced(&graph, &map, &poisoned, inputs(&graph), recorder.clone())
+            .unwrap_or_else(|e| panic!("{}: {e}", ctrl.name()));
+        let trace = recorder.take();
+        let name = ctrl.name();
+        assert_eq!(canonical_outputs(&report), canonical_outputs(&serial), "{name}");
+        assert_eq!(report.stats.recovery.retries, 1, "{name}");
+        check_well_nested(&trace).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(
+            check_coverage(&trace, &graph),
+            Err(CoverageError::Duplicated(graph.root_id(), 2)),
+            "{name}"
+        );
+        check_coverage_effective(&trace, &graph).unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
 }

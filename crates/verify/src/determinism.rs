@@ -86,14 +86,15 @@ pub fn check_determinism(
 
 /// Execute the plan with a random-order ready set: whenever more than
 /// one task is ready, a seeded pick decides which runs next. Deliveries
-/// from one producer still land in slot order (the transport FIFO).
+/// from one producer still land in slot order (the transport FIFO). The
+/// baseline run has already preflighted `plan` against `registry` and
+/// `initial`.
 fn run_permuted(
     plan: &Arc<ShardPlan>,
     registry: &Registry,
     initial: InitialInputs,
     seed: u64,
 ) -> Result<RunReport> {
-    plan.preflight(registry, &initial)?;
     let mut rng = Rng::seed_from_u64(seed);
 
     let mut states: HashMap<TaskId, PlanBuffer> = plan

@@ -195,7 +195,34 @@ fn plan_driven_runs_match_procedural_runs() {
         assert_eq!(report.stats.tasks_executed as usize, graph.size(), "{name}");
         // A prebuilt plan means the run itself queried the graph zero times.
         assert_eq!(report.stats.perf.task_queries, 0, "{name}: steady-state queries");
+
+        // Without one, every backend builds the plan and is charged exactly
+        // that build's queries.
+        let build_queries = ShardPlan::build(&*graph, &map).build_queries();
+        for mut ctrl in all_controllers() {
+            let backend = ctrl.name();
+            let report = ctrl
+                .run(&*graph, &map, &reg, seeded_inputs(&*graph))
+                .unwrap_or_else(|e| panic!("{name} on {backend}: {e}"));
+            assert_eq!(
+                canonical_outputs(&report),
+                canonical_outputs(&golden),
+                "{name} on {backend}"
+            );
+            assert_eq!(report.stats.perf.task_queries, build_queries, "{name} on {backend}");
+        }
     }
+}
+
+fn all_controllers() -> Vec<Box<dyn Controller>> {
+    vec![
+        Box::new(SerialController::new()),
+        Box::new(babelflow::mpi::MpiController::new()),
+        Box::new(babelflow::mpi::BlockingMpiController::new()),
+        Box::new(babelflow::charm::CharmController::new(2)),
+        Box::new(babelflow::legion::LegionSpmdController::new(2)),
+        Box::new(babelflow::legion::LegionIndexLaunchController::new(2)),
+    ]
 }
 
 #[test]

@@ -8,8 +8,8 @@
 //!   fault-free run retransmits.
 //!
 //! Structural counters (`task_queries`, `payload_clones`,
-//! `delivery_allocs`) are exact-compared: they are functions of graph,
-//! placement, and code path, not of scheduling. Every cell is fault-free,
+//! `delivery_allocs`, `local_messages`) are exact-compared: they are
+//! functions of graph, placement, and code path, not of scheduling. Every cell is fault-free,
 //! so `retransmits` must be exactly 0: the reliable layer reads queued
 //! acks before it looks for overdue messages, so only a message that is
 //! really lost (or a peer stalled past the retransmit timeout) is sent
@@ -85,6 +85,7 @@ struct Sample {
     task_queries: u64,
     payload_clones: u64,
     delivery_allocs: u64,
+    local_messages: u64,
     envelopes_sent: u64,
     batches_sent: u64,
     retransmits: u64,
@@ -108,15 +109,11 @@ fn controller(backend: &str, plan: Arc<ShardPlan>) -> Box<dyn Controller> {
         "charm" => {
             Box::new(babelflow_charm::CharmController::new(SHARDS as usize).with_plan(plan))
         }
-        "legion-spmd" => Box::new(
-            babelflow_legion::LegionSpmdController::new(SHARDS as usize)
-                .with_timeout(timeout)
-                .with_plan(plan),
-        ),
+        "legion-spmd" => {
+            Box::new(babelflow_legion::LegionSpmdController::new(SHARDS as usize).with_plan(plan))
+        }
         "legion-il" => Box::new(
-            babelflow_legion::LegionIndexLaunchController::new(SHARDS as usize)
-                .with_timeout(timeout)
-                .with_plan(plan),
+            babelflow_legion::LegionIndexLaunchController::new(SHARDS as usize).with_plan(plan),
         ),
         other => panic!("unknown backend {other}"),
     }
@@ -159,6 +156,7 @@ fn measure_matrix() -> Vec<Sample> {
                 task_queries: p.task_queries,
                 payload_clones: p.payload_clones,
                 delivery_allocs: p.delivery_allocs,
+                local_messages: report.stats.local_messages,
                 envelopes_sent: p.envelopes_sent,
                 batches_sent: p.batches_sent,
                 retransmits: report.stats.recovery.retransmits,
@@ -173,13 +171,14 @@ fn render_json(samples: &[Sample]) -> String {
     s.push_str("  \"results\": [\n");
     for (i, r) in samples.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"family\": \"{}\", \"tasks\": {}, \"task_queries\": {}, \"payload_clones\": {}, \"delivery_allocs\": {}, \"envelopes_sent\": {}, \"batches_sent\": {}, \"retransmits\": {}}}{}\n",
+            "    {{\"backend\": \"{}\", \"family\": \"{}\", \"tasks\": {}, \"task_queries\": {}, \"payload_clones\": {}, \"delivery_allocs\": {}, \"local_messages\": {}, \"envelopes_sent\": {}, \"batches_sent\": {}, \"retransmits\": {}}}{}\n",
             r.backend,
             r.family,
             r.tasks,
             r.task_queries,
             r.payload_clones,
             r.delivery_allocs,
+            r.local_messages,
             r.envelopes_sent,
             r.batches_sent,
             r.retransmits,
@@ -243,6 +242,7 @@ fn check_against_baseline(baseline: &Json, samples: &[Sample]) -> Vec<String> {
             ("task_queries", r.task_queries),
             ("payload_clones", r.payload_clones),
             ("delivery_allocs", r.delivery_allocs),
+            ("local_messages", r.local_messages),
         ] {
             let want = field(row, key);
             if got != want {

@@ -47,7 +47,9 @@ pub struct RunStats {
     pub remote_messages: u64,
     /// Bytes serialized for remote messages.
     pub remote_bytes: u64,
-    /// Messages delivered within a shard (in-memory fast path).
+    /// Messages delivered in memory, without serialization: within a
+    /// shard (MPI rank, Charm PE), or over any internal edge on the
+    /// backends that share one store (serial, Legion region writes).
     pub local_messages: u64,
     /// What fault recovery cost this run (all zero on a clean run).
     pub recovery: RecoveryStats,

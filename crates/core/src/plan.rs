@@ -14,6 +14,8 @@
 //! * fan-in counts and per-source input-slot maps (no per-delivery
 //!   scratch allocation: see [`PlanBuffer::deliver`]),
 //! * per-edge destination shards (no `TaskMap` calls while routing),
+//! * per-edge consumer input slots, numbered densely across the plan
+//!   (see [`Route::input`] and [`ShardPlan::slot_base`]),
 //! * the shard-local task lists and the input/output task sets that
 //!   controllers previously derived by scanning the whole id space.
 //!
@@ -34,15 +36,24 @@ use crate::registry::Registry;
 use crate::task::Task;
 use crate::taskmap::TaskMap;
 
-/// One precomputed edge destination: the receiving task and the shard it
-/// is mapped to. External outputs use [`TaskId::EXTERNAL`] as `dst`; their
-/// `shard` is meaningless and never read.
+/// One precomputed edge destination: the receiving task, the shard it is
+/// mapped to, and the input slot the edge fills. External outputs use
+/// [`TaskId::EXTERNAL`] as `dst`; their `shard` is meaningless and never
+/// read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Route {
     /// Receiving task ([`TaskId::EXTERNAL`] for host outputs).
     pub dst: TaskId,
     /// Shard the receiver is placed on (undefined for external routes).
     pub shard: ShardId,
+    /// The receiver's plan index and the input slot this edge fills: the
+    /// `k`-th route from a producer to a consumer fills the `k`-th slot
+    /// the consumer wires to that producer, the order in which a FIFO
+    /// channel delivers. `None` for external routes and for edges the
+    /// consumer does not accept (a missing task, or more routes than
+    /// wired slots — possible only on a [`lenient`](ShardPlan::lenient)
+    /// plan).
+    pub input: Option<(u32, u32)>,
 }
 
 impl Route {
@@ -55,9 +66,7 @@ impl Route {
 /// An interned task plus everything precomputed about its edges.
 #[derive(Debug, Clone)]
 pub struct PlanTask {
-    /// The task exactly as the procedural graph returned it. Backends that
-    /// need an owned [`Task`] (e.g. Legion task launchers) clone from here
-    /// instead of re-querying the graph.
+    /// The task exactly as the procedural graph returned it.
     pub task: Task,
     /// Shard this task is placed on by the run's [`TaskMap`].
     pub shard: ShardId,
@@ -102,6 +111,7 @@ impl PlanTask {
 pub struct ShardPlan {
     tasks: Vec<PlanTask>,
     index: HashMap<TaskId, u32>,
+    slot_base: Vec<u32>,
     locals: Vec<Vec<u32>>,
     inputs: Vec<u32>,
     outputs: Vec<u32>,
@@ -151,6 +161,7 @@ impl ShardPlan {
                             } else {
                                 map.shard(dst)
                             },
+                            input: None,
                         })
                         .collect()
                 })
@@ -170,10 +181,34 @@ impl ShardPlan {
             tasks.push(PlanTask { task, shard, external_inputs, sources, routes });
         }
 
+        // Resolve every internal route to the consumer slot it fills, now
+        // that every consumer's `sources` map exists.
+        let mut sent: Vec<TaskId> = Vec::new();
+        for p in 0..tasks.len() {
+            let src = tasks[p].task.id;
+            sent.clear();
+            for slot in 0..tasks[p].routes.len() {
+                for r in 0..tasks[p].routes[slot].len() {
+                    let dst = tasks[p].routes[slot][r].dst;
+                    let Some(&c) = index.get(&dst) else { continue };
+                    let k = sent.iter().filter(|&&t| t == dst).count();
+                    sent.push(dst);
+                    let wired = tasks[c as usize].sources.iter().find(|(s, _)| *s == src);
+                    tasks[p].routes[slot][r].input =
+                        wired.and_then(|(_, slots)| slots.get(k)).map(|&s| (c, s));
+                }
+            }
+        }
+        let mut slot_base = vec![0u32];
+        for pt in &tasks {
+            slot_base.push(slot_base[slot_base.len() - 1] + pt.fan_in() as u32);
+        }
+
         let lint = lint::lint_plan(&tasks, &index, num_shards);
         ShardPlan {
             tasks,
             index,
+            slot_base,
             locals,
             inputs,
             outputs,
@@ -237,6 +272,18 @@ impl ShardPlan {
     /// The interned task with the given id.
     pub fn task_by_id(&self, id: TaskId) -> Option<&PlanTask> {
         self.index_of(id).map(|ix| self.task(ix))
+    }
+
+    /// Global number of input slot 0 of the task at plan index `ix`:
+    /// every input slot of the plan has one dense number,
+    /// `slot_base(ix) + slot`, below [`num_input_slots`](Self::num_input_slots).
+    pub fn slot_base(&self, ix: u32) -> u32 {
+        self.slot_base[ix as usize]
+    }
+
+    /// Total input slots over every task of the plan.
+    pub fn num_input_slots(&self) -> u32 {
+        self.slot_base[self.tasks.len()]
     }
 
     /// Plan indices of the tasks placed on `shard`.
@@ -506,12 +553,34 @@ mod tests {
         assert_eq!(
             t0.routes[0],
             vec![
-                Route { dst: TaskId(1), shard: ShardId(1) },
-                Route { dst: TaskId(2), shard: ShardId(0) },
+                Route { dst: TaskId(1), shard: ShardId(1), input: Some((1, 0)) },
+                Route { dst: TaskId(2), shard: ShardId(0), input: Some((2, 0)) },
             ]
         );
         let t3 = plan.task_by_id(TaskId(3)).unwrap();
         assert!(t3.routes[0][0].is_external());
+    }
+
+    #[test]
+    fn routes_resolve_consumer_slots_densely() {
+        // 1 sends twice to 2 (parallel edges, in slot order), once to the
+        // missing task 77, and once more to 2 than 2 wires; 2 also takes
+        // two external inputs around its two slots from 1.
+        let mut p = Task::new(TaskId(1), CallbackId(0));
+        p.incoming = vec![TaskId::EXTERNAL];
+        p.outgoing = vec![vec![TaskId(2), TaskId(77)], vec![TaskId(2), TaskId(2)]];
+        let mut c = Task::new(TaskId(2), CallbackId(0));
+        c.incoming = vec![TaskId::EXTERNAL, TaskId(1), TaskId::EXTERNAL, TaskId(1)];
+        c.outgoing = vec![vec![TaskId::EXTERNAL]];
+        let g = ExplicitGraph::new(vec![p, c], vec![CallbackId(0)]);
+        let plan = ShardPlan::build(&g, &ModuloMap::new(1, 3));
+        let inputs: Vec<Option<(u32, u32)>> =
+            plan.task(0).routes.iter().flatten().map(|r| r.input).collect();
+        assert_eq!(inputs, vec![Some((1, 1)), None, Some((1, 3)), None]);
+        assert!(plan.task(1).routes[0][0].input.is_none());
+        // Every input slot, external ones included, has a dense number.
+        assert_eq!((plan.slot_base(0), plan.slot_base(1)), (0, 1));
+        assert_eq!(plan.num_input_slots(), 5);
     }
 
     #[test]

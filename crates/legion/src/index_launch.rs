@@ -9,99 +9,65 @@
 //! of the previous launch with the inputs of the next."
 //!
 //! "Neither phase barriers nor task maps are required": the user's
-//! `TaskMap` is ignored; dependencies between rounds flow through regions.
-//! All per-point staging work runs on the top-level thread — the
-//! parent-pays overhead that limits this controller's scalability (Figs. 2
-//! and 3).
+//! `TaskMap` is ignored; dependencies between rounds flow through the
+//! regions, one per consumer input slot of the plan. The crawl runs over
+//! the plan's dense indices and resolved routes. All per-point staging
+//! work runs on the top-level thread — the parent-pays overhead that
+//! limits this controller's scalability (Figs. 2 and 3).
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Duration;
 
 use babelflow_core::trace::TraceSink;
-use babelflow_core::{
-    Controller, InitialInputs, Registry, Result, RunReport, ShardPlan, Task, TaskGraph, TaskId,
-};
+use babelflow_core::{Controller, InitialInputs, Registry, Result, RunReport, ShardPlan};
 
 use crate::runtime::LegionRuntime;
-use crate::spmd::{attach_inputs, build_task_launcher, finish, Sinks};
+use crate::spmd::{build_task_launcher, finish, map_regions, Sinks};
 
 /// Legion-style index-launch controller.
 #[derive(Clone, Debug)]
 pub struct LegionIndexLaunchController {
     /// Worker threads executing launched tasks.
     pub workers: usize,
-    /// Stall-detection timeout.
-    pub timeout: Duration,
 }
 
 impl LegionIndexLaunchController {
     /// Controller executing on `workers` threads.
     pub fn new(workers: usize) -> Self {
-        LegionIndexLaunchController { workers, timeout: Duration::from_secs(10) }
-    }
-
-    /// Set the stall-detection timeout.
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
-        self
+        LegionIndexLaunchController { workers }
     }
 }
 
-/// Crawl the graph into rounds of non-interfering tasks: round = longest
-/// path from any source, so every dependency points to an earlier round.
-pub fn crawl_rounds(graph: &dyn TaskGraph) -> Vec<Vec<TaskId>> {
-    let ids = graph.ids();
-    let tasks: HashMap<TaskId, Task> =
-        ids.iter().filter_map(|&id| graph.task(id).map(|t| (id, t))).collect();
-    crawl_rounds_from(&tasks)
-}
-
-/// Crawl an already-materialized plan into rounds — the steady-state path:
-/// no procedural graph queries.
-fn plan_rounds(plan: &ShardPlan) -> Vec<Vec<TaskId>> {
-    let tasks: HashMap<TaskId, Task> =
-        plan.tasks().iter().map(|pt| (pt.id(), pt.task.clone())).collect();
-    crawl_rounds_from(&tasks)
-}
-
-fn crawl_rounds_from(tasks: &HashMap<TaskId, Task>) -> Vec<Vec<TaskId>> {
-    let mut indegree: HashMap<TaskId, usize> = tasks
-        .values()
-        .map(|t| (t.id, t.incoming.iter().filter(|s| !s.is_external()).count()))
-        .collect();
-    let mut round_of: HashMap<TaskId, usize> = HashMap::new();
-    let mut frontier: Vec<TaskId> = indegree
-        .iter()
-        .filter(|(_, &d)| d == 0)
-        .map(|(&id, _)| id)
-        .collect();
-    frontier.sort();
-    let mut queue: std::collections::VecDeque<TaskId> = frontier.into();
-    while let Some(id) = queue.pop_front() {
-        let my_round = *round_of.entry(id).or_insert(0);
-        for dsts in &tasks[&id].outgoing {
-            for &dst in dsts {
-                if dst.is_external() {
-                    continue;
-                }
-                let r = round_of.entry(dst).or_insert(0);
-                *r = (*r).max(my_round + 1);
-                let d = indegree.get_mut(&dst).expect("edge target exists");
-                *d -= 1;
-                if *d == 0 {
-                    queue.push_back(dst);
-                }
+/// Crawl the plan into rounds of non-interfering tasks, as plan indices:
+/// round = longest path from any source, so every dependency points to an
+/// earlier round. A task with an input no producer ever fills (a lenient
+/// plan's dangling edge, or a cycle) is in no round; the controller
+/// reports it as pending.
+pub fn crawl_rounds(plan: &ShardPlan) -> Vec<Vec<u32>> {
+    let tasks = plan.tasks();
+    let mut unmet: Vec<usize> = tasks.iter().map(|pt| pt.fan_in() - pt.external_inputs).collect();
+    let mut round = vec![0usize; tasks.len()];
+    let mut queue: VecDeque<u32> =
+        (0..tasks.len() as u32).filter(|&ix| unmet[ix as usize] == 0).collect();
+    let mut rounds: Vec<Vec<u32>> = Vec::new();
+    while let Some(ix) = queue.pop_front() {
+        let r = round[ix as usize];
+        if rounds.len() <= r {
+            rounds.resize_with(r + 1, Vec::new);
+        }
+        rounds[r].push(ix);
+        for route in tasks[ix as usize].routes.iter().flatten() {
+            let Some((consumer, _)) = route.input else { continue };
+            let c = consumer as usize;
+            round[c] = round[c].max(r + 1);
+            unmet[c] -= 1;
+            if unmet[c] == 0 {
+                queue.push_back(consumer);
             }
         }
     }
-    let n_rounds = round_of.values().copied().max().map_or(0, |m| m + 1);
-    let mut rounds = vec![Vec::new(); n_rounds];
-    for (&id, &r) in &round_of {
-        rounds[r].push(id);
-    }
     for r in &mut rounds {
-        r.sort();
+        r.sort_unstable();
     }
     rounds
 }
@@ -115,26 +81,18 @@ impl Controller for LegionIndexLaunchController {
         sink: Arc<dyn TraceSink>,
     ) -> Result<RunReport> {
         let rt = LegionRuntime::with_sink(self.workers, sink);
-        attach_inputs(&rt, plan, &initial);
-
-        let no_barriers = Arc::new(HashMap::new());
-        let sinks = Arc::new(Sinks::default());
+        map_regions(&rt, plan, initial);
+        let no_barriers = Arc::new(Vec::new());
+        let sinks = Sinks::new(plan);
 
         // One index launch per round, all staged by this (parent) thread.
-        for round in &plan_rounds(plan) {
-            // No task map: every point runs on "rank" 0.
-            let mut launchers: Vec<Option<_>> = round
-                .iter()
-                .map(|&id| {
-                    let ix = plan.index_of(id).expect("round ids are tasks");
-                    Some(build_task_launcher(plan, ix, registry, &no_barriers, &sinks, 0))
-                })
-                .collect();
+        // No task map: every point runs on "rank" 0.
+        for round in crawl_rounds(plan) {
             rt.index_launch("round", round.len() as u64, |p| {
-                launchers[p as usize].take().expect("each point launched once")
+                build_task_launcher(plan, round[p as usize], registry, &no_barriers, &sinks, 0)
             });
         }
-        finish(&rt, self.timeout, plan, &sinks)
+        finish(&rt, plan, &sinks)
     }
 
     fn name(&self) -> &'static str {

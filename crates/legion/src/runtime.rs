@@ -8,10 +8,12 @@
 //!
 //! This module rebuilds the subset of Legion the paper's controllers need:
 //!
-//! * **logical regions** ([`RegionKey`]) and their physical instances (a
-//!   [`Payload`] in the region store);
-//! * **region requirements**: tasks declare the regions they read and
-//!   write; the runtime derives execution dependencies from data, not from
+//! * **logical regions**, numbered densely by
+//!   [`LegionRuntime::create_regions`], and their physical instances (a
+//!   [`Payload`] written once into the region store). The controllers
+//!   create one region per consumer input slot of the plan;
+//! * **region requirements**: a launcher declares the regions it reads;
+//!   the runtime derives execution dependencies from data, not from
 //!   explicit task edges;
 //! * **three launcher kinds** — single task, index launch, must-epoch —
 //!   with the cost of preparing and scheduling subtasks *borne by the
@@ -22,78 +24,31 @@
 //!   mechanism that allow a set of producer operations to notify a set of
 //!   consumer operations when data is ready" — modeled as trigger-once
 //!   events usable as launch preconditions, with no global synchronization.
+//!
+//! Scheduling is join counting. A pending launcher holds the number of its
+//! reads and barrier waits not yet met; the first write of a region and
+//! the trigger of a barrier decrement the counter of every launcher
+//! waiting on it, and a launcher whose counter reaches zero is queued for
+//! a worker. [`LegionRuntime::wait_all`] ends on an exact condition, not a
+//! timer: once no task is queued and no worker is running one, the run has
+//! completed if nothing is outstanding and has stalled otherwise.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
+use babelflow_core::sync::{Condvar, Mutex, WorkDeques};
 use babelflow_core::trace::{
     noop_sink, now_ns, SpanKind, TraceEvent, TraceSink, CONTROL_THREAD, HOST_RANK,
 };
-use babelflow_core::Payload;
-use babelflow_core::sync::{Condvar, Mutex, WorkDeques};
-
-/// A logical region: metadata naming a piece of data. The tuple mirrors how
-/// the BabelFlow controllers name dataflow edges: (producer task, consumer
-/// task, occurrence index among parallel edges).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct RegionKey {
-    /// Producer-side identifier.
-    pub src: u64,
-    /// Consumer-side identifier.
-    pub dst: u64,
-    /// Disambiguates parallel edges between the same pair.
-    pub occurrence: u32,
-}
+use babelflow_core::{CallbackId, Payload, TaskId};
 
 /// A phase barrier handle: generation 0, a fixed arrival count.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PhaseBarrier {
-    /// Barrier identity.
-    pub id: u64,
+    /// Barrier identity, dense from 0 in creation order.
+    pub id: u32,
     /// Arrivals needed to trigger.
     pub arrivals: u32,
-}
-
-/// A precondition a launched task waits on before it may run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Precondition {
-    /// The region has been written (its physical instance is valid).
-    RegionReady(RegionKey),
-    /// The phase barrier has triggered.
-    BarrierTriggered(u64),
-}
-
-/// Access privilege of a region requirement.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Privilege {
-    /// The task reads the physical region (implies a
-    /// [`Precondition::RegionReady`] dependence).
-    Read,
-    /// The task produces the physical region.
-    Write,
-}
-
-/// A region requirement: which region a task touches and how.
-#[derive(Clone, Copy, Debug)]
-pub struct RegionRequirement {
-    /// The region.
-    pub region: RegionKey,
-    /// Read or write access.
-    pub privilege: Privilege,
-}
-
-impl RegionRequirement {
-    /// A read requirement.
-    pub fn read(region: RegionKey) -> Self {
-        RegionRequirement { region, privilege: Privilege::Read }
-    }
-
-    /// A write requirement.
-    pub fn write(region: RegionKey) -> Self {
-        RegionRequirement { region, privilege: Privilege::Write }
-    }
 }
 
 /// The body of a launched task. It receives a [`TaskCtx`] to read its input
@@ -105,10 +60,10 @@ pub type TaskBody = Box<dyn FnOnce(&TaskCtx<'_>) + Send>;
 pub struct TaskLauncher {
     /// Debug name.
     pub name: &'static str,
-    /// Declared region requirements.
-    pub requirements: Vec<RegionRequirement>,
-    /// Additional barrier preconditions (SPMD cross-shard edges).
-    pub barriers: Vec<u64>,
+    /// Regions the task reads: it runs once each has a physical instance.
+    pub reads: Vec<u32>,
+    /// Phase barriers the task waits on (SPMD cross-shard edges).
+    pub barriers: Vec<u32>,
     /// The task body.
     pub body: TaskBody,
     /// Dataflow task id this launcher executes, for trace attribution
@@ -122,7 +77,7 @@ impl TaskLauncher {
     pub fn new(name: &'static str, body: TaskBody) -> Self {
         TaskLauncher {
             name,
-            requirements: Vec::new(),
+            reads: Vec::new(),
             barriers: Vec::new(),
             body,
             trace_task: u64::MAX,
@@ -135,14 +90,14 @@ impl TaskLauncher {
         self
     }
 
-    /// Add a region requirement.
-    pub fn add_requirement(mut self, req: RegionRequirement) -> Self {
-        self.requirements.push(req);
+    /// Add a read requirement on `region`.
+    pub fn add_read(mut self, region: u32) -> Self {
+        self.reads.push(region);
         self
     }
 
     /// Add a phase-barrier wait.
-    pub fn add_barrier_wait(mut self, barrier: u64) -> Self {
+    pub fn add_barrier_wait(mut self, barrier: u32) -> Self {
         self.barriers.push(barrier);
         self
     }
@@ -150,17 +105,17 @@ impl TaskLauncher {
 
 /// How a [`LegionRuntime::wait_all`] ended.
 ///
-/// Distinguishes a run that drained from one that *stalled* (no progress
-/// for the timeout, with named pending tasks) and from one that could
-/// never progress at all because the runtime has *zero workers* — the
-/// latter two need different fixes (missing dependency vs. missing
-/// resources), so they are different variants.
+/// Distinguishes a run that drained from one that *stalled* (launched
+/// tasks whose preconditions can no longer trigger), from one that could
+/// never progress at all because the runtime has *zero workers*, and from
+/// one abandoned because a worker thread panicked — each needs a different
+/// fix (missing dependency, missing resources, a broken runtime hook).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WaitOutcome {
     /// Every outstanding task completed.
     Completed,
-    /// No task completed within the timeout; `pending` names the tasks
-    /// still waiting on preconditions.
+    /// No task is ready or running, yet some are outstanding; `pending`
+    /// names the tasks still waiting on preconditions.
     Stalled {
         /// Debug names of tasks whose preconditions never triggered.
         pending: Vec<&'static str>,
@@ -169,6 +124,12 @@ pub enum WaitOutcome {
     NoWorkers {
         /// Tasks launched but unrunnable.
         outstanding: usize,
+    },
+    /// A worker thread panicked outside any task callback (callback panics
+    /// are retried by the controllers), e.g. in a trace sink.
+    WorkerPanicked {
+        /// Index of the (first) worker that panicked.
+        worker: u32,
     },
 }
 
@@ -189,17 +150,18 @@ pub struct LegionStats {
     pub launches: u64,
 }
 
-#[derive(Default)]
 struct BarrierState {
-    arrivals_needed: u32,
+    needed: u32,
     arrived: u32,
-    triggered: bool,
+    /// Pending launchers waiting for the trigger.
+    waiters: Vec<u32>,
 }
 
 struct PendingTask {
     name: &'static str,
     body: TaskBody,
-    unmet: usize,
+    /// Join counter: reads and barrier waits not yet met.
+    unmet: u32,
     trace_task: u64,
 }
 
@@ -212,24 +174,109 @@ struct ReadyTask {
 }
 
 struct SchedState {
-    regions: HashMap<RegionKey, Payload>,
-    barriers: HashMap<u64, BarrierState>,
-    /// Pending tasks (slot map; None = moved to ready).
+    /// Physical instance of each logical region, `None` until written.
+    regions: Vec<Option<Payload>>,
+    /// Per region: the pending launchers waiting for its first write.
+    readers: Vec<Vec<u32>>,
+    barriers: Vec<BarrierState>,
+    /// Launchers with unmet preconditions (`None` once queued).
     pending: Vec<Option<PendingTask>>,
-    /// Precondition -> indices of pending tasks waiting on it.
-    waiters: HashMap<Precondition, Vec<usize>>,
-    /// Events already triggered (region writes / barrier triggers).
-    triggered: std::collections::HashSet<Precondition>,
     /// Ready tasks in per-worker lanes: a worker drains its own lane and
     /// steals from the others when it runs dry, so a burst of triggers on
     /// one lane cannot idle the rest of the pool.
     ready: WorkDeques<ReadyTask>,
     /// Tasks launched but not yet completed.
     outstanding: usize,
+    /// Tasks a worker has dequeued but not yet completed.
+    running: usize,
+    worker_panicked: bool,
     shutdown: bool,
-    /// Cached `sink.enabled()`, so `trigger` can stamp ready times without
-    /// reaching the sink through `Inner`.
+    /// Cached `sink.enabled()`, so state updates can stamp ready times
+    /// without reaching the sink through `Inner`.
     tracing: bool,
+}
+
+impl SchedState {
+    fn queue(&mut self, body: TaskBody, trace_task: u64) {
+        let ready_ns = if self.tracing { now_ns() } else { 0 };
+        self.ready.push(ReadyTask { body, trace_task, ready_ns });
+    }
+
+    /// Decrement the join counter of each waiter, queuing those that reach
+    /// zero. Returns whether any task was queued.
+    fn release(&mut self, waiters: Vec<u32>) -> bool {
+        let mut queued = false;
+        for idx in waiters {
+            let p = self.pending[idx as usize].as_mut().expect("waiters are pending");
+            p.unmet -= 1;
+            if p.unmet == 0 {
+                let p = self.pending[idx as usize].take().expect("checked above");
+                self.queue(p.body, p.trace_task);
+                queued = true;
+            }
+        }
+        queued
+    }
+
+    fn write(&mut self, region: u32, payload: Payload) -> bool {
+        let instance = self
+            .regions
+            .get_mut(region as usize)
+            .unwrap_or_else(|| panic!("write of unknown region {region}"));
+        let first = instance.is_none();
+        *instance = Some(payload);
+        first && {
+            let readers = std::mem::take(&mut self.readers[region as usize]);
+            self.release(readers)
+        }
+    }
+
+    fn arrive(&mut self, barrier: u32) -> bool {
+        let b = self.barriers.get_mut(barrier as usize).expect("arrive at unknown barrier");
+        b.arrived += 1;
+        b.arrived == b.needed && {
+            let waiters = std::mem::take(&mut b.waiters);
+            self.release(waiters)
+        }
+    }
+
+    /// Dependence analysis: count the launcher's unmet preconditions and
+    /// either queue it or park it on each one. Returns whether it was
+    /// queued.
+    fn submit(&mut self, launcher: TaskLauncher) -> bool {
+        self.outstanding += 1;
+        let idx = self.pending.len() as u32;
+        let mut unmet = 0;
+        for &r in &launcher.reads {
+            let written = self
+                .regions
+                .get(r as usize)
+                .unwrap_or_else(|| panic!("read of unknown region {r}"))
+                .is_some();
+            if !written {
+                unmet += 1;
+                self.readers[r as usize].push(idx);
+            }
+        }
+        for &b in &launcher.barriers {
+            let b = self.barriers.get_mut(b as usize).expect("wait on unknown barrier");
+            if b.arrived < b.needed {
+                unmet += 1;
+                b.waiters.push(idx);
+            }
+        }
+        if unmet == 0 {
+            self.queue(launcher.body, launcher.trace_task);
+            return true;
+        }
+        self.pending.push(Some(PendingTask {
+            name: launcher.name,
+            body: launcher.body,
+            unmet,
+            trace_task: launcher.trace_task,
+        }));
+        false
+    }
 }
 
 struct Inner {
@@ -237,8 +284,39 @@ struct Inner {
     cv: Condvar,
     stats_tasks: AtomicU64,
     stats_launches: AtomicU64,
-    next_barrier: AtomicU64,
     sink: Arc<dyn TraceSink>,
+}
+
+impl Inner {
+    /// Apply `update` to the scheduler state and wake the workers if it
+    /// queued a task.
+    fn schedule(&self, update: impl FnOnce(&mut SchedState) -> bool) {
+        let queued = update(&mut self.state.lock());
+        if queued {
+            self.cv.notify_all();
+        }
+    }
+
+    /// Submit a launcher: dependence analysis + enqueue. This work runs on
+    /// the caller's thread — the parent pays.
+    fn submit(&self, launcher: TaskLauncher) {
+        self.stats_tasks.fetch_add(1, Ordering::Relaxed);
+        self.schedule(|st| st.submit(launcher));
+    }
+}
+
+/// Marks the run as broken if a worker thread unwinds, and wakes
+/// [`LegionRuntime::wait_all`], which would otherwise wait for the task the
+/// dead worker never completes.
+struct PanicAlarm<'a>(&'a Inner);
+
+impl Drop for PanicAlarm<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.state.lock().worker_panicked = true;
+            self.0.cv.notify_all();
+        }
+    }
 }
 
 /// The Legion-like runtime: a worker pool executing launched tasks as their
@@ -262,48 +340,32 @@ impl TaskCtx<'_> {
         self.worker
     }
 
-    /// Read the physical instance of a region declared with `Read`.
+    /// Read the physical instance of a region declared as a read.
     ///
     /// # Panics
     /// If the region has no physical instance (dependence analysis
-    /// guarantees it does for declared requirements).
-    pub fn read_region(&self, region: RegionKey) -> Payload {
-        self.inner
-            .state
-            .lock()
-            .regions
-            .get(&region)
-            .cloned()
-            .unwrap_or_else(|| panic!("read of unmapped region {region:?}"))
+    /// guarantees it does for declared reads).
+    pub fn read_region(&self, region: u32) -> Payload {
+        self.inner.state.lock().regions[region as usize]
+            .clone()
+            .unwrap_or_else(|| panic!("read of unmapped region {region}"))
     }
 
     /// Write the physical instance of a region, triggering dependents.
-    pub fn write_region(&self, region: RegionKey, payload: Payload) {
-        let mut st = self.inner.state.lock();
-        st.regions.insert(region, payload);
-        trigger(&mut st, Precondition::RegionReady(region));
-        drop(st);
-        self.inner.cv.notify_all();
+    pub fn write_region(&self, region: u32, payload: Payload) {
+        self.inner.schedule(|st| st.write(region, payload));
     }
 
     /// Arrive at a phase barrier; triggers it when the arrival count is
     /// reached.
-    pub fn arrive(&self, barrier: u64) {
-        let mut st = self.inner.state.lock();
-        let b = st.barriers.get_mut(&barrier).expect("arrive at unknown barrier");
-        b.arrived += 1;
-        if b.arrived >= b.arrivals_needed && !b.triggered {
-            b.triggered = true;
-            trigger(&mut st, Precondition::BarrierTriggered(barrier));
-        }
-        drop(st);
-        self.inner.cv.notify_all();
+    pub fn arrive(&self, barrier: u32) {
+        self.inner.schedule(|st| st.arrive(barrier));
     }
 
     /// Launch a subtask from inside a task (recursive spawning). The
     /// staging cost is attributed to this (parent) task.
     pub fn launch(&self, launcher: TaskLauncher) {
-        submit(self.inner, launcher);
+        self.inner.submit(launcher);
     }
 
     /// The runtime's trace sink, so task bodies can emit execution spans
@@ -318,82 +380,11 @@ impl TaskCtx<'_> {
     }
 
     /// Whether a phase barrier has triggered (for polling shard tasks).
-    pub fn barrier_triggered(&self, barrier: u64) -> bool {
-        self.inner
-            .state
-            .lock()
-            .barriers
-            .get(&barrier)
-            .is_some_and(|b| b.triggered)
+    pub fn barrier_triggered(&self, barrier: u32) -> bool {
+        let st = self.inner.state.lock();
+        let b = &st.barriers[barrier as usize];
+        b.arrived >= b.needed
     }
-}
-
-/// Mark a precondition triggered and move satisfied waiters to the ready
-/// queue.
-fn trigger(st: &mut SchedState, pre: Precondition) {
-    if !st.triggered.insert(pre) {
-        return;
-    }
-    if let Some(waiters) = st.waiters.remove(&pre) {
-        let ready_ns = if st.tracing { now_ns() } else { 0 };
-        for idx in waiters {
-            if let Some(p) = st.pending[idx].as_mut() {
-                p.unmet -= 1;
-                if p.unmet == 0 {
-                    let p = st.pending[idx].take().expect("checked above");
-                    st.ready.push(ReadyTask {
-                        body: p.body,
-                        trace_task: p.trace_task,
-                        ready_ns,
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// Submit a launcher: dependence analysis + enqueue. This work runs on the
-/// caller's thread — the parent pays.
-fn submit(inner: &Inner, launcher: TaskLauncher) {
-    let mut st = inner.state.lock();
-    st.outstanding += 1;
-    let mut unmet = 0usize;
-    let mut pres: Vec<Precondition> = Vec::new();
-    for req in &launcher.requirements {
-        if req.privilege == Privilege::Read {
-            pres.push(Precondition::RegionReady(req.region));
-        }
-    }
-    for &b in &launcher.barriers {
-        pres.push(Precondition::BarrierTriggered(b));
-    }
-
-    let idx = st.pending.len();
-    for pre in &pres {
-        if !st.triggered.contains(pre) {
-            unmet += 1;
-            st.waiters.entry(*pre).or_default().push(idx);
-        }
-    }
-    if unmet == 0 {
-        let ready_ns = if st.tracing { now_ns() } else { 0 };
-        st.ready.push(ReadyTask {
-            body: launcher.body,
-            trace_task: launcher.trace_task,
-            ready_ns,
-        });
-        st.pending.push(None);
-    } else {
-        st.pending.push(Some(PendingTask {
-            name: launcher.name,
-            body: launcher.body,
-            unmet,
-            trace_task: launcher.trace_task,
-        }));
-    }
-    drop(st);
-    inner.cv.notify_all();
-    inner.stats_tasks.fetch_add(1, Ordering::Relaxed);
 }
 
 impl LegionRuntime {
@@ -407,53 +398,58 @@ impl LegionRuntime {
     ///
     /// Zero workers is allowed: launches are accepted but nothing runs,
     /// and [`wait_all`](Self::wait_all) reports
-    /// [`WaitOutcome::NoWorkers`] instead of spinning until the stall
-    /// timeout.
+    /// [`WaitOutcome::NoWorkers`].
     pub fn with_sink(workers: usize, sink: Arc<dyn TraceSink>) -> Self {
         let tracing = sink.enabled();
         let inner = Arc::new(Inner {
             state: Mutex::new(SchedState {
-                regions: HashMap::new(),
-                barriers: HashMap::new(),
+                regions: Vec::new(),
+                readers: Vec::new(),
+                barriers: Vec::new(),
                 pending: Vec::new(),
-                waiters: HashMap::new(),
-                triggered: std::collections::HashSet::new(),
                 ready: WorkDeques::new(workers),
                 outstanding: 0,
+                running: 0,
+                worker_panicked: false,
                 shutdown: false,
                 tracing,
             }),
             cv: Condvar::new(),
             stats_tasks: AtomicU64::new(0),
             stats_launches: AtomicU64::new(0),
-            next_barrier: AtomicU64::new(0),
             sink,
         });
         LegionRuntime { inner, workers }
     }
 
+    /// Create `count` logical regions without physical instances; returns
+    /// the number of the first (the rest follow densely).
+    pub fn create_regions(&self, count: u32) -> u32 {
+        let mut st = self.inner.state.lock();
+        let first = st.regions.len();
+        let end = first + count as usize;
+        st.regions.resize(end, None);
+        st.readers.resize_with(end, Vec::new);
+        first as u32
+    }
+
     /// Create a phase barrier expecting `arrivals` arrivals.
     pub fn create_barrier(&self, arrivals: u32) -> PhaseBarrier {
-        let id = self.inner.next_barrier.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .state
-            .lock()
-            .barriers
-            .insert(id, BarrierState { arrivals_needed: arrivals, arrived: 0, triggered: false });
+        let mut st = self.inner.state.lock();
+        let id = st.barriers.len() as u32;
+        st.barriers.push(BarrierState { needed: arrivals, arrived: 0, waiters: Vec::new() });
         PhaseBarrier { id, arrivals }
     }
 
     /// Pre-populate a region's physical instance (external input data).
-    pub fn attach_region(&self, region: RegionKey, payload: Payload) {
-        let mut st = self.inner.state.lock();
-        st.regions.insert(region, payload);
-        trigger(&mut st, Precondition::RegionReady(region));
+    pub fn attach_region(&self, region: u32, payload: Payload) {
+        self.inner.schedule(|st| st.write(region, payload));
     }
 
     /// Launch a single task from the top level.
     pub fn launch(&self, launcher: TaskLauncher) {
         self.inner.stats_launches.fetch_add(1, Ordering::Relaxed);
-        submit(&self.inner, launcher);
+        self.inner.submit(launcher);
     }
 
     /// Index launch: one launcher object spawning a set of point tasks.
@@ -466,7 +462,7 @@ impl LegionRuntime {
         for p in 0..points {
             let mut l = point_launcher(p);
             l.name = name;
-            submit(&self.inner, l);
+            self.inner.submit(l);
         }
     }
 
@@ -482,24 +478,21 @@ impl LegionRuntime {
         std::thread::scope(|s| {
             for t in tasks {
                 self.inner.stats_tasks.fetch_add(1, Ordering::Relaxed);
-                let inner = self.inner.clone();
-                s.spawn(move || {
-                    let ctx = TaskCtx { inner: &inner, worker: CONTROL_THREAD };
-                    (t.body)(&ctx);
-                });
+                let inner = &*self.inner;
+                s.spawn(move || (t.body)(&TaskCtx { inner, worker: CONTROL_THREAD }));
             }
         });
     }
 
-    /// Run worker threads until all outstanding tasks complete or `timeout`
-    /// passes with no progress. The outcome distinguishes a stall (some
-    /// precondition never triggered) from a runtime that cannot make
-    /// progress at all because it has no workers.
-    pub fn wait_all(&self, timeout: Duration) -> WaitOutcome {
-        let inner = &self.inner;
+    /// Run worker threads until no task is queued or running, then report
+    /// whether everything launched completed. Call it after the top-level
+    /// launches: from then on only running tasks can make a pending task
+    /// ready, so an idle pool with tasks outstanding is a stall, detected
+    /// at once and exactly. A worker thread that panics ends the wait with
+    /// [`WaitOutcome::WorkerPanicked`].
+    pub fn wait_all(&self) -> WaitOutcome {
+        let inner = &*self.inner;
         if self.workers == 0 {
-            // Nothing will ever run; report immediately rather than
-            // burning the stall timeout on an impossibility.
             let outstanding = inner.state.lock().outstanding;
             return if outstanding == 0 {
                 WaitOutcome::Completed
@@ -507,44 +500,39 @@ impl LegionRuntime {
                 WaitOutcome::NoWorkers { outstanding }
             };
         }
-        std::thread::scope(|s| {
-            for w in 0..self.workers as u32 {
-                s.spawn(move || worker_main(inner, w));
-            }
-            // Progress monitor.
-            let done = {
-                let mut last_outstanding = usize::MAX;
-                let mut last_progress = Instant::now();
-                loop {
-                    let st = inner.state.lock();
-                    let outstanding = st.outstanding;
-                    drop(st);
-                    if outstanding == 0 {
-                        break true;
-                    }
-                    if outstanding != last_outstanding {
-                        last_outstanding = outstanding;
-                        last_progress = Instant::now();
-                    } else if last_progress.elapsed() > timeout {
-                        break false;
-                    }
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-            };
+        let panicked = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..self.workers as u32)
+                .map(|w| s.spawn(move || worker_main(inner, w)))
+                .collect();
             let mut st = inner.state.lock();
+            while !(st.worker_panicked || (st.running == 0 && st.ready.is_empty())) {
+                inner.cv.wait(&mut st);
+            }
             st.shutdown = true;
             drop(st);
             inner.cv.notify_all();
-            if done {
-                WaitOutcome::Completed
-            } else {
-                WaitOutcome::Stalled { pending: self.stalled_tasks() }
+            // Join every worker by hand: an unjoined panicked thread would
+            // make the scope re-raise its panic.
+            let mut panicked = None;
+            for (w, handle) in workers.into_iter().enumerate() {
+                if handle.join().is_err() {
+                    panicked.get_or_insert(w as u32);
+                }
             }
-        })
+            panicked
+        });
+        if let Some(worker) = panicked {
+            return WaitOutcome::WorkerPanicked { worker };
+        }
+        if inner.state.lock().outstanding == 0 {
+            WaitOutcome::Completed
+        } else {
+            WaitOutcome::Stalled { pending: self.stalled_tasks() }
+        }
     }
 
     /// Names of tasks still waiting on preconditions (diagnostics after a
-    /// stalled [`wait_all`]).
+    /// stalled [`wait_all`](Self::wait_all)).
     pub fn stalled_tasks(&self) -> Vec<&'static str> {
         self.inner
             .state
@@ -566,44 +554,45 @@ impl LegionRuntime {
 }
 
 fn worker_main(inner: &Inner, worker: u32) {
+    let _alarm = PanicAlarm(inner);
+    let mut st = inner.state.lock();
     loop {
-        let task = {
-            let mut st = inner.state.lock();
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if let Some(t) = st.ready.pop(worker as usize) {
-                    break t;
-                }
-                inner.cv.wait(&mut st);
-            }
+        if st.shutdown {
+            return;
+        }
+        let Some(ReadyTask { body, trace_task, ready_ns }) = st.ready.pop(worker as usize)
+        else {
+            inner.cv.wait(&mut st);
+            continue;
         };
-        let ReadyTask { body, trace_task, ready_ns } = task;
+        st.running += 1;
+        drop(st);
         if trace_task != u64::MAX && inner.sink.enabled() {
             // The runtime has no shard notion; the task body records its
             // execution span with the controller's rank on this worker's
             // thread.
             inner.sink.record(
                 TraceEvent::span(SpanKind::QueueWait, ready_ns, now_ns(), HOST_RANK, worker)
-                    .with_task(
-                        babelflow_core::TaskId(trace_task),
-                        babelflow_core::CallbackId(u32::MAX),
-                    ),
+                    .with_task(TaskId(trace_task), CallbackId(u32::MAX)),
             );
         }
         body(&TaskCtx { inner, worker });
-        let mut st = inner.state.lock();
+        st = inner.state.lock();
+        st.running -= 1;
         st.outstanding -= 1;
-        drop(st);
-        inner.cv.notify_all();
+        if st.running == 0 && st.ready.is_empty() {
+            // The pool is idle: completed or stalled. Wake `wait_all`.
+            inner.cv.notify_all();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::time::{Duration, Instant};
+
     use super::*;
-    use babelflow_core::{Blob, TaskId};
+    use babelflow_core::Blob;
 
     fn pay(v: u64) -> Payload {
         Payload::wrap(Blob(v.to_le_bytes().to_vec()))
@@ -613,17 +602,13 @@ mod tests {
         u64::from_le_bytes(p.extract::<Blob>().unwrap().0.as_slice().try_into().unwrap())
     }
 
-    fn region(src: u64, dst: u64) -> RegionKey {
-        RegionKey { src, dst, occurrence: 0 }
-    }
-
     #[test]
     fn region_dependence_orders_tasks() {
         let rt = LegionRuntime::new(2);
         let out = Arc::new(Mutex::new(Vec::<u64>::new()));
 
         // Consumer launched FIRST: must wait for producer's write.
-        let r = region(1, 2);
+        let r = rt.create_regions(1);
         let out2 = out.clone();
         rt.launch(
             TaskLauncher::new(
@@ -633,25 +618,32 @@ mod tests {
                     out2.lock().push(v + 1);
                 }),
             )
-            .add_requirement(RegionRequirement::read(r)),
+            .add_read(r),
         );
-        rt.launch(
-            TaskLauncher::new(
-                "producer",
-                Box::new(move |ctx| {
-                    ctx.write_region(r, pay(41));
-                }),
-            )
-            .add_requirement(RegionRequirement::write(r)),
-        );
-        assert!(rt.wait_all(Duration::from_secs(5)).is_completed());
+        rt.launch(TaskLauncher::new(
+            "producer",
+            Box::new(move |ctx| {
+                ctx.write_region(r, pay(41));
+            }),
+        ));
+        assert!(rt.wait_all().is_completed());
         assert_eq!(*out.lock(), vec![42]);
+    }
+
+    #[test]
+    fn regions_are_numbered_densely() {
+        let rt = LegionRuntime::new(1);
+        assert_eq!(rt.create_regions(3), 0);
+        assert_eq!(rt.create_regions(2), 3);
+        assert_eq!(rt.create_regions(0), 5);
+        assert_eq!(rt.create_regions(1), 5);
+        assert_eq!((rt.create_barrier(1).id, rt.create_barrier(4).id), (0, 1));
     }
 
     #[test]
     fn attached_regions_are_immediately_ready() {
         let rt = LegionRuntime::new(1);
-        let r = region(0, 1);
+        let r = rt.create_regions(1);
         rt.attach_region(r, pay(7));
         let got = Arc::new(Mutex::new(0u64));
         let got2 = got.clone();
@@ -662,9 +654,9 @@ mod tests {
                     *got2.lock() = val(&ctx.read_region(r));
                 }),
             )
-            .add_requirement(RegionRequirement::read(r)),
+            .add_read(r),
         );
-        assert!(rt.wait_all(Duration::from_secs(5)).is_completed());
+        assert!(rt.wait_all().is_completed());
         assert_eq!(*got.lock(), 7);
     }
 
@@ -683,8 +675,41 @@ mod tests {
         std::thread::sleep(Duration::from_millis(50));
         // Second arrival releases the gated task.
         rt.launch(TaskLauncher::new("arrive2", Box::new(move |ctx| ctx.arrive(pb.id))));
-        assert!(rt.wait_all(Duration::from_secs(5)).is_completed());
+        assert!(rt.wait_all().is_completed());
         assert!(*fired.lock());
+    }
+
+    #[test]
+    fn join_counter_waits_for_every_read_and_barrier() {
+        // Two reads and one barrier wait: the task runs only after all
+        // three triggered, whatever order they trigger in.
+        let rt = LegionRuntime::new(2);
+        let r = rt.create_regions(2);
+        let pb = rt.create_barrier(1);
+        let sum = Arc::new(AtomicU64::new(0));
+        let sum2 = sum.clone();
+        rt.launch(
+            TaskLauncher::new(
+                "join",
+                Box::new(move |ctx| {
+                    let v = val(&ctx.read_region(r)) + val(&ctx.read_region(r + 1));
+                    sum2.store(v, Ordering::Relaxed);
+                }),
+            )
+            .add_read(r)
+            .add_read(r + 1)
+            .add_barrier_wait(pb.id),
+        );
+        rt.launch(TaskLauncher::new(
+            "second",
+            Box::new(move |ctx| {
+                ctx.write_region(r + 1, pay(20));
+                ctx.arrive(pb.id);
+            }),
+        ));
+        rt.attach_region(r, pay(3));
+        assert!(rt.wait_all().is_completed());
+        assert_eq!(sum.load(Ordering::Relaxed), 23);
     }
 
     #[test]
@@ -701,7 +726,7 @@ mod tests {
                 }),
             )
         });
-        assert!(rt.wait_all(Duration::from_secs(5)).is_completed());
+        assert!(rt.wait_all().is_completed());
         assert_eq!(sum.load(Ordering::Relaxed), (0..32).sum::<u64>());
         let stats = rt.stats();
         assert_eq!(stats.tasks_launched, 32);
@@ -749,14 +774,47 @@ mod tests {
     #[test]
     fn stalled_run_reports_pending() {
         let rt = LegionRuntime::new(1);
-        let r = region(9, 10);
-        rt.launch(
-            TaskLauncher::new("starved", Box::new(|_| {}))
-                .add_requirement(RegionRequirement::read(r)),
-        );
-        let outcome = rt.wait_all(Duration::from_millis(100));
+        let r = rt.create_regions(1);
+        rt.launch(TaskLauncher::new("starved", Box::new(|_| {})).add_read(r));
+        let started = Instant::now();
+        let outcome = rt.wait_all();
+        // Detected by counting, not by waiting out a timer.
+        assert!(started.elapsed() < Duration::from_millis(100));
         assert_eq!(outcome, WaitOutcome::Stalled { pending: vec!["starved"] });
         assert_eq!(rt.stalled_tasks(), vec!["starved"]);
+    }
+
+    #[test]
+    fn stall_after_partial_progress_names_only_the_starved() {
+        // `fed` runs and writes one of the two regions `starved` reads;
+        // the pool then idles with `starved` outstanding.
+        let rt = LegionRuntime::new(2);
+        let r = rt.create_regions(3);
+        rt.attach_region(r, pay(1));
+        rt.launch(
+            TaskLauncher::new("fed", Box::new(move |ctx| ctx.write_region(r + 1, pay(2))))
+                .add_read(r),
+        );
+        rt.launch(
+            TaskLauncher::new("starved", Box::new(|_| {})).add_read(r + 1).add_read(r + 2),
+        );
+        assert_eq!(rt.wait_all(), WaitOutcome::Stalled { pending: vec!["starved"] });
+    }
+
+    #[test]
+    fn panicking_worker_is_reported_not_hung() {
+        babelflow_core::quiet_panic_hook();
+        let rt = LegionRuntime::new(2);
+        let r = rt.create_regions(1);
+        rt.launch(TaskLauncher::new("waits-forever", Box::new(|_| {})).add_read(r));
+        rt.launch(TaskLauncher::new(
+            "boom",
+            Box::new(|_| panic!("{}: worker dies", babelflow_core::PANIC_MARKER)),
+        ));
+        let started = Instant::now();
+        let outcome = rt.wait_all();
+        assert!(matches!(outcome, WaitOutcome::WorkerPanicked { .. }), "got {outcome:?}");
+        assert!(started.elapsed() < Duration::from_secs(2));
     }
 
     #[test]
@@ -764,15 +822,13 @@ mod tests {
         let rt = LegionRuntime::new(0);
         rt.launch(TaskLauncher::new("unrunnable", Box::new(|_| {})));
         rt.launch(TaskLauncher::new("also-unrunnable", Box::new(|_| {})));
-        // Reported immediately (no 100 ms stall wait) and distinctly.
-        let outcome = rt.wait_all(Duration::from_secs(100));
-        assert_eq!(outcome, WaitOutcome::NoWorkers { outstanding: 2 });
+        assert_eq!(rt.wait_all(), WaitOutcome::NoWorkers { outstanding: 2 });
     }
 
     #[test]
     fn zero_workers_with_nothing_launched_completes() {
         let rt = LegionRuntime::new(0);
-        assert!(rt.wait_all(Duration::from_secs(100)).is_completed());
+        assert!(rt.wait_all().is_completed());
     }
 
     #[test]
@@ -794,9 +850,7 @@ mod tests {
                 }
             }),
         ));
-        assert!(rt.wait_all(Duration::from_secs(5)).is_completed());
+        assert!(rt.wait_all().is_completed());
         assert_eq!(hits.load(Ordering::Relaxed), 4);
-        // src marker to silence unused import
-        let _ = TaskId::EXTERNAL;
     }
 }

@@ -90,14 +90,8 @@ fn main() {
             ),
         ),
         ("charm", Box::new(babelflow::charm::CharmController::new(2))),
-        (
-            "legion-spmd",
-            Box::new(babelflow::legion::LegionSpmdController::new(2).with_timeout(timeout)),
-        ),
-        (
-            "legion-il",
-            Box::new(babelflow::legion::LegionIndexLaunchController::new(2).with_timeout(timeout)),
-        ),
+        ("legion-spmd", Box::new(babelflow::legion::LegionSpmdController::new(2))),
+        ("legion-il", Box::new(babelflow::legion::LegionIndexLaunchController::new(2))),
     ];
 
     let mut failed = false;

@@ -260,14 +260,8 @@ fn run_conformance_case(case_seed: u64) -> Result<(), String> {
             ),
         ),
         ("charm", Box::new(babelflow::charm::CharmController::new(2))),
-        (
-            "legion-spmd",
-            Box::new(babelflow::legion::LegionSpmdController::new(2).with_timeout(timeout)),
-        ),
-        (
-            "legion-il",
-            Box::new(babelflow::legion::LegionIndexLaunchController::new(2).with_timeout(timeout)),
-        ),
+        ("legion-spmd", Box::new(babelflow::legion::LegionSpmdController::new(2))),
+        ("legion-il", Box::new(babelflow::legion::LegionIndexLaunchController::new(2))),
     ];
 
     for (name, ctrl) in &mut backends {

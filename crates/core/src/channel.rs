@@ -1,4 +1,4 @@
-//! An in-repo unbounded channel with two-source `select`.
+//! An in-repo unbounded channel.
 //!
 //! Part of the zero-dependency substrate: replaces the `crossbeam`
 //! channels the runtimes were built on. Both endpoints are cloneable, so
@@ -7,12 +7,9 @@
 //! channel; a receive on an empty channel whose senders are all gone
 //! reports disconnection instead of blocking forever.
 //!
-//! [`select2`] is the piece `std::sync::mpsc` cannot provide: block until
-//! *either* of two channels has a message (or a timeout passes). The MPI
-//! controller drives its event loop with it — worker completions on one
-//! channel, network messages on the other, and a stall timeout as the
-//! third arm. Selection works by registering a shared [`SelectWaker`] on
-//! both channels; every send rings the waker, and the selector re-polls.
+//! Receivers that block count themselves under the lock, and a send
+//! notifies the condvar only when one is parked: `std`'s futex condvar
+//! makes a syscall on every notify, parked waiter or not.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -55,52 +52,13 @@ pub enum TryRecvError {
     Disconnected,
 }
 
-/// Wakeup target a selector registers on the channels it polls. Senders
-/// ring it after enqueueing; the selector sleeps on it between polls.
-#[derive(Debug, Default)]
-pub struct SelectWaker {
-    signaled: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl SelectWaker {
-    fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record a wakeup and rouse the selector.
-    fn ring(&self) {
-        *self.signaled.lock() = true;
-        self.cv.notify_all();
-    }
-
-    /// Clear the signal before a poll round, so only sends that happen
-    /// *after* the poll can ring it — that ordering is what makes the
-    /// poll-then-sleep loop lose no wakeups.
-    fn reset(&self) {
-        *self.signaled.lock() = false;
-    }
-
-    /// Sleep until rung or `deadline`; returns `true` if rung.
-    fn wait_until(&self, deadline: Instant) -> bool {
-        let mut signaled = self.signaled.lock();
-        while !*signaled {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            self.cv.wait_timeout(&mut signaled, deadline - now);
-        }
-        true
-    }
-}
-
 /// Channel state behind the shared mutex.
 struct State<T> {
     queue: VecDeque<T>,
     senders: usize,
     receivers: usize,
-    waker: Option<Arc<SelectWaker>>,
+    /// Receivers blocked on the condvar right now.
+    parked: usize,
 }
 
 struct Chan<T> {
@@ -121,7 +79,7 @@ pub struct Receiver<T> {
 /// Create an unbounded FIFO channel.
 pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
     let chan = Arc::new(Chan {
-        state: Mutex::new(State { queue: VecDeque::new(), senders: 1, receivers: 1, waker: None }),
+        state: Mutex::new(State { queue: VecDeque::new(), senders: 1, receivers: 1, parked: 0 }),
         cv: Condvar::new(),
     });
     (Sender { chan: chan.clone() }, Receiver { chan })
@@ -131,17 +89,16 @@ impl<T> Sender<T> {
     /// Enqueue `value`; never blocks. Fails only when every receiver has
     /// been dropped, returning the value.
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        let waker = {
+        let parked = {
             let mut st = self.chan.state.lock();
             if st.receivers == 0 {
                 return Err(SendError(value));
             }
             st.queue.push_back(value);
-            st.waker.clone()
+            st.parked > 0
         };
-        self.chan.cv.notify_one();
-        if let Some(w) = waker {
-            w.ring();
+        if parked {
+            self.chan.cv.notify_one();
         }
         Ok(())
     }
@@ -156,16 +113,15 @@ impl<T> Clone for Sender<T> {
 
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
-        let waker = {
+        let parked = {
             let mut st = self.chan.state.lock();
             st.senders -= 1;
-            (st.senders == 0).then(|| st.waker.clone()).flatten()
+            st.senders == 0 && st.parked > 0
         };
-        // The last sender leaving may turn blocked receives into
+        // The last sender leaving turns blocked receives into
         // disconnections: wake everyone so they can observe it.
-        self.chan.cv.notify_all();
-        if let Some(w) = waker {
-            w.ring();
+        if parked {
+            self.chan.cv.notify_all();
         }
     }
 }
@@ -181,7 +137,9 @@ impl<T> Receiver<T> {
             if st.senders == 0 {
                 return Err(RecvError);
             }
+            st.parked += 1;
             self.chan.cv.wait(&mut st);
+            st.parked -= 1;
         }
     }
 
@@ -200,7 +158,9 @@ impl<T> Receiver<T> {
             if now >= deadline {
                 return Err(RecvTimeoutError::Timeout);
             }
+            st.parked += 1;
             self.chan.cv.wait_timeout(&mut st, deadline - now);
+            st.parked -= 1;
         }
     }
 
@@ -223,14 +183,6 @@ impl<T> Receiver<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    fn set_waker(&self, waker: Arc<SelectWaker>) {
-        self.chan.state.lock().waker = Some(waker);
-    }
-
-    fn clear_waker(&self) {
-        self.chan.state.lock().waker = None;
-    }
 }
 
 impl<T> Clone for Receiver<T> {
@@ -244,56 +196,6 @@ impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
         self.chan.state.lock().receivers -= 1;
     }
-}
-
-/// Outcome of a [`select2`] round.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Select2<A, B> {
-    /// The first channel produced a message.
-    A(A),
-    /// The second channel produced a message.
-    B(B),
-    /// The first channel is empty and all its senders are gone.
-    DisconnectedA,
-    /// The second channel is empty and all its senders are gone.
-    DisconnectedB,
-    /// Neither channel produced a message within the timeout.
-    Timeout,
-}
-
-/// Block until either channel has a message, one disconnects, or
-/// `timeout` passes. When both have messages queued, the first channel
-/// wins (it is polled first) — select is biased, and callers order the
-/// arms by priority.
-pub fn select2<A, B>(a: &Receiver<A>, b: &Receiver<B>, timeout: Duration) -> Select2<A, B> {
-    let deadline = Instant::now() + timeout;
-    let waker = Arc::new(SelectWaker::new());
-    a.set_waker(waker.clone());
-    b.set_waker(waker.clone());
-
-    let outcome = loop {
-        // Reset before polling: a send that lands after this line rings
-        // the waker and aborts the sleep below; a send before it is
-        // already visible to the polls. Either way nothing is lost.
-        waker.reset();
-        match a.try_recv() {
-            Ok(v) => break Select2::A(v),
-            Err(TryRecvError::Disconnected) => break Select2::DisconnectedA,
-            Err(TryRecvError::Empty) => {}
-        }
-        match b.try_recv() {
-            Ok(v) => break Select2::B(v),
-            Err(TryRecvError::Disconnected) => break Select2::DisconnectedB,
-            Err(TryRecvError::Empty) => {}
-        }
-        if !waker.wait_until(deadline) {
-            break Select2::Timeout;
-        }
-    };
-
-    a.clear_waker();
-    b.clear_waker();
-    outcome
 }
 
 #[cfg(test)]
@@ -371,44 +273,5 @@ mod tests {
         assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Err(RecvTimeoutError::Timeout));
         drop(tx);
         assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Err(RecvTimeoutError::Disconnected));
-    }
-
-    #[test]
-    fn select_prefers_first_ready_channel() {
-        let (ta, ra) = unbounded();
-        let (tb, rb) = unbounded();
-        tb.send("b").unwrap();
-        assert_eq!(select2(&ra, &rb, Duration::from_secs(1)), Select2::B("b"));
-        ta.send("a").unwrap();
-        tb.send("b").unwrap();
-        // Both ready: biased toward the first arm.
-        assert_eq!(select2(&ra, &rb, Duration::from_secs(1)), Select2::A("a"));
-        assert_eq!(select2(&ra, &rb, Duration::from_secs(1)), Select2::B("b"));
-    }
-
-    #[test]
-    fn select_times_out_and_reports_disconnects() {
-        let (ta, ra) = unbounded::<u8>();
-        let (tb, rb) = unbounded::<u8>();
-        assert_eq!(select2(&ra, &rb, Duration::from_millis(10)), Select2::Timeout);
-        drop(ta);
-        assert_eq!(select2(&ra, &rb, Duration::from_millis(10)), Select2::DisconnectedA);
-        drop(tb);
-        let (_ta2, ra2) = unbounded::<u8>();
-        assert_eq!(select2(&ra2, &rb, Duration::from_millis(10)), Select2::DisconnectedB);
-    }
-
-    #[test]
-    fn select_wakes_on_cross_thread_send() {
-        let (ta, ra) = unbounded::<u8>();
-        let (_tb, rb) = unbounded::<u8>();
-        let sender = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            ta.send(42).unwrap();
-        });
-        let start = Instant::now();
-        assert_eq!(select2(&ra, &rb, Duration::from_secs(10)), Select2::A(42));
-        assert!(start.elapsed() < Duration::from_secs(5), "select should wake promptly");
-        sender.join().unwrap();
     }
 }

@@ -59,10 +59,11 @@ pub struct FaultPlan {
     /// whichever backend executes it first; armed by [`inject_panics`]).
     pub panic_once: Vec<TaskId>,
     /// `(rank, worker)` pool threads that die when they pick up their
-    /// first task, abandoning it. Only the asynchronous MPI controller
-    /// models a worker pool, so only it consumes these; the killed worker
-    /// must not be the rank's last one or the rank has nothing left to
-    /// re-execute with.
+    /// first task, abandoning it. The controller pins one of the rank's
+    /// first tasks to each, so the kill always fires when the rank has
+    /// tasks. Only the asynchronous MPI controller models a worker pool,
+    /// so only it consumes these; the killed worker must not be the
+    /// rank's last one or the rank has nothing left to re-execute with.
     pub kill_worker: Vec<(usize, u32)>,
 }
 

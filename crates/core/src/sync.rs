@@ -308,6 +308,14 @@ impl<T> WorkDeques<T> {
 /// get their pinned work first, then floating work, then steal. `recv`
 /// returns `None` once the pool is [`close`](WorkPool::close)d and
 /// drained of anything the worker may take.
+///
+/// Each worker index parks on its own condvar and flags itself parked
+/// under the lock; a push wakes only a parked worker that can take the
+/// item (the pinned lane's owner, or any parked worker for floating
+/// work) and clears its flag, so two pushes never spend both wakes on the
+/// same sleeper. Nothing is notified when no worker is parked — `std`'s
+/// futex condvar makes a syscall on every notify. One thread per worker
+/// index.
 #[derive(Debug)]
 pub struct WorkPool<T> {
     inner: std::sync::Arc<PoolInner<T>>,
@@ -316,12 +324,15 @@ pub struct WorkPool<T> {
 #[derive(Debug)]
 struct PoolInner<T> {
     state: Mutex<PoolState<T>>,
-    available: Condvar,
+    /// One condvar per worker index.
+    wake: Vec<Condvar>,
 }
 
 #[derive(Debug)]
 struct PoolState<T> {
     deques: WorkDeques<T>,
+    /// Which workers sleep in `recv` with no wake claimed for them.
+    parked: Vec<bool>,
     closed: bool,
 }
 
@@ -334,42 +345,59 @@ impl<T> Clone for WorkPool<T> {
 impl<T> WorkPool<T> {
     /// Create a pool with lanes for `workers` workers.
     pub fn new(workers: usize) -> Self {
+        let n = workers.max(1);
         WorkPool {
             inner: std::sync::Arc::new(PoolInner {
-                state: Mutex::new(PoolState { deques: WorkDeques::new(workers), closed: false }),
-                available: Condvar::new(),
+                state: Mutex::new(PoolState {
+                    deques: WorkDeques::new(n),
+                    parked: vec![false; n],
+                    closed: false,
+                }),
+                wake: (0..n).map(|_| Condvar::new()).collect(),
             }),
         }
     }
 
-    /// Enqueue stealable work. Items pushed after [`close`](Self::close)
-    /// are dropped.
+    /// Enqueue stealable work, waking one parked worker if any. Items
+    /// pushed after [`close`](Self::close) are dropped.
     pub fn push(&self, item: T) {
         let mut st = self.inner.state.lock();
         if st.closed {
             return;
         }
         st.deques.push(item);
-        drop(st);
-        self.inner.available.notify_all();
+        let sleeper = st.parked.iter().position(|&p| p);
+        self.wake(st, sleeper);
     }
 
-    /// Enqueue work pinned to `worker`. Items pushed after
-    /// [`close`](Self::close) are dropped.
+    /// Enqueue work pinned to `worker`, waking that worker if it is
+    /// parked. Items pushed after [`close`](Self::close) are dropped.
     pub fn push_to(&self, worker: usize, item: T) {
         let mut st = self.inner.state.lock();
         if st.closed {
             return;
         }
         st.deques.push_to(worker, item);
-        drop(st);
-        self.inner.available.notify_all();
+        let w = worker % st.parked.len();
+        let sleeper = st.parked[w].then_some(w);
+        self.wake(st, sleeper);
+    }
+
+    /// Claim the wake of parked `worker` (if any) and notify it after
+    /// releasing the lock.
+    fn wake(&self, mut st: MutexGuard<'_, PoolState<T>>, worker: Option<usize>) {
+        if let Some(w) = worker {
+            st.parked[w] = false;
+            drop(st);
+            self.inner.wake[w].notify_one();
+        }
     }
 
     /// Block until work is available for `worker` (own lanes or a steal),
     /// or the pool is closed. Returns `None` only when closed and nothing
     /// remains for this worker to take.
     pub fn recv(&self, worker: usize) -> Option<T> {
+        let w = worker % self.inner.wake.len();
         let mut st = self.inner.state.lock();
         loop {
             if let Some(item) = st.deques.pop(worker) {
@@ -378,10 +406,9 @@ impl<T> WorkPool<T> {
             if st.closed {
                 return None;
             }
-            // Belt-and-suspenders timeout: a worker stuck here despite
-            // pending floating work elsewhere re-checks for steals even
-            // if a notification was lost.
-            self.inner.available.wait_timeout(&mut st, Duration::from_millis(50));
+            st.parked[w] = true;
+            self.inner.wake[w].wait(&mut st);
+            st.parked[w] = false;
         }
     }
 
@@ -389,7 +416,9 @@ impl<T> WorkPool<T> {
     /// left and then returns `None`.
     pub fn close(&self) {
         self.inner.state.lock().closed = true;
-        self.inner.available.notify_all();
+        for cv in &self.inner.wake {
+            cv.notify_all();
+        }
     }
 
     /// Completed steals so far.

@@ -28,7 +28,7 @@ use babelflow_core::{
 
 use crate::comm::FaultPlan;
 use crate::controller::DEFAULT_TIMEOUT;
-use crate::rank::{run_world, RankOutcome, RankState};
+use crate::rank::{encode_remote, run_world, RankOutcome, RankState};
 use crate::reliable::ReliableEndpoint;
 
 /// Blocking, statically ordered MPI-style controller (the "Original MPI"
@@ -155,7 +155,8 @@ fn blocking_rank_main(
         let cb = registry.get(pt.callback()).expect("preflight checked bindings");
         exec(pt, cb, &inputs, (my_rank, 0), sink, &mut stats, |outs, stats| {
             stats.tasks_executed += 1;
-            state.route(rel, pt, outs, 0, stats, &mut unused_ready)
+            let remote = encode_remote(pt, &outs, (my_rank, 0), sink);
+            state.route(rel, pt, outs, remote, 0, stats, &mut unused_ready)
         })?;
         unused_ready.clear();
         // Ack what arrived while the callback ran now, not when this rank

@@ -30,11 +30,11 @@ pub use babelflow_core::fault::FaultPlan;
 /// reliable layer recovers every part together.
 pub const TAG_BATCH: u32 = u32::MAX - 1;
 
-/// Tag reserved for the shutdown wake: an empty control envelope that the
-/// last rank to [`mark_finished`](RankComm::mark_finished) puts straight
-/// into every peer's inbox, so a rank blocked at the shutdown barrier
-/// leaves at once. It bypasses fault injection and is not counted as
-/// delivered.
+/// Tag reserved for wakes: an empty control envelope put straight into a
+/// rank's inbox. The last rank to [`mark_finished`](RankComm::mark_finished)
+/// sends one to every peer, so a rank blocked at the shutdown barrier
+/// leaves at once; [`RankComm::wake`] sends one to the rank itself. It
+/// bypasses fault injection and is not counted as delivered.
 pub const TAG_WAKE: u32 = u32::MAX - 2;
 
 /// Encode `parts` into one batch body: `u32 count`, then per part
@@ -268,9 +268,22 @@ impl RankComm {
         self.rx.try_recv().ok()
     }
 
-    /// The raw inbox receiver, for use in [`babelflow_core::channel::select2`] loops.
+    /// The raw inbox receiver.
     pub fn inbox(&self) -> &Receiver<Envelope> {
         &self.rx
+    }
+
+    /// Put a [`TAG_WAKE`] envelope in this rank's own inbox, ending a
+    /// blocked receive on it. A thread that changes the rank's state
+    /// without a message (a worker that ran the rank's last task, or
+    /// failed) wakes the rank's control thread this way.
+    pub fn wake(&self) {
+        self.wake_rank(self.rank);
+    }
+
+    fn wake_rank(&self, dst: usize) {
+        let wake = Envelope { src: self.rank, tag: TAG_WAKE, body: Bytes::new() };
+        let _ = self.shared.inboxes[dst].send(wake);
     }
 
     /// Declare this rank finished: it has no unacknowledged sends left.
@@ -286,11 +299,8 @@ impl RankComm {
             return;
         }
         if self.shared.finished.next() + 1 == self.n as u64 {
-            for (dst, inbox) in self.shared.inboxes.iter().enumerate() {
-                if dst != self.rank {
-                    let wake = Envelope { src: self.rank, tag: TAG_WAKE, body: Bytes::new() };
-                    let _ = inbox.send(wake);
-                }
+            for dst in (0..self.n).filter(|&dst| dst != self.rank) {
+                self.wake_rank(dst);
             }
         }
     }

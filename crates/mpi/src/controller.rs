@@ -13,15 +13,25 @@
 //!   [`TaskMap`](babelflow_core::TaskMap), precompiled
 //!   into a [`ShardPlan`] so the steady state never re-queries the
 //!   procedural graph (see `crate::plan` in `babelflow-core`);
-//! * per-rank controller thread + a pool of worker threads executing ready
+//! * per-rank control thread + a pool of worker threads executing ready
 //!   tasks in arrival order. The pool is a work-stealing
 //!   [`WorkPool`](babelflow_core::sync::WorkPool): an idle worker steals
 //!   queued tasks from a busy sibling's deque, so one slow callback cannot
 //!   strand the backlog behind it;
+//! * workers complete their own tasks: a worker serializes the task's
+//!   remote outputs, then takes the one rank lock (the rank's
+//!   [`RankState`], its `&mut` [`ReliableEndpoint`], the in-flight and
+//!   completed sets) to mark the task done, deliver same-rank outputs,
+//!   push the consumers that became ready to the pool and stage the
+//!   remote sends. The control thread only receives envelopes,
+//!   dispatches what they make ready, and runs the retransmit tick, the
+//!   re-fires and the stall check. A worker that runs the rank's last
+//!   task, or fails, wakes it with a `TAG_WAKE` envelope in the rank's
+//!   own inbox;
 //! * the in-memory fast path: intra-rank messages move the `Payload` by
 //!   reference, skipping de/serialization; inter-rank messages serialize
-//!   and are *batched* — every destination gets at most one envelope per
-//!   completed task's fan-out ([`ReliableEndpoint::flush_sends`]);
+//!   and a task's whole fan-out leaves as one envelope per destination
+//!   rank ([`ReliableEndpoint::flush_sends`]);
 //! * each task owns its inputs and relinquishes its outputs, so payloads
 //!   are never mutated in place (enforced by `Payload`'s shared-`Arc`
 //!   design).
@@ -33,25 +43,28 @@
 //! inputs are *retained* until its completion is observed, a panicking
 //! callback is retried in place by the worker, and a task whose completion
 //! is overdue (its worker died) is re-fired from the retained inputs onto
-//! another pool thread. Stall detection is decoupled from the retransmit
+//! another pool thread. Each worker the fault plan kills is handed one of
+//! the rank's first dispatched tasks, pinned to it, so the injected death
+//! always happens. Stall detection is decoupled from the retransmit
 //! tick: the run only deadlocks when nothing has progressed for the full
-//! `timeout`.
+//! `timeout`. A worker thread that panics outside the callback fails the
+//! rank at once.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use babelflow_core::channel::{select2, unbounded, Select2};
+use babelflow_core::channel::RecvTimeoutError;
 use babelflow_core::fault::MAX_TASK_RETRIES;
-use babelflow_core::sync::WorkPool;
-use babelflow_core::trace::{now_ns, SpanKind, TraceEvent, TraceSink, CONTROL_THREAD};
+use babelflow_core::sync::{Mutex, WorkPool};
+use babelflow_core::trace::{now_ns, SpanKind, TraceEvent, TraceSink};
 use babelflow_core::{
-    exec, Controller, ControllerError, InitialInputs, Payload, PlanBuffer, Registry, Result,
-    RunReport, RunStats, ShardPlan, TaskId,
+    exec, Bytes, Controller, ControllerError, InitialInputs, Payload, PlanTask, Registry,
+    Result, RunReport, RunStats, ShardPlan, TaskId,
 };
 
 use crate::comm::FaultPlan;
-use crate::rank::{run_world, RankOutcome, RankState};
+use crate::rank::{encode_remote, run_world, RankOutcome, RankState};
 use crate::reliable::ReliableEndpoint;
 
 /// Default per-rank stall timeout before declaring the dataflow dead.
@@ -135,15 +148,6 @@ struct WorkItem {
     ready_ns: u64,
 }
 
-/// Result returned by a worker.
-struct DoneItem {
-    ix: u32,
-    outputs: Result<Vec<Payload>>,
-    /// What executing the task cost: in-place panic retries and the
-    /// inputs cloned per attempt.
-    stats: RunStats,
-}
-
 /// A dispatched-but-not-completed task with its inputs retained so it can
 /// be re-fired if its worker dies (idempotent re-execution).
 struct Inflight {
@@ -153,34 +157,108 @@ struct Inflight {
     refires: u32,
 }
 
-/// Move ready buffers to the worker pool, retaining each task's inputs in
-/// `inflight` until its completion is observed.
-fn dispatch_ready(
-    buffers: &mut HashMap<TaskId, PlanBuffer>,
-    ready: Vec<TaskId>,
-    pool: &WorkPool<WorkItem>,
-    inflight: &mut HashMap<TaskId, Inflight>,
-    stats: &mut RunStats,
-    tracing: bool,
-) {
-    let ready_ns = if tracing { now_ns() } else { 0 };
-    for id in ready {
-        if let Some(buf) = buffers.remove(&id) {
-            let ix = buf.ix();
-            let inputs = buf.take();
-            // The retained (re-fire) copy is the one input clone dispatch
-            // costs.
-            stats.perf.payload_clones += inputs.len() as u64;
-            inflight.insert(
-                id,
-                Inflight {
+/// Everything a rank's control thread and its workers share, behind the
+/// one rank lock.
+struct Core<'r, 'a> {
+    state: RankState<'a>,
+    rel: &'r mut ReliableEndpoint,
+    /// Dispatched tasks whose completion has not been observed yet.
+    inflight: HashMap<TaskId, Inflight>,
+    /// Tasks whose outputs were routed; a re-fired duplicate's are not.
+    completed: HashSet<TaskId>,
+    /// How many of the rank's tasks completed, out of `local_total`.
+    executed: usize,
+    local_total: usize,
+    stats: RunStats,
+    /// The first error a worker hit; the control thread returns it.
+    error: Option<ControllerError>,
+    /// Workers the fault plan kills that have not been handed their fatal
+    /// task yet (see [`Core::dispatch`]).
+    doomed: Vec<u32>,
+}
+
+impl Core<'_, '_> {
+    /// Move ready buffers to the worker pool, retaining each task's inputs
+    /// in `inflight` until its completion is observed. Each worker the
+    /// fault plan kills gets one of the rank's first tasks pinned to it,
+    /// so its death, and the re-fire, always happen.
+    fn dispatch(&mut self, ready: Vec<TaskId>, pool: &WorkPool<WorkItem>, tracing: bool) {
+        let ready_ns = if tracing { now_ns() } else { 0 };
+        for id in ready {
+            if let Some(buf) = self.state.buffers.remove(&id) {
+                let ix = buf.ix();
+                let inputs = buf.take();
+                // The retained (re-fire) copy is the one input clone
+                // dispatch costs.
+                self.stats.perf.payload_clones += inputs.len() as u64;
+                let retained = Inflight {
                     ix,
                     inputs: inputs.clone(),
                     dispatched_at: Instant::now(),
                     refires: 0,
-                },
-            );
-            pool.push(WorkItem { ix, inputs, ready_ns });
+                };
+                self.inflight.insert(id, retained);
+                let item = WorkItem { ix, inputs, ready_ns };
+                match self.doomed.pop() {
+                    Some(worker) => pool.push_to(worker as usize, item),
+                    None => pool.push(item),
+                }
+            }
+        }
+    }
+
+    /// Record a worker's completion of `pt`: route its outputs (remote
+    /// ones already serialized) and dispatch the consumers that became
+    /// ready. A re-fired task completing a second time is dropped — its
+    /// outputs were already routed (exactly-once).
+    fn complete(
+        &mut self,
+        pt: &PlanTask,
+        outs: Vec<Payload>,
+        remote: Vec<(usize, Bytes)>,
+        worker: u32,
+        pool: &WorkPool<WorkItem>,
+        tracing: bool,
+    ) -> Result<()> {
+        let id = pt.id();
+        if !self.completed.insert(id) {
+            return Ok(());
+        }
+        self.inflight.remove(&id);
+        self.executed += 1;
+        self.stats.tasks_executed += 1;
+        let mut ready = Vec::new();
+        self.state.route(self.rel, pt, outs, remote, worker, &mut self.stats, &mut ready)?;
+        self.dispatch(ready, pool, tracing);
+        if self.executed == self.local_total {
+            self.rel.wake();
+        }
+        Ok(())
+    }
+
+    /// Keep the first error and wake the control thread to return it.
+    fn fail(&mut self, e: ControllerError) {
+        if self.error.is_none() {
+            self.error = Some(e);
+            self.rel.wake();
+        }
+    }
+}
+
+/// Fails the rank when its worker unwinds. A panic outside the callback
+/// (a panicking [`TraceSink`], say) can leave a task half-routed with its
+/// re-fire suppressed; without this the control thread would learn of it
+/// only at the stall timeout.
+struct WorkerAlarm<'c, 'r, 'a> {
+    core: &'c Mutex<Core<'r, 'a>>,
+    worker: u32,
+}
+
+impl Drop for WorkerAlarm<'_, '_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let msg = format!("worker {} panicked", self.worker);
+            self.core.lock().fail(ControllerError::Runtime(msg));
         }
     }
 }
@@ -195,9 +273,10 @@ impl Drop for ClosePool<'_> {
     }
 }
 
-/// One rank of the asynchronous controller: a control thread that
-/// receives messages, routes completed tasks' outputs and dispatches ready
-/// tasks to a pool of `workers` threads.
+/// One rank of the asynchronous controller: a pool of `workers` threads
+/// that execute ready tasks and route their outputs themselves, and a
+/// control thread that receives messages, dispatches the tasks they make
+/// ready, and drives retransmits, re-fires and stall detection.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn rank_main(
     rel: &mut ReliableEndpoint,
@@ -209,30 +288,44 @@ pub(crate) fn rank_main(
     faults: &FaultPlan,
     sink: &dyn TraceSink,
 ) -> RankOutcome {
-    let mut state = RankState::new(plan, rel, initial, sink)?;
-    let local_total = state.buffers.len();
+    let state = RankState::new(plan, rel, initial, sink)?;
     let tracing = sink.enabled();
     let my_rank = rel.rank() as u32;
-    let kills: HashSet<u32> = faults
+    let mut kills: Vec<u32> = faults
         .kill_worker
         .iter()
-        .filter(|&&(r, _)| r == rel.rank())
+        .filter(|&&(r, w)| r == rel.rank() && (w as usize) < workers)
         .map(|&(_, w)| w)
         .collect();
+    kills.sort_unstable();
+    kills.dedup();
+    let inbox = rel.inbox().clone();
     let pool: WorkPool<WorkItem> = WorkPool::new(workers);
-    let (done_tx, done_rx) = unbounded::<DoneItem>();
+    let core = Mutex::new(Core {
+        local_total: state.buffers.len(),
+        state,
+        rel,
+        inflight: HashMap::new(),
+        completed: HashSet::new(),
+        executed: 0,
+        stats: RunStats::default(),
+        error: None,
+        doomed: kills.iter().rev().copied().collect(),
+    });
 
     std::thread::scope(|s| {
         // Worker pool: executes ready tasks in the order their inputs
-        // completed, retrying a panicking callback in place, and hands the
-        // outputs to the control thread. Idle workers steal from busy
-        // siblings' deques.
-        for worker_idx in 0..workers as u32 {
-            let (pool, done_tx, kills) = (pool.clone(), done_tx.clone(), &kills);
+        // completed, retrying a panicking callback in place, and routes
+        // the outputs under the rank lock — same-rank consumers that
+        // become ready go straight back to the pool. Idle workers steal
+        // from busy siblings' deques.
+        for worker in 0..workers as u32 {
+            let (pool, core, kills) = (pool.clone(), &core, &kills);
             s.spawn(move || {
-                while let Some(WorkItem { ix, inputs, ready_ns }) = pool.recv(worker_idx as usize)
-                {
-                    if kills.contains(&worker_idx) {
+                let _alarm = WorkerAlarm { core, worker };
+                let row = (my_rank, worker);
+                while let Some(WorkItem { ix, inputs, ready_ns }) = pool.recv(worker as usize) {
+                    if kills.contains(&worker) {
                         // Injected worker death: abandon the task just
                         // picked up and die. The controller re-fires it
                         // from the retained inputs onto a live worker.
@@ -241,108 +334,101 @@ pub(crate) fn rank_main(
                     let pt = plan.task(ix);
                     if tracing {
                         sink.record(
-                            TraceEvent::span(
-                                SpanKind::QueueWait,
-                                ready_ns,
-                                now_ns(),
-                                my_rank,
-                                worker_idx,
-                            )
-                            .with_task(pt.id(), pt.callback()),
+                            TraceEvent::span(SpanKind::QueueWait, ready_ns, now_ns(), row.0, row.1)
+                                .with_task(pt.id(), pt.callback()),
                         );
                     }
                     let cb = registry.get(pt.callback()).expect("preflight checked bindings");
                     let mut stats = RunStats::default();
-                    let handoff = |outs: Vec<Payload>, stats: &mut RunStats| -> Result<()> {
-                        let stats = std::mem::take(stats);
-                        let _ = done_tx.send(DoneItem { ix, outputs: Ok(outs), stats });
+                    let done = exec(pt, cb, &inputs, row, sink, &mut stats, |outs, stats| {
+                        // Serialize before taking the lock.
+                        let remote = encode_remote(pt, &outs, row, sink);
+                        let mut core = core.lock();
+                        core.stats.merge(&std::mem::take(stats));
+                        if let Err(e) = core.complete(pt, outs, remote, worker, &pool, tracing) {
+                            core.fail(e);
+                        }
                         Ok(())
-                    };
-                    let row = (my_rank, worker_idx);
-                    if let Err(e) = exec(pt, cb, &inputs, row, sink, &mut stats, handoff) {
-                        let _ = done_tx.send(DoneItem { ix, outputs: Err(e), stats });
+                    });
+                    if let Err(e) = done {
+                        let mut core = core.lock();
+                        core.stats.merge(&stats);
+                        // A re-fired duplicate's failure does not matter.
+                        if !core.completed.contains(&pt.id()) {
+                            core.fail(e);
+                        }
                     }
                 }
             });
         }
-        drop(done_tx);
 
         // Release the workers however the loop ends — error return or
         // unwind included; the scope's join needs them to exit.
         let _close = ClosePool(&pool);
 
-        let mut stats = RunStats::default();
-        let mut executed = 0usize;
-        let mut inflight: HashMap<TaskId, Inflight> = HashMap::new();
-        let mut completed: HashSet<TaskId> = HashSet::new();
-
-        let mut ready: Vec<TaskId> =
-            state.buffers.iter().filter(|(_, b)| b.ready()).map(|(&id, _)| id).collect();
+        let mut ready: Vec<TaskId> = {
+            let core = core.lock();
+            core.state.buffers.iter().filter(|(_, b)| b.ready()).map(|(&id, _)| id).collect()
+        };
         ready.sort();
-        dispatch_ready(&mut state.buffers, ready, &pool, &mut inflight, &mut stats, tracing);
+        core.lock().dispatch(ready, &pool, tracing);
 
-        // Short select tick (drives retransmits and re-fires) decoupled
+        // Short receive tick (drives retransmits and re-fires) decoupled
         // from the stall timeout (no progress at all for `timeout`).
         let tick = Duration::from_millis(10).min(timeout);
         let refire_after =
             (timeout / 8).clamp(Duration::from_millis(50), Duration::from_secs(2));
         let mut last_progress = Instant::now();
+        let mut executed_seen = 0;
+        let mut arrived = None;
 
-        while executed < local_total {
-            // Reliable layer first: deliver whatever is in order.
-            let mut ready = Vec::new();
-            if state.receive(rel, &mut ready)? {
-                last_progress = Instant::now();
-            }
-            dispatch_ready(&mut state.buffers, ready, &pool, &mut inflight, &mut stats, tracing);
-
-            // Biased two-way select: worker completions first, then network
-            // envelopes, then the protocol tick.
-            match select2(&done_rx, rel.inbox(), tick) {
-                Select2::A(DoneItem { ix, outputs, stats: cost }) => {
-                    stats.merge(&cost);
-                    let pt = plan.task(ix);
-                    let id = pt.id();
-                    if !completed.insert(id) {
-                        // A re-fired task completing a second time: its
-                        // outputs were already routed (exactly-once).
-                        continue;
-                    }
-                    inflight.remove(&id);
-                    let outs = outputs?;
-                    executed += 1;
-                    stats.tasks_executed += 1;
+        loop {
+            {
+                let mut guard = core.lock();
+                let core = &mut *guard;
+                if let Some(env) = arrived.take() {
+                    core.rel.handle(env);
+                    core.rel.drain_inbox();
+                }
+                // Deliver whatever the reliable layer restored to order.
+                let mut ready = Vec::new();
+                if core.state.receive(core.rel, &mut ready)? {
                     last_progress = Instant::now();
-
-                    let mut ready = Vec::new();
-                    state.route(rel, pt, outs, CONTROL_THREAD, &mut stats, &mut ready)?;
-                    dispatch_ready(
-                        &mut state.buffers, ready, &pool, &mut inflight, &mut stats, tracing,
-                    );
                 }
-                Select2::B(env) => {
-                    rel.handle(env);
+                core.dispatch(ready, &pool, tracing);
+                if let Some(e) = core.error.take() {
+                    return Err(e);
                 }
-                Select2::DisconnectedA => {
-                    return Err(ControllerError::Runtime("worker pool died".into()));
+                if core.executed == core.local_total {
+                    return Ok(());
                 }
-                Select2::DisconnectedB => {
+            }
+            // Network envelopes, a worker's wake, or the protocol tick.
+            match inbox.recv_timeout(tick) {
+                Ok(env) => arrived = Some(env),
+                Err(RecvTimeoutError::Disconnected) => {
                     return Err(ControllerError::Runtime("world torn down".into()));
                 }
-                Select2::Timeout => {
-                    rel.tick();
+                Err(RecvTimeoutError::Timeout) => {
+                    let mut guard = core.lock();
+                    let core = &mut *guard;
+                    core.rel.tick();
+                    if core.executed != executed_seen {
+                        executed_seen = core.executed;
+                        last_progress = Instant::now();
+                    }
                     // Re-fire tasks whose completion is overdue — their
                     // worker died holding them. Idempotence makes the
                     // duplicate execution harmless; `completed` dedups.
                     let now = Instant::now();
-                    for inf in inflight.values_mut() {
+                    for inf in core.inflight.values_mut() {
                         if now.duration_since(inf.dispatched_at) >= refire_after
                             && inf.refires < MAX_TASK_RETRIES
                         {
                             inf.refires += 1;
                             inf.dispatched_at = now;
-                            stats.recovery.retries += 1;
-                            stats.perf.payload_clones += inf.inputs.len() as u64;
+                            core.stats.recovery.retries += 1;
+                            core.stats.perf.payload_clones += inf.inputs.len() as u64;
                             pool.push(WorkItem {
                                 ix: inf.ix,
                                 inputs: inf.inputs.clone(),
@@ -351,11 +437,12 @@ pub(crate) fn rank_main(
                         }
                     }
                     if last_progress.elapsed() >= timeout {
-                        let mut pending: Vec<TaskId> = state
+                        let mut pending: Vec<TaskId> = core
+                            .state
                             .buffers
                             .keys()
                             .copied()
-                            .chain(inflight.keys().copied())
+                            .chain(core.inflight.keys().copied())
                             .collect();
                         pending.sort();
                         return Err(ControllerError::Deadlock { pending });
@@ -363,7 +450,8 @@ pub(crate) fn rank_main(
                 }
             }
         }
+    })?;
 
-        Ok((std::mem::take(&mut state.outputs), stats))
-    })
+    let core = core.into_inner();
+    Ok((core.state.outputs, core.stats))
 }

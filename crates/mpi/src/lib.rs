@@ -235,7 +235,40 @@ use babelflow_graphs::{BinarySwap, Reduction};
             .with_timeout(Duration::from_secs(5));
         let report = c.run(&g, &map, &reg, reduction_inputs(&g)).unwrap();
         assert_eq!(canonical_outputs(&report), canonical_outputs(&serial));
-        assert!(report.stats.recovery.retries > 0, "{}", report.stats);
+        // The doomed worker is handed rank 0's first task, whatever its
+        // sibling does: it dies holding it, and the task is re-run once.
+        assert_eq!(report.stats.recovery.retries, 1, "{}", report.stats);
+    }
+
+    /// Keeps every event it is handed.
+    #[derive(Default)]
+    struct Collect(std::sync::Mutex<Vec<babelflow_core::TraceEvent>>);
+
+    impl babelflow_core::TraceSink for Collect {
+        fn record(&self, event: babelflow_core::TraceEvent) {
+            self.0.lock().unwrap().push(event);
+        }
+    }
+
+    #[test]
+    fn workers_route_same_rank_outputs_themselves() {
+        use babelflow_core::trace::{SpanKind, CONTROL_THREAD};
+        let g = Reduction::new(16, 2);
+        let reg = sum_registry();
+        let map = ModuloMap::new(1, g.size() as u64);
+        let sink = std::sync::Arc::new(Collect::default());
+        let report = MpiController::new()
+            .run_traced(&g, &map, &reg, reduction_inputs(&g), sink.clone())
+            .unwrap();
+        let events = sink.0.lock().unwrap();
+        let sends: Vec<_> = events.iter().filter(|e| e.kind == SpanKind::MsgSend).collect();
+        assert_eq!(sends.len() as u64, report.stats.local_messages);
+        assert!(!sends.is_empty());
+        for e in sends {
+            assert_eq!(e.rank, 0);
+            assert_ne!(e.thread, CONTROL_THREAD, "{e:?}");
+            assert!(e.thread < 2, "a worker row: {e:?}");
+        }
     }
 
     #[test]
@@ -317,6 +350,43 @@ use babelflow_graphs::{BinarySwap, Reduction};
             // releases its peer as it unwinds.
             assert!(started.elapsed() < Duration::from_secs(2), "blocking={blocking}");
         }
+    }
+
+    /// Panics recording the first worker-side `MsgSend` that fills its
+    /// consumer's last slot (a second send to a reduction node), so the
+    /// consumer is never dispatched.
+    #[derive(Default)]
+    struct PanicOnCompletingSend(std::sync::Mutex<std::collections::HashSet<u64>>);
+
+    impl babelflow_core::TraceSink for PanicOnCompletingSend {
+        fn record(&self, event: babelflow_core::TraceEvent) {
+            if event.kind == babelflow_core::SpanKind::MsgSend
+                && event.thread != babelflow_core::trace::CONTROL_THREAD
+                && !self.0.lock().unwrap().insert(event.peer.0)
+            {
+                panic!("{}: trace sink fails", babelflow_core::PANIC_MARKER);
+            }
+        }
+    }
+
+    #[test]
+    fn panicking_worker_while_routing_is_an_error_not_a_stall() {
+        babelflow_core::quiet_panic_hook();
+        // One rank: every route is same-rank and is recorded on the worker
+        // that completes the producer. It dies having filled a consumer
+        // that no one dispatches, and the producer, already completed, is
+        // never re-fired.
+        let g = Reduction::new(16, 2);
+        let reg = sum_registry();
+        let map = ModuloMap::new(1, g.size() as u64);
+        let sink = std::sync::Arc::new(PanicOnCompletingSend::default());
+        let started = std::time::Instant::now();
+        let err = MpiController::new()
+            .run_traced(&g, &map, &reg, reduction_inputs(&g), sink)
+            .unwrap_err();
+        assert!(matches!(err, ControllerError::Runtime(_)), "{err}");
+        // The default stall timeout is 10 s.
+        assert!(started.elapsed() < Duration::from_secs(2), "{:?}", started.elapsed());
     }
 
     #[test]

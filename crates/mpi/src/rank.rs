@@ -1,15 +1,16 @@
 //! What the two MPI controllers share: one thread per rank over a
 //! reliable world, and one rank's dataflow state — its pending tasks'
 //! input buffers, its external outputs, message receipt and output
-//! routing. The controllers differ only in when a ready task runs.
+//! routing (remote payloads serialized by [`encode_remote`] first). The
+//! controllers differ only in when a ready task runs.
 
 use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
 
 use babelflow_core::trace::{now_ns, SpanKind, TraceEvent, TraceSink, CONTROL_THREAD};
 use babelflow_core::{
-    ControllerError, InitialInputs, Payload, PlanBuffer, PlanTask, Result, RunReport, RunStats,
-    ShardId, ShardPlan, TaskId,
+    Bytes, ControllerError, InitialInputs, Payload, PlanBuffer, PlanTask, Result, RunReport,
+    RunStats, ShardId, ShardPlan, TaskId,
 };
 
 use crate::comm::{FaultPlan, RankComm, World};
@@ -89,6 +90,38 @@ pub(crate) fn run_rank(
 /// for one) becomes an error instead of aborting the host.
 fn rank_outcome(rank: usize, joined: std::thread::Result<RankOutcome>) -> RankOutcome {
     joined.unwrap_or_else(|_| Err(ControllerError::Runtime(format!("rank {rank} thread panicked"))))
+}
+
+/// Serialize the outputs of `pt` that leave its rank, in route order, as
+/// `(destination rank, body)` pairs for [`RankState::route`] to send.
+/// This needs none of the rank's state, so a worker runs it before it
+/// takes the rank's lock. Each encoding is one `MsgSend` span on `row`.
+pub(crate) fn encode_remote(
+    pt: &PlanTask,
+    outs: &[Payload],
+    row: (u32, u32),
+    sink: &dyn TraceSink,
+) -> Vec<(usize, Bytes)> {
+    let tracing = sink.enabled();
+    let mut bodies = Vec::new();
+    for (slot, payload) in outs.iter().enumerate() {
+        for route in &pt.routes[slot] {
+            if route.is_external() || route.shard == pt.shard {
+                continue;
+            }
+            let start = if tracing { now_ns() } else { 0 };
+            let body = DataflowMsg::from_payload(route.dst, pt.id(), payload).encode();
+            if tracing {
+                sink.record(
+                    TraceEvent::span(SpanKind::MsgSend, start, now_ns(), row.0, row.1)
+                        .with_task(pt.id(), pt.callback())
+                        .with_message(route.dst, body.len() as u64),
+                );
+            }
+            bodies.push((route.shard.0 as usize, body));
+        }
+    }
+    bodies
 }
 
 /// One rank's dataflow state.
@@ -187,27 +220,23 @@ impl<'a> RankState<'a> {
     }
 
     /// Route a completed task's outputs: external ones to the host,
-    /// same-rank ones in memory (no serialization), the rest encoded onto
-    /// `rel` as one envelope per destination rank. Same-rank consumers that
-    /// became ready are pushed onto `ready`; `MsgSend` spans go on this
-    /// rank's `thread` row.
+    /// same-rank ones in memory (no serialization), and `remote`, the
+    /// rest as [`encode_remote`] serialized them, onto `rel` as one
+    /// envelope per destination. Same-rank consumers that became ready are
+    /// pushed onto `ready`; the in-memory deliveries' `MsgSend` spans go
+    /// on this rank's `thread` row.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn route(
         &mut self,
         rel: &mut ReliableEndpoint,
         pt: &PlanTask,
         outs: Vec<Payload>,
+        remote: Vec<(usize, Bytes)>,
         thread: u32,
         stats: &mut RunStats,
         ready: &mut Vec<TaskId>,
     ) -> Result<()> {
         let (id, sink, rank) = (pt.id(), self.sink, self.rank());
-        let send_span = |start: u64, dst: TaskId, bytes: u64| {
-            sink.record(
-                TraceEvent::span(SpanKind::MsgSend, start, now_ns(), rank, thread)
-                    .with_task(id, pt.callback())
-                    .with_message(dst, bytes),
-            );
-        };
         for (slot, payload) in outs.into_iter().enumerate() {
             for route in &pt.routes[slot] {
                 let dst = route.dst;
@@ -233,20 +262,19 @@ impl<'a> RankState<'a> {
                     }
                     if self.tracing {
                         // In-memory move: no serialization, bytes = 0.
-                        send_span(send_start, dst, 0);
-                    }
-                } else {
-                    let send_start = if self.tracing { now_ns() } else { 0 };
-                    let body = DataflowMsg::from_payload(dst, id, &payload).encode();
-                    let wire_bytes = body.len() as u64;
-                    stats.remote_messages += 1;
-                    stats.remote_bytes += wire_bytes;
-                    rel.send(route.shard.0 as usize, TAG_DATAFLOW, body);
-                    if self.tracing {
-                        send_span(send_start, dst, wire_bytes);
+                        sink.record(
+                            TraceEvent::span(SpanKind::MsgSend, send_start, now_ns(), rank, thread)
+                                .with_task(id, pt.callback())
+                                .with_message(dst, 0),
+                        );
                     }
                 }
             }
+        }
+        for (dst_rank, body) in remote {
+            stats.remote_messages += 1;
+            stats.remote_bytes += body.len() as u64;
+            rel.send(dst_rank, TAG_DATAFLOW, body);
         }
         // One envelope per destination for this task's whole fan-out.
         rel.flush_sends();

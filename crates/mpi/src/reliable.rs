@@ -215,10 +215,16 @@ impl ReliableEndpoint {
         self.ep.size()
     }
 
-    /// The raw inbox receiver, for `select2` loops. Every envelope taken
-    /// from it must be fed to [`handle`](Self::handle).
+    /// The raw inbox receiver. Every envelope taken from it must be fed
+    /// to [`handle`](Self::handle).
     pub fn inbox(&self) -> &Receiver<Envelope> {
         self.ep.inbox()
+    }
+
+    /// Put a [`TAG_WAKE`] envelope in this rank's own inbox (see
+    /// [`RankComm::wake`]).
+    pub fn wake(&self) {
+        self.ep.wake();
     }
 
     /// Send `body` to `dst` reliably: frame it with the next sequence

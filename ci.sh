@@ -8,6 +8,9 @@ set -eux
 export RUSTFLAGS="-D warnings"
 
 cargo build --release --offline
+# Rustdoc is warning-clean too, so an intra-doc link to a renamed or
+# deleted item fails the build instead of dangling.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # Every crate's tests, not just the root package's: the verifier mutation
 # suite, the property tests and the transport FIFO tests live in members.
 cargo test -q --offline --workspace

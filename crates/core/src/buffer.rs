@@ -8,21 +8,25 @@
 //! without duplicating the data. [`BytesMut`] is a growable staging buffer
 //! that freezes into a [`Bytes`].
 //!
-//! The representation is `Arc<[u8]>` plus an `(offset, len)` window;
-//! buffers built from `&'static [u8]` borrow the static data directly and
-//! allocate nothing.
+//! A buffer built from a `Vec<u8>` (so also a frozen [`BytesMut`] and a
+//! finished [`Encoder`](crate::Encoder)) keeps that `Vec` behind an
+//! `Arc`: the conversion moves the allocation and copies nothing. A copy
+//! of a borrowed slice is one `Arc<[u8]>` allocation. Both are viewed
+//! through an `(offset, len)` window; buffers built from `&'static [u8]`
+//! borrow the static data directly and allocate nothing.
 
 use std::borrow::Borrow;
 use std::hash::{Hash, Hasher};
-use std::ops::{Bound, Deref, RangeBounds};
+use std::ops::{Bound, Deref, DerefMut, RangeBounds};
 use std::sync::Arc;
 
-/// Backing storage of a [`Bytes`]: either borrowed static data or a shared
-/// heap allocation.
+/// Backing storage of a [`Bytes`]: borrowed static data, a shared copy of
+/// a slice, or a shared, moved-in `Vec`.
 #[derive(Clone)]
 enum Data {
     Static(&'static [u8]),
-    Shared(Arc<[u8]>),
+    Copied(Arc<[u8]>),
+    Owned(Arc<Vec<u8>>),
 }
 
 /// An immutable, cheaply cloneable byte buffer.
@@ -48,9 +52,9 @@ impl Bytes {
         Bytes { off: 0, len: data.len(), data: Data::Static(data) }
     }
 
-    /// A buffer holding a copy of `data`.
+    /// A buffer holding a copy of `data`, in one allocation.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes { off: 0, len: data.len(), data: Data::Shared(Arc::from(data)) }
+        Bytes { off: 0, len: data.len(), data: Data::Copied(Arc::from(data)) }
     }
 
     /// Number of bytes in this view.
@@ -67,7 +71,8 @@ impl Bytes {
     pub fn as_slice(&self) -> &[u8] {
         let whole: &[u8] = match &self.data {
             Data::Static(s) => s,
-            Data::Shared(a) => a,
+            Data::Copied(a) => a,
+            Data::Owned(v) => v,
         };
         &whole[self.off..self.off + self.len]
     }
@@ -125,8 +130,16 @@ impl Borrow<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Take ownership of `v`'s allocation: O(1), no copy.
     fn from(v: Vec<u8>) -> Self {
-        Bytes { off: 0, len: v.len(), data: Data::Shared(Arc::from(v)) }
+        Bytes { off: 0, len: v.len(), data: Data::Owned(Arc::new(v)) }
+    }
+}
+
+impl<const N: usize> From<[u8; N]> for Bytes {
+    /// A copy of a small fixed-size value, in one allocation.
+    fn from(v: [u8; N]) -> Self {
+        Bytes::copy_from_slice(&v)
     }
 }
 
@@ -207,7 +220,9 @@ impl Hash for Bytes {
 /// A growable byte buffer that freezes into an immutable [`Bytes`].
 ///
 /// This is the staging half of the codec: `Encoder` appends into a
-/// `BytesMut` and `finish` freezes it without copying.
+/// `BytesMut` and `finish` freezes it without copying. It dereferences
+/// mutably, so a header reserved up front can be filled in place before
+/// the buffer is frozen.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct BytesMut {
     buf: Vec<u8>,
@@ -253,23 +268,11 @@ impl BytesMut {
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.buf)
     }
+}
 
-    /// Discard the contents but keep the allocation for reuse.
-    pub fn clear(&mut self) {
-        self.buf.clear();
-    }
-
-    /// Copy the contents into an immutable [`Bytes`] and clear this
-    /// buffer, *retaining its capacity* for the next message.
-    ///
-    /// `Bytes` stores data as `Arc<[u8]>`, so [`freeze`](Self::freeze)
-    /// already copies out of the staging `Vec`; this pays the same copy
-    /// but keeps the staging allocation alive, which is what a send path
-    /// staging many messages through one buffer wants.
-    pub fn freeze_reuse(&mut self) -> Bytes {
-        let frozen = Bytes::copy_from_slice(&self.buf);
-        self.buf.clear();
-        frozen
+impl From<Vec<u8>> for BytesMut {
+    fn from(buf: Vec<u8>) -> Self {
+        BytesMut { buf }
     }
 }
 
@@ -278,6 +281,12 @@ impl Deref for BytesMut {
 
     fn deref(&self) -> &[u8] {
         &self.buf
+    }
+}
+
+impl DerefMut for BytesMut {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.buf
     }
 }
 
@@ -296,7 +305,7 @@ mod tests {
         let a = Bytes::from(vec![1u8, 2, 3, 4]);
         let b = a.clone();
         assert_eq!(a, b);
-        let (Data::Shared(pa), Data::Shared(pb)) = (&a.data, &b.data) else {
+        let (Data::Owned(pa), Data::Owned(pb)) = (&a.data, &b.data) else {
             panic!("expected shared storage");
         };
         assert!(Arc::ptr_eq(pa, pb));
@@ -348,6 +357,29 @@ mod tests {
         assert_eq!(m.len(), 3);
         let frozen = m.freeze();
         assert_eq!(frozen, *&[1u8, 2, 3][..]);
+    }
+
+    #[test]
+    fn from_vec_and_freeze_keep_the_allocation() {
+        let v = vec![1u8, 2, 3, 4, 5];
+        let ptr = v.as_ptr();
+        assert_eq!(Bytes::from(v).as_ptr(), ptr);
+
+        let mut m = BytesMut::with_capacity(64);
+        m.extend_from_slice(&[7; 40]);
+        let ptr = m.as_ptr();
+        let frozen = m.freeze();
+        assert_eq!(frozen.as_ptr(), ptr);
+        assert_eq!(frozen.slice(8..).as_ptr(), ptr.wrapping_add(8));
+    }
+
+    #[test]
+    fn bytes_mut_fills_a_reserved_header_in_place() {
+        let mut m = BytesMut::new();
+        m.extend_from_slice(&[0; 4]);
+        m.extend_from_slice(b"body");
+        m[..4].copy_from_slice(&7u32.to_le_bytes());
+        assert_eq!(m.freeze(), *b"\x07\x00\x00\x00body");
     }
 
     #[test]

@@ -11,10 +11,12 @@ use crate::buffer::{Bytes, BytesMut};
 
 /// Streaming little-endian encoder writing into a growable buffer.
 ///
-/// The `put_*` methods are named after the type they write.
+/// The `put_*` methods are named after the type they write. The slice
+/// writers copy a whole run at once, not one element at a time; their
+/// bytes are those of the element-by-element loop.
 #[allow(missing_docs)]
 pub struct Encoder {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 #[allow(missing_docs)]
@@ -26,12 +28,19 @@ impl Encoder {
 
     /// Create an encoder pre-sized for `cap` bytes.
     pub fn with_capacity(cap: usize) -> Self {
-        Encoder { buf: BytesMut::with_capacity(cap) }
+        Encoder { buf: Vec::with_capacity(cap) }
     }
 
-    /// Finish encoding and return the immutable buffer.
+    /// Finish encoding and return the immutable buffer (O(1): the
+    /// encoder's allocation becomes the buffer's).
     pub fn finish(self) -> Bytes {
-        self.buf.freeze()
+        Bytes::from(self.buf)
+    }
+
+    /// Finish encoding but keep the buffer writable, so a header reserved
+    /// at its front can be filled in before it is frozen.
+    pub fn into_inner(self) -> BytesMut {
+        BytesMut::from(self.buf)
     }
 
     /// Number of bytes written so far.
@@ -44,8 +53,14 @@ impl Encoder {
         self.buf.is_empty()
     }
 
+    /// Ensure room for `additional` more bytes, so a writer that knows
+    /// its size grows the buffer once.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.extend_from_slice(&[v]);
+        self.buf.push(v);
     }
 
     pub fn put_u32(&mut self, v: u32) {
@@ -80,10 +95,15 @@ impl Encoder {
         self.put_u8(v as u8);
     }
 
+    /// Write raw bytes, with no length prefix.
+    pub fn put_raw(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
+    }
+
     /// Write raw bytes with a length prefix.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_usize(v.len());
-        self.buf.extend_from_slice(v);
+        self.put_raw(v);
     }
 
     /// Write a UTF-8 string with a length prefix.
@@ -91,22 +111,48 @@ impl Encoder {
         self.put_bytes(v.as_bytes());
     }
 
+    /// Write what `body` writes, with its byte length as a prefix: the
+    /// bytes of `put_bytes` on a separate encoding, without the separate
+    /// buffer.
+    pub fn put_len_prefixed(&mut self, body: impl FnOnce(&mut Encoder)) {
+        let at = self.buf.len();
+        self.put_u64(0);
+        body(self);
+        let len = (self.buf.len() - at - 8) as u64;
+        self.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
+    }
+
+    /// Append `v`'s elements as `N`-byte little-endian words in one pass
+    /// over a pre-sized tail.
+    fn put_words<T: Copy, const N: usize>(&mut self, v: &[T], le: fn(T) -> [u8; N]) {
+        let start = self.buf.len();
+        self.buf.resize(start + v.len() * N, 0);
+        for (dst, &x) in self.buf[start..].chunks_exact_mut(N).zip(v) {
+            dst.copy_from_slice(&le(x));
+        }
+    }
+
+    /// Write `f32` values, with no length prefix.
+    pub fn put_f32s(&mut self, v: &[f32]) {
+        self.put_words(v, f32::to_le_bytes);
+    }
+
     /// Write a length-prefixed slice of `f32` values.
     pub fn put_f32_slice(&mut self, v: &[f32]) {
         self.put_usize(v.len());
-        self.buf.reserve(v.len() * 4);
-        for x in v {
-            self.buf.extend_from_slice(&x.to_le_bytes());
-        }
+        self.put_f32s(v);
+    }
+
+    /// Write a length-prefixed slice of `u32` values.
+    pub fn put_u32_slice(&mut self, v: &[u32]) {
+        self.put_usize(v.len());
+        self.put_words(v, u32::to_le_bytes);
     }
 
     /// Write a length-prefixed slice of `u64` values.
     pub fn put_u64_slice(&mut self, v: &[u64]) {
         self.put_usize(v.len());
-        self.buf.reserve(v.len() * 8);
-        for x in v {
-            self.buf.extend_from_slice(&x.to_le_bytes());
-        }
+        self.put_words(v, u64::to_le_bytes);
     }
 }
 
@@ -215,18 +261,44 @@ impl<'a> Decoder<'a> {
         std::str::from_utf8(self.get_bytes()?).map_err(|_| DecodeError { what: "utf8" })
     }
 
+    /// Read `n` little-endian `N`-byte words, after checking that the
+    /// input holds them all.
+    fn get_words<T, const N: usize>(
+        &mut self,
+        n: usize,
+        what: &'static str,
+        from_le: fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, DecodeError> {
+        let raw = self.take(n.checked_mul(N).ok_or(DecodeError { what })?, what)?;
+        Ok(raw.chunks_exact(N).map(|c| from_le(c.try_into().expect("N bytes"))).collect())
+    }
+
+    /// Fill `out` with `f32` values written by [`Encoder::put_f32s`].
+    pub fn get_f32s_into(&mut self, out: &mut [f32]) -> Result<(), DecodeError> {
+        let n = out.len().checked_mul(4).ok_or(DecodeError { what: "f32 run len" })?;
+        let raw = self.take(n, "f32 run body")?;
+        for (x, c) in out.iter_mut().zip(raw.chunks_exact(4)) {
+            *x = f32::from_le_bytes(c.try_into().expect("4 bytes"));
+        }
+        Ok(())
+    }
+
     /// Read a length-prefixed `f32` slice into a vector.
     pub fn get_f32_vec(&mut self) -> Result<Vec<f32>, DecodeError> {
         let n = self.get_usize()?;
-        let raw = self.take(n.checked_mul(4).ok_or(DecodeError { what: "f32 vec len" })?, "f32 vec body")?;
-        Ok(raw.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect())
+        self.get_words(n, "f32 vec body", f32::from_le_bytes)
+    }
+
+    /// Read a length-prefixed `u32` slice into a vector.
+    pub fn get_u32_vec(&mut self) -> Result<Vec<u32>, DecodeError> {
+        let n = self.get_usize()?;
+        self.get_words(n, "u32 vec body", u32::from_le_bytes)
     }
 
     /// Read a length-prefixed `u64` slice into a vector.
     pub fn get_u64_vec(&mut self) -> Result<Vec<u64>, DecodeError> {
         let n = self.get_usize()?;
-        let raw = self.take(n.checked_mul(8).ok_or(DecodeError { what: "u64 vec len" })?, "u64 vec body")?;
-        Ok(raw.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect())
+        self.get_words(n, "u64 vec body", u64::from_le_bytes)
     }
 }
 
@@ -266,12 +338,18 @@ mod tests {
         let mut e = Encoder::new();
         e.put_f32_slice(&[1.0, -2.0, 0.5]);
         e.put_u64_slice(&[1, 2, 3, u64::MAX]);
+        e.put_u32_slice(&[7, u32::MAX]);
+        e.put_f32s(&[4.0, -0.0]);
         e.put_bytes(b"\x00\x01\x02");
         let buf = e.finish();
 
         let mut d = Decoder::new(&buf);
         assert_eq!(d.get_f32_vec().unwrap(), vec![1.0, -2.0, 0.5]);
         assert_eq!(d.get_u64_vec().unwrap(), vec![1, 2, 3, u64::MAX]);
+        assert_eq!(d.get_u32_vec().unwrap(), vec![7, u32::MAX]);
+        let mut run = [0.0f32; 2];
+        d.get_f32s_into(&mut run).unwrap();
+        assert_eq!((run[0], run[1].to_bits()), (4.0, (-0.0f32).to_bits()));
         assert_eq!(d.get_bytes().unwrap(), b"\x00\x01\x02");
         assert!(d.is_done());
     }
@@ -301,6 +379,32 @@ mod tests {
         let buf = e.finish();
         let mut d = Decoder::new(&buf);
         assert!(d.get_bytes().is_err());
+    }
+
+    #[test]
+    fn len_prefixed_matches_put_bytes() {
+        let mut nested = Encoder::new();
+        nested.put_u32(5);
+        nested.put_str("abc");
+        let inner = nested.finish();
+        let mut via_buffer = Encoder::new();
+        via_buffer.put_u8(1);
+        via_buffer.put_bytes(&inner);
+        let mut in_place = Encoder::new();
+        in_place.put_u8(1);
+        in_place.put_len_prefixed(|e| {
+            e.put_u32(5);
+            e.put_str("abc");
+        });
+        assert_eq!(in_place.finish(), via_buffer.finish());
+    }
+
+    #[test]
+    fn finish_keeps_the_encoder_allocation() {
+        let mut e = Encoder::with_capacity(32);
+        e.put_u64(9);
+        let ptr = e.buf.as_ptr();
+        assert_eq!(e.finish().as_ptr(), ptr);
     }
 
     #[test]

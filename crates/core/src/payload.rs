@@ -16,14 +16,14 @@ use std::sync::Arc;
 
 use crate::buffer::Bytes;
 
-use crate::codec::DecodeError;
+use crate::codec::{DecodeError, Encoder};
 
-type ErasedEncode = fn(&(dyn Any + Send + Sync)) -> Bytes;
+type ErasedEncode = fn(&(dyn Any + Send + Sync), &mut Encoder);
 
-fn encode_erased<T: PayloadData>(any: &(dyn Any + Send + Sync)) -> Bytes {
+fn encode_erased<T: PayloadData>(any: &(dyn Any + Send + Sync), e: &mut Encoder) {
     any.downcast_ref::<T>()
         .expect("erased encoder invoked on foreign type")
-        .encode()
+        .encode_into(e)
 }
 
 /// A value a task consumes or produces.
@@ -57,12 +57,21 @@ impl std::fmt::Debug for Payload {
 ///
 /// This is the second of the paper's "three basic steps" for the user:
 /// "provide deserialization/serialization routines for the objects that are
-/// exchanged between tasks". Implementations must round-trip:
-/// `decode(encode(x))` must be observably equal to `x`.
+/// exchanged between tasks". [`encode_into`](Self::encode_into) is the
+/// one serializer a type writes: it appends to an [`Encoder`] that may
+/// already hold a message header, so a controller serializes a payload
+/// straight into the buffer that travels. Implementations must
+/// round-trip: `decode(encode(x))` must be observably equal to `x`.
 pub trait PayloadData: Send + Sync + Sized + 'static {
-    /// Serialize to a flat binary buffer.
-    fn encode(&self) -> Bytes;
-    /// Reconstruct from a buffer produced by [`Self::encode`].
+    /// Append the serialized form to `e`.
+    fn encode_into(&self, e: &mut Encoder);
+    /// Serialize to a buffer of its own.
+    fn encode(&self) -> Bytes {
+        let mut e = Encoder::new();
+        self.encode_into(&mut e);
+        e.finish()
+    }
+    /// Reconstruct from the bytes [`Self::encode_into`] wrote.
     fn decode(buf: &[u8]) -> Result<Self, DecodeError>;
 }
 
@@ -111,25 +120,25 @@ impl Payload {
         }
     }
 
-    /// Serialized form of this payload, encoding in-memory values.
-    ///
-    /// Controllers call this on the sender side of cross-shard edges; no
-    /// knowledge of the concrete type is needed.
-    pub fn to_buffer(&self) -> Bytes {
+    /// Append this payload's serialized form to `e`, encoding in-memory
+    /// values with no knowledge of their concrete type. Controllers call
+    /// this on the sender side of cross-shard edges.
+    pub fn encode_into(&self, e: &mut Encoder) {
         match self {
-            Payload::Buffer(b) => b.clone(),
-            Payload::InMemory { value, encode } => encode(value.as_ref()),
+            Payload::Buffer(b) => e.put_raw(b),
+            Payload::InMemory { value, encode } => encode(value.as_ref(), e),
         }
     }
 
-    /// Serialized size, encoding in-memory values if necessary.
-    ///
-    /// Used by the simulator and by controller statistics; prefer
-    /// [`Payload::buffer_len`] when an encode must not happen.
-    pub fn wire_len(&self) -> usize {
+    /// Serialized form of this payload, encoding in-memory values.
+    pub fn to_buffer(&self) -> Bytes {
         match self {
-            Payload::Buffer(b) => b.len(),
-            Payload::InMemory { value, encode } => encode(value.as_ref()).len(),
+            Payload::Buffer(b) => b.clone(),
+            Payload::InMemory { .. } => {
+                let mut e = Encoder::new();
+                self.encode_into(&mut e);
+                e.finish()
+            }
         }
     }
 }
@@ -165,8 +174,8 @@ impl std::error::Error for PayloadError {}
 pub struct Blob(pub Vec<u8>);
 
 impl PayloadData for Blob {
-    fn encode(&self) -> Bytes {
-        Bytes::copy_from_slice(&self.0)
+    fn encode_into(&self, e: &mut Encoder) {
+        e.put_raw(&self.0);
     }
 
     fn decode(buf: &[u8]) -> Result<Self, DecodeError> {
@@ -177,7 +186,7 @@ impl PayloadData for Blob {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{Decoder, Encoder};
+    use crate::codec::Decoder;
 
     #[derive(Debug, PartialEq)]
     struct Pair {
@@ -186,11 +195,9 @@ mod tests {
     }
 
     impl PayloadData for Pair {
-        fn encode(&self) -> Bytes {
-            let mut e = Encoder::new();
+        fn encode_into(&self, e: &mut Encoder) {
             e.put_u64(self.a);
             e.put_f32(self.b);
-            e.finish()
         }
 
         fn decode(buf: &[u8]) -> Result<Self, DecodeError> {
@@ -222,7 +229,13 @@ mod tests {
         let expected = orig.encode();
         let p = Payload::wrap(orig);
         assert_eq!(p.to_buffer(), expected);
-        assert_eq!(p.wire_len(), expected.len());
+        let mut e = Encoder::new();
+        e.put_u8(0xAB);
+        p.encode_into(&mut e);
+        Payload::buffer(expected.clone()).encode_into(&mut e);
+        let framed = e.finish();
+        assert_eq!(framed[0], 0xAB);
+        assert_eq!((&framed[1..13], &framed[13..]), (&expected[..], &expected[..]));
     }
 
     #[test]
@@ -258,7 +271,5 @@ mod tests {
     fn buffer_len_only_for_buffers() {
         assert_eq!(Payload::buffer(Bytes::from_static(b"abc")).buffer_len(), Some(3));
         assert_eq!(Payload::wrap(Blob(vec![])).buffer_len(), None);
-        // wire_len works for both forms.
-        assert_eq!(Payload::wrap(Blob(vec![1, 2])).wire_len(), 2);
     }
 }

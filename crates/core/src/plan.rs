@@ -319,13 +319,12 @@ impl ShardPlan {
         self.build_queries
     }
 
-    /// Plan-based preflight: same checks as
-    /// [`preflight`](crate::controller::preflight) — callback bindings and
-    /// external-input arity — but against the interned table, with zero
-    /// graph queries. Additionally gates on the structural lint computed
-    /// at build time and the registry-dependent BF004 pass: any
-    /// `Error`-level diagnostic rejects the run (unless the plan was
-    /// built [`lenient`](Self::lenient)).
+    /// Plan-based preflight: checks callback bindings and external-input
+    /// arity against the interned table, with zero graph queries.
+    /// Additionally gates on the structural lint computed at build time
+    /// and the registry-dependent BF004 pass: any `Error`-level
+    /// diagnostic rejects the run (unless the plan was built
+    /// [`lenient`](Self::lenient)).
     pub fn preflight(&self, registry: &Registry, initial: &InitialInputs) -> Result<()> {
         if self.enforce_lint && self.lint.has_errors() {
             return Err(ControllerError::LintRejected(self.lint.clone()));

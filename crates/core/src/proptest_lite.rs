@@ -2,12 +2,12 @@
 //!
 //! Part of the zero-dependency substrate: replaces the `proptest` crate
 //! for this workspace's 19 property-test files, keeping their source shape
-//! (the [`proptest!`] macro, `x in strategy` bindings, `prop_assert*!`,
+//! (the [`proptest!`](crate::proptest) macro, `x in strategy` bindings, `prop_assert*!`,
 //! `prop_assume!`) so tests read the same as upstream proptest.
 //!
 //! What it keeps from proptest: seeded generation via [`Strategy`] values
 //! (ranges, [`any`], [`Just`], tuples, [`collection::vec`],
-//! [`prop_oneof!`]), a per-test iteration budget ([`ProptestConfig`]),
+//! [`prop_oneof!`](crate::prop_oneof)), a per-test iteration budget ([`ProptestConfig`]),
 //! assumption-based rejection, and reproducible failures. What it drops:
 //! shrinking. Instead, every failure report carries the test's base seed;
 //! setting `PROPTEST_LITE_SEED` to that value replays the exact stream,
@@ -265,12 +265,14 @@ impl<S: Strategy> DynStrategy<S::Output> for S {
     }
 }
 
-/// Box a strategy for [`OneOf`]; used by the [`prop_oneof!`] expansion.
+/// Box a strategy for [`OneOf`]; used by the
+/// [`prop_oneof!`](crate::prop_oneof) expansion.
 pub fn boxed<S: Strategy + 'static>(s: S) -> Box<dyn DynStrategy<S::Output>> {
     Box::new(s)
 }
 
-/// Strategy picking uniformly among alternatives; see [`prop_oneof!`].
+/// Strategy picking uniformly among alternatives; see
+/// [`prop_oneof!`](crate::prop_oneof).
 pub struct OneOf<T> {
     options: Vec<Box<dyn DynStrategy<T>>>,
 }
@@ -375,7 +377,7 @@ pub mod collection {
     }
 
     /// Strategy generating a `Vec` of values drawn from an element
-    /// strategy; see [`vec`].
+    /// strategy; see [`vec()`].
     pub struct VecStrategy<S> {
         elem: S,
         size: SizeRange,

@@ -1,7 +1,6 @@
 //! Dense 3D scalar grids.
 
 use babelflow_core::{codec::DecodeError, Decoder, Encoder, PayloadData};
-use babelflow_core::Bytes;
 
 /// Integer 3D coordinates / extents.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -145,13 +144,12 @@ impl Grid3 {
 }
 
 impl PayloadData for Grid3 {
-    fn encode(&self) -> Bytes {
-        let mut e = Encoder::with_capacity(32 + self.data.len() * 4);
+    fn encode_into(&self, e: &mut Encoder) {
+        e.reserve(32 + self.data.len() * 4);
         e.put_usize(self.dims.x);
         e.put_usize(self.dims.y);
         e.put_usize(self.dims.z);
         e.put_f32_slice(&self.data);
-        e.finish()
     }
 
     fn decode(buf: &[u8]) -> Result<Self, DecodeError> {
@@ -160,6 +158,9 @@ impl PayloadData for Grid3 {
         let data = d.get_f32_vec()?;
         if data.len() != dims.volume() {
             return Err(DecodeError { what: "grid size mismatch" });
+        }
+        if !d.is_done() {
+            return Err(DecodeError { what: "trailing bytes after grid" });
         }
         Ok(Grid3 { dims, data })
     }

@@ -17,7 +17,6 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use babelflow_core::{codec::DecodeError, Decoder, Encoder, PayloadData};
-use babelflow_core::Bytes;
 
 use crate::grid::{Grid3, Idx3};
 
@@ -229,10 +228,8 @@ fn decode_node(d: &mut Decoder<'_>) -> Result<DataNode, DecodeError> {
 }
 
 impl PayloadData for DataNode {
-    fn encode(&self) -> Bytes {
-        let mut e = Encoder::new();
-        encode_node(self, &mut e);
-        e.finish()
+    fn encode_into(&self, e: &mut Encoder) {
+        encode_node(self, e);
     }
 
     fn decode(buf: &[u8]) -> Result<Self, DecodeError> {

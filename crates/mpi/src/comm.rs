@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use babelflow_core::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use babelflow_core::sync::Counter;
-use babelflow_core::{Bytes, BytesMut};
+use babelflow_core::Bytes;
 
 pub use babelflow_core::fault::FaultPlan;
 
@@ -40,20 +40,19 @@ pub const TAG_WAKE: u32 = u32::MAX - 2;
 /// Encode `parts` into one batch body: `u32 count`, then per part
 /// `u32 tag, u32 len, len bytes` (all little-endian).
 ///
-/// `stage` is a caller-owned staging buffer reused across calls so the hot
-/// send path performs no per-batch buffer allocation once the staging
-/// capacity has grown to the working-set size.
-pub fn pack_batch(parts: &[(u32, Bytes)], stage: &mut BytesMut) -> Bytes {
-    stage.clear();
-    let total = 4 + parts.iter().map(|(_, b)| 8 + b.len()).sum::<usize>();
-    stage.reserve(total);
-    stage.extend_from_slice(&(parts.len() as u32).to_le_bytes());
+/// The body is one fresh allocation of its exact size, which becomes the
+/// envelope's buffer: each part is copied once, into it.
+pub fn pack_batch<B: AsRef<[u8]>>(parts: &[(u32, B)]) -> Bytes {
+    let total = 4 + parts.iter().map(|(_, b)| 8 + b.as_ref().len()).sum::<usize>();
+    let mut buf = Vec::with_capacity(total);
+    buf.extend_from_slice(&(parts.len() as u32).to_le_bytes());
     for (tag, body) in parts {
-        stage.extend_from_slice(&tag.to_le_bytes());
-        stage.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        stage.extend_from_slice(body.as_ref());
+        let body = body.as_ref();
+        buf.extend_from_slice(&tag.to_le_bytes());
+        buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        buf.extend_from_slice(body);
     }
-    stage.freeze_reuse()
+    Bytes::from(buf)
 }
 
 /// Decode a [`pack_batch`] body back into its `(tag, body)` parts.
@@ -478,21 +477,28 @@ mod tests {
             (TAG_BATCH - 1, Bytes::new()),
             (0, Bytes::from(vec![1u8, 2, 3])),
         ];
-        let mut stage = BytesMut::new();
-        let packed = pack_batch(&parts, &mut stage);
-        assert!(stage.is_empty(), "stage is cleared for reuse");
+        let packed = pack_batch(&parts);
         let unpacked = unpack_batch(&packed).unwrap();
         assert_eq!(unpacked, parts);
-        // The staging buffer is reusable for the next batch.
-        let again = pack_batch(&parts[..1], &mut stage);
+        // Parts come back as windows of the one batch buffer.
+        let base = packed.as_ptr() as usize;
+        for (_, body) in &unpacked {
+            let at = body.as_ptr() as usize;
+            assert!(at >= base && at + body.len() <= base + packed.len());
+        }
+        let again = pack_batch(&parts[..1]);
         assert_eq!(unpack_batch(&again).unwrap(), &parts[..1]);
+        // Any byte-slice parts pack to the same bytes.
+        let arrays = [(7u32, *b"alpha"), (0, *b"omega")];
+        let as_bytes: Vec<(u32, Bytes)> =
+            arrays.iter().map(|&(t, b)| (t, Bytes::copy_from_slice(&b))).collect();
+        assert_eq!(pack_batch(&arrays), pack_batch(&as_bytes));
     }
 
     #[test]
     fn unpack_rejects_malformed_batches() {
         assert!(unpack_batch(&Bytes::from_static(b"ab")).is_none(), "short header");
-        let mut stage = BytesMut::new();
-        let packed = pack_batch(&[(1, Bytes::from_static(b"xyz"))], &mut stage);
+        let packed = pack_batch(&[(1, Bytes::from_static(b"xyz"))]);
         assert!(unpack_batch(&packed.slice(..packed.len() - 1)).is_none(), "truncated body");
         let mut trailing = packed.to_vec();
         trailing.push(0);
@@ -507,11 +513,8 @@ mod tests {
         let mut w = World::with_faults(2, faults);
         let a = w.endpoint(0);
         let b = w.endpoint(1);
-        let mut stage = BytesMut::new();
-        let packed = pack_batch(
-            &[(3, Bytes::from_static(b"one")), (3, Bytes::from_static(b"two"))],
-            &mut stage,
-        );
+        let packed =
+            pack_batch(&[(3, Bytes::from_static(b"one")), (3, Bytes::from_static(b"two"))]);
         a.isend(1, TAG_BATCH, packed);
         a.isend(1, 9, Bytes::from_static(b"after"));
         let e = b.recv_timeout(Duration::from_millis(200)).unwrap();

@@ -15,12 +15,12 @@
 //!   procedural graph (see `crate::plan` in `babelflow-core`);
 //! * per-rank control thread + a pool of worker threads executing ready
 //!   tasks in arrival order. The pool is a work-stealing
-//!   [`WorkPool`](babelflow_core::sync::WorkPool): an idle worker steals
+//!   [`WorkPool`]: an idle worker steals
 //!   queued tasks from a busy sibling's deque, so one slow callback cannot
 //!   strand the backlog behind it;
 //! * workers complete their own tasks: a worker serializes the task's
 //!   remote outputs, then takes the one rank lock (the rank's
-//!   [`RankState`], its `&mut` [`ReliableEndpoint`], the in-flight and
+//!   `RankState`, its `&mut` [`ReliableEndpoint`], the in-flight and
 //!   completed sets) to mark the task done, deliver same-rank outputs,
 //!   push the consumers that became ready to the pool and stage the
 //!   remote sends. The control thread only receives envelopes,
@@ -59,7 +59,7 @@ use babelflow_core::fault::MAX_TASK_RETRIES;
 use babelflow_core::sync::{Mutex, WorkPool};
 use babelflow_core::trace::{now_ns, SpanKind, TraceEvent, TraceSink};
 use babelflow_core::{
-    exec, Bytes, Controller, ControllerError, InitialInputs, Payload, PlanTask, Registry,
+    exec, BytesMut, Controller, ControllerError, InitialInputs, Payload, PlanTask, Registry,
     Result, RunReport, RunStats, ShardPlan, TaskId,
 };
 
@@ -215,7 +215,7 @@ impl Core<'_, '_> {
         &mut self,
         pt: &PlanTask,
         outs: Vec<Payload>,
-        remote: Vec<(usize, Bytes)>,
+        remote: Vec<(usize, BytesMut)>,
         worker: u32,
         pool: &WorkPool<WorkItem>,
         tracing: bool,

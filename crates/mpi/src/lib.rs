@@ -33,7 +33,7 @@ pub use comm::{
 };
 pub use controller::{MpiController, DEFAULT_TIMEOUT};
 pub use insitu::{InSituRank, InSituWorld};
-pub use reliable::{ReliableEndpoint, BASE_RTO, TAG_ACK};
+pub use reliable::{ReliableEndpoint, BASE_RTO, SEQ_ROOM, TAG_ACK};
 pub use wire::{DataflowMsg, TAG_DATAFLOW};
 
 #[cfg(test)]

@@ -1,20 +1,21 @@
 //! What the two MPI controllers share: one thread per rank over a
 //! reliable world, and one rank's dataflow state — its pending tasks'
 //! input buffers, its external outputs, message receipt and output
-//! routing (remote payloads serialized by [`encode_remote`] first). The
-//! controllers differ only in when a ready task runs.
+//! routing (remote payloads serialized by [`encode_remote`] first,
+//! straight into the frames the reliable layer sends). The controllers
+//! differ only in when a ready task runs.
 
 use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
 
 use babelflow_core::trace::{now_ns, SpanKind, TraceEvent, TraceSink, CONTROL_THREAD};
 use babelflow_core::{
-    Bytes, ControllerError, InitialInputs, Payload, PlanBuffer, PlanTask, Result, RunReport,
+    BytesMut, ControllerError, InitialInputs, Payload, PlanBuffer, PlanTask, Result, RunReport,
     RunStats, ShardId, ShardPlan, TaskId,
 };
 
 use crate::comm::{FaultPlan, RankComm, World};
-use crate::reliable::ReliableEndpoint;
+use crate::reliable::{ReliableEndpoint, SEQ_ROOM};
 use crate::wire::{DataflowMsg, TAG_DATAFLOW};
 
 /// What one rank produced.
@@ -93,15 +94,17 @@ fn rank_outcome(rank: usize, joined: std::thread::Result<RankOutcome>) -> RankOu
 }
 
 /// Serialize the outputs of `pt` that leave its rank, in route order, as
-/// `(destination rank, body)` pairs for [`RankState::route`] to send.
-/// This needs none of the rank's state, so a worker runs it before it
-/// takes the rank's lock. Each encoding is one `MsgSend` span on `row`.
+/// `(destination rank, frame)` pairs for [`RankState::route`] to send.
+/// Each payload is encoded once, into its frame (see
+/// [`DataflowMsg::encode_frame`]). This needs none of the rank's state,
+/// so a worker runs it before it takes the rank's lock. Each encoding is
+/// one `MsgSend` span on `row`, sized without the sequence room.
 pub(crate) fn encode_remote(
     pt: &PlanTask,
     outs: &[Payload],
     row: (u32, u32),
     sink: &dyn TraceSink,
-) -> Vec<(usize, Bytes)> {
+) -> Vec<(usize, BytesMut)> {
     let tracing = sink.enabled();
     let mut bodies = Vec::new();
     for (slot, payload) in outs.iter().enumerate() {
@@ -110,15 +113,15 @@ pub(crate) fn encode_remote(
                 continue;
             }
             let start = if tracing { now_ns() } else { 0 };
-            let body = DataflowMsg::from_payload(route.dst, pt.id(), payload).encode();
+            let frame = DataflowMsg::encode_frame(route.dst, pt.id(), payload);
             if tracing {
                 sink.record(
                     TraceEvent::span(SpanKind::MsgSend, start, now_ns(), row.0, row.1)
                         .with_task(pt.id(), pt.callback())
-                        .with_message(route.dst, body.len() as u64),
+                        .with_message(route.dst, (frame.len() - SEQ_ROOM) as u64),
                 );
             }
-            bodies.push((route.shard.0 as usize, body));
+            bodies.push((route.shard.0 as usize, frame));
         }
     }
     bodies
@@ -231,7 +234,7 @@ impl<'a> RankState<'a> {
         rel: &mut ReliableEndpoint,
         pt: &PlanTask,
         outs: Vec<Payload>,
-        remote: Vec<(usize, Bytes)>,
+        remote: Vec<(usize, BytesMut)>,
         thread: u32,
         stats: &mut RunStats,
         ready: &mut Vec<TaskId>,
@@ -271,10 +274,10 @@ impl<'a> RankState<'a> {
                 }
             }
         }
-        for (dst_rank, body) in remote {
+        for (dst_rank, frame) in remote {
             stats.remote_messages += 1;
-            stats.remote_bytes += body.len() as u64;
-            rel.send(dst_rank, TAG_DATAFLOW, body);
+            stats.remote_bytes += (frame.len() - SEQ_ROOM) as u64;
+            rel.send(dst_rank, TAG_DATAFLOW, frame);
         }
         // One envelope per destination for this task's whole fan-out.
         rel.flush_sends();

@@ -9,8 +9,11 @@
 //! *drop, duplicate and reorder all converge to exactly-once, in-order
 //! delivery*:
 //!
-//! * every data message is framed with a per-destination logical sequence
-//!   number and retained until the receiver acknowledges it;
+//! * every data message carries a per-destination logical sequence
+//!   number, written in place into the [`SEQ_ROOM`] bytes its sender
+//!   reserved at the front of the message's buffer, and that buffer is
+//!   retained (not copied) until the receiver acknowledges it; the
+//!   receiver strips the number with an O(1) slice;
 //! * sends are *staged* per destination and coalesced into one
 //!   [`TAG_BATCH`] envelope per [`flush_sends`] (or when the
 //!   [`batch_limit`](ReliableEndpoint::with_batch_limit) is reached), so a
@@ -62,6 +65,10 @@ use babelflow_core::channel::Receiver;
 use babelflow_core::{Bytes, BytesMut, RecoveryStats};
 
 use crate::comm::{pack_batch, unpack_batch, Envelope, RankComm, TAG_BATCH, TAG_WAKE};
+
+/// Bytes at the front of every frame handed to
+/// [`ReliableEndpoint::send`], reserved for its sequence number.
+pub const SEQ_ROOM: usize = 8;
 
 /// Tag reserved for acknowledgements (controllers use small tags; the
 /// dataflow tag is 0).
@@ -132,9 +139,6 @@ pub struct ReliableEndpoint {
     reorder_window: u64,
     /// In-order messages ready for the application: (src, tag, body).
     ready: VecDeque<(usize, u32, Bytes)>,
-    /// Reusable staging buffer for batch encoding (capacity persists
-    /// across batches; see [`BytesMut::freeze_reuse`]).
-    stage: BytesMut,
     /// Protocol counters, merged into the run's `RunStats`.
     pub stats: RecoveryStats,
     /// Channel operations issued by this endpoint (data, acks, batches,
@@ -147,24 +151,11 @@ pub struct ReliableEndpoint {
     pub rto_scanned: u64,
 }
 
-fn frame(seq: u64, body: &Bytes) -> Bytes {
-    let mut v = Vec::with_capacity(8 + body.len());
-    v.extend_from_slice(&seq.to_le_bytes());
-    v.extend_from_slice(body.as_ref());
-    Bytes::from(v)
-}
-
+/// Split a frame (or an ack body) into its sequence number and the
+/// message after it, an O(1) slice.
 fn unframe(body: &Bytes) -> Option<(u64, Bytes)> {
-    let b = body.as_ref();
-    if b.len() < 8 {
-        return None;
-    }
-    let seq = u64::from_le_bytes(b[..8].try_into().expect("8 bytes"));
-    Some((seq, body.slice(8..)))
-}
-
-fn ack_body(seq: u64) -> Bytes {
-    Bytes::from(seq.to_le_bytes().to_vec())
+    let seq = u64::from_le_bytes(body.get(..SEQ_ROOM)?.try_into().expect("8 bytes"));
+    Some((seq, body.slice(SEQ_ROOM..)))
 }
 
 impl ReliableEndpoint {
@@ -183,7 +174,6 @@ impl ReliableEndpoint {
             reorder: (0..n).map(|_| BTreeMap::new()).collect(),
             reorder_window: DEFAULT_REORDER_WINDOW,
             ready: VecDeque::new(),
-            stage: BytesMut::new(),
             stats: RecoveryStats::default(),
             envelopes_sent: 0,
             batches_sent: 0,
@@ -227,16 +217,21 @@ impl ReliableEndpoint {
         self.ep.wake();
     }
 
-    /// Send `body` to `dst` reliably: frame it with the next sequence
-    /// number, retain it for retransmission, and stage it. Nothing hits
-    /// the wire until [`flush_sends`](Self::flush_sends) (called by
-    /// [`tick`](Self::tick) and [`flush`](Self::flush)) or the batch
-    /// limit forces a flush of this destination.
-    pub fn send(&mut self, dst: usize, tag: u32, body: Bytes) {
+    /// Send `frame` to `dst` reliably: write the next sequence number
+    /// into its first [`SEQ_ROOM`] bytes, retain it (frozen in place, not
+    /// copied) for retransmission, and stage it. The receiver gets the
+    /// bytes after the room. Nothing hits the wire until
+    /// [`flush_sends`](Self::flush_sends) (called by [`tick`](Self::tick)
+    /// and [`flush`](Self::flush)) or the batch limit forces a flush of
+    /// this destination.
+    ///
+    /// # Panics
+    /// If `frame` is shorter than [`SEQ_ROOM`].
+    pub fn send(&mut self, dst: usize, tag: u32, mut frame: BytesMut) {
         let seq = self.next_seq[dst];
         self.next_seq[dst] += 1;
-        let framed = frame(seq, &body);
-        self.unacked.insert((dst, seq), Pending { tag, framed, attempts: 0 });
+        frame[..SEQ_ROOM].copy_from_slice(&seq.to_le_bytes());
+        self.unacked.insert((dst, seq), Pending { tag, framed: frame.freeze(), attempts: 0 });
         self.outbox[dst].push((seq, tag));
         if self.outbox[dst].len() >= self.batch_limit {
             self.flush_dst(dst);
@@ -270,17 +265,18 @@ impl ReliableEndpoint {
     }
 
     /// Issue one channel operation carrying `parts` to `dst`: a plain
-    /// envelope for a single part, a [`TAG_BATCH`] envelope otherwise.
-    fn transmit(&mut self, dst: usize, mut parts: Vec<(u32, Bytes)>) {
+    /// envelope for a single part (a retained frame goes as is), a
+    /// [`TAG_BATCH`] envelope otherwise.
+    fn transmit<B: AsRef<[u8]> + Into<Bytes>>(&mut self, dst: usize, mut parts: Vec<(u32, B)>) {
         match parts.len() {
             0 => {}
             1 => {
-                let (tag, framed) = parts.pop().expect("one part");
-                self.ep.isend(dst, tag, framed);
+                let (tag, body) = parts.pop().expect("one part");
+                self.ep.isend(dst, tag, body.into());
                 self.envelopes_sent += 1;
             }
             _ => {
-                let packed = pack_batch(&parts, &mut self.stage);
+                let packed = pack_batch(&parts);
                 self.ep.isend(dst, TAG_BATCH, packed);
                 self.envelopes_sent += 1;
                 self.batches_sent += 1;
@@ -359,8 +355,8 @@ impl ReliableEndpoint {
         if self.ack_stage[src].is_empty() {
             return;
         }
-        let seqs = std::mem::take(&mut self.ack_stage[src]);
-        let parts: Vec<(u32, Bytes)> = seqs.iter().map(|&s| (TAG_ACK, ack_body(s))).collect();
+        let parts: Vec<(u32, [u8; 8])> =
+            self.ack_stage[src].drain(..).map(|s| (TAG_ACK, s.to_le_bytes())).collect();
         self.transmit(src, parts);
     }
 
@@ -476,6 +472,69 @@ impl ReliableEndpoint {
 mod tests {
     use super::*;
     use crate::comm::{FaultPlan, World};
+    use crate::wire::{DataflowMsg, TAG_DATAFLOW};
+    use babelflow_core::{Blob, Payload, TaskId};
+
+    /// A frame carrying `data`, with room for the sequence number.
+    fn with_room(data: &[u8]) -> BytesMut {
+        let mut f = BytesMut::from(vec![0; SEQ_ROOM]);
+        f.extend_from_slice(data);
+        f
+    }
+
+    /// Whether `inner`'s bytes lie inside `outer`'s.
+    fn within(inner: &[u8], outer: (*const u8, usize)) -> bool {
+        let (base, at) = (outer.0 as usize, inner.as_ptr() as usize);
+        at >= base && at + inner.len() <= base + outer.1
+    }
+
+    #[test]
+    fn a_remote_payload_is_read_in_the_buffer_it_was_serialized_into() {
+        let mut w = World::new(2);
+        let mut eps: Vec<ReliableEndpoint> =
+            w.endpoints().into_iter().map(ReliableEndpoint::new).collect();
+        let mut b = eps.pop().unwrap();
+        let mut a = eps.pop().unwrap();
+        let payload = Payload::wrap(Blob((0..=255).collect()));
+        let sent = DataflowMsg::encode_frame(TaskId(3), TaskId(4), &payload);
+        let allocation = (sent.as_ptr(), sent.len());
+        a.send(1, TAG_DATAFLOW, sent);
+        a.flush_sends();
+        b.handle(b.ep.try_recv().expect("one envelope"));
+        let (_, tag, body) = b.pop_ready().expect("delivered");
+        let msg = DataflowMsg::decode(&body).expect("well formed");
+        assert_eq!((tag, msg.dst_task, msg.src_task), (TAG_DATAFLOW, TaskId(3), TaskId(4)));
+        assert_eq!(msg.payload, payload.to_buffer());
+        assert!(within(&msg.payload, allocation), "the payload was copied on its way");
+    }
+
+    #[test]
+    fn a_batch_copies_each_part_once() {
+        let mut w = World::new(2);
+        let mut eps: Vec<ReliableEndpoint> =
+            w.endpoints().into_iter().map(ReliableEndpoint::new).collect();
+        let mut b = eps.pop().unwrap();
+        let mut a = eps.pop().unwrap();
+        let parts: Vec<Vec<u8>> = (1..=3u8).map(|i| vec![i; 100 * i as usize]).collect();
+        for p in &parts {
+            a.send(1, 7, with_room(p));
+        }
+        a.flush_sends();
+        let env = b.ep.try_recv().expect("one envelope");
+        assert_eq!(env.tag, TAG_BATCH);
+        // The batch is exactly its header plus one copy of each frame.
+        let framed: usize = parts.iter().map(|p| SEQ_ROOM + p.len()).sum();
+        assert_eq!(env.body.len(), 4 + 8 * parts.len() + framed);
+        let batch = (env.body.as_ptr(), env.body.len());
+        b.handle(env);
+        for p in &parts {
+            let (_, _, body) = b.pop_ready().expect("delivered");
+            assert_eq!(body.as_ref(), p.as_slice());
+            assert!(within(&body, batch), "a part was copied out of the batch");
+        }
+        // The sender still holds its own frames for retransmission.
+        assert_eq!(a.unacked.len(), parts.len());
+    }
 
     fn exchange(faults: FaultPlan, messages: u64) -> (RecoveryStats, RecoveryStats) {
         let mut w = World::with_faults(2, faults);
@@ -493,7 +552,7 @@ mod tests {
             let ha = s.spawn(move || {
                 let mut a = a;
                 for i in 0..messages {
-                    a.send(1, 7, Bytes::from(i.to_le_bytes().to_vec()));
+                    a.send(1, 7, with_room(&i.to_le_bytes()));
                 }
                 assert!(a.flush(Duration::from_secs(5)), "rank 0 flush timed out");
                 a.stats
@@ -588,7 +647,7 @@ mod tests {
         let mut b = eps.pop().unwrap();
         let mut a = eps.pop().unwrap();
         for i in 0..5u8 {
-            a.send(1, 7, Bytes::from(vec![i]));
+            a.send(1, 7, with_room(&[i]));
         }
         assert_eq!(w.delivered(), 0, "staged sends are not yet on the wire");
         a.flush_sends();
@@ -614,11 +673,11 @@ mod tests {
         let mut eps = w.endpoints();
         let _b = eps.pop().unwrap();
         let mut a = ReliableEndpoint::new(eps.pop().unwrap()).with_batch_limit(2);
-        a.send(1, 7, Bytes::from_static(b"x"));
+        a.send(1, 7, with_room(b"x"));
         assert_eq!(w.delivered(), 0);
-        a.send(1, 7, Bytes::from_static(b"y"));
+        a.send(1, 7, with_room(b"y"));
         assert_eq!(w.delivered(), 1, "hitting the limit flushes the pair");
-        a.send(1, 7, Bytes::from_static(b"z"));
+        a.send(1, 7, with_room(b"z"));
         a.flush_sends();
         assert_eq!(w.delivered(), 2, "single leftover goes out unbatched");
         assert_eq!((a.envelopes_sent, a.batches_sent), (2, 1));
@@ -630,10 +689,10 @@ mod tests {
         let mut eps = w.endpoints();
         let mut b = ReliableEndpoint::new(eps.pop().unwrap()).with_reorder_window(2);
         let _a = eps.pop().unwrap();
-        let part = |seq: u64| Envelope {
-            src: 0,
-            tag: 7,
-            body: frame(seq, &Bytes::from_static(b"p")),
+        let part = |seq: u64| {
+            let mut body = with_room(b"p");
+            body[..SEQ_ROOM].copy_from_slice(&seq.to_le_bytes());
+            Envelope { src: 0, tag: 7, body: body.freeze() }
         };
         // seq 3 is >= expected(0) + window(2): dropped, no ack, no state.
         b.handle(part(3));
@@ -671,7 +730,7 @@ mod tests {
         let mut b = eps.pop().unwrap();
         let mut a = eps.pop().unwrap();
         for i in 0..500u64 {
-            a.send(1, 7, Bytes::from(i.to_le_bytes().to_vec()));
+            a.send(1, 7, with_room(&i.to_le_bytes()));
         }
         a.flush_sends();
         assert!(drain(&mut b) > 0);
@@ -691,7 +750,7 @@ mod tests {
         // deadline can be due when the tick scans.
         let mut a = ReliableEndpoint::new(eps.pop().unwrap()).with_batch_limit(usize::MAX);
         for i in 0..1000u64 {
-            a.send(1, 7, Bytes::from(i.to_le_bytes().to_vec()));
+            a.send(1, 7, with_room(&i.to_le_bytes()));
         }
         a.tick();
         assert_eq!(a.rto_scanned, 1, "1000 outstanding, none due: one peek");
@@ -713,7 +772,7 @@ mod tests {
         let mut a = eps.pop().unwrap();
         let sent = 10u64;
         for i in 0..sent {
-            a.send(1, 7, Bytes::from(i.to_le_bytes().to_vec()));
+            a.send(1, 7, with_room(&i.to_le_bytes()));
         }
         assert_eq!(drain(&mut b), sent as usize - 1);
         assert_eq!(drain(&mut a), sent as usize - 1, "one ack envelope per arrival");
@@ -778,7 +837,7 @@ mod tests {
                             // Send in bursts of three so batches form.
                             for _ in 0..3 {
                                 if sent < messages {
-                                    ep.send(peer, 7, Bytes::from(sent.to_le_bytes().to_vec()));
+                                    ep.send(peer, 7, with_room(&sent.to_le_bytes()));
                                     sent += 1;
                                 }
                             }

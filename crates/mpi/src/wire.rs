@@ -1,12 +1,20 @@
-//! Wire format of dataflow messages between ranks.
+//! Wire format of dataflow messages between ranks: `u64` destination
+//! task, `u64` source task, `u64` payload length, then the payload, all
+//! little-endian. On the remote path a message is serialized once, into
+//! the frame the reliable layer sends and retains, and read in place on
+//! receipt.
 
-use babelflow_core::{Decoder, Encoder, Payload, TaskId};
-use babelflow_core::Bytes;
+use babelflow_core::{Bytes, BytesMut, Decoder, Encoder, Payload, TaskId};
+
+use crate::reliable::SEQ_ROOM;
 
 /// Tag used for dataflow payload messages.
 pub const TAG_DATAFLOW: u32 = 0;
 
-/// A serialized dataflow message: which task it is for, which task sent
+/// Bytes of a dataflow message before its payload.
+pub const HEADER_LEN: usize = 24;
+
+/// A received dataflow message: which task it is for, which task sent
 /// it, and the payload bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataflowMsg {
@@ -19,59 +27,80 @@ pub struct DataflowMsg {
 }
 
 impl DataflowMsg {
-    /// Encode for transport.
-    pub fn encode(&self) -> Bytes {
-        let mut e = Encoder::with_capacity(24 + self.payload.len());
-        e.put_u64(self.dst_task.0);
-        e.put_u64(self.src_task.0);
-        e.put_bytes(&self.payload);
-        e.finish()
+    /// Serialize the message `src_task` sends `dst_task` into a new frame
+    /// for [`ReliableEndpoint::send`](crate::ReliableEndpoint::send):
+    /// [`SEQ_ROOM`] bytes left for the sequence number, the header, then
+    /// `payload`, encoded in place ("each rank … skips the serialization"
+    /// only for local messages — this is the remote path). This is the
+    /// one copy of the payload's bytes between sender and receiver.
+    pub fn encode_frame(dst_task: TaskId, src_task: TaskId, payload: &Payload) -> BytesMut {
+        // Room for a small payload; a large one reserves its own size.
+        let mut e = Encoder::with_capacity(SEQ_ROOM + HEADER_LEN + 64);
+        e.put_u64(0);
+        e.put_u64(dst_task.0);
+        e.put_u64(src_task.0);
+        e.put_len_prefixed(|e| payload.encode_into(e));
+        e.into_inner()
     }
 
-    /// Decode from transport; `None` on malformed input.
-    pub fn decode(buf: &[u8]) -> Option<Self> {
+    /// Decode a message body (a frame without its sequence number);
+    /// `None` on malformed input. The payload is an O(1) slice of `buf`.
+    pub fn decode(buf: &Bytes) -> Option<Self> {
         let mut d = Decoder::new(buf);
         let dst_task = TaskId(d.get_u64().ok()?);
         let src_task = TaskId(d.get_u64().ok()?);
-        let payload = Bytes::copy_from_slice(d.get_bytes().ok()?);
-        d.is_done().then_some(DataflowMsg { dst_task, src_task, payload })
-    }
-
-    /// Build from a payload, serializing it ("each rank … skips the
-    /// serialization" only for local messages — this is the remote path).
-    pub fn from_payload(dst_task: TaskId, src_task: TaskId, payload: &Payload) -> Self {
-        DataflowMsg { dst_task, src_task, payload: payload.to_buffer() }
+        let len = d.get_bytes().ok()?.len();
+        d.is_done().then(|| DataflowMsg {
+            dst_task,
+            src_task,
+            payload: buf.slice(HEADER_LEN..HEADER_LEN + len),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use babelflow_core::{Blob, PayloadData};
+    use babelflow_core::Blob;
+
+    /// The message body of a frame: what the receiver reads once the
+    /// sequence number is stripped.
+    fn body(dst: u64, src: u64, payload: &Payload) -> Bytes {
+        DataflowMsg::encode_frame(TaskId(dst), TaskId(src), payload).freeze().slice(SEQ_ROOM..)
+    }
 
     #[test]
     fn roundtrip() {
-        let m = DataflowMsg {
-            dst_task: TaskId(5),
-            src_task: TaskId(9),
-            payload: Blob(vec![1, 2, 3]).encode(),
-        };
-        let back = DataflowMsg::decode(&m.encode()).unwrap();
-        assert_eq!(back, m);
+        let payload = Payload::wrap(Blob(vec![1, 2, 3]));
+        let back = DataflowMsg::decode(&body(5, 9, &payload)).unwrap();
+        let sent = DataflowMsg { dst_task: TaskId(5), src_task: TaskId(9), payload: payload.to_buffer() };
+        assert_eq!(back, sent);
+    }
+
+    #[test]
+    fn layout_is_header_then_payload() {
+        let encoded = body(5, 9, &Payload::wrap(Blob(vec![1, 2, 3])));
+        let mut e = Encoder::new();
+        e.put_u64(5);
+        e.put_u64(9);
+        e.put_bytes(&[1, 2, 3]);
+        assert_eq!(encoded, e.finish());
+        // A payload already in buffer form encodes to the same bytes.
+        let buffered = Payload::buffer(Bytes::from_static(&[1, 2, 3]));
+        assert_eq!(body(5, 9, &buffered), encoded);
     }
 
     #[test]
     fn trailing_garbage_rejected() {
-        let m = DataflowMsg { dst_task: TaskId(0), src_task: TaskId(1), payload: Bytes::new() };
-        let mut bytes = m.encode().to_vec();
+        let mut bytes = body(0, 1, &Payload::buffer(Bytes::new())).to_vec();
         bytes.push(0xFF);
-        assert!(DataflowMsg::decode(&bytes).is_none());
+        assert!(DataflowMsg::decode(&Bytes::from(bytes)).is_none());
     }
 
     #[test]
     fn truncated_rejected() {
-        let m = DataflowMsg { dst_task: TaskId(0), src_task: TaskId(1), payload: Bytes::from_static(b"abc") };
-        let bytes = m.encode();
-        assert!(DataflowMsg::decode(&bytes[..bytes.len() - 1]).is_none());
+        let bytes = body(0, 1, &Payload::buffer(Bytes::from_static(b"abc")));
+        assert!(DataflowMsg::decode(&bytes.slice(..bytes.len() - 1)).is_none());
+        assert!(DataflowMsg::decode(&bytes.slice(..HEADER_LEN - 1)).is_none());
     }
 }

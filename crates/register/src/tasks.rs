@@ -19,7 +19,6 @@ use babelflow_graphs::{
     neighbor::{CORR_CB, EVAL_CB, READ_CB, SOLVE_CB},
     NeighborGraph, NeighborRole,
 };
-use babelflow_core::Bytes;
 
 use crate::correlate::{search_offset, Estimate, Offset};
 
@@ -31,8 +30,8 @@ pub struct TileSlab {
 }
 
 impl PayloadData for TileSlab {
-    fn encode(&self) -> Bytes {
-        self.grid.encode()
+    fn encode_into(&self, e: &mut Encoder) {
+        self.grid.encode_into(e);
     }
 
     fn decode(buf: &[u8]) -> Result<Self, DecodeError> {
@@ -50,13 +49,11 @@ pub struct OverlapPatch {
 }
 
 impl PayloadData for OverlapPatch {
-    fn encode(&self) -> Bytes {
-        let mut e = Encoder::new();
+    fn encode_into(&self, e: &mut Encoder) {
         e.put_i64(self.origin.0);
         e.put_i64(self.origin.1);
         e.put_i64(self.origin.2);
-        e.put_bytes(&self.grid.encode());
-        e.finish()
+        e.put_len_prefixed(|e| self.grid.encode_into(e));
     }
 
     fn decode(buf: &[u8]) -> Result<Self, DecodeError> {
@@ -77,13 +74,11 @@ pub struct EdgeEstimate {
 }
 
 impl PayloadData for EdgeEstimate {
-    fn encode(&self) -> Bytes {
-        let mut e = Encoder::with_capacity(28);
+    fn encode_into(&self, e: &mut Encoder) {
         e.put_i64(self.offset.0);
         e.put_i64(self.offset.1);
         e.put_i64(self.offset.2);
         e.put_f32(self.score);
-        e.finish()
     }
 
     fn decode(buf: &[u8]) -> Result<Self, DecodeError> {
@@ -104,8 +99,8 @@ pub struct Positions {
 }
 
 impl PayloadData for Positions {
-    fn encode(&self) -> Bytes {
-        let mut e = Encoder::new();
+    fn encode_into(&self, e: &mut Encoder) {
+        e.reserve(8 + self.list.len() * 32);
         e.put_usize(self.list.len());
         for &(v, (x, y, z)) in &self.list {
             e.put_u64(v);
@@ -113,7 +108,6 @@ impl PayloadData for Positions {
             e.put_i64(y);
             e.put_i64(z);
         }
-        e.finish()
     }
 
     fn decode(buf: &[u8]) -> Result<Self, DecodeError> {

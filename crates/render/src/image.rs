@@ -8,7 +8,6 @@
 //! a single representative depth per fragment orders them correctly.
 
 use babelflow_core::{codec::DecodeError, Decoder, Encoder, PayloadData};
-use babelflow_core::Bytes;
 
 /// A rectangle of the final image: premultiplied RGBA + depth.
 #[derive(Clone, Debug, PartialEq)]
@@ -168,8 +167,8 @@ impl ImageFragment {
 }
 
 impl PayloadData for ImageFragment {
-    fn encode(&self) -> Bytes {
-        let mut e = Encoder::with_capacity(40 + self.rgba.len() * 16);
+    fn encode_into(&self, e: &mut Encoder) {
+        e.reserve(36 + self.rgba.len() * 16);
         e.put_u32(self.full.0);
         e.put_u32(self.full.1);
         e.put_u32(self.rect.0);
@@ -178,12 +177,7 @@ impl PayloadData for ImageFragment {
         e.put_u32(self.rect.3);
         e.put_f32(self.depth);
         e.put_usize(self.rgba.len());
-        for p in &self.rgba {
-            for &c in p {
-                e.put_f32(c);
-            }
-        }
-        e.finish()
+        e.put_f32s(self.rgba.as_flattened());
     }
 
     fn decode(buf: &[u8]) -> Result<Self, DecodeError> {
@@ -195,10 +189,11 @@ impl PayloadData for ImageFragment {
         if n != (rect.2 as usize) * (rect.3 as usize) {
             return Err(DecodeError { what: "fragment size mismatch" });
         }
-        let mut rgba = Vec::with_capacity(n);
-        for _ in 0..n {
-            rgba.push([d.get_f32()?, d.get_f32()?, d.get_f32()?, d.get_f32()?]);
+        if n.checked_mul(16) != Some(d.remaining()) {
+            return Err(DecodeError { what: "fragment pixel bytes" });
         }
+        let mut rgba = vec![[0.0; 4]; n];
+        d.get_f32s_into(rgba.as_flattened_mut())?;
         Ok(ImageFragment { full, rect, rgba, depth })
     }
 }

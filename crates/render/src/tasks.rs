@@ -14,7 +14,6 @@ use babelflow_core::{
 };
 use babelflow_data::{BlockDecomp, Grid3, Idx3};
 use babelflow_graphs::{binary_swap, reduction, BinarySwap, Reduction};
-use babelflow_core::Bytes;
 
 use crate::image::{binary_swap_region, ImageFragment};
 use crate::raycast::{render_block, RenderParams};
@@ -29,13 +28,11 @@ pub struct SlabData {
 }
 
 impl PayloadData for SlabData {
-    fn encode(&self) -> Bytes {
-        let mut e = Encoder::new();
+    fn encode_into(&self, e: &mut Encoder) {
         e.put_usize(self.origin.0);
         e.put_usize(self.origin.1);
         e.put_usize(self.origin.2);
-        e.put_bytes(&self.grid.encode());
-        e.finish()
+        e.put_len_prefixed(|e| self.grid.encode_into(e));
     }
 
     fn decode(buf: &[u8]) -> Result<Self, DecodeError> {

@@ -15,7 +15,6 @@
 use std::collections::HashMap;
 
 use babelflow_core::{codec::DecodeError, Decoder, Encoder, PayloadData};
-use babelflow_core::Bytes;
 
 use crate::unionfind::UnionFind;
 
@@ -305,38 +304,30 @@ impl MergeTree {
 }
 
 impl PayloadData for MergeTree {
-    fn encode(&self) -> Bytes {
-        let mut e = Encoder::with_capacity(16 + self.len() * 17);
+    fn encode_into(&self, e: &mut Encoder) {
+        e.reserve(32 + self.len() * 17);
         e.put_u64_slice(&self.verts);
         e.put_f32_slice(&self.values);
-        e.put_usize(self.parent.len());
-        for &p in &self.parent {
-            e.put_u32(p);
-        }
+        e.put_u32_slice(&self.parent);
         e.put_usize(self.flags.len());
         for &f in &self.flags {
             e.put_bool(f);
         }
-        e.finish()
     }
 
     fn decode(buf: &[u8]) -> Result<Self, DecodeError> {
         let mut d = Decoder::new(buf);
         let verts = d.get_u64_vec()?;
         let values = d.get_f32_vec()?;
-        let np = d.get_usize()?;
-        let mut parent = Vec::with_capacity(np);
-        for _ in 0..np {
-            parent.push(d.get_u32()?);
-        }
-        let nf = d.get_usize()?;
-        let mut flags = Vec::with_capacity(nf);
-        for _ in 0..nf {
-            flags.push(d.get_bool()?);
-        }
+        let parent = d.get_u32_vec()?;
+        // One byte per flag, as `put_bool` wrote them.
+        let flags: Vec<bool> = d.get_bytes()?.iter().map(|&b| b != 0).collect();
         if verts.len() != values.len() || verts.len() != parent.len() || verts.len() != flags.len()
         {
             return Err(DecodeError { what: "merge tree length mismatch" });
+        }
+        if !d.is_done() {
+            return Err(DecodeError { what: "trailing bytes after merge tree" });
         }
         Ok(MergeTree { verts, values, parent, flags })
     }

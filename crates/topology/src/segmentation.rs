@@ -12,7 +12,6 @@
 use std::collections::HashMap;
 
 use babelflow_core::{codec::DecodeError, Decoder, Encoder, PayloadData};
-use babelflow_core::Bytes;
 
 use crate::mergetree::{MergeTree, NO_PARENT};
 
@@ -24,14 +23,13 @@ pub struct Segmentation {
 }
 
 impl PayloadData for Segmentation {
-    fn encode(&self) -> Bytes {
-        let mut e = Encoder::with_capacity(16 + self.labels.len() * 16);
+    fn encode_into(&self, e: &mut Encoder) {
+        e.reserve(8 + self.labels.len() * 16);
         e.put_usize(self.labels.len());
         for &(v, l) in &self.labels {
             e.put_u64(v);
             e.put_u64(l);
         }
-        e.finish()
     }
 
     fn decode(buf: &[u8]) -> Result<Self, DecodeError> {

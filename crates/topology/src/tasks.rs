@@ -26,7 +26,6 @@ use babelflow_graphs::{
     kway_merge::{CORRECTION_CB, JOIN_CB, LOCAL_CB, RELAY_CB, SEG_CB},
     KWayMerge, MergeRole,
 };
-use babelflow_core::Bytes;
 
 use crate::mergetree::MergeTree;
 use crate::segmentation::{segment_tree, Segmentation};
@@ -44,8 +43,7 @@ pub struct BlockData {
 }
 
 impl PayloadData for BlockData {
-    fn encode(&self) -> Bytes {
-        let mut e = Encoder::new();
+    fn encode_into(&self, e: &mut Encoder) {
         for v in [
             self.origin.x,
             self.origin.y,
@@ -56,8 +54,7 @@ impl PayloadData for BlockData {
         ] {
             e.put_usize(v);
         }
-        e.put_bytes(&self.grid.encode());
-        e.finish()
+        e.put_len_prefixed(|e| self.grid.encode_into(e));
     }
 
     fn decode(buf: &[u8]) -> Result<Self, DecodeError> {

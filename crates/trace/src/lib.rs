@@ -15,7 +15,7 @@
 //! * [`analysis`] — summaries (latency histograms, rank utilization),
 //!   the exactly-once and well-nestedness invariant checks, and observed
 //!   critical-path extraction;
-//! * [`replay`] — predicted-vs-observed comparison against the
+//! * [`mod@replay`] — predicted-vs-observed comparison against the
 //!   discrete-event simulator in `babelflow-sim`.
 //!
 //! ```

@@ -22,7 +22,6 @@ use babelflow::core::{
 use babelflow::graphs::{reduction, Reduction};
 use babelflow::mpi::MpiController;
 use babelflow::trace::{check_coverage, parse_json, to_chrome_json, TraceRecorder, TraceSummary};
-use babelflow_core::Bytes;
 
 /// Min/max/sum statistics — the object exchanged between tasks. Step 2 of
 /// the paper's workflow: provide its serialization.
@@ -58,13 +57,11 @@ impl Stats {
 }
 
 impl PayloadData for Stats {
-    fn encode(&self) -> Bytes {
-        let mut e = Encoder::new();
+    fn encode_into(&self, e: &mut Encoder) {
         e.put_f32(self.min);
         e.put_f32(self.max);
         e.put_f64(self.sum);
         e.put_u64(self.count);
-        e.finish()
     }
 
     fn decode(buf: &[u8]) -> Result<Self, DecodeError> {
@@ -77,10 +74,8 @@ impl PayloadData for Stats {
 struct BlockData(Vec<f32>);
 
 impl PayloadData for BlockData {
-    fn encode(&self) -> Bytes {
-        let mut e = Encoder::new();
+    fn encode_into(&self, e: &mut Encoder) {
         e.put_f32_slice(&self.0);
-        e.finish()
     }
 
     fn decode(buf: &[u8]) -> Result<Self, DecodeError> {

@@ -14,6 +14,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # Every crate's tests, not just the root package's: the verifier mutation
 # suite, the property tests and the transport FIFO tests live in members.
 cargo test -q --offline --workspace
+# No other step compiles the bench targets (crates/bench/benches); build
+# them (without running) so a kernel API change cannot leave them broken.
+cargo bench --no-run --offline --workspace
 
 # The benchmark package (its own workspace): its unit tests, then a short
 # run of every workload, which exits nonzero on any wrong answer or on a

@@ -15,7 +15,7 @@ pub mod tasks;
 
 pub use icet::{icet_binary_swap, icet_reduce};
 pub use image::{binary_swap_region, split_rows, ImageFragment};
-pub use raycast::{render_block, RenderParams, TransferFunction};
+pub use raycast::{render_block, render_rows, RenderParams, TransferFunction};
 pub use tasks::{assemble, max_pixel_diff, RenderConfig, SlabData};
 
 #[cfg(test)]

@@ -16,7 +16,7 @@ use babelflow_data::{BlockDecomp, Grid3, Idx3};
 use babelflow_graphs::{binary_swap, reduction, BinarySwap, Reduction};
 
 use crate::image::{binary_swap_region, ImageFragment};
-use crate::raycast::{render_block, RenderParams};
+use crate::raycast::{render_block, render_rows, RenderParams};
 
 /// A Z slab handed to a rendering leaf.
 #[derive(Clone, Debug, PartialEq)]
@@ -117,8 +117,9 @@ impl RenderConfig {
         BinarySwap::new(self.slabs)
     }
 
-    /// Registry for the binary-swap pipeline: leaf = render + first split,
-    /// swap = composite + split, write = composite + emit tile.
+    /// Registry for the binary-swap pipeline: leaf = render straight into
+    /// the first split's two halves, swap = composite + split, write =
+    /// composite + emit tile.
     pub fn binary_swap_registry(&self) -> Registry {
         let g = Arc::new(self.binary_swap_graph());
         let cb = g.callback_ids();
@@ -130,9 +131,10 @@ impl RenderConfig {
             let (g, params) = (g.clone(), params.clone());
             reg.register(cb[binary_swap::LEAF_CB], move |inputs, id| {
                 let slab = inputs[0].extract::<SlabData>().expect("leaf input is a slab");
-                let frag = render_block(&params, slab.origin, &slab.grid);
                 let (_, i) = g.position(id);
-                split_outputs(&frag, height, 1, i)
+                swap_halves(height, 1, i)
+                    .map(|rows| Payload::wrap(render_rows(&params, slab.origin, &slab.grid, rows)))
+                    .into()
             });
         }
         {
@@ -203,11 +205,14 @@ fn composite_pair(inputs: &[Payload]) -> ImageFragment {
 /// of `index` at `round`) and the sent half (slot 1, the partner's
 /// region).
 fn split_outputs(frag: &ImageFragment, height: u32, round: u32, index: u64) -> Vec<Payload> {
-    let keep = binary_swap_region(height, round, index);
-    let send = binary_swap_region(height, round, index ^ (1 << (round - 1)));
-    vec![
-        Payload::wrap(frag.crop_rows(keep.0, keep.1)),
-        Payload::wrap(frag.crop_rows(send.0, send.1)),
+    swap_halves(height, round, index).map(|(y0, h)| Payload::wrap(frag.crop_rows(y0, h))).into()
+}
+
+/// The kept and the sent row windows `(y0, h)` of a binary-swap stage.
+fn swap_halves(height: u32, round: u32, index: u64) -> [(u32, u32); 2] {
+    [
+        binary_swap_region(height, round, index),
+        binary_swap_region(height, round, index ^ (1 << (round - 1))),
     ]
 }
 

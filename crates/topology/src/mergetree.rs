@@ -13,6 +13,7 @@
 //! from different decompositions of the same field agree exactly.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use babelflow_core::{codec::DecodeError, Decoder, Encoder, PayloadData};
 
@@ -43,6 +44,52 @@ pub struct MergeTree {
 pub fn higher(av: f32, ai: u64, bv: f32, bi: u64) -> bool {
     av > bv || (av == bv && ai > bi)
 }
+
+/// A `u32` whose unsigned order is the numeric order of `v`: the sign bit
+/// flipped for non-negative values, every bit flipped for negative ones.
+/// `v + 0.0` folds −0.0 onto 0.0, which [`higher`] treats as equal, so
+/// `(order_key(v), id)` compares exactly as [`higher`] does on non-NaN
+/// values.
+#[inline]
+fn order_key(v: f32) -> u32 {
+    let b = (v + 0.0).to_bits();
+    if b >> 31 == 1 {
+        !b
+    } else {
+        b | 1 << 31
+    }
+}
+
+/// Multiply–xorshift hasher for vertex ids: one multiply and one shift
+/// per `u64`, where the default SipHash costs tens of cycles. Vertex ids
+/// are not attacker-controlled, so no flooding resistance is needed.
+#[derive(Default)]
+struct VertexHasher(u64);
+
+impl Hasher for VertexHasher {
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        let h = (self.0 ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    /// Folds arbitrary bytes as little-endian `u64` words, the last one
+    /// zero-padded.
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Vertex id → node index, hashed with [`VertexHasher`].
+type VertexIndex = HashMap<u64, u32, BuildHasherDefault<VertexHasher>>;
 
 impl MergeTree {
     /// Number of nodes.
@@ -118,23 +165,18 @@ impl MergeTree {
             push(&mut adj_head, b as usize, a);
         }
 
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_unstable_by(|&a, &b| {
-            let (av, ai) = (nodes[a as usize].1, nodes[a as usize].0);
-            let (bv, bi) = (nodes[b as usize].1, nodes[b as usize].0);
-            if higher(av, ai, bv, bi) {
-                std::cmp::Ordering::Less
-            } else {
-                std::cmp::Ordering::Greater
-            }
-        });
+        // Highest first: sorting the keys descending is the `higher`
+        // order, and compares no `nodes` entries.
+        let mut order: Vec<(u32, u64, u32)> =
+            nodes.iter().enumerate().map(|(i, &(id, v, _))| (order_key(v), id, i as u32)).collect();
+        order.sort_unstable_by(|a, b| b.cmp(a));
 
         let mut uf = UnionFind::new(n);
         let mut lowest: Vec<u32> = (0..n as u32).collect();
         let mut processed = vec![false; n];
         let mut parent = vec![NO_PARENT; n];
 
-        for &i in &order {
+        for &(_, _, i) in &order {
             let i = i as usize;
             processed[i] = true;
             lowest[uf.find(i)] = i as u32;
@@ -165,39 +207,42 @@ impl MergeTree {
     /// Join several merge trees: the merge tree of the union of their
     /// 1-skeletons, gluing nodes with equal vertex ids. Flags are OR-ed.
     pub fn join(trees: &[&MergeTree]) -> MergeTree {
-        let mut index: HashMap<u64, u32> = HashMap::new();
-        let mut nodes: Vec<(u64, f32, bool)> = Vec::new();
-        let mut edges: Vec<(u32, u32)> = Vec::new();
+        let total: usize = trees.iter().map(|t| t.len()).sum();
+        let mut index = VertexIndex::with_capacity_and_hasher(total, Default::default());
+        let mut nodes: Vec<(u64, f32, bool)> = Vec::with_capacity(total);
+        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(total);
+        // Joined index of each node of the current tree, so its parent
+        // links need no second lookup.
+        let mut local: Vec<u32> = Vec::new();
 
         for t in trees {
-            // First pass: register nodes.
+            local.clear();
             for i in 0..t.len() {
-                match index.entry(t.verts[i]) {
+                let k = match index.entry(t.verts[i]) {
                     std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(nodes.len() as u32);
                         nodes.push((t.verts[i], t.values[i], t.flags[i]));
+                        *e.insert(nodes.len() as u32 - 1)
                     }
                     std::collections::hash_map::Entry::Occupied(e) => {
-                        let k = *e.get() as usize;
+                        let k = *e.get();
                         debug_assert_eq!(
-                            nodes[k].1, t.values[i],
+                            nodes[k as usize].1, t.values[i],
                             "vertex {} has inconsistent values across trees",
                             t.verts[i]
                         );
-                        nodes[k].2 |= t.flags[i];
+                        nodes[k as usize].2 |= t.flags[i];
+                        k
                     }
-                }
+                };
+                local.push(k);
             }
-        }
-        for t in trees {
-            for i in 0..t.len() {
-                let p = t.parent[i];
-                if p != NO_PARENT {
-                    let a = index[&t.verts[i]];
-                    let b = index[&t.verts[p as usize]];
-                    edges.push((a, b));
-                }
-            }
+            edges.extend(
+                t.parent
+                    .iter()
+                    .zip(&local)
+                    .filter(|&(&p, _)| p != NO_PARENT)
+                    .map(|(&p, &k)| (k, local[p as usize])),
+            );
         }
         MergeTree::build(nodes, &edges)
     }
@@ -335,7 +380,39 @@ impl PayloadData for MergeTree {
 
 #[cfg(test)]
 mod tests {
+    use std::hash::BuildHasher;
+
     use super::*;
+
+    #[test]
+    fn vertex_hasher_folds_byte_keys() {
+        // `write` is reached by any key that is not a bare integer; it
+        // must fold every byte, the tail of a partial word included.
+        let build = BuildHasherDefault::<VertexHasher>::default();
+        let keys: Vec<Vec<u8>> = (0..20u8).map(|n| (0..n).collect()).collect();
+        let hashes: std::collections::HashSet<u64> =
+            keys.iter().map(|k| build.hash_one(k.as_slice())).collect();
+        assert_eq!(hashes.len(), keys.len());
+        assert_ne!(build.hash_one("vertex"), build.hash_one("vertey"));
+        let mut map: HashMap<String, usize, BuildHasherDefault<VertexHasher>> = HashMap::default();
+        for (i, k) in ["a", "b", "a longer key than one word"].iter().enumerate() {
+            map.insert(k.to_string(), i);
+        }
+        assert_eq!(map["a longer key than one word"], 2);
+    }
+
+    #[test]
+    fn order_key_sorts_like_higher() {
+        let vals = [f32::NEG_INFINITY, -3.5, -1e-40, -0.0, 0.0, 1e-40, 2.0, f32::INFINITY];
+        for &a in &vals {
+            for &b in &vals {
+                for (ai, bi) in [(1u64, 2u64), (2, 1), (u64::MAX, 0)] {
+                    let keyed = (order_key(a), ai) > (order_key(b), bi);
+                    assert_eq!(keyed, higher(a, ai, b, bi), "{a} #{ai} vs {b} #{bi}");
+                }
+            }
+        }
+    }
 
     /// 1D field as a path graph: values[i] at vertex i.
     fn path_tree(values: &[f32]) -> MergeTree {

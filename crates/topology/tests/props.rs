@@ -1,11 +1,15 @@
 //! Property-based tests of the merge-tree algorithms: structural
-//! invariants on random fields, restriction correctness, and end-to-end
-//! distributed-equals-oracle segmentation.
+//! invariants on random fields, restriction correctness, end-to-end
+//! distributed-equals-oracle segmentation, and `build`/`join` against
+//! their straightforward comparator and `HashMap` forms.
+
+use std::collections::HashMap;
 
 use babelflow_core::run_serial;
 use babelflow_data::{Grid3, Idx3};
 use babelflow_topology::{
-    canonical_partition, merge_segmentations, MergeTree, MergeTreeConfig,
+    canonical_partition, higher, merge_segmentations, MergeTree, MergeTreeConfig, UnionFind,
+    NO_PARENT,
 };
 use babelflow_core::proptest_lite as proptest;
 use babelflow_core::proptest_lite::prelude::*;
@@ -19,8 +23,160 @@ fn path_tree(values: &[f32]) -> MergeTree {
     MergeTree::build(nodes, &edges)
 }
 
+/// `MergeTree::build` with its sweep order from a comparator sort on
+/// [`higher`]: the reference the key sort must reproduce exactly.
+fn reference_build(nodes: Vec<(u64, f32, bool)>, edges: &[(u32, u32)]) -> MergeTree {
+    let n = nodes.len();
+    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for &(a, b) in edges {
+        adj[a as usize].push(b as usize);
+        adj[b as usize].push(a as usize);
+    }
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_unstable_by(|&a, &b| {
+        if higher(nodes[a].1, nodes[a].0, nodes[b].1, nodes[b].0) {
+            std::cmp::Ordering::Less
+        } else {
+            std::cmp::Ordering::Greater
+        }
+    });
+    let mut uf = UnionFind::new(n);
+    let mut lowest: Vec<usize> = (0..n).collect();
+    let mut processed = vec![false; n];
+    let mut parent = vec![NO_PARENT; n];
+    for &i in &order {
+        processed[i] = true;
+        lowest[uf.find(i)] = i;
+        // Forward-star adjacency visits neighbors newest edge first.
+        for &j in adj[i].iter().rev() {
+            if !processed[j] {
+                continue;
+            }
+            let (ri, rj) = (uf.find(i), uf.find(j));
+            if ri != rj {
+                parent[lowest[rj]] = i as u32;
+                let r = uf.union(ri, rj);
+                lowest[r] = i;
+            }
+        }
+    }
+    MergeTree {
+        verts: nodes.iter().map(|n| n.0).collect(),
+        values: nodes.iter().map(|n| n.1).collect(),
+        parent,
+        flags: nodes.iter().map(|n| n.2).collect(),
+    }
+}
+
+/// `MergeTree::join` through a SipHash `HashMap`, with one lookup per
+/// edge endpoint, into [`reference_build`].
+fn reference_join(trees: &[&MergeTree]) -> MergeTree {
+    let mut index: HashMap<u64, u32> = HashMap::new();
+    let mut nodes: Vec<(u64, f32, bool)> = Vec::new();
+    for t in trees {
+        for i in 0..t.len() {
+            let k = *index.entry(t.verts[i]).or_insert_with(|| {
+                nodes.push((t.verts[i], t.values[i], false));
+                nodes.len() as u32 - 1
+            });
+            nodes[k as usize].2 |= t.flags[i];
+        }
+    }
+    let mut edges = Vec::new();
+    for t in trees {
+        for i in 0..t.len() {
+            let p = t.parent[i];
+            if p != NO_PARENT {
+                edges.push((index[&t.verts[i]], index[&t.verts[p as usize]]));
+            }
+        }
+    }
+    reference_build(nodes, &edges)
+}
+
+/// Equal node for node, values compared by bit pattern.
+fn assert_same_tree(got: &MergeTree, want: &MergeTree) -> CaseResult {
+    prop_assert_eq!(&got.verts, &want.verts);
+    let bits = |t: &MergeTree| t.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    prop_assert_eq!(bits(got), bits(want));
+    prop_assert_eq!(&got.parent, &want.parent);
+    prop_assert_eq!(&got.flags, &want.flags);
+    Ok(())
+}
+
+/// A field value from `(small, bits, kind)`: mostly small integers (many
+/// ties), some signed zeros, some arbitrary non-NaN floats.
+fn field_value((small, bits, kind): (i32, u32, u8)) -> f32 {
+    match kind {
+        0 if bits & 1 == 1 => -0.0,
+        0 => 0.0,
+        1 if !f32::from_bits(bits).is_nan() => f32::from_bits(bits),
+        _ => small as f32,
+    }
+}
+
+/// Distinct vertex ids, not in index order, spread over all 64 bits.
+fn vertex_id(i: usize, salt: u64) -> u64 {
+    (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ salt
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn build_matches_comparator_sort(
+        cells in proptest::collection::vec((-3i32..4, any::<u32>(), 0u8..4), 1..48),
+        raw_edges in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..96),
+        flags in proptest::collection::vec(any::<bool>(), 48),
+        salt in any::<u64>(),
+    ) {
+        let n = cells.len();
+        let nodes: Vec<(u64, f32, bool)> = cells
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| (vertex_id(i, salt), field_value(c), flags[i]))
+            .collect();
+        let edges: Vec<(u32, u32)> =
+            raw_edges.iter().map(|&(a, b)| (a % n as u32, b % n as u32)).collect();
+        assert_same_tree(&MergeTree::build(nodes.clone(), &edges), &reference_build(nodes, &edges))?;
+    }
+
+    #[test]
+    fn join_matches_hashmap_join(
+        cells in proptest::collection::vec((-3i32..4, any::<u32>(), 0u8..4), 2..40),
+        members in proptest::collection::vec(0u8..8, 40),
+        raw_edges in proptest::collection::vec((0u8..3, any::<u32>(), any::<u32>()), 0..120),
+        flags in proptest::collection::vec(any::<bool>(), 120),
+        salt in any::<u64>(),
+    ) {
+        // Three trees over overlapping vertex subsets (bit t of
+        // `members[v]` puts v in tree t), each with its own flags.
+        let values: Vec<f32> = cells.iter().map(|&c| field_value(c)).collect();
+        let trees: Vec<MergeTree> = (0..3)
+            .map(|t| {
+                let verts: Vec<usize> =
+                    (0..values.len()).filter(|&v| members[v] >> t & 1 == 1).collect();
+                let nodes: Vec<(u64, f32, bool)> = verts
+                    .iter()
+                    .map(|&v| (vertex_id(v, salt), values[v], flags[40 * t + v]))
+                    .collect();
+                let m = verts.len() as u32;
+                let edges: Vec<(u32, u32)> = if m == 0 {
+                    Vec::new()
+                } else {
+                    raw_edges
+                        .iter()
+                        .filter(|e| e.0 == t as u8)
+                        .map(|&(_, a, b)| (a % m, b % m))
+                        .collect()
+                };
+                MergeTree::build(nodes, &edges)
+            })
+            .collect();
+        let refs: Vec<&MergeTree> = trees.iter().collect();
+        assert_same_tree(&MergeTree::join(&refs), &reference_join(&refs))?;
+        assert_same_tree(&MergeTree::join(&refs[1..]), &reference_join(&refs[1..]))?;
+    }
 
     #[test]
     fn merge_tree_is_monotone_forest(values in proptest::collection::vec(-100i32..100, 2..64)) {

@@ -18,6 +18,18 @@ cargo test -q --offline --workspace
 # them (without running) so a kernel API change cannot leave them broken.
 cargo bench --no-run --offline --workspace
 
+# Stress: the conformance suite at 4x its case budget while two CPU-bound
+# processes compete for the cores. No MPI decision may lean on a clock, so
+# a starved rank must still give every case the serial golden. The test
+# binary is built first, so the step times only the run (~15 s on 2 cores).
+cargo test -q --release --offline --test cross_runtime --no-run
+(set +x; while :; do :; done) & hog1=$!
+(set +x; while :; do :; done) & hog2=$!
+trap 'kill $hog1 $hog2 2>/dev/null' EXIT
+PROPTEST_LITE_CASES=256 cargo test -q --release --offline --test cross_runtime
+kill $hog1 $hog2
+trap - EXIT
+
 # The benchmark package (its own workspace): its unit tests, then a short
 # run of every workload, which exits nonzero on any wrong answer or on a
 # counter that moves between repetitions.

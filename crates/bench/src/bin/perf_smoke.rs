@@ -5,7 +5,7 @@
 //! * `perf_smoke --check` — re-measure and fail (exit 1) if the structural
 //!   counters regress against the committed baseline, if any delivery
 //!   allocates, if a run with a prebuilt plan queries the graph, or if a
-//!   fault-free run retransmits.
+//!   fault-free run retransmits or retries a task.
 //!
 //! Structural counters (`task_queries`, `payload_clones`,
 //! `delivery_allocs`, `local_messages`) are exact-compared: they are
@@ -13,14 +13,14 @@
 //! so `retransmits` must be exactly 0: the reliable layer reads queued
 //! acks before it looks for overdue messages, so only a message that is
 //! really lost (or a peer stalled past the retransmit timeout) is sent
-//! twice. Transport counters (`envelopes_sent`, `batches_sent`) get a
-//! 1.5× band because how sends and acks coalesce into envelopes depends
-//! on thread timing. Wall-clock time is perfbench's job, not this
+//! twice; and `retries` must be exactly 0 too, since a task is only
+//! re-run when its callback panics or its worker dies. Transport counters
+//! (`envelopes_sent`, `batches_sent`) get a 1.5× band because how sends
+//! and acks coalesce into envelopes depends on thread timing. Wall-clock time is perfbench's job, not this
 //! binary's.
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use babelflow_core::{
     Blob, BlockMap, CallbackId, Controller, InitialInputs, Payload, Registry, ShardPlan,
@@ -89,23 +89,19 @@ struct Sample {
     envelopes_sent: u64,
     batches_sent: u64,
     retransmits: u64,
+    /// Gated at 0, not written to the baseline.
+    retries: u64,
 }
 
 const SHARDS: u32 = 3;
 
 fn controller(backend: &str, plan: Arc<ShardPlan>) -> Box<dyn Controller> {
-    let timeout = Duration::from_secs(8);
     match backend {
         "serial" => Box::new(babelflow_core::SerialController::new().with_plan(plan)),
-        "mpi-async" => Box::new(
-            babelflow_mpi::MpiController::new()
-                .with_workers(2)
-                .with_timeout(timeout)
-                .with_plan(plan),
-        ),
-        "mpi-blocking" => Box::new(
-            babelflow_mpi::BlockingMpiController::new().with_timeout(timeout).with_plan(plan),
-        ),
+        "mpi-async" => {
+            Box::new(babelflow_mpi::MpiController::new().with_workers(2).with_plan(plan))
+        }
+        "mpi-blocking" => Box::new(babelflow_mpi::BlockingMpiController::new().with_plan(plan)),
         "charm" => {
             Box::new(babelflow_charm::CharmController::new(SHARDS as usize).with_plan(plan))
         }
@@ -160,6 +156,7 @@ fn measure_matrix() -> Vec<Sample> {
                 envelopes_sent: p.envelopes_sent,
                 batches_sent: p.batches_sent,
                 retransmits: report.stats.recovery.retransmits,
+                retries: report.stats.recovery.retries,
             });
         }
     }
@@ -197,7 +194,7 @@ fn field(j: &Json, key: &str) -> u64 {
 
 /// Enforce the invariants every measurement must satisfy regardless of any
 /// baseline: zero-alloc delivery, zero steady-state graph queries and, the
-/// runs being fault-free, zero retransmits.
+/// runs being fault-free, zero retransmits and zero retries.
 fn check_invariants(samples: &[Sample]) -> Vec<String> {
     let mut fails = Vec::new();
     for r in samples {
@@ -217,6 +214,12 @@ fn check_invariants(samples: &[Sample]) -> Vec<String> {
             fails.push(format!(
                 "{}/{}: {} retransmits on a fault-free run (must be 0)",
                 r.backend, r.family, r.retransmits
+            ));
+        }
+        if r.retries != 0 {
+            fails.push(format!(
+                "{}/{}: {} task retries on a fault-free run (must be 0)",
+                r.backend, r.family, r.retries
             ));
         }
     }

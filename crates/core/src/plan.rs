@@ -25,7 +25,8 @@
 //! zero — which is how the perf smoke proves the fast path stays fast
 //! on a machine too noisy for wall-clock gates.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 use crate::controller::{ControllerError, InitialInputs, Result};
 use crate::graph::TaskGraph;
@@ -351,49 +352,35 @@ impl ShardPlan {
         Ok(())
     }
 
-    /// A deterministic topological execution order: Kahn's algorithm with
-    /// smallest-id-first tie-breaking, as positions (`id -> rank`). Used
-    /// by statically scheduled backends; derived entirely from the plan.
-    pub fn static_schedule(&self) -> HashMap<TaskId, usize> {
-        let mut indegree: HashMap<TaskId, usize> = self
-            .tasks
-            .iter()
-            .map(|pt| {
-                let internal =
-                    pt.task.incoming.iter().filter(|t| !t.is_external()).count();
-                (pt.task.id, internal)
-            })
+    /// A deterministic topological execution order, as plan indices:
+    /// Kahn's algorithm with smallest-id-first tie-breaking, then every
+    /// task that never becomes ready (one with a dangling input, on a
+    /// [`lenient`](Self::lenient) plan) in id order. Used by statically
+    /// scheduled backends; derived entirely from the plan, in
+    /// O(n log n).
+    pub fn static_schedule(&self) -> Vec<u32> {
+        let mut indegree: Vec<usize> =
+            self.tasks.iter().map(|pt| pt.fan_in() - pt.external_inputs).collect();
+        let key = |ix: u32| Reverse((self.tasks[ix as usize].task.id, ix));
+        let mut frontier: BinaryHeap<_> = (0..self.tasks.len() as u32)
+            .filter(|&ix| indegree[ix as usize] == 0)
+            .map(key)
             .collect();
-        let mut frontier: Vec<TaskId> = indegree
-            .iter()
-            .filter(|(_, &d)| d == 0)
-            .map(|(&id, _)| id)
-            .collect();
-        frontier.sort_unstable();
-
-        let mut order = HashMap::with_capacity(self.tasks.len());
-        let mut pos = 0usize;
-        while let Some(id) = frontier.first().copied() {
-            frontier.remove(0);
-            order.insert(id, pos);
-            pos += 1;
-            if let Some(pt) = self.task_by_id(id) {
-                for route in pt.routes.iter().flatten() {
-                    if route.is_external() {
-                        continue;
-                    }
-                    if let Some(d) = indegree.get_mut(&route.dst) {
-                        *d -= 1;
-                        if *d == 0 {
-                            let at = frontier
-                                .binary_search(&route.dst)
-                                .unwrap_or_else(|e| e);
-                            frontier.insert(at, route.dst);
-                        }
-                    }
+        let mut order = Vec::with_capacity(self.tasks.len());
+        while let Some(Reverse((_, ix))) = frontier.pop() {
+            order.push(ix);
+            let consumers = self.tasks[ix as usize].routes.iter().flatten().filter_map(|r| r.input);
+            for (c, _) in consumers {
+                indegree[c as usize] -= 1;
+                if indegree[c as usize] == 0 {
+                    frontier.push(key(c));
                 }
             }
         }
+        let mut never: Vec<u32> =
+            (0..self.tasks.len() as u32).filter(|&ix| indegree[ix as usize] > 0).collect();
+        never.sort_by_key(|&ix| self.tasks[ix as usize].task.id);
+        order.extend(never);
         order
     }
 }
@@ -647,14 +634,20 @@ mod tests {
     fn static_schedule_is_topological_and_deterministic() {
         let g = diamond();
         let plan = ShardPlan::build(&g, &ModuloMap::new(2, 4));
-        let order = plan.static_schedule();
-        assert_eq!(order.len(), 4);
-        assert!(order[&TaskId(0)] < order[&TaskId(1)]);
-        assert!(order[&TaskId(0)] < order[&TaskId(2)]);
-        assert!(order[&TaskId(1)] < order[&TaskId(3)]);
-        assert!(order[&TaskId(2)] < order[&TaskId(3)]);
+        let ids: Vec<TaskId> =
+            plan.static_schedule().into_iter().map(|ix| plan.task(ix).id()).collect();
         // Smallest-id tie-break between the two middle tasks.
-        assert!(order[&TaskId(1)] < order[&TaskId(2)]);
+        assert_eq!(ids, [0, 1, 2, 3].map(TaskId));
+    }
+
+    #[test]
+    fn never_ready_tasks_close_the_static_schedule_in_id_order() {
+        // Task 0 waits for task 42, which is not in the graph: nothing
+        // downstream of it ever becomes ready.
+        let mut g = diamond();
+        g.task_mut(TaskId(0)).unwrap().incoming = vec![TaskId(42)];
+        let plan = ShardPlan::build(&g, &ModuloMap::new(2, 4)).lenient();
+        assert_eq!(plan.static_schedule(), vec![0, 1, 2, 3]);
     }
 
     #[test]

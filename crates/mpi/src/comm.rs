@@ -6,17 +6,18 @@
 //! asynchronous point-to-point messages. Each rank is a thread; messages
 //! are byte buffers moved through unbounded FIFO channels, preserving MPI's
 //! per-(source, destination) ordering guarantee. Sends are eager and
-//! buffered (they never block), receives block with an optional timeout.
+//! buffered (they never block), receives block.
 //!
-//! A [`FaultPlan`] can drop or duplicate selected messages, which the test
-//! suite uses to verify that controllers detect stalled dataflows instead
-//! of hanging.
+//! A [`FaultPlan`] can drop, duplicate or delay selected messages; the
+//! reliable layer above recovers them. The world decides from exact
+//! events, never a clock, when a run is stuck ([`RankComm::hold`],
+//! [`RankComm::failed`]).
 
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
-use std::time::Duration;
 
-use babelflow_core::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use babelflow_core::channel::{unbounded, Receiver, Sender};
 use babelflow_core::sync::Counter;
 use babelflow_core::Bytes;
 
@@ -31,10 +32,11 @@ pub use babelflow_core::fault::FaultPlan;
 pub const TAG_BATCH: u32 = u32::MAX - 1;
 
 /// Tag reserved for wakes: an empty control envelope put straight into a
-/// rank's inbox. The last rank to [`mark_finished`](RankComm::mark_finished)
-/// sends one to every peer, so a rank blocked at the shutdown barrier
-/// leaves at once; [`RankComm::wake`] sends one to the rank itself. It
-/// bypasses fault injection and is not counted as delivered.
+/// rank's inbox. The last rank to [`mark_finished`](RankComm::mark_finished),
+/// the [`release`](RankComm::release) that leaves no work and an aborting
+/// endpoint each send one to every rank that must look at the world
+/// again; [`RankComm::wake`] sends one to the rank itself. It bypasses
+/// fault injection and is not counted as delivered.
 pub const TAG_WAKE: u32 = u32::MAX - 2;
 
 /// Encode `parts` into one batch body: `u32 count`, then per part
@@ -109,6 +111,10 @@ struct Shared {
     /// [`RankComm::mark_finished`]); the shutdown barrier of the reliable
     /// protocol layered on top of this transport.
     finished: Counter,
+    /// Outstanding work (see [`RankComm::hold`]); each rank starts busy.
+    work: AtomicU64,
+    /// 1 + the first rank whose endpoint dropped unfinished; 0 if none.
+    failed: AtomicUsize,
 }
 
 /// A communication world of `n` ranks.
@@ -144,6 +150,8 @@ impl World {
             seq: (0..n * n).map(|_| Counter::new(0)).collect(),
             delivered: Counter::new(0),
             finished: Counter::new(0),
+            work: AtomicU64::new(n as u64),
+            failed: AtomicUsize::new(0),
         });
         let endpoints = receivers
             .into_iter()
@@ -182,6 +190,12 @@ impl World {
     /// Messages delivered so far (after fault filtering).
     pub fn delivered(&self) -> u64 {
         self.shared.delivered.get()
+    }
+
+    /// The first rank whose endpoint dropped before it finished, if any:
+    /// the rank that holds a failed run's root cause.
+    pub fn first_failed(&self) -> Option<usize> {
+        self.shared.failed.load(SeqCst).checked_sub(1)
     }
 }
 
@@ -254,14 +268,6 @@ impl RankComm {
         self.rx.recv().ok()
     }
 
-    /// Receive with a timeout; `None` on timeout or if all senders hung up.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<Envelope> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(e) => Some(e),
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
-        }
-    }
-
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<Envelope> {
         self.rx.try_recv().ok()
@@ -285,14 +291,43 @@ impl RankComm {
         let _ = self.shared.inboxes[dst].send(wake);
     }
 
+    /// Count `n` more units of outstanding work: one per busy rank and one
+    /// per dataflow message in flight, counted before it is sent and
+    /// retired once delivered. So the count is zero only when no rank is
+    /// busy and no message is in flight, lost or held ones included.
+    pub fn hold(&self, n: u64) {
+        self.shared.work.fetch_add(n, SeqCst);
+    }
+
+    /// Retire `n` units of work. The release that leaves none wakes every
+    /// rank: the world is [`quiescent`](Self::quiescent) for good, since
+    /// only busy ranks send.
+    pub fn release(&self, n: u64) {
+        if n > 0 && self.shared.work.fetch_sub(n, SeqCst) == n {
+            for dst in 0..self.n {
+                self.wake_rank(dst);
+            }
+        }
+    }
+
+    /// Whether no rank is busy and no dataflow message is in flight.
+    pub fn quiescent(&self) -> bool {
+        self.shared.work.load(SeqCst) == 0
+    }
+
+    /// The first rank that left the world unfinished (an error return or
+    /// a panic), if any; its peers stop waiting.
+    pub fn failed(&self) -> Option<usize> {
+        self.shared.failed.load(SeqCst).checked_sub(1)
+    }
+
     /// Declare this rank finished: it has no unacknowledged sends left.
     /// Idempotent. Part of the reliable layer's shutdown barrier — a rank
     /// keeps servicing (re-acking) incoming traffic until
     /// [`all_finished`](Self::all_finished), so peers never retransmit
     /// into a torn-down endpoint. The rank that completes the barrier
     /// sends every peer a [`TAG_WAKE`] envelope, so their blocking wait at
-    /// the barrier ends at once. Dropping the endpoint (an error return or
-    /// a panicking rank thread) marks it finished too.
+    /// the barrier ends at once.
     pub fn mark_finished(&self) {
         if self.finished_flag.replace(true) {
             return;
@@ -312,15 +347,24 @@ impl RankComm {
 }
 
 impl Drop for RankComm {
-    /// A dropped endpoint can never ack again: release the peers waiting
-    /// for it at the shutdown barrier.
+    /// An endpoint dropped before the whole world finished (an error
+    /// return or a panicking rank thread) can never ack again: it aborts
+    /// the world ([`failed`](Self::failed)) and wakes every peer, so none
+    /// waits for it.
     fn drop(&mut self) {
-        self.mark_finished();
+        if !self.all_finished() {
+            let _ = self.shared.failed.compare_exchange(0, self.rank + 1, SeqCst, SeqCst);
+            for dst in (0..self.n).filter(|&dst| dst != self.rank) {
+                self.wake_rank(dst);
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
     use babelflow_core::Bytes;
 
@@ -367,13 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn recv_timeout_expires() {
-        let mut w = World::new(2);
-        let a = w.endpoint(0);
-        assert!(a.recv_timeout(Duration::from_millis(10)).is_none());
-    }
-
-    #[test]
     fn dropped_message_never_arrives() {
         let faults = FaultPlan { drop: vec![(0, 1, 0)], ..FaultPlan::none() };
         let mut w = World::with_faults(2, faults);
@@ -381,7 +418,7 @@ mod tests {
         let b = w.endpoint(1);
         a.isend(1, 0, Bytes::from_static(b"lost"));
         a.isend(1, 0, Bytes::from_static(b"kept"));
-        let e = b.recv_timeout(Duration::from_millis(100)).unwrap();
+        let e = b.recv().unwrap();
         assert_eq!(e.body.as_ref(), b"kept");
         assert!(b.try_recv().is_none());
     }
@@ -394,7 +431,7 @@ mod tests {
         let b = w.endpoint(1);
         a.isend(1, 0, Bytes::from_static(b"twin"));
         assert_eq!(b.recv().unwrap().body.as_ref(), b"twin");
-        assert_eq!(b.recv_timeout(Duration::from_millis(100)).unwrap().body.as_ref(), b"twin");
+        assert_eq!(b.recv().unwrap().body.as_ref(), b"twin");
     }
 
     #[test]
@@ -409,9 +446,9 @@ mod tests {
         a.isend(1, 0, Bytes::from_static(b"held"));
         a.isend(1, 0, Bytes::from_static(b"prompt"));
         // The second send overtakes the held first one: reordering.
-        let first = b.recv_timeout(Duration::from_secs(2)).unwrap();
+        let first = b.recv().unwrap();
         assert_eq!(first.body.as_ref(), b"prompt");
-        let second = b.recv_timeout(Duration::from_secs(2)).unwrap();
+        let second = b.recv().unwrap();
         assert_eq!(second.body.as_ref(), b"held");
         assert_eq!(w.delivered(), 2);
     }
@@ -454,13 +491,51 @@ mod tests {
     }
 
     #[test]
-    fn dropping_an_endpoint_marks_it_finished() {
-        let mut w = World::new(2);
-        let a = w.endpoint(0);
-        drop(w.endpoint(1));
-        assert!(!a.all_finished());
+    fn dropping_an_unfinished_endpoint_fails_the_world() {
+        let mut w = World::new(3);
+        let eps = w.endpoints();
+        assert_eq!((eps[0].failed(), w.first_failed()), (None, None));
+        let mut eps = eps.into_iter();
+        let (a, b, c) = (eps.next().unwrap(), eps.next().unwrap(), eps.next().unwrap());
+        drop(b);
+        drop(c);
+        // The first to drop is the one named; each drop wakes every peer.
+        assert_eq!((a.failed(), w.first_failed()), (Some(1), Some(1)));
+        for _ in 0..2 {
+            assert_eq!(a.try_recv().expect("woken").tag, TAG_WAKE);
+        }
         a.mark_finished();
-        assert!(a.all_finished());
+        assert!(!a.all_finished(), "a failed rank never finishes");
+    }
+
+    #[test]
+    fn endpoints_dropped_after_the_barrier_fail_nothing() {
+        let mut w = World::new(2);
+        let eps = w.endpoints();
+        eps.iter().for_each(RankComm::mark_finished);
+        drop(eps);
+        assert_eq!(w.first_failed(), None);
+    }
+
+    #[test]
+    fn the_release_that_leaves_no_work_wakes_every_rank() {
+        let mut w = World::new(2);
+        let eps = w.endpoints();
+        // Each rank starts busy; a message in flight is one more unit.
+        eps[0].hold(1);
+        eps[0].release(1);
+        eps[1].release(1);
+        assert!(!eps[0].quiescent());
+        assert!(eps.iter().all(|ep| ep.try_recv().is_none()), "work is left");
+        eps[1].release(0);
+        assert!(eps.iter().all(|ep| ep.try_recv().is_none()), "releasing nothing wakes no one");
+        eps[0].release(1);
+        assert!(eps[1].quiescent());
+        for ep in &eps {
+            let wake = ep.try_recv().expect("woken");
+            assert_eq!((wake.src, wake.tag), (0, TAG_WAKE));
+        }
+        assert_eq!(w.delivered(), 0);
     }
 
     #[test]
@@ -517,7 +592,7 @@ mod tests {
             pack_batch(&[(3, Bytes::from_static(b"one")), (3, Bytes::from_static(b"two"))]);
         a.isend(1, TAG_BATCH, packed);
         a.isend(1, 9, Bytes::from_static(b"after"));
-        let e = b.recv_timeout(Duration::from_millis(200)).unwrap();
+        let e = b.recv().unwrap();
         assert_eq!((e.tag, e.body.as_ref()), (9, &b"after"[..]));
         assert!(b.try_recv().is_none());
     }

@@ -20,14 +20,13 @@
 //!   strand the backlog behind it;
 //! * workers complete their own tasks: a worker serializes the task's
 //!   remote outputs, then takes the one rank lock (the rank's
-//!   `RankState`, its `&mut` [`ReliableEndpoint`], the in-flight and
-//!   completed sets) to mark the task done, deliver same-rank outputs,
-//!   push the consumers that became ready to the pool and stage the
-//!   remote sends. The control thread only receives envelopes,
-//!   dispatches what they make ready, and runs the retransmit tick, the
-//!   re-fires and the stall check. A worker that runs the rank's last
-//!   task, or fails, wakes it with a `TAG_WAKE` envelope in the rank's
-//!   own inbox;
+//!   `RankState`, its `&mut` [`ReliableEndpoint`] and the in-flight set)
+//!   to mark the task done, deliver same-rank outputs, push the consumers
+//!   that became ready to the pool and stage the remote sends. The
+//!   control thread only receives envelopes and dispatches what they make
+//!   ready; between events it sleeps in the reliable layer's one wait. A
+//!   worker that runs the rank's last task, or fails, wakes it with a
+//!   `TAG_WAKE` envelope in the rank's own inbox;
 //! * the in-memory fast path: intra-rank messages move the `Payload` by
 //!   reference, skipping de/serialization; inter-rank messages serialize
 //!   and a task's whole fan-out leaves as one envelope per destination
@@ -38,24 +37,20 @@
 //!
 //! Recovery (DESIGN.md §11): all inter-rank traffic flows through the
 //! [`ReliableEndpoint`] ack/retransmit layer, so transport drop/duplicate/
-//! reorder faults converge to exactly-once in-order delivery. Execution
-//! faults are survived by exploiting task idempotence: a dispatched task's
-//! inputs are *retained* until its completion is observed, a panicking
-//! callback is retried in place by the worker, and a task whose completion
-//! is overdue (its worker died) is re-fired from the retained inputs onto
-//! another pool thread. Each worker the fault plan kills is handed one of
-//! the rank's first dispatched tasks, pinned to it, so the injected death
-//! always happens. Stall detection is decoupled from the retransmit
-//! tick: the run only deadlocks when nothing has progressed for the full
-//! `timeout`. A worker thread that panics outside the callback fails the
+//! reorder faults converge to exactly-once in-order delivery. A
+//! dispatched task's inputs are *retained* until it completes: a
+//! panicking callback is retried in place, and a worker that dies holding
+//! a task hands it back as it exits, for a live worker to run once (each
+//! worker the fault plan kills is pinned one of the rank's first tasks,
+//! so the death always happens). No clock decides anything: the rank is
+//! busy while a task is in flight, and reports `Deadlock` when the
+//! world's count of busy ranks and messages in flight reaches zero with
+//! its tasks unrun. A worker that panics outside the callback fails the
 //! rank at once.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use babelflow_core::channel::RecvTimeoutError;
-use babelflow_core::fault::MAX_TASK_RETRIES;
 use babelflow_core::sync::{Mutex, WorkPool};
 use babelflow_core::trace::{now_ns, SpanKind, TraceEvent, TraceSink};
 use babelflow_core::{
@@ -67,18 +62,12 @@ use crate::comm::FaultPlan;
 use crate::rank::{encode_remote, run_world, RankOutcome, RankState};
 use crate::reliable::ReliableEndpoint;
 
-/// Default per-rank stall timeout before declaring the dataflow dead.
-pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(10);
-
 /// Asynchronous MPI-style controller.
 #[derive(Clone, Debug)]
 pub struct MpiController {
     /// Worker threads per rank executing ready tasks ("spawns a new thread
     /// that is executed in the background" — bounded here by a pool).
     pub workers_per_rank: usize,
-    /// Stall-detection timeout per rank: how long a rank tolerates zero
-    /// progress (no completion, no delivery) before giving up.
-    pub timeout: Duration,
     /// Fault injection for tests: transport faults feed the
     /// [`World`](crate::comm::World), `kill_worker` entries kill this
     /// controller's pool threads.
@@ -87,12 +76,12 @@ pub struct MpiController {
 
 impl Default for MpiController {
     fn default() -> Self {
-        MpiController { workers_per_rank: 2, timeout: DEFAULT_TIMEOUT, faults: FaultPlan::none() }
+        MpiController { workers_per_rank: 2, faults: FaultPlan::none() }
     }
 }
 
 impl MpiController {
-    /// Controller with default worker pool and timeout.
+    /// Controller with the default worker pool.
     pub fn new() -> Self {
         Self::default()
     }
@@ -101,12 +90,6 @@ impl MpiController {
     pub fn with_workers(mut self, workers: usize) -> Self {
         assert!(workers > 0, "need at least one worker per rank");
         self.workers_per_rank = workers;
-        self
-    }
-
-    /// Set the stall-detection timeout.
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
         self
     }
 
@@ -126,9 +109,9 @@ impl Controller for MpiController {
         initial: InitialInputs,
         sink: Arc<dyn TraceSink>,
     ) -> Result<RunReport> {
-        let (workers, timeout, faults) = (self.workers_per_rank, self.timeout, &self.faults);
-        run_world(plan, faults, timeout, initial, |rel, inputs| {
-            rank_main(rel, plan, registry, inputs, workers, timeout, faults, &*sink)
+        let (workers, faults) = (self.workers_per_rank, &self.faults);
+        run_world(plan, faults, initial, |rel, inputs| {
+            rank_main(rel, plan, registry, inputs, workers, faults, &*sink)
         })
     }
 
@@ -148,27 +131,17 @@ struct WorkItem {
     ready_ns: u64,
 }
 
-/// A dispatched-but-not-completed task with its inputs retained so it can
-/// be re-fired if its worker dies (idempotent re-execution).
-struct Inflight {
-    ix: u32,
-    inputs: Vec<Payload>,
-    dispatched_at: Instant,
-    refires: u32,
-}
-
 /// Everything a rank's control thread and its workers share, behind the
 /// one rank lock.
 struct Core<'r, 'a> {
     state: RankState<'a>,
     rel: &'r mut ReliableEndpoint,
-    /// Dispatched tasks whose completion has not been observed yet.
-    inflight: HashMap<TaskId, Inflight>,
-    /// Tasks whose outputs were routed; a re-fired duplicate's are not.
-    completed: HashSet<TaskId>,
-    /// How many of the rank's tasks completed, out of `local_total`.
-    executed: usize,
-    local_total: usize,
+    pool: WorkPool<WorkItem>,
+    tracing: bool,
+    /// Dispatched tasks whose completion has not been observed yet: plan
+    /// index and inputs, retained to hand the task back if its worker
+    /// dies (idempotent re-execution).
+    inflight: HashMap<TaskId, (u32, Vec<Payload>)>,
     stats: RunStats,
     /// The first error a worker hit; the control thread returns it.
     error: Option<ControllerError>,
@@ -179,61 +152,66 @@ struct Core<'r, 'a> {
 
 impl Core<'_, '_> {
     /// Move ready buffers to the worker pool, retaining each task's inputs
-    /// in `inflight` until its completion is observed. Each worker the
-    /// fault plan kills gets one of the rank's first tasks pinned to it,
-    /// so its death, and the re-fire, always happen.
-    fn dispatch(&mut self, ready: Vec<TaskId>, pool: &WorkPool<WorkItem>, tracing: bool) {
-        let ready_ns = if tracing { now_ns() } else { 0 };
+    /// in `inflight` until its completion, then settle the rank's work
+    /// with `delivered` messages retired (see [`RankState::settle`]).
+    /// Each worker the fault plan kills gets one of the rank's first
+    /// tasks pinned to it, so its death, and the hand-back, always happen.
+    fn dispatch(&mut self, ready: Vec<TaskId>, delivered: u64) {
+        let ready_ns = if self.tracing { now_ns() } else { 0 };
         for id in ready {
             if let Some(buf) = self.state.buffers.remove(&id) {
                 let ix = buf.ix();
                 let inputs = buf.take();
-                // The retained (re-fire) copy is the one input clone
+                // The retained (hand-back) copy is the one input clone
                 // dispatch costs.
                 self.stats.perf.payload_clones += inputs.len() as u64;
-                let retained = Inflight {
-                    ix,
-                    inputs: inputs.clone(),
-                    dispatched_at: Instant::now(),
-                    refires: 0,
-                };
-                self.inflight.insert(id, retained);
+                self.inflight.insert(id, (ix, inputs.clone()));
                 let item = WorkItem { ix, inputs, ready_ns };
                 match self.doomed.pop() {
-                    Some(worker) => pool.push_to(worker as usize, item),
-                    None => pool.push(item),
+                    Some(worker) => self.pool.push_to(worker as usize, item),
+                    None => self.pool.push(item),
                 }
             }
         }
+        self.state.settle(self.rel, !self.inflight.is_empty(), delivered);
     }
 
     /// Record a worker's completion of `pt`: route its outputs (remote
     /// ones already serialized) and dispatch the consumers that became
-    /// ready. A re-fired task completing a second time is dropped — its
-    /// outputs were already routed (exactly-once).
+    /// ready. Removal from `inflight` is the exactly-once check.
     fn complete(
         &mut self,
         pt: &PlanTask,
         outs: Vec<Payload>,
         remote: Vec<(usize, BytesMut)>,
         worker: u32,
-        pool: &WorkPool<WorkItem>,
-        tracing: bool,
     ) -> Result<()> {
-        let id = pt.id();
-        if !self.completed.insert(id) {
+        if self.inflight.remove(&pt.id()).is_none() {
             return Ok(());
         }
-        self.inflight.remove(&id);
-        self.executed += 1;
         self.stats.tasks_executed += 1;
         let mut ready = Vec::new();
         self.state.route(self.rel, pt, outs, remote, worker, &mut self.stats, &mut ready)?;
-        self.dispatch(ready, pool, tracing);
-        if self.executed == self.local_total {
+        self.dispatch(ready, 0);
+        if self.done() {
             self.rel.wake();
         }
         Ok(())
+    }
+
+    /// Whether every task of the rank has completed.
+    fn done(&self) -> bool {
+        self.state.buffers.is_empty() && self.inflight.is_empty()
+    }
+
+    /// Re-queue the task a dead worker held, from its retained inputs.
+    fn hand_back(&mut self, id: TaskId) {
+        if let Some((ix, inputs)) = self.inflight.get(&id) {
+            self.stats.recovery.retries += 1;
+            self.stats.perf.payload_clones += inputs.len() as u64;
+            let ready_ns = if self.tracing { now_ns() } else { 0 };
+            self.pool.push(WorkItem { ix: *ix, inputs: inputs.clone(), ready_ns });
+        }
     }
 
     /// Keep the first error and wake the control thread to return it.
@@ -245,20 +223,24 @@ impl Core<'_, '_> {
     }
 }
 
-/// Fails the rank when its worker unwinds. A panic outside the callback
-/// (a panicking [`TraceSink`], say) can leave a task half-routed with its
-/// re-fire suppressed; without this the control thread would learn of it
-/// only at the stall timeout.
-struct WorkerAlarm<'c, 'r, 'a> {
+/// Settles a worker's exit. A worker the fault plan kills dies holding
+/// the task it just picked up, and hands it back for a live worker to
+/// run. A panic outside the callback (a panicking [`TraceSink`], say) can
+/// leave a task half-routed, so it fails the rank at once.
+struct WorkerExit<'c, 'r, 'a> {
     core: &'c Mutex<Core<'r, 'a>>,
     worker: u32,
+    /// The task this worker holds, if any.
+    holding: Option<TaskId>,
 }
 
-impl Drop for WorkerAlarm<'_, '_, '_> {
+impl Drop for WorkerExit<'_, '_, '_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             let msg = format!("worker {} panicked", self.worker);
             self.core.lock().fail(ControllerError::Runtime(msg));
+        } else if let Some(id) = self.holding {
+            self.core.lock().hand_back(id);
         }
     }
 }
@@ -275,16 +257,14 @@ impl Drop for ClosePool<'_> {
 
 /// One rank of the asynchronous controller: a pool of `workers` threads
 /// that execute ready tasks and route their outputs themselves, and a
-/// control thread that receives messages, dispatches the tasks they make
-/// ready, and drives retransmits, re-fires and stall detection.
-#[allow(clippy::too_many_arguments)]
+/// control thread that receives messages and dispatches the tasks they
+/// make ready.
 pub(crate) fn rank_main(
     rel: &mut ReliableEndpoint,
     plan: &Arc<ShardPlan>,
     registry: &Registry,
     initial: InitialInputs,
     workers: usize,
-    timeout: Duration,
     faults: &FaultPlan,
     sink: &dyn TraceSink,
 ) -> RankOutcome {
@@ -299,15 +279,17 @@ pub(crate) fn rank_main(
         .collect();
     kills.sort_unstable();
     kills.dedup();
-    let inbox = rel.inbox().clone();
+    if kills.len() == workers {
+        let msg = format!("the fault plan kills every worker of rank {my_rank}");
+        return Err(ControllerError::Runtime(msg));
+    }
     let pool: WorkPool<WorkItem> = WorkPool::new(workers);
     let core = Mutex::new(Core {
-        local_total: state.buffers.len(),
         state,
         rel,
+        pool: pool.clone(),
+        tracing,
         inflight: HashMap::new(),
-        completed: HashSet::new(),
-        executed: 0,
         stats: RunStats::default(),
         error: None,
         doomed: kills.iter().rev().copied().collect(),
@@ -320,18 +302,18 @@ pub(crate) fn rank_main(
         // become ready go straight back to the pool. Idle workers steal
         // from busy siblings' deques.
         for worker in 0..workers as u32 {
-            let (pool, core, kills) = (pool.clone(), &core, &kills);
+            let (pool, core, kills) = (&pool, &core, &kills);
             s.spawn(move || {
-                let _alarm = WorkerAlarm { core, worker };
+                let mut exit = WorkerExit { core, worker, holding: None };
                 let row = (my_rank, worker);
                 while let Some(WorkItem { ix, inputs, ready_ns }) = pool.recv(worker as usize) {
+                    let pt = plan.task(ix);
+                    exit.holding = Some(pt.id());
                     if kills.contains(&worker) {
-                        // Injected worker death: abandon the task just
-                        // picked up and die. The controller re-fires it
-                        // from the retained inputs onto a live worker.
+                        // Injected worker death: die holding the task just
+                        // picked up; `exit` hands it back.
                         break;
                     }
-                    let pt = plan.task(ix);
                     if tracing {
                         sink.record(
                             TraceEvent::span(SpanKind::QueueWait, ready_ns, now_ns(), row.0, row.1)
@@ -345,18 +327,16 @@ pub(crate) fn rank_main(
                         let remote = encode_remote(pt, &outs, row, sink);
                         let mut core = core.lock();
                         core.stats.merge(&std::mem::take(stats));
-                        if let Err(e) = core.complete(pt, outs, remote, worker, &pool, tracing) {
+                        if let Err(e) = core.complete(pt, outs, remote, worker) {
                             core.fail(e);
                         }
                         Ok(())
                     });
+                    exit.holding = None;
                     if let Err(e) = done {
                         let mut core = core.lock();
                         core.stats.merge(&stats);
-                        // A re-fired duplicate's failure does not matter.
-                        if !core.completed.contains(&pt.id()) {
-                            core.fail(e);
-                        }
+                        core.fail(e);
                     }
                 }
             });
@@ -371,84 +351,29 @@ pub(crate) fn rank_main(
             core.state.buffers.iter().filter(|(_, b)| b.ready()).map(|(&id, _)| id).collect()
         };
         ready.sort();
-        core.lock().dispatch(ready, &pool, tracing);
+        core.lock().dispatch(ready, 0);
 
-        // Short receive tick (drives retransmits and re-fires) decoupled
-        // from the stall timeout (no progress at all for `timeout`).
-        let tick = Duration::from_millis(10).min(timeout);
-        let refire_after =
-            (timeout / 8).clamp(Duration::from_millis(50), Duration::from_secs(2));
-        let mut last_progress = Instant::now();
-        let mut executed_seen = 0;
-        let mut arrived = None;
-
+        let mut woke_with = None;
         loop {
-            {
+            let sleep = {
                 let mut guard = core.lock();
                 let core = &mut *guard;
-                if let Some(env) = arrived.take() {
-                    core.rel.handle(env);
-                    core.rel.drain_inbox();
-                }
+                core.rel.woke(woke_with.take());
                 // Deliver whatever the reliable layer restored to order.
                 let mut ready = Vec::new();
-                if core.state.receive(core.rel, &mut ready)? {
-                    last_progress = Instant::now();
-                }
-                core.dispatch(ready, &pool, tracing);
+                let delivered = core.state.receive(core.rel, &mut ready)?;
+                core.dispatch(ready, delivered);
                 if let Some(e) = core.error.take() {
                     return Err(e);
                 }
-                if core.executed == core.local_total {
+                if core.done() {
                     return Ok(());
                 }
-            }
-            // Network envelopes, a worker's wake, or the protocol tick.
-            match inbox.recv_timeout(tick) {
-                Ok(env) => arrived = Some(env),
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(ControllerError::Runtime("world torn down".into()));
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    let mut guard = core.lock();
-                    let core = &mut *guard;
-                    core.rel.tick();
-                    if core.executed != executed_seen {
-                        executed_seen = core.executed;
-                        last_progress = Instant::now();
-                    }
-                    // Re-fire tasks whose completion is overdue — their
-                    // worker died holding them. Idempotence makes the
-                    // duplicate execution harmless; `completed` dedups.
-                    let now = Instant::now();
-                    for inf in core.inflight.values_mut() {
-                        if now.duration_since(inf.dispatched_at) >= refire_after
-                            && inf.refires < MAX_TASK_RETRIES
-                        {
-                            inf.refires += 1;
-                            inf.dispatched_at = now;
-                            core.stats.recovery.retries += 1;
-                            core.stats.perf.payload_clones += inf.inputs.len() as u64;
-                            pool.push(WorkItem {
-                                ix: inf.ix,
-                                inputs: inf.inputs.clone(),
-                                ready_ns: if tracing { now_ns() } else { 0 },
-                            });
-                        }
-                    }
-                    if last_progress.elapsed() >= timeout {
-                        let mut pending: Vec<TaskId> = core
-                            .state
-                            .buffers
-                            .keys()
-                            .copied()
-                            .chain(core.inflight.keys().copied())
-                            .collect();
-                        pending.sort();
-                        return Err(ControllerError::Deadlock { pending });
-                    }
-                }
-            }
+                core.state.check_world(core.rel)?;
+                core.rel.sleep()
+            };
+            // Network envelopes, a worker's wake, or a retransmit deadline.
+            woke_with = sleep.until_event();
         }
     })?;
 

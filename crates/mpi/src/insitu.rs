@@ -17,41 +17,30 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use babelflow_core::{
-    ControllerError, InitialInputs, Payload, Registry, Result, RunStats, ShardId, ShardPlan,
-    TaskGraph, TaskId, TaskMap,
+    InitialInputs, Payload, PlanTask, Registry, Result, RunStats, ShardId, ShardPlan, TaskGraph,
+    TaskId, TaskMap,
 };
 
 use crate::comm::World;
-use crate::controller::{rank_main, DEFAULT_TIMEOUT};
+use crate::controller::rank_main;
 use crate::rank::run_rank;
 
 /// A dataflow world prepared for in-situ coupling.
 pub struct InSituWorld {
-    graph: Arc<dyn TaskGraph>,
-    map: Arc<dyn TaskMap>,
     registry: Arc<Registry>,
     /// Built once here; every rank executes from the shared plan without
     /// touching the procedural graph again.
     plan: Arc<ShardPlan>,
     workers_per_rank: usize,
-    timeout: Duration,
 }
 
 impl InSituWorld {
     /// Prepare a dataflow for the given graph, placement, and callbacks.
     pub fn new(graph: Arc<dyn TaskGraph>, map: Arc<dyn TaskMap>, registry: Registry) -> Self {
         let plan = Arc::new(ShardPlan::build(&*graph, &*map));
-        InSituWorld {
-            graph,
-            map,
-            registry: Arc::new(registry),
-            plan,
-            workers_per_rank: 2,
-            timeout: DEFAULT_TIMEOUT,
-        }
+        InSituWorld { registry: Arc::new(registry), plan, workers_per_rank: 2 }
     }
 
     /// Set the per-rank worker-thread count.
@@ -61,29 +50,19 @@ impl InSituWorld {
         self
     }
 
-    /// Set the stall-detection timeout.
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
-        self
-    }
-
     /// Split into one endpoint per rank (as many as the task map has
     /// shards). Hand each to the host application thread that owns that
     /// rank's data.
     pub fn into_ranks(self) -> Vec<InSituRank> {
-        let n = self.map.num_shards() as usize;
-        let mut world = World::new(n);
+        let mut world = World::new(self.plan.num_shards() as usize);
         world
             .endpoints()
             .into_iter()
             .map(|ep| InSituRank {
                 ep,
-                graph: self.graph.clone(),
-                map: self.map.clone(),
                 registry: self.registry.clone(),
                 plan: self.plan.clone(),
                 workers: self.workers_per_rank,
-                timeout: self.timeout,
             })
             .collect()
     }
@@ -92,12 +71,9 @@ impl InSituWorld {
 /// One rank's endpoint into an in-situ dataflow.
 pub struct InSituRank {
     ep: crate::comm::RankComm,
-    graph: Arc<dyn TaskGraph>,
-    map: Arc<dyn TaskMap>,
     registry: Arc<Registry>,
     plan: Arc<ShardPlan>,
     workers: usize,
-    timeout: Duration,
 }
 
 impl InSituRank {
@@ -109,12 +85,9 @@ impl InSituRank {
     /// The input tasks assigned to this rank — the tasks this rank must
     /// supply local simulation data for.
     pub fn local_input_tasks(&self) -> Vec<TaskId> {
-        let me = ShardId(self.rank() as u32);
-        self.graph
-            .input_tasks()
-            .into_iter()
-            .filter(|&t| self.map.shard(t) == me)
-            .collect()
+        let local = self.plan.local(ShardId(self.rank() as u32)).iter();
+        let tasks = local.map(|&ix| self.plan.task(ix)).filter(|pt| pt.external_inputs > 0);
+        tasks.map(PlanTask::id).collect()
     }
 
     /// Execute this rank's subgraph, feeding `local_inputs` (payloads for
@@ -123,30 +96,19 @@ impl InSituRank {
     /// outputs produced by tasks on this rank.
     ///
     /// All ranks of the world must call `run` (from their own threads) for
-    /// the dataflow to complete.
+    /// the dataflow to complete. Input for a task another rank owns is an
+    /// error: in-situ ranks only supply their own data.
     pub fn run(
         self,
         local_inputs: InitialInputs,
     ) -> Result<(BTreeMap<TaskId, Vec<Payload>>, RunStats)> {
-        // Validate locality: in-situ ranks only supply their own data.
-        let me = ShardId(self.rank() as u32);
-        for task in local_inputs.keys() {
-            if self.map.shard(*task) != me {
-                return Err(ControllerError::Runtime(format!(
-                    "rank {} supplied input for task {task} owned by {}",
-                    self.rank(),
-                    self.map.shard(*task)
-                )));
-            }
-        }
-        run_rank(self.ep, self.timeout, |rel| {
+        run_rank(self.ep, |rel| {
             rank_main(
                 rel,
                 &self.plan,
                 &self.registry,
                 local_inputs,
                 self.workers,
-                self.timeout,
                 &crate::comm::FaultPlan::none(),
                 &babelflow_core::NoopSink,
             )
@@ -159,7 +121,8 @@ mod tests {
     use std::collections::HashMap;
 
     use babelflow_core::{
-        canonical_outputs, run_serial, Blob, CallbackId, ModuloMap, PayloadData, RunReport,
+        canonical_outputs, run_serial, Blob, CallbackId, ControllerError, ModuloMap, PayloadData,
+        RunReport,
     };
     use babelflow_graphs::Reduction;
 
@@ -230,8 +193,7 @@ mod tests {
     fn foreign_inputs_are_rejected() {
         let graph = Arc::new(Reduction::new(4, 2));
         let map = Arc::new(ModuloMap::new(2, babelflow_core::TaskGraph::size(&*graph) as u64));
-        let world = InSituWorld::new(graph.clone(), map, sum_registry())
-            .with_timeout(Duration::from_millis(200));
+        let world = InSituWorld::new(graph.clone(), map, sum_registry());
         let mut ranks = world.into_ranks();
         let r1 = ranks.pop().unwrap();
         let r0 = ranks.pop().unwrap();

@@ -31,22 +31,23 @@ pub use blocking::BlockingMpiController;
 pub use comm::{
     pack_batch, unpack_batch, Envelope, FaultPlan, RankComm, World, TAG_BATCH, TAG_WAKE,
 };
-pub use controller::{MpiController, DEFAULT_TIMEOUT};
+pub use controller::MpiController;
 pub use insitu::{InSituRank, InSituWorld};
-pub use reliable::{ReliableEndpoint, BASE_RTO, SEQ_ROOM, TAG_ACK};
+pub use reliable::{ReliableEndpoint, Sleep, BASE_RTO, SEQ_ROOM, TAG_ACK};
 pub use wire::{DataflowMsg, TAG_DATAFLOW};
 
 #[cfg(test)]
 mod tests {
     use std::collections::HashMap;
-    use std::time::Duration;
+    use std::sync::{Arc, Mutex};
+    use std::time::{Duration, Instant};
 
     use babelflow_core::{
-        canonical_outputs, run_serial, Blob, CallbackId, Controller, ControllerError, ModuloMap,
-        Payload, Registry, TaskId,
+        canonical_outputs, run_serial, Blob, CallbackId, Controller, ControllerError,
+        ExplicitGraph, InitialInputs, ModuloMap, Payload, Registry, SerialController, ShardPlan,
+        Task, TaskGraph, TaskId,
     };
-    use babelflow_core::TaskGraph;
-use babelflow_graphs::{BinarySwap, Reduction};
+    use babelflow_graphs::{BinarySwap, Reduction};
 
     use super::*;
 
@@ -184,9 +185,7 @@ use babelflow_graphs::{BinarySwap, Reduction};
         // Drop the first message rank 1 sends to rank 0: the reliable
         // layer retransmits it and the run completes correctly anyway.
         let faults = FaultPlan { drop: vec![(1, 0, 0)], ..FaultPlan::none() };
-        let mut c = MpiController::new()
-            .with_faults(faults)
-            .with_timeout(Duration::from_secs(5));
+        let mut c = MpiController::new().with_faults(faults);
         let report = c.run(&g, &map, &reg, reduction_inputs(&g)).unwrap();
         assert_eq!(canonical_outputs(&report), canonical_outputs(&serial));
         assert!(report.stats.recovery.retransmits > 0, "{}", report.stats);
@@ -199,9 +198,7 @@ use babelflow_graphs::{BinarySwap, Reduction};
         let serial = run_serial(&g, &reg, reduction_inputs(&g)).unwrap();
         let map = ModuloMap::new(2, g.size() as u64);
         let faults = FaultPlan { duplicate: vec![(1, 0, 0)], ..FaultPlan::none() };
-        let mut c = MpiController::new()
-            .with_faults(faults)
-            .with_timeout(Duration::from_secs(5));
+        let mut c = MpiController::new().with_faults(faults);
         let report = c.run(&g, &map, &reg, reduction_inputs(&g)).unwrap();
         assert_eq!(canonical_outputs(&report), canonical_outputs(&serial));
         assert!(report.stats.recovery.duplicates_suppressed > 0, "{}", report.stats);
@@ -214,12 +211,24 @@ use babelflow_graphs::{BinarySwap, Reduction};
         let serial = run_serial(&g, &reg, reduction_inputs(&g)).unwrap();
         let map = ModuloMap::new(2, g.size() as u64);
         let faults = FaultPlan { drop: vec![(1, 0, 0)], ..FaultPlan::none() };
-        let mut c = BlockingMpiController::new()
-            .with_faults(faults)
-            .with_timeout(Duration::from_secs(5));
+        let mut c = BlockingMpiController::new().with_faults(faults);
         let report = c.run(&g, &map, &reg, reduction_inputs(&g)).unwrap();
         assert_eq!(canonical_outputs(&report), canonical_outputs(&serial));
         assert!(report.stats.recovery.retransmits > 0, "{}", report.stats);
+    }
+
+    /// `reg` with every invocation counted per task.
+    fn counting(reg: &Registry) -> (Registry, Arc<Mutex<HashMap<TaskId, u32>>>) {
+        let counts = Arc::new(Mutex::new(HashMap::new()));
+        let mut out = Registry::new();
+        for (id, cb) in reg.iter() {
+            let (cb, counts) = (cb.clone(), counts.clone());
+            out.register(id, move |inputs, task| {
+                *counts.lock().unwrap().entry(task).or_insert(0) += 1;
+                cb(inputs, task)
+            });
+        }
+        (out, counts)
     }
 
     #[test]
@@ -229,15 +238,122 @@ use babelflow_graphs::{BinarySwap, Reduction};
         let serial = run_serial(&g, &reg, reduction_inputs(&g)).unwrap();
         let map = ModuloMap::new(2, g.size() as u64);
         let faults = FaultPlan { kill_worker: vec![(0, 0)], ..FaultPlan::none() };
-        let mut c = MpiController::new()
-            .with_workers(2)
-            .with_faults(faults)
-            .with_timeout(Duration::from_secs(5));
-        let report = c.run(&g, &map, &reg, reduction_inputs(&g)).unwrap();
+        let (counted, counts) = counting(&reg);
+        let mut c = MpiController::new().with_workers(2).with_faults(faults);
+        let report = c.run(&g, &map, &counted, reduction_inputs(&g)).unwrap();
         assert_eq!(canonical_outputs(&report), canonical_outputs(&serial));
         // The doomed worker is handed rank 0's first task, whatever its
-        // sibling does: it dies holding it, and the task is re-run once.
+        // sibling does: it dies holding it and hands it back, and the
+        // task runs once, on the sibling. So does every other task.
         assert_eq!(report.stats.recovery.retries, 1, "{}", report.stats);
+        let counts = counts.lock().unwrap();
+        assert_eq!(counts.len(), g.size());
+        assert!(counts.values().all(|&n| n == 1), "{counts:?}");
+    }
+
+    #[test]
+    fn a_long_callback_on_a_live_worker_is_not_retried() {
+        let g = Reduction::new(4, 2);
+        let mut reg = sum_registry();
+        let root = reg.get(CallbackId(2)).unwrap().clone();
+        reg.rebind(CallbackId(2), move |inputs, id| {
+            std::thread::sleep(Duration::from_millis(1500));
+            root(inputs, id)
+        });
+        let map = ModuloMap::new(2, g.size() as u64);
+        let report = MpiController::new().run(&g, &map, &reg, reduction_inputs(&g)).unwrap();
+        assert_eq!(report.stats.recovery.retries, 0, "{}", report.stats);
+        assert_eq!(report.stats.tasks_executed, g.size() as u64);
+    }
+
+    #[test]
+    fn killing_every_worker_is_an_error_not_a_hang() {
+        let g = Reduction::new(4, 2);
+        let map = ModuloMap::new(2, g.size() as u64);
+        let faults = FaultPlan { kill_worker: vec![(1, 0)], ..FaultPlan::none() };
+        let err = MpiController::new()
+            .with_workers(1)
+            .with_faults(faults)
+            .run(&g, &map, &sum_registry(), reduction_inputs(&g))
+            .unwrap_err();
+        assert!(matches!(err, ControllerError::Runtime(_)), "{err}");
+    }
+
+    /// Task 0 (one external input) feeds tasks 1 and 2, which feed task 3.
+    fn diamond() -> ExplicitGraph {
+        let task = |id, cb, incoming: Vec<u64>, outgoing: Vec<u64>| {
+            let mut t = Task::new(TaskId(id), CallbackId(cb));
+            t.incoming = incoming.into_iter().map(TaskId).collect();
+            t.outgoing = vec![outgoing.into_iter().map(TaskId).collect()];
+            t
+        };
+        let ext = TaskId::EXTERNAL.0;
+        ExplicitGraph::new(
+            vec![
+                task(0, 0, vec![ext], vec![1, 2]),
+                task(1, 1, vec![0], vec![3]),
+                task(2, 1, vec![0], vec![3]),
+                task(3, 2, vec![1, 2], vec![ext]),
+            ],
+            vec![CallbackId(0), CallbackId(1), CallbackId(2)],
+        )
+    }
+
+    /// Run `g` on a lenient plan over two ranks, serial first, then on
+    /// both MPI controllers, each with how long it took to fail.
+    fn run_lenient(
+        g: &ExplicitGraph,
+        inputs: &InitialInputs,
+    ) -> (ControllerError, Vec<(&'static str, Duration, ControllerError)>) {
+        let (reg, map) = (sum_registry(), ModuloMap::new(2, g.size() as u64));
+        let plan = Arc::new(ShardPlan::build(g, &map).lenient());
+        let serial = SerialController::new()
+            .with_plan(plan.clone())
+            .run(g, &map, &reg, inputs.clone())
+            .unwrap_err();
+        let mpi: [Box<dyn Controller>; 2] = [
+            Box::new(MpiController::new().with_plan(plan.clone())),
+            Box::new(BlockingMpiController::new().with_plan(plan)),
+        ];
+        let timed = mpi.into_iter().map(|mut c| {
+            let started = Instant::now();
+            let err = c.run(g, &map, &reg, inputs.clone()).unwrap_err();
+            (c.name(), started.elapsed(), err)
+        });
+        (serial, timed.collect())
+    }
+
+    #[test]
+    fn dangling_input_deadlocks_at_once_with_serials_pending_set() {
+        // Task 0's input comes from task 42, which is not in the graph:
+        // no task can ever run.
+        let mut g = diamond();
+        g.task_mut(TaskId(0)).unwrap().incoming = vec![TaskId(42)];
+        let (serial, mpi) = run_lenient(&g, &InitialInputs::new());
+        let ControllerError::Deadlock { pending } = &serial else { panic!("serial: {serial}") };
+        assert_eq!(pending.len(), 4);
+        for (name, elapsed, err) in mpi {
+            assert!(
+                matches!(&err, ControllerError::Deadlock { pending: p } if p == pending),
+                "{name}: {err}"
+            );
+            assert!(elapsed < Duration::from_millis(100), "{name}: {elapsed:?}");
+        }
+    }
+
+    #[test]
+    fn data_for_a_finished_rank_is_a_runtime_error() {
+        // The root, the last task to run, also sends to task 76, which is
+        // not in the graph and maps to rank 0 — done by then.
+        let mut g = diamond();
+        g.task_mut(TaskId(3)).unwrap().outgoing[0].push(TaskId(76));
+        let inputs = InitialInputs::from([(TaskId(0), vec![Payload::wrap(Blob(vec![0; 8]))])]);
+        let (serial, mpi) = run_lenient(&g, &inputs);
+        assert!(matches!(serial, ControllerError::Runtime(_)), "serial: {serial}");
+        for (name, elapsed, err) in mpi {
+            assert!(matches!(err, ControllerError::Runtime(_)), "{name}: {err}");
+            assert!(elapsed < Duration::from_millis(100), "{name}: {elapsed:?}");
+        }
     }
 
     /// Keeps every event it is handed.
@@ -283,13 +399,9 @@ use babelflow_graphs::{BinarySwap, Reduction};
             let plan = FaultPlan { panic_once: vec![root], ..FaultPlan::none() };
             let poisoned = inject_panics(&reg, &plan);
             let report = if blocking {
-                BlockingMpiController::new()
-                    .with_timeout(Duration::from_secs(5))
-                    .run(&g, &map, &poisoned, reduction_inputs(&g))
+                BlockingMpiController::new().run(&g, &map, &poisoned, reduction_inputs(&g))
             } else {
-                MpiController::new()
-                    .with_timeout(Duration::from_secs(5))
-                    .run(&g, &map, &poisoned, reduction_inputs(&g))
+                MpiController::new().run(&g, &map, &poisoned, reduction_inputs(&g))
             }
             .unwrap();
             assert_eq!(canonical_outputs(&report), canonical_outputs(&serial));
@@ -301,16 +413,28 @@ use babelflow_graphs::{BinarySwap, Reduction};
     fn persistently_failing_task_surfaces_as_task_error() {
         babelflow_core::quiet_panic_hook();
         let g = Reduction::new(4, 2);
-        let mut reg = sum_registry();
-        reg.rebind(CallbackId(2), |_, _| -> Vec<Payload> {
-            panic!("{}: root always fails", babelflow_core::PANIC_MARKER)
-        });
         let map = ModuloMap::new(2, g.size() as u64);
-        let err = MpiController::new()
-            .with_timeout(Duration::from_secs(5))
-            .run(&g, &map, &reg, reduction_inputs(&g))
-            .unwrap_err();
-        assert!(matches!(err, ControllerError::TaskError { .. }), "got {err}");
+        // The root, then the reductions in the middle of the graph: their
+        // peers wait for outputs that never come.
+        for cb in [2, 1] {
+            let mut reg = sum_registry();
+            reg.rebind(CallbackId(cb), |_, _| -> Vec<Payload> {
+                panic!("{}: task always fails", babelflow_core::PANIC_MARKER)
+            });
+            let mpi: [Box<dyn Controller>; 2] =
+                [Box::new(MpiController::new()), Box::new(BlockingMpiController::new())];
+            for mut c in mpi {
+                let started = Instant::now();
+                let err = c.run(&g, &map, &reg, reduction_inputs(&g)).unwrap_err();
+                let elapsed = started.elapsed();
+                assert!(
+                    matches!(err, ControllerError::TaskError { .. }),
+                    "{} cb {cb}: got {err}",
+                    c.name()
+                );
+                assert!(elapsed < Duration::from_millis(100), "{} cb {cb}: {elapsed:?}", c.name());
+            }
+        }
     }
 
     /// Panics on the first `MsgRecv` it is handed, from whichever rank
@@ -346,8 +470,8 @@ use babelflow_graphs::{BinarySwap, Reduction};
             };
             let err = result.unwrap_err();
             assert!(matches!(err, ControllerError::Runtime(_)), "blocking={blocking}: {err}");
-            // The default timeout is 10 s; the panicking rank's endpoint
-            // releases its peer as it unwinds.
+            // The panicking rank's endpoint releases its peer as it
+            // unwinds.
             assert!(started.elapsed() < Duration::from_secs(2), "blocking={blocking}");
         }
     }
@@ -374,8 +498,7 @@ use babelflow_graphs::{BinarySwap, Reduction};
         babelflow_core::quiet_panic_hook();
         // One rank: every route is same-rank and is recorded on the worker
         // that completes the producer. It dies having filled a consumer
-        // that no one dispatches, and the producer, already completed, is
-        // never re-fired.
+        // that no one dispatches, with the producer already completed.
         let g = Reduction::new(16, 2);
         let reg = sum_registry();
         let map = ModuloMap::new(1, g.size() as u64);
@@ -385,7 +508,6 @@ use babelflow_graphs::{BinarySwap, Reduction};
             .run_traced(&g, &map, &reg, reduction_inputs(&g), sink)
             .unwrap_err();
         assert!(matches!(err, ControllerError::Runtime(_)), "{err}");
-        // The default stall timeout is 10 s.
         assert!(started.elapsed() < Duration::from_secs(2), "{:?}", started.elapsed());
     }
 

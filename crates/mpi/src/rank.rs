@@ -2,11 +2,11 @@
 //! reliable world, and one rank's dataflow state — its pending tasks'
 //! input buffers, its external outputs, message receipt and output
 //! routing (remote payloads serialized by [`encode_remote`] first,
-//! straight into the frames the reliable layer sends). The controllers
-//! differ only in when a ready task runs.
+//! straight into the frames the reliable layer sends), and its share of
+//! the world's work count. The controllers differ only in when a ready
+//! task runs.
 
 use std::collections::{BTreeMap, HashMap};
-use std::time::Duration;
 
 use babelflow_core::trace::{now_ns, SpanKind, TraceEvent, TraceSink, CONTROL_THREAD};
 use babelflow_core::{
@@ -23,11 +23,12 @@ pub(crate) type RankOutcome = Result<(BTreeMap<TaskId, Vec<Payload>>, RunStats)>
 
 /// Run `body` on one thread per rank of `plan`'s world, each over its
 /// reliable endpoint and with the initial inputs of its own tasks, and
-/// merge the ranks' outputs and counters.
+/// merge the ranks' outputs and counters. A failed run reports its root
+/// cause: the error of the rank that failed first (its peers only
+/// stopped), with the pending tasks of every deadlocked rank merged.
 pub(crate) fn run_world<F>(
     plan: &ShardPlan,
     faults: &FaultPlan,
-    timeout: Duration,
     initial: InitialInputs,
     body: F,
 ) -> Result<RunReport>
@@ -50,36 +51,58 @@ where
             .endpoints()
             .into_iter()
             .zip(rank_inputs)
-            .map(|(ep, inputs)| s.spawn(move || run_rank(ep, timeout, |rel| body(rel, inputs))))
+            .map(|(ep, inputs)| s.spawn(move || run_rank(ep, |rel| body(rel, inputs))))
             .collect();
         handles.into_iter().enumerate().map(|(r, h)| rank_outcome(r, h.join())).collect()
     });
 
-    let mut report = RunReport::default();
-    for outcome in outcomes {
-        let (outputs, stats) = outcome?;
-        report.outputs.extend(outputs);
-        report.stats.merge(&stats);
+    let first = world.first_failed();
+    let (mut report, mut root, mut pending) = (RunReport::default(), None, Vec::new());
+    for (rank, outcome) in outcomes.into_iter().enumerate() {
+        match outcome {
+            Ok((outputs, stats)) => {
+                report.outputs.extend(outputs);
+                report.stats.merge(&stats);
+            }
+            Err(e) => {
+                if let ControllerError::Deadlock { pending: p } = &e {
+                    pending.extend_from_slice(p);
+                }
+                if root.is_none() || Some(rank) == first {
+                    root = Some(e);
+                }
+            }
+        }
     }
-    Ok(report)
+    match root {
+        None => Ok(report),
+        Some(ControllerError::Deadlock { .. }) => {
+            pending.sort();
+            Err(ControllerError::Deadlock { pending })
+        }
+        Some(e) => Err(e),
+    }
 }
 
 /// One rank's life: run `body` over a reliable endpoint, then drain it and
 /// fold the transport's counters into the rank's.
 pub(crate) fn run_rank(
     ep: RankComm,
-    timeout: Duration,
     body: impl FnOnce(&mut ReliableEndpoint) -> RankOutcome,
 ) -> RankOutcome {
-    // On an error return or a panic, dropping `rel` marks this rank
-    // finished, which releases peers lingering at the shutdown barrier.
+    // On an error return or a panic, dropping `rel` fails the world,
+    // which releases every peer at once.
     let mut rel = ReliableEndpoint::new(ep);
     let (outputs, mut stats) = body(&mut rel)?;
     // Drain: wait for our acks, then linger re-acking peers until the
-    // whole world is finished. A `false` here means a peer died without
-    // reaching the barrier — its own outcome carries the error, ours is
-    // complete.
-    rel.flush(timeout);
+    // whole world is finished. If a peer failed, its own outcome carries
+    // the error and ours is complete; data for this finished rank is an
+    // error of its own.
+    rel.flush();
+    if let Some((src, ..)) = rel.pop_ready() {
+        let msg = format!("rank {src} sent data to finished rank {}", rel.rank());
+        return Err(ControllerError::Runtime(msg));
+    }
     stats.recovery.merge(&rel.stats);
     stats.perf.envelopes_sent += rel.envelopes_sent;
     stats.perf.batches_sent += rel.batches_sent;
@@ -135,6 +158,8 @@ pub(crate) struct RankState<'a> {
     pub(crate) buffers: HashMap<TaskId, PlanBuffer>,
     /// External outputs of the rank's tasks.
     pub(crate) outputs: BTreeMap<TaskId, Vec<Payload>>,
+    /// Whether the rank holds its unit of the world's work; it starts so.
+    busy: bool,
     sink: &'a dyn TraceSink,
     tracing: bool,
 }
@@ -167,7 +192,7 @@ impl<'a> RankState<'a> {
             }
         }
         let tracing = sink.enabled();
-        Ok(RankState { plan, shard, buffers, outputs: BTreeMap::new(), sink, tracing })
+        Ok(RankState { plan, shard, buffers, outputs: BTreeMap::new(), busy: true, sink, tracing })
     }
 
     fn rank(&self) -> u32 {
@@ -175,14 +200,15 @@ impl<'a> RankState<'a> {
     }
 
     /// Deliver every message the reliable layer has restored to order,
-    /// pushing tasks that became ready onto `ready`. Returns whether any
-    /// message arrived.
+    /// pushing tasks that became ready onto `ready`. Returns how many
+    /// arrived: the caller retires them with [`settle`](Self::settle),
+    /// once it has taken up the tasks they readied.
     pub(crate) fn receive(
         &mut self,
         rel: &mut ReliableEndpoint,
         ready: &mut Vec<TaskId>,
-    ) -> Result<bool> {
-        let mut arrived = false;
+    ) -> Result<u64> {
+        let mut arrived = 0;
         while let Some((src_rank, _tag, body)) = rel.pop_ready() {
             let recv_start = if self.tracing { now_ns() } else { 0 };
             let msg = DataflowMsg::decode(&body).ok_or_else(|| {
@@ -217,9 +243,39 @@ impl<'a> RankState<'a> {
             if buf.ready() {
                 ready.push(msg.dst_task);
             }
-            arrived = true;
+            arrived += 1;
         }
         Ok(arrived)
+    }
+
+    /// Hold the rank's unit of work exactly while it is `busy` (it has a
+    /// task to run or running), then retire `delivered` messages. In that
+    /// order, a message that readies a task hands its unit to the rank
+    /// without the world's count passing through zero.
+    pub(crate) fn settle(&mut self, rel: &ReliableEndpoint, busy: bool, delivered: u64) {
+        let comm = rel.comm();
+        if busy != self.busy {
+            self.busy = busy;
+            if busy {
+                comm.hold(1);
+            } else {
+                comm.release(1);
+            }
+        }
+        comm.release(delivered);
+    }
+
+    /// Why an idle rank must stop waiting, if it must: no work is left
+    /// anywhere while its tasks are unrun — a `Deadlock` naming them — or
+    /// a peer failed.
+    pub(crate) fn check_world(&self, rel: &ReliableEndpoint) -> Result<()> {
+        let comm = rel.comm();
+        if comm.quiescent() {
+            let mut pending: Vec<TaskId> = self.buffers.keys().copied().collect();
+            pending.sort();
+            return Err(ControllerError::Deadlock { pending });
+        }
+        comm.failed().map_or(Ok(()), |r| Err(ControllerError::Runtime(format!("rank {r} failed"))))
     }
 
     /// Route a completed task's outputs: external ones to the host,
@@ -274,6 +330,8 @@ impl<'a> RankState<'a> {
                 }
             }
         }
+        // Counted before they leave, retired by the receiver on delivery.
+        rel.comm().hold(remote.len() as u64);
         for (dst_rank, frame) in remote {
             stats.remote_messages += 1;
             stats.remote_bytes += (frame.len() - SEQ_ROOM) as u64;

@@ -41,21 +41,26 @@
 //!   sequence numbers too, so an injected fault may hit data, ack, or
 //!   retransmit — the protocol converges regardless.
 //!
+//! Every wait of the MPI backends is [`wait`]: block on the inbox until
+//! the next envelope or the next live retransmit deadline. The RTO is the
+//! backends' only timer; a stuck run is decided from exact events
+//! ([`RankComm::hold`], [`RankComm::failed`]) that wake every rank.
+//!
 //! Shutdown is the subtle part: a rank that finished its own tasks must
 //! keep servicing acks until *every* rank is done, otherwise a peer's
 //! retransmit would land in a torn-down inbox forever. [`flush`] runs the
-//! two-phase barrier: transmit anything still staged, drain until all own
+//! two-phase barrier: transmit anything still staged, wait until all own
 //! sends are acked, declare finished ([`RankComm::mark_finished`]), then
 //! linger — re-acking whatever still arrives — until the whole world is
-//! finished. Both phases block on the inbox, never on a fixed poll: the
-//! drain reads every queued envelope (the acks that piled up while the
-//! rank was busy) before it looks for overdue messages, then sleeps until
-//! the next envelope or retransmit deadline; the linger wakes on the
-//! control envelope the last rank to finish puts in every peer's inbox.
+//! finished. The drain reads every queued envelope (the acks that piled
+//! up while the rank was busy) before it looks for overdue messages; the
+//! linger wakes on the control envelope the last rank to finish puts in
+//! every peer's inbox.
 //!
 //! [`tick`]: ReliableEndpoint::tick
 //! [`flush`]: ReliableEndpoint::flush
 //! [`flush_sends`]: ReliableEndpoint::flush_sends
+//! [`wait`]: ReliableEndpoint::wait
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
@@ -104,7 +109,8 @@ fn rto(attempts: u32) -> Duration {
 /// A retransmit deadline: (due, dst, seq, attempts). Wrapped in
 /// [`Reverse`] it orders a [`BinaryHeap`] earliest-first. An entry is
 /// stale once its message is acked or retransmitted again (its `attempts`
-/// no longer matches); stale entries are dropped when popped.
+/// no longer matches); stale entries are dropped when they reach the
+/// head.
 type Deadline = Reverse<(Instant, usize, u64, u32)>;
 
 /// A [`RankComm`] wrapped with the ack/retransmit protocol.
@@ -149,6 +155,28 @@ pub struct ReliableEndpoint {
     /// Retransmit deadlines [`tick`](Self::tick) examined: every entry it
     /// popped (overdue or stale) plus the not-yet-due entry it stopped at.
     pub rto_scanned: u64,
+    /// While a thread blocks in a [`Sleep`]: the deadline it wakes at on
+    /// its own (`None`: only an envelope wakes it).
+    sleeping: Option<Option<Instant>>,
+}
+
+/// A rank's wait for its next event (see [`ReliableEndpoint::sleep`]).
+pub struct Sleep {
+    inbox: Receiver<Envelope>,
+    until: Option<Instant>,
+}
+
+impl Sleep {
+    /// Block until the next envelope arrives (`Some`) or the deadline
+    /// passes (`None`).
+    pub fn until_event(self) -> Option<Envelope> {
+        match self.until {
+            Some(due) => {
+                self.inbox.recv_timeout(due.saturating_duration_since(Instant::now())).ok()
+            }
+            None => self.inbox.recv().ok(),
+        }
+    }
 }
 
 /// Split a frame (or an ack body) into its sequence number and the
@@ -178,6 +206,7 @@ impl ReliableEndpoint {
             envelopes_sent: 0,
             batches_sent: 0,
             rto_scanned: 0,
+            sleeping: None,
         }
     }
 
@@ -205,10 +234,9 @@ impl ReliableEndpoint {
         self.ep.size()
     }
 
-    /// The raw inbox receiver. Every envelope taken from it must be fed
-    /// to [`handle`](Self::handle).
-    pub fn inbox(&self) -> &Receiver<Envelope> {
-        self.ep.inbox()
+    /// The raw endpoint, for the world's work count and failure flag.
+    pub fn comm(&self) -> &RankComm {
+        &self.ep
     }
 
     /// Put a [`TAG_WAKE`] envelope in this rank's own inbox (see
@@ -254,6 +282,12 @@ impl ReliableEndpoint {
         let staged = std::mem::take(&mut self.outbox[dst]);
         // The RTO clock starts at actual transmission, not at staging time.
         let due = Instant::now() + rto(0);
+        // A thread sleeping past this deadline (another thread sends while
+        // it sleeps) must wake up to keep it.
+        if self.sleeping.is_some_and(|until| until.is_none_or(|t| due < t)) {
+            self.sleeping = None;
+            self.ep.wake();
+        }
         let mut parts = Vec::with_capacity(staged.len());
         for (seq, tag) in staged {
             if let Some(pending) = self.unacked.get(&(dst, seq)) {
@@ -375,20 +409,23 @@ impl ReliableEndpoint {
 
     /// Transmit staged sends, then retransmit every overdue
     /// unacknowledged message (exponential backoff per message),
-    /// re-batched per destination in sequence order. Call periodically
-    /// from the progress loop. Costs O(overdue + stale) heap pops, not
-    /// O(unacked): see [`rto_scanned`](Self::rto_scanned).
+    /// re-batched per destination in sequence order, and drop the stale
+    /// deadlines in front of the first live one, so the heap's head is
+    /// the next retransmit. [`wait`](Self::wait) calls it. Costs
+    /// O(overdue + stale) heap pops, not O(unacked): see
+    /// [`rto_scanned`](Self::rto_scanned).
     pub fn tick(&mut self) {
         self.flush_sends();
         let now = Instant::now();
         let mut overdue: Vec<(usize, u64)> = Vec::new();
         while let Some(&Reverse((due, dst, seq, attempts))) = self.deadlines.peek() {
             self.rto_scanned += 1;
-            if due > now {
+            let live = self.unacked.get(&(dst, seq)).is_some_and(|p| p.attempts == attempts);
+            if live && due > now {
                 break;
             }
             self.deadlines.pop();
-            if self.unacked.get(&(dst, seq)).is_some_and(|p| p.attempts == attempts) {
+            if live {
                 overdue.push((dst, seq));
             }
         }
@@ -421,50 +458,60 @@ impl ReliableEndpoint {
         self.unacked.is_empty()
     }
 
-    /// Two-phase shutdown, bounded by `stall`: (1) transmit staged sends
-    /// and drain until all own sends are acked, (2) mark this rank
-    /// finished and linger — re-acking retransmits — until every rank is
-    /// finished. Neither phase polls: each blocks on the inbox until the
-    /// next envelope (acks, retransmits, the finish wake) or the next
-    /// retransmit deadline. Returns false if the deadline expired first
-    /// (a peer died without marking itself finished); the caller's own
-    /// results are complete either way. Dropping the endpoint without
-    /// flushing (error paths) still marks the rank finished.
-    pub fn flush(&mut self, stall: Duration) -> bool {
-        self.flush_sends();
-        let deadline = Instant::now() + stall;
-        loop {
-            // Acks that piled up while the rank was busy come first: only
-            // what is still unacked after them can be overdue.
-            self.drain_inbox();
-            if self.all_acked() {
-                break;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                self.ep.mark_finished();
-                return false;
-            }
-            self.tick();
-            let next_rto = self.deadlines.peek().map(|&Reverse((due, ..))| due);
-            let wake = next_rto.map_or(deadline, |due| due.min(deadline));
-            if let Some(env) = self.ep.recv_timeout(wake.saturating_duration_since(now)) {
-                self.handle(env);
-            }
+    /// Wait for the next event: transmit staged sends, retransmit what is
+    /// overdue, block until the next envelope or live retransmit deadline
+    /// (with nothing unacked, until the next envelope), and handle every
+    /// envelope queued by then.
+    pub fn wait(&mut self) {
+        let env = self.sleep().until_event();
+        self.woke(env);
+    }
+
+    /// The first half of [`wait`](Self::wait), for a rank whose endpoint
+    /// sits behind a lock: the sleeper blocks with the lock released, and
+    /// until [`woke`](Self::woke) a send that sets an earlier deadline
+    /// wakes it.
+    pub fn sleep(&mut self) -> Sleep {
+        self.tick();
+        let until = self.deadlines.peek().map(|&Reverse((due, ..))| due);
+        self.sleeping = Some(until);
+        Sleep { inbox: self.ep.inbox().clone(), until }
+    }
+
+    /// The second half of [`wait`](Self::wait): handle what the
+    /// [`Sleep`] returned and everything queued behind it.
+    pub fn woke(&mut self, env: Option<Envelope>) {
+        self.sleeping = None;
+        if let Some(env) = env {
+            self.handle(env);
+        }
+        self.drain_inbox();
+    }
+
+    /// Two-phase shutdown: (1) wait until all own sends are acked, (2)
+    /// mark this rank finished and linger — re-acking retransmits — until
+    /// every rank is finished. Both end early if a peer
+    /// [`failed`](RankComm::failed) or data arrives for this finished rank
+    /// ([`pop_ready`](Self::pop_ready) has it). Returns whether the whole
+    /// world finished.
+    pub fn flush(&mut self) -> bool {
+        // Acks that piled up while the rank was busy come first: only
+        // what is still unacked after them can be overdue.
+        self.drain_inbox();
+        let stop = |rel: &Self| rel.ep.failed().is_some() || !rel.ready.is_empty();
+        while !self.all_acked() && !stop(self) {
+            self.wait();
+        }
+        if stop(self) {
+            return false;
         }
         self.ep.mark_finished();
-        while !self.ep.all_finished() {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            // The last rank to finish wakes this wait (see
-            // `RankComm::mark_finished`).
-            if let Some(env) = self.ep.recv_timeout(deadline - now) {
-                self.handle(env);
-            }
+        // The last rank to finish wakes this wait (see
+        // `RankComm::mark_finished`).
+        while !self.ep.all_finished() && !stop(self) {
+            self.wait();
         }
-        true
+        self.ep.all_finished()
     }
 }
 
@@ -554,7 +601,7 @@ mod tests {
                 for i in 0..messages {
                     a.send(1, 7, with_room(&i.to_le_bytes()));
                 }
-                assert!(a.flush(Duration::from_secs(5)), "rank 0 flush timed out");
+                assert!(a.flush(), "rank 0 flush failed");
                 a.stats
             });
             let hb = s.spawn(move || {
@@ -563,7 +610,7 @@ mod tests {
                 let deadline = Instant::now() + Duration::from_secs(5);
                 while (got.len() as u64) < messages {
                     assert!(Instant::now() < deadline, "receiver stalled at {got:?}");
-                    if let Some(env) = b.ep.recv_timeout(Duration::from_millis(2)) {
+                    if let Ok(env) = b.ep.inbox().recv_timeout(Duration::from_millis(2)) {
                         b.handle(env);
                     }
                     while let Some((src, tag, body)) = b.pop_ready() {
@@ -573,7 +620,7 @@ mod tests {
                 }
                 // Exactly-once, in order, despite the fault plan.
                 assert_eq!(got, (0..messages).collect::<Vec<_>>());
-                assert!(b.flush(Duration::from_secs(5)), "rank 1 flush timed out");
+                assert!(b.flush(), "rank 1 flush failed");
                 b.stats
             });
             (ha.join().unwrap(), hb.join().unwrap())
@@ -653,7 +700,7 @@ mod tests {
         a.flush_sends();
         assert_eq!(w.delivered(), 1, "five sends coalesce into one envelope");
         assert_eq!((a.envelopes_sent, a.batches_sent), (1, 1));
-        let env = b.ep.recv_timeout(Duration::from_millis(200)).unwrap();
+        let env = b.ep.recv().unwrap();
         assert_eq!(env.tag, TAG_BATCH);
         b.handle(env);
         for i in 0..5u8 {
@@ -662,7 +709,7 @@ mod tests {
         }
         // The receiver's five acks coalesced into one reply envelope too.
         assert_eq!((b.envelopes_sent, b.batches_sent), (1, 1));
-        let acks = a.ep.recv_timeout(Duration::from_millis(200)).unwrap();
+        let acks = a.ep.recv().unwrap();
         a.handle(acks);
         assert!(a.all_acked());
     }
@@ -737,7 +784,7 @@ mod tests {
         b.ep.mark_finished();
         // Every ack now sits unread in a's inbox, long past its RTO.
         std::thread::sleep(2 * BASE_RTO);
-        assert!(a.flush(Duration::from_secs(1)));
+        assert!(a.flush());
         assert_eq!(a.stats.retransmits, 0, "{:?}", a.stats);
     }
 
@@ -842,7 +889,7 @@ mod tests {
                                 }
                             }
                             ep.tick();
-                            if let Some(env) = ep.ep.recv_timeout(Duration::from_millis(2)) {
+                            if let Ok(env) = ep.ep.inbox().recv_timeout(Duration::from_millis(2)) {
                                 ep.handle(env);
                             }
                             while let Some((src, tag, body)) = ep.pop_ready() {
@@ -857,7 +904,7 @@ mod tests {
                             (0..messages).collect::<Vec<_>>(),
                             "rank {me} FIFO violated (seed {seed})"
                         );
-                        assert!(ep.flush(Duration::from_secs(10)), "rank {me} flush (seed {seed})");
+                        assert!(ep.flush(), "rank {me} flush (seed {seed})");
                     });
                 }
             });

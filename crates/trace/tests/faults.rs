@@ -5,7 +5,6 @@
 //! exactly-once effect) and span nesting still hold.
 
 use std::collections::HashMap;
-use std::time::Duration;
 
 use babelflow_core::{
     canonical_outputs, inject_panics, run_serial, Blob, CallbackId, Controller, FaultPlan, FnMap,
@@ -63,7 +62,6 @@ fn faulted_run_traces_retries_as_extra_task_spans() {
     let recorder = TraceRecorder::shared();
     let report = babelflow_mpi::MpiController::new()
         .with_workers(2)
-        .with_timeout(Duration::from_secs(5))
         .with_faults(faults)
         .run_traced(&graph, &map, &poisoned, inputs(&graph), recorder.clone())
         .expect("faulted run must still complete");

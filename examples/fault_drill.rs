@@ -69,24 +69,18 @@ fn main() {
 
     let ids = graph.ids();
     let map = FnMap::new(2, ids, |t| ShardId((t.0 % 2) as u32));
-    let timeout = Duration::from_secs(10);
     let mut backends: Vec<(&str, Box<dyn Controller>)> = vec![
         ("serial", Box::new(babelflow::core::SerialController::new())),
         (
             "mpi-async",
             Box::new(
-                babelflow::mpi::MpiController::new()
-                    .with_workers(2)
-                    .with_timeout(timeout)
-                    .with_faults(faults.clone()),
+                babelflow::mpi::MpiController::new().with_workers(2).with_faults(faults.clone()),
             ),
         ),
         (
             "mpi-blocking",
             Box::new(
-                babelflow::mpi::BlockingMpiController::new()
-                    .with_timeout(timeout)
-                    .with_faults(faults.message_faults()),
+                babelflow::mpi::BlockingMpiController::new().with_faults(faults.message_faults()),
             ),
         ),
         ("charm", Box::new(babelflow::charm::CharmController::new(2))),

@@ -5,7 +5,6 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use babelflow::core::proptest_lite::prelude::*;
 use babelflow::core::rng::Rng;
@@ -238,25 +237,19 @@ fn run_conformance_case(case_seed: u64) -> Result<(), String> {
 
     let map = FnMap::new(ranks, ids, move |t| ShardId((t.0 % ranks as u64) as u32));
     let shard_plan = babelflow::core::ShardPlan::build(&*graph, &map);
-    let timeout = Duration::from_secs(4);
 
     let mut backends: Vec<(&str, Box<dyn Controller>)> = vec![
         ("serial", Box::new(babelflow::core::SerialController::new())),
         (
             "mpi-async",
             Box::new(
-                babelflow::mpi::MpiController::new()
-                    .with_workers(2)
-                    .with_timeout(timeout)
-                    .with_faults(plan.clone()),
+                babelflow::mpi::MpiController::new().with_workers(2).with_faults(plan.clone()),
             ),
         ),
         (
             "mpi-blocking",
             Box::new(
-                babelflow::mpi::BlockingMpiController::new()
-                    .with_timeout(timeout)
-                    .with_faults(plan.message_faults()),
+                babelflow::mpi::BlockingMpiController::new().with_faults(plan.message_faults()),
             ),
         ),
         ("charm", Box::new(babelflow::charm::CharmController::new(2))),

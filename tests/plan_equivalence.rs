@@ -139,6 +139,47 @@ fn plans_intern_every_family_losslessly() {
     }
 }
 
+/// The static schedule as it was first written, kept as the reference for
+/// the heap-based `ShardPlan::static_schedule`: Kahn's algorithm with a
+/// sorted `Vec` frontier (O(n²)), smallest id first.
+fn reference_static_schedule(plan: &ShardPlan) -> Vec<TaskId> {
+    let mut indegree: HashMap<TaskId, usize> = (0..plan.len() as u32)
+        .map(|ix| plan.task(ix))
+        .map(|pt| (pt.id(), pt.task.incoming.iter().filter(|t| !t.is_external()).count()))
+        .collect();
+    let mut frontier: Vec<TaskId> =
+        indegree.iter().filter(|(_, &d)| d == 0).map(|(&id, _)| id).collect();
+    frontier.sort_unstable();
+    let mut order = Vec::with_capacity(plan.len());
+    while let Some(id) = frontier.first().copied() {
+        frontier.remove(0);
+        order.push(id);
+        for route in plan.task_by_id(id).unwrap().routes.iter().flatten() {
+            if let Some(d) = indegree.get_mut(&route.dst) {
+                *d -= 1;
+                if *d == 0 {
+                    let at = frontier.binary_search(&route.dst).unwrap_or_else(|e| e);
+                    frontier.insert(at, route.dst);
+                }
+            }
+        }
+    }
+    order
+}
+
+#[test]
+fn static_schedule_matches_the_reference_order_on_every_family() {
+    for (name, graph) in families() {
+        for shards in [1u32, 3] {
+            let plan = ShardPlan::build(&*graph, &ModuloMap::new(shards, graph.size() as u64));
+            let order: Vec<TaskId> =
+                plan.static_schedule().into_iter().map(|ix| plan.task(ix).id()).collect();
+            assert_eq!(order, reference_static_schedule(&plan), "{name}/mod{shards}");
+            assert_eq!(order.len(), graph.size(), "{name}: every task has a place");
+        }
+    }
+}
+
 /// Registry where every callback hashes its inputs with the task id, so a
 /// wrong route, slot, or placement changes the output bytes.
 fn mix_registry(graph: &dyn TaskGraph) -> Registry {

@@ -8,6 +8,10 @@ set -eux
 export RUSTFLAGS="-D warnings"
 
 cargo build --release --offline
+# Clippy is gated as well: every target of every member is lint-clean, so
+# a new finding fails here instead of piling up. A deliberate exception is
+# a scoped #[allow] that states its reason.
+cargo clippy --offline --workspace --all-targets -- -D warnings
 # Rustdoc is warning-clean too, so an intra-doc link to a renamed or
 # deleted item fails the build instead of dangling.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline

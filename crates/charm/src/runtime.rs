@@ -62,13 +62,16 @@ pub struct CharmStats {
     pub late_messages: u64,
 }
 
+/// External outputs of a run, per producing task.
+type Outputs = BTreeMap<TaskId, Vec<Payload>>;
+
 struct Shared {
     pes: usize,
     /// PE scheduler queues. Every delivery rides its target PE's *pinned*
     /// lane, which stealing never touches, so a chare only runs on its PE.
     pool: WorkPool<Delivery>,
     /// External outputs collected across PEs.
-    outputs: Mutex<BTreeMap<TaskId, Vec<Payload>>>,
+    outputs: Mutex<Outputs>,
     /// Messages sent whose entry method has not yet returned. A send
     /// counts before it pushes and a PE uncounts after the handler, whose
     /// own sends were counted first, so zero means quiescence: nothing
@@ -223,7 +226,7 @@ impl CharmRuntime {
         indices: &[u64],
         factory: F,
         initial: Vec<(u64, TaskId, Payload)>,
-    ) -> Result<(BTreeMap<TaskId, Vec<Payload>>, CharmStats), Vec<u64>>
+    ) -> Result<(Outputs, CharmStats), Vec<u64>>
     where
         F: Fn(u64) -> Box<dyn Chare> + Send + Sync,
     {

@@ -356,7 +356,7 @@ mod tests {
         m.reserve(16);
         assert_eq!(m.len(), 3);
         let frozen = m.freeze();
-        assert_eq!(frozen, *&[1u8, 2, 3][..]);
+        assert_eq!(frozen, [1u8, 2, 3][..]);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use crate::graph::TaskGraph;
-use crate::ids::{CallbackId, TaskId};
+use crate::ids::TaskId;
 use crate::lint::VerifyReport;
 use crate::payload::Payload;
 use crate::plan::ShardPlan;
@@ -181,14 +181,13 @@ impl std::fmt::Display for RecoveryStats {
 /// up front or observe during execution.
 #[derive(Debug)]
 pub enum ControllerError {
-    /// The structural lint found `Error`-level diagnostics, so the graph
-    /// cannot execute correctly; the report lists every finding with its
-    /// `BFnnn` code. Build the plan with
-    /// [`ShardPlan::lenient`](crate::plan::ShardPlan::lenient) to run
-    /// anyway and observe the failure where it actually bites.
+    /// The lint found `Error`-level diagnostics, so the graph cannot
+    /// execute correctly; the report lists every finding with its `BFnnn`
+    /// code (an unbound callback is BF004). Build the plan with
+    /// [`ShardPlan::lenient`](crate::plan::ShardPlan::lenient) to run a
+    /// flawed dataflow anyway and observe the failure where it actually
+    /// bites.
     LintRejected(VerifyReport),
-    /// The graph advertises callbacks the registry does not bind.
-    UnboundCallbacks(Vec<CallbackId>),
     /// `initial` is missing inputs for a task with external input slots, or
     /// supplies the wrong number of payloads.
     BadInitialInputs {
@@ -235,9 +234,6 @@ impl std::fmt::Display for ControllerError {
         match self {
             ControllerError::LintRejected(report) => {
                 write!(f, "graph rejected by lint:\n{report}")
-            }
-            ControllerError::UnboundCallbacks(ids) => {
-                write!(f, "unbound callbacks: {ids:?}")
             }
             ControllerError::BadInitialInputs { task, expected, got } => write!(
                 f,

@@ -7,7 +7,7 @@
 //! trait therefore exposes per-id queries; controllers instantiate only the
 //! local subgraph assigned to their shard.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 
 use crate::ids::{CallbackId, ShardId, TaskId};
 use crate::task::Task;
@@ -97,221 +97,6 @@ impl<G: TaskGraph + ?Sized> TaskGraph for std::sync::Arc<G> {
     }
 }
 
-/// A structural defect found by [`validate`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GraphDefect {
-    /// `ids()` returned a duplicate id.
-    DuplicateId(TaskId),
-    /// `ids()` length disagrees with `size()`.
-    SizeMismatch {
-        /// What `size()` reported.
-        size: usize,
-        /// How many ids `ids()` returned.
-        ids: usize,
-    },
-    /// `task(id)` returned `None` for an id listed in `ids()`.
-    MissingTask(TaskId),
-    /// A task's `id` field disagrees with the id it was queried by.
-    IdMismatch {
-        /// Id used in the query.
-        queried: TaskId,
-        /// Id stored in the returned task.
-        stored: TaskId,
-    },
-    /// Task `src` lists `dst` as a consumer, but `dst` does not list `src`
-    /// as a producer (or not often enough, when multiple edges connect the
-    /// pair).
-    HalfEdgeOut {
-        /// Producer side of the broken edge.
-        src: TaskId,
-        /// Consumer side of the broken edge.
-        dst: TaskId,
-    },
-    /// Task `dst` lists `src` as a producer, but `src` does not list `dst`
-    /// as a consumer (or not often enough).
-    HalfEdgeIn {
-        /// Producer side of the broken edge.
-        src: TaskId,
-        /// Consumer side of the broken edge.
-        dst: TaskId,
-    },
-    /// An edge endpoint references an id outside the graph.
-    DanglingEdge {
-        /// Task holding the reference.
-        from: TaskId,
-        /// The unknown id.
-        to: TaskId,
-    },
-    /// A task uses a callback id the graph does not advertise.
-    UnknownCallback(TaskId, CallbackId),
-    /// The graph has a directed cycle including this task.
-    Cycle(TaskId),
-}
-
-impl std::fmt::Display for GraphDefect {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            GraphDefect::DuplicateId(id) => write!(f, "duplicate task id {id}"),
-            GraphDefect::SizeMismatch { size, ids } => {
-                write!(f, "size() = {size} but ids() returned {ids} ids")
-            }
-            GraphDefect::MissingTask(id) => write!(f, "task({id}) returned None"),
-            GraphDefect::IdMismatch { queried, stored } => {
-                write!(f, "task({queried}) returned a task with id {stored}")
-            }
-            GraphDefect::HalfEdgeOut { src, dst } => {
-                write!(f, "{src} -> {dst} present in outgoing but not incoming")
-            }
-            GraphDefect::HalfEdgeIn { src, dst } => {
-                write!(f, "{src} -> {dst} present in incoming but not outgoing")
-            }
-            GraphDefect::DanglingEdge { from, to } => {
-                write!(f, "task {from} references unknown task {to}")
-            }
-            GraphDefect::UnknownCallback(id, cb) => {
-                write!(f, "task {id} uses unadvertised callback {cb}")
-            }
-            GraphDefect::Cycle(id) => write!(f, "cycle through task {id}"),
-        }
-    }
-}
-
-/// Exhaustively check a graph's structural invariants.
-///
-/// This instantiates the whole graph, so it is intended for tests and
-/// debugging (the paper highlights that executing graphs serially or
-/// drawing them is how dataflows get debugged); production controllers
-/// never need it.
-pub fn validate(graph: &dyn TaskGraph) -> Vec<GraphDefect> {
-    let mut defects = Vec::new();
-    let ids = graph.ids();
-
-    if ids.len() != graph.size() {
-        defects.push(GraphDefect::SizeMismatch { size: graph.size(), ids: ids.len() });
-    }
-
-    let mut seen = HashSet::with_capacity(ids.len());
-    for &id in &ids {
-        if !seen.insert(id) {
-            defects.push(GraphDefect::DuplicateId(id));
-        }
-    }
-
-    let mut tasks: HashMap<TaskId, Task> = HashMap::with_capacity(ids.len());
-    for &id in &ids {
-        match graph.task(id) {
-            None => defects.push(GraphDefect::MissingTask(id)),
-            Some(t) => {
-                if t.id != id {
-                    defects.push(GraphDefect::IdMismatch { queried: id, stored: t.id });
-                }
-                tasks.insert(id, t);
-            }
-        }
-    }
-
-    let callbacks: HashSet<CallbackId> = graph.callback_ids().into_iter().collect();
-
-    // Count multi-edges so reciprocity holds even for parallel edges.
-    let edge_count =
-        |list: &[TaskId], target: TaskId| list.iter().filter(|&&x| x == target).count();
-
-    for t in tasks.values() {
-        if !callbacks.contains(&t.callback) {
-            defects.push(GraphDefect::UnknownCallback(t.id, t.callback));
-        }
-        for dsts in &t.outgoing {
-            for &dst in dsts {
-                if dst.is_external() {
-                    continue;
-                }
-                match tasks.get(&dst) {
-                    None => defects.push(GraphDefect::DanglingEdge { from: t.id, to: dst }),
-                    Some(d) => {
-                        let out_n: usize =
-                            t.outgoing.iter().map(|v| edge_count(v, dst)).sum();
-                        let in_n = edge_count(&d.incoming, t.id);
-                        if out_n > in_n {
-                            defects.push(GraphDefect::HalfEdgeOut { src: t.id, dst });
-                        }
-                    }
-                }
-            }
-        }
-        for &src in &t.incoming {
-            if src.is_external() {
-                continue;
-            }
-            match tasks.get(&src) {
-                None => defects.push(GraphDefect::DanglingEdge { from: t.id, to: src }),
-                Some(s) => {
-                    let in_n = edge_count(&t.incoming, src);
-                    let out_n: usize = s.outgoing.iter().map(|v| edge_count(v, t.id)).sum();
-                    if in_n > out_n {
-                        defects.push(GraphDefect::HalfEdgeIn { src, dst: t.id });
-                    }
-                }
-            }
-        }
-    }
-
-    // Cycle detection via Kahn's algorithm on internal edges.
-    let mut indegree: HashMap<TaskId, usize> = tasks
-        .values()
-        .map(|t| (t.id, t.incoming.iter().filter(|s| !s.is_external()).count()))
-        .collect();
-    let mut queue: VecDeque<TaskId> = indegree
-        .iter()
-        .filter(|(_, &d)| d == 0)
-        .map(|(&id, _)| id)
-        .collect();
-    let mut visited = 0usize;
-    while let Some(id) = queue.pop_front() {
-        visited += 1;
-        if let Some(t) = tasks.get(&id) {
-            for dsts in &t.outgoing {
-                for &dst in dsts {
-                    if dst.is_external() {
-                        continue;
-                    }
-                    if let Some(d) = indegree.get_mut(&dst) {
-                        *d = d.saturating_sub(1);
-                        if *d == 0 {
-                            queue.push_back(dst);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    if visited < tasks.len() {
-        for (&id, &d) in &indegree {
-            if d > 0 {
-                defects.push(GraphDefect::Cycle(id));
-            }
-        }
-    }
-
-    // Sort and dedup HalfEdge pairs: a single broken edge is reported from
-    // both endpoints; keep each defect once for readable output.
-    defects.sort_by_key(|d| format!("{d:?}"));
-    defects.dedup();
-    defects
-}
-
-/// Assert a graph is well formed; panics with the defect list otherwise.
-///
-/// Convenience for tests: `assert_valid(&graph)`.
-pub fn assert_valid(graph: &dyn TaskGraph) {
-    let defects = validate(graph);
-    assert!(
-        defects.is_empty(),
-        "graph has {} structural defects:\n{}",
-        defects.len(),
-        defects.iter().map(|d| format!("  - {d}")).collect::<Vec<_>>().join("\n")
-    );
-}
-
 /// A fully materialized graph, useful for tests and for graphs built
 /// imperatively (e.g. composed or hand-written ones).
 #[derive(Clone, Debug, Default)]
@@ -366,6 +151,8 @@ impl TaskGraph for ExplicitGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lint::lint_graph;
+    use crate::taskmap::ModuloMap;
 
     /// Two-task chain: 0 -> 1, with external input on 0 and external output
     /// on 1.
@@ -381,92 +168,9 @@ mod tests {
 
     #[test]
     fn valid_chain_passes() {
-        assert_valid(&chain());
+        let rep = lint_graph(&chain(), &ModuloMap::new(2, 2));
+        assert!(rep.is_empty(), "{rep}");
         assert_eq!(chain().input_tasks(), vec![TaskId(0)]);
         assert_eq!(chain().output_tasks(), vec![TaskId(1)]);
-    }
-
-    #[test]
-    fn half_edge_detected() {
-        let mut g = chain();
-        g.task_mut(TaskId(1)).unwrap().incoming.clear();
-        let defects = validate(&g);
-        assert!(defects.iter().any(|d| matches!(d, GraphDefect::HalfEdgeOut { .. })));
-    }
-
-    #[test]
-    fn dangling_edge_detected() {
-        let mut g = chain();
-        g.task_mut(TaskId(0)).unwrap().outgoing[0].push(TaskId(99));
-        let defects = validate(&g);
-        assert!(defects.iter().any(|d| matches!(d, GraphDefect::DanglingEdge { to, .. } if *to == TaskId(99))));
-    }
-
-    #[test]
-    fn unknown_callback_detected() {
-        let mut g = chain();
-        g.task_mut(TaskId(0)).unwrap().callback = CallbackId(42);
-        let defects = validate(&g);
-        assert!(defects.iter().any(|d| matches!(d, GraphDefect::UnknownCallback(_, cb) if *cb == CallbackId(42))));
-    }
-
-    #[test]
-    fn cycle_detected() {
-        let mut a = Task::new(TaskId(0), CallbackId(0));
-        a.incoming = vec![TaskId(1)];
-        a.outgoing = vec![vec![TaskId(1)]];
-        let mut b = Task::new(TaskId(1), CallbackId(0));
-        b.incoming = vec![TaskId(0)];
-        b.outgoing = vec![vec![TaskId(0)]];
-        let g = ExplicitGraph::new(vec![a, b], vec![CallbackId(0)]);
-        let defects = validate(&g);
-        assert!(defects.iter().any(|d| matches!(d, GraphDefect::Cycle(_))));
-    }
-
-    #[test]
-    fn parallel_edges_are_reciprocal() {
-        // 0 sends both outputs to 1; 1 expects two inputs from 0.
-        let mut a = Task::new(TaskId(0), CallbackId(0));
-        a.incoming = vec![TaskId::EXTERNAL];
-        a.outgoing = vec![vec![TaskId(1)], vec![TaskId(1)]];
-        let mut b = Task::new(TaskId(1), CallbackId(0));
-        b.incoming = vec![TaskId(0), TaskId(0)];
-        b.outgoing = vec![vec![TaskId::EXTERNAL]];
-        let g = ExplicitGraph::new(vec![a, b], vec![CallbackId(0)]);
-        assert_valid(&g);
-    }
-
-    #[test]
-    fn unbalanced_parallel_edges_detected() {
-        let mut a = Task::new(TaskId(0), CallbackId(0));
-        a.incoming = vec![TaskId::EXTERNAL];
-        a.outgoing = vec![vec![TaskId(1)], vec![TaskId(1)]];
-        let mut b = Task::new(TaskId(1), CallbackId(0));
-        b.incoming = vec![TaskId(0)]; // only one slot for two edges
-        b.outgoing = vec![vec![TaskId::EXTERNAL]];
-        let g = ExplicitGraph::new(vec![a, b], vec![CallbackId(0)]);
-        let defects = validate(&g);
-        assert!(defects.iter().any(|d| matches!(d, GraphDefect::HalfEdgeOut { .. })));
-    }
-
-    #[test]
-    fn size_mismatch_detected() {
-        struct Lying;
-        impl TaskGraph for Lying {
-            fn size(&self) -> usize {
-                3
-            }
-            fn task(&self, id: TaskId) -> Option<Task> {
-                (id.0 < 2).then(|| Task::new(id, CallbackId(0)))
-            }
-            fn callback_ids(&self) -> Vec<CallbackId> {
-                vec![CallbackId(0)]
-            }
-            fn ids(&self) -> Vec<TaskId> {
-                vec![TaskId(0), TaskId(1)]
-            }
-        }
-        let defects = validate(&Lying);
-        assert!(defects.iter().any(|d| matches!(d, GraphDefect::SizeMismatch { .. })));
     }
 }

@@ -86,14 +86,17 @@ pub use controller::{
 pub use exec::exec;
 pub use fault::{inject_panics, quiet_panic_hook, FaultPlan, MAX_TASK_RETRIES, PANIC_MARKER};
 pub use dot::{to_dot, to_dot_styled, to_dot_subset};
-pub use graph::{assert_valid, validate, ExplicitGraph, GraphDefect, TaskGraph};
+pub use graph::{ExplicitGraph, TaskGraph};
 pub use ids::{CallbackId, ShardId, TaskId};
-pub use lint::{lint_bindings, lint_plan, Diagnostic, DiagnosticCode, Severity, VerifyReport};
+pub use lint::{
+    lint_bindings, lint_graph, lint_plan, lint_run, Diagnostic, DiagnosticCode, Severity,
+    VerifyReport,
+};
 pub use payload::{Blob, Payload, PayloadData, PayloadError};
 pub use plan::{PlanBuffer, PlanTask, Route, ShardPlan};
 pub use registry::{Callback, DuplicateCallback, Registry};
 pub use serial::{canonical_outputs, run_serial, SerialController};
 pub use stats::{graph_stats, GraphStats};
 pub use task::Task;
-pub use taskmap::{check_consistency, BlockMap, FnMap, ModuloMap, TaskMap};
+pub use taskmap::{BlockMap, FnMap, ModuloMap, TaskMap};
 pub use trace::{noop_sink, NoopSink, SpanKind, TraceEvent, TraceSink};

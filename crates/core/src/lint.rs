@@ -1,40 +1,49 @@
 //! Coded structural diagnostics over graphs and plans.
 //!
-//! A [`TaskGraph`](crate::graph::TaskGraph) is handed to runtimes that
-//! assume it is executable; when it is not, the failure shows up far from
-//! the cause — a controller deadlocks, or a [`PlanBuffer`] silently drops
-//! a delivery. The lint passes in this module turn those latent defects
-//! into *coded diagnostics* at plan-build time, before any task runs:
+//! A [`TaskGraph`] is handed to runtimes that assume it is executable;
+//! when it is not, the failure shows up far from the cause — a
+//! controller deadlocks, or a [`PlanBuffer`] silently drops a delivery.
+//! The lint passes in this module turn those latent defects into *coded
+//! diagnostics* at plan-build time, before any task runs:
 //!
-//! | Code | Name | Meaning |
-//! |---|---|---|
-//! | BF001 | `CycleDetected` | task participates in a dependency cycle |
-//! | BF002 | `DanglingEdge` | edge endpoint references a nonexistent task |
-//! | BF003 | `EdgeAsymmetry` | consumer wires more input slots from a producer than the producer sends — a slot that never fills |
-//! | BF004 | `UnregisteredCallback` | callback unbound in the registry, or bound with a declared arity the task contradicts |
-//! | BF005 | `UnmappedTask` | `TaskMap` places a task on an out-of-range shard (or the map's two directions disagree) |
-//! | BF006 | `UnreachableTask` | task can never become ready (downstream of a cycle, asymmetry, or dangling producer) |
-//! | BF007 | `FanInSlotCollision` | producer routes more messages to a consumer than it has slots wired — deliveries would collide in the [`PlanBuffer`] |
+//! | Code | Name | Severity | Meaning |
+//! |---|---|---|---|
+//! | BF001 | `CycleDetected` | Error | task participates in a dependency cycle |
+//! | BF002 | `DanglingEdge` | Error | edge endpoint references a nonexistent task |
+//! | BF003 | `EdgeAsymmetry` | Error | consumer wires more input slots from a producer than the producer sends — a slot that never fills |
+//! | BF004 | `UnregisteredCallback` | Error / Warning | callback unbound in the registry, or bound with a declared arity the task contradicts (Error); used by a task but not advertised by the graph (Warning) |
+//! | BF005 | `UnmappedTask` | Error / Warning | `TaskMap` places a task on an out-of-range shard (Error), or the map's two directions disagree (Warning) |
+//! | BF006 | `UnreachableTask` | Error | task can never become ready (downstream of a cycle, asymmetry, or dangling producer) |
+//! | BF007 | `FanInSlotCollision` | Error | producer routes more messages to a consumer than it has slots wired — deliveries would collide in the [`PlanBuffer`] |
+//! | BF008 | `DuplicateTaskId` | Error | `ids()` lists an id more than once |
+//! | BF009 | `SizeMismatch` | Error | `size()` disagrees with the number of ids `ids()` lists |
+//! | BF010 | `MissingTask` | Error | `ids()` lists an id for which `task(id)` returns `None` |
+//! | BF011 | `TaskIdMismatch` | Error | `task(id)` returns a task carrying another id |
 //!
-//! [`ShardPlan::build`](crate::plan::ShardPlan::build) runs the
-//! structural passes once over its interned task table (zero extra
-//! procedural `task()` queries) and stores the [`VerifyReport`];
-//! [`ShardPlan::preflight`](crate::plan::ShardPlan::preflight) hard-fails
-//! on any `Error`-level diagnostic unless the plan was built
-//! [`lenient`](crate::plan::ShardPlan::lenient). The registry-dependent
-//! BF004 pass runs at preflight time, when a [`Registry`] is available.
+//! [`ShardPlan::build`](crate::plan::ShardPlan::build) records the
+//! graph-contract codes (BF004's Warning, BF008–BF011) in the loop that
+//! interns the tasks, runs the structural passes once over the interned
+//! table (zero extra procedural `task()` queries) and stores the
+//! [`VerifyReport`]; [`ShardPlan::preflight`](crate::plan::ShardPlan::preflight)
+//! adds the registry-dependent BF004 pass and hard-fails on any
+//! `Error`-level diagnostic. A [`lenient`](crate::plan::ShardPlan::lenient)
+//! plan waives only the dataflow codes (BF001–BF003, BF006, BF007), which
+//! a run surfaces by itself; it never waives a
+//! [contract](DiagnosticCode::is_contract) code.
 //!
-//! The full graph+map+registry driver (which adds the two-way `TaskMap`
-//! consistency check) and the dynamic trace-based checkers live in the
-//! `babelflow-verify` crate.
+//! [`lint_graph`] and [`lint_run`] are the one-call entry points: they
+//! build the plan once and add the two-way [`TaskMap`] consistency check.
+//! The dynamic trace-based checkers live in the `babelflow-verify` crate.
 //!
 //! [`PlanBuffer`]: crate::plan::PlanBuffer
 
 use std::collections::HashMap;
 
-use crate::ids::{CallbackId, TaskId};
-use crate::plan::PlanTask;
+use crate::graph::TaskGraph;
+use crate::ids::{ShardId, TaskId};
+use crate::plan::{PlanTask, ShardPlan};
 use crate::registry::Registry;
+use crate::taskmap::TaskMap;
 
 /// Stable identifier of one diagnostic class.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -47,10 +56,13 @@ pub enum DiagnosticCode {
     /// producer's outgoing view sends — the extra slots never fill.
     EdgeAsymmetry,
     /// BF004: a callback is not bound in the registry, or a registered
-    /// arity declaration contradicts a task using the callback.
+    /// arity declaration contradicts a task using the callback (both
+    /// Errors); or a task uses a callback the graph does not advertise
+    /// (a Warning).
     UnregisteredCallback,
     /// BF005: the task map places a task on a shard outside
-    /// `0..num_shards`, or its two directions disagree about a task.
+    /// `0..num_shards` (an Error), or its two directions disagree about a
+    /// task (a Warning).
     UnmappedTask,
     /// BF006: the task can never become ready, so the dataflow would
     /// stall with it pending.
@@ -58,6 +70,16 @@ pub enum DiagnosticCode {
     /// BF007: a producer routes more messages to a consumer than the
     /// consumer has input slots wired to it, so deliveries collide.
     FanInSlotCollision,
+    /// BF008: `ids()` lists an id more than once; the plan keeps the
+    /// first task and drops the repeats.
+    DuplicateTaskId,
+    /// BF009: `size()` disagrees with the number of ids `ids()` lists.
+    SizeMismatch,
+    /// BF010: `ids()` lists an id for which `task(id)` returns `None`.
+    MissingTask,
+    /// BF011: `task(id)` returns a task whose `id` field is another id;
+    /// the plan drops it.
+    TaskIdMismatch,
 }
 
 impl DiagnosticCode {
@@ -71,7 +93,30 @@ impl DiagnosticCode {
             DiagnosticCode::UnmappedTask => "BF005",
             DiagnosticCode::UnreachableTask => "BF006",
             DiagnosticCode::FanInSlotCollision => "BF007",
+            DiagnosticCode::DuplicateTaskId => "BF008",
+            DiagnosticCode::SizeMismatch => "BF009",
+            DiagnosticCode::MissingTask => "BF010",
+            DiagnosticCode::TaskIdMismatch => "BF011",
         }
+    }
+
+    /// Whether the code marks a broken contract rather than a flawed
+    /// dataflow: an unbound callback (or one whose declared arity a task
+    /// contradicts), a task placed on a shard no rank hosts, or
+    /// `ids()`/`task()`/`size()` that do not describe one graph. The six
+    /// backends cannot agree on how to run such a plan, so preflight
+    /// rejects its `Error`s even on a [`lenient`](ShardPlan::lenient)
+    /// plan.
+    pub fn is_contract(self) -> bool {
+        matches!(
+            self,
+            DiagnosticCode::UnregisteredCallback
+                | DiagnosticCode::UnmappedTask
+                | DiagnosticCode::DuplicateTaskId
+                | DiagnosticCode::SizeMismatch
+                | DiagnosticCode::MissingTask
+                | DiagnosticCode::TaskIdMismatch
+        )
     }
 }
 
@@ -424,22 +469,13 @@ pub fn lint_plan(
     rep
 }
 
-/// Registry-dependent lint: BF004. Every callback a task uses (or the
-/// graph advertises) must be bound, and any arity the registry declares
-/// (see [`Registry::declare_arity`]) must match every task using it.
-/// Runs at preflight time, when the run's [`Registry`] is known.
-pub fn lint_bindings(
-    tasks: &[PlanTask],
-    advertised: &[CallbackId],
-    registry: &Registry,
-) -> VerifyReport {
+/// Registry-dependent lint: BF004. Every callback the plan uses (see
+/// [`ShardPlan::callback_ids`]) must be bound, and any arity the registry
+/// declares (see [`Registry::declare_arity`]) must match every task using
+/// it. Runs at preflight time, when the run's [`Registry`] is known.
+pub fn lint_bindings(plan: &ShardPlan, registry: &Registry) -> VerifyReport {
     let mut rep = VerifyReport::new();
-    let mut missing: Vec<CallbackId> = advertised
-        .iter()
-        .chain(tasks.iter().map(|pt| &pt.task.callback))
-        .filter(|&&cb| registry.get(cb).is_none())
-        .copied()
-        .collect();
+    let mut missing = registry.missing(plan.callback_ids());
     missing.sort_unstable();
     missing.dedup();
     for cb in missing {
@@ -451,7 +487,7 @@ pub fn lint_bindings(
         );
     }
 
-    for pt in tasks {
+    for pt in plan.tasks() {
         let Some((inputs, outputs)) = registry.declared_arity(pt.task.callback) else {
             continue;
         };
@@ -487,4 +523,180 @@ pub fn lint_bindings(
         }
     }
     rep
+}
+
+/// Lint a graph under a task map: the structural passes of
+/// [`ShardPlan::build`] plus the two-way [`TaskMap`] consistency check
+/// that the plan alone cannot see — `map.tasks(s).contains(t)` must hold
+/// exactly when `map.shard(t) == s`, or shard-local schedulers and the
+/// routing tables disagree about who owns a task (reported as `BF005`).
+pub fn lint_graph(graph: &dyn TaskGraph, map: &dyn TaskMap) -> VerifyReport {
+    lint_with(graph, map, None)
+}
+
+/// [`lint_graph`] plus the registry-dependent `BF004` pass of
+/// [`lint_bindings`].
+pub fn lint_run(graph: &dyn TaskGraph, map: &dyn TaskMap, registry: &Registry) -> VerifyReport {
+    lint_with(graph, map, Some(registry))
+}
+
+/// Build the plan once and collect every report the entry points return.
+fn lint_with(graph: &dyn TaskGraph, map: &dyn TaskMap, registry: Option<&Registry>) -> VerifyReport {
+    let plan = ShardPlan::build(graph, map);
+    let mut rep = plan.lint().clone();
+    if let Some(registry) = registry {
+        rep.merge(lint_bindings(&plan, registry));
+    }
+    lint_map(&plan, map, &mut rep);
+    rep
+}
+
+/// The two-way [`TaskMap`] consistency check (`BF005`), over each shard's
+/// task list collected once. Out-of-range shards are already `Error`s
+/// from the plan pass; a disagreement between the map's two directions is
+/// a `Warning` because the plan's routing tables are built from
+/// `shard()` alone and still function — but any backend that walks
+/// `tasks(shard)` will skip or double-run the task.
+fn lint_map(plan: &ShardPlan, map: &dyn TaskMap, rep: &mut VerifyReport) {
+    let mut lists: Vec<Vec<TaskId>> =
+        (0..map.num_shards()).map(|s| map.tasks(ShardId(s))).collect();
+    for (s, list) in lists.iter_mut().enumerate() {
+        for &t in list.iter() {
+            let placed = map.shard(t);
+            if plan.index_of(t).is_some() && placed.0 as usize != s {
+                rep.push(
+                    DiagnosticCode::UnmappedTask,
+                    Severity::Warning,
+                    Some(t),
+                    format!(
+                        "map lists task in shard {s}'s task list but shard() places it on {placed}"
+                    ),
+                );
+            }
+        }
+        list.sort_unstable();
+    }
+    for pt in plan.tasks() {
+        let s = pt.shard;
+        if lists.get(s.0 as usize).is_some_and(|list| list.binary_search(&pt.id()).is_err()) {
+            rep.push(
+                DiagnosticCode::UnmappedTask,
+                Severity::Warning,
+                Some(pt.id()),
+                format!("shard() places task on {s} but shard {s}'s task list omits it"),
+            );
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::graph::ExplicitGraph;
+    use crate::ids::CallbackId;
+    use crate::task::Task;
+    use crate::taskmap::ModuloMap;
+
+    /// EXTERNAL -> t0 -> t1 -> EXTERNAL.
+    fn chain() -> ExplicitGraph {
+        let mut t0 = Task::new(TaskId(0), CallbackId(0));
+        t0.incoming = vec![TaskId::EXTERNAL];
+        t0.outgoing = vec![vec![TaskId(1)]];
+        let mut t1 = Task::new(TaskId(1), CallbackId(1));
+        t1.incoming = vec![TaskId(0)];
+        t1.outgoing = vec![vec![TaskId::EXTERNAL]];
+        ExplicitGraph::new(vec![t0, t1], vec![CallbackId(0), CallbackId(1)])
+    }
+
+    /// Task 0 sends both of its outputs to task 1, which wires `slots`
+    /// input slots to task 0.
+    fn parallel_edges(slots: usize) -> ExplicitGraph {
+        let mut a = Task::new(TaskId(0), CallbackId(0));
+        a.incoming = vec![TaskId::EXTERNAL];
+        a.outgoing = vec![vec![TaskId(1)], vec![TaskId(1)]];
+        let mut b = Task::new(TaskId(1), CallbackId(0));
+        b.incoming = vec![TaskId(0); slots];
+        b.outgoing = vec![vec![TaskId::EXTERNAL]];
+        ExplicitGraph::new(vec![a, b], vec![CallbackId(0)])
+    }
+
+    #[test]
+    fn reciprocal_parallel_edges_lint_clean() {
+        let rep = lint_graph(&parallel_edges(2), &ModuloMap::new(2, 2));
+        assert!(rep.is_empty(), "{rep}");
+    }
+
+    #[test]
+    fn unbalanced_parallel_edges_fire_bf007() {
+        let rep = lint_graph(&parallel_edges(1), &ModuloMap::new(2, 2));
+        assert_eq!(rep.codes(), vec![DiagnosticCode::FanInSlotCollision], "{rep}");
+    }
+
+    #[test]
+    fn size_mismatch_fires_bf009() {
+        struct Lying;
+        impl TaskGraph for Lying {
+            fn size(&self) -> usize {
+                3
+            }
+            fn task(&self, id: TaskId) -> Option<Task> {
+                (id.0 < 2).then(|| Task::new(id, CallbackId(0)))
+            }
+            fn callback_ids(&self) -> Vec<CallbackId> {
+                vec![CallbackId(0)]
+            }
+            fn ids(&self) -> Vec<TaskId> {
+                vec![TaskId(0), TaskId(1)]
+            }
+        }
+        let rep = lint_graph(&Lying, &ModuloMap::new(1, 2));
+        assert_eq!(rep.codes(), vec![DiagnosticCode::SizeMismatch], "{rep}");
+        assert!(rep.has_errors());
+    }
+
+    #[test]
+    fn unadvertised_callback_is_a_bf004_warning() {
+        let mut g = chain();
+        g.task_mut(TaskId(0)).unwrap().callback = CallbackId(42);
+        let plan = ShardPlan::build(&g, &ModuloMap::new(1, 2));
+        let rep = plan.lint();
+        assert_eq!(rep.count(DiagnosticCode::UnregisteredCallback), 1, "{rep}");
+        assert!(rep.is_clean(), "{rep}");
+        // The plan's callbacks now include it, so the binding check sees it.
+        assert!(plan.callback_ids().contains(&CallbackId(42)));
+    }
+
+    #[test]
+    fn inconsistent_map_is_flagged() {
+        struct LyingMap;
+        impl TaskMap for LyingMap {
+            fn shard(&self, _: TaskId) -> ShardId {
+                ShardId(0)
+            }
+            fn tasks(&self, shard: ShardId) -> Vec<TaskId> {
+                // Claims t1 lives on shard 1, contradicting shard().
+                if shard.0 == 1 {
+                    vec![TaskId(0), TaskId(1)]
+                } else {
+                    vec![TaskId(0)]
+                }
+            }
+            fn num_shards(&self) -> u32 {
+                2
+            }
+        }
+        let rep = lint_graph(&chain(), &LyingMap);
+        assert!(rep.count(DiagnosticCode::UnmappedTask) >= 2, "{rep}");
+        // Disagreements are warnings: the plan still routes correctly.
+        assert!(rep.is_clean(), "{rep}");
+    }
+
+    #[test]
+    fn unbound_callback_is_bf004() {
+        let mut reg = Registry::new();
+        reg.register(CallbackId(0), |i, _| i);
+        let rep = lint_run(&chain(), &ModuloMap::new(1, 2), &reg);
+        assert_eq!(rep.count(DiagnosticCode::UnregisteredCallback), 1, "{rep}");
+        assert!(rep.has_errors());
+    }
 }

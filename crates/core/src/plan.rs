@@ -26,12 +26,13 @@
 //! on a machine too noisy for wall-clock gates.
 
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
 
 use crate::controller::{ControllerError, InitialInputs, Result};
 use crate::graph::TaskGraph;
 use crate::ids::{CallbackId, ShardId, TaskId};
-use crate::lint::{self, VerifyReport};
+use crate::lint::{self, DiagnosticCode, Severity, VerifyReport};
 use crate::payload::Payload;
 use crate::registry::Registry;
 use crate::task::Task;
@@ -126,18 +127,70 @@ pub struct ShardPlan {
 impl ShardPlan {
     /// Build a plan by querying every task of `graph` exactly once and
     /// resolving every edge destination through `map`.
+    ///
+    /// The plan holds one task per id: an id `ids()` repeats (BF008), an
+    /// id `task()` has no task for (BF010) and a task carrying another id
+    /// (BF011) are recorded in [`lint`](Self::lint) and left out, as is a
+    /// `size()` that disagrees with `ids()` (BF009).
     pub fn build(graph: &dyn TaskGraph, map: &dyn TaskMap) -> Self {
         let num_shards = map.num_shards();
-        let mut tasks = Vec::with_capacity(graph.size());
-        let mut index = HashMap::with_capacity(graph.size());
+        let size = graph.size();
+        let mut tasks = Vec::with_capacity(size);
+        let mut index = HashMap::with_capacity(size);
         let mut locals = vec![Vec::new(); num_shards as usize];
         let mut inputs = Vec::new();
         let mut outputs = Vec::new();
+        let mut callback_ids = graph.callback_ids();
         let mut build_queries = 0u64;
+        let mut lint = VerifyReport::new();
 
-        for id in graph.ids() {
+        let ids = graph.ids();
+        if ids.len() != size {
+            lint.push(
+                DiagnosticCode::SizeMismatch,
+                Severity::Error,
+                None,
+                format!("size() is {size} but ids() lists {} ids", ids.len()),
+            );
+        }
+        for id in ids {
+            let Entry::Vacant(vacant) = index.entry(id) else {
+                lint.push(
+                    DiagnosticCode::DuplicateTaskId,
+                    Severity::Error,
+                    Some(id),
+                    "ids() lists the id more than once; the plan keeps its first task".into(),
+                );
+                continue;
+            };
             build_queries += 1;
-            let Some(task) = graph.task(id) else { continue };
+            let Some(task) = graph.task(id) else {
+                lint.push(
+                    DiagnosticCode::MissingTask,
+                    Severity::Error,
+                    Some(id),
+                    "ids() lists the id but task() returns None".into(),
+                );
+                continue;
+            };
+            if task.id != id {
+                lint.push(
+                    DiagnosticCode::TaskIdMismatch,
+                    Severity::Error,
+                    Some(id),
+                    format!("task() returns a task with id {}; the plan drops it", task.id),
+                );
+                continue;
+            }
+            if !callback_ids.contains(&task.callback) {
+                lint.push(
+                    DiagnosticCode::UnregisteredCallback,
+                    Severity::Warning,
+                    Some(id),
+                    format!("uses callback {}, which the graph does not advertise", task.callback),
+                );
+                callback_ids.push(task.callback);
+            }
             let shard = map.shard(id);
 
             let mut sources: Vec<(TaskId, Vec<u32>)> = Vec::new();
@@ -169,7 +222,7 @@ impl ShardPlan {
                 .collect();
 
             let ix = tasks.len() as u32;
-            index.insert(id, ix);
+            vacant.insert(ix);
             if (shard.0 as usize) < locals.len() {
                 locals[shard.0 as usize].push(ix);
             }
@@ -205,7 +258,7 @@ impl ShardPlan {
             slot_base.push(slot_base[slot_base.len() - 1] + pt.fan_in() as u32);
         }
 
-        let lint = lint::lint_plan(&tasks, &index, num_shards);
+        lint.merge(lint::lint_plan(&tasks, &index, num_shards));
         ShardPlan {
             tasks,
             index,
@@ -213,7 +266,7 @@ impl ShardPlan {
             locals,
             inputs,
             outputs,
-            callback_ids: graph.callback_ids(),
+            callback_ids,
             num_shards,
             build_queries,
             lint,
@@ -221,25 +274,26 @@ impl ShardPlan {
         }
     }
 
-    /// The structural lint findings computed at build time (BF001–BF007
-    /// except the registry-dependent BF004, which runs at
-    /// [`preflight`](Self::preflight)).
+    /// The lint findings computed at build time: every code but the
+    /// registry-dependent BF004 Errors, which run at
+    /// [`preflight`](Self::preflight).
     pub fn lint(&self) -> &VerifyReport {
         &self.lint
     }
 
     /// Downgrade lint enforcement: [`preflight`](Self::preflight) will no
-    /// longer reject the plan on `Error`-level structural diagnostics.
+    /// longer reject the plan on `Error`-level dataflow diagnostics.
     /// The findings stay available through [`lint`](Self::lint); the run
     /// then fails (or stalls) wherever the defect actually bites — which
     /// is exactly what debugging a checker, or testing a controller's own
-    /// deadlock detection, needs.
+    /// deadlock detection, needs. A broken
+    /// [contract](DiagnosticCode::is_contract) is still rejected.
     pub fn lenient(mut self) -> Self {
         self.enforce_lint = false;
         self
     }
 
-    /// Whether preflight rejects `Error`-level lint findings.
+    /// Whether preflight rejects `Error`-level dataflow findings.
     pub fn enforces_lint(&self) -> bool {
         self.enforce_lint
     }
@@ -302,7 +356,8 @@ impl ShardPlan {
         &self.outputs
     }
 
-    /// Callback ids the graph advertised at build time.
+    /// Every callback the plan uses: the ids the graph advertised at build
+    /// time, then any a task uses without the graph advertising it.
     pub fn callback_ids(&self) -> &[CallbackId] {
         &self.callback_ids
     }
@@ -320,23 +375,22 @@ impl ShardPlan {
         self.build_queries
     }
 
-    /// Plan-based preflight: checks callback bindings and external-input
-    /// arity against the interned table, with zero graph queries.
-    /// Additionally gates on the structural lint computed at build time
-    /// and the registry-dependent BF004 pass: any `Error`-level
-    /// diagnostic rejects the run (unless the plan was built
-    /// [`lenient`](Self::lenient)).
+    /// Plan-based preflight, with zero graph queries: the lint computed
+    /// at build time plus the registry-dependent BF004 pass
+    /// ([`lint_bindings`](lint::lint_bindings)), then external-input arity.
+    /// Any `Error`-level diagnostic rejects the run with
+    /// [`LintRejected`](ControllerError::LintRejected) — on a
+    /// [`lenient`](Self::lenient) plan, only a
+    /// [contract](DiagnosticCode::is_contract) one.
     pub fn preflight(&self, registry: &Registry, initial: &InitialInputs) -> Result<()> {
-        if self.enforce_lint && self.lint.has_errors() {
-            return Err(ControllerError::LintRejected(self.lint.clone()));
-        }
-        let missing = registry.missing(&self.callback_ids);
-        if !missing.is_empty() {
-            return Err(ControllerError::UnboundCallbacks(missing));
-        }
-        let bindings = lint::lint_bindings(&self.tasks, &self.callback_ids, registry);
-        if self.enforce_lint && bindings.has_errors() {
-            return Err(ControllerError::LintRejected(bindings));
+        let bindings = lint::lint_bindings(self, registry);
+        let rejects = |d: &lint::Diagnostic| {
+            d.severity == Severity::Error && (self.enforce_lint || d.code.is_contract())
+        };
+        if self.lint.diagnostics().iter().chain(bindings.diagnostics()).any(rejects) {
+            let mut report = self.lint.clone();
+            report.merge(bindings);
+            return Err(ControllerError::LintRejected(report));
         }
         for &ix in &self.inputs {
             let pt = &self.tasks[ix as usize];
@@ -614,9 +668,12 @@ mod tests {
         reg.register(CallbackId(0), |i, _| i);
         reg.register(CallbackId(1), |i, _| i);
 
-        // Unbound callback 2.
-        let err = plan.preflight(&reg, &InitialInputs::new()).unwrap_err();
-        assert!(matches!(err, ControllerError::UnboundCallbacks(v) if v == vec![CallbackId(2)]));
+        // Unbound callback 2, rejected even on a lenient plan.
+        for plan in [&plan, &ShardPlan::build(&g, &ModuloMap::new(1, 4)).lenient()] {
+            let err = plan.preflight(&reg, &InitialInputs::new()).unwrap_err();
+            let ControllerError::LintRejected(rep) = err else { panic!("got {err}") };
+            assert_eq!(rep.count(DiagnosticCode::UnregisteredCallback), 1, "{rep}");
+        }
 
         reg.register(CallbackId(2), |i, _| i);
         let err = plan.preflight(&reg, &InitialInputs::new()).unwrap_err();

@@ -433,6 +433,9 @@ macro_rules! proptest {
         $($rest:tt)*
     ) => {
         $(#[$meta])*
+        // The case body runs in a closure so `prop_assert!` and `?` can
+        // `return` from one case without leaving the runner loop.
+        #[allow(clippy::redundant_closure_call)]
         fn $name() {
             let __config: $crate::proptest_lite::ProptestConfig = $cfg;
             let mut __runner = $crate::proptest_lite::Runner::new(

@@ -7,7 +7,7 @@
 //!
 //! Poisoning is deliberately ignored: a panicking runtime thread already
 //! aborts the run through its join handle, and the shared state these
-//! locks protect (queues, counters, location tables) stays structurally
+//! locks protect (queues, counters, rank state) stays structurally
 //! valid across a panic, so propagating poison would only turn one failure
 //! into a cascade of secondary ones.
 
@@ -39,17 +39,6 @@ impl<T: ?Sized> Mutex<T> {
         MutexGuard { inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)) }
     }
 
-    /// Acquire the lock if it is free right now.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: Some(g) }),
-            Err(std::sync::TryLockError::Poisoned(p)) => {
-                Some(MutexGuard { inner: Some(p.into_inner()) })
-            }
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
     /// Exclusive access through a unique reference (no locking needed).
     pub fn get_mut(&mut self) -> &mut T {
         self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
@@ -77,41 +66,6 @@ impl<T: ?Sized> Deref for MutexGuard<'_, T> {
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         self.inner.as_mut().expect("guard present outside Condvar::wait")
-    }
-}
-
-/// A readers-writer lock whose `read()`/`write()` return guards directly.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized> {
-    inner: std::sync::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// Create a lock protecting `value`.
-    pub fn new(value: T) -> Self {
-        RwLock { inner: std::sync::RwLock::new(value) }
-    }
-
-    /// Consume the lock, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquire shared read access.
-    pub fn read(&self) -> std::sync::RwLockReadGuard<'_, T> {
-        self.inner.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Acquire exclusive write access.
-    pub fn write(&self) -> std::sync::RwLockWriteGuard<'_, T> {
-        self.inner.write().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Exclusive access through a unique reference (no locking needed).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -489,17 +443,6 @@ mod tests {
     }
 
     #[test]
-    fn rwlock_allows_concurrent_reads() {
-        let l = RwLock::new(7);
-        let a = l.read();
-        let b = l.read();
-        assert_eq!(*a + *b, 14);
-        drop((a, b));
-        *l.write() = 9;
-        assert_eq!(*l.read(), 9);
-    }
-
-    #[test]
     fn counter_tickets_are_unique_across_threads() {
         let c = Arc::new(Counter::new(0));
         let mut seen: Vec<u64> = std::thread::scope(|s| {
@@ -514,15 +457,6 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen, (0..4000).collect::<Vec<u64>>());
         assert_eq!(c.get(), 4000);
-    }
-
-    #[test]
-    fn try_lock_contended_returns_none() {
-        let m = Mutex::new(1);
-        let g = m.lock();
-        assert!(m.try_lock().is_none());
-        drop(g);
-        assert_eq!(*m.try_lock().unwrap(), 1);
     }
 
     #[test]
@@ -599,7 +533,7 @@ mod tests {
             }
             // Pinned items reach their worker too.
             pool.push_to(1, 1000);
-            while pool.len() > 0 {
+            while !pool.is_empty() {
                 std::thread::yield_now();
             }
             pool.close();

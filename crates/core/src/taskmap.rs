@@ -172,35 +172,24 @@ impl TaskMap for FnMap {
     }
 }
 
-/// Check the two directions of a map agree over a given id set; returns the
-/// offending ids. Used by tests for every `TaskMap` implementation.
-pub fn check_consistency(map: &dyn TaskMap, ids: &[TaskId]) -> Vec<TaskId> {
-    let mut bad = Vec::new();
-    for &id in ids {
-        let s = map.shard(id);
-        if s.0 >= map.num_shards() || !map.tasks(s).contains(&id) {
-            bad.push(id);
-        }
-    }
-    // Every task listed under a shard must map back to that shard.
-    for s in 0..map.num_shards() {
-        for id in map.tasks(ShardId(s)) {
-            if map.shard(id) != ShardId(s) {
-                bad.push(id);
-            }
-        }
-    }
-    bad.sort();
-    bad.dedup();
-    bad
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::ExplicitGraph;
+    use crate::ids::CallbackId;
+    use crate::lint::lint_graph;
+    use crate::task::Task;
 
     fn dense(n: u64) -> Vec<TaskId> {
         (0..n).map(TaskId).collect()
+    }
+
+    /// Whether the map's two directions agree over `ids`: a graph of
+    /// edgeless tasks with those ids lints clean under it.
+    fn consistent(map: &dyn TaskMap, ids: &[TaskId]) -> bool {
+        let tasks = ids.iter().map(|&id| Task::new(id, CallbackId(0))).collect();
+        let rep = lint_graph(&ExplicitGraph::new(tasks, vec![CallbackId(0)]), map);
+        rep.is_empty()
     }
 
     #[test]
@@ -209,14 +198,14 @@ mod tests {
         assert_eq!(m.shard(TaskId(0)), ShardId(0));
         assert_eq!(m.shard(TaskId(4)), ShardId(1));
         assert_eq!(m.tasks(ShardId(1)), vec![TaskId(1), TaskId(4), TaskId(7)]);
-        assert!(check_consistency(&m, &dense(10)).is_empty());
+        assert!(consistent(&m, &dense(10)));
     }
 
     #[test]
     fn modulo_more_shards_than_tasks() {
         let m = ModuloMap::new(8, 3);
         assert_eq!(m.tasks(ShardId(5)), Vec::<TaskId>::new());
-        assert!(check_consistency(&m, &dense(3)).is_empty());
+        assert!(consistent(&m, &dense(3)));
     }
 
     #[test]
@@ -227,7 +216,7 @@ mod tests {
                 (0..p).flat_map(|s| m.tasks(ShardId(s))).collect();
             all.sort();
             assert_eq!(all, dense(n), "p={p} n={n}");
-            assert!(check_consistency(&m, &dense(n)).is_empty(), "p={p} n={n}");
+            assert!(consistent(&m, &dense(n)), "p={p} n={n}");
         }
     }
 
@@ -246,7 +235,7 @@ mod tests {
     fn fn_map_with_sparse_ids() {
         let ids = vec![TaskId(100), TaskId(200), TaskId(4096)];
         let m = FnMap::new(2, ids.clone(), |t| ShardId((t.0 / 200) as u32 % 2));
-        assert!(check_consistency(&m, &ids).is_empty());
+        assert!(consistent(&m, &ids));
         assert_eq!(m.shard(TaskId(100)), ShardId(0));
         assert_eq!(m.shard(TaskId(200)), ShardId(1));
     }

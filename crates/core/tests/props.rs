@@ -4,8 +4,8 @@
 use std::collections::HashMap;
 
 use babelflow_core::{
-    canonical_outputs, run_serial, Blob, BlockMap, CallbackId, Decoder, Encoder, ExplicitGraph,
-    ModuloMap, Payload, Registry, Task, TaskGraph, TaskId,
+    canonical_outputs, lint_graph, run_serial, Blob, BlockMap, CallbackId, Decoder, Encoder,
+    ExplicitGraph, ModuloMap, Payload, Registry, Task, TaskGraph, TaskId,
 };
 use babelflow_core::proptest_lite as proptest;
 use babelflow_core::proptest_lite::prelude::*;
@@ -52,11 +52,15 @@ proptest! {
         shards in 1u32..20,
         tasks in 0u64..200,
     ) {
-        let ids: Vec<TaskId> = (0..tasks).map(TaskId).collect();
-        let m = ModuloMap::new(shards, tasks);
-        prop_assert!(babelflow_core::check_consistency(&m, &ids).is_empty());
-        let b = BlockMap::new(shards, tasks);
-        prop_assert!(babelflow_core::check_consistency(&b, &ids).is_empty());
+        // Edgeless tasks: the lint can only object to the map.
+        let edgeless = ExplicitGraph::new(
+            (0..tasks).map(|id| Task::new(TaskId(id), CallbackId(0))).collect(),
+            vec![CallbackId(0)],
+        );
+        let rep = lint_graph(&edgeless, &ModuloMap::new(shards, tasks));
+        prop_assert!(rep.is_empty(), "{}", rep);
+        let rep = lint_graph(&edgeless, &BlockMap::new(shards, tasks));
+        prop_assert!(rep.is_empty(), "{}", rep);
     }
 
     /// Random layered DAGs execute serially, visit every task exactly
@@ -67,7 +71,8 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let graph = layered_dag(&layers, seed);
-        babelflow_core::assert_valid(&graph);
+        let rep = lint_graph(&graph, &ModuloMap::new(1, graph.size() as u64));
+        prop_assert!(rep.is_empty(), "{}", rep);
 
         let mut reg = Registry::new();
         reg.register(CallbackId(0), |inputs, id| {

@@ -21,9 +21,10 @@ use babelflow_core::{codec::DecodeError, Decoder, Encoder, PayloadData};
 use crate::grid::{Grid3, Idx3};
 
 /// A typed leaf value.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Default)]
 pub enum Value {
     /// No value (interior node).
+    #[default]
     Empty,
     /// Signed integer.
     I64(i64),
@@ -42,12 +43,6 @@ pub enum Value {
 pub struct DataNode {
     value: Value,
     children: BTreeMap<String, DataNode>,
-}
-
-impl Default for Value {
-    fn default() -> Self {
-        Value::Empty
-    }
 }
 
 impl DataNode {

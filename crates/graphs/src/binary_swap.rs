@@ -144,12 +144,12 @@ impl TaskGraph for BinarySwap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use babelflow_core::assert_valid;
+    use crate::assert_lints_clean;
 
     #[test]
     fn two_leaves_is_one_exchange() {
         let g = BinarySwap::new(2);
-        assert_valid(&g);
+        assert_lints_clean(&g);
         assert_eq!(g.size(), 4);
         assert_eq!(g.rounds(), 1);
 
@@ -167,7 +167,7 @@ mod tests {
     #[test]
     fn eight_leaves_structure() {
         let g = BinarySwap::new(8);
-        assert_valid(&g);
+        assert_lints_clean(&g);
         assert_eq!(g.size(), 32);
         assert_eq!(g.rounds(), 3);
         assert_eq!(g.input_tasks().len(), 8);

@@ -118,12 +118,12 @@ impl TaskGraph for Broadcast {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use babelflow_core::assert_valid;
+    use crate::assert_lints_clean;
 
     #[test]
     fn mirror_of_reduction() {
         let g = Broadcast::new(4, 2);
-        assert_valid(&g);
+        assert_lints_clean(&g);
         assert_eq!(g.size(), 7);
         assert_eq!(g.input_tasks(), vec![TaskId(0)]);
         assert_eq!(g.output_tasks(), g.leaf_ids());
@@ -150,7 +150,7 @@ mod tests {
     #[test]
     fn wide_broadcast_valid() {
         let g = Broadcast::new(81, 3);
-        assert_valid(&g);
+        assert_lints_clean(&g);
         assert_eq!(g.depth(), 4);
     }
 

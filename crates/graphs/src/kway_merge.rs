@@ -480,13 +480,14 @@ impl TaskMap for MergeTreeMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use babelflow_core::{assert_valid, check_consistency};
+    use crate::assert_lints_clean;
+    use babelflow_core::lint_graph;
 
     #[test]
     fn fig5_shape_binary_four_leaves() {
         // Fig. 5: four input blocks, K = 2.
         let g = KWayMerge::new(4, 2);
-        assert_valid(&g);
+        assert_lints_clean(&g);
         // 4 leaves + 3 joins + 8 corrections + 4 segmentations + relays.
         // Level-1 joins need no relays (k direct sends); the level-2 join
         // has I(2)-1 = 2 relays.
@@ -537,7 +538,7 @@ mod tests {
     fn relay_tree_reaches_all_corrections() {
         // Deeper tree: relays must fan out correctly.
         let g = KWayMerge::new(8, 2);
-        assert_valid(&g);
+        assert_lints_clean(&g);
         // Level-3 join: I(3) = 7 internal nodes -> 6 relays.
         assert_eq!(g.relays_per_join(3), 6);
         // Its broadcast must reach all 8 level-3 corrections: walk it.
@@ -562,7 +563,7 @@ mod tests {
     fn eight_way_paper_configuration() {
         // "In practice, we typically use 8-way reductions."
         let g = KWayMerge::new(64, 8);
-        assert_valid(&g);
+        assert_lints_clean(&g);
         assert_eq!(g.depth(), 2);
         assert_eq!(g.total_joins(), 9);
     }
@@ -587,10 +588,10 @@ mod tests {
     #[test]
     fn merge_tree_map_is_consistent_and_local() {
         let g = KWayMerge::new(8, 2);
-        let ids = g.ids();
         for shards in [1u32, 2, 3, 8] {
             let m = MergeTreeMap::new(g.clone(), shards);
-            assert!(check_consistency(&m, &ids).is_empty(), "shards={shards}");
+            let rep = lint_graph(&g, &m);
+            assert!(rep.is_empty(), "shards={shards}: {rep}");
         }
         // Leaf 5's whole correction chain is co-located with leaf 5.
         let m = MergeTreeMap::new(g.clone(), 4);
@@ -606,13 +607,13 @@ mod tests {
 #[cfg(test)]
 mod direct_mode_tests {
     use super::*;
-    use babelflow_core::assert_valid;
+    use crate::assert_lints_clean;
 
     #[test]
     fn direct_mode_has_no_relays_and_is_valid() {
         let g = KWayMerge::new(8, 2).with_direct_broadcast();
         assert_eq!(g.broadcast_mode(), BroadcastMode::Direct);
-        assert_valid(&g);
+        assert_lints_clean(&g);
         assert_eq!(g.total_relays(), 0);
         // Smaller than the relay version by exactly the relay count.
         let relay = KWayMerge::new(8, 2);
@@ -630,7 +631,7 @@ mod direct_mode_tests {
     fn direct_mode_reaches_identical_corrections() {
         let relay = KWayMerge::new(16, 4);
         let direct = KWayMerge::new(16, 4).with_direct_broadcast();
-        assert_valid(&direct);
+        assert_lints_clean(&direct);
         // Every correction has the same "previous" input and ultimately
         // receives the same join's augmented tree in both modes.
         for leaf in 0..16 {

@@ -32,3 +32,11 @@ pub use broadcast::Broadcast;
 pub use kway_merge::{BroadcastMode, KWayMerge, MergeRole, MergeTreeMap};
 pub use neighbor::{GridEdge, NeighborGraph, NeighborRole};
 pub use reduction::Reduction;
+
+#[cfg(test)]
+/// Assert a family instance lints clean with every task on one shard.
+fn assert_lints_clean(g: &dyn babelflow_core::TaskGraph) {
+    let map = babelflow_core::ModuloMap::new(1, g.size() as u64);
+    let rep = babelflow_core::lint_graph(g, &map);
+    assert!(rep.is_empty(), "{rep}");
+}

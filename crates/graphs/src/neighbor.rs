@@ -267,12 +267,12 @@ impl TaskGraph for NeighborGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use babelflow_core::assert_valid;
+    use crate::assert_lints_clean;
 
     #[test]
     fn two_by_two_grid_shape() {
         let g = NeighborGraph::new(2, 2, 3);
-        assert_valid(&g);
+        assert_lints_clean(&g);
         assert_eq!(g.volumes(), 4);
         assert_eq!(g.edges(), 4);
         // 4*3 reads + 4*3 corrs + 4 evals + 1 solve.
@@ -324,7 +324,7 @@ mod tests {
     fn paper_scale_5x5_grid_valid() {
         // The paper registers 25 volumes on a 5x5 grid.
         let g = NeighborGraph::new(5, 5, 4);
-        assert_valid(&g);
+        assert_lints_clean(&g);
         assert_eq!(g.edges(), 40);
         let solve = g.task(g.solve_id()).unwrap();
         assert_eq!(solve.fan_in(), 40);

@@ -150,7 +150,7 @@ impl TaskGraph for Reduction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use babelflow_core::assert_valid;
+    use crate::assert_lints_clean;
 
     #[test]
     fn sizes_match_closed_form() {
@@ -164,7 +164,7 @@ mod tests {
     #[test]
     fn binary_four_leaves_shape() {
         let g = Reduction::new(4, 2);
-        assert_valid(&g);
+        assert_lints_clean(&g);
         assert_eq!(g.leaf_ids(), vec![TaskId(3), TaskId(4), TaskId(5), TaskId(6)]);
 
         let root = g.task(TaskId(0)).unwrap();
@@ -193,7 +193,7 @@ mod tests {
     #[test]
     fn eight_way_valid() {
         let g = Reduction::new(64, 8);
-        assert_valid(&g);
+        assert_lints_clean(&g);
         assert_eq!(g.depth(), 2);
         assert_eq!(g.leaf_ids().len(), 64);
     }
@@ -204,7 +204,7 @@ mod tests {
         assert_eq!(g.callback_ids(), vec![CallbackId(10), CallbackId(11), CallbackId(12)]);
         assert_eq!(g.task(TaskId(0)).unwrap().callback, CallbackId(12));
         assert_eq!(g.task(TaskId(1)).unwrap().callback, CallbackId(10));
-        assert_valid(&g);
+        assert_lints_clean(&g);
     }
 
     #[test]

@@ -2,9 +2,14 @@
 //! arbitrary legal parameters must yield well-formed DAGs with the right
 //! interface tasks.
 
-use babelflow_core::{validate, TaskGraph};
+use babelflow_core::{lint_graph, ModuloMap, TaskGraph};
 use babelflow_graphs::{BinarySwap, Broadcast, KWayMerge, NeighborGraph, Reduction};
 use babelflow_core::proptest_lite::prelude::*;
+
+/// Whether `g` lints clean with every task on one shard.
+fn lints_clean(g: &dyn TaskGraph) -> bool {
+    lint_graph(g, &ModuloMap::new(1, g.size() as u64)).is_empty()
+}
 
 /// Check edge symmetry: for every internal edge, `task(a).outgoing`
 /// mentions `b` exactly as many times as `task(b).incoming` mentions `a`
@@ -48,7 +53,7 @@ proptest! {
     #[test]
     fn reduction_valid_for_any_k_d(k in 2u64..6, d in 1u32..4) {
         let g = Reduction::new(k.pow(d), k);
-        prop_assert!(validate(&g).is_empty());
+        prop_assert!(lints_clean(&g));
         prop_assert_eq!(g.leaf_ids().len() as u64, k.pow(d));
         prop_assert_eq!(g.input_tasks().len() as u64, k.pow(d));
         prop_assert_eq!(g.output_tasks(), vec![g.root_id()]);
@@ -57,7 +62,7 @@ proptest! {
     #[test]
     fn broadcast_valid_for_any_k_d(k in 2u64..6, d in 1u32..4) {
         let g = Broadcast::new(k.pow(d), k);
-        prop_assert!(validate(&g).is_empty());
+        prop_assert!(lints_clean(&g));
         prop_assert_eq!(g.output_tasks().len() as u64, k.pow(d));
         prop_assert_eq!(g.input_tasks(), vec![g.root_id()]);
     }
@@ -65,7 +70,7 @@ proptest! {
     #[test]
     fn binary_swap_valid_for_any_power(r in 1u32..7) {
         let g = BinarySwap::new(1 << r);
-        prop_assert!(validate(&g).is_empty());
+        prop_assert!(lints_clean(&g));
         prop_assert_eq!(g.rounds(), r);
         // Tiles = leaves; every write task has two inputs.
         for id in g.write_ids() {
@@ -76,7 +81,7 @@ proptest! {
     #[test]
     fn kway_merge_valid_for_any_k_d(k in 2u64..5, d in 1u32..4) {
         let g = KWayMerge::new(k.pow(d), k);
-        prop_assert!(validate(&g).is_empty());
+        prop_assert!(lints_clean(&g));
         // One segmentation output per leaf.
         prop_assert_eq!(g.output_tasks().len() as u64, k.pow(d));
         // Every id decodes to a role that encodes back to itself.
@@ -99,7 +104,7 @@ proptest! {
     fn neighbor_valid_for_any_grid(gx in 1u64..5, gy in 1u64..5, slabs in 1u64..5) {
         prop_assume!(gx * gy >= 2);
         let g = NeighborGraph::new(gx, gy, slabs);
-        prop_assert!(validate(&g).is_empty());
+        prop_assert!(lints_clean(&g));
         prop_assert_eq!(g.input_tasks().len() as u64, gx * gy * slabs);
         prop_assert_eq!(g.output_tasks(), vec![g.solve_id()]);
         // Every edge is incident to exactly two volumes, and edges_of is
@@ -140,8 +145,8 @@ proptest! {
         shards in 1u32..9,
     ) {
         let g = KWayMerge::new(k.pow(d), k);
-        let ids = g.ids();
-        let m = babelflow_graphs::MergeTreeMap::new(g, shards);
-        prop_assert!(babelflow_core::check_consistency(&m, &ids).is_empty());
+        let m = babelflow_graphs::MergeTreeMap::new(g.clone(), shards);
+        let rep = lint_graph(&g, &m);
+        prop_assert!(rep.is_empty(), "{}", rep);
     }
 }

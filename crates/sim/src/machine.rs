@@ -34,7 +34,7 @@ impl MachineConfig {
         let (nodes, cores_per_node) = if cores <= 32 {
             (1, cores)
         } else {
-            assert!(cores % 32 == 0, "multi-node machines must use whole 32-core nodes");
+            assert!(cores.is_multiple_of(32), "multi-node machines must use whole 32-core nodes");
             (cores / 32, 32)
         };
         MachineConfig {

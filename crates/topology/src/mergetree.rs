@@ -260,6 +260,8 @@ impl MergeTree {
 
         // Mark the union of root-paths from kept nodes.
         let mut visited = vec![false; n];
+        // `i` is also the walk's start vertex, not only an index into `kept`.
+        #[allow(clippy::needless_range_loop)]
         for i in 0..n {
             if !kept[i] {
                 continue;

@@ -81,6 +81,8 @@ pub fn segment_tree(tree: &MergeTree, tau: f32, include: impl Fn(u64) -> bool) -
 
     // Per component: the label every participant agrees on.
     let mut label_of: HashMap<u32, u64> = HashMap::new();
+    // `i` indexes three parallel arrays (`root`, `tree.flags`, `tree.verts`).
+    #[allow(clippy::needless_range_loop)]
     for i in 0..n {
         if root[i] == u32::MAX {
             continue;
@@ -95,6 +97,8 @@ pub fn segment_tree(tree: &MergeTree, tau: f32, include: impl Fn(u64) -> bool) -
     }
 
     let mut labels = Vec::new();
+    // `i` indexes two parallel arrays (`root`, `tree.verts`).
+    #[allow(clippy::needless_range_loop)]
     for i in 0..n {
         let r = root[i];
         if r == u32::MAX || !include(tree.verts[i]) {

@@ -149,20 +149,17 @@ impl TraceSummary {
                     s.max_ns = s.max_ns.max(d);
                     s.hist.add(d);
                 }
-                SpanKind::MsgSend => {
-                    if e.callback.0 != u32::MAX {
-                        let s =
-                            callbacks.entry(e.callback).or_insert_with(|| CallbackStats {
-                                callback: e.callback,
-                                count: 0,
-                                total_ns: 0,
-                                min_ns: u64::MAX,
-                                max_ns: 0,
-                                hist: Histogram::new(),
-                                bytes_sent: 0,
-                            });
-                        s.bytes_sent += e.bytes;
-                    }
+                SpanKind::MsgSend if e.callback.0 != u32::MAX => {
+                    let s = callbacks.entry(e.callback).or_insert_with(|| CallbackStats {
+                        callback: e.callback,
+                        count: 0,
+                        total_ns: 0,
+                        min_ns: u64::MAX,
+                        max_ns: 0,
+                        hist: Histogram::new(),
+                        bytes_sent: 0,
+                    });
+                    s.bytes_sent += e.bytes;
                 }
                 _ => {}
             }
@@ -385,7 +382,7 @@ pub fn observed_critical_path(trace: &Trace, graph: &dyn TaskGraph) -> Vec<TaskI
     let mut exec_of: HashMap<TaskId, &TraceEvent> = HashMap::new();
     for e in trace.of_kind(SpanKind::TaskExec) {
         let slot = exec_of.entry(e.task).or_insert(e);
-        if (e.end_ns, e.task) > ((*slot).end_ns, (*slot).task) {
+        if (e.end_ns, e.task) > (slot.end_ns, slot.task) {
             *slot = e;
         }
     }
@@ -403,8 +400,7 @@ pub fn observed_critical_path(trace: &Trace, graph: &dyn TaskGraph) -> Vec<TaskI
 
     let mut path = vec![last.task];
     let mut cur = last.task;
-    loop {
-        let Some(task) = graph.task(cur) else { break };
+    while let Some(task) = graph.task(cur) {
         let gate = task
             .incoming
             .iter()

@@ -2,13 +2,11 @@
 //!
 //! Correctness tooling for BabelFlow dataflows, in two halves:
 //!
-//! * **Static:** coded lint diagnostics (`BF001`–`BF007`) over a
-//!   `Graph + TaskMap + ShardPlan` triple, before anything runs. The
-//!   passes themselves live in `babelflow-core`'s `lint` module (so
-//!   [`ShardPlan`] preflight can run them with no extra dependency);
-//!   this crate re-exports them and adds the full [`lint_graph`] /
-//!   [`lint_run`] drivers with the two-way [`TaskMap`] consistency
-//!   check.
+//! * **Static:** coded lint diagnostics (`BF001`–`BF011`) over a
+//!   `Graph + TaskMap + Registry` triple, before anything runs. The
+//!   passes and the one-call [`lint_graph`] / [`lint_run`] entry points
+//!   live in `babelflow-core`'s `lint` module, so [`ShardPlan`] preflight
+//!   runs them with no extra dependency; this crate re-exports them.
 //! * **Dynamic:** [`check_happens_before`] reconstructs the
 //!   send/recv/exec partial order of a recorded [`Trace`] with vector
 //!   clocks and proves every task executed after all of its inputs'
@@ -25,6 +23,7 @@
 //! assert!(report.is_clean(), "{report}");
 //! ```
 //!
+//! [`ShardPlan`]: babelflow_core::plan::ShardPlan
 //! [`Trace`]: babelflow_trace::Trace
 
 #![warn(missing_docs)]
@@ -32,134 +31,9 @@
 pub mod determinism;
 pub mod hb;
 
-use babelflow_core::plan::ShardPlan;
-use babelflow_core::{Registry, TaskGraph, TaskMap};
-
 pub use babelflow_core::lint::{
-    lint_bindings, lint_plan, Diagnostic, DiagnosticCode, Severity, VerifyReport,
+    lint_bindings, lint_graph, lint_plan, lint_run, Diagnostic, DiagnosticCode, Severity,
+    VerifyReport,
 };
 pub use determinism::{check_determinism, DeterminismReport};
 pub use hb::{check_happens_before, HbReport, HbViolation};
-
-/// Lint a graph under a task map: builds a (lenient) [`ShardPlan`], runs
-/// the structural passes, and adds the two-way map consistency check
-/// that the plan alone cannot see — `map.tasks(s).contains(t)` must hold
-/// exactly when `map.shard(t) == s`, or shard-local schedulers and the
-/// routing tables disagree about who owns a task (reported as `BF005`).
-pub fn lint_graph(graph: &dyn TaskGraph, map: &dyn TaskMap) -> VerifyReport {
-    let plan = ShardPlan::build(graph, map).lenient();
-    let mut rep = plan.lint().clone();
-    rep.merge(lint_map(graph, map));
-    rep
-}
-
-/// [`lint_graph`] plus the registry-dependent `BF004` pass: every
-/// callback the graph uses must be bound, and declared arities (see
-/// [`Registry::declare_arity`]) must match every task.
-pub fn lint_run(graph: &dyn TaskGraph, map: &dyn TaskMap, registry: &Registry) -> VerifyReport {
-    let plan = ShardPlan::build(graph, map).lenient();
-    let mut rep = plan.lint().clone();
-    rep.merge(lint_bindings(plan.tasks(), plan.callback_ids(), registry));
-    rep.merge(lint_map(graph, map));
-    rep
-}
-
-/// The two-way [`TaskMap`] consistency check (`BF005`). Out-of-range
-/// shards are already `Error`s from the plan pass; a disagreement
-/// between the map's two directions is a `Warning` here because the
-/// plan's routing tables are built from `shard()` alone and still
-/// function — but any backend that walks `tasks(shard)` will skip or
-/// double-run the task.
-fn lint_map(graph: &dyn TaskGraph, map: &dyn TaskMap) -> VerifyReport {
-    use babelflow_core::ids::ShardId;
-
-    let mut rep = VerifyReport::new();
-    let n = graph.size() as u64;
-    for s in 0..map.num_shards() {
-        for t in map.tasks(ShardId(s)) {
-            if t.0 < n && map.shard(t).0 != s {
-                rep.push(
-                    DiagnosticCode::UnmappedTask,
-                    Severity::Warning,
-                    Some(t),
-                    format!(
-                        "map lists task in shard {s}'s task list but shard() places it on {}",
-                        map.shard(t)
-                    ),
-                );
-            }
-        }
-    }
-    for pt in ShardPlan::build(graph, map).lenient().tasks() {
-        let s = pt.shard;
-        if s.0 < map.num_shards() && !map.tasks(s).contains(&pt.id()) {
-            rep.push(
-                DiagnosticCode::UnmappedTask,
-                Severity::Warning,
-                Some(pt.id()),
-                format!("shard() places task on {s} but shard {s}'s task list omits it"),
-            );
-        }
-    }
-    rep
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use babelflow_core::ids::{CallbackId, ShardId, TaskId};
-    use babelflow_core::{ExplicitGraph, ModuloMap, Task};
-
-    fn chain() -> ExplicitGraph {
-        // EXTERNAL -> t0 -> t1 -> EXTERNAL
-        let mut t0 = Task::new(TaskId(0), CallbackId(0));
-        t0.incoming = vec![TaskId::EXTERNAL];
-        t0.outgoing = vec![vec![TaskId(1)]];
-        let mut t1 = Task::new(TaskId(1), CallbackId(1));
-        t1.incoming = vec![TaskId(0)];
-        t1.outgoing = vec![vec![TaskId::EXTERNAL]];
-        ExplicitGraph::new(vec![t0, t1], vec![CallbackId(0), CallbackId(1)])
-    }
-
-    #[test]
-    fn clean_chain_lints_clean() {
-        let g = chain();
-        let rep = lint_graph(&g, &ModuloMap::new(2, g.size() as u64));
-        assert!(rep.is_empty(), "{rep}");
-    }
-
-    #[test]
-    fn inconsistent_map_is_flagged() {
-        struct LyingMap;
-        impl TaskMap for LyingMap {
-            fn shard(&self, _: TaskId) -> ShardId {
-                ShardId(0)
-            }
-            fn tasks(&self, shard: ShardId) -> Vec<TaskId> {
-                // Claims t1 lives on shard 1, contradicting shard().
-                if shard.0 == 1 {
-                    vec![TaskId(0), TaskId(1)]
-                } else {
-                    vec![TaskId(0)]
-                }
-            }
-            fn num_shards(&self) -> u32 {
-                2
-            }
-        }
-        let rep = lint_graph(&chain(), &LyingMap);
-        assert!(rep.count(DiagnosticCode::UnmappedTask) >= 2, "{rep}");
-        // Disagreements are warnings: the plan still routes correctly.
-        assert!(rep.is_clean(), "{rep}");
-    }
-
-    #[test]
-    fn unbound_callback_is_bf004() {
-        let g = chain();
-        let mut reg = Registry::new();
-        reg.register(CallbackId(0), |i, _| i);
-        let rep = lint_run(&g, &ModuloMap::new(1, g.size() as u64), &reg);
-        assert_eq!(rep.count(DiagnosticCode::UnregisteredCallback), 1, "{rep}");
-        assert!(rep.has_errors());
-    }
-}

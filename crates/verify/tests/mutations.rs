@@ -4,9 +4,9 @@
 
 use babelflow_core::ids::{CallbackId, ShardId, TaskId};
 use babelflow_core::plan::ShardPlan;
-use babelflow_core::{BlockMap, ExplicitGraph, ModuloMap, Registry, TaskGraph, TaskMap};
+use babelflow_core::{BlockMap, ExplicitGraph, ModuloMap, Registry, Task, TaskGraph, TaskMap};
 use babelflow_graphs::{BinarySwap, Broadcast, KWayMerge, NeighborGraph, Reduction};
-use babelflow_verify::{lint_graph, lint_run, DiagnosticCode};
+use babelflow_verify::{lint_graph, lint_run, DiagnosticCode, Severity};
 
 /// The five families at small-but-nontrivial sizes, materialized so
 /// tests can perform edge surgery on them.
@@ -199,6 +199,77 @@ fn extra_delivery_fires_bf007() {
             rep.count(DiagnosticCode::FanInSlotCollision) > 0,
             "{name}: expected BF007, got:\n{rep}"
         );
+    }
+}
+
+/// A family whose `ids()` and `size()` lie: `extra` is listed after the
+/// real ids, and `size()` reports `size_delta` more than `ids()` lists.
+struct Lying {
+    inner: ExplicitGraph,
+    extra: Option<TaskId>,
+    size_delta: usize,
+}
+
+impl TaskGraph for Lying {
+    fn size(&self) -> usize {
+        self.ids().len() + self.size_delta
+    }
+    fn task(&self, id: TaskId) -> Option<Task> {
+        self.inner.task(id)
+    }
+    fn callback_ids(&self) -> Vec<CallbackId> {
+        self.inner.callback_ids()
+    }
+    fn ids(&self) -> Vec<TaskId> {
+        let mut ids = self.inner.ids();
+        ids.extend(self.extra);
+        ids
+    }
+}
+
+/// Lint `g` and assert `code` fires as an Error anchored at `at`.
+fn assert_fires(name: &str, g: &dyn TaskGraph, code: DiagnosticCode, at: Option<TaskId>) {
+    let rep = lint_graph(g, &ModuloMap::new(2, g.size() as u64));
+    assert!(
+        rep.of_code(code).any(|d| d.task == at && d.severity == Severity::Error),
+        "{name}: expected {code} at {at:?}, got:\n{rep}"
+    );
+}
+
+#[test]
+fn repeated_id_fires_bf008() {
+    for (name, g) in families() {
+        let (_, victim) = internal_edge(&g);
+        let g = Lying { inner: g, extra: Some(victim), size_delta: 0 };
+        assert_fires(name, &g, DiagnosticCode::DuplicateTaskId, Some(victim));
+        // The plan keeps one task per id, so nothing else is wrong.
+        let rep = lint_graph(&g, &ModuloMap::new(2, g.size() as u64));
+        assert_eq!(rep.len(), 1, "{name}: {rep}");
+    }
+}
+
+#[test]
+fn overstated_size_fires_bf009() {
+    for (name, g) in families() {
+        let g = Lying { inner: g, extra: None, size_delta: 1 };
+        assert_fires(name, &g, DiagnosticCode::SizeMismatch, None);
+    }
+}
+
+#[test]
+fn listed_id_without_a_task_fires_bf010() {
+    for (name, g) in families() {
+        let g = Lying { inner: g, extra: Some(TaskId(999_999)), size_delta: 0 };
+        assert_fires(name, &g, DiagnosticCode::MissingTask, Some(TaskId(999_999)));
+    }
+}
+
+#[test]
+fn renamed_task_fires_bf011() {
+    for (name, mut g) in families() {
+        let (_, victim) = internal_edge(&g);
+        g.task_mut(victim).unwrap().id = TaskId(999_999);
+        assert_fires(name, &g, DiagnosticCode::TaskIdMismatch, Some(victim));
     }
 }
 

@@ -10,7 +10,8 @@ use babelflow::core::proptest_lite::prelude::*;
 use babelflow::core::rng::Rng;
 use babelflow::core::{
     canonical_outputs, inject_panics, run_serial, Blob, CallbackId, ChainGraph, Controller,
-    FaultPlan, FnMap, Link, ModuloMap, OffsetGraph, Payload, Registry, ShardId, TaskGraph, TaskId,
+    ControllerError, DiagnosticCode, FaultPlan, FnMap, Link, ModuloMap, OffsetGraph, Payload,
+    Registry, Severity, ShardId, ShardPlan, TaskGraph, TaskId, TaskMap,
 };
 use babelflow::graphs::{BinarySwap, Broadcast, KWayMerge, NeighborGraph, Reduction};
 
@@ -59,7 +60,12 @@ fn inputs(graph: &dyn TaskGraph) -> HashMap<TaskId, Vec<Payload>> {
 #[test]
 fn composed_graph_runs_identically_on_every_backend() {
     let (chain, reg) = reduce_then_broadcast();
-    babelflow::core::assert_valid(&chain);
+    let ids = chain.ids();
+    let explicit = babelflow::core::FnMap::new(3, ids, |t| {
+        babelflow::core::ShardId((t.0 % 3) as u32)
+    });
+    let lint = babelflow::core::lint_graph(&chain, &explicit);
+    assert!(lint.is_empty(), "{lint}");
 
     let serial = run_serial(&chain, &reg, inputs(&chain)).unwrap();
     // Sum of 1..=8 = 36; every broadcast leaf emits 37.
@@ -68,13 +74,6 @@ fn composed_graph_runs_identically_on_every_backend() {
         assert_eq!(val(&payloads[0]), 37);
     }
     let canon = canonical_outputs(&serial);
-
-    let map = ModuloMap::new(3, 0); // tasks() unused for non-dense ids
-    let ids = chain.ids();
-    let explicit = babelflow::core::FnMap::new(3, ids, |t| {
-        babelflow::core::ShardId((t.0 % 3) as u32)
-    });
-    let _ = map;
 
     let r = babelflow::mpi::MpiController::new()
         .run(&chain, &explicit, &reg, inputs(&chain))
@@ -311,4 +310,130 @@ fn conformance_cases_are_deterministic_under_a_fixed_seed() {
         canonical_outputs(&run_serial(&*gb, &hash_registry(gb.clone()), seeded_inputs(&*gb, 5)).unwrap()),
     );
     run_conformance_case(0xBABE).unwrap();
+}
+
+// ---------------------------------------------------------------------------
+// One validator for six backends: a graph whose `ids()`/`task()`/`size()`
+// do not describe one graph, whose tasks use a callback nobody bound, or
+// whose map places a task on a shard no rank hosts, is rejected at
+// preflight with its BF code on every backend, on a strict plan and on a
+// lenient one alike — it never runs and never panics.
+// ---------------------------------------------------------------------------
+
+/// A `Reduction(4, 2)` whose procedural description is broken in the one
+/// way `defect` names (left intact for a code it has no arm for).
+struct Broken {
+    inner: Reduction,
+    defect: DiagnosticCode,
+}
+
+impl Broken {
+    const STRANGER: TaskId = TaskId(1_000);
+}
+
+impl TaskGraph for Broken {
+    fn size(&self) -> usize {
+        let n = self.ids().len();
+        n + usize::from(self.defect == DiagnosticCode::SizeMismatch)
+    }
+
+    fn task(&self, id: TaskId) -> Option<babelflow::core::Task> {
+        let mut t = self.inner.task(id)?;
+        if id == self.inner.root_id() {
+            match self.defect {
+                DiagnosticCode::TaskIdMismatch => t.id = Self::STRANGER,
+                DiagnosticCode::UnregisteredCallback => t.callback = CallbackId(99),
+                _ => {}
+            }
+        }
+        Some(t)
+    }
+
+    fn callback_ids(&self) -> Vec<CallbackId> {
+        self.inner.callback_ids()
+    }
+
+    fn ids(&self) -> Vec<TaskId> {
+        let mut ids = self.inner.ids();
+        match self.defect {
+            DiagnosticCode::DuplicateTaskId => ids.push(ids[0]),
+            DiagnosticCode::MissingTask => ids.push(Self::STRANGER),
+            _ => {}
+        }
+        ids
+    }
+}
+
+/// A map that places one task on a shard no rank hosts.
+struct Exile {
+    inner: ModuloMap,
+    victim: TaskId,
+}
+
+impl TaskMap for Exile {
+    fn shard(&self, task: TaskId) -> ShardId {
+        if task == self.victim {
+            ShardId(self.inner.num_shards() + 7)
+        } else {
+            self.inner.shard(task)
+        }
+    }
+    fn tasks(&self, shard: ShardId) -> Vec<TaskId> {
+        self.inner.tasks(shard)
+    }
+    fn num_shards(&self) -> u32 {
+        self.inner.num_shards()
+    }
+}
+
+/// The six backends, each bound to `plan` when one is given.
+fn six_backends(plan: Option<Arc<ShardPlan>>) -> Vec<(&'static str, Box<dyn Controller>)> {
+    fn boxed<C: Controller + 'static>(c: C, plan: &Option<Arc<ShardPlan>>) -> Box<dyn Controller> {
+        match plan {
+            Some(plan) => Box::new(c.with_plan(plan.clone())),
+            None => Box::new(c),
+        }
+    }
+    vec![
+        ("serial", boxed(babelflow::core::SerialController::new(), &plan)),
+        ("mpi-async", boxed(babelflow::mpi::MpiController::new(), &plan)),
+        ("mpi-blocking", boxed(babelflow::mpi::BlockingMpiController::new(), &plan)),
+        ("charm", boxed(babelflow::charm::CharmController::new(2), &plan)),
+        ("legion-spmd", boxed(babelflow::legion::LegionSpmdController::new(2), &plan)),
+        ("legion-il", boxed(babelflow::legion::LegionIndexLaunchController::new(2), &plan)),
+    ]
+}
+
+#[test]
+fn broken_contracts_are_rejected_alike_by_every_backend() {
+    let pristine = Reduction::new(4, 2);
+    let reg = hash_registry(Arc::new(pristine.clone()));
+    let map = ModuloMap::new(2, pristine.size() as u64);
+    let exile = Exile { inner: map.clone(), victim: pristine.root_id() };
+    for (name, mut ctrl) in six_backends(None) {
+        ctrl.run(&pristine, &map, &reg, inputs(&pristine))
+            .unwrap_or_else(|e| panic!("{name}: the pristine graph fails: {e}"));
+    }
+
+    for defect in [
+        DiagnosticCode::DuplicateTaskId,
+        DiagnosticCode::SizeMismatch,
+        DiagnosticCode::MissingTask,
+        DiagnosticCode::TaskIdMismatch,
+        DiagnosticCode::UnregisteredCallback,
+        DiagnosticCode::UnmappedTask,
+    ] {
+        let g = Broken { inner: pristine.clone(), defect };
+        let map: &dyn TaskMap = if defect == DiagnosticCode::UnmappedTask { &exile } else { &map };
+        let lenient = Arc::new(ShardPlan::build(&g, map).lenient());
+        for (mode, plan) in [("strict", None), ("lenient", Some(lenient))] {
+            for (name, mut ctrl) in six_backends(plan.clone()) {
+                match ctrl.run(&g, map, &reg, inputs(&pristine)) {
+                    Err(ControllerError::LintRejected(rep))
+                        if rep.of_code(defect).any(|d| d.severity == Severity::Error) => {}
+                    other => panic!("{defect} on {mode} {name}: expected {defect}, got {other:?}"),
+                }
+            }
+        }
+    }
 }

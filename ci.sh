@@ -24,13 +24,18 @@ cargo bench --no-run --offline --workspace
 
 # Stress: the conformance suite at 4x its case budget while two CPU-bound
 # processes compete for the cores. No MPI decision may lean on a clock, so
-# a starved rank must still give every case the serial golden. The test
-# binary is built first, so the step times only the run (~15 s on 2 cores).
+# a starved rank must still give every case the serial golden. The work
+# pool's idle rule, which ends every Charm and Legion run, is run on the
+# starved cores too, through the unit tests of the pool and both runtimes.
+# The test binaries are built first, so the step times only the runs
+# (~15 s on 2 cores).
 cargo test -q --release --offline --test cross_runtime --no-run
+cargo test -q --release --offline -p babelflow-core -p babelflow-charm -p babelflow-legion --no-run
 (set +x; while :; do :; done) & hog1=$!
 (set +x; while :; do :; done) & hog2=$!
 trap 'kill $hog1 $hog2 2>/dev/null' EXIT
 PROPTEST_LITE_CASES=256 cargo test -q --release --offline --test cross_runtime
+cargo test -q --release --offline -p babelflow-core -p babelflow-charm -p babelflow-legion
 kill $hog1 $hog2
 trap - EXIT
 

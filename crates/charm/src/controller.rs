@@ -155,20 +155,14 @@ impl Controller for CharmController {
             return Err(err);
         }
 
-        match result {
-            Ok((outputs, stats)) => {
-                let mut report = RunReport { outputs, ..RunReport::default() };
-                report.stats.tasks_executed = stats.retired;
-                report.stats.local_messages = stats.local_messages;
-                report.stats.remote_messages = stats.cross_pe_messages;
-                report.stats.recovery.retries = retries.get();
-                report.stats.perf.payload_clones = clones.get();
-                Ok(report)
-            }
-            Err(pending) => Err(ControllerError::Deadlock {
-                pending: pending.into_iter().map(TaskId).collect(),
-            }),
-        }
+        let (outputs, stats) = result?;
+        let mut report = RunReport { outputs, ..RunReport::default() };
+        report.stats.tasks_executed = stats.retired;
+        report.stats.local_messages = stats.local_messages;
+        report.stats.remote_messages = stats.cross_pe_messages;
+        report.stats.recovery.retries = retries.get();
+        report.stats.perf.payload_clones = clones.get();
+        Ok(report)
     }
 
     fn name(&self) -> &'static str {

@@ -4,8 +4,8 @@
 //! ([`runtime`]) and the task-graph controller built on it
 //! ([`CharmController`], §IV-B of the paper). Tasks become chares placed
 //! statically over processing elements and scheduled message-driven — no
-//! task map required. A run ends at quiescence, detected by counting
-//! in-flight messages.
+//! task map required. A run ends at quiescence: the PEs' work pool is
+//! idle, with no message queued and no entry method running.
 
 #![warn(missing_docs)]
 

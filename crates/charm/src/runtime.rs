@@ -12,10 +12,11 @@
 //! * **PEs** (threads) running a message-driven scheduler loop;
 //! * **remote method invocation**: `ctx.send(idx, …)` routes a message to
 //!   the chare's PE;
-//! * **quiescence detection by counting**: a message is in flight from its
-//!   send until its entry method returns, so the run ends the moment that
-//!   count reaches zero — complete if every chare retired, stalled (with
-//!   the exact set of unretired chares) otherwise.
+//! * **quiescence detection**: the PEs run on a
+//!   [`WorkPool`], whose run ends the moment no message is queued and no
+//!   entry method runs — complete if every chare retired, stalled (with
+//!   the exact set of unretired chares) otherwise. A PE thread that
+//!   panics ends the run with an error instead.
 //!
 //! Charm++'s periodic measurement-based load balancer (the paper's
 //! experiments "use periodic load balance") does not run on these threads:
@@ -27,9 +28,9 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use babelflow_core::sync::{Condvar, Mutex, WorkPool};
+use babelflow_core::sync::{Mutex, WorkPool};
 use babelflow_core::trace::{noop_sink, now_ns, SpanKind, TraceEvent, TraceSink, HOST_RANK};
-use babelflow_core::{Payload, TaskId};
+use babelflow_core::{ControllerError, Payload, TaskId};
 
 /// A message-driven parallel object hosted by the runtime.
 pub trait Chare: Send {
@@ -72,15 +73,6 @@ struct Shared {
     pool: WorkPool<Delivery>,
     /// External outputs collected across PEs.
     outputs: Mutex<Outputs>,
-    /// Messages sent whose entry method has not yet returned. A send
-    /// counts before it pushes and a PE uncounts after the handler, whose
-    /// own sends were counted first, so zero means quiescence: nothing
-    /// queued and nothing running.
-    in_flight: AtomicU64,
-    /// Set when a PE thread panicked; also the lock that the coordinator's
-    /// wait on `quiescent` and its notifiers share.
-    pe_panicked: Mutex<bool>,
-    quiescent: Condvar,
     /// Retired-chare count.
     retired: AtomicU64,
     /// Message counters.
@@ -109,7 +101,6 @@ impl Shared {
             self.cross_msgs.fetch_add(1, Ordering::Relaxed);
         }
         let sent_ns = if self.tracing { now_ns() } else { 0 };
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
         self.pool.push_to(pe, Delivery { idx, src, payload, sent_ns });
         if self.tracing {
             let rank = if from_pe == usize::MAX { HOST_RANK } else { from_pe as u32 };
@@ -122,32 +113,31 @@ impl Shared {
         }
     }
 
-    /// Uncount one handled delivery; the last one wakes the coordinator.
-    fn delivered(&self) {
-        if self.in_flight.fetch_sub(1, Ordering::SeqCst) == 1 {
-            let _lock = self.pe_panicked.lock();
-            self.quiescent.notify_all();
+    /// Run the entry method a delivery invokes on one of the chares
+    /// placed on `pe`, retiring the chare if it is done.
+    fn deliver(&self, chares: &mut HashMap<u64, Box<dyn Chare>>, pe: usize, d: Delivery) {
+        let Delivery { idx, src, payload, sent_ns } = d;
+        let Some(chare) = chares.get_mut(&idx) else {
+            // Chare already retired: dataflow chares retire only after all
+            // their inputs, so this is a protocol violation. Drop and count
+            // it; any resulting stall surfaces at quiescence.
+            self.late_msgs.fetch_add(1, Ordering::Relaxed);
+            return;
+        };
+        if self.tracing {
+            // The in-flight + inbox time of this message, charged to the
+            // receiving chare (its task id is its array index by
+            // convention).
+            self.sink.record(
+                TraceEvent::span(SpanKind::QueueWait, sent_ns, now_ns(), pe as u32, 0)
+                    .with_task(TaskId(idx), babelflow_core::CallbackId(u32::MAX))
+                    .with_message(src, 0),
+            );
         }
-    }
-
-    /// Block until no message is in flight, or until a PE thread panicked.
-    fn wait_quiescent(&self) {
-        let mut pe_panicked = self.pe_panicked.lock();
-        while self.in_flight.load(Ordering::SeqCst) != 0 && !*pe_panicked {
-            self.quiescent.wait(&mut pe_panicked);
-        }
-    }
-}
-
-/// Wakes the coordinator when its PE thread unwinds: a dead PE never
-/// drains its lane, so the in-flight count could never reach zero.
-struct PanicAlarm<'a>(&'a Shared);
-
-impl Drop for PanicAlarm<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            *self.0.pe_panicked.lock() = true;
-            self.0.quiescent.notify_all();
+        let mut ctx = ChareCtx { shared: self, pe, self_idx: idx };
+        if chare.on_message(src, payload, &mut ctx) {
+            chares.remove(&idx);
+            self.retired.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -216,17 +206,21 @@ impl CharmRuntime {
     ///
     /// `indices` enumerates the chare array (chare `idx` is placed on PE
     /// `idx % pes`); `factory` constructs each chare; `initial` is the set
-    /// of bootstrap messages (from the main chare in Charm++ terms).
+    /// of bootstrap messages (from the main chare in Charm++ terms), sent
+    /// from PE 0's thread.
     ///
-    /// Returns the external outputs and run statistics, or the sorted
-    /// indices of unretired chares if the run quiesces before every chare
-    /// retired.
+    /// Returns the external outputs and run statistics.
+    ///
+    /// # Errors
+    /// [`ControllerError::Deadlock`] with the sorted indices of unretired
+    /// chares (as task ids) if the run quiesces before every chare
+    /// retired; [`ControllerError::Runtime`] if a PE thread panicked.
     pub fn run<F>(
         &self,
         indices: &[u64],
         factory: F,
         initial: Vec<(u64, TaskId, Payload)>,
-    ) -> Result<(Outputs, CharmStats), Vec<u64>>
+    ) -> Result<(Outputs, CharmStats), ControllerError>
     where
         F: Fn(u64) -> Box<dyn Chare> + Send + Sync,
     {
@@ -234,9 +228,6 @@ impl CharmRuntime {
             pes: self.pes,
             pool: WorkPool::new(self.pes),
             outputs: Mutex::new(BTreeMap::new()),
-            in_flight: AtomicU64::new(0),
-            pe_panicked: Mutex::new(false),
-            quiescent: Condvar::new(),
             retired: AtomicU64::new(0),
             local_msgs: AtomicU64::new(0),
             cross_msgs: AtomicU64::new(0),
@@ -245,27 +236,30 @@ impl CharmRuntime {
             tracing: self.sink.enabled(),
         };
 
-        // Bootstrap messages, routed like any remote invocation.
-        for (idx, src, payload) in initial {
-            shared.send(usize::MAX, idx, src, payload);
-        }
-
-        let (shared_ref, factory) = (&shared, &factory);
-        let mut pending: Vec<u64> = std::thread::scope(|s| {
-            let pes: Vec<_> = (0..self.pes)
-                .map(|pe| s.spawn(move || pe_main(pe, shared_ref, indices, factory)))
-                .collect();
-            shared_ref.wait_quiescent();
-            // Nothing is queued at quiescence, so closing the pool just
-            // lets each PE return its unretired chares.
-            shared_ref.pool.close();
-            pes.into_iter()
-                .flat_map(|pe| pe.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-                .collect()
-        });
+        // Each PE's state is the chares placed on it, constructed eagerly
+        // (Charm++ constructs array elements at insertion); what is left
+        // of it at quiescence never retired. PE 0, where Charm++ runs the
+        // main chare, first sends the host's bootstrap messages, so a
+        // failure while sending them is a PE failure like any other.
+        let bootstrap = Mutex::new(initial);
+        let placed = |pe: usize| -> HashMap<u64, Box<dyn Chare>> {
+            if pe == 0 {
+                for (idx, src, payload) in std::mem::take(&mut *bootstrap.lock()) {
+                    shared.send(usize::MAX, idx, src, payload);
+                }
+            }
+            let here = indices.iter().filter(|&&idx| shared.pe_of(idx) == pe);
+            here.map(|&idx| (idx, factory(idx))).collect()
+        };
+        let pes = shared
+            .pool
+            .run_until_idle(placed, |chares, pe, d| shared.deliver(chares, pe, d))
+            .map_err(|pe| ControllerError::Runtime(format!("charm PE {pe} panicked")))?;
+        let mut pending: Vec<TaskId> =
+            pes.into_iter().flatten().map(|(idx, _)| TaskId(idx)).collect();
         if !pending.is_empty() {
             pending.sort_unstable();
-            return Err(pending);
+            return Err(ControllerError::Deadlock { pending });
         }
 
         let outputs = shared.outputs.into_inner();
@@ -277,53 +271,6 @@ impl CharmRuntime {
         };
         Ok((outputs, stats))
     }
-}
-
-/// PE scheduler loop: message-driven execution of the chares placed on
-/// `pe`. Returns the indices of the chares that never retired.
-fn pe_main<F>(pe: usize, shared: &Shared, indices: &[u64], factory: &F) -> Vec<u64>
-where
-    F: Fn(u64) -> Box<dyn Chare> + Send + Sync,
-{
-    let _alarm = PanicAlarm(shared);
-    // Eagerly construct the chares placed here (Charm++ constructs array
-    // elements at insertion).
-    let mut chares: HashMap<u64, Box<dyn Chare>> = indices
-        .iter()
-        .filter(|&&idx| shared.pe_of(idx) == pe)
-        .map(|&idx| (idx, factory(idx)))
-        .collect();
-
-    // `recv` blocks on the pinned lane; `None` means the run is over.
-    while let Some(Delivery { idx, src, payload, sent_ns }) = shared.pool.recv(pe) {
-        match chares.get_mut(&idx) {
-            Some(chare) => {
-                if shared.tracing {
-                    // The in-flight + inbox time of this message, charged
-                    // to the receiving chare (its task id is its array
-                    // index by convention).
-                    shared.sink.record(
-                        TraceEvent::span(SpanKind::QueueWait, sent_ns, now_ns(), pe as u32, 0)
-                            .with_task(TaskId(idx), babelflow_core::CallbackId(u32::MAX))
-                            .with_message(src, 0),
-                    );
-                }
-                let mut ctx = ChareCtx { shared, pe, self_idx: idx };
-                if chare.on_message(src, payload, &mut ctx) {
-                    chares.remove(&idx);
-                    shared.retired.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            // Chare already retired: dataflow chares retire only after all
-            // their inputs, so this is a protocol violation. Drop and count
-            // it; any resulting stall surfaces at quiescence.
-            None => {
-                shared.late_msgs.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        shared.delivered();
-    }
-    chares.into_keys().collect()
 }
 
 #[cfg(test)]
@@ -400,8 +347,9 @@ mod tests {
             (0, TaskId::EXTERNAL, pay(2)),
             (1, TaskId::EXTERNAL, pay(3)),
         ];
-        let pending = rt.run(&[0, 1, 2], chain_factory, initial).unwrap_err();
-        assert_eq!(pending, vec![1, 2]);
+        let err = rt.run(&[0, 1, 2], chain_factory, initial).unwrap_err();
+        let stalled = [TaskId(1), TaskId(2)];
+        assert!(matches!(&err, ControllerError::Deadlock { pending } if pending == &stalled));
     }
 
     #[test]
@@ -420,16 +368,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "chare exploded")]
-    fn panicking_chare_propagates_instead_of_hanging() {
+    fn panicking_chare_is_an_error_not_a_hang() {
+        babelflow_core::quiet_panic_hook();
         struct Bomb;
         impl Chare for Bomb {
             fn on_message(&mut self, _: TaskId, _: Payload, _: &mut ChareCtx<'_>) -> bool {
-                panic!("chare exploded")
+                panic!("{}: chare exploded", babelflow_core::PANIC_MARKER)
             }
         }
         let rt = CharmRuntime::new(2);
         let factory = |_| -> Box<dyn Chare> { Box::new(Bomb) };
-        let _ = rt.run(&[0, 1], factory, vec![(1, TaskId::EXTERNAL, pay(0))]);
+        let started = std::time::Instant::now();
+        let err = rt.run(&[0, 1], factory, vec![(1, TaskId::EXTERNAL, pay(0))]).unwrap_err();
+        assert!(matches!(&err, ControllerError::Runtime(m) if m == "charm PE 1 panicked"), "{err}");
+        assert!(started.elapsed() < std::time::Duration::from_secs(2));
     }
 }

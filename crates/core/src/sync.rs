@@ -152,7 +152,8 @@ impl Condvar {
     }
 }
 
-/// Per-worker double-ended work queues with stealing.
+/// Per-worker double-ended work queues with stealing, the lanes behind
+/// [`WorkPool`].
 ///
 /// Each worker owns two lanes: a *pinned* lane whose items only that
 /// worker may pop (work with affinity — e.g. a chare bound to its PE),
@@ -161,12 +162,8 @@ impl Condvar {
 /// and steals round-robin from the other workers' floating lanes when
 /// both are empty, so a stalled or killed worker cannot strand floating
 /// work.
-///
-/// The structure itself is not synchronized — embed it in a
-/// [`Mutex`]-guarded scheduler state (as the Legion runtime does) or use
-/// the blocking [`WorkPool`] wrapper.
 #[derive(Debug)]
-pub struct WorkDeques<T> {
+struct WorkDeques<T> {
     pinned: Vec<std::collections::VecDeque<T>>,
     floating: Vec<std::collections::VecDeque<T>>,
     next: usize,
@@ -176,7 +173,7 @@ pub struct WorkDeques<T> {
 
 impl<T> WorkDeques<T> {
     /// Create lanes for `workers` workers (at least one).
-    pub fn new(workers: usize) -> Self {
+    fn new(workers: usize) -> Self {
         let n = workers.max(1);
         WorkDeques {
             pinned: (0..n).map(|_| std::collections::VecDeque::new()).collect(),
@@ -187,29 +184,24 @@ impl<T> WorkDeques<T> {
         }
     }
 
-    /// Number of workers the lanes were sized for.
-    pub fn workers(&self) -> usize {
-        self.floating.len()
-    }
-
     /// Queued items across all lanes.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.len
     }
 
     /// Whether every lane is empty.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Completed steals (pops that took another worker's floating work).
-    pub fn steals(&self) -> u64 {
+    fn steals(&self) -> u64 {
         self.steals
     }
 
     /// Enqueue stealable work, distributed round-robin over the floating
     /// lanes.
-    pub fn push(&mut self, item: T) {
+    fn push(&mut self, item: T) {
         let w = self.next;
         self.next = (self.next + 1) % self.floating.len();
         self.floating[w].push_back(item);
@@ -217,7 +209,7 @@ impl<T> WorkDeques<T> {
     }
 
     /// Enqueue work pinned to `worker`; no other worker will pop it.
-    pub fn push_to(&mut self, worker: usize, item: T) {
+    fn push_to(&mut self, worker: usize, item: T) {
         let w = worker % self.pinned.len();
         self.pinned[w].push_back(item);
         self.len += 1;
@@ -226,7 +218,7 @@ impl<T> WorkDeques<T> {
     /// Dequeue work for `worker`: its own pinned lane first, then its own
     /// floating lane (both FIFO), then steal from the back of the other
     /// workers' floating lanes.
-    pub fn pop(&mut self, worker: usize) -> Option<T> {
+    fn pop(&mut self, worker: usize) -> Option<T> {
         let n = self.floating.len();
         let w = worker % n;
         if let Some(item) = self.pinned[w].pop_front() {
@@ -249,27 +241,37 @@ impl<T> WorkDeques<T> {
     }
 
     /// Items still pinned to `worker` (stealable by nobody).
-    pub fn pinned_len(&self, worker: usize) -> usize {
+    #[cfg(test)]
+    fn pinned_len(&self, worker: usize) -> usize {
         self.pinned[worker % self.pinned.len()].len()
     }
 }
 
-/// A blocking work-stealing pool: [`WorkDeques`] + [`Mutex`] +
+/// A blocking work-stealing pool: per-worker lanes + [`Mutex`] +
 /// [`Condvar`], shareable across threads by cloning the handle.
 ///
-/// Replaces the "one shared channel, every worker clones the receiver"
-/// pattern: consumers call [`WorkPool::recv`] with their worker index and
-/// get their pinned work first, then floating work, then steal. `recv`
-/// returns `None` once the pool is [`close`](WorkPool::close)d and
-/// drained of anything the worker may take.
+/// Each worker owns a *pinned* lane ([`push_to`](WorkPool::push_to)) that
+/// only it pops, and a *floating* lane ([`push`](WorkPool::push),
+/// round-robin) that idle peers steal from the back of, so a stalled or
+/// killed worker cannot strand floating work.
 ///
-/// Each worker index parks on its own condvar and flags itself parked
-/// under the lock; a push wakes only a parked worker that can take the
-/// item (the pinned lane's owner, or any parked worker for floating
-/// work) and clears its flag, so two pushes never spend both wakes on the
-/// same sleeper. Nothing is notified when no worker is parked — `std`'s
-/// futex condvar makes a syscall on every notify. One thread per worker
-/// index.
+/// A pool is driven in one of two ways:
+/// * [`WorkPool::recv`]: consumers the caller spawns, one per worker
+///   index, that stop once the pool is [`close`](WorkPool::close)d —
+///   for a pool that goes idle while it waits on something else (the
+///   MPI ranks wait for the network);
+/// * [`WorkPool::run_until_idle`]: the pool spawns its workers and ends
+///   the run itself once no work is left and no handler runs — for a
+///   pool whose handlers produce all the work that follows (Charm PEs,
+///   Legion workers).
+///
+/// Both pop through one loop. Each worker index parks on its own condvar
+/// and flags itself parked under the lock; a push wakes only a parked
+/// worker that can take the item (the pinned lane's owner, or any parked
+/// worker for floating work) and clears its flag, so two pushes never
+/// spend both wakes on the same sleeper. Nothing is notified when no
+/// worker is parked — `std`'s futex condvar makes a syscall on every
+/// notify. One thread per worker index.
 #[derive(Debug)]
 pub struct WorkPool<T> {
     inner: std::sync::Arc<PoolInner<T>>,
@@ -285,7 +287,9 @@ struct PoolInner<T> {
 #[derive(Debug)]
 struct PoolState<T> {
     deques: WorkDeques<T>,
-    /// Which workers sleep in `recv` with no wake claimed for them.
+    /// Which workers are parked with no wake claimed for them. A worker
+    /// is unparked from the wake that a push claims for it until it next
+    /// finds nothing to pop, so every running handler has its flag clear.
     parked: Vec<bool>,
     closed: bool,
 }
@@ -351,6 +355,17 @@ impl<T> WorkPool<T> {
     /// or the pool is closed. Returns `None` only when closed and nothing
     /// remains for this worker to take.
     pub fn recv(&self, worker: usize) -> Option<T> {
+        self.next(worker, false)
+    }
+
+    /// The one pop/park loop. A [`run_until_idle`](Self::run_until_idle)
+    /// worker (`until_idle`) that finds nothing to pop closes the pool
+    /// instead of parking if the pool is idle: every lane is empty, the
+    /// pinned lanes of other workers included, and every other worker is
+    /// parked, so no handler is running that could push more. A handler's
+    /// pushes are queued before its worker comes back here, so the pool
+    /// cannot look idle while work remains.
+    fn next(&self, worker: usize, until_idle: bool) -> Option<T> {
         let w = worker % self.inner.wake.len();
         let mut st = self.inner.state.lock();
         loop {
@@ -360,10 +375,64 @@ impl<T> WorkPool<T> {
             if st.closed {
                 return None;
             }
+            if until_idle
+                && st.deques.is_empty()
+                && st.parked.iter().enumerate().all(|(v, &parked)| parked || v == w)
+            {
+                drop(st);
+                self.close();
+                return None;
+            }
             st.parked[w] = true;
             self.inner.wake[w].wait(&mut st);
             st.parked[w] = false;
         }
+    }
+
+    /// Run one worker per lane until the pool is idle, then close it.
+    ///
+    /// Worker `w` starts with state `init(w)` and calls
+    /// `handle(&mut state, w, item)` on each item it pops, its pinned
+    /// lane first, then its floating lane, then a steal. Handlers may push
+    /// more work. The run ends when every lane is empty and no handler is
+    /// running, so it needs no timer and cannot end while work remains;
+    /// items pushed before the call are part of the run.
+    ///
+    /// Returns each worker's final state, or the index of the first worker
+    /// (by index) whose `init` or `handle` unwound. An unwind closes the
+    /// pool, so its peers finish what is queued and stop instead of
+    /// waiting for the dead worker. The pool is open again when the call
+    /// returns, so work pushed afterwards waits for the next run instead
+    /// of being dropped.
+    pub fn run_until_idle<S, I, H>(&self, init: I, handle: H) -> Result<Vec<S>, usize>
+    where
+        T: Send,
+        S: Send,
+        I: Fn(usize) -> S + Sync,
+        H: Fn(&mut S, usize, T) + Sync,
+    {
+        let workers = self.inner.wake.len();
+        let (init, handle) = (&init, &handle);
+        let states = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..workers)
+                .map(|w| {
+                    s.spawn(move || {
+                        let run = std::panic::AssertUnwindSafe(|| {
+                            let mut state = init(w);
+                            while let Some(item) = self.next(w, true) {
+                                handle(&mut state, w, item);
+                            }
+                            state
+                        });
+                        std::panic::catch_unwind(run).map_err(|_| self.close())
+                    })
+                })
+                .collect();
+            let states = threads.into_iter().map(|t| t.join().expect("unwinds are caught"));
+            states.enumerate().map(|(w, state)| state.map_err(|()| w)).collect()
+        });
+        self.inner.state.lock().closed = false;
+        states
     }
 
     /// Close the pool: wake every blocked worker; `recv` drains what is
@@ -568,5 +637,110 @@ mod tests {
         got.sort_unstable();
         assert_eq!(got, (0..10).collect::<Vec<u32>>());
         assert!(pool.steals() >= 5, "lane-1 items must have been stolen");
+    }
+
+    /// Run `f` on its own thread and fail if it takes longer than
+    /// `secs`: a lost wakeup or a missed idle hangs instead of failing.
+    fn within<R: Send + 'static>(secs: u64, f: impl FnOnce() -> R + Send + 'static) -> R {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(f()));
+        rx.recv_timeout(Duration::from_secs(secs)).expect("the pool hung")
+    }
+
+    /// Spin until `worker` of `pool` is parked.
+    fn until_parked<T>(pool: &WorkPool<T>, worker: usize) {
+        while !pool.inner.state.lock().parked[worker] {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn idle_pool_returns_the_initial_states_at_once() {
+        let states = within(5, || {
+            let pool: WorkPool<u32> = WorkPool::new(3);
+            pool.run_until_idle(|w| w * 10, |_, _, _| unreachable!("no work was pushed"))
+        });
+        assert_eq!(states, Ok(vec![0, 10, 20]));
+    }
+
+    #[test]
+    fn pinned_work_for_a_parked_worker_is_not_stranded() {
+        // Worker 0 pins item 1 to worker 1 once that worker is parked, and
+        // finishes: worker 0 has nothing left to pop, yet the run is not
+        // over. Item 1 pushes item 2 back, which a pool that closed early
+        // would drop. Worker 0 usually looks for work again before the
+        // woken worker 1 does; repeating the run makes that certain.
+        let runs = within(30, || {
+            (0..100)
+                .map(|_| {
+                    let pool: WorkPool<u32> = WorkPool::new(2);
+                    pool.push_to(0, 0);
+                    pool.run_until_idle(
+                        |_| Vec::new(),
+                        |seen: &mut Vec<u32>, _, item| {
+                            seen.push(item);
+                            match item {
+                                0 => {
+                                    until_parked(&pool, 1);
+                                    pool.push_to(1, 1);
+                                }
+                                1 => pool.push_to(0, 2),
+                                _ => {}
+                            }
+                        },
+                    )
+                })
+                .collect::<Vec<_>>()
+        });
+        for states in runs {
+            assert_eq!(states, Ok(vec![vec![0, 2], vec![1]]));
+        }
+    }
+
+    #[test]
+    fn chain_across_pinned_lanes_runs_every_item_once() {
+        // Each item pins its successor to the other worker and returns
+        // only once that worker has taken it, so every retire finds both
+        // lanes empty and the peer mid-handler: a pool that did not count
+        // the running handler would close there and drop the rest.
+        const ITEMS: u32 = 10_000;
+        let states = within(60, || {
+            let pool: WorkPool<u32> = WorkPool::new(2);
+            let taken = std::sync::atomic::AtomicU32::new(0);
+            pool.push_to(0, 0);
+            pool.run_until_idle(
+                |_| Vec::new(),
+                |seen: &mut Vec<u32>, w, item| {
+                    seen.push(item);
+                    taken.store(item, std::sync::atomic::Ordering::SeqCst);
+                    if item + 1 < ITEMS {
+                        pool.push_to(1 - w, item + 1);
+                        while taken.load(std::sync::atomic::Ordering::SeqCst) == item {
+                            std::thread::yield_now();
+                        }
+                    }
+                },
+            )
+        })
+        .expect("no handler panics");
+        assert_eq!(states[0], (0..ITEMS).step_by(2).collect::<Vec<_>>());
+        assert_eq!(states[1], (1..ITEMS).step_by(2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn panicking_handler_ends_the_run_while_its_peer_is_parked() {
+        crate::quiet_panic_hook();
+        let result = within(5, || {
+            let pool: WorkPool<u32> = WorkPool::new(2);
+            pool.push_to(1, 0);
+            pool.run_until_idle(
+                |_| (),
+                |_, _, _| {
+                    until_parked(&pool, 0);
+                    panic!("{}: handler fails", crate::PANIC_MARKER)
+                },
+            )
+        });
+        assert_eq!(result, Err(1));
     }
 }

@@ -296,35 +296,6 @@ mod tests {
         }
     }
 
-    /// Panics on the first `MsgSend` it is handed, from whichever worker
-    /// records it.
-    struct PanicOnFirstSend(std::sync::atomic::AtomicBool);
-
-    impl babelflow_core::TraceSink for PanicOnFirstSend {
-        fn record(&self, event: babelflow_core::TraceEvent) {
-            if event.kind == babelflow_core::SpanKind::MsgSend
-                && !self.0.swap(true, std::sync::atomic::Ordering::SeqCst)
-            {
-                panic!("{}: trace sink fails", babelflow_core::PANIC_MARKER);
-            }
-        }
-    }
-
-    #[test]
-    fn panicking_worker_thread_is_an_error_not_a_hang() {
-        babelflow_core::quiet_panic_hook();
-        let g = Reduction::new(8, 2);
-        let map = ModuloMap::new(2, g.size() as u64);
-        for mut c in legion_backends() {
-            let sink = Arc::new(PanicOnFirstSend(Default::default()));
-            let started = Instant::now();
-            let err = c.run_traced(&g, &map, &sum_registry(), reduction_inputs(&g), sink);
-            let err = err.unwrap_err();
-            assert!(matches!(err, ControllerError::Runtime(_)), "{}: {err}", c.name());
-            assert!(started.elapsed() < Duration::from_secs(2), "{}", c.name());
-        }
-    }
-
     /// Every callback of `g` sums its inputs and emits the right fan-out.
     fn mixing_registry(g: &dyn TaskGraph) -> Registry {
         let tasks: Vec<Task> = g.ids().into_iter().filter_map(|id| g.task(id)).collect();

@@ -28,15 +28,16 @@
 //! Scheduling is join counting. A pending launcher holds the number of its
 //! reads and barrier waits not yet met; the first write of a region and
 //! the trigger of a barrier decrement the counter of every launcher
-//! waiting on it, and a launcher whose counter reaches zero is queued for
-//! a worker. [`LegionRuntime::wait_all`] ends on an exact condition, not a
-//! timer: once no task is queued and no worker is running one, the run has
-//! completed if nothing is outstanding and has stalled otherwise.
+//! waiting on it, and a launcher whose counter reaches zero is pushed into
+//! the workers' [`WorkPool`]. [`LegionRuntime::wait_all`] runs the workers
+//! until that pool is idle, an exact condition, not a timer: no task is
+//! queued and no worker is running one. The run has then completed if no
+//! launcher is still pending and has stalled otherwise.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use babelflow_core::sync::{Condvar, Mutex, WorkDeques};
+use babelflow_core::sync::{Mutex, WorkPool};
 use babelflow_core::trace::{
     noop_sink, now_ns, SpanKind, TraceEvent, TraceSink, CONTROL_THREAD, HOST_RANK,
 };
@@ -165,7 +166,7 @@ struct PendingTask {
     trace_task: u64,
 }
 
-/// A task whose preconditions are all met, queued for a worker.
+/// A task whose preconditions are all met, queued in the worker pool.
 struct ReadyTask {
     body: TaskBody,
     trace_task: u64,
@@ -181,16 +182,11 @@ struct SchedState {
     barriers: Vec<BarrierState>,
     /// Launchers with unmet preconditions (`None` once queued).
     pending: Vec<Option<PendingTask>>,
-    /// Ready tasks in per-worker lanes: a worker drains its own lane and
-    /// steals from the others when it runs dry, so a burst of triggers on
-    /// one lane cannot idle the rest of the pool.
-    ready: WorkDeques<ReadyTask>,
-    /// Tasks launched but not yet completed.
-    outstanding: usize,
-    /// Tasks a worker has dequeued but not yet completed.
-    running: usize,
-    worker_panicked: bool,
-    shutdown: bool,
+    /// Ready tasks, pushed under this state's lock: the lock order is
+    /// state, then pool. A worker takes its own lane first and steals
+    /// when it runs dry, so a burst of triggers on one lane cannot idle
+    /// the rest of the pool.
+    pool: WorkPool<ReadyTask>,
     /// Cached `sink.enabled()`, so state updates can stamp ready times
     /// without reaching the sink through `Inner`.
     tracing: bool,
@@ -199,52 +195,45 @@ struct SchedState {
 impl SchedState {
     fn queue(&mut self, body: TaskBody, trace_task: u64) {
         let ready_ns = if self.tracing { now_ns() } else { 0 };
-        self.ready.push(ReadyTask { body, trace_task, ready_ns });
+        self.pool.push(ReadyTask { body, trace_task, ready_ns });
     }
 
     /// Decrement the join counter of each waiter, queuing those that reach
-    /// zero. Returns whether any task was queued.
-    fn release(&mut self, waiters: Vec<u32>) -> bool {
-        let mut queued = false;
+    /// zero.
+    fn release(&mut self, waiters: Vec<u32>) {
         for idx in waiters {
             let p = self.pending[idx as usize].as_mut().expect("waiters are pending");
             p.unmet -= 1;
             if p.unmet == 0 {
                 let p = self.pending[idx as usize].take().expect("checked above");
                 self.queue(p.body, p.trace_task);
-                queued = true;
             }
         }
-        queued
     }
 
-    fn write(&mut self, region: u32, payload: Payload) -> bool {
+    fn write(&mut self, region: u32, payload: Payload) {
         let instance = self
             .regions
             .get_mut(region as usize)
             .unwrap_or_else(|| panic!("write of unknown region {region}"));
-        let first = instance.is_none();
-        *instance = Some(payload);
-        first && {
+        if instance.replace(payload).is_none() {
             let readers = std::mem::take(&mut self.readers[region as usize]);
-            self.release(readers)
+            self.release(readers);
         }
     }
 
-    fn arrive(&mut self, barrier: u32) -> bool {
+    fn arrive(&mut self, barrier: u32) {
         let b = self.barriers.get_mut(barrier as usize).expect("arrive at unknown barrier");
         b.arrived += 1;
-        b.arrived == b.needed && {
+        if b.arrived == b.needed {
             let waiters = std::mem::take(&mut b.waiters);
-            self.release(waiters)
+            self.release(waiters);
         }
     }
 
     /// Dependence analysis: count the launcher's unmet preconditions and
-    /// either queue it or park it on each one. Returns whether it was
-    /// queued.
-    fn submit(&mut self, launcher: TaskLauncher) -> bool {
-        self.outstanding += 1;
+    /// either queue it or park it on each one.
+    fn submit(&mut self, launcher: TaskLauncher) {
         let idx = self.pending.len() as u32;
         let mut unmet = 0;
         for &r in &launcher.reads {
@@ -267,7 +256,7 @@ impl SchedState {
         }
         if unmet == 0 {
             self.queue(launcher.body, launcher.trace_task);
-            return true;
+            return;
         }
         self.pending.push(Some(PendingTask {
             name: launcher.name,
@@ -275,47 +264,22 @@ impl SchedState {
             unmet,
             trace_task: launcher.trace_task,
         }));
-        false
     }
 }
 
 struct Inner {
     state: Mutex<SchedState>,
-    cv: Condvar,
     stats_tasks: AtomicU64,
     stats_launches: AtomicU64,
     sink: Arc<dyn TraceSink>,
 }
 
 impl Inner {
-    /// Apply `update` to the scheduler state and wake the workers if it
-    /// queued a task.
-    fn schedule(&self, update: impl FnOnce(&mut SchedState) -> bool) {
-        let queued = update(&mut self.state.lock());
-        if queued {
-            self.cv.notify_all();
-        }
-    }
-
     /// Submit a launcher: dependence analysis + enqueue. This work runs on
     /// the caller's thread — the parent pays.
     fn submit(&self, launcher: TaskLauncher) {
         self.stats_tasks.fetch_add(1, Ordering::Relaxed);
-        self.schedule(|st| st.submit(launcher));
-    }
-}
-
-/// Marks the run as broken if a worker thread unwinds, and wakes
-/// [`LegionRuntime::wait_all`], which would otherwise wait for the task the
-/// dead worker never completes.
-struct PanicAlarm<'a>(&'a Inner);
-
-impl Drop for PanicAlarm<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.state.lock().worker_panicked = true;
-            self.0.cv.notify_all();
-        }
+        self.state.lock().submit(launcher);
     }
 }
 
@@ -353,13 +317,13 @@ impl TaskCtx<'_> {
 
     /// Write the physical instance of a region, triggering dependents.
     pub fn write_region(&self, region: u32, payload: Payload) {
-        self.inner.schedule(|st| st.write(region, payload));
+        self.inner.state.lock().write(region, payload);
     }
 
     /// Arrive at a phase barrier; triggers it when the arrival count is
     /// reached.
     pub fn arrive(&self, barrier: u32) {
-        self.inner.schedule(|st| st.arrive(barrier));
+        self.inner.state.lock().arrive(barrier);
     }
 
     /// Launch a subtask from inside a task (recursive spawning). The
@@ -407,14 +371,9 @@ impl LegionRuntime {
                 readers: Vec::new(),
                 barriers: Vec::new(),
                 pending: Vec::new(),
-                ready: WorkDeques::new(workers),
-                outstanding: 0,
-                running: 0,
-                worker_panicked: false,
-                shutdown: false,
+                pool: WorkPool::new(workers),
                 tracing,
             }),
-            cv: Condvar::new(),
             stats_tasks: AtomicU64::new(0),
             stats_launches: AtomicU64::new(0),
             sink,
@@ -443,7 +402,7 @@ impl LegionRuntime {
 
     /// Pre-populate a region's physical instance (external input data).
     pub fn attach_region(&self, region: u32, payload: Payload) {
-        self.inner.schedule(|st| st.write(region, payload));
+        self.inner.state.lock().write(region, payload);
     }
 
     /// Launch a single task from the top level.
@@ -487,47 +446,44 @@ impl LegionRuntime {
     /// Run worker threads until no task is queued or running, then report
     /// whether everything launched completed. Call it after the top-level
     /// launches: from then on only running tasks can make a pending task
-    /// ready, so an idle pool with tasks outstanding is a stall, detected
-    /// at once and exactly. A worker thread that panics ends the wait with
-    /// [`WaitOutcome::WorkerPanicked`].
+    /// ready, so an idle pool with a launcher still pending is a stall,
+    /// detected at once and exactly. A worker thread that panics ends the
+    /// wait with [`WaitOutcome::WorkerPanicked`].
     pub fn wait_all(&self) -> WaitOutcome {
         let inner = &*self.inner;
+        let pool = inner.state.lock().pool.clone();
         if self.workers == 0 {
-            let outstanding = inner.state.lock().outstanding;
+            let outstanding = pool.len() + self.stalled_tasks().len();
             return if outstanding == 0 {
                 WaitOutcome::Completed
             } else {
                 WaitOutcome::NoWorkers { outstanding }
             };
         }
-        let panicked = std::thread::scope(|s| {
-            let workers: Vec<_> = (0..self.workers as u32)
-                .map(|w| s.spawn(move || worker_main(inner, w)))
-                .collect();
-            let mut st = inner.state.lock();
-            while !(st.worker_panicked || (st.running == 0 && st.ready.is_empty())) {
-                inner.cv.wait(&mut st);
-            }
-            st.shutdown = true;
-            drop(st);
-            inner.cv.notify_all();
-            // Join every worker by hand: an unjoined panicked thread would
-            // make the scope re-raise its panic.
-            let mut panicked = None;
-            for (w, handle) in workers.into_iter().enumerate() {
-                if handle.join().is_err() {
-                    panicked.get_or_insert(w as u32);
+        let run = pool.run_until_idle(
+            |_| (),
+            |_, worker, ReadyTask { body, trace_task, ready_ns }| {
+                let worker = worker as u32;
+                if trace_task != u64::MAX && inner.sink.enabled() {
+                    // The runtime has no shard notion; the task body records
+                    // its execution span with the controller's rank on this
+                    // worker's thread.
+                    inner.sink.record(
+                        TraceEvent::span(SpanKind::QueueWait, ready_ns, now_ns(), HOST_RANK, worker)
+                            .with_task(TaskId(trace_task), CallbackId(u32::MAX)),
+                    );
                 }
-            }
-            panicked
-        });
-        if let Some(worker) = panicked {
-            return WaitOutcome::WorkerPanicked { worker };
+                body(&TaskCtx { inner, worker });
+            },
+        );
+        if let Err(worker) = run {
+            return WaitOutcome::WorkerPanicked { worker: worker as u32 };
         }
-        if inner.state.lock().outstanding == 0 {
+        let pending = self.stalled_tasks();
+        if pending.is_empty() {
             WaitOutcome::Completed
         } else {
-            WaitOutcome::Stalled { pending: self.stalled_tasks() }
+            WaitOutcome::Stalled { pending }
         }
     }
 
@@ -549,40 +505,6 @@ impl LegionRuntime {
         LegionStats {
             tasks_launched: self.inner.stats_tasks.load(Ordering::Relaxed),
             launches: self.inner.stats_launches.load(Ordering::Relaxed),
-        }
-    }
-}
-
-fn worker_main(inner: &Inner, worker: u32) {
-    let _alarm = PanicAlarm(inner);
-    let mut st = inner.state.lock();
-    loop {
-        if st.shutdown {
-            return;
-        }
-        let Some(ReadyTask { body, trace_task, ready_ns }) = st.ready.pop(worker as usize)
-        else {
-            inner.cv.wait(&mut st);
-            continue;
-        };
-        st.running += 1;
-        drop(st);
-        if trace_task != u64::MAX && inner.sink.enabled() {
-            // The runtime has no shard notion; the task body records its
-            // execution span with the controller's rank on this worker's
-            // thread.
-            inner.sink.record(
-                TraceEvent::span(SpanKind::QueueWait, ready_ns, now_ns(), HOST_RANK, worker)
-                    .with_task(TaskId(trace_task), CallbackId(u32::MAX)),
-            );
-        }
-        body(&TaskCtx { inner, worker });
-        st = inner.state.lock();
-        st.running -= 1;
-        st.outstanding -= 1;
-        if st.running == 0 && st.ready.is_empty() {
-            // The pool is idle: completed or stalled. Wake `wait_all`.
-            inner.cv.notify_all();
         }
     }
 }
@@ -829,6 +751,23 @@ mod tests {
     fn zero_workers_with_nothing_launched_completes() {
         let rt = LegionRuntime::new(0);
         assert!(rt.wait_all().is_completed());
+    }
+
+    #[test]
+    fn launch_after_wait_all_runs_in_the_next_wait() {
+        let rt = LegionRuntime::new(2);
+        let hits = Arc::new(AtomicU64::new(0));
+        for _ in 0..2 {
+            let h = hits.clone();
+            rt.launch(TaskLauncher::new(
+                "late",
+                Box::new(move |_| {
+                    h.fetch_add(1, Ordering::Relaxed);
+                }),
+            ));
+            assert!(rt.wait_all().is_completed());
+        }
+        assert_eq!(hits.load(Ordering::Relaxed), 2);
     }
 
     #[test]

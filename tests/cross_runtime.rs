@@ -9,9 +9,10 @@ use std::sync::Arc;
 use babelflow::core::proptest_lite::prelude::*;
 use babelflow::core::rng::Rng;
 use babelflow::core::{
-    canonical_outputs, inject_panics, run_serial, Blob, CallbackId, ChainGraph, Controller,
-    ControllerError, DiagnosticCode, FaultPlan, FnMap, Link, ModuloMap, OffsetGraph, Payload,
-    Registry, Severity, ShardId, ShardPlan, TaskGraph, TaskId, TaskMap,
+    canonical_outputs, inject_panics, quiet_panic_hook, run_serial, Blob, CallbackId, ChainGraph,
+    Controller, ControllerError, DiagnosticCode, FaultPlan, FnMap, Link, ModuloMap, OffsetGraph,
+    Payload, Registry, Severity, ShardId, ShardPlan, SpanKind, TaskGraph, TaskId, TaskMap,
+    TraceEvent, TraceSink, PANIC_MARKER,
 };
 use babelflow::graphs::{BinarySwap, Broadcast, KWayMerge, NeighborGraph, Reduction};
 
@@ -435,5 +436,45 @@ fn broken_contracts_are_rejected_alike_by_every_backend() {
                 }
             }
         }
+    }
+}
+
+/// Panics on the first `MsgSend` it is handed, from whichever runtime
+/// thread records it.
+struct PanicOnFirstSend(std::sync::atomic::AtomicBool);
+
+impl TraceSink for PanicOnFirstSend {
+    fn record(&self, event: TraceEvent) {
+        if event.kind == SpanKind::MsgSend && !self.0.swap(true, std::sync::atomic::Ordering::SeqCst)
+        {
+            panic!("{PANIC_MARKER}: trace sink fails");
+        }
+    }
+}
+
+/// A panic on a runtime thread outside any callback (callback panics are
+/// retried) must end the run with `ControllerError::Runtime` within 2 s,
+/// not hang, on every backend that runs threads of its own. Each run
+/// reports over a channel, so a hang fails the test instead of stalling
+/// it. Serial runs everything on the caller's thread, so its panic is the
+/// caller's and stays out of scope.
+#[test]
+fn panicking_runtime_thread_is_an_error_not_a_hang() {
+    quiet_panic_hook();
+    for (name, _) in six_backends(None).into_iter().filter(|(n, _)| *n != "serial") {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let g = Reduction::new(8, 2);
+            let reg = hash_registry(Arc::new(g.clone()));
+            let map = ModuloMap::new(2, g.size() as u64);
+            let (_, mut ctrl) = six_backends(None).into_iter().find(|(n, _)| *n == name).unwrap();
+            let sink = Arc::new(PanicOnFirstSend(Default::default()));
+            let result = ctrl.run_traced(&g, &map, &reg, inputs(&g), sink);
+            let _ = tx.send((matches!(result, Err(ControllerError::Runtime(_))), format!("{result:?}")));
+        });
+        let (is_runtime_error, got) = rx
+            .recv_timeout(std::time::Duration::from_secs(2))
+            .unwrap_or_else(|_| panic!("{name}: no result within 2 s"));
+        assert!(is_runtime_error, "{name}: got {got}");
     }
 }

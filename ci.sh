@@ -18,6 +18,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # Every crate's tests, not just the root package's: the verifier mutation
 # suite, the property tests and the transport FIFO tests live in members.
 cargo test -q --offline --workspace
+# The warm-run page-fault gate again in release, the build the benchmark
+# measures (DESIGN.md §12, "Warm buffers").
+cargo test -q --release --offline -p babelflow-render --test warm_buffers
 # No other step compiles the bench targets (crates/bench/benches); build
 # them (without running) so a kernel API change cannot leave them broken.
 cargo bench --no-run --offline --workspace

@@ -14,11 +14,136 @@
 //! of a borrowed slice is one `Arc<[u8]>` allocation. Both are viewed
 //! through an `(offset, len)` window; buffers built from `&'static [u8]`
 //! borrow the static data directly and allocate nothing.
+//!
+//! Large allocations are kept warm by a [`Recycler`]: when the last view
+//! of a `Vec`-backed buffer drops, its allocation goes to the frame pool,
+//! which [`Encoder::reserve`](crate::Encoder::reserve) draws from, so the
+//! frames of one run are the frames of the next instead of pages the
+//! kernel must fault in again (DESIGN.md §12, "Warm buffers").
 
 use std::borrow::Borrow;
 use std::hash::{Hash, Hasher};
+use std::mem::size_of;
 use std::ops::{Bound, Deref, DerefMut, RangeBounds};
 use std::sync::Arc;
+
+use crate::sync::Mutex;
+
+/// Allocations smaller than this many bytes bypass every [`Recycler`].
+///
+/// glibc serves them from its heap free lists, whose pages a run's own
+/// frees keep mapped, so they do not fault; only large buffers are
+/// handed back to the kernel (mmap'd chunks, or a trimmed heap top)
+/// between runs. The floor also keeps the many small payloads (8-byte
+/// words, acks, merge-tree pieces) off the pool's lock. The smallest
+/// large buffer of the `composite` benchmark, a 24-row tile of a 384²
+/// image, is 144 KiB.
+pub const RECYCLE_FLOOR: usize = 64 << 10;
+
+/// The most bytes one [`Recycler`] holds; a buffer given to a full pool
+/// is freed.
+///
+/// A pool holds what a run had live at its peak, so the next run finds
+/// every buffer it needs; a cap below that peak leaves the rest to
+/// fault in again. The measured high-water mark of a `composite`
+/// benchmark run (64³ volume, 16 slabs, 384² image) is 70 MiB of pixels
+/// on both Legion backends, which keep every region of a run until it
+/// ends (32–38 MiB on the other four), and 18 MiB of frames on MPI. The
+/// cap is the next power of two above 70 MiB: it bounds what each pool
+/// keeps resident, and it is not what a pool typically holds, which is
+/// its workload's own peak.
+pub const RECYCLE_CAP: usize = 128 << 20;
+
+/// A bounded, thread-safe pool of large `Vec<T>` allocations.
+///
+/// [`take`](Self::take) hands out the smallest held buffer that fits (or
+/// a new one) and [`give`](Self::give) keeps a buffer for the next taker.
+/// Buffers below [`RECYCLE_FLOOR`] bytes pass straight through, and the
+/// pool never holds more than [`RECYCLE_CAP`] bytes. A pool is meant to
+/// live in a `static`: payloads are built on one thread and dropped on
+/// another, so a per-thread pool would fill on one and starve on the
+/// other.
+pub struct Recycler<T> {
+    held: Mutex<Held<T>>,
+}
+
+struct Held<T> {
+    bufs: Vec<Vec<T>>,
+    bytes: usize,
+}
+
+fn capacity_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * size_of::<T>()
+}
+
+impl<T> Recycler<T> {
+    /// An empty pool.
+    pub const fn new() -> Self {
+        Recycler { held: Mutex::new(Held { bufs: Vec::new(), bytes: 0 }) }
+    }
+
+    /// An empty `Vec` with capacity for at least `n` elements: the
+    /// smallest held buffer that fits (the most recently given of equal
+    /// ones, whose bytes are likeliest still in cache), else a new
+    /// allocation.
+    pub fn take(&self, n: usize) -> Vec<T> {
+        if n.saturating_mul(size_of::<T>()) < RECYCLE_FLOOR {
+            return Vec::with_capacity(n);
+        }
+        let mut held = self.held.lock();
+        let best = (0..held.bufs.len())
+            .rev()
+            .filter(|&i| held.bufs[i].capacity() >= n)
+            .min_by_key(|&i| held.bufs[i].capacity());
+        match best {
+            Some(i) => {
+                let v = held.bufs.remove(i);
+                held.bytes -= capacity_bytes(&v);
+                v
+            }
+            None => {
+                drop(held);
+                Vec::with_capacity(n)
+            }
+        }
+    }
+
+    /// Keep `v`'s allocation for a later [`take`](Self::take), unless it
+    /// is below the floor or would push the pool past its cap; then it
+    /// is freed.
+    pub fn give(&self, mut v: Vec<T>) {
+        let bytes = capacity_bytes(&v);
+        if bytes < RECYCLE_FLOOR {
+            return;
+        }
+        v.clear();
+        let mut held = self.held.lock();
+        if held.bytes + bytes <= RECYCLE_CAP {
+            held.bytes += bytes;
+            held.bufs.push(v);
+        }
+        // Otherwise `v` is freed here, after the guard (declared later)
+        // has released the lock.
+    }
+}
+
+impl<T> Default for Recycler<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// The pool behind every `Vec`-backed [`Bytes`] and every large encode.
+pub(crate) static FRAMES: Recycler<u8> = Recycler::new();
+
+/// A `Vec<u8>` that returns its allocation to [`FRAMES`] when dropped.
+struct Recycled(Vec<u8>);
+
+impl Drop for Recycled {
+    fn drop(&mut self) {
+        FRAMES.give(std::mem::take(&mut self.0));
+    }
+}
 
 /// Backing storage of a [`Bytes`]: borrowed static data, a shared copy of
 /// a slice, or a shared, moved-in `Vec`.
@@ -26,7 +151,7 @@ use std::sync::Arc;
 enum Data {
     Static(&'static [u8]),
     Copied(Arc<[u8]>),
-    Owned(Arc<Vec<u8>>),
+    Owned(Arc<Recycled>),
 }
 
 /// An immutable, cheaply cloneable byte buffer.
@@ -72,7 +197,7 @@ impl Bytes {
         let whole: &[u8] = match &self.data {
             Data::Static(s) => s,
             Data::Copied(a) => a,
-            Data::Owned(v) => v,
+            Data::Owned(v) => &v.0,
         };
         &whole[self.off..self.off + self.len]
     }
@@ -130,9 +255,10 @@ impl Borrow<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
-    /// Take ownership of `v`'s allocation: O(1), no copy.
+    /// Take ownership of `v`'s allocation: O(1), no copy. The allocation
+    /// goes to the frame pool when the last view of it drops.
     fn from(v: Vec<u8>) -> Self {
-        Bytes { off: 0, len: v.len(), data: Data::Owned(Arc::new(v)) }
+        Bytes { off: 0, len: v.len(), data: Data::Owned(Arc::new(Recycled(v))) }
     }
 }
 
@@ -380,6 +506,112 @@ mod tests {
         m.extend_from_slice(b"body");
         m[..4].copy_from_slice(&7u32.to_le_bytes());
         assert_eq!(m.freeze(), *b"\x07\x00\x00\x00body");
+    }
+
+    fn held_bytes<T>(r: &Recycler<T>) -> usize {
+        let held = r.held.lock();
+        assert_eq!(held.bytes, held.bufs.iter().map(capacity_bytes).sum::<usize>(), "byte count drifted");
+        held.bytes
+    }
+
+    #[test]
+    fn recycler_never_holds_more_than_its_cap() {
+        let r = Recycler::<u8>::new();
+        // Untouched allocations: only their first page is ever mapped.
+        let size = 4 << 20;
+        for _ in 0..2 * RECYCLE_CAP / size {
+            r.give(Vec::with_capacity(size));
+            assert!(held_bytes(&r) <= RECYCLE_CAP);
+        }
+        assert_eq!(held_bytes(&r), RECYCLE_CAP);
+    }
+
+    #[test]
+    fn recycler_bypasses_buffers_below_the_floor() {
+        let r = Recycler::<u8>::new();
+        r.give(Vec::with_capacity(RECYCLE_FLOOR - 1));
+        r.give(vec![0u8; 100]);
+        assert_eq!(held_bytes(&r), 0);
+        // A small take is not served from (and does not consume) a large
+        // held buffer.
+        r.give(Vec::with_capacity(RECYCLE_FLOOR));
+        assert!(r.take(16).capacity() < RECYCLE_FLOOR);
+        assert_eq!(held_bytes(&r), RECYCLE_FLOOR);
+        // The floor counts bytes, not elements.
+        let words = Recycler::<u64>::new();
+        words.give(Vec::with_capacity(RECYCLE_FLOOR / 8));
+        assert_eq!(held_bytes(&words), RECYCLE_FLOOR);
+    }
+
+    #[test]
+    fn recycler_takes_empty_best_fitting_buffers() {
+        let r = Recycler::<u8>::new();
+        let sizes = [4 * RECYCLE_FLOOR, RECYCLE_FLOOR, 2 * RECYCLE_FLOOR];
+        let ptrs: Vec<*const u8> = sizes
+            .iter()
+            .map(|&n| {
+                let v = vec![0xFFu8; n];
+                let p = v.as_ptr();
+                r.give(v);
+                p
+            })
+            .collect();
+        let v = r.take(RECYCLE_FLOOR + 1);
+        assert_eq!((v.as_ptr(), v.len(), v.capacity()), (ptrs[2], 0, 2 * RECYCLE_FLOOR));
+        let v = r.take(RECYCLE_FLOOR);
+        assert_eq!((v.as_ptr(), v.len()), (ptrs[1], 0));
+        // Nothing held fits: a new allocation.
+        assert!(r.take(8 * RECYCLE_FLOOR).capacity() >= 8 * RECYCLE_FLOOR);
+        assert_eq!(held_bytes(&r), 4 * RECYCLE_FLOOR);
+    }
+
+    /// Whether the frame pool holds the allocation at `ptr`.
+    fn frame_pool_holds(ptr: *const u8) -> bool {
+        FRAMES.held.lock().bufs.iter().any(|v| v.as_ptr() == ptr)
+    }
+
+    #[test]
+    fn bytes_return_their_allocation_when_the_last_view_drops() {
+        // A size no other test of this crate gives or takes.
+        let v = vec![7u8; RECYCLE_FLOOR + 4099];
+        let ptr = v.as_ptr();
+        let whole = Bytes::from(v);
+        let clone = whole.clone();
+        let tail = whole.slice(10..);
+        drop(whole);
+        assert!(!frame_pool_holds(ptr));
+        drop(clone);
+        assert!(!frame_pool_holds(ptr), "returned while a slice still views it");
+        drop(tail);
+        assert!(frame_pool_holds(ptr));
+    }
+
+    #[test]
+    fn concurrent_take_and_give_keep_the_count_consistent() {
+        let r = Recycler::<u8>::new();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for t in 0..2 {
+                let (r, start) = (&r, &start);
+                s.spawn(move || {
+                    start.wait();
+                    let mut mine = Vec::new();
+                    for i in 0..400 {
+                        let n = RECYCLE_FLOOR + (i * 7 + t * 3) % 5 * 1024;
+                        let mut v = r.take(n);
+                        assert!(v.is_empty() && v.capacity() >= n);
+                        v.push(1);
+                        mine.push(v);
+                        if i % 3 != 0 {
+                            r.give(mine.swap_remove(0));
+                        }
+                    }
+                    mine.into_iter().for_each(|v| r.give(v));
+                });
+            }
+        });
+        let bytes = held_bytes(&r);
+        assert!((RECYCLE_FLOOR..=RECYCLE_CAP).contains(&bytes));
     }
 
     #[test]

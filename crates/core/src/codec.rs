@@ -7,7 +7,7 @@
 //! minimal — no self-description, no versioning — because task payloads are
 //! always decoded by code compiled from the same crate graph.
 
-use crate::buffer::{Bytes, BytesMut};
+use crate::buffer::{Bytes, BytesMut, FRAMES};
 
 /// Streaming little-endian encoder writing into a growable buffer.
 ///
@@ -54,9 +54,15 @@ impl Encoder {
     }
 
     /// Ensure room for `additional` more bytes, so a writer that knows
-    /// its size grows the buffer once.
+    /// its size grows the buffer once. A large buffer comes from the
+    /// frame pool (see [`Recycler`](crate::buffer::Recycler)), so it is
+    /// memory a previous message already touched.
     pub fn reserve(&mut self, additional: usize) {
-        self.buf.reserve(additional);
+        if additional > self.buf.capacity() - self.buf.len() {
+            let mut grown = FRAMES.take(self.buf.len().saturating_add(additional));
+            grown.extend_from_slice(&self.buf);
+            FRAMES.give(std::mem::replace(&mut self.buf, grown));
+        }
     }
 
     pub fn put_u8(&mut self, v: u8) {

@@ -22,8 +22,8 @@ pub struct Mutex<T: ?Sized> {
 }
 
 impl<T> Mutex<T> {
-    /// Create a mutex protecting `value`.
-    pub fn new(value: T) -> Self {
+    /// Create a mutex protecting `value` (usable in a `static`).
+    pub const fn new(value: T) -> Self {
         Mutex { inner: std::sync::Mutex::new(value) }
     }
 

@@ -11,6 +11,7 @@
 //! management can be avoided in a custom implementation, like IceT").
 
 use crate::image::{binary_swap_region, ImageFragment};
+use crate::tasks::assemble;
 
 /// Tree (reduction) compositing of pre-rendered fragments, valence `k`.
 ///
@@ -25,11 +26,7 @@ pub fn icet_reduce(mut frags: Vec<ImageFragment>, k: usize) -> ImageFragment {
         for chunk in frags.chunks(k) {
             let mut group: Vec<&ImageFragment> = chunk.iter().collect();
             group.sort_by(|a, b| a.depth.partial_cmp(&b.depth).expect("finite depths"));
-            let mut acc = group[0].clone();
-            for f in &group[1..] {
-                acc = ImageFragment::over(&acc, f);
-            }
-            next.push(acc);
+            next.push(assemble(&group));
         }
         frags = next;
     }
@@ -64,11 +61,7 @@ pub fn icet_binary_swap(mut frags: Vec<ImageFragment>) -> ImageFragment {
         frags = next;
     }
     // Gather the tiles.
-    let mut out = frags[0].clone();
-    for f in &frags[1..] {
-        out = ImageFragment::over(&out, f);
-    }
-    out
+    assemble(&frags)
 }
 
 #[cfg(test)]

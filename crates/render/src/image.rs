@@ -7,10 +7,17 @@
 //! combines two fragments whose source blocks are separated by a plane, so
 //! a single representative depth per fragment orders them correctly.
 
+use babelflow_core::buffer::Recycler;
 use babelflow_core::{codec::DecodeError, Decoder, Encoder, PayloadData};
 
+/// Pixel buffers of dropped fragments, for the next fragment to reuse:
+/// every fragment's pixels come from here and return here on drop, so a
+/// steady-state run touches no new memory (DESIGN.md §12, "Warm
+/// buffers").
+pub(crate) static PIXELS: Recycler<[f32; 4]> = Recycler::new();
+
 /// A rectangle of the final image: premultiplied RGBA + depth.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct ImageFragment {
     /// Full image extent (width, height).
     pub full: (u32, u32),
@@ -25,12 +32,10 @@ pub struct ImageFragment {
 impl ImageFragment {
     /// A fully transparent fragment covering `rect`.
     pub fn empty(full: (u32, u32), rect: (u32, u32, u32, u32), depth: f32) -> Self {
-        ImageFragment {
-            full,
-            rect,
-            rgba: vec![[0.0; 4]; (rect.2 * rect.3) as usize],
-            depth,
-        }
+        let n = (rect.2 * rect.3) as usize;
+        let mut rgba = PIXELS.take(n);
+        rgba.resize(n, [0.0; 4]);
+        ImageFragment { full, rect, rgba, depth }
     }
 
     /// Pixel at rect-relative coordinates.
@@ -68,20 +73,41 @@ impl ImageFragment {
     /// Composite `front` OVER `back` (premultiplied alpha). The result
     /// covers the union of both rects; uncovered area of either input is
     /// treated as transparent. The result's depth is the nearer depth.
-    ///
-    /// The union buffer is written exactly once: each output row is built
-    /// from at most four contiguous spans (front-only, back-only, overlap,
-    /// uncovered), blending whole slices instead of probing both inputs per
-    /// pixel.
     pub fn over(front: &ImageFragment, back: &ImageFragment) -> ImageFragment {
+        let (x0, y0, w, h) = union_rect(front, back);
+        Self::blend(front, back, (x0, w), (y0, y0 + h))
+    }
+
+    /// Composite `front` OVER `back` into image rows `[y0, y0 + h)` only:
+    /// exactly `over(front, back).crop_rows(y0, h)`, without building or
+    /// copying the rows outside the window (a binary-swap stage's kept
+    /// and sent halves).
+    pub fn over_rows(front: &ImageFragment, back: &ImageFragment, (y0, h): (u32, u32)) -> ImageFragment {
+        let (ux0, uy0, uw, uh) = union_rect(front, back);
+        let (lo, hi) = (uy0.max(y0), (uy0 + uh).min(y0 + h));
+        if lo >= hi || uw == 0 {
+            let depth = front.depth.min(back.depth);
+            return ImageFragment::empty(front.full, (ux0, y0, 0, 0), depth);
+        }
+        Self::blend(front, back, (ux0, uw), (lo, hi))
+    }
+
+    /// The one OVER loop: blend rows `[ya, yb)` of columns `[x0, x0 + w)`
+    /// into a fragment covering exactly that rectangle.
+    ///
+    /// Each output row is written once, from at most four contiguous
+    /// spans (front-only, back-only, overlap, uncovered), blending whole
+    /// slices instead of probing both inputs per pixel.
+    fn blend(
+        front: &ImageFragment,
+        back: &ImageFragment,
+        (x0, w): (u32, u32),
+        (ya, yb): (u32, u32),
+    ) -> ImageFragment {
         debug_assert_eq!(front.full, back.full, "fragments from different images");
-        let x0 = front.rect.0.min(back.rect.0);
-        let y0 = front.rect.1.min(back.rect.1);
-        let x1 = (front.rect.0 + front.rect.2).max(back.rect.0 + back.rect.2);
-        let y1 = (front.rect.1 + front.rect.3).max(back.rect.1 + back.rect.3);
-        let (w, h) = (x1 - x0, y1 - y0);
-        let mut rgba: Vec<[f32; 4]> = Vec::with_capacity((w as usize) * (h as usize));
-        for y in y0..y1 {
+        let x1 = x0 + w;
+        let mut rgba = PIXELS.take(w as usize * (yb - ya) as usize);
+        for y in ya..yb {
             let fr = front.row(y);
             let br = back.row(y);
             // Span boundaries: the row changes character only where an
@@ -112,10 +138,10 @@ impl ImageFragment {
                 }
             }
         }
-        debug_assert_eq!(rgba.len(), (w as usize) * (h as usize));
+        debug_assert_eq!(rgba.len(), w as usize * (yb - ya) as usize);
         ImageFragment {
             full: front.full,
-            rect: (x0, y0, w, h),
+            rect: (x0, ya, w, yb - ya),
             rgba,
             depth: front.depth.min(back.depth),
         }
@@ -140,7 +166,7 @@ impl ImageFragment {
             return ImageFragment::empty(self.full, (rx0, y0, 0, 0), self.depth);
         }
         let nh = hi - lo;
-        let mut rgba = Vec::with_capacity((rw * nh) as usize);
+        let mut rgba = PIXELS.take((rw * nh) as usize);
         for y in lo..hi {
             let row = ((y - ry0) * rw) as usize;
             rgba.extend_from_slice(&self.rgba[row..row + rw as usize]);
@@ -163,6 +189,29 @@ impl ImageFragment {
             }
         }
         out
+    }
+}
+
+/// The rect covering both fragments' rects.
+fn union_rect(a: &ImageFragment, b: &ImageFragment) -> (u32, u32, u32, u32) {
+    let x0 = a.rect.0.min(b.rect.0);
+    let y0 = a.rect.1.min(b.rect.1);
+    let x1 = (a.rect.0 + a.rect.2).max(b.rect.0 + b.rect.2);
+    let y1 = (a.rect.1 + a.rect.3).max(b.rect.1 + b.rect.3);
+    (x0, y0, x1 - x0, y1 - y0)
+}
+
+impl Clone for ImageFragment {
+    fn clone(&self) -> Self {
+        let mut rgba = PIXELS.take(self.rgba.len());
+        rgba.extend_from_slice(&self.rgba);
+        ImageFragment { full: self.full, rect: self.rect, rgba, depth: self.depth }
+    }
+}
+
+impl Drop for ImageFragment {
+    fn drop(&mut self) {
+        PIXELS.give(std::mem::take(&mut self.rgba));
     }
 }
 
@@ -192,7 +241,8 @@ impl PayloadData for ImageFragment {
         if n.checked_mul(16) != Some(d.remaining()) {
             return Err(DecodeError { what: "fragment pixel bytes" });
         }
-        let mut rgba = vec![[0.0; 4]; n];
+        let mut rgba = PIXELS.take(n);
+        rgba.resize(n, [0.0; 4]);
         d.get_f32s_into(rgba.as_flattened_mut())?;
         Ok(ImageFragment { full, rect, rgba, depth })
     }
@@ -225,7 +275,12 @@ pub fn binary_swap_region(height: u32, round: u32, index: u64) -> (u32, u32) {
 
 #[cfg(test)]
 mod tests {
+    use babelflow_core::Bytes;
+    use babelflow_data::Idx3;
+
     use super::*;
+    use crate::raycast::tests::{assert_bit_identical, proxy, reference_render};
+    use crate::{render_block, render_rows, RenderParams, TransferFunction};
 
     fn solid(full: (u32, u32), rect: (u32, u32, u32, u32), color: [f32; 4], depth: f32) -> ImageFragment {
         let mut f = ImageFragment::empty(full, rect, depth);
@@ -310,13 +365,74 @@ mod tests {
                     k += 0.1;
                     *p = [0.1, k % 1.0, 0.4, 0.8];
                 }
-                assert_eq!(
-                    ImageFragment::over(&a, &b),
-                    over_reference(&a, &b),
-                    "front {ra:?} over back {rb:?}"
-                );
+                let whole = ImageFragment::over(&a, &b);
+                assert_eq!(whole, over_reference(&a, &b), "front {ra:?} over back {rb:?}");
+                for (y0, h) in [(0, 8), (0, 3), (2, 4), (4, 4), (5, 1), (6, 5), (3, 0), (8, 2), (0, 20)] {
+                    assert_bit_identical(
+                        &ImageFragment::over_rows(&a, &b, (y0, h)),
+                        &whole.crop_rows(y0, h),
+                    );
+                }
             }
         }
+    }
+
+    /// Give the pixel pool a NaN-filled buffer of `n` pixels and the
+    /// frame pool a 0xFF-filled one of those pixels' wire size, so the
+    /// next take of that size starts from stale bytes.
+    fn dirty_pools(n: usize) {
+        PIXELS.give(vec![[f32::NAN; 4]; n]);
+        drop(Bytes::from(vec![0xFFu8; 36 + 16 * n]));
+    }
+
+    #[test]
+    fn stale_pool_bytes_never_reach_an_output() {
+        // The composite benchmark's frame: 384² image of 4-plane Z slabs
+        // of a 64³ proxy, whose fragments are 384² and its row halves.
+        let grid = proxy(64);
+        let p = RenderParams {
+            image: (384, 384),
+            world: (64, 64),
+            step: 4.0,
+            tf: TransferFunction { lo: 0.25, hi: 1.1, density: 0.08 },
+        };
+        let slab = |z: usize| grid.crop(Idx3::new(0, 0, z), Idx3::new(64, 64, 4));
+        let (full, half, quarter) = (384 * 384, 384 * 192, 384 * 96);
+        let reference_a = reference_render(&p, (0, 0, 0), &slab(0));
+        let reference_b = reference_render(&p, (0, 0, 4), &slab(4));
+
+        dirty_pools(full);
+        let a = render_block(&p, (0, 0, 0), &slab(0));
+        assert_bit_identical(&a, &reference_a);
+        dirty_pools(full);
+        let b = render_block(&p, (0, 0, 4), &slab(4));
+        assert_bit_identical(&b, &reference_b);
+        dirty_pools(half);
+        let rows = render_rows(&p, (0, 0, 4), &slab(4), (192, 192));
+        assert_bit_identical(&rows, &reference_b.crop_rows(192, 192));
+
+        let reference = over_reference(&a, &b);
+        dirty_pools(full);
+        let ab = ImageFragment::over(&a, &b);
+        assert_bit_identical(&ab, &reference);
+        dirty_pools(half);
+        assert_bit_identical(&ImageFragment::over_rows(&a, &b, (0, 192)), &reference.crop_rows(0, 192));
+        dirty_pools(half);
+        assert_bit_identical(&ab.crop_rows(192, 192), &reference.crop_rows(192, 192));
+
+        let reference = over_reference(&a, &rows).crop_rows(96, 96);
+        dirty_pools(quarter);
+        let tile = ImageFragment::over_rows(&a, &rows, (96, 96));
+        assert_bit_identical(&tile, &reference);
+        dirty_pools(quarter);
+        let wire = tile.encode();
+        dirty_pools(quarter);
+        assert_bit_identical(&ImageFragment::decode(&wire).expect("round trip"), &tile);
+        dirty_pools(quarter);
+        assert_bit_identical(&tile.clone(), &tile);
+        dirty_pools(quarter);
+        let empty = ImageFragment::empty(p.image, (0, 0, 384, 96), 1.0);
+        assert!(empty.rgba.iter().all(|px| px.map(f32::to_bits) == [0; 4]));
     }
 
     #[test]

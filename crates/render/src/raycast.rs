@@ -10,7 +10,7 @@
 
 use babelflow_data::Grid3;
 
-use crate::image::ImageFragment;
+use crate::image::{ImageFragment, PIXELS};
 
 /// Piecewise-linear transfer function: scalar value → premultiplied RGBA
 /// contribution per unit step.
@@ -149,7 +149,7 @@ fn cast(
     let lerp = |a: f32, b: f32, t: f32| a + (b - a) * t;
     let data = &block.data;
     let (w, h) = (px1.saturating_sub(px0), py1.saturating_sub(py0));
-    let mut rgba = Vec::with_capacity(w as usize * h as usize);
+    let mut rgba = PIXELS.take(w as usize * h as usize);
     for py in py0..py1 {
         let (y0, y1, fy) = axis((py as f32 + 0.5) / sy - origin.1 as f32, d.y);
         let (r0, r1) = (y0 * d.x, y1 * d.x);
@@ -179,7 +179,7 @@ fn cast(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use babelflow_data::{hcci_proxy, HcciParams, Idx3};
 
     use super::*;
@@ -187,7 +187,7 @@ mod tests {
     /// The renderer as it was before its sample positions were hoisted:
     /// one full [`Grid3::sample_trilinear`] per sample. Kept as the
     /// reference the fast loop must match bit for bit.
-    fn reference_render(params: &RenderParams, origin: (usize, usize, usize), block: &Grid3) -> ImageFragment {
+    pub(crate) fn reference_render(params: &RenderParams, origin: (usize, usize, usize), block: &Grid3) -> ImageFragment {
         let (sx, sy) = params.scale();
         let px0 = (origin.0 as f32 * sx).floor() as u32;
         let py0 = (origin.1 as f32 * sy).floor() as u32;
@@ -220,7 +220,7 @@ mod tests {
     }
 
     /// Same rect, depth and every channel of every pixel, bit for bit.
-    fn assert_bit_identical(got: &ImageFragment, want: &ImageFragment) {
+    pub(crate) fn assert_bit_identical(got: &ImageFragment, want: &ImageFragment) {
         assert_eq!((got.full, got.rect), (want.full, want.rect));
         assert_eq!(got.depth.to_bits(), want.depth.to_bits());
         assert_eq!(got.rgba.len(), want.rgba.len());
@@ -240,7 +240,7 @@ mod tests {
         }
     }
 
-    fn proxy(n: usize) -> Grid3 {
+    pub(crate) fn proxy(n: usize) -> Grid3 {
         hcci_proxy(&HcciParams {
             size: n,
             kernels: 40,

@@ -5,6 +5,7 @@
 //! tasks ray-cast their slab; compositing uses either the reduction
 //! dataflow (Listing 1, Fig. 10e) or binary swap (Fig. 7, Fig. 10f).
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -118,8 +119,8 @@ impl RenderConfig {
     }
 
     /// Registry for the binary-swap pipeline: leaf = render straight into
-    /// the first split's two halves, swap = composite + split, write =
-    /// composite + emit tile.
+    /// the first split's two halves, swap = composite straight into the
+    /// next split's two halves, write = composite + emit tile.
     pub fn binary_swap_registry(&self) -> Registry {
         let g = Arc::new(self.binary_swap_graph());
         let cb = g.callback_ids();
@@ -140,13 +141,13 @@ impl RenderConfig {
         {
             let g = g.clone();
             reg.register(cb[binary_swap::SWAP_CB], move |inputs, id| {
-                let merged = composite_pair(&inputs);
+                let frags = depth_sorted(&inputs);
                 let (round, i) = g.position(id);
-                split_outputs(&merged, height, round + 1, i)
+                split_outputs(&frags[0], &frags[1], height, round + 1, i)
             });
         }
         reg.register(cb[binary_swap::WRITE_CB], |inputs, _id| {
-            vec![Payload::wrap(composite_pair(&inputs))]
+            vec![Payload::wrap(composite_sorted(&inputs))]
         });
         reg
     }
@@ -161,51 +162,50 @@ impl RenderConfig {
             })
             .collect();
         frags.sort_by(|a, b| a.depth.partial_cmp(&b.depth).expect("finite depths"));
-        let mut out = frags[0].clone();
-        for f in &frags[1..] {
-            out = ImageFragment::over(&out, f);
-        }
-        out
+        assemble(&frags)
     }
 
     /// Collect the final image of a reduction run.
     pub fn final_image(&self, report: &RunReport) -> ImageFragment {
-        let frags: Vec<ImageFragment> = report
+        let frags: Vec<Arc<ImageFragment>> = report
             .outputs
             .values()
             .flat_map(|ps| ps.iter())
-            .map(|p| (*p.extract::<ImageFragment>().expect("image output")).clone())
+            .map(|p| p.extract::<ImageFragment>().expect("image output"))
             .collect();
         assemble(&frags)
     }
 }
 
-/// Composite any number of fragments in depth order.
-fn composite_sorted(inputs: &[Payload]) -> ImageFragment {
+/// The input fragments, nearest first (a stable sort, so equal depths
+/// keep their input order).
+fn depth_sorted(inputs: &[Payload]) -> Vec<Arc<ImageFragment>> {
     let mut frags: Vec<Arc<ImageFragment>> = inputs
         .iter()
         .map(|p| p.extract::<ImageFragment>().expect("composite inputs are fragments"))
         .collect();
     frags.sort_by(|a, b| a.depth.partial_cmp(&b.depth).expect("finite depths"));
-    let mut out = (*frags[0]).clone();
-    for f in &frags[1..] {
-        out = ImageFragment::over(&out, f);
-    }
-    out
+    frags
 }
 
-/// Composite exactly two fragments by depth.
-fn composite_pair(inputs: &[Payload]) -> ImageFragment {
-    let a = inputs[0].extract::<ImageFragment>().expect("fragment");
-    let b = inputs[1].extract::<ImageFragment>().expect("fragment");
-    ImageFragment::composite_by_depth(&a, &b)
+/// Composite any number of fragments in depth order.
+fn composite_sorted(inputs: &[Payload]) -> ImageFragment {
+    assemble(&depth_sorted(inputs))
 }
 
-/// The two outputs of a binary-swap stage: the kept half (slot 0, region
-/// of `index` at `round`) and the sent half (slot 1, the partner's
-/// region).
-fn split_outputs(frag: &ImageFragment, height: u32, round: u32, index: u64) -> Vec<Payload> {
-    swap_halves(height, round, index).map(|(y0, h)| Payload::wrap(frag.crop_rows(y0, h))).into()
+/// The two outputs of a binary-swap stage, `front` OVER `back`
+/// composited straight into each: the kept half (slot 0, region of
+/// `index` at `round`) and the sent half (slot 1, the partner's region).
+fn split_outputs(
+    front: &ImageFragment,
+    back: &ImageFragment,
+    height: u32,
+    round: u32,
+    index: u64,
+) -> Vec<Payload> {
+    swap_halves(height, round, index)
+        .map(|rows| Payload::wrap(ImageFragment::over_rows(front, back, rows)))
+        .into()
 }
 
 /// The kept and the sent row windows `(y0, h)` of a binary-swap stage.
@@ -216,14 +216,18 @@ fn swap_halves(height: u32, round: u32, index: u64) -> [(u32, u32); 2] {
     ]
 }
 
-/// Assemble disjoint fragments (e.g. binary-swap tiles) into one image.
-pub fn assemble(frags: &[ImageFragment]) -> ImageFragment {
-    assert!(!frags.is_empty(), "nothing to assemble");
-    let mut out = frags[0].clone();
-    for f in &frags[1..] {
-        out = ImageFragment::over(&out, f);
+/// Composite fragments front to back, in the order given:
+/// `over(over(f0, f1), f2)…`. This assembles disjoint fragments (e.g.
+/// binary-swap tiles) into one image. Only a lone fragment is cloned.
+pub fn assemble<F: Borrow<ImageFragment>>(frags: &[F]) -> ImageFragment {
+    match frags {
+        [] => panic!("nothing to assemble"),
+        [only] => only.borrow().clone(),
+        [f0, f1, rest @ ..] => {
+            let first = ImageFragment::over(f0.borrow(), f1.borrow());
+            rest.iter().fold(first, |out, f| ImageFragment::over(&out, f.borrow()))
+        }
     }
-    out
 }
 
 /// Maximum per-channel difference between two images over the full extent.
@@ -258,7 +262,8 @@ mod tests {
     #[test]
     fn split_outputs_partition_the_region() {
         let f = ImageFragment::empty((4, 8), (0, 0, 4, 8), 1.0);
-        let outs = split_outputs(&f, 8, 1, 0);
+        let b = ImageFragment::empty((4, 8), (0, 2, 4, 4), 2.0);
+        let outs = split_outputs(&f, &b, 8, 1, 0);
         let keep = outs[0].extract::<ImageFragment>().unwrap();
         let send = outs[1].extract::<ImageFragment>().unwrap();
         assert_eq!(keep.rect, (0, 0, 4, 4));

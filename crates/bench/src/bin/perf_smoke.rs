@@ -16,7 +16,10 @@
 //! twice; and `retries` must be exactly 0 too, since a task is only
 //! re-run when its callback panics or its worker dies. Transport counters
 //! (`envelopes_sent`, `batches_sent`) get a 1.5× band because how sends
-//! and acks coalesce into envelopes depends on thread timing. Wall-clock time is perfbench's job, not this
+//! and acks coalesce into envelopes depends on thread timing. The work
+//! pools' counters (`pool_locks`, `parks`, `wakes`) are printed per cell
+//! and gated on nothing, since they move with thread timing; they stay
+//! out of the baseline. Wall-clock time is perfbench's job, not this
 //! binary's.
 
 use std::collections::HashMap;
@@ -91,6 +94,10 @@ struct Sample {
     retransmits: u64,
     /// Gated at 0, not written to the baseline.
     retries: u64,
+    /// Printed only: neither gated nor written to the baseline.
+    pool_locks: u64,
+    parks: u64,
+    wakes: u64,
 }
 
 const SHARDS: u32 = 3;
@@ -157,6 +164,9 @@ fn measure_matrix() -> Vec<Sample> {
                 batches_sent: p.batches_sent,
                 retransmits: report.stats.recovery.retransmits,
                 retries: report.stats.recovery.retries,
+                pool_locks: p.pool_locks,
+                parks: p.parks,
+                wakes: p.wakes,
             });
         }
     }
@@ -279,6 +289,12 @@ fn main() {
     let check = std::env::args().any(|a| a == "--check");
 
     let samples = measure_matrix();
+    for r in &samples {
+        println!(
+            "pool {}/{}: {} locks, {} parks, {} wakes",
+            r.backend, r.family, r.pool_locks, r.parks, r.wakes
+        );
+    }
 
     let mut fails = check_invariants(&samples);
     if check {

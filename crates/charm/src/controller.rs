@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use babelflow_core::sync::Counter;
+use babelflow_core::sync::Mutex;
 use babelflow_core::trace::TraceSink;
 use babelflow_core::{
     exec, Callback, Controller, ControllerError, InitialInputs, Payload, PlanBuffer, Registry,
@@ -42,32 +42,31 @@ impl CharmController {
 }
 
 /// A task graph node hosted as a chare: buffers inputs, executes its
-/// callback when complete, then retires.
-struct TaskChare {
+/// callback when complete, then retires. It borrows the plan, its
+/// callback and the run's error slot, so creating and retiring chares
+/// writes no shared reference count; its PE counts its retries and
+/// payload clones.
+struct TaskChare<'a> {
     buffer: PlanBuffer,
-    plan: Arc<ShardPlan>,
-    callback: Callback,
-    error: ErrorSink,
-    /// Shared retry counter, surfaced as `RunStats::recovery.retries`.
-    retries: Arc<Counter>,
-    /// Shared payload-clone counter, surfaced as `PerfStats::payload_clones`.
-    clones: Arc<Counter>,
+    plan: &'a ShardPlan,
+    callback: &'a Callback,
+    error: &'a ErrorSink,
 }
 
-type ErrorSink = std::sync::Arc<babelflow_core::sync::Mutex<Option<ControllerError>>>;
+/// The first error of the run.
+type ErrorSink = Mutex<Option<ControllerError>>;
 
 /// Keep the first error of the run.
 fn fail(error: &ErrorSink, err: ControllerError) {
     error.lock().get_or_insert(err);
 }
 
-impl Chare for TaskChare {
+impl Chare for TaskChare<'_> {
     fn on_message(&mut self, src: TaskId, payload: Payload, ctx: &mut ChareCtx<'_>) -> bool {
-        let ix = self.buffer.ix();
-        let pt = self.plan.task(ix);
+        let pt = self.plan.task(self.buffer.ix());
         if !self.buffer.deliver(pt, src, payload) {
             let err = ControllerError::Runtime(format!("unexpected delivery {src} -> {}", pt.id()));
-            fail(&self.error, err);
+            fail(self.error, err);
             // Retire so the run drains instead of stalling on a poisoned
             // chare; the error sink carries the real failure out.
             return true;
@@ -78,11 +77,11 @@ impl Chare for TaskChare {
         // Execute: translate the chare id back into a task and run it.
         // Chares re-execute a faulted entry method in place: inputs are
         // retained until the callback succeeds, so recovery needs no
-        // cooperation from the runtime's messaging layer.
-        let buffer = std::mem::replace(&mut self.buffer, PlanBuffer::new(&self.plan, ix));
-        let inputs = buffer.take();
+        // cooperation from the runtime's messaging layer. The chare
+        // retires after this, so its spent buffer is never refilled.
+        let inputs = self.buffer.take();
         let mut stats = RunStats::default();
-        let ctx = &*ctx;
+        let (row, sink) = ((ctx.pe() as u32, 0), ctx.trace_sink());
         let send = |outs: Vec<Payload>, stats: &mut RunStats| -> Result<()> {
             for (slot, payload) in outs.into_iter().enumerate() {
                 for route in &pt.routes[slot] {
@@ -96,12 +95,10 @@ impl Chare for TaskChare {
             }
             Ok(())
         };
-        let row = (ctx.pe() as u32, 0);
-        let result = exec(pt, &self.callback, &inputs, row, ctx.trace_sink(), &mut stats, send);
-        self.clones.fetch_add(stats.perf.payload_clones);
-        self.retries.fetch_add(stats.recovery.retries);
+        let result = exec(pt, self.callback, &inputs, row, sink, &mut stats, send);
+        ctx.count(stats.perf.payload_clones, stats.recovery.retries);
         if let Err(err) = result {
-            fail(&self.error, err);
+            fail(self.error, err);
         }
         true
     }
@@ -116,29 +113,15 @@ impl Controller for CharmController {
         sink: Arc<dyn TraceSink>,
     ) -> Result<RunReport> {
         let indices: Vec<u64> = plan.tasks().iter().map(|pt| pt.id().0).collect();
-        let error: ErrorSink = Default::default();
-        let retries = Arc::new(Counter::new(0));
-        let clones = Arc::new(Counter::new(0));
+        let error = ErrorSink::default();
 
-        let factory = {
-            let error = error.clone();
-            let retries = retries.clone();
-            let clones = clones.clone();
-            let plan = plan.clone();
-            move |idx: u64| -> Box<dyn Chare> {
-                let ix = plan.index_of(TaskId(idx)).expect("chare index is a task id");
-                let pt = plan.task(ix);
-                let callback =
-                    registry.get(pt.callback()).expect("preflight checked bindings").clone();
-                Box::new(TaskChare {
-                    buffer: PlanBuffer::new(&plan, ix),
-                    plan: plan.clone(),
-                    callback,
-                    error: error.clone(),
-                    retries: retries.clone(),
-                    clones: clones.clone(),
-                })
-            }
+        let plan: &ShardPlan = plan;
+        let factory = |idx: u64| -> Box<dyn Chare + '_> {
+            let ix = plan.index_of(TaskId(idx)).expect("chare index is a task id");
+            let callback =
+                registry.get(plan.task(ix).callback()).expect("preflight checked bindings");
+            let buffer = PlanBuffer::new(plan, ix);
+            Box::new(TaskChare { buffer, plan, callback, error: &error })
         };
 
         let mut bootstrap = Vec::new();
@@ -151,7 +134,7 @@ impl Controller for CharmController {
         let rt = CharmRuntime::new(self.pes).with_sink(sink);
         let result = rt.run(&indices, factory, bootstrap);
 
-        if let Some(err) = error.lock().take() {
+        if let Some(err) = error.into_inner() {
             return Err(err);
         }
 
@@ -160,8 +143,9 @@ impl Controller for CharmController {
         report.stats.tasks_executed = stats.retired;
         report.stats.local_messages = stats.local_messages;
         report.stats.remote_messages = stats.cross_pe_messages;
-        report.stats.recovery.retries = retries.get();
-        report.stats.perf.payload_clones = clones.get();
+        report.stats.recovery.retries = stats.retries;
+        report.stats.perf.payload_clones = stats.payload_clones;
+        report.stats.perf.add_pool(&stats.pool);
         Ok(report)
     }
 

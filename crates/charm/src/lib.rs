@@ -25,7 +25,7 @@ mod tests {
         canonical_outputs, run_serial, Blob, CallbackId, Controller, ModuloMap, Payload,
         Registry, ShardPlan, TaskGraph, TaskId,
     };
-    use babelflow_graphs::{KWayMerge, Reduction};
+    use babelflow_graphs::{BinarySwap, KWayMerge, Reduction};
 
     use super::*;
 
@@ -89,8 +89,14 @@ mod tests {
         let mut c = CharmController::new(2).with_plan(Arc::new(ShardPlan::build(&g, &map)));
         let runs: Vec<_> =
             (0..3).map(|_| c.run(&g, &map, &reg, inputs.clone()).unwrap()).collect();
+        // Every counter but the pool's, which moves with thread timing.
+        let exact = |s: &babelflow_core::RunStats| {
+            let mut s = s.clone();
+            (s.perf.parks, s.perf.wakes, s.perf.pool_locks) = (0, 0, 0);
+            s
+        };
         for run in &runs[1..] {
-            assert_eq!(run.stats, runs[0].stats);
+            assert_eq!(exact(&run.stats), exact(&runs[0].stats));
             assert_eq!(canonical_outputs(run), canonical_outputs(&runs[0]));
         }
         // Chare `idx` sits on PE `idx % 2`: an edge crosses PEs when its
@@ -166,12 +172,74 @@ mod tests {
             panic_once: vec![g.root_id()],
             ..babelflow_core::FaultPlan::none()
         };
-        let poisoned = babelflow_core::inject_panics(&reg, &faults);
         let map = ModuloMap::new(1, g.size() as u64);
-        let mut c = CharmController::new(2);
-        let report = c.run(&g, &map, &poisoned, inputs).unwrap();
-        assert_eq!(canonical_outputs(&report), canonical_outputs(&serial));
-        assert_eq!(report.stats.recovery.retries, 1);
+        for pes in 1..=4 {
+            // The injected panic fires once per registry.
+            let poisoned = babelflow_core::inject_panics(&reg, &faults);
+            let mut c = CharmController::new(pes);
+            let report = c.run(&g, &map, &poisoned, inputs.clone()).unwrap();
+            assert_eq!(canonical_outputs(&report), canonical_outputs(&serial), "pes={pes}");
+            assert_eq!(report.stats.recovery.retries, 1, "pes={pes}");
+        }
+    }
+
+    /// Bind every callback of `g` to a sum with the task's fan-out.
+    fn fan_out_registry(g: &dyn TaskGraph) -> Registry {
+        let fan_outs: Arc<HashMap<TaskId, usize>> =
+            Arc::new(g.ids().into_iter().map(|id| (id, g.task(id).unwrap().fan_out())).collect());
+        let mut cbs: Vec<CallbackId> =
+            g.ids().into_iter().map(|id| g.task(id).unwrap().callback).collect();
+        cbs.sort_unstable();
+        cbs.dedup();
+        let mut reg = Registry::new();
+        for cb in cbs {
+            let fan_outs = fan_outs.clone();
+            reg.register(cb, move |inputs, id| {
+                let sum: u64 = inputs.iter().map(val).sum();
+                (0..fan_outs[&id] as u64).map(|s| pay(sum + s)).collect()
+            });
+        }
+        reg
+    }
+
+    #[test]
+    fn per_pe_counters_add_up_on_every_pe_count() {
+        let graphs: [(&str, Box<dyn TaskGraph>); 2] = [
+            ("reduction", Box::new(Reduction::new(16, 4))),
+            ("binary-swap", Box::new(BinarySwap::new(8))),
+        ];
+        for (name, g) in graphs {
+            let g = &*g;
+            let reg = fan_out_registry(g);
+            let inputs: HashMap<TaskId, Vec<Payload>> = g
+                .input_tasks()
+                .into_iter()
+                .map(|id| {
+                    let task = g.task(id).unwrap();
+                    let externals = task.incoming.iter().filter(|s| s.is_external());
+                    (id, externals.map(|_| pay(id.0)).collect())
+                })
+                .collect();
+            // One message per internal edge, plus one per bootstrap payload.
+            let edges: usize = g
+                .ids()
+                .into_iter()
+                .flat_map(|id| g.task(id).unwrap().outgoing.concat())
+                .filter(|dst| !dst.is_external())
+                .count();
+            let sent = (edges + inputs.values().map(Vec::len).sum::<usize>()) as u64;
+            let map = ModuloMap::new(1, g.size() as u64);
+            let mut clones = Vec::new();
+            for pes in 1..=4 {
+                let report = CharmController::new(pes).run(g, &map, &reg, inputs.clone()).unwrap();
+                let s = &report.stats;
+                assert_eq!(s.tasks_executed, g.size() as u64, "{name} pes={pes}");
+                assert_eq!(s.local_messages + s.remote_messages, sent, "{name} pes={pes}");
+                assert_eq!(s.recovery.retries, 0, "{name} pes={pes}");
+                clones.push(s.perf.payload_clones);
+            }
+            assert!(clones.iter().all(|&c| c == clones[0]), "{name}: clones {clones:?}");
+        }
     }
 
     #[test]

@@ -18,6 +18,11 @@
 //!   the exact set of unretired chares) otherwise. A PE thread that
 //!   panics ends the run with an error instead.
 //!
+//! A message's path writes only memory its PEs own, besides the pool's
+//! one lock: each PE keeps its own counters ([`CharmStats`], summed once
+//! the run is over) and takes its whole inbox in one acquisition of that
+//! lock.
+//!
 //! Charm++'s periodic measurement-based load balancer (the paper's
 //! experiments "use periodic load balance") does not run on these threads:
 //! a wall-clock balancer would make placement, and with it every message
@@ -25,10 +30,9 @@
 //! (`LbModel`) for the load-balancing figure.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use babelflow_core::sync::{Mutex, WorkPool};
+use babelflow_core::sync::{Mutex, PoolStats, WorkPool};
 use babelflow_core::trace::{noop_sink, now_ns, SpanKind, TraceEvent, TraceSink, HOST_RANK};
 use babelflow_core::{ControllerError, Payload, TaskId};
 
@@ -50,21 +54,50 @@ struct Delivery {
     sent_ns: u64,
 }
 
-/// Counters the runtime reports after a run.
+/// Counters the runtime reports after a run. Each PE counts its own and
+/// the run adds them up at quiescence.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct CharmStats {
     /// Entry-method messages delivered on the sending PE.
     pub local_messages: u64,
-    /// Entry-method messages that crossed PEs.
+    /// Entry-method messages that crossed PEs (bootstrap messages from the
+    /// host included).
     pub cross_pe_messages: u64,
     /// Chares retired (tasks executed).
     pub retired: u64,
     /// Messages dropped because their target chare had already retired.
     pub late_messages: u64,
+    /// Payload handle clones chares reported through [`ChareCtx::count`].
+    pub payload_clones: u64,
+    /// Entry-method re-executions chares reported through
+    /// [`ChareCtx::count`].
+    pub retries: u64,
+    /// The PEs' work pool over the run (timing-dependent).
+    pub pool: PoolStats,
+}
+
+impl CharmStats {
+    /// Fold a PE's counters into this one. A PE counts no pool statistics;
+    /// the pool is the run's.
+    fn merge(&mut self, pe: &CharmStats) {
+        self.local_messages += pe.local_messages;
+        self.cross_pe_messages += pe.cross_pe_messages;
+        self.retired += pe.retired;
+        self.late_messages += pe.late_messages;
+        self.payload_clones += pe.payload_clones;
+        self.retries += pe.retries;
+    }
 }
 
 /// External outputs of a run, per producing task.
 type Outputs = BTreeMap<TaskId, Vec<Payload>>;
+
+/// One PE's state: the chares placed on it and the counters only it
+/// writes.
+struct Pe<'a> {
+    chares: HashMap<u64, Box<dyn Chare + 'a>>,
+    stats: CharmStats,
+}
 
 struct Shared {
     pes: usize,
@@ -73,13 +106,6 @@ struct Shared {
     pool: WorkPool<Delivery>,
     /// External outputs collected across PEs.
     outputs: Mutex<Outputs>,
-    /// Retired-chare count.
-    retired: AtomicU64,
-    /// Message counters.
-    local_msgs: AtomicU64,
-    cross_msgs: AtomicU64,
-    /// Messages addressed to already-retired chares (protocol violations).
-    late_msgs: AtomicU64,
     /// Trace consumer shared by every PE (the no-op sink by default).
     sink: Arc<dyn TraceSink>,
     /// Cached `sink.enabled()` so hot paths pay one load, not a vcall.
@@ -92,13 +118,21 @@ impl Shared {
         (idx % self.pes as u64) as usize
     }
 
-    /// Route a message to a chare's PE.
-    fn send(&self, from_pe: usize, idx: u64, src: TaskId, payload: Payload) {
+    /// Route a message to a chare's PE, counting it in the sending PE's
+    /// `stats` (`from_pe` is `usize::MAX` for the host's bootstrap).
+    fn send(
+        &self,
+        from_pe: usize,
+        stats: &mut CharmStats,
+        idx: u64,
+        src: TaskId,
+        payload: Payload,
+    ) {
         let pe = self.pe_of(idx);
         if pe == from_pe {
-            self.local_msgs.fetch_add(1, Ordering::Relaxed);
+            stats.local_messages += 1;
         } else {
-            self.cross_msgs.fetch_add(1, Ordering::Relaxed);
+            stats.cross_pe_messages += 1;
         }
         let sent_ns = if self.tracing { now_ns() } else { 0 };
         self.pool.push_to(pe, Delivery { idx, src, payload, sent_ns });
@@ -115,13 +149,13 @@ impl Shared {
 
     /// Run the entry method a delivery invokes on one of the chares
     /// placed on `pe`, retiring the chare if it is done.
-    fn deliver(&self, chares: &mut HashMap<u64, Box<dyn Chare>>, pe: usize, d: Delivery) {
+    fn deliver(&self, state: &mut Pe<'_>, pe: usize, d: Delivery) {
         let Delivery { idx, src, payload, sent_ns } = d;
-        let Some(chare) = chares.get_mut(&idx) else {
+        let Some(chare) = state.chares.get_mut(&idx) else {
             // Chare already retired: dataflow chares retire only after all
             // their inputs, so this is a protocol violation. Drop and count
             // it; any resulting stall surfaces at quiescence.
-            self.late_msgs.fetch_add(1, Ordering::Relaxed);
+            state.stats.late_messages += 1;
             return;
         };
         if self.tracing {
@@ -134,10 +168,10 @@ impl Shared {
                     .with_message(src, 0),
             );
         }
-        let mut ctx = ChareCtx { shared: self, pe, self_idx: idx };
+        let mut ctx = ChareCtx { shared: self, pe, stats: &mut state.stats, self_idx: idx };
         if chare.on_message(src, payload, &mut ctx) {
-            chares.remove(&idx);
-            self.retired.fetch_add(1, Ordering::Relaxed);
+            state.chares.remove(&idx);
+            state.stats.retired += 1;
         }
     }
 }
@@ -147,20 +181,29 @@ impl Shared {
 pub struct ChareCtx<'a> {
     shared: &'a Shared,
     pe: usize,
+    /// The counters of the PE running this entry method.
+    stats: &'a mut CharmStats,
     /// The index of the chare currently executing.
     pub self_idx: u64,
 }
 
-impl ChareCtx<'_> {
+impl<'a> ChareCtx<'a> {
     /// Asynchronously invoke chare `idx` with a payload (remote procedure
     /// call in the paper's terms).
-    pub fn send(&self, idx: u64, src: TaskId, payload: Payload) {
-        self.shared.send(self.pe, idx, src, payload);
+    pub fn send(&mut self, idx: u64, src: TaskId, payload: Payload) {
+        self.shared.send(self.pe, self.stats, idx, src, payload);
     }
 
     /// Emit a result to the host application.
     pub fn emit_external(&self, task: TaskId, payload: Payload) {
         self.shared.outputs.lock().entry(task).or_default().push(payload);
+    }
+
+    /// Add what an entry method cost to this PE's counters: payload
+    /// handle clones and re-executions.
+    pub fn count(&mut self, payload_clones: u64, retries: u64) {
+        self.stats.payload_clones += payload_clones;
+        self.stats.retries += retries;
     }
 
     /// The PE this entry method runs on (informational).
@@ -170,8 +213,9 @@ impl ChareCtx<'_> {
 
     /// The runtime's trace sink, so chares can emit spans (e.g. the
     /// dataflow controller's exactly-once task-execution span) on the same
-    /// timeline as the runtime's message events.
-    pub fn trace_sink(&self) -> &dyn TraceSink {
+    /// timeline as the runtime's message events. It outlives this
+    /// context's borrow, so a chare may hold it while it sends.
+    pub fn trace_sink(&self) -> &'a dyn TraceSink {
         &*self.shared.sink
     }
 
@@ -205,9 +249,10 @@ impl CharmRuntime {
     /// Execute a chare array until no message is in flight.
     ///
     /// `indices` enumerates the chare array (chare `idx` is placed on PE
-    /// `idx % pes`); `factory` constructs each chare; `initial` is the set
-    /// of bootstrap messages (from the main chare in Charm++ terms), sent
-    /// from PE 0's thread.
+    /// `idx % pes`); `factory` constructs each chare, which may borrow
+    /// from the caller for `'a`; `initial` is the set of bootstrap
+    /// messages (from the main chare in Charm++ terms), sent from PE 0's
+    /// thread.
     ///
     /// Returns the external outputs and run statistics.
     ///
@@ -215,23 +260,19 @@ impl CharmRuntime {
     /// [`ControllerError::Deadlock`] with the sorted indices of unretired
     /// chares (as task ids) if the run quiesces before every chare
     /// retired; [`ControllerError::Runtime`] if a PE thread panicked.
-    pub fn run<F>(
+    pub fn run<'a, F>(
         &self,
         indices: &[u64],
         factory: F,
         initial: Vec<(u64, TaskId, Payload)>,
     ) -> Result<(Outputs, CharmStats), ControllerError>
     where
-        F: Fn(u64) -> Box<dyn Chare> + Send + Sync,
+        F: Fn(u64) -> Box<dyn Chare + 'a> + Sync,
     {
         let shared = Shared {
             pes: self.pes,
             pool: WorkPool::new(self.pes),
             outputs: Mutex::new(BTreeMap::new()),
-            retired: AtomicU64::new(0),
-            local_msgs: AtomicU64::new(0),
-            cross_msgs: AtomicU64::new(0),
-            late_msgs: AtomicU64::new(0),
             sink: self.sink.clone(),
             tracing: self.sink.enabled(),
         };
@@ -242,34 +283,33 @@ impl CharmRuntime {
         // main chare, first sends the host's bootstrap messages, so a
         // failure while sending them is a PE failure like any other.
         let bootstrap = Mutex::new(initial);
-        let placed = |pe: usize| -> HashMap<u64, Box<dyn Chare>> {
+        let placed = |pe: usize| -> Pe<'a> {
+            let mut stats = CharmStats::default();
             if pe == 0 {
                 for (idx, src, payload) in std::mem::take(&mut *bootstrap.lock()) {
-                    shared.send(usize::MAX, idx, src, payload);
+                    shared.send(usize::MAX, &mut stats, idx, src, payload);
                 }
             }
-            let here = indices.iter().filter(|&&idx| shared.pe_of(idx) == pe);
-            here.map(|&idx| (idx, factory(idx))).collect()
+            let here = || indices.iter().filter(|&&idx| shared.pe_of(idx) == pe);
+            let mut chares = HashMap::with_capacity(here().count());
+            chares.extend(here().map(|&idx| (idx, factory(idx))));
+            Pe { chares, stats }
         };
         let pes = shared
             .pool
-            .run_until_idle(placed, |chares, pe, d| shared.deliver(chares, pe, d))
+            .run_until_idle(placed, |state, pe, d| shared.deliver(state, pe, d))
             .map_err(|pe| ControllerError::Runtime(format!("charm PE {pe} panicked")))?;
-        let mut pending: Vec<TaskId> =
-            pes.into_iter().flatten().map(|(idx, _)| TaskId(idx)).collect();
+        let mut stats = CharmStats { pool: shared.pool.stats(), ..CharmStats::default() };
+        let mut pending = Vec::new();
+        for pe in pes {
+            stats.merge(&pe.stats);
+            pending.extend(pe.chares.into_keys().map(TaskId));
+        }
         if !pending.is_empty() {
             pending.sort_unstable();
             return Err(ControllerError::Deadlock { pending });
         }
-
-        let outputs = shared.outputs.into_inner();
-        let stats = CharmStats {
-            local_messages: shared.local_msgs.into_inner(),
-            cross_pe_messages: shared.cross_msgs.into_inner(),
-            retired: shared.retired.into_inner(),
-            late_messages: shared.late_msgs.into_inner(),
-        };
-        Ok((outputs, stats))
+        Ok((shared.outputs.into_inner(), stats))
     }
 }
 
@@ -365,6 +405,26 @@ mod tests {
         // Bootstraps (4, sent from "outside" = cross) + 2 forwards: 0 -> 2
         // stays on PE 0, 1 -> 2 crosses from PE 1.
         assert_eq!((stats.local_messages, stats.cross_pe_messages), (1, 5));
+    }
+
+    #[test]
+    fn a_message_to_a_retired_chare_is_counted_late() {
+        // Chare 0 retires on its first message, so the second bootstrap
+        // message finds it gone.
+        struct Once;
+        impl Chare for Once {
+            fn on_message(&mut self, _: TaskId, _: Payload, _: &mut ChareCtx<'_>) -> bool {
+                true
+            }
+        }
+        for pes in [1, 2] {
+            let rt = CharmRuntime::new(pes);
+            let factory = |_| -> Box<dyn Chare> { Box::new(Once) };
+            let initial = vec![(0, TaskId::EXTERNAL, pay(1)), (0, TaskId::EXTERNAL, pay(2))];
+            let (_, stats) = rt.run(&[0], factory, initial).unwrap();
+            assert_eq!((stats.retired, stats.late_messages), (1, 1), "pes={pes}");
+            assert_eq!(stats.cross_pe_messages, 2, "pes={pes}: bootstraps come from the host");
+        }
     }
 
     #[test]

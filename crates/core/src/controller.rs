@@ -84,15 +84,18 @@ impl std::fmt::Display for RunStats {
     }
 }
 
-/// Deterministic fast-path counters.
+/// Fast-path counters.
 ///
 /// The build machines this repo is benchmarked on have two cores shared
-/// with other work, so wall-clock timings are too noisy to gate on. These
-/// counters are exact and reproducible: they measure the *work the
-/// controller avoided* — how often the procedural graph was re-queried,
-/// how many payload handles were cloned for routing, how many deliveries
-/// had to allocate, and how well the transport coalesced envelopes. The
-/// perf smoke in `ci.sh` regresses on these, not on nanoseconds.
+/// with other work, so wall-clock timings are too noisy to gate on. The
+/// structural counters are exact and reproducible: they measure the
+/// *work the controller avoided* — how often the procedural graph was
+/// re-queried, how many payload handles were cloned for routing, how many
+/// deliveries had to allocate, and how well the transport coalesced
+/// envelopes. The perf smoke in `ci.sh` regresses on these, not on
+/// nanoseconds. The work-pool counters (`parks`, `wakes`, `pool_locks`)
+/// attribute scheduling cost; they move with thread timing, so the perf
+/// smoke prints them and gates on none.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct PerfStats {
     /// Procedural `TaskGraph::task()` invocations (plan builds count each
@@ -109,6 +112,15 @@ pub struct PerfStats {
     pub envelopes_sent: u64,
     /// Envelopes that carried more than one coalesced message.
     pub batches_sent: u64,
+    /// Times a work-pool worker slept for lack of work
+    /// ([`PoolStats::parks`](crate::sync::PoolStats)). This and the next
+    /// two depend on thread timing: they describe a run, and no gate
+    /// compares them.
+    pub parks: u64,
+    /// Wakes a push claimed for a parked work-pool worker.
+    pub wakes: u64,
+    /// Acquisitions of the work pools' locks.
+    pub pool_locks: u64,
 }
 
 impl PerfStats {
@@ -119,6 +131,16 @@ impl PerfStats {
         self.delivery_allocs += other.delivery_allocs;
         self.envelopes_sent += other.envelopes_sent;
         self.batches_sent += other.batches_sent;
+        self.parks += other.parks;
+        self.wakes += other.wakes;
+        self.pool_locks += other.pool_locks;
+    }
+
+    /// Add a work pool's parks, wakes and lock acquisitions.
+    pub fn add_pool(&mut self, pool: &crate::sync::PoolStats) {
+        self.parks += pool.parks;
+        self.wakes += pool.wakes;
+        self.pool_locks += pool.locks;
     }
 }
 
@@ -126,12 +148,16 @@ impl std::fmt::Display for PerfStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} task queries, {} payload clones, {} delivery allocs, {} envelopes ({} batched)",
+            "{} task queries, {} payload clones, {} delivery allocs, {} envelopes ({} batched), \
+             {} parks, {} wakes, {} pool locks",
             self.task_queries,
             self.payload_clones,
             self.delivery_allocs,
             self.envelopes_sent,
-            self.batches_sent
+            self.batches_sent,
+            self.parks,
+            self.wakes,
+            self.pool_locks
         )
     }
 }
@@ -388,7 +414,7 @@ mod tests {
         rb: u64,
         lm: u64,
         rec: (u64, u64, u64),
-        perf: (u64, u64, u64, u64, u64),
+        perf: (u64, u64, u64, u64, u64, u64, u64, u64),
     ) -> RunStats {
         RunStats {
             tasks_executed: te,
@@ -406,16 +432,20 @@ mod tests {
                 delivery_allocs: perf.2,
                 envelopes_sent: perf.3,
                 batches_sent: perf.4,
+                parks: perf.5,
+                wakes: perf.6,
+                pool_locks: perf.7,
             },
         }
     }
 
     #[test]
     fn stats_merge_adds_counters() {
-        let mut a = stats(1, 2, 3, 4, (5, 6, 7), (8, 9, 10, 11, 12));
-        let b = stats(10, 20, 30, 40, (50, 60, 70), (80, 90, 100, 110, 120));
+        let mut a = stats(1, 2, 3, 4, (5, 6, 7), (8, 9, 10, 11, 12, 13, 14, 15));
+        let b = stats(10, 20, 30, 40, (50, 60, 70), (80, 90, 100, 110, 120, 130, 140, 150));
         a.merge(&b);
-        assert_eq!(a, stats(11, 22, 33, 44, (55, 66, 77), (88, 99, 110, 121, 132)));
+        let sum = (88, 99, 110, 121, 132, 143, 154, 165);
+        assert_eq!(a, stats(11, 22, 33, 44, (55, 66, 77), sum));
     }
 
     /// Parse a `Display`ed RunStats back into counters.
@@ -425,21 +455,21 @@ mod tests {
             .filter(|s| !s.is_empty())
             .map(|s| s.parse().unwrap())
             .collect();
-        assert_eq!(nums.len(), 12, "display carries exactly the twelve counters: {text}");
+        assert_eq!(nums.len(), 15, "display carries exactly the fifteen counters: {text}");
         stats(
             nums[0],
             nums[2],
             nums[3],
             nums[1],
             (nums[4], nums[5], nums[6]),
-            (nums[7], nums[8], nums[9], nums[10], nums[11]),
+            (nums[7], nums[8], nums[9], nums[10], nums[11], nums[12], nums[13], nums[14]),
         )
     }
 
     #[test]
     fn stats_merge_then_display_round_trips() {
-        let mut a = stats(5, 7, 1024, 11, (1, 0, 2), (30, 12, 0, 6, 2));
-        let b = stats(3, 2, 16, 9, (0, 4, 1), (10, 5, 0, 3, 1));
+        let mut a = stats(5, 7, 1024, 11, (1, 0, 2), (30, 12, 0, 6, 2, 4, 3, 50));
+        let b = stats(3, 2, 16, 9, (0, 4, 1), (10, 5, 0, 3, 1, 1, 1, 25));
         a.merge(&b);
         let shown = a.to_string();
         // Every merged counter appears, in a stable order, and survives a
@@ -449,13 +479,14 @@ mod tests {
             shown,
             "8 tasks, 20 local messages, 9 remote messages (1040 bytes); \
              1 retries, 4 retransmits, 3 duplicates suppressed; \
-             40 task queries, 17 payload clones, 0 delivery allocs, 9 envelopes (3 batched)"
+             40 task queries, 17 payload clones, 0 delivery allocs, 9 envelopes (3 batched), \
+             5 parks, 4 wakes, 75 pool locks"
         );
     }
 
     #[test]
     fn clean_recovery_is_detectable() {
         assert!(RecoveryStats::default().is_clean());
-        assert!(!stats(0, 0, 0, 0, (1, 0, 0), (0, 0, 0, 0, 0)).recovery.is_clean());
+        assert!(!stats(0, 0, 0, 0, (1, 0, 0), (0, 0, 0, 0, 0, 0, 0, 0)).recovery.is_clean());
     }
 }

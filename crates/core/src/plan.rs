@@ -498,13 +498,15 @@ impl PlanBuffer {
         self.missing
     }
 
-    /// Consume the buffer, returning the inputs in slot order.
+    /// Move the inputs out in slot order. The buffer is spent: it keeps
+    /// no slot, so any later delivery is refused.
     ///
     /// # Panics
     /// If the buffer is not [`ready`](Self::ready).
-    pub fn take(self) -> Vec<Payload> {
+    pub fn take(&mut self) -> Vec<Payload> {
         assert!(self.missing == 0, "take() with {} inputs missing", self.missing);
-        self.slots.into_iter().map(|p| p.expect("ready buffer")).collect()
+        // Through `into_iter`, so the collect reuses the slots' allocation.
+        std::mem::take(&mut self.slots).into_iter().map(|p| p.expect("ready buffer")).collect()
     }
 }
 
@@ -712,7 +714,7 @@ mod tests {
         let t = Task::new(TaskId(0), CallbackId(0));
         let g = ExplicitGraph::new(vec![t], vec![CallbackId(0)]);
         let plan = ShardPlan::build(&g, &ModuloMap::new(1, 1));
-        let b = PlanBuffer::new(&plan, 0);
+        let mut b = PlanBuffer::new(&plan, 0);
         assert!(b.ready());
         assert!(b.take().is_empty());
     }

@@ -84,7 +84,7 @@ impl Controller for SerialController {
         let mut report = RunReport::default();
 
         while let Some(id) = queue.pop_front() {
-            let st = states.remove(&id).expect("queued task has state");
+            let mut st = states.remove(&id).expect("queued task has state");
             let pt = plan.task(st.ix());
             if tracing {
                 let now = now_ns();

@@ -11,6 +11,7 @@
 //! valid across a panic, so propagating poison would only turn one failure
 //! into a cascade of secondary ones.
 
+use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;
 use std::time::Duration;
@@ -164,8 +165,8 @@ impl Condvar {
 /// work.
 #[derive(Debug)]
 struct WorkDeques<T> {
-    pinned: Vec<std::collections::VecDeque<T>>,
-    floating: Vec<std::collections::VecDeque<T>>,
+    pinned: Vec<VecDeque<T>>,
+    floating: Vec<VecDeque<T>>,
     next: usize,
     len: usize,
     steals: u64,
@@ -176,8 +177,8 @@ impl<T> WorkDeques<T> {
     fn new(workers: usize) -> Self {
         let n = workers.max(1);
         WorkDeques {
-            pinned: (0..n).map(|_| std::collections::VecDeque::new()).collect(),
-            floating: (0..n).map(|_| std::collections::VecDeque::new()).collect(),
+            pinned: (0..n).map(|_| VecDeque::new()).collect(),
+            floating: (0..n).map(|_| VecDeque::new()).collect(),
             next: 0,
             len: 0,
             steals: 0,
@@ -215,6 +216,22 @@ impl<T> WorkDeques<T> {
         self.len += 1;
     }
 
+    /// Move all of `worker`'s pinned lane into `batch` (empty), which
+    /// keeps its FIFO order, and return the batch's first item; `None`
+    /// if the lane is empty. The lane takes over `batch`'s buffer, so a
+    /// drain allocates nothing once both have grown.
+    fn drain_pinned(&mut self, worker: usize, batch: &mut VecDeque<T>) -> Option<T> {
+        debug_assert!(batch.is_empty(), "a batch is drained only once it has run");
+        let n = self.pinned.len();
+        let lane = &mut self.pinned[worker % n];
+        if lane.is_empty() {
+            return None;
+        }
+        std::mem::swap(lane, batch);
+        self.len -= batch.len();
+        batch.pop_front()
+    }
+
     /// Dequeue work for `worker`: its own pinned lane first, then its own
     /// floating lane (both FIFO), then steal from the back of the other
     /// workers' floating lanes.
@@ -247,6 +264,23 @@ impl<T> WorkDeques<T> {
     }
 }
 
+/// Counters a [`WorkPool`] keeps as plain fields under its own lock, so
+/// counting adds no shared write of its own. They depend on thread timing,
+/// so they describe a run rather than gate one.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct PoolStats {
+    /// Pops that took another worker's floating work.
+    pub steals: u64,
+    /// Times a worker found nothing to pop and slept on its condvar.
+    pub parks: u64,
+    /// Wakes a push claimed for a parked worker (one notify each).
+    pub wakes: u64,
+    /// Acquisitions of the pool's lock by its pushes, pops, parks (the
+    /// reacquisition on waking) and closes; [`WorkPool::stats`] and
+    /// [`WorkPool::len`] do not count.
+    pub locks: u64,
+}
+
 /// A blocking work-stealing pool: per-worker lanes + [`Mutex`] +
 /// [`Condvar`], shareable across threads by cloning the handle.
 ///
@@ -263,7 +297,8 @@ impl<T> WorkDeques<T> {
 /// * [`WorkPool::run_until_idle`]: the pool spawns its workers and ends
 ///   the run itself once no work is left and no handler runs — for a
 ///   pool whose handlers produce all the work that follows (Charm PEs,
-///   Legion workers).
+///   Legion workers). A worker here takes its whole pinned lane in one
+///   lock acquisition and runs that batch without the lock.
 ///
 /// Both pop through one loop. Each worker index parks on its own condvar
 /// and flags itself parked under the lock; a push wakes only a parked
@@ -289,9 +324,14 @@ struct PoolState<T> {
     deques: WorkDeques<T>,
     /// Which workers are parked with no wake claimed for them. A worker
     /// is unparked from the wake that a push claims for it until it next
-    /// finds nothing to pop, so every running handler has its flag clear.
+    /// finds nothing to pop, so every running handler, and every worker
+    /// still holding a drained batch, has its flag clear.
     parked: Vec<bool>,
     closed: bool,
+    /// [`PoolStats`] but `steals`, which the deques count.
+    parks: u64,
+    wakes: u64,
+    locks: u64,
 }
 
 impl<T> Clone for WorkPool<T> {
@@ -310,16 +350,26 @@ impl<T> WorkPool<T> {
                     deques: WorkDeques::new(n),
                     parked: vec![false; n],
                     closed: false,
+                    parks: 0,
+                    wakes: 0,
+                    locks: 0,
                 }),
                 wake: (0..n).map(|_| Condvar::new()).collect(),
             }),
         }
     }
 
+    /// Take the pool's lock, counting the acquisition.
+    fn lock(&self) -> MutexGuard<'_, PoolState<T>> {
+        let mut st = self.inner.state.lock();
+        st.locks += 1;
+        st
+    }
+
     /// Enqueue stealable work, waking one parked worker if any. Items
     /// pushed after [`close`](Self::close) are dropped.
     pub fn push(&self, item: T) {
-        let mut st = self.inner.state.lock();
+        let mut st = self.lock();
         if st.closed {
             return;
         }
@@ -331,7 +381,7 @@ impl<T> WorkPool<T> {
     /// Enqueue work pinned to `worker`, waking that worker if it is
     /// parked. Items pushed after [`close`](Self::close) are dropped.
     pub fn push_to(&self, worker: usize, item: T) {
-        let mut st = self.inner.state.lock();
+        let mut st = self.lock();
         if st.closed {
             return;
         }
@@ -346,6 +396,7 @@ impl<T> WorkPool<T> {
     fn wake(&self, mut st: MutexGuard<'_, PoolState<T>>, worker: Option<usize>) {
         if let Some(w) = worker {
             st.parked[w] = false;
+            st.wakes += 1;
             drop(st);
             self.inner.wake[w].notify_one();
         }
@@ -355,36 +406,42 @@ impl<T> WorkPool<T> {
     /// or the pool is closed. Returns `None` only when closed and nothing
     /// remains for this worker to take.
     pub fn recv(&self, worker: usize) -> Option<T> {
-        self.next(worker, false)
+        self.next(worker, None)
     }
 
     /// The one pop/park loop. A [`run_until_idle`](Self::run_until_idle)
-    /// worker (`until_idle`) that finds nothing to pop closes the pool
-    /// instead of parking if the pool is idle: every lane is empty, the
-    /// pinned lanes of other workers included, and every other worker is
-    /// parked, so no handler is running that could push more. A handler's
-    /// pushes are queued before its worker comes back here, so the pool
-    /// cannot look idle while work remains.
-    fn next(&self, worker: usize, until_idle: bool) -> Option<T> {
+    /// worker passes its (empty) `batch`: it takes its whole pinned lane
+    /// into it when the lane holds anything, and it closes the pool
+    /// instead of parking if it finds nothing to pop while the pool is
+    /// idle: every lane is empty, the pinned lanes of other workers
+    /// included, and every other worker is parked, so no handler is
+    /// running that could push more and no worker holds a batch. A
+    /// handler's pushes are queued before its worker comes back here, so
+    /// the pool cannot look idle while work remains.
+    fn next(&self, worker: usize, mut batch: Option<&mut VecDeque<T>>) -> Option<T> {
         let w = worker % self.inner.wake.len();
-        let mut st = self.inner.state.lock();
+        let mut st = self.lock();
         loop {
-            if let Some(item) = st.deques.pop(worker) {
+            let drained = batch.as_deref_mut().and_then(|b| st.deques.drain_pinned(w, b));
+            if let Some(item) = drained.or_else(|| st.deques.pop(worker)) {
                 return Some(item);
             }
             if st.closed {
                 return None;
             }
-            if until_idle
+            if batch.is_some()
                 && st.deques.is_empty()
                 && st.parked.iter().enumerate().all(|(v, &parked)| parked || v == w)
             {
+                st.closed = true;
                 drop(st);
-                self.close();
+                self.notify_all();
                 return None;
             }
             st.parked[w] = true;
+            st.parks += 1;
             self.inner.wake[w].wait(&mut st);
+            st.locks += 1;
             st.parked[w] = false;
         }
     }
@@ -392,16 +449,20 @@ impl<T> WorkPool<T> {
     /// Run one worker per lane until the pool is idle, then close it.
     ///
     /// Worker `w` starts with state `init(w)` and calls
-    /// `handle(&mut state, w, item)` on each item it pops, its pinned
-    /// lane first, then its floating lane, then a steal. Handlers may push
-    /// more work. The run ends when every lane is empty and no handler is
-    /// running, so it needs no timer and cannot end while work remains;
-    /// items pushed before the call are part of the run.
+    /// `handle(&mut state, w, item)` on each item it pops: its pinned
+    /// lane first, then its floating lane, then a steal. It takes the
+    /// whole pinned lane at once and runs that batch in FIFO order before
+    /// it looks again, so items its handlers pin back to `w` run after
+    /// the batch. Handlers may push more work. The run ends when every
+    /// lane is empty, no handler is running and no batch is held, so it
+    /// needs no timer and cannot end while work remains; items pushed
+    /// before the call are part of the run.
     ///
     /// Returns each worker's final state, or the index of the first worker
     /// (by index) whose `init` or `handle` unwound. An unwind closes the
     /// pool, so its peers finish what is queued and stop instead of
-    /// waiting for the dead worker. The pool is open again when the call
+    /// waiting for the dead worker; the rest of the dead worker's batch is
+    /// dropped with its state. The pool is open again when the call
     /// returns, so work pushed afterwards waits for the next run instead
     /// of being dropped.
     pub fn run_until_idle<S, I, H>(&self, init: I, handle: H) -> Result<Vec<S>, usize>
@@ -419,7 +480,10 @@ impl<T> WorkPool<T> {
                     s.spawn(move || {
                         let run = std::panic::AssertUnwindSafe(|| {
                             let mut state = init(w);
-                            while let Some(item) = self.next(w, true) {
+                            let mut batch = VecDeque::new();
+                            while let Some(item) =
+                                batch.pop_front().or_else(|| self.next(w, Some(&mut batch)))
+                            {
                                 handle(&mut state, w, item);
                             }
                             state
@@ -431,25 +495,32 @@ impl<T> WorkPool<T> {
             let states = threads.into_iter().map(|t| t.join().expect("unwinds are caught"));
             states.enumerate().map(|(w, state)| state.map_err(|()| w)).collect()
         });
-        self.inner.state.lock().closed = false;
+        self.lock().closed = false;
         states
     }
 
     /// Close the pool: wake every blocked worker; `recv` drains what is
     /// left and then returns `None`.
     pub fn close(&self) {
-        self.inner.state.lock().closed = true;
+        self.lock().closed = true;
+        self.notify_all();
+    }
+
+    /// Wake every worker, parked or not (a close, which claims no wake).
+    fn notify_all(&self) {
         for cv in &self.inner.wake {
             cv.notify_all();
         }
     }
 
-    /// Completed steals so far.
-    pub fn steals(&self) -> u64 {
-        self.inner.state.lock().deques.steals()
+    /// The pool's counters so far, across runs.
+    pub fn stats(&self) -> PoolStats {
+        let st = self.inner.state.lock();
+        PoolStats { steals: st.deques.steals(), parks: st.parks, wakes: st.wakes, locks: st.locks }
     }
 
-    /// Queued items across all lanes right now.
+    /// Queued items across all lanes right now (a drained batch has left
+    /// its lane).
     pub fn len(&self) -> usize {
         self.inner.state.lock().deques.len()
     }
@@ -636,7 +707,7 @@ mod tests {
         let mut got = consumer.join().unwrap();
         got.sort_unstable();
         assert_eq!(got, (0..10).collect::<Vec<u32>>());
-        assert!(pool.steals() >= 5, "lane-1 items must have been stolen");
+        assert!(pool.stats().steals >= 5, "lane-1 items must have been stolen");
     }
 
     /// Run `f` on its own thread and fail if it takes longer than
@@ -725,6 +796,89 @@ mod tests {
         .expect("no handler panics");
         assert_eq!(states[0], (0..ITEMS).step_by(2).collect::<Vec<_>>());
         assert_eq!(states[1], (1..ITEMS).step_by(2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_pinned_lane_is_drained_in_one_lock() {
+        // One worker, N items pinned before the run: the first pop takes
+        // them all, so from the first handler on the run costs only the
+        // idle check and the reopen, whatever N is.
+        for n in [1u64, 10, 1000] {
+            let pool: WorkPool<u64> = WorkPool::new(1);
+            for v in 0..n {
+                pool.push_to(0, v);
+            }
+            let states = within(5, {
+                let pool = pool.clone();
+                move || {
+                    pool.run_until_idle(
+                        |_| None,
+                        |first: &mut Option<PoolStats>, _, _| {
+                            first.get_or_insert_with(|| pool.stats());
+                        },
+                    )
+                }
+            });
+            let first = states.expect("no handler panics")[0].expect("a handler ran");
+            assert_eq!(first.locks, n + 1, "n={n}: the pushes, then one drain");
+            assert_eq!(pool.stats().locks - first.locks, 2, "n={n}: idle check and reopen");
+            assert_eq!(pool.stats().parks, 0);
+        }
+    }
+
+    #[test]
+    fn a_batch_and_what_it_pins_back_run_in_fifo_order() {
+        // Each generation is pinned back while the one before it runs as
+        // a batch, so it waits for the next drain, behind the whole batch.
+        let pool: WorkPool<u32> = WorkPool::new(1);
+        for v in 0..5 {
+            pool.push_to(0, v);
+        }
+        let states = within(5, {
+            let pool = pool.clone();
+            move || {
+                pool.run_until_idle(
+                    |_| Vec::new(),
+                    |seen: &mut Vec<u32>, w, item| {
+                        seen.push(item);
+                        if item < 20 {
+                            pool.push_to(w, item + 10);
+                        }
+                    },
+                )
+            }
+        });
+        let want: Vec<u32> = (0..5).chain(10..15).chain(20..25).collect();
+        assert_eq!(states, Ok(vec![want]));
+    }
+
+    #[test]
+    fn a_worker_holding_a_batch_keeps_the_run_open() {
+        // Worker 0 drains all three items; its first handler returns only
+        // once worker 1 has parked. Worker 1 found every lane empty then,
+        // yet must not close the pool: worker 0 still holds items 1 and 2.
+        let runs = within(30, || {
+            (0..50)
+                .map(|_| {
+                    let pool: WorkPool<u32> = WorkPool::new(2);
+                    for v in 0..3 {
+                        pool.push_to(0, v);
+                    }
+                    pool.run_until_idle(
+                        |_| Vec::new(),
+                        |seen: &mut Vec<u32>, _, item| {
+                            if item == 0 {
+                                until_parked(&pool, 1);
+                            }
+                            seen.push(item);
+                        },
+                    )
+                })
+                .collect::<Vec<_>>()
+        });
+        for states in runs {
+            assert_eq!(states, Ok(vec![vec![0, 1, 2], vec![]]));
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use babelflow_core::sync::{Mutex, WorkPool};
+use babelflow_core::sync::{Mutex, PoolStats, WorkPool};
 use babelflow_core::trace::{
     noop_sink, now_ns, SpanKind, TraceEvent, TraceSink, CONTROL_THREAD, HOST_RANK,
 };
@@ -149,6 +149,8 @@ pub struct LegionStats {
     pub tasks_launched: u64,
     /// Launcher objects processed (an index launch is one).
     pub launches: u64,
+    /// The workers' pool (timing-dependent).
+    pub pool: PoolStats,
 }
 
 struct BarrierState {
@@ -505,6 +507,7 @@ impl LegionRuntime {
         LegionStats {
             tasks_launched: self.inner.stats_tasks.load(Ordering::Relaxed),
             launches: self.inner.stats_launches.load(Ordering::Relaxed),
+            pool: self.inner.state.lock().pool.stats(),
         }
     }
 }

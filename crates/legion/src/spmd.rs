@@ -239,6 +239,7 @@ pub(crate) fn finish(rt: &LegionRuntime, plan: &ShardPlan, sinks: &Sinks) -> Res
     report.stats.local_messages = sinks.writes.get();
     report.stats.recovery.retries = sinks.retries.get();
     report.stats.perf.payload_clones = sinks.clones.get();
+    report.stats.perf.add_pool(&rt.stats().pool);
     Ok(report)
 }
 

@@ -159,7 +159,7 @@ impl Core<'_, '_> {
     fn dispatch(&mut self, ready: Vec<TaskId>, delivered: u64) {
         let ready_ns = if self.tracing { now_ns() } else { 0 };
         for id in ready {
-            if let Some(buf) = self.state.buffers.remove(&id) {
+            if let Some(mut buf) = self.state.buffers.remove(&id) {
                 let ix = buf.ix();
                 let inputs = buf.take();
                 // The retained (hand-back) copy is the one input clone
@@ -377,6 +377,7 @@ pub(crate) fn rank_main(
         }
     })?;
 
-    let core = core.into_inner();
+    let mut core = core.into_inner();
+    core.stats.perf.add_pool(&pool.stats());
     Ok((core.state.outputs, core.stats))
 }

@@ -131,7 +131,7 @@ fn run_permuted(
     while !ready.is_empty() {
         let pick = rng.random_range(0..ready.len());
         let id = ready.swap_remove(pick);
-        let st = states.remove(&id).expect("ready task has state");
+        let mut st = states.remove(&id).expect("ready task has state");
         let pt = plan.task(st.ix());
         let cb = registry.get(pt.callback()).expect("preflight checked bindings");
         let outputs = cb(st.take(), id);

@@ -9,11 +9,13 @@
 //! chares uses remote procedure calls."
 //!
 //! Accordingly this controller ignores the user's `TaskMap` for placement
-//! (the runtime places chares itself, statically by index), creates one
-//! chare per task with chare index == task id, and starts the dataflow by
-//! delivering the initial payloads to the input chares. Graph structure
-//! comes from a [`ShardPlan`] built once up front, so chare construction
-//! and routing never re-query the procedural graph.
+//! (the runtime places chares itself, statically by id), creates one
+//! chare per task with chare id == task id and chare index == plan index,
+//! and starts the dataflow by delivering the initial payloads to the
+//! input chares. Graph structure comes from a [`ShardPlan`] built once up
+//! front, so chare construction and routing never re-query the procedural
+//! graph: a chare sends to the plan index its route's
+//! [`input`](babelflow_core::Route::input) names.
 
 use std::sync::Arc;
 
@@ -88,9 +90,12 @@ impl Chare for TaskChare<'_> {
                     stats.perf.payload_clones += 1;
                     if route.is_external() {
                         ctx.emit_external(pt.id(), payload.clone());
-                    } else {
-                        ctx.send(route.dst.0, pt.id(), payload.clone());
+                        continue;
                     }
+                    let Some((consumer, _)) = route.input else {
+                        return Err(self.plan.unroutable(pt.id(), route.dst));
+                    };
+                    ctx.send(consumer, pt.id(), payload.clone());
                 }
             }
             Ok(())
@@ -112,12 +117,12 @@ impl Controller for CharmController {
         initial: InitialInputs,
         sink: Arc<dyn TraceSink>,
     ) -> Result<RunReport> {
-        let indices: Vec<u64> = plan.tasks().iter().map(|pt| pt.id().0).collect();
+        // The chare array in plan order: chare index == plan index.
+        let ids: Vec<u64> = plan.tasks().iter().map(|pt| pt.id().0).collect();
         let error = ErrorSink::default();
 
         let plan: &ShardPlan = plan;
-        let factory = |idx: u64| -> Box<dyn Chare + '_> {
-            let ix = plan.index_of(TaskId(idx)).expect("chare index is a task id");
+        let factory = |ix: u32| -> Box<dyn Chare + '_> {
             let callback =
                 registry.get(plan.task(ix).callback()).expect("preflight checked bindings");
             let buffer = PlanBuffer::new(plan, ix);
@@ -126,13 +131,16 @@ impl Controller for CharmController {
 
         let mut bootstrap = Vec::new();
         for (task, payloads) in initial {
+            let ix = plan.index_of(task).ok_or_else(|| {
+                ControllerError::Runtime(format!("initial input for unknown task {task}"))
+            })?;
             for p in payloads {
-                bootstrap.push((task.0, TaskId::EXTERNAL, p));
+                bootstrap.push((ix, TaskId::EXTERNAL, p));
             }
         }
 
         let rt = CharmRuntime::new(self.pes).with_sink(sink);
-        let result = rt.run(&indices, factory, bootstrap);
+        let result = rt.run(&ids, factory, bootstrap);
 
         if let Some(err) = error.into_inner() {
             return Err(err);

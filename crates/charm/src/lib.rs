@@ -99,7 +99,7 @@ mod tests {
             assert_eq!(exact(&run.stats), exact(&runs[0].stats));
             assert_eq!(canonical_outputs(run), canonical_outputs(&runs[0]));
         }
-        // Chare `idx` sits on PE `idx % 2`: an edge crosses PEs when its
+        // Task `id`'s chare sits on PE `id % 2`: an edge crosses PEs when its
         // ends differ in parity, and every bootstrap comes from the host.
         let edges: Vec<(u64, u64)> = g
             .ids()

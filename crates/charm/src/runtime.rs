@@ -7,8 +7,10 @@
 //! binding, so this module builds that execution model from threads and
 //! channels:
 //!
-//! * a **chare array** indexed by `u64`, placed statically: chare `idx`
-//!   lives on PE `idx % pes` for the whole run;
+//! * a **chare array** whose chares are addressed by their dense index
+//!   `0..n` and each carry a `u64` id, placed statically: chare `idx`
+//!   lives on PE `id % pes` for the whole run, in a `Vec` slot of that
+//!   PE, so a delivery finds its chare without hashing;
 //! * **PEs** (threads) running a message-driven scheduler loop;
 //! * **remote method invocation**: `ctx.send(idx, …)` routes a message to
 //!   the chare's PE;
@@ -29,7 +31,7 @@
 //! counter, depend on timing. `babelflow-sim` models it deterministically
 //! (`LbModel`) for the load-balancing figure.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use babelflow_core::sync::{Mutex, PoolStats, WorkPool};
@@ -46,7 +48,7 @@ pub trait Chare: Send {
 
 /// An entry-method invocation queued on the PE hosting chare `idx`.
 struct Delivery {
-    idx: u64,
+    idx: u32,
     src: TaskId,
     payload: Payload,
     /// [`now_ns`] at send time (0 when tracing is off); the receiving
@@ -92,15 +94,18 @@ impl CharmStats {
 /// External outputs of a run, per producing task.
 type Outputs = BTreeMap<TaskId, Vec<Payload>>;
 
-/// One PE's state: the chares placed on it and the counters only it
-/// writes.
+/// One PE's state: the chares placed on it, by their slot on it
+/// (`None` once retired), and the counters only it writes.
 struct Pe<'a> {
-    chares: HashMap<u64, Box<dyn Chare + 'a>>,
+    chares: Vec<Option<Box<dyn Chare + 'a>>>,
     stats: CharmStats,
 }
 
-struct Shared {
-    pes: usize,
+struct Shared<'i> {
+    /// Per chare index: the chare's id.
+    ids: &'i [u64],
+    /// Per chare index: the PE hosting the chare and its slot there.
+    homes: Vec<(u32, u32)>,
     /// PE scheduler queues. Every delivery rides its target PE's *pinned*
     /// lane, which stealing never touches, so a chare only runs on its PE.
     pool: WorkPool<Delivery>,
@@ -112,23 +117,18 @@ struct Shared {
     tracing: bool,
 }
 
-impl Shared {
-    /// The PE that hosts chare `idx`.
-    fn pe_of(&self, idx: u64) -> usize {
-        (idx % self.pes as u64) as usize
-    }
-
+impl Shared<'_> {
     /// Route a message to a chare's PE, counting it in the sending PE's
     /// `stats` (`from_pe` is `usize::MAX` for the host's bootstrap).
     fn send(
         &self,
         from_pe: usize,
         stats: &mut CharmStats,
-        idx: u64,
+        idx: u32,
         src: TaskId,
         payload: Payload,
     ) {
-        let pe = self.pe_of(idx);
+        let pe = self.homes[idx as usize].0 as usize;
         if pe == from_pe {
             stats.local_messages += 1;
         } else {
@@ -142,7 +142,7 @@ impl Shared {
             self.sink.record(
                 TraceEvent::span(SpanKind::MsgSend, sent_ns, sent_ns, rank, 0)
                     .with_task(src, babelflow_core::CallbackId(u32::MAX))
-                    .with_message(TaskId(idx), 0),
+                    .with_message(TaskId(self.ids[idx as usize]), 0),
             );
         }
     }
@@ -151,7 +151,8 @@ impl Shared {
     /// placed on `pe`, retiring the chare if it is done.
     fn deliver(&self, state: &mut Pe<'_>, pe: usize, d: Delivery) {
         let Delivery { idx, src, payload, sent_ns } = d;
-        let Some(chare) = state.chares.get_mut(&idx) else {
+        let slot = self.homes[idx as usize].1 as usize;
+        let Some(chare) = state.chares[slot].as_mut() else {
             // Chare already retired: dataflow chares retire only after all
             // their inputs, so this is a protocol violation. Drop and count
             // it; any resulting stall surfaces at quiescence.
@@ -160,17 +161,16 @@ impl Shared {
         };
         if self.tracing {
             // The in-flight + inbox time of this message, charged to the
-            // receiving chare (its task id is its array index by
-            // convention).
+            // receiving chare (its task id is its chare id by convention).
             self.sink.record(
                 TraceEvent::span(SpanKind::QueueWait, sent_ns, now_ns(), pe as u32, 0)
-                    .with_task(TaskId(idx), babelflow_core::CallbackId(u32::MAX))
+                    .with_task(TaskId(self.ids[idx as usize]), babelflow_core::CallbackId(u32::MAX))
                     .with_message(src, 0),
             );
         }
         let mut ctx = ChareCtx { shared: self, pe, stats: &mut state.stats, self_idx: idx };
         if chare.on_message(src, payload, &mut ctx) {
-            state.chares.remove(&idx);
+            state.chares[slot] = None;
             state.stats.retired += 1;
         }
     }
@@ -179,18 +179,18 @@ impl Shared {
 /// Context handed to a chare's entry method: lets it invoke other chares
 /// and emit external results.
 pub struct ChareCtx<'a> {
-    shared: &'a Shared,
+    shared: &'a Shared<'a>,
     pe: usize,
     /// The counters of the PE running this entry method.
     stats: &'a mut CharmStats,
     /// The index of the chare currently executing.
-    pub self_idx: u64,
+    pub self_idx: u32,
 }
 
 impl<'a> ChareCtx<'a> {
     /// Asynchronously invoke chare `idx` with a payload (remote procedure
     /// call in the paper's terms).
-    pub fn send(&mut self, idx: u64, src: TaskId, payload: Payload) {
+    pub fn send(&mut self, idx: u32, src: TaskId, payload: Payload) {
         self.shared.send(self.pe, self.stats, idx, src, payload);
     }
 
@@ -248,29 +248,40 @@ impl CharmRuntime {
 
     /// Execute a chare array until no message is in flight.
     ///
-    /// `indices` enumerates the chare array (chare `idx` is placed on PE
-    /// `idx % pes`); `factory` constructs each chare, which may borrow
-    /// from the caller for `'a`; `initial` is the set of bootstrap
-    /// messages (from the main chare in Charm++ terms), sent from PE 0's
+    /// `ids` enumerates the chare array: chare `idx` carries id
+    /// `ids[idx]` and is placed on PE `ids[idx] % pes`. `factory`
+    /// constructs each chare from its index, and may borrow from the
+    /// caller for `'a`; `initial` is the set of bootstrap messages (from
+    /// the main chare in Charm++ terms), by chare index, sent from PE 0's
     /// thread.
     ///
     /// Returns the external outputs and run statistics.
     ///
     /// # Errors
-    /// [`ControllerError::Deadlock`] with the sorted indices of unretired
+    /// [`ControllerError::Deadlock`] with the sorted ids of unretired
     /// chares (as task ids) if the run quiesces before every chare
     /// retired; [`ControllerError::Runtime`] if a PE thread panicked.
     pub fn run<'a, F>(
         &self,
-        indices: &[u64],
+        ids: &[u64],
         factory: F,
-        initial: Vec<(u64, TaskId, Payload)>,
+        initial: Vec<(u32, TaskId, Payload)>,
     ) -> Result<(Outputs, CharmStats), ControllerError>
     where
-        F: Fn(u64) -> Box<dyn Chare + 'a> + Sync,
+        F: Fn(u32) -> Box<dyn Chare + 'a> + Sync,
     {
+        let mut placed_on = vec![0u32; self.pes];
+        let homes = ids
+            .iter()
+            .map(|&id| {
+                let pe = (id % self.pes as u64) as usize;
+                placed_on[pe] += 1;
+                (pe as u32, placed_on[pe] - 1)
+            })
+            .collect();
         let shared = Shared {
-            pes: self.pes,
+            ids,
+            homes,
             pool: WorkPool::new(self.pes),
             outputs: Mutex::new(BTreeMap::new()),
             sink: self.sink.clone(),
@@ -290,9 +301,10 @@ impl CharmRuntime {
                     shared.send(usize::MAX, &mut stats, idx, src, payload);
                 }
             }
-            let here = || indices.iter().filter(|&&idx| shared.pe_of(idx) == pe);
-            let mut chares = HashMap::with_capacity(here().count());
-            chares.extend(here().map(|&idx| (idx, factory(idx))));
+            let chares = (0..ids.len() as u32)
+                .filter(|&idx| shared.homes[idx as usize].0 as usize == pe)
+                .map(|idx| Some(factory(idx)))
+                .collect();
             Pe { chares, stats }
         };
         let pes = shared
@@ -300,11 +312,13 @@ impl CharmRuntime {
             .run_until_idle(placed, |state, pe, d| shared.deliver(state, pe, d))
             .map_err(|pe| ControllerError::Runtime(format!("charm PE {pe} panicked")))?;
         let mut stats = CharmStats { pool: shared.pool.stats(), ..CharmStats::default() };
-        let mut pending = Vec::new();
-        for pe in pes {
+        for pe in &pes {
             stats.merge(&pe.stats);
-            pending.extend(pe.chares.into_keys().map(TaskId));
         }
+        let mut pending: Vec<TaskId> = (ids.iter().zip(&shared.homes))
+            .filter(|(_, &(pe, slot))| pes[pe as usize].chares[slot as usize].is_some())
+            .map(|(&id, _)| TaskId(id))
+            .collect();
         if !pending.is_empty() {
             pending.sort_unstable();
             return Err(ControllerError::Deadlock { pending });
@@ -322,7 +336,7 @@ mod tests {
     struct Accum {
         need: usize,
         got: Vec<u64>,
-        forward_to: Option<u64>,
+        forward_to: Option<u32>,
         id: TaskId,
     }
 
@@ -352,12 +366,12 @@ mod tests {
 
     /// Chain of accumulators: 0 and 1 each get two bootstrap values, both
     /// forward to 2, which emits.
-    fn chain_factory(idx: u64) -> Box<dyn Chare> {
+    fn chain_factory(idx: u32) -> Box<dyn Chare> {
         Box::new(Accum {
             need: 2,
             got: Vec::new(),
             forward_to: (idx < 2).then_some(2),
-            id: TaskId(idx),
+            id: TaskId(idx.into()),
         })
     }
 

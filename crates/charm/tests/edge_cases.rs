@@ -19,7 +19,7 @@ struct Hop {
     need: usize,
     got: u64,
     seen: usize,
-    next: Option<u64>,
+    next: Option<u32>,
 }
 
 impl Chare for Hop {
@@ -41,15 +41,15 @@ impl Chare for Hop {
 #[test]
 fn oversubscription_many_chares_few_pes() {
     let n = 300u64;
-    let factory = move |idx: u64| -> Box<dyn Chare> {
-        Box::new(Hop { id: idx, need: 2, got: 0, seen: 0, next: None })
+    let factory = move |idx: u32| -> Box<dyn Chare> {
+        Box::new(Hop { id: idx.into(), need: 2, got: 0, seen: 0, next: None })
     };
     let rt = CharmRuntime::new(2);
     let indices: Vec<u64> = (0..n).collect();
     let mut initial = Vec::new();
     for i in 0..n {
-        initial.push((i, TaskId::EXTERNAL, pay(i)));
-        initial.push((i, TaskId::EXTERNAL, pay(1000)));
+        initial.push((i as u32, TaskId::EXTERNAL, pay(i)));
+        initial.push((i as u32, TaskId::EXTERNAL, pay(1000)));
     }
     let (outputs, stats) = rt.run(&indices, factory, initial).unwrap();
     assert_eq!(outputs.len(), n as usize);

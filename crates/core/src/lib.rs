@@ -62,6 +62,7 @@ pub mod dot;
 pub mod exec;
 pub mod fault;
 pub mod graph;
+pub mod hash;
 pub mod ids;
 pub mod lint;
 pub mod payload;
@@ -87,13 +88,14 @@ pub use exec::exec;
 pub use fault::{inject_panics, quiet_panic_hook, FaultPlan, MAX_TASK_RETRIES, PANIC_MARKER};
 pub use dot::{to_dot, to_dot_styled, to_dot_subset};
 pub use graph::{ExplicitGraph, TaskGraph};
+pub use hash::{IdBuildHasher, IdHasher, IdMap};
 pub use ids::{CallbackId, ShardId, TaskId};
 pub use lint::{
     lint_bindings, lint_graph, lint_plan, lint_run, Diagnostic, DiagnosticCode, Severity,
     VerifyReport,
 };
 pub use payload::{Blob, Payload, PayloadData, PayloadError};
-pub use plan::{PlanBuffer, PlanTask, Route, ShardPlan};
+pub use plan::{Pending, PlanBuffer, PlanTask, Route, ShardPlan};
 pub use registry::{Callback, DuplicateCallback, Registry};
 pub use serial::{canonical_outputs, run_serial, SerialController};
 pub use stats::{graph_stats, GraphStats};

@@ -37,9 +37,8 @@
 //!
 //! [`PlanBuffer`]: crate::plan::PlanBuffer
 
-use std::collections::HashMap;
-
 use crate::graph::TaskGraph;
+use crate::hash::IdMap;
 use crate::ids::{ShardId, TaskId};
 use crate::plan::{PlanTask, ShardPlan};
 use crate::registry::Registry;
@@ -263,13 +262,42 @@ fn out_edges(producer: &PlanTask, consumer: TaskId) -> usize {
         .count()
 }
 
-/// Structural lint over an interned task table: BF001, BF002, BF003,
-/// BF005, BF006, BF007. Runs in `O(V + E)` with no procedural graph
-/// queries; [`ShardPlan::build`](crate::plan::ShardPlan::build) calls
-/// this once and stores the result.
+/// Kahn's algorithm over the resolved routes ([`Route::input`]): which
+/// tasks a run reaches if the task at plan index `c` needs `need[c]` of
+/// the resolved routes into it.
+///
+/// [`Route::input`]: crate::plan::Route::input
+fn reached(tasks: &[PlanTask], mut need: Vec<usize>) -> Vec<bool> {
+    let mut frontier: Vec<usize> = (0..tasks.len()).filter(|&ix| need[ix] == 0).collect();
+    let mut reached = vec![false; tasks.len()];
+    while let Some(ix) = frontier.pop() {
+        reached[ix] = true;
+        for (c, _) in tasks[ix].routes.iter().flatten().filter_map(|r| r.input) {
+            need[c as usize] -= 1;
+            if need[c as usize] == 0 {
+                frontier.push(c as usize);
+            }
+        }
+    }
+    reached
+}
+
+/// The ids of the tasks `reached` leaves out, sorted.
+fn sorted_ids(tasks: &[PlanTask], reached: &[bool]) -> Vec<TaskId> {
+    let mut ids: Vec<TaskId> =
+        tasks.iter().zip(reached).filter(|(_, &r)| !r).map(|(pt, _)| pt.id()).collect();
+    ids.sort_unstable();
+    ids
+}
+
+/// Structural lint over an interned task table whose routes are resolved
+/// to consumer slots: BF001, BF002, BF003, BF005, BF006, BF007. Runs in
+/// `O(V + E)` with no procedural graph queries;
+/// [`ShardPlan::build`](crate::plan::ShardPlan::build) calls this once
+/// and stores the result.
 pub fn lint_plan(
     tasks: &[PlanTask],
-    index: &HashMap<TaskId, u32>,
+    index: &IdMap<TaskId, u32>,
     num_shards: u32,
 ) -> VerifyReport {
     let mut rep = VerifyReport::new();
@@ -363,59 +391,17 @@ pub fn lint_plan(
         }
     }
 
-    // BF001: Kahn's algorithm over the edges both views agree on — per
-    // (producer, consumer) pair, min(slots wired, messages sent). Edges
+    // BF001: Kahn's algorithm over the edges both views agree on: the
+    // routes the plan resolved to a consumer slot (`Route::input`), per
+    // (producer, consumer) pair min(slots wired, messages sent). Edges
     // only one side believes in are starvation (BF003) or collisions
     // (BF007), not cycles, and must not drag their consumer in here.
-    let mut indegree: HashMap<TaskId, usize> = tasks
-        .iter()
-        .map(|pt| {
-            let n: usize = pt
-                .sources
-                .iter()
-                .filter(|(s, _)| !s.is_external())
-                .map(|(src, slots)| {
-                    pt_of(*src).map_or(0, |p| slots.len().min(out_edges(p, pt.id())))
-                })
-                .sum();
-            (pt.id(), n)
-        })
-        .collect();
-    let mut frontier: Vec<TaskId> = indegree
-        .iter()
-        .filter(|(_, &d)| d == 0)
-        .map(|(&id, _)| id)
-        .collect();
-    while let Some(id) = frontier.pop() {
-        if let Some(pt) = pt_of(id) {
-            let mut dsts: Vec<TaskId> = pt
-                .routes
-                .iter()
-                .flatten()
-                .filter(|r| !r.is_external())
-                .map(|r| r.dst)
-                .collect();
-            dsts.sort_unstable();
-            dsts.dedup();
-            for dst in dsts {
-                let agreed = pt_of(dst).map_or(0, |c| {
-                    c.sources
-                        .iter()
-                        .find(|(s, _)| *s == id)
-                        .map_or(0, |(_, slots)| slots.len().min(out_edges(pt, dst)))
-                });
-                if let Some(d) = indegree.get_mut(&dst) {
-                    *d = d.saturating_sub(agreed);
-                    if *d == 0 && agreed > 0 {
-                        frontier.push(dst);
-                    }
-                }
-            }
-        }
+    let mut agreed = vec![0; tasks.len()];
+    for (c, _) in tasks.iter().flat_map(|pt| pt.routes.iter().flatten()).filter_map(|r| r.input) {
+        agreed[c as usize] += 1;
     }
-    let mut cyclic: Vec<TaskId> =
-        indegree.iter().filter(|(_, &d)| d > 0).map(|(&id, _)| id).collect();
-    cyclic.sort_unstable();
+    let acyclic = reached(tasks, agreed);
+    let cyclic: Vec<TaskId> = sorted_ids(tasks, &acyclic);
     for &id in &cyclic {
         rep.push(
             DiagnosticCode::CycleDetected,
@@ -425,38 +411,13 @@ pub fn lint_plan(
         );
     }
 
-    // BF006: a "will run" fixpoint. A task runs iff every internal
-    // producer exists, will itself run, and sends at least as many
-    // messages as the task wires slots for. Tasks outside the fixpoint
-    // that Kahn already attributed to a cycle keep their BF001 instead.
-    let mut will_run: HashMap<TaskId, bool> =
-        tasks.iter().map(|pt| (pt.id(), false)).collect();
-    loop {
-        let mut changed = false;
-        for pt in tasks {
-            if will_run[&pt.id()] {
-                continue;
-            }
-            let ok = pt.sources.iter().filter(|(s, _)| !s.is_external()).all(|(src, slots)| {
-                pt_of(*src).is_some_and(|producer| {
-                    will_run[src] && out_edges(producer, pt.id()) >= slots.len()
-                })
-            });
-            if ok {
-                will_run.insert(pt.id(), true);
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    let mut stuck: Vec<TaskId> = will_run
-        .iter()
-        .filter(|(id, &runs)| !runs && !cyclic.contains(id))
-        .map(|(&id, _)| id)
-        .collect();
-    stuck.sort_unstable();
+    // BF006: a task runs iff every input slot it wires to a task is
+    // filled by a task that runs. Tasks that never do and that Kahn
+    // already attributed to a cycle keep their BF001 instead.
+    let wired = tasks.iter().map(|pt| pt.fan_in() - pt.external_inputs).collect();
+    let will_run = reached(tasks, wired);
+    let mut stuck = sorted_ids(tasks, &will_run);
+    stuck.retain(|id| cyclic.binary_search(id).is_err());
     for id in stuck {
         rep.push(
             DiagnosticCode::UnreachableTask,

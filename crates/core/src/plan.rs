@@ -27,10 +27,11 @@
 
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use crate::controller::{ControllerError, InitialInputs, Result};
 use crate::graph::TaskGraph;
+use crate::hash::IdMap;
 use crate::ids::{CallbackId, ShardId, TaskId};
 use crate::lint::{self, DiagnosticCode, Severity, VerifyReport};
 use crate::payload::Payload;
@@ -112,9 +113,12 @@ impl PlanTask {
 #[derive(Debug)]
 pub struct ShardPlan {
     tasks: Vec<PlanTask>,
-    index: HashMap<TaskId, u32>,
+    index: IdMap<TaskId, u32>,
     slot_base: Vec<u32>,
     locals: Vec<Vec<u32>>,
+    /// Per plan index: the task's position in its shard's `locals` list
+    /// (`u32::MAX` for a task mapped to no shard).
+    local_slot: Vec<u32>,
     inputs: Vec<u32>,
     outputs: Vec<u32>,
     callback_ids: Vec<CallbackId>,
@@ -136,8 +140,9 @@ impl ShardPlan {
         let num_shards = map.num_shards();
         let size = graph.size();
         let mut tasks = Vec::with_capacity(size);
-        let mut index = HashMap::with_capacity(size);
+        let mut index = IdMap::with_capacity_and_hasher(size, Default::default());
         let mut locals = vec![Vec::new(); num_shards as usize];
+        let mut local_slot = Vec::with_capacity(size);
         let mut inputs = Vec::new();
         let mut outputs = Vec::new();
         let mut callback_ids = graph.callback_ids();
@@ -223,8 +228,12 @@ impl ShardPlan {
 
             let ix = tasks.len() as u32;
             vacant.insert(ix);
-            if (shard.0 as usize) < locals.len() {
-                locals[shard.0 as usize].push(ix);
+            match locals.get_mut(shard.0 as usize) {
+                Some(local) => {
+                    local_slot.push(local.len() as u32);
+                    local.push(ix);
+                }
+                None => local_slot.push(u32::MAX),
             }
             if external_inputs > 0 {
                 inputs.push(ix);
@@ -264,6 +273,7 @@ impl ShardPlan {
             index,
             slot_base,
             locals,
+            local_slot,
             inputs,
             outputs,
             callback_ids,
@@ -344,6 +354,24 @@ impl ShardPlan {
     /// Plan indices of the tasks placed on `shard`.
     pub fn local(&self, shard: ShardId) -> &[u32] {
         self.locals.get(shard.0 as usize).map_or(&[], Vec::as_slice)
+    }
+
+    /// Position of the task at plan index `ix` in its shard's
+    /// [`local`](Self::local) list.
+    #[inline]
+    pub fn local_slot(&self, ix: u32) -> usize {
+        self.local_slot[ix as usize] as usize
+    }
+
+    /// The error every backend fails with, before it delivers or sends,
+    /// on an edge from `src` to `dst` that fills no consumer slot
+    /// ([`Route::input`] is `None`, only on a [`lenient`](Self::lenient)
+    /// plan).
+    pub fn unroutable(&self, src: TaskId, dst: TaskId) -> ControllerError {
+        ControllerError::Runtime(match self.index_of(dst) {
+            None => format!("task {src} sent to unknown or already-executed task {dst}"),
+            Some(_) => format!("task {dst} has no free input slot for producer {src}"),
+        })
     }
 
     /// Plan indices of tasks with host-supplied inputs.
@@ -493,11 +521,6 @@ impl PlanBuffer {
         self.missing == 0
     }
 
-    /// Number of still-empty slots.
-    pub fn missing(&self) -> usize {
-        self.missing
-    }
-
     /// Move the inputs out in slot order. The buffer is spent: it keeps
     /// no slot, so any later delivery is refused.
     ///
@@ -507,6 +530,133 @@ impl PlanBuffer {
         assert!(self.missing == 0, "take() with {} inputs missing", self.missing);
         // Through `into_iter`, so the collect reuses the slots' allocation.
         std::mem::take(&mut self.slots).into_iter().map(|p| p.expect("ready buffer")).collect()
+    }
+}
+
+/// The [`PlanBuffer`]s of the tasks an executor has yet to take up,
+/// addressed by plan index: every task of a plan, or those of one shard
+/// (through [`ShardPlan::local_slot`]). Serial, each MPI rank and the
+/// verifier's permuted executor keep their tasks in one.
+#[derive(Debug)]
+pub struct Pending<'p> {
+    plan: &'p ShardPlan,
+    /// Whether `buffers` is addressed by local slot, not plan index.
+    local: bool,
+    buffers: Vec<Option<PlanBuffer>>,
+    /// How many of `buffers` are not taken up.
+    left: usize,
+}
+
+impl<'p> Pending<'p> {
+    /// Every task of `plan`.
+    pub fn all(plan: &'p ShardPlan) -> Self {
+        Self::of(plan, false, 0..plan.len() as u32)
+    }
+
+    /// The tasks `plan` places on `shard`.
+    pub fn local(plan: &'p ShardPlan, shard: ShardId) -> Self {
+        Self::of(plan, true, plan.local(shard).iter().copied())
+    }
+
+    fn of(plan: &'p ShardPlan, local: bool, ixs: impl Iterator<Item = u32>) -> Self {
+        let buffers: Vec<_> = ixs.map(|ix| Some(PlanBuffer::new(plan, ix))).collect();
+        Pending { plan, local, left: buffers.len(), buffers }
+    }
+
+    /// Where the task at plan index `ix` is buffered, if this set holds it.
+    #[inline]
+    fn slot(&self, ix: u32) -> usize {
+        if self.local {
+            self.plan.local_slot(ix)
+        } else {
+            ix as usize
+        }
+    }
+
+    /// The buffer of the task at plan index `ix`, if it is pending.
+    #[inline]
+    fn buffer(&mut self, ix: u32) -> Option<&mut PlanBuffer> {
+        let slot = self.slot(ix);
+        self.buffers.get_mut(slot)?.as_mut().filter(|b| b.ix() == ix)
+    }
+
+    /// Deliver the host's `payloads` to task `task`.
+    pub fn deliver_initial(
+        &mut self,
+        task: TaskId,
+        payloads: impl IntoIterator<Item = Payload>,
+    ) -> Result<()> {
+        let plan = self.plan;
+        let runtime = |what| Err(ControllerError::Runtime(format!("{what} {task}")));
+        let Some(ix) = plan.index_of(task) else {
+            return runtime("initial input for unknown task");
+        };
+        let Some(buf) = self.buffer(ix) else { return runtime("initial input for non-local task") };
+        for p in payloads {
+            if !buf.deliver(plan.task(ix), TaskId::EXTERNAL, p) {
+                return runtime("too many initial inputs for task");
+            }
+        }
+        Ok(())
+    }
+
+    /// Deliver `payload` from `src` to the task at plan index `ix`, and
+    /// tell whether it became ready; [`ShardPlan::unroutable`] if the task
+    /// is not pending here or has no free slot for `src`.
+    #[inline]
+    pub fn deliver(&mut self, src: TaskId, ix: u32, payload: Payload) -> Result<bool> {
+        let plan = self.plan;
+        if let Some(buf) = self.buffer(ix) {
+            if buf.deliver(plan.task(ix), src, payload) {
+                return Ok(buf.ready());
+            }
+        }
+        Err(plan.unroutable(src, plan.task(ix).id()))
+    }
+
+    /// Plan indices of the pending tasks that are ready, in id order:
+    /// the order a run starts them in.
+    pub fn ready(&self) -> Vec<u32> {
+        let mut ready: Vec<u32> =
+            self.buffers.iter().flatten().filter(|b| b.ready()).map(PlanBuffer::ix).collect();
+        ready.sort_unstable_by_key(|&ix| self.plan.task(ix).id());
+        ready
+    }
+
+    /// Whether the task at plan index `ix` is pending and ready.
+    pub fn is_ready(&self, ix: u32) -> bool {
+        let buf = self.buffers.get(self.slot(ix)).and_then(Option::as_ref);
+        buf.is_some_and(|b| b.ix() == ix && b.ready())
+    }
+
+    /// Take up the task at plan index `ix`: its inputs in slot order, or
+    /// `None` if it is not pending.
+    ///
+    /// # Panics
+    /// If the task is not ready.
+    #[inline]
+    pub fn take(&mut self, ix: u32) -> Option<Vec<Payload>> {
+        let slot = self.slot(ix);
+        let mut buf = self.buffers.get_mut(slot)?.take_if(|b| b.ix() == ix)?;
+        self.left -= 1;
+        Some(buf.take())
+    }
+
+    /// Whether every task was taken up.
+    pub fn is_empty(&self) -> bool {
+        self.left == 0
+    }
+
+    /// `Ok` once every task was taken up, else the
+    /// [`Deadlock`](ControllerError::Deadlock) of the rest in id order.
+    pub fn drained(&self) -> Result<()> {
+        if self.is_empty() {
+            return Ok(());
+        }
+        let mut pending: Vec<TaskId> =
+            self.buffers.iter().flatten().map(|b| self.plan.task(b.ix()).id()).collect();
+        pending.sort_unstable();
+        Err(ControllerError::Deadlock { pending })
     }
 }
 
@@ -660,6 +810,31 @@ mod tests {
         let vals: Vec<u8> =
             b.take().iter().map(|p| p.extract::<Blob>().unwrap().0[0]).collect();
         assert_eq!(vals, vec![10, 20, 11]);
+    }
+
+    #[test]
+    fn pending_holds_one_shards_tasks_by_plan_index() {
+        let g = diamond();
+        let plan = ShardPlan::build(&g, &ModuloMap::new(2, 4));
+        let blob = || Payload::wrap(Blob(vec![]));
+        // Shard 1 holds tasks 1 and 3 in local slots 0 and 1; task 2 of
+        // shard 0 has local slot 1 too, and must not reach task 3's buffer.
+        let mut p = Pending::local(&plan, ShardId(1));
+        assert_eq!((plan.local_slot(2), plan.local_slot(3)), (1, 1));
+        let err = p.deliver(TaskId(0), 2, blob()).unwrap_err();
+        assert_eq!(err.to_string(), plan.unroutable(TaskId(0), TaskId(2)).to_string());
+        let err = p.deliver_initial(TaskId(0), [blob()]).unwrap_err();
+        assert_eq!(err.to_string(), "runtime error: initial input for non-local task 0");
+
+        assert!(p.deliver(TaskId(0), 1, blob()).unwrap());
+        assert!(!p.deliver(TaskId(1), 3, blob()).unwrap());
+        assert!(p.deliver(TaskId(1), 3, blob()).is_err(), "task 3 wires one slot to task 1");
+        assert_eq!(p.ready(), vec![1]);
+        assert!(p.is_ready(1) && !p.is_ready(3));
+        assert_eq!(p.take(1).map(|inputs| inputs.len()), Some(1));
+        assert!(p.take(1).is_none() && !p.is_empty());
+        let Err(ControllerError::Deadlock { pending }) = p.drained() else { panic!() };
+        assert_eq!(pending, vec![TaskId(3)]);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! callbacks". A callback receives the task's inputs (one payload per input
 //! slot, in slot order) and must return exactly one payload per output slot.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
+use crate::hash::IdMap;
 use crate::ids::{CallbackId, TaskId};
 use crate::payload::Payload;
 
@@ -44,8 +44,8 @@ impl std::error::Error for DuplicateCallback {}
 /// across shards/threads.
 #[derive(Clone, Default)]
 pub struct Registry {
-    callbacks: HashMap<CallbackId, Callback>,
-    arities: HashMap<CallbackId, (Option<usize>, Option<usize>)>,
+    callbacks: IdMap<CallbackId, Callback>,
+    arities: IdMap<CallbackId, (Option<usize>, Option<usize>)>,
 }
 
 impl Registry {

@@ -6,15 +6,15 @@
 //! threaded, no serialization. The cross-runtime equivalence tests compare
 //! every parallel backend's output against this one.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-use crate::controller::{Controller, ControllerError, InitialInputs, Result, RunReport, RunStats};
+use crate::controller::{Controller, InitialInputs, Result, RunReport, RunStats};
 use crate::exec::exec;
 use crate::graph::TaskGraph;
 use crate::ids::TaskId;
 use crate::payload::Payload;
-use crate::plan::{PlanBuffer, ShardPlan};
+use crate::plan::{Pending, ShardPlan};
 use crate::registry::Registry;
 use crate::trace::{now_ns, SpanKind, TraceEvent, TraceSink};
 
@@ -44,57 +44,30 @@ impl Controller for SerialController {
         let mut stats = RunStats::default();
         let tracing = sink.enabled();
 
-        let mut ids: Vec<TaskId> = plan.tasks().iter().map(|pt| pt.id()).collect();
-        ids.sort();
-
-        let mut states: HashMap<TaskId, PlanBuffer> = ids
-            .iter()
-            .map(|&id| {
-                let ix = plan.index_of(id).expect("plan indexes its own ids");
-                (id, PlanBuffer::new(plan, ix))
-            })
-            .collect();
-
-        // Deliver external inputs, then seed the ready queue in id order so
-        // execution order is reproducible.
+        let mut pending = Pending::all(plan);
         for (&id, payloads) in &initial {
-            let st = states.get_mut(&id).ok_or_else(|| {
-                ControllerError::Runtime(format!("initial input for unknown task {id}"))
-            })?;
-            let pt = plan.task(st.ix());
-            for p in payloads {
-                stats.perf.payload_clones += 1;
-                if !st.deliver(pt, TaskId::EXTERNAL, p.clone()) {
-                    return Err(ControllerError::Runtime(format!(
-                        "too many initial inputs for task {id}"
-                    )));
-                }
-            }
+            stats.perf.payload_clones += payloads.len() as u64;
+            pending.deliver_initial(id, payloads.iter().cloned())?;
         }
-
-        let mut queue: VecDeque<TaskId> =
-            ids.iter().copied().filter(|id| states[id].ready()).collect();
-        // When a task entered the ready queue, for queue-wait spans.
-        let mut ready_at: HashMap<TaskId, u64> = HashMap::new();
-        if tracing {
-            let t = now_ns();
-            ready_at.extend(queue.iter().map(|&id| (id, t)));
-        }
+        // Seed the ready queue in id order so execution order is
+        // reproducible.
+        let mut queue = VecDeque::from(pending.ready());
+        // Per plan index: when the task entered the ready queue, for
+        // queue-wait spans.
+        let mut ready_at: Vec<u64> = if tracing { vec![now_ns(); plan.len()] } else { Vec::new() };
 
         let mut report = RunReport::default();
 
-        while let Some(id) = queue.pop_front() {
-            let mut st = states.remove(&id).expect("queued task has state");
-            let pt = plan.task(st.ix());
+        while let Some(ix) = queue.pop_front() {
+            let inputs = pending.take(ix).expect("queued task is pending");
+            let pt = plan.task(ix);
+            let id = pt.id();
             if tracing {
-                let now = now_ns();
-                let ready = ready_at.remove(&id).unwrap_or(now);
                 sink.record(
-                    TraceEvent::span(SpanKind::QueueWait, ready, now, 0, 0)
+                    TraceEvent::span(SpanKind::QueueWait, ready_at[ix as usize], now_ns(), 0, 0)
                         .with_task(id, pt.callback()),
                 );
             }
-            let inputs: Vec<Payload> = st.take();
             let cb = registry.get(pt.callback()).expect("preflight checked bindings");
             let outputs = &mut report.outputs;
             exec(pt, cb, &inputs, (0, 0), &*sink, &mut stats, |outs, stats| {
@@ -108,16 +81,10 @@ impl Controller for SerialController {
                             continue;
                         }
                         let send_start = if tracing { now_ns() } else { 0 };
-                        let dst_state = states.get_mut(&dst).ok_or_else(|| {
-                            ControllerError::Runtime(format!(
-                                "task {id} sent to unknown or already-executed task {dst}"
-                            ))
-                        })?;
-                        if !dst_state.deliver(plan.task(dst_state.ix()), id, payload.clone()) {
-                            return Err(ControllerError::Runtime(format!(
-                                "task {dst} has no free input slot for producer {id}"
-                            )));
-                        }
+                        let Some((c, _)) = route.input else {
+                            return Err(plan.unroutable(id, dst));
+                        };
+                        let ready = pending.deliver(id, c, payload.clone())?;
                         stats.local_messages += 1;
                         if tracing {
                             // In-memory move: no serialization, bytes = 0.
@@ -127,23 +94,18 @@ impl Controller for SerialController {
                                     .with_message(dst, 0),
                             );
                         }
-                        if dst_state.ready() {
+                        if ready {
                             if tracing {
-                                ready_at.insert(dst, now_ns());
+                                ready_at[c as usize] = now_ns();
                             }
-                            queue.push_back(dst);
+                            queue.push_back(c);
                         }
                     }
                 }
                 Ok(())
             })?;
         }
-
-        if !states.is_empty() {
-            let mut pending: Vec<TaskId> = states.keys().copied().collect();
-            pending.sort();
-            return Err(ControllerError::Deadlock { pending });
-        }
+        pending.drained()?;
 
         report.stats = stats;
         Ok(report)
@@ -178,10 +140,14 @@ pub fn canonical_outputs(report: &RunReport) -> BTreeMap<TaskId, Vec<crate::buff
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
+    use crate::controller::ControllerError;
     use crate::graph::ExplicitGraph;
     use crate::ids::CallbackId;
     use crate::payload::Blob;
+    use crate::sync::Mutex;
     use crate::task::Task;
 
     /// Diamond: 0 -> {1, 2} -> 3, external in at 0, external out at 3.
@@ -312,5 +278,91 @@ mod tests {
         let canon = canonical_outputs(&report);
         assert_eq!(canon.len(), 1);
         assert_eq!(canon[&TaskId(3)][0].as_ref(), &[7, 1, 7, 2]);
+    }
+
+    /// A sink keeping every event, in record order.
+    #[derive(Default)]
+    struct Spans(Mutex<Vec<TraceEvent>>);
+
+    impl TraceSink for Spans {
+        fn record(&self, event: TraceEvent) {
+            self.0.lock().push(event);
+        }
+    }
+
+    /// Leaves 9, 4, 6 and 1 (listed by `ids()` in that order, so plan
+    /// index and id disagree) each take one external input and feed task
+    /// 3, which `ids()` lists between them. With `stall`, one more slot of
+    /// task 3, and the one input of a trailing task 0, wait on the missing
+    /// task 42.
+    fn shuffled(stall: bool) -> ExplicitGraph {
+        let leaves = [9, 4, 6, 1].map(TaskId);
+        let leaf = |id| {
+            let mut t = Task::new(id, CallbackId(0));
+            t.incoming = vec![TaskId::EXTERNAL];
+            t.outgoing = vec![vec![TaskId(3)]];
+            t
+        };
+        let mut sink = Task::new(TaskId(3), CallbackId(0));
+        sink.incoming = leaves.to_vec();
+        if stall {
+            sink.incoming.push(TaskId(42));
+        }
+        sink.outgoing = vec![vec![TaskId::EXTERNAL]];
+        let mut tasks: Vec<Task> = leaves.into_iter().map(leaf).collect();
+        tasks.insert(2, sink);
+        if stall {
+            let mut orphan = Task::new(TaskId(0), CallbackId(0));
+            orphan.incoming = vec![TaskId(42)];
+            orphan.outgoing = vec![vec![TaskId::EXTERNAL]];
+            tasks.push(orphan);
+        }
+        ExplicitGraph::new(tasks, vec![CallbackId(0)])
+    }
+
+    fn first_input_registry() -> Registry {
+        let mut r = Registry::new();
+        r.register(CallbackId(0), |inputs, _| vec![inputs[0].clone()]);
+        r
+    }
+
+    fn leaf_inputs() -> InitialInputs {
+        [9, 4, 6, 1].map(|id| (TaskId(id), vec![Payload::wrap(Blob(vec![id as u8]))])).into()
+    }
+
+    #[test]
+    fn initial_ready_tasks_run_in_id_order_not_plan_order() {
+        let g = shuffled(false);
+        let map = crate::taskmap::ModuloMap::new(1, 10);
+        let plan = ShardPlan::build(&g, &map);
+        let plan_order: Vec<u64> = plan.tasks().iter().map(|pt| pt.id().0).collect();
+        assert_eq!(plan_order, [9, 4, 3, 6, 1]);
+        let spans = Arc::new(Spans::default());
+        let report = SerialController::new()
+            .run_traced(&g, &map, &first_input_registry(), leaf_inputs(), spans.clone())
+            .unwrap();
+        let ran: Vec<u64> = spans
+            .0
+            .lock()
+            .iter()
+            .filter(|e| e.kind == SpanKind::TaskExec)
+            .map(|e| e.task.0)
+            .collect();
+        assert_eq!(ran, [1, 4, 6, 9, 3]);
+        // Task 3's first slot is wired to task 9.
+        assert_eq!(report.outputs[&TaskId(3)][0].extract::<Blob>().unwrap().0, vec![9]);
+    }
+
+    #[test]
+    fn a_lenient_stall_reports_pending_tasks_in_id_order() {
+        let g = shuffled(true);
+        let map = crate::taskmap::ModuloMap::new(1, 43);
+        let plan = Arc::new(ShardPlan::build(&g, &map).lenient());
+        let err = SerialController::new()
+            .with_plan(plan)
+            .run(&g, &map, &first_input_registry(), leaf_inputs())
+            .unwrap_err();
+        let ControllerError::Deadlock { pending } = &err else { panic!("got {err}") };
+        assert_eq!(pending, &[TaskId(0), TaskId(3)]);
     }
 }

@@ -97,16 +97,6 @@ pub(crate) fn map_regions(rt: &LegionRuntime, plan: &ShardPlan, mut initial: Ini
     }
 }
 
-/// The error for a route whose consumer slot the plan could not resolve
-/// (only a lenient plan has such routes), worded as the serial backend
-/// words it.
-fn unroutable(plan: &ShardPlan, src: TaskId, dst: TaskId) -> ControllerError {
-    ControllerError::Runtime(match plan.index_of(dst) {
-        None => format!("task {src} sent to unknown or already-executed task {dst}"),
-        Some(_) => format!("task {dst} has no free input slot for producer {src}"),
-    })
-}
-
 /// Build the fully owned single-task launcher for plan task `ix`.
 ///
 /// `barriers` holds, per region, the phase barrier gating it (empty in
@@ -153,7 +143,7 @@ pub(crate) fn build_task_launcher(
                             continue;
                         }
                         let Some((consumer, slot)) = route.input else {
-                            return Err(unroutable(&plan, pt.id(), route.dst));
+                            return Err(plan.unroutable(pt.id(), route.dst));
                         };
                         let region = plan.slot_base(consumer) + slot;
                         let send_start = if tracing { now_ns() } else { 0 };

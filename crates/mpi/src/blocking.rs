@@ -96,7 +96,7 @@ fn blocking_rank_main(
             // Drain whatever the reliable layer has restored to order.
             let delivered = state.receive(rel, &mut unused_ready)?;
             unused_ready.clear();
-            let ready = state.buffers[&task_id].ready();
+            let ready = state.pending.is_ready(task_ix);
             state.settle(rel, ready, delivered);
             if ready {
                 break;
@@ -105,7 +105,7 @@ fn blocking_rank_main(
             rel.wait();
         }
 
-        let inputs = state.buffers.remove(&task_id).expect("scheduled task buffered").take();
+        let inputs = state.pending.take(task_ix).expect("scheduled task buffered");
         if tracing {
             // For the blocking baseline, "queue wait" is the blocking-recv
             // phase: time the static schedule stalled on this task's inputs.
@@ -117,7 +117,7 @@ fn blocking_rank_main(
         let cb = registry.get(pt.callback()).expect("preflight checked bindings");
         exec(pt, cb, &inputs, (my_rank, 0), sink, &mut stats, |outs, stats| {
             stats.tasks_executed += 1;
-            let remote = encode_remote(pt, &outs, (my_rank, 0), sink);
+            let remote = encode_remote(plan, pt, &outs, (my_rank, 0), sink)?;
             state.route(rel, pt, outs, remote, 0, stats, &mut unused_ready)
         })?;
         unused_ready.clear();

@@ -48,14 +48,13 @@
 //! its tasks unrun. A worker that panics outside the callback fails the
 //! rank at once.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use babelflow_core::sync::{Mutex, WorkPool};
 use babelflow_core::trace::{now_ns, SpanKind, TraceEvent, TraceSink};
 use babelflow_core::{
-    exec, BytesMut, Controller, ControllerError, InitialInputs, Payload, PlanTask, Registry,
-    Result, RunReport, RunStats, ShardPlan, TaskId,
+    exec, BytesMut, Controller, ControllerError, InitialInputs, Payload, Registry, Result,
+    RunReport, RunStats, ShardId, ShardPlan,
 };
 
 use crate::comm::FaultPlan;
@@ -134,14 +133,18 @@ struct WorkItem {
 /// Everything a rank's control thread and its workers share, behind the
 /// one rank lock.
 struct Core<'r, 'a> {
+    plan: &'a ShardPlan,
     state: RankState<'a>,
     rel: &'r mut ReliableEndpoint,
     pool: WorkPool<WorkItem>,
     tracing: bool,
-    /// Dispatched tasks whose completion has not been observed yet: plan
-    /// index and inputs, retained to hand the task back if its worker
-    /// dies (idempotent re-execution).
-    inflight: HashMap<TaskId, (u32, Vec<Payload>)>,
+    /// Per local slot ([`ShardPlan::local_slot`]): the inputs of a
+    /// dispatched task whose completion has not been observed yet,
+    /// retained to hand the task back if its worker dies (idempotent
+    /// re-execution).
+    inflight: Vec<Option<Vec<Payload>>>,
+    /// How many of `inflight` are there.
+    running: usize,
     stats: RunStats,
     /// The first error a worker hit; the control thread returns it.
     error: Option<ControllerError>,
@@ -156,16 +159,15 @@ impl Core<'_, '_> {
     /// with `delivered` messages retired (see [`RankState::settle`]).
     /// Each worker the fault plan kills gets one of the rank's first
     /// tasks pinned to it, so its death, and the hand-back, always happen.
-    fn dispatch(&mut self, ready: Vec<TaskId>, delivered: u64) {
+    fn dispatch(&mut self, ready: Vec<u32>, delivered: u64) {
         let ready_ns = if self.tracing { now_ns() } else { 0 };
-        for id in ready {
-            if let Some(mut buf) = self.state.buffers.remove(&id) {
-                let ix = buf.ix();
-                let inputs = buf.take();
+        for ix in ready {
+            if let Some(inputs) = self.state.pending.take(ix) {
                 // The retained (hand-back) copy is the one input clone
                 // dispatch costs.
                 self.stats.perf.payload_clones += inputs.len() as u64;
-                self.inflight.insert(id, (ix, inputs.clone()));
+                self.inflight[self.plan.local_slot(ix)] = Some(inputs.clone());
+                self.running += 1;
                 let item = WorkItem { ix, inputs, ready_ns };
                 match self.doomed.pop() {
                     Some(worker) => self.pool.push_to(worker as usize, item),
@@ -173,24 +175,27 @@ impl Core<'_, '_> {
                 }
             }
         }
-        self.state.settle(self.rel, !self.inflight.is_empty(), delivered);
+        self.state.settle(self.rel, self.running > 0, delivered);
     }
 
-    /// Record a worker's completion of `pt`: route its outputs (remote
-    /// ones already serialized) and dispatch the consumers that became
-    /// ready. Removal from `inflight` is the exactly-once check.
+    /// Record a worker's completion of the task at plan index `ix`: route
+    /// its outputs (remote ones already serialized) and dispatch the
+    /// consumers that became ready. Removal from `inflight` is the
+    /// exactly-once check.
     fn complete(
         &mut self,
-        pt: &PlanTask,
+        ix: u32,
         outs: Vec<Payload>,
         remote: Vec<(usize, BytesMut)>,
         worker: u32,
     ) -> Result<()> {
-        if self.inflight.remove(&pt.id()).is_none() {
+        if self.inflight[self.plan.local_slot(ix)].take().is_none() {
             return Ok(());
         }
+        self.running -= 1;
         self.stats.tasks_executed += 1;
         let mut ready = Vec::new();
+        let pt = self.plan.task(ix);
         self.state.route(self.rel, pt, outs, remote, worker, &mut self.stats, &mut ready)?;
         self.dispatch(ready, 0);
         if self.done() {
@@ -201,16 +206,17 @@ impl Core<'_, '_> {
 
     /// Whether every task of the rank has completed.
     fn done(&self) -> bool {
-        self.state.buffers.is_empty() && self.inflight.is_empty()
+        self.state.pending.is_empty() && self.running == 0
     }
 
-    /// Re-queue the task a dead worker held, from its retained inputs.
-    fn hand_back(&mut self, id: TaskId) {
-        if let Some((ix, inputs)) = self.inflight.get(&id) {
+    /// Re-queue the task a dead worker held (plan index `ix`), from its
+    /// retained inputs.
+    fn hand_back(&mut self, ix: u32) {
+        if let Some(inputs) = &self.inflight[self.plan.local_slot(ix)] {
             self.stats.recovery.retries += 1;
             self.stats.perf.payload_clones += inputs.len() as u64;
             let ready_ns = if self.tracing { now_ns() } else { 0 };
-            self.pool.push(WorkItem { ix: *ix, inputs: inputs.clone(), ready_ns });
+            self.pool.push(WorkItem { ix, inputs: inputs.clone(), ready_ns });
         }
     }
 
@@ -230,8 +236,8 @@ impl Core<'_, '_> {
 struct WorkerExit<'c, 'r, 'a> {
     core: &'c Mutex<Core<'r, 'a>>,
     worker: u32,
-    /// The task this worker holds, if any.
-    holding: Option<TaskId>,
+    /// Plan index of the task this worker holds, if any.
+    holding: Option<u32>,
 }
 
 impl Drop for WorkerExit<'_, '_, '_> {
@@ -239,8 +245,8 @@ impl Drop for WorkerExit<'_, '_, '_> {
         if std::thread::panicking() {
             let msg = format!("worker {} panicked", self.worker);
             self.core.lock().fail(ControllerError::Runtime(msg));
-        } else if let Some(id) = self.holding {
-            self.core.lock().hand_back(id);
+        } else if let Some(ix) = self.holding {
+            self.core.lock().hand_back(ix);
         }
     }
 }
@@ -285,11 +291,13 @@ pub(crate) fn rank_main(
     }
     let pool: WorkPool<WorkItem> = WorkPool::new(workers);
     let core = Mutex::new(Core {
+        plan,
+        inflight: (0..plan.local(ShardId(my_rank)).len()).map(|_| None).collect(),
+        running: 0,
         state,
         rel,
         pool: pool.clone(),
         tracing,
-        inflight: HashMap::new(),
         stats: RunStats::default(),
         error: None,
         doomed: kills.iter().rev().copied().collect(),
@@ -308,7 +316,7 @@ pub(crate) fn rank_main(
                 let row = (my_rank, worker);
                 while let Some(WorkItem { ix, inputs, ready_ns }) = pool.recv(worker as usize) {
                     let pt = plan.task(ix);
-                    exit.holding = Some(pt.id());
+                    exit.holding = Some(ix);
                     if kills.contains(&worker) {
                         // Injected worker death: die holding the task just
                         // picked up; `exit` hands it back.
@@ -324,10 +332,10 @@ pub(crate) fn rank_main(
                     let mut stats = RunStats::default();
                     let done = exec(pt, cb, &inputs, row, sink, &mut stats, |outs, stats| {
                         // Serialize before taking the lock.
-                        let remote = encode_remote(pt, &outs, row, sink);
+                        let remote = encode_remote(plan, pt, &outs, row, sink)?;
                         let mut core = core.lock();
                         core.stats.merge(&std::mem::take(stats));
-                        if let Err(e) = core.complete(pt, outs, remote, worker) {
+                        if let Err(e) = core.complete(ix, outs, remote, worker) {
                             core.fail(e);
                         }
                         Ok(())
@@ -346,12 +354,11 @@ pub(crate) fn rank_main(
         // unwind included; the scope's join needs them to exit.
         let _close = ClosePool(&pool);
 
-        let mut ready: Vec<TaskId> = {
-            let core = core.lock();
-            core.state.buffers.iter().filter(|(_, b)| b.ready()).map(|(&id, _)| id).collect()
-        };
-        ready.sort();
-        core.lock().dispatch(ready, 0);
+        {
+            let mut core = core.lock();
+            let ready = core.state.pending.ready();
+            core.dispatch(ready, 0);
+        }
 
         let mut woke_with = None;
         loop {

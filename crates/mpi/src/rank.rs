@@ -10,7 +10,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use babelflow_core::trace::{now_ns, SpanKind, TraceEvent, TraceSink, CONTROL_THREAD};
 use babelflow_core::{
-    BytesMut, ControllerError, InitialInputs, Payload, PlanBuffer, PlanTask, Result, RunReport,
+    BytesMut, ControllerError, InitialInputs, Payload, Pending, PlanTask, Result, RunReport,
     RunStats, ShardId, ShardPlan, TaskId,
 };
 
@@ -41,8 +41,9 @@ where
     // and receives only the initial inputs local to it.
     let mut rank_inputs: Vec<InitialInputs> = (0..nranks).map(|_| HashMap::new()).collect();
     for (task, payloads) in initial {
-        let shard = plan.task_by_id(task).expect("preflight checked inputs").shard;
-        rank_inputs[shard.0 as usize].insert(task, payloads);
+        // Rank 0 rejects an input for a task the plan does not know.
+        let shard = plan.task_by_id(task).map_or(0, |pt| pt.shard.0 as usize);
+        rank_inputs[shard].insert(task, payloads);
     }
 
     let body = &body;
@@ -122,17 +123,26 @@ fn rank_outcome(rank: usize, joined: std::thread::Result<RankOutcome>) -> RankOu
 /// [`DataflowMsg::encode_frame`]). This needs none of the rank's state,
 /// so a worker runs it before it takes the rank's lock. Each encoding is
 /// one `MsgSend` span on `row`, sized without the sequence room.
+/// A route that fills no consumer slot, local or remote, fails the task
+/// here ([`ShardPlan::unroutable`]), before any output moves.
 pub(crate) fn encode_remote(
+    plan: &ShardPlan,
     pt: &PlanTask,
     outs: &[Payload],
     row: (u32, u32),
     sink: &dyn TraceSink,
-) -> Vec<(usize, BytesMut)> {
+) -> Result<Vec<(usize, BytesMut)>> {
     let tracing = sink.enabled();
     let mut bodies = Vec::new();
     for (slot, payload) in outs.iter().enumerate() {
         for route in &pt.routes[slot] {
-            if route.is_external() || route.shard == pt.shard {
+            if route.is_external() {
+                continue;
+            }
+            if route.input.is_none() {
+                return Err(plan.unroutable(pt.id(), route.dst));
+            }
+            if route.shard == pt.shard {
                 continue;
             }
             let start = if tracing { now_ns() } else { 0 };
@@ -147,15 +157,15 @@ pub(crate) fn encode_remote(
             bodies.push((route.shard.0 as usize, frame));
         }
     }
-    bodies
+    Ok(bodies)
 }
 
 /// One rank's dataflow state.
 pub(crate) struct RankState<'a> {
     plan: &'a ShardPlan,
     shard: ShardId,
-    /// Input buffers of the rank's tasks that have not run yet.
-    pub(crate) buffers: HashMap<TaskId, PlanBuffer>,
+    /// The rank's tasks that have not been taken up yet.
+    pub(crate) pending: Pending<'a>,
     /// External outputs of the rank's tasks.
     pub(crate) outputs: BTreeMap<TaskId, Vec<Payload>>,
     /// Whether the rank holds its unit of the world's work; it starts so.
@@ -173,26 +183,12 @@ impl<'a> RankState<'a> {
         sink: &'a dyn TraceSink,
     ) -> Result<Self> {
         let shard = ShardId(rel.rank() as u32);
-        let mut buffers: HashMap<TaskId, PlanBuffer> = plan
-            .local(shard)
-            .iter()
-            .map(|&ix| (plan.task(ix).id(), PlanBuffer::new(plan, ix)))
-            .collect();
+        let mut pending = Pending::local(plan, shard);
         for (task, payloads) in initial {
-            let buf = buffers.get_mut(&task).ok_or_else(|| {
-                ControllerError::Runtime(format!("initial input for non-local task {task}"))
-            })?;
-            let pt = plan.task(buf.ix());
-            for p in payloads {
-                if !buf.deliver(pt, TaskId::EXTERNAL, p) {
-                    return Err(ControllerError::Runtime(format!(
-                        "too many initial inputs for {task}"
-                    )));
-                }
-            }
+            pending.deliver_initial(task, payloads)?;
         }
-        let tracing = sink.enabled();
-        Ok(RankState { plan, shard, buffers, outputs: BTreeMap::new(), busy: true, sink, tracing })
+        let (outputs, tracing) = (BTreeMap::new(), sink.enabled());
+        Ok(RankState { plan, shard, pending, outputs, busy: true, sink, tracing })
     }
 
     fn rank(&self) -> u32 {
@@ -206,7 +202,7 @@ impl<'a> RankState<'a> {
     pub(crate) fn receive(
         &mut self,
         rel: &mut ReliableEndpoint,
-        ready: &mut Vec<TaskId>,
+        ready: &mut Vec<u32>,
     ) -> Result<u64> {
         let mut arrived = 0;
         while let Some((src_rank, _tag, body)) = rel.pop_ready() {
@@ -214,19 +210,9 @@ impl<'a> RankState<'a> {
             let msg = DataflowMsg::decode(&body).ok_or_else(|| {
                 ControllerError::Runtime(format!("malformed message from rank {src_rank}"))
             })?;
-            let buf = self.buffers.get_mut(&msg.dst_task).ok_or_else(|| {
-                ControllerError::Runtime(format!(
-                    "message for unknown/finished task {}",
-                    msg.dst_task
-                ))
-            })?;
-            let dst_pt = self.plan.task(buf.ix());
-            if !buf.deliver(dst_pt, msg.src_task, Payload::Buffer(msg.payload)) {
-                return Err(ControllerError::Runtime(format!(
-                    "unexpected delivery {} -> {}",
-                    msg.src_task, msg.dst_task
-                )));
-            }
+            let (src, dst) = (msg.src_task, msg.dst_task);
+            let ix = self.plan.index_of(dst).ok_or_else(|| self.plan.unroutable(src, dst))?;
+            let became_ready = self.pending.deliver(src, ix, Payload::Buffer(msg.payload))?;
             if self.tracing {
                 self.sink.record(
                     TraceEvent::span(
@@ -236,12 +222,12 @@ impl<'a> RankState<'a> {
                         self.shard.0,
                         CONTROL_THREAD,
                     )
-                    .with_task(msg.dst_task, dst_pt.callback())
-                    .with_message(msg.src_task, body.len() as u64),
+                    .with_task(dst, self.plan.task(ix).callback())
+                    .with_message(src, body.len() as u64),
                 );
             }
-            if buf.ready() {
-                ready.push(msg.dst_task);
+            if became_ready {
+                ready.push(ix);
             }
             arrived += 1;
         }
@@ -271,9 +257,8 @@ impl<'a> RankState<'a> {
     pub(crate) fn check_world(&self, rel: &ReliableEndpoint) -> Result<()> {
         let comm = rel.comm();
         if comm.quiescent() {
-            let mut pending: Vec<TaskId> = self.buffers.keys().copied().collect();
-            pending.sort();
-            return Err(ControllerError::Deadlock { pending });
+            // The rank is waiting, so some task of it is pending.
+            self.pending.drained()?;
         }
         comm.failed().map_or(Ok(()), |r| Err(ControllerError::Runtime(format!("rank {r} failed"))))
     }
@@ -293,7 +278,7 @@ impl<'a> RankState<'a> {
         remote: Vec<(usize, BytesMut)>,
         thread: u32,
         stats: &mut RunStats,
-        ready: &mut Vec<TaskId>,
+        ready: &mut Vec<u32>,
     ) -> Result<()> {
         let (id, sink, rank) = (pt.id(), self.sink, self.rank());
         for (slot, payload) in outs.into_iter().enumerate() {
@@ -304,21 +289,14 @@ impl<'a> RankState<'a> {
                     stats.perf.payload_clones += 1;
                 } else if route.shard == self.shard {
                     let send_start = if self.tracing { now_ns() } else { 0 };
-                    let buf = self.buffers.get_mut(&dst).ok_or_else(|| {
-                        ControllerError::Runtime(format!(
-                            "local consumer {dst} missing or already executed"
-                        ))
-                    })?;
-                    if !buf.deliver(self.plan.task(buf.ix()), id, payload.clone()) {
-                        return Err(ControllerError::Runtime(format!(
-                            "unexpected local delivery {id} -> {dst}"
-                        )));
+                    let Some((c, _)) = route.input else {
+                        return Err(self.plan.unroutable(id, dst));
+                    };
+                    if self.pending.deliver(id, c, payload.clone())? {
+                        ready.push(c);
                     }
                     stats.perf.payload_clones += 1;
                     stats.local_messages += 1;
-                    if buf.ready() {
-                        ready.push(dst);
-                    }
                     if self.tracing {
                         // In-memory move: no serialization, bytes = 0.
                         sink.record(

@@ -12,10 +12,7 @@
 //! Every construction in this crate uses the same order, so trees computed
 //! from different decompositions of the same field agree exactly.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-use babelflow_core::{codec::DecodeError, Decoder, Encoder, PayloadData};
+use babelflow_core::{codec::DecodeError, Decoder, Encoder, IdMap, PayloadData};
 
 use crate::unionfind::UnionFind;
 
@@ -60,36 +57,9 @@ fn order_key(v: f32) -> u32 {
     }
 }
 
-/// Multiply–xorshift hasher for vertex ids: one multiply and one shift
-/// per `u64`, where the default SipHash costs tens of cycles. Vertex ids
-/// are not attacker-controlled, so no flooding resistance is needed.
-#[derive(Default)]
-struct VertexHasher(u64);
-
-impl Hasher for VertexHasher {
-    #[inline]
-    fn write_u64(&mut self, x: u64) {
-        let h = (self.0 ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 = h ^ (h >> 32);
-    }
-
-    /// Folds arbitrary bytes as little-endian `u64` words, the last one
-    /// zero-padded.
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// Vertex id → node index, hashed with [`VertexHasher`].
-type VertexIndex = HashMap<u64, u32, BuildHasherDefault<VertexHasher>>;
+/// Vertex id → node index, hashed with core's [`IdHasher`](babelflow_core::IdHasher):
+/// vertex ids are not attacker-controlled, so SipHash's cost buys nothing.
+type VertexIndex = IdMap<u64, u32>;
 
 impl MergeTree {
     /// Number of nodes.
@@ -384,19 +354,21 @@ impl PayloadData for MergeTree {
 mod tests {
     use std::hash::BuildHasher;
 
+    use babelflow_core::IdBuildHasher;
+
     use super::*;
 
     #[test]
     fn vertex_hasher_folds_byte_keys() {
         // `write` is reached by any key that is not a bare integer; it
         // must fold every byte, the tail of a partial word included.
-        let build = BuildHasherDefault::<VertexHasher>::default();
+        let build = IdBuildHasher::default();
         let keys: Vec<Vec<u8>> = (0..20u8).map(|n| (0..n).collect()).collect();
         let hashes: std::collections::HashSet<u64> =
             keys.iter().map(|k| build.hash_one(k.as_slice())).collect();
         assert_eq!(hashes.len(), keys.len());
         assert_ne!(build.hash_one("vertex"), build.hash_one("vertey"));
-        let mut map: HashMap<String, usize, BuildHasherDefault<VertexHasher>> = HashMap::default();
+        let mut map: IdMap<String, usize> = IdMap::default();
         for (i, k) in ["a", "b", "a longer key than one word"].iter().enumerate() {
             map.insert(k.to_string(), i);
         }

@@ -10,12 +10,10 @@
 //! controller's canonical output. A divergence means a callback is
 //! order-sensitive: it observes arrival order, global state, or time.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use babelflow_core::controller::{ControllerError, InitialInputs, Result, RunReport};
-use babelflow_core::ids::TaskId;
-use babelflow_core::plan::{PlanBuffer, ShardPlan};
+use babelflow_core::plan::{Pending, ShardPlan};
 use babelflow_core::rng::Rng;
 use babelflow_core::{canonical_outputs, Controller, Registry, SerialController, TaskGraph, TaskMap};
 
@@ -97,44 +95,19 @@ fn run_permuted(
 ) -> Result<RunReport> {
     let mut rng = Rng::seed_from_u64(seed);
 
-    let mut states: HashMap<TaskId, PlanBuffer> = plan
-        .tasks()
-        .iter()
-        .map(|pt| {
-            let ix = plan.index_of(pt.id()).expect("plan indexes its own ids");
-            (pt.id(), PlanBuffer::new(plan, ix))
-        })
-        .collect();
-
-    for (&id, payloads) in &initial {
-        let st = states
-            .get_mut(&id)
-            .ok_or_else(|| ControllerError::Runtime(format!("initial input for unknown task {id}")))?;
-        let pt = plan.task(st.ix());
-        for p in payloads {
-            if !st.deliver(pt, TaskId::EXTERNAL, p.clone()) {
-                return Err(ControllerError::Runtime(format!(
-                    "too many initial inputs for task {id}"
-                )));
-            }
-        }
+    let mut pending = Pending::all(plan);
+    for (id, payloads) in initial {
+        pending.deliver_initial(id, payloads)?;
     }
-
-    let mut ready: Vec<TaskId> = {
-        let mut ids: Vec<TaskId> =
-            states.iter().filter(|(_, st)| st.ready()).map(|(&id, _)| id).collect();
-        ids.sort();
-        ids
-    };
+    let mut ready = pending.ready();
 
     let mut report = RunReport::default();
     while !ready.is_empty() {
-        let pick = rng.random_range(0..ready.len());
-        let id = ready.swap_remove(pick);
-        let mut st = states.remove(&id).expect("ready task has state");
-        let pt = plan.task(st.ix());
+        let ix = ready.swap_remove(rng.random_range(0..ready.len()));
+        let pt = plan.task(ix);
+        let id = pt.id();
         let cb = registry.get(pt.callback()).expect("preflight checked bindings");
-        let outputs = cb(st.take(), id);
+        let outputs = cb(pending.take(ix).expect("ready task is pending"), id);
         report.stats.tasks_executed += 1;
 
         if outputs.len() != pt.fan_out() {
@@ -147,34 +120,20 @@ fn run_permuted(
 
         for (slot, payload) in outputs.into_iter().enumerate() {
             for route in &pt.routes[slot] {
-                let dst = route.dst;
-                if dst.is_external() {
+                if route.is_external() {
                     report.outputs.entry(id).or_default().push(payload.clone());
                     continue;
                 }
-                let dst_state = states.get_mut(&dst).ok_or_else(|| {
-                    ControllerError::Runtime(format!(
-                        "task {id} sent to unknown or already-executed task {dst}"
-                    ))
-                })?;
-                let dst_pt = plan.task(dst_state.ix());
-                if !dst_state.deliver(dst_pt, id, payload.clone()) {
-                    return Err(ControllerError::Runtime(format!(
-                        "task {dst} has no free input slot for producer {id}"
-                    )));
+                let Some((c, _)) = route.input else {
+                    return Err(plan.unroutable(id, route.dst));
+                };
+                if pending.deliver(id, c, payload.clone())? {
+                    ready.push(c);
                 }
                 report.stats.local_messages += 1;
-                if dst_state.ready() {
-                    ready.push(dst);
-                }
             }
         }
     }
-
-    if !states.is_empty() {
-        let mut pending: Vec<TaskId> = states.keys().copied().collect();
-        pending.sort();
-        return Err(ControllerError::Deadlock { pending });
-    }
+    pending.drained()?;
     Ok(report)
 }

@@ -10,9 +10,9 @@ use babelflow::core::proptest_lite::prelude::*;
 use babelflow::core::rng::Rng;
 use babelflow::core::{
     canonical_outputs, inject_panics, quiet_panic_hook, run_serial, Blob, CallbackId, ChainGraph,
-    Controller, ControllerError, DiagnosticCode, FaultPlan, FnMap, Link, ModuloMap, OffsetGraph,
-    Payload, Registry, Severity, ShardId, ShardPlan, SpanKind, TaskGraph, TaskId, TaskMap,
-    TraceEvent, TraceSink, PANIC_MARKER,
+    Controller, ControllerError, DiagnosticCode, ExplicitGraph, FaultPlan, FnMap, Link, ModuloMap,
+    OffsetGraph, Payload, Registry, Severity, ShardId, ShardPlan, SpanKind, Task, TaskGraph,
+    TaskId, TaskMap, TraceEvent, TraceSink, PANIC_MARKER,
 };
 use babelflow::graphs::{BinarySwap, Broadcast, KWayMerge, NeighborGraph, Reduction};
 
@@ -434,6 +434,54 @@ fn broken_contracts_are_rejected_alike_by_every_backend() {
                         if rep.of_code(defect).any(|d| d.severity == Severity::Error) => {}
                     other => panic!("{defect} on {mode} {name}: expected {defect}, got {other:?}"),
                 }
+            }
+        }
+    }
+}
+
+/// The diamond 0 -> {1, 2} -> 3 with one defect a lenient plan keeps: an
+/// edge its consumer does not accept, so its route fills no input slot.
+fn unroutable_diamond(defect: &str) -> ExplicitGraph {
+    let task = |id: u64, incoming: Vec<u64>, outgoing: Vec<u64>| {
+        let mut t = Task::new(TaskId(id), CallbackId(0));
+        t.incoming = incoming.into_iter().map(TaskId).collect();
+        t.outgoing = vec![outgoing.into_iter().map(TaskId).collect()];
+        t
+    };
+    let ext = TaskId::EXTERNAL.0;
+    let mut tasks = vec![
+        task(0, vec![ext], vec![1, 2]),
+        task(1, vec![0], vec![3]),
+        task(2, vec![0], vec![3]),
+        task(3, vec![1, 2], vec![ext]),
+    ];
+    match defect {
+        "missing consumer" => tasks[0].outgoing[0].push(TaskId(76)),
+        "one route too many" => tasks[1].outgoing[0].push(TaskId(3)),
+        _ => unreachable!("{defect}"),
+    }
+    ExplicitGraph::new(tasks, vec![CallbackId(0)])
+}
+
+/// A route the plan resolved to no consumer slot fails the run with the
+/// same error on every backend, before the message is delivered or sent,
+/// instead of a backend-specific one or a dropped message and `Ok`.
+#[test]
+fn unroutable_edges_fail_alike_on_every_backend() {
+    let mut reg = Registry::new();
+    reg.register(CallbackId(0), |inputs, _| vec![inputs[0].clone()]);
+    let map = ModuloMap::new(2, 4);
+    let init: HashMap<TaskId, Vec<Payload>> = [(TaskId(0), vec![pay(5)])].into();
+    for (defect, expected) in [
+        ("missing consumer", "task 0 sent to unknown or already-executed task 76"),
+        ("one route too many", "task 3 has no free input slot for producer 1"),
+    ] {
+        let g = unroutable_diamond(defect);
+        let plan = Arc::new(ShardPlan::build(&g, &map).lenient());
+        for (name, mut ctrl) in six_backends(Some(plan)) {
+            match ctrl.run(&g, &map, &reg, init.clone()) {
+                Err(ControllerError::Runtime(msg)) if msg == expected => {}
+                other => panic!("{defect} on {name}: expected \"{expected}\", got {other:?}"),
             }
         }
     }

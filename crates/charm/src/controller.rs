@@ -131,9 +131,7 @@ impl Controller for CharmController {
 
         let mut bootstrap = Vec::new();
         for (task, payloads) in initial {
-            let ix = plan.index_of(task).ok_or_else(|| {
-                ControllerError::Runtime(format!("initial input for unknown task {task}"))
-            })?;
+            let ix = plan.index_of(task).expect("preflight checked initial inputs");
             for p in payloads {
                 bootstrap.push((ix, TaskId::EXTERNAL, p));
             }

@@ -214,8 +214,10 @@ pub enum ControllerError {
     /// flawed dataflow anyway and observe the failure where it actually
     /// bites.
     LintRejected(VerifyReport),
-    /// `initial` is missing inputs for a task with external input slots, or
-    /// supplies the wrong number of payloads.
+    /// `initial` is missing inputs for a task with external input slots,
+    /// supplies the wrong number of payloads, or supplies payloads for a
+    /// task with no external slot or for no task of the plan (`expected`
+    /// 0 either way).
     BadInitialInputs {
         /// The offending task.
         task: TaskId,

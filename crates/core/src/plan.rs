@@ -405,8 +405,12 @@ impl ShardPlan {
 
     /// Plan-based preflight, with zero graph queries: the lint computed
     /// at build time plus the registry-dependent BF004 pass
-    /// ([`lint_bindings`](lint::lint_bindings)), then external-input arity.
-    /// Any `Error`-level diagnostic rejects the run with
+    /// ([`lint_bindings`](lint::lint_bindings)), then external-input arity:
+    /// each input task gets exactly one payload per external slot, and a
+    /// key of `initial` for any other task, known or not, is
+    /// [`BadInitialInputs`](ControllerError::BadInitialInputs) unless its
+    /// list is empty for a known task. Any `Error`-level diagnostic
+    /// rejects the run with
     /// [`LintRejected`](ControllerError::LintRejected) — on a
     /// [`lenient`](Self::lenient) plan, only a
     /// [contract](DiagnosticCode::is_contract) one.
@@ -431,7 +435,24 @@ impl ShardPlan {
                 });
             }
         }
-        Ok(())
+        // Every input task has its key now, so any further key is a task
+        // with no external slot or no task at all: find the smallest.
+        if initial.len() == self.inputs.len() {
+            return Ok(());
+        }
+        let expected = |id| self.task_by_id(id).map(|pt| pt.external_inputs);
+        let extra = initial
+            .iter()
+            .filter(|&(&id, payloads)| expected(id).is_none_or(|n| payloads.len() > n))
+            .min_by_key(|&(&id, _)| id);
+        match extra {
+            Some((&task, payloads)) => Err(ControllerError::BadInitialInputs {
+                task,
+                expected: expected(task).unwrap_or(0),
+                got: payloads.len(),
+            }),
+            None => Ok(()),
+        }
     }
 
     /// A deterministic topological execution order, as plan indices:
@@ -580,22 +601,23 @@ impl<'p> Pending<'p> {
         self.buffers.get_mut(slot)?.as_mut().filter(|b| b.ix() == ix)
     }
 
-    /// Deliver the host's `payloads` to task `task`.
+    /// Deliver the host's `payloads` to task `task`, which
+    /// [`ShardPlan::preflight`] has checked; a task not in this set is a
+    /// [`Runtime`](ControllerError::Runtime) error.
     pub fn deliver_initial(
         &mut self,
         task: TaskId,
         payloads: impl IntoIterator<Item = Payload>,
     ) -> Result<()> {
         let plan = self.plan;
-        let runtime = |what| Err(ControllerError::Runtime(format!("{what} {task}")));
-        let Some(ix) = plan.index_of(task) else {
-            return runtime("initial input for unknown task");
+        let ix = plan.index_of(task).expect("preflight checked initial inputs");
+        let Some(buf) = self.buffer(ix) else {
+            let msg = format!("initial input for non-local task {task}");
+            return Err(ControllerError::Runtime(msg));
         };
-        let Some(buf) = self.buffer(ix) else { return runtime("initial input for non-local task") };
         for p in payloads {
-            if !buf.deliver(plan.task(ix), TaskId::EXTERNAL, p) {
-                return runtime("too many initial inputs for task");
-            }
+            let delivered = buf.deliver(plan.task(ix), TaskId::EXTERNAL, p);
+            assert!(delivered, "preflight checked initial inputs");
         }
         Ok(())
     }

@@ -38,16 +38,19 @@ impl Controller for SerialController {
         &mut self,
         plan: &Arc<ShardPlan>,
         registry: &Registry,
-        initial: InitialInputs,
+        mut initial: InitialInputs,
         sink: Arc<dyn TraceSink>,
     ) -> Result<RunReport> {
         let mut stats = RunStats::default();
         let tracing = sink.enabled();
 
         let mut pending = Pending::all(plan);
-        for (&id, payloads) in &initial {
-            stats.perf.payload_clones += payloads.len() as u64;
-            pending.deliver_initial(id, payloads.iter().cloned())?;
+        // Move the payloads but keep the emptied lists until `initial`
+        // drops after the run: freeing `dispatch`'s 4,096 one-payload
+        // lists here made its runs ~14% slower (likely because the run's
+        // own small allocations then reuse scattered blocks).
+        for (&id, payloads) in &mut initial {
+            pending.deliver_initial(id, payloads.drain(..))?;
         }
         // Seed the ready queue in id order so execution order is
         // reproducible.

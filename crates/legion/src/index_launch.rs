@@ -22,7 +22,7 @@ use babelflow_core::trace::TraceSink;
 use babelflow_core::{Controller, InitialInputs, Registry, Result, RunReport, ShardPlan};
 
 use crate::runtime::LegionRuntime;
-use crate::spmd::{build_task_launcher, finish, map_regions, Sinks};
+use crate::spmd::{finish, map_regions, requirements};
 
 /// Legion-style index-launch controller.
 #[derive(Clone, Debug)]
@@ -72,6 +72,25 @@ pub fn crawl_rounds(plan: &ShardPlan) -> Vec<Vec<u32>> {
     rounds
 }
 
+/// One index-launch run on `rt`: one index launch per round, all staged
+/// by this (parent) thread. No task map: every point runs on "rank" 0.
+pub(crate) fn run(
+    rt: &LegionRuntime<u32>,
+    plan: &ShardPlan,
+    registry: &Registry,
+    initial: InitialInputs,
+) -> Result<RunReport> {
+    map_regions(rt, plan, initial);
+    for round in crawl_rounds(plan) {
+        let mut batch = rt.launch_batch();
+        for ix in round {
+            let (reads, waits) = requirements(plan, ix, &[]);
+            batch.launch(ix, reads, waits);
+        }
+    }
+    finish(rt, plan, registry, &[], false)
+}
+
 impl Controller for LegionIndexLaunchController {
     fn execute(
         &mut self,
@@ -80,19 +99,7 @@ impl Controller for LegionIndexLaunchController {
         initial: InitialInputs,
         sink: Arc<dyn TraceSink>,
     ) -> Result<RunReport> {
-        let rt = LegionRuntime::with_sink(self.workers, sink);
-        map_regions(&rt, plan, initial);
-        let no_barriers = Arc::new(Vec::new());
-        let sinks = Sinks::new(plan);
-
-        // One index launch per round, all staged by this (parent) thread.
-        // No task map: every point runs on "rank" 0.
-        for round in crawl_rounds(plan) {
-            rt.index_launch("round", round.len() as u64, |p| {
-                build_task_launcher(plan, round[p as usize], registry, &no_barriers, &sinks, 0)
-            });
-        }
-        finish(&rt, plan, &sinks)
+        run(&LegionRuntime::with_sink(self.workers, sink), plan, registry, initial)
     }
 
     fn name(&self) -> &'static str {

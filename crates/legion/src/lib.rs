@@ -15,9 +15,7 @@ pub mod runtime;
 pub mod spmd;
 
 pub use index_launch::{crawl_rounds, LegionIndexLaunchController};
-pub use runtime::{
-    LegionRuntime, LegionStats, PhaseBarrier, TaskBody, TaskCtx, TaskLauncher, WaitOutcome,
-};
+pub use runtime::{LaunchBatch, LegionRuntime, LegionStats, TaskCtx, WaitOutcome};
 pub use spmd::LegionSpmdController;
 
 #[cfg(test)]
@@ -220,6 +218,28 @@ mod tests {
         let map = babelflow_graphs::MergeTreeMap::new(g.clone(), 3);
         let report = LegionSpmdController::new(3).run(&g, &map, &reg, inputs).unwrap();
         assert_eq!(canonical_outputs(&report), canonical_outputs(&serial));
+    }
+
+    #[test]
+    fn state_locks_are_one_per_task_read_and_one_per_internal_write() {
+        // Reduction(64, 4) has 85 tasks and 84 internal routes. Set-up
+        // takes 2 locks (create the regions, attach the inputs) and the
+        // end-of-run check 1. SPMD adds the barriers, the must-epoch
+        // launch and one batch per shard (4); index launch one batch per
+        // round (4). A lock per input or per launcher would show here.
+        let g = Reduction::new(64, 4);
+        let plan = ShardPlan::build(&g, &ModuloMap::new(4, g.size() as u64));
+        let reg = sum_registry();
+        type Run = fn(&LegionRuntime<u32>, &ShardPlan, &Registry, InitialInputs)
+            -> babelflow_core::Result<babelflow_core::RunReport>;
+        for (name, run, submission) in [
+            ("spmd", spmd::run as Run, 1 + 1 + 4),
+            ("index launch", index_launch::run, 4),
+        ] {
+            let rt = LegionRuntime::new(2);
+            run(&rt, &plan, &reg, reduction_inputs(&g)).unwrap();
+            assert_eq!(rt.stats().state_locks, 85 + 84 + 2 + 1 + submission, "{name}");
+        }
     }
 
     /// Both Legion controllers with default settings, as boxed backends.

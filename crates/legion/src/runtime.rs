@@ -10,8 +10,9 @@
 //!
 //! * **logical regions**, numbered densely by
 //!   [`LegionRuntime::create_regions`], and their physical instances (a
-//!   [`Payload`] written once into the region store). The controllers
-//!   create one region per consumer input slot of the plan;
+//!   [`Payload`] written once into the region store and moved out by its
+//!   one reader). The controllers create one region per consumer input
+//!   slot of the plan;
 //! * **region requirements**: a launcher declares the regions it reads;
 //!   the runtime derives execution dependencies from data, not from
 //!   explicit task edges;
@@ -25,84 +26,40 @@
 //!   consumer operations when data is ready" — modeled as trigger-once
 //!   events usable as launch preconditions, with no global synchronization.
 //!
-//! Scheduling is join counting. A pending launcher holds the number of its
-//! reads and barrier waits not yet met; the first write of a region and
-//! the trigger of a barrier decrement the counter of every launcher
-//! waiting on it, and a launcher whose counter reaches zero is pushed into
-//! the workers' [`WorkPool`]. [`LegionRuntime::wait_all`] runs the workers
-//! until that pool is idle, an exact condition, not a timer: no task is
-//! queued and no worker is running one. The run has then completed if no
-//! launcher is still pending and has stalled otherwise.
+//! A launcher is an *item* of the runtime's type parameter `T` — the
+//! controllers launch a task's `u32` plan index — plus the regions it
+//! reads and the barriers it waits on, passed as iterators and never
+//! stored. One handler, given to [`LegionRuntime::wait_all`], runs every
+//! item, so a launch allocates no body and the handler borrows whatever
+//! the run needs.
+//!
+//! Scheduling is join counting under one state lock. A pending launcher
+//! holds the number of its reads and barrier waits not yet met, and waits
+//! in one flat intrusive list: each region and each barrier has the head
+//! of its waiters' chain in a shared link table. The first write of a
+//! region and the trigger of a barrier walk that chain and decrement each
+//! waiter's counter; a launcher whose counter reaches zero is pushed into
+//! the workers' [`WorkPool`]. The per-task work takes the state lock once
+//! to read all of a task's inputs and once per region write (with its
+//! barrier arrival); a batch of launchers and each set-up step take it
+//! once in all ([`LegionStats::state_locks`]).
+//!
+//! [`LegionRuntime::wait_all`] runs the workers until that pool is idle,
+//! an exact condition, not a timer: no task is queued and no worker is
+//! running one. The run has then completed if no launcher is still pending
+//! and has stalled otherwise.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use babelflow_core::sync::{Mutex, PoolStats, WorkPool};
-use babelflow_core::trace::{
-    noop_sink, now_ns, SpanKind, TraceEvent, TraceSink, CONTROL_THREAD, HOST_RANK,
-};
-use babelflow_core::{CallbackId, Payload, TaskId};
+use babelflow_core::sync::{Mutex, MutexGuard, PoolStats, WorkPool};
+use babelflow_core::trace::{noop_sink, now_ns, TraceSink, CONTROL_THREAD};
+use babelflow_core::Payload;
 
-/// A phase barrier handle: generation 0, a fixed arrival count.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct PhaseBarrier {
-    /// Barrier identity, dense from 0 in creation order.
-    pub id: u32,
-    /// Arrivals needed to trigger.
-    pub arrivals: u32,
-}
-
-/// The body of a launched task. It receives a [`TaskCtx`] to read its input
-/// regions, write its output regions, arrive at barriers, and launch
-/// subtasks.
-pub type TaskBody = Box<dyn FnOnce(&TaskCtx<'_>) + Send>;
-
-/// A single-task launcher.
-pub struct TaskLauncher {
-    /// Debug name.
-    pub name: &'static str,
-    /// Regions the task reads: it runs once each has a physical instance.
-    pub reads: Vec<u32>,
-    /// Phase barriers the task waits on (SPMD cross-shard edges).
-    pub barriers: Vec<u32>,
-    /// The task body.
-    pub body: TaskBody,
-    /// Dataflow task id this launcher executes, for trace attribution
-    /// (`u64::MAX` for launchers that are not dataflow tasks, e.g. SPMD
-    /// shard tasks — their queue waits are recorded unattributed).
-    pub trace_task: u64,
-}
-
-impl TaskLauncher {
-    /// A launcher with the given name and body and no requirements yet.
-    pub fn new(name: &'static str, body: TaskBody) -> Self {
-        TaskLauncher {
-            name,
-            reads: Vec::new(),
-            barriers: Vec::new(),
-            body,
-            trace_task: u64::MAX,
-        }
-    }
-
-    /// Attribute this launcher's trace events to a dataflow task.
-    pub fn with_trace_task(mut self, task: u64) -> Self {
-        self.trace_task = task;
-        self
-    }
-
-    /// Add a read requirement on `region`.
-    pub fn add_read(mut self, region: u32) -> Self {
-        self.reads.push(region);
-        self
-    }
-
-    /// Add a phase-barrier wait.
-    pub fn add_barrier_wait(mut self, barrier: u32) -> Self {
-        self.barriers.push(barrier);
-        self
-    }
-}
+/// Wait-list end, and the head of a list nobody waits on yet.
+const NIL: u32 = u32::MAX;
+/// Head of the list of a region written or a barrier triggered: a wait on
+/// it is met at once.
+const MET: u32 = u32::MAX - 1;
 
 /// How a [`LegionRuntime::wait_all`] ended.
 ///
@@ -115,11 +72,11 @@ impl TaskLauncher {
 pub enum WaitOutcome {
     /// Every outstanding task completed.
     Completed,
-    /// No task is ready or running, yet some are outstanding; `pending`
-    /// names the tasks still waiting on preconditions.
+    /// No task is ready or running, yet some are outstanding;
+    /// [`LegionRuntime::stalled`] names them.
     Stalled {
-        /// Debug names of tasks whose preconditions never triggered.
-        pending: Vec<&'static str>,
+        /// Launchers whose preconditions never triggered.
+        pending: usize,
     },
     /// The runtime has no workers, so outstanding tasks can never run.
     NoWorkers {
@@ -147,69 +104,85 @@ impl WaitOutcome {
 pub struct LegionStats {
     /// Individual tasks launched (points count individually).
     pub tasks_launched: u64,
-    /// Launcher objects processed (an index launch is one).
+    /// Launches processed: a single-task launch, an index launch, a
+    /// shard task's batch and a must-epoch launch count one each.
     pub launches: u64,
+    /// Acquisitions of the state lock by set-up, launches, reads, writes,
+    /// arrivals and the end-of-run check; [`LegionRuntime::stats`] does
+    /// not count. Exact for a given run: it depends on no thread timing.
+    pub state_locks: u64,
     /// The workers' pool (timing-dependent).
     pub pool: PoolStats,
 }
 
-struct BarrierState {
-    needed: u32,
-    arrived: u32,
-    /// Pending launchers waiting for the trigger.
-    waiters: Vec<u32>,
+struct Barrier {
+    /// Arrivals still needed to trigger.
+    remaining: u32,
+    /// Head of the waiters' chain in [`SchedState::links`].
+    first_waiter: u32,
 }
 
-struct PendingTask {
-    name: &'static str,
-    body: TaskBody,
-    /// Join counter: reads and barrier waits not yet met.
-    unmet: u32,
-    trace_task: u64,
-}
-
-/// A task whose preconditions are all met, queued in the worker pool.
-struct ReadyTask {
-    body: TaskBody,
-    trace_task: u64,
-    /// [`now_ns`] when the task became ready (0 when tracing is off).
+/// An item whose preconditions are all met, queued in the worker pool.
+struct Ready<T> {
+    item: T,
+    /// [`now_ns`] when the item became ready (0 when tracing is off).
     ready_ns: u64,
 }
 
-struct SchedState {
-    /// Physical instance of each logical region, `None` until written.
+struct SchedState<T> {
+    /// Physical instance of each logical region, `None` until written and
+    /// again once its reader took it.
     regions: Vec<Option<Payload>>,
-    /// Per region: the pending launchers waiting for its first write.
-    readers: Vec<Vec<u32>>,
-    barriers: Vec<BarrierState>,
-    /// Launchers with unmet preconditions (`None` once queued).
-    pending: Vec<Option<PendingTask>>,
-    /// Ready tasks, pushed under this state's lock: the lock order is
-    /// state, then pool. A worker takes its own lane first and steals
-    /// when it runs dry, so a burst of triggers on one lane cannot idle
-    /// the rest of the pool.
-    pool: WorkPool<ReadyTask>,
-    /// Cached `sink.enabled()`, so state updates can stamp ready times
-    /// without reaching the sink through `Inner`.
+    /// Per region: the head of its readers' chain in `links`, or [`MET`]
+    /// once written.
+    first_reader: Vec<u32>,
+    barriers: Vec<Barrier>,
+    /// Every region's and barrier's wait list, as `(launcher, next)`
+    /// links.
+    links: Vec<(u32, u32)>,
+    /// Launchers with unmet preconditions, by launch number: the item and
+    /// its join counter (`None` once queued).
+    pending: Vec<Option<(T, u32)>>,
+    /// Ready items, pushed under this state's lock: the lock order is
+    /// state, then pool.
+    pool: WorkPool<Ready<T>>,
+    /// Cached `sink.enabled()`, so state updates can stamp ready times.
     tracing: bool,
+    tasks_launched: u64,
+    launches: u64,
+    locks: u64,
 }
 
-impl SchedState {
-    fn queue(&mut self, body: TaskBody, trace_task: u64) {
+/// Link `launcher` into the wait list headed by `head`; returns 1 if it
+/// now waits, 0 if the list was already met.
+fn park(head: &mut u32, links: &mut Vec<(u32, u32)>, launcher: u32) -> u32 {
+    if *head == MET {
+        return 0;
+    }
+    links.push((launcher, *head));
+    *head = links.len() as u32 - 1;
+    1
+}
+
+impl<T> SchedState<T> {
+    fn queue(&mut self, item: T) {
         let ready_ns = if self.tracing { now_ns() } else { 0 };
-        self.pool.push(ReadyTask { body, trace_task, ready_ns });
+        self.pool.push(Ready { item, ready_ns });
     }
 
-    /// Decrement the join counter of each waiter, queuing those that reach
-    /// zero.
-    fn release(&mut self, waiters: Vec<u32>) {
-        for idx in waiters {
-            let p = self.pending[idx as usize].as_mut().expect("waiters are pending");
-            p.unmet -= 1;
-            if p.unmet == 0 {
-                let p = self.pending[idx as usize].take().expect("checked above");
-                self.queue(p.body, p.trace_task);
+    /// Decrement the join counter of each launcher on the chain starting
+    /// at `link`, queuing those that reach zero.
+    fn release(&mut self, mut link: u32) {
+        while link != NIL {
+            let (launcher, next) = self.links[link as usize];
+            let slot = &mut self.pending[launcher as usize];
+            let (_, unmet) = slot.as_mut().expect("waiters are pending");
+            *unmet -= 1;
+            if *unmet == 0 {
+                let (item, _) = slot.take().expect("checked above");
+                self.queue(item);
             }
+            link = next;
         }
     }
 
@@ -218,306 +191,328 @@ impl SchedState {
             .regions
             .get_mut(region as usize)
             .unwrap_or_else(|| panic!("write of unknown region {region}"));
-        if instance.replace(payload).is_none() {
-            let readers = std::mem::take(&mut self.readers[region as usize]);
-            self.release(readers);
+        *instance = Some(payload);
+        let head = std::mem::replace(&mut self.first_reader[region as usize], MET);
+        if head != MET {
+            self.release(head);
         }
     }
 
     fn arrive(&mut self, barrier: u32) {
         let b = self.barriers.get_mut(barrier as usize).expect("arrive at unknown barrier");
-        b.arrived += 1;
-        if b.arrived == b.needed {
-            let waiters = std::mem::take(&mut b.waiters);
-            self.release(waiters);
+        if b.remaining == 0 {
+            return;
+        }
+        b.remaining -= 1;
+        if b.remaining == 0 {
+            let head = std::mem::replace(&mut b.first_waiter, MET);
+            self.release(head);
         }
     }
 
     /// Dependence analysis: count the launcher's unmet preconditions and
     /// either queue it or park it on each one.
-    fn submit(&mut self, launcher: TaskLauncher) {
-        let idx = self.pending.len() as u32;
+    fn submit(
+        &mut self,
+        item: T,
+        reads: impl IntoIterator<Item = u32>,
+        waits: impl IntoIterator<Item = u32>,
+    ) {
+        self.tasks_launched += 1;
+        let launcher = self.pending.len() as u32;
         let mut unmet = 0;
-        for &r in &launcher.reads {
-            let written = self
-                .regions
-                .get(r as usize)
-                .unwrap_or_else(|| panic!("read of unknown region {r}"))
-                .is_some();
-            if !written {
-                unmet += 1;
-                self.readers[r as usize].push(idx);
-            }
+        for r in reads {
+            let head = self
+                .first_reader
+                .get_mut(r as usize)
+                .unwrap_or_else(|| panic!("read of unknown region {r}"));
+            unmet += park(head, &mut self.links, launcher);
         }
-        for &b in &launcher.barriers {
+        for b in waits {
             let b = self.barriers.get_mut(b as usize).expect("wait on unknown barrier");
-            if b.arrived < b.needed {
-                unmet += 1;
-                b.waiters.push(idx);
-            }
+            unmet += park(&mut b.first_waiter, &mut self.links, launcher);
         }
         if unmet == 0 {
-            self.queue(launcher.body, launcher.trace_task);
-            return;
+            self.queue(item);
+        } else {
+            self.pending.push(Some((item, unmet)));
         }
-        self.pending.push(Some(PendingTask {
-            name: launcher.name,
-            body: launcher.body,
-            unmet,
-            trace_task: launcher.trace_task,
-        }));
     }
 }
 
-struct Inner {
-    state: Mutex<SchedState>,
-    stats_tasks: AtomicU64,
-    stats_launches: AtomicU64,
+/// The Legion-like runtime: a worker pool executing launched items as
+/// their region/barrier preconditions trigger.
+pub struct LegionRuntime<T> {
+    state: Mutex<SchedState<T>>,
+    /// The handle of the pool in `state`, for the workers.
+    pool: WorkPool<Ready<T>>,
     sink: Arc<dyn TraceSink>,
-}
-
-impl Inner {
-    /// Submit a launcher: dependence analysis + enqueue. This work runs on
-    /// the caller's thread — the parent pays.
-    fn submit(&self, launcher: TaskLauncher) {
-        self.stats_tasks.fetch_add(1, Ordering::Relaxed);
-        self.state.lock().submit(launcher);
-    }
-}
-
-/// The Legion-like runtime: a worker pool executing launched tasks as their
-/// region/barrier preconditions trigger.
-pub struct LegionRuntime {
-    inner: Arc<Inner>,
     workers: usize,
 }
 
-/// Handle passed to executing task bodies.
-pub struct TaskCtx<'a> {
-    inner: &'a Inner,
-    worker: u32,
-}
-
-impl TaskCtx<'_> {
+/// What a handler gets with each item it runs.
+pub struct TaskCtx<'a, T> {
+    /// The runtime, to read and write regions, arrive and launch subtasks.
+    pub runtime: &'a LegionRuntime<T>,
     /// The worker thread running this task, the trace row's thread.
     /// Must-epoch tasks run outside the pool and report
     /// [`CONTROL_THREAD`].
-    pub fn worker(&self) -> u32 {
-        self.worker
-    }
+    pub worker: u32,
+    /// [`now_ns`] when the item became ready, for a queue-wait span (0
+    /// when tracing is off, and for must-epoch tasks).
+    pub ready_ns: u64,
+}
 
-    /// Read the physical instance of a region declared as a read.
-    ///
-    /// # Panics
-    /// If the region has no physical instance (dependence analysis
-    /// guarantees it does for declared reads).
-    pub fn read_region(&self, region: u32) -> Payload {
-        self.inner.state.lock().regions[region as usize]
-            .clone()
-            .unwrap_or_else(|| panic!("read of unmapped region {region}"))
-    }
+/// Launchers submitted under one acquisition of the state lock, held until
+/// the batch is dropped: one index launch, or the single-task launchers one
+/// shard task stages. The submitting thread pays for the dependence
+/// analysis — the parent pays.
+pub struct LaunchBatch<'a, T> {
+    state: MutexGuard<'a, SchedState<T>>,
+}
 
-    /// Write the physical instance of a region, triggering dependents.
-    pub fn write_region(&self, region: u32, payload: Payload) {
-        self.inner.state.lock().write(region, payload);
-    }
-
-    /// Arrive at a phase barrier; triggers it when the arrival count is
-    /// reached.
-    pub fn arrive(&self, barrier: u32) {
-        self.inner.state.lock().arrive(barrier);
-    }
-
-    /// Launch a subtask from inside a task (recursive spawning). The
-    /// staging cost is attributed to this (parent) task.
-    pub fn launch(&self, launcher: TaskLauncher) {
-        self.inner.submit(launcher);
-    }
-
-    /// The runtime's trace sink, so task bodies can emit execution spans
-    /// on the same timeline as the runtime's queue-wait events.
-    pub fn trace_sink(&self) -> &dyn TraceSink {
-        &*self.inner.sink
-    }
-
-    /// Whether tracing is live (callers skip clock reads when not).
-    pub fn tracing(&self) -> bool {
-        self.inner.sink.enabled()
-    }
-
-    /// Whether a phase barrier has triggered (for polling shard tasks).
-    pub fn barrier_triggered(&self, barrier: u32) -> bool {
-        let st = self.inner.state.lock();
-        let b = &st.barriers[barrier as usize];
-        b.arrived >= b.needed
+impl<T> LaunchBatch<'_, T> {
+    /// Launch `item`, which runs once every region in `reads` has been
+    /// written and every barrier in `waits` has triggered.
+    pub fn launch(
+        &mut self,
+        item: T,
+        reads: impl IntoIterator<Item = u32>,
+        waits: impl IntoIterator<Item = u32>,
+    ) {
+        self.state.submit(item, reads, waits);
     }
 }
 
-impl LegionRuntime {
+impl<T: Send> LegionRuntime<T> {
     /// A runtime executing on `workers` threads.
     pub fn new(workers: usize) -> Self {
         Self::with_sink(workers, noop_sink())
     }
 
-    /// A runtime recording queue-wait spans into `sink` (task bodies reach
-    /// the same sink through [`TaskCtx::trace_sink`]).
+    /// A runtime whose handlers reach `sink` through
+    /// [`trace_sink`](Self::trace_sink), with ready times stamped when it
+    /// is enabled.
     ///
     /// Zero workers is allowed: launches are accepted but nothing runs,
     /// and [`wait_all`](Self::wait_all) reports
     /// [`WaitOutcome::NoWorkers`].
     pub fn with_sink(workers: usize, sink: Arc<dyn TraceSink>) -> Self {
-        let tracing = sink.enabled();
-        let inner = Arc::new(Inner {
-            state: Mutex::new(SchedState {
-                regions: Vec::new(),
-                readers: Vec::new(),
-                barriers: Vec::new(),
-                pending: Vec::new(),
-                pool: WorkPool::new(workers),
-                tracing,
-            }),
-            stats_tasks: AtomicU64::new(0),
-            stats_launches: AtomicU64::new(0),
-            sink,
+        let pool = WorkPool::new(workers);
+        let state = Mutex::new(SchedState {
+            regions: Vec::new(),
+            first_reader: Vec::new(),
+            barriers: Vec::new(),
+            links: Vec::new(),
+            pending: Vec::new(),
+            pool: pool.clone(),
+            tracing: sink.enabled(),
+            tasks_launched: 0,
+            launches: 0,
+            locks: 0,
         });
-        LegionRuntime { inner, workers }
+        LegionRuntime { state, pool, sink, workers }
+    }
+
+    /// Take the state lock, counting the acquisition.
+    fn lock(&self) -> MutexGuard<'_, SchedState<T>> {
+        let mut st = self.state.lock();
+        st.locks += 1;
+        st
+    }
+
+    /// The runtime's trace sink, so handlers can emit execution spans.
+    pub fn trace_sink(&self) -> &dyn TraceSink {
+        &*self.sink
     }
 
     /// Create `count` logical regions without physical instances; returns
     /// the number of the first (the rest follow densely).
     pub fn create_regions(&self, count: u32) -> u32 {
-        let mut st = self.inner.state.lock();
+        let mut st = self.lock();
         let first = st.regions.len();
         let end = first + count as usize;
         st.regions.resize(end, None);
-        st.readers.resize_with(end, Vec::new);
+        st.first_reader.resize(end, NIL);
         first as u32
     }
 
-    /// Create a phase barrier expecting `arrivals` arrivals.
-    pub fn create_barrier(&self, arrivals: u32) -> PhaseBarrier {
-        let mut st = self.inner.state.lock();
-        let id = st.barriers.len() as u32;
-        st.barriers.push(BarrierState { needed: arrivals, arrived: 0, waiters: Vec::new() });
-        PhaseBarrier { id, arrivals }
+    /// Create `count` phase barriers, each expecting `arrivals` arrivals;
+    /// returns the id of the first (the rest follow densely).
+    pub fn create_barriers(&self, count: u32, arrivals: u32) -> u32 {
+        let mut st = self.lock();
+        let first = st.barriers.len() as u32;
+        let first_waiter = if arrivals == 0 { MET } else { NIL };
+        let barrier = || Barrier { remaining: arrivals, first_waiter };
+        st.barriers.extend(std::iter::repeat_with(barrier).take(count as usize));
+        first
     }
 
-    /// Pre-populate a region's physical instance (external input data).
-    pub fn attach_region(&self, region: u32, payload: Payload) {
-        self.inner.state.lock().write(region, payload);
-    }
-
-    /// Launch a single task from the top level.
-    pub fn launch(&self, launcher: TaskLauncher) {
-        self.inner.stats_launches.fetch_add(1, Ordering::Relaxed);
-        self.inner.submit(launcher);
-    }
-
-    /// Index launch: one launcher object spawning a set of point tasks.
-    /// The per-point staging loop runs on the caller (parent) thread.
-    pub fn index_launch<F>(&self, name: &'static str, points: u64, mut point_launcher: F)
-    where
-        F: FnMut(u64) -> TaskLauncher,
-    {
-        self.inner.stats_launches.fetch_add(1, Ordering::Relaxed);
-        for p in 0..points {
-            let mut l = point_launcher(p);
-            l.name = name;
-            self.inner.submit(l);
+    /// Pre-populate regions' physical instances (external input data).
+    pub fn attach_regions(&self, instances: impl IntoIterator<Item = (u32, Payload)>) {
+        let mut st = self.lock();
+        for (region, payload) in instances {
+            st.write(region, payload);
         }
     }
 
-    /// Must-epoch launch: a set of tasks guaranteed to run concurrently
+    /// Move the physical instances of `regions` out into `into`, in order.
+    /// Each region has one reader, and it takes the data.
+    ///
+    /// # Panics
+    /// If a region has no physical instance (dependence analysis
+    /// guarantees one for a declared read that was not taken before).
+    pub fn take_regions(&self, regions: impl IntoIterator<Item = u32>, into: &mut Vec<Payload>) {
+        let mut st = self.lock();
+        into.extend(regions.into_iter().map(|r| {
+            st.regions[r as usize].take().unwrap_or_else(|| panic!("read of unmapped region {r}"))
+        }));
+    }
+
+    /// Write the physical instance of a region, triggering its readers,
+    /// and arrive at `barrier` if given, under one lock.
+    pub fn write_region(&self, region: u32, payload: Payload, barrier: Option<u32>) {
+        let mut st = self.lock();
+        st.write(region, payload);
+        if let Some(b) = barrier {
+            st.arrive(b);
+        }
+    }
+
+    /// Arrive at a phase barrier; triggers it when the arrival count is
+    /// reached.
+    pub fn arrive(&self, barrier: u32) {
+        self.lock().arrive(barrier);
+    }
+
+    /// Whether a phase barrier has triggered (for polling shard tasks).
+    pub fn barrier_triggered(&self, barrier: u32) -> bool {
+        self.lock().barriers[barrier as usize].remaining == 0
+    }
+
+    /// Start a batch of launches, counted as one launch.
+    pub fn launch_batch(&self) -> LaunchBatch<'_, T> {
+        let mut state = self.lock();
+        state.launches += 1;
+        LaunchBatch { state }
+    }
+
+    /// Launch a single task: a batch of one.
+    pub fn launch(
+        &self,
+        item: T,
+        reads: impl IntoIterator<Item = u32>,
+        waits: impl IntoIterator<Item = u32>,
+    ) {
+        self.launch_batch().launch(item, reads, waits);
+    }
+
+    /// Must-epoch launch: `tasks` tasks guaranteed to run concurrently
     /// (each gets a dedicated thread, outside the worker pool), so they may
-    /// synchronize with each other through phase barriers.
+    /// synchronize with each other through phase barriers. Task `i` runs
+    /// `body(ctx, i)`.
     ///
     /// Blocks until every epoch task has returned. Unlike single/index
     /// launches, epoch tasks run without runtime synchronization — exactly
     /// why the SPMD controller scales better.
-    pub fn must_epoch_launch(&self, tasks: Vec<TaskLauncher>) {
-        self.inner.stats_launches.fetch_add(1, Ordering::Relaxed);
+    pub fn must_epoch_launch(&self, tasks: u32, body: impl Fn(&TaskCtx<'_, T>, u32) + Sync) {
+        let mut st = self.lock();
+        st.launches += 1;
+        st.tasks_launched += u64::from(tasks);
+        drop(st);
+        let body = &body;
         std::thread::scope(|s| {
-            for t in tasks {
-                self.inner.stats_tasks.fetch_add(1, Ordering::Relaxed);
-                let inner = &*self.inner;
-                s.spawn(move || (t.body)(&TaskCtx { inner, worker: CONTROL_THREAD }));
+            for i in 0..tasks {
+                let ctx = TaskCtx { runtime: self, worker: CONTROL_THREAD, ready_ns: 0 };
+                s.spawn(move || body(&ctx, i));
             }
         });
     }
 
     /// Run worker threads until no task is queued or running, then report
-    /// whether everything launched completed. Call it after the top-level
+    /// whether everything launched completed, with each worker's final
+    /// state.
+    ///
+    /// Worker `w` starts with state `init(w)` and runs each item it pops
+    /// with `handle(&mut state, ctx, item)`. Call it after the top-level
     /// launches: from then on only running tasks can make a pending task
     /// ready, so an idle pool with a launcher still pending is a stall,
     /// detected at once and exactly. A worker thread that panics ends the
-    /// wait with [`WaitOutcome::WorkerPanicked`].
-    pub fn wait_all(&self) -> WaitOutcome {
-        let inner = &*self.inner;
-        let pool = inner.state.lock().pool.clone();
+    /// wait with [`WaitOutcome::WorkerPanicked`] and no states.
+    pub fn wait_all<S: Send>(
+        &self,
+        init: impl Fn(usize) -> S + Sync,
+        handle: impl Fn(&mut S, &TaskCtx<'_, T>, T) + Sync,
+    ) -> (WaitOutcome, Vec<S>) {
         if self.workers == 0 {
-            let outstanding = pool.len() + self.stalled_tasks().len();
-            return if outstanding == 0 {
-                WaitOutcome::Completed
-            } else {
-                WaitOutcome::NoWorkers { outstanding }
+            let outstanding = self.pool.len() + self.waiting();
+            return match outstanding {
+                0 => (WaitOutcome::Completed, Vec::new()),
+                _ => (WaitOutcome::NoWorkers { outstanding }, Vec::new()),
             };
         }
-        let run = pool.run_until_idle(
-            |_| (),
-            |_, worker, ReadyTask { body, trace_task, ready_ns }| {
-                let worker = worker as u32;
-                if trace_task != u64::MAX && inner.sink.enabled() {
-                    // The runtime has no shard notion; the task body records
-                    // its execution span with the controller's rank on this
-                    // worker's thread.
-                    inner.sink.record(
-                        TraceEvent::span(SpanKind::QueueWait, ready_ns, now_ns(), HOST_RANK, worker)
-                            .with_task(TaskId(trace_task), CallbackId(u32::MAX)),
-                    );
-                }
-                body(&TaskCtx { inner, worker });
+        let run = self.pool.run_until_idle(init, |state, worker, Ready { item, ready_ns }| {
+            handle(state, &TaskCtx { runtime: self, worker: worker as u32, ready_ns }, item);
+        });
+        match run {
+            Err(worker) => (WaitOutcome::WorkerPanicked { worker: worker as u32 }, Vec::new()),
+            Ok(states) => match self.waiting() {
+                0 => (WaitOutcome::Completed, states),
+                pending => (WaitOutcome::Stalled { pending }, states),
             },
-        );
-        if let Err(worker) = run {
-            return WaitOutcome::WorkerPanicked { worker: worker as u32 };
-        }
-        let pending = self.stalled_tasks();
-        if pending.is_empty() {
-            WaitOutcome::Completed
-        } else {
-            WaitOutcome::Stalled { pending }
         }
     }
 
-    /// Names of tasks still waiting on preconditions (diagnostics after a
-    /// stalled [`wait_all`](Self::wait_all)).
-    pub fn stalled_tasks(&self) -> Vec<&'static str> {
-        self.inner
-            .state
-            .lock()
-            .pending
-            .iter()
-            .flatten()
-            .map(|p| p.name)
-            .collect()
+    /// How many launchers still wait on preconditions.
+    fn waiting(&self) -> usize {
+        self.lock().pending.iter().flatten().count()
+    }
+
+    /// `name` of each launcher still waiting on preconditions, in launch
+    /// order (diagnostics after a stalled [`wait_all`](Self::wait_all)).
+    pub fn stalled<R>(&self, name: impl FnMut(&T) -> R) -> Vec<R> {
+        self.state.lock().pending.iter().flatten().map(|(item, _)| item).map(name).collect()
     }
 
     /// Snapshot of the runtime counters.
     pub fn stats(&self) -> LegionStats {
+        let st = self.state.lock();
         LegionStats {
-            tasks_launched: self.inner.stats_tasks.load(Ordering::Relaxed),
-            launches: self.inner.stats_launches.load(Ordering::Relaxed),
-            pool: self.inner.state.lock().pool.stats(),
+            tasks_launched: st.tasks_launched,
+            launches: st.launches,
+            state_locks: st.locks,
+            pool: self.pool.stats(),
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::{Duration, Instant};
 
     use super::*;
     use babelflow_core::Blob;
+
+    /// The unit tests' item: a named boxed closure, run by [`run`].
+    struct Body(&'static str, Closure);
+
+    type Closure = Box<dyn FnOnce(&TaskCtx<'_, Body>) + Send>;
+
+    fn body(name: &'static str, f: impl FnOnce(&TaskCtx<'_, Body>) + Send + 'static) -> Body {
+        Body(name, Box::new(f))
+    }
+
+    /// `wait_all` with the handler that calls each item's closure.
+    fn run(rt: &LegionRuntime<Body>) -> WaitOutcome {
+        rt.wait_all(|_| (), |_, ctx, Body(_, f)| f(ctx)).0
+    }
+
+    fn names(rt: &LegionRuntime<Body>) -> Vec<&'static str> {
+        rt.stalled(|b| b.0)
+    }
+
+    const NONE: [u32; 0] = [];
 
     fn pay(v: u64) -> Payload {
         Payload::wrap(Blob(v.to_le_bytes().to_vec()))
@@ -525,6 +520,13 @@ mod tests {
 
     fn val(p: &Payload) -> u64 {
         u64::from_le_bytes(p.extract::<Blob>().unwrap().0.as_slice().try_into().unwrap())
+    }
+
+    /// The value of region `r`, moved out.
+    fn take(ctx: &TaskCtx<'_, Body>, r: u32) -> u64 {
+        let mut inputs = Vec::new();
+        ctx.runtime.take_regions([r], &mut inputs);
+        val(&inputs[0])
     }
 
     #[test]
@@ -535,72 +537,51 @@ mod tests {
         // Consumer launched FIRST: must wait for producer's write.
         let r = rt.create_regions(1);
         let out2 = out.clone();
-        rt.launch(
-            TaskLauncher::new(
-                "consumer",
-                Box::new(move |ctx| {
-                    let v = val(&ctx.read_region(r));
-                    out2.lock().push(v + 1);
-                }),
-            )
-            .add_read(r),
-        );
-        rt.launch(TaskLauncher::new(
-            "producer",
-            Box::new(move |ctx| {
-                ctx.write_region(r, pay(41));
-            }),
-        ));
-        assert!(rt.wait_all().is_completed());
+        rt.launch(body("consumer", move |ctx| out2.lock().push(take(ctx, r) + 1)), [r], NONE);
+        let producer = body("producer", move |ctx| ctx.runtime.write_region(r, pay(41), None));
+        rt.launch(producer, NONE, NONE);
+        assert!(run(&rt).is_completed());
         assert_eq!(*out.lock(), vec![42]);
     }
 
     #[test]
     fn regions_are_numbered_densely() {
-        let rt = LegionRuntime::new(1);
+        let rt = LegionRuntime::<Body>::new(1);
         assert_eq!(rt.create_regions(3), 0);
         assert_eq!(rt.create_regions(2), 3);
         assert_eq!(rt.create_regions(0), 5);
         assert_eq!(rt.create_regions(1), 5);
-        assert_eq!((rt.create_barrier(1).id, rt.create_barrier(4).id), (0, 1));
+        assert_eq!((rt.create_barriers(1, 1), rt.create_barriers(2, 4)), (0, 1));
+        assert_eq!(rt.create_barriers(1, 1), 3);
     }
 
     #[test]
     fn attached_regions_are_immediately_ready() {
         let rt = LegionRuntime::new(1);
         let r = rt.create_regions(1);
-        rt.attach_region(r, pay(7));
-        let got = Arc::new(Mutex::new(0u64));
+        rt.attach_regions([(r, pay(7))]);
+        let got = Arc::new(AtomicU64::new(0));
         let got2 = got.clone();
-        rt.launch(
-            TaskLauncher::new(
-                "reader",
-                Box::new(move |ctx| {
-                    *got2.lock() = val(&ctx.read_region(r));
-                }),
-            )
-            .add_read(r),
-        );
-        assert!(rt.wait_all().is_completed());
-        assert_eq!(*got.lock(), 7);
+        let reader = body("reader", move |ctx| got2.store(take(ctx, r), Ordering::Relaxed));
+        rt.launch(reader, [r], NONE);
+        assert!(run(&rt).is_completed());
+        assert_eq!(got.load(Ordering::Relaxed), 7);
     }
 
     #[test]
     fn phase_barrier_gates_execution() {
         let rt = LegionRuntime::new(2);
-        let pb = rt.create_barrier(2);
+        let pb = rt.create_barriers(1, 2);
         let fired = Arc::new(Mutex::new(false));
         let fired2 = fired.clone();
-        rt.launch(
-            TaskLauncher::new("gated", Box::new(move |_| *fired2.lock() = true))
-                .add_barrier_wait(pb.id),
-        );
+        rt.launch(body("gated", move |_| *fired2.lock() = true), NONE, [pb]);
         // One arrival is not enough.
-        rt.launch(TaskLauncher::new("arrive1", Box::new(move |ctx| ctx.arrive(pb.id))));
-        std::thread::sleep(Duration::from_millis(50));
+        rt.launch(body("arrive1", move |ctx| ctx.runtime.arrive(pb)), NONE, NONE);
+        assert_eq!(run(&rt), WaitOutcome::Stalled { pending: 1 });
+        assert!(!*fired.lock());
         // Second arrival releases the gated task.
-        rt.launch(TaskLauncher::new("arrive2", Box::new(move |ctx| ctx.arrive(pb.id))));
-        assert!(rt.wait_all().is_completed());
+        rt.launch(body("arrive2", move |ctx| ctx.runtime.arrive(pb)), NONE, NONE);
+        assert!(run(&rt).is_completed());
         assert!(*fired.lock());
     }
 
@@ -610,48 +591,89 @@ mod tests {
         // three triggered, whatever order they trigger in.
         let rt = LegionRuntime::new(2);
         let r = rt.create_regions(2);
-        let pb = rt.create_barrier(1);
+        let pb = rt.create_barriers(1, 1);
         let sum = Arc::new(AtomicU64::new(0));
         let sum2 = sum.clone();
         rt.launch(
-            TaskLauncher::new(
-                "join",
-                Box::new(move |ctx| {
-                    let v = val(&ctx.read_region(r)) + val(&ctx.read_region(r + 1));
-                    sum2.store(v, Ordering::Relaxed);
-                }),
-            )
-            .add_read(r)
-            .add_read(r + 1)
-            .add_barrier_wait(pb.id),
-        );
-        rt.launch(TaskLauncher::new(
-            "second",
-            Box::new(move |ctx| {
-                ctx.write_region(r + 1, pay(20));
-                ctx.arrive(pb.id);
+            body("join", move |ctx| {
+                let mut inputs = Vec::new();
+                ctx.runtime.take_regions([r, r + 1], &mut inputs);
+                sum2.store(inputs.iter().map(val).sum(), Ordering::Relaxed);
             }),
-        ));
-        rt.attach_region(r, pay(3));
-        assert!(rt.wait_all().is_completed());
+            [r, r + 1],
+            [pb],
+        );
+        rt.launch(
+            body("second", move |ctx| ctx.runtime.write_region(r + 1, pay(20), Some(pb))),
+            NONE,
+            NONE,
+        );
+        rt.attach_regions([(r, pay(3))]);
+        assert!(run(&rt).is_completed());
         assert_eq!(sum.load(Ordering::Relaxed), 23);
+    }
+
+    #[test]
+    fn flat_wait_lists_release_each_waiter_once_in_any_trigger_order() {
+        // Items 0-2 read region r, items 3-4 wait on a two-arrival barrier
+        // and item 5 does both: whichever triggers first releases exactly
+        // its own waiters, and each item runs once.
+        for write_first in [true, false] {
+            let rt = LegionRuntime::<u32>::new(2);
+            let r = rt.create_regions(1);
+            let b = rt.create_barriers(1, 2);
+            let mut batch = rt.launch_batch();
+            for item in 0..3 {
+                batch.launch(item, [r], NONE);
+            }
+            for item in 3..5 {
+                batch.launch(item, NONE, [b]);
+            }
+            batch.launch(5, [r], [b]);
+            drop(batch);
+            let ran = || {
+                let (outcome, workers) = rt.wait_all(|_| Vec::new(), |ran, _, item| ran.push(item));
+                let mut ran = workers.concat();
+                ran.sort_unstable();
+                (outcome, ran)
+            };
+            let write = || rt.write_region(r, pay(1), None);
+            if write_first {
+                write();
+                assert_eq!(ran(), (WaitOutcome::Stalled { pending: 3 }, vec![0, 1, 2]));
+                rt.arrive(b);
+                assert_eq!(ran(), (WaitOutcome::Stalled { pending: 3 }, vec![]));
+                rt.arrive(b);
+                assert_eq!(ran(), (WaitOutcome::Completed, vec![3, 4, 5]));
+            } else {
+                rt.arrive(b);
+                assert_eq!(ran(), (WaitOutcome::Stalled { pending: 6 }, vec![]));
+                rt.arrive(b);
+                assert_eq!(ran(), (WaitOutcome::Stalled { pending: 4 }, vec![3, 4]));
+                write();
+                assert_eq!(ran(), (WaitOutcome::Completed, vec![0, 1, 2, 5]));
+            }
+            // A late trigger or a late waiter finds the lists met.
+            rt.write_region(r, pay(2), None);
+            rt.arrive(b);
+            rt.launch(6, [r], [b]);
+            assert_eq!(ran(), (WaitOutcome::Completed, vec![6]));
+        }
     }
 
     #[test]
     fn index_launch_spawns_all_points() {
         let rt = LegionRuntime::new(3);
         let sum = Arc::new(AtomicU64::new(0));
-        let sum2 = sum.clone();
-        rt.index_launch("points", 32, move |p| {
-            let sum = sum2.clone();
-            TaskLauncher::new(
-                "point",
-                Box::new(move |_| {
-                    sum.fetch_add(p, Ordering::Relaxed);
-                }),
-            )
-        });
-        assert!(rt.wait_all().is_completed());
+        let mut batch = rt.launch_batch();
+        for p in 0..32 {
+            let sum = sum.clone();
+            batch.launch(body("point", move |_| {
+                sum.fetch_add(p, Ordering::Relaxed);
+            }), NONE, NONE);
+        }
+        drop(batch);
+        assert!(run(&rt).is_completed());
         assert_eq!(sum.load(Ordering::Relaxed), (0..32).sum::<u64>());
         let stats = rt.stats();
         assert_eq!(stats.tasks_launched, 32);
@@ -660,70 +682,54 @@ mod tests {
 
     #[test]
     fn must_epoch_tasks_run_concurrently() {
-        // Two epoch tasks synchronize through a barrier: only possible if
+        // Two epoch tasks synchronize through barriers: only possible if
         // they truly run at the same time.
-        let rt = LegionRuntime::new(1);
-        let pb_ab = rt.create_barrier(1);
-        let pb_ba = rt.create_barrier(1);
-        let log = Arc::new(Mutex::new(Vec::<&str>::new()));
-        let (l1, l2) = (log.clone(), log.clone());
-        let a = TaskLauncher::new(
-            "shard-a",
-            Box::new(move |ctx| {
-                l1.lock().push("a-start");
-                ctx.arrive(pb_ab.id);
-                // Busy-wait for B's arrival through the region-free barrier:
-                // a must-epoch shard may block on its partner.
-                while !ctx.barrier_triggered(pb_ba.id) {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                l1.lock().push("a-end");
-            }),
-        );
-        let b = TaskLauncher::new(
-            "shard-b",
-            Box::new(move |ctx| {
-                l2.lock().push("b-start");
-                while !ctx.barrier_triggered(pb_ab.id) {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                ctx.arrive(pb_ba.id);
-                l2.lock().push("b-end");
-            }),
-        );
-        rt.must_epoch_launch(vec![a, b]);
+        let rt = LegionRuntime::<Body>::new(1);
+        let pb = rt.create_barriers(2, 1);
+        let log = Mutex::new(Vec::<&str>::new());
+        rt.must_epoch_launch(2, |ctx, shard| {
+            // Shard s arrives at barrier s and waits for its partner's;
+            // a must-epoch shard may block on its partner.
+            log.lock().push(["a-start", "b-start"][shard as usize]);
+            ctx.runtime.arrive(pb + shard);
+            while !ctx.runtime.barrier_triggered(pb + 1 - shard) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            log.lock().push(["a-end", "b-end"][shard as usize]);
+        });
         let log = log.lock();
         assert!(log.contains(&"a-end") && log.contains(&"b-end"));
+        assert_eq!((rt.stats().tasks_launched, rt.stats().launches), (2, 1));
     }
 
     #[test]
     fn stalled_run_reports_pending() {
         let rt = LegionRuntime::new(1);
         let r = rt.create_regions(1);
-        rt.launch(TaskLauncher::new("starved", Box::new(|_| {})).add_read(r));
+        rt.launch(body("starved", |_| {}), [r], NONE);
         let started = Instant::now();
-        let outcome = rt.wait_all();
+        let outcome = run(&rt);
         // Detected by counting, not by waiting out a timer.
         assert!(started.elapsed() < Duration::from_millis(100));
-        assert_eq!(outcome, WaitOutcome::Stalled { pending: vec!["starved"] });
-        assert_eq!(rt.stalled_tasks(), vec!["starved"]);
+        assert_eq!(outcome, WaitOutcome::Stalled { pending: 1 });
+        assert_eq!(names(&rt), vec!["starved"]);
     }
 
     #[test]
     fn stall_after_partial_progress_names_only_the_starved() {
-        // `fed` runs and writes one of the two regions `starved` reads;
-        // the pool then idles with `starved` outstanding.
+        // `fed` runs and writes one of the two regions `starved` reads,
+        // `late` waits on a barrier that never triggers; the pool then
+        // idles with both outstanding.
         let rt = LegionRuntime::new(2);
         let r = rt.create_regions(3);
-        rt.attach_region(r, pay(1));
-        rt.launch(
-            TaskLauncher::new("fed", Box::new(move |ctx| ctx.write_region(r + 1, pay(2))))
-                .add_read(r),
-        );
-        rt.launch(
-            TaskLauncher::new("starved", Box::new(|_| {})).add_read(r + 1).add_read(r + 2),
-        );
-        assert_eq!(rt.wait_all(), WaitOutcome::Stalled { pending: vec!["starved"] });
+        let pb = rt.create_barriers(1, 1);
+        rt.attach_regions([(r, pay(1))]);
+        rt.launch(body("fed", move |ctx| ctx.runtime.write_region(r + 1, pay(2), None)), [r], NONE);
+        rt.launch(body("starved", |_| {}), [r + 1, r + 2], NONE);
+        rt.launch(body("late", |_| {}), [r + 1], [pb]);
+        rt.launch(body("free", |_| {}), [r + 1], NONE);
+        assert_eq!(run(&rt), WaitOutcome::Stalled { pending: 2 });
+        assert_eq!(names(&rt), vec!["starved", "late"]);
     }
 
     #[test]
@@ -731,13 +737,11 @@ mod tests {
         babelflow_core::quiet_panic_hook();
         let rt = LegionRuntime::new(2);
         let r = rt.create_regions(1);
-        rt.launch(TaskLauncher::new("waits-forever", Box::new(|_| {})).add_read(r));
-        rt.launch(TaskLauncher::new(
-            "boom",
-            Box::new(|_| panic!("{}: worker dies", babelflow_core::PANIC_MARKER)),
-        ));
+        rt.launch(body("waits-forever", |_| {}), [r], NONE);
+        let boom = body("boom", |_| panic!("{}: worker dies", babelflow_core::PANIC_MARKER));
+        rt.launch(boom, NONE, NONE);
         let started = Instant::now();
-        let outcome = rt.wait_all();
+        let outcome = run(&rt);
         assert!(matches!(outcome, WaitOutcome::WorkerPanicked { .. }), "got {outcome:?}");
         assert!(started.elapsed() < Duration::from_secs(2));
     }
@@ -745,15 +749,28 @@ mod tests {
     #[test]
     fn zero_workers_is_reported_not_stalled() {
         let rt = LegionRuntime::new(0);
-        rt.launch(TaskLauncher::new("unrunnable", Box::new(|_| {})));
-        rt.launch(TaskLauncher::new("also-unrunnable", Box::new(|_| {})));
-        assert_eq!(rt.wait_all(), WaitOutcome::NoWorkers { outstanding: 2 });
+        rt.launch(body("unrunnable", |_| {}), NONE, NONE);
+        rt.launch(body("also-unrunnable", |_| {}), NONE, NONE);
+        assert_eq!(run(&rt), WaitOutcome::NoWorkers { outstanding: 2 });
+    }
+
+    #[test]
+    fn a_plan_index_launch_on_zero_workers_reports_no_workers() {
+        let rt = LegionRuntime::<u32>::new(0);
+        let r = rt.create_regions(1);
+        let mut batch = rt.launch_batch();
+        batch.launch(0, NONE, NONE);
+        batch.launch(1, [r], NONE);
+        drop(batch);
+        let (outcome, workers) = rt.wait_all(|_| (), |_, _, _| panic!("nothing runs"));
+        assert_eq!(outcome, WaitOutcome::NoWorkers { outstanding: 2 });
+        assert!(workers.is_empty());
     }
 
     #[test]
     fn zero_workers_with_nothing_launched_completes() {
         let rt = LegionRuntime::new(0);
-        assert!(rt.wait_all().is_completed());
+        assert!(run(&rt).is_completed());
     }
 
     #[test]
@@ -762,13 +779,10 @@ mod tests {
         let hits = Arc::new(AtomicU64::new(0));
         for _ in 0..2 {
             let h = hits.clone();
-            rt.launch(TaskLauncher::new(
-                "late",
-                Box::new(move |_| {
-                    h.fetch_add(1, Ordering::Relaxed);
-                }),
-            ));
-            assert!(rt.wait_all().is_completed());
+            rt.launch(body("late", move |_| {
+                h.fetch_add(1, Ordering::Relaxed);
+            }), NONE, NONE);
+            assert!(run(&rt).is_completed());
         }
         assert_eq!(hits.load(Ordering::Relaxed), 2);
     }
@@ -778,21 +792,21 @@ mod tests {
         let rt = LegionRuntime::new(2);
         let hits = Arc::new(AtomicU64::new(0));
         let hits2 = hits.clone();
-        rt.launch(TaskLauncher::new(
-            "parent",
-            Box::new(move |ctx| {
+        rt.launch(
+            body("parent", move |ctx| {
+                let mut batch = ctx.runtime.launch_batch();
                 for _ in 0..4 {
                     let h = hits2.clone();
-                    ctx.launch(TaskLauncher::new(
-                        "child",
-                        Box::new(move |_| {
-                            h.fetch_add(1, Ordering::Relaxed);
-                        }),
-                    ));
+                    batch.launch(body("child", move |_| {
+                h.fetch_add(1, Ordering::Relaxed);
+            }), NONE, NONE);
                 }
             }),
-        ));
-        assert!(rt.wait_all().is_completed());
+            NONE,
+            NONE,
+        );
+        assert!(run(&rt).is_completed());
         assert_eq!(hits.load(Ordering::Relaxed), 4);
+        assert_eq!((rt.stats().tasks_launched, rt.stats().launches), (5, 2));
     }
 }

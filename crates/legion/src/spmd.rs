@@ -24,17 +24,15 @@
 //! reported as [`ControllerError::Deadlock`] at once, with no timer.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use babelflow_core::sync::{Counter, Mutex};
-use babelflow_core::trace::{now_ns, SpanKind, TraceEvent, TraceSink};
+use babelflow_core::trace::{now_ns, SpanKind, TraceEvent, TraceSink, HOST_RANK};
 use babelflow_core::{
     exec, Controller, ControllerError, InitialInputs, Payload, Registry, Result, RunReport,
     RunStats, ShardId, ShardPlan, TaskId,
 };
 
-use crate::runtime::{LegionRuntime, TaskLauncher, WaitOutcome};
+use crate::runtime::{LegionRuntime, TaskCtx, WaitOutcome};
 
 /// Legion-style SPMD controller (must-epoch shards + phase barriers).
 #[derive(Clone, Debug)]
@@ -50,154 +48,129 @@ impl LegionSpmdController {
     }
 }
 
-/// Shared output/error sinks for task bodies.
-pub(crate) struct Sinks {
-    outputs: Mutex<BTreeMap<TaskId, Vec<Payload>>>,
-    /// Per plan index: whether the task completed.
-    executed: Vec<AtomicBool>,
-    error: Mutex<Option<ControllerError>>,
-    /// Callback re-executions after captured panics, surfaced as
-    /// `RunStats::recovery.retries`.
-    retries: Counter,
-    /// Payload clones (inputs handed to callbacks, outputs copied into
-    /// regions), surfaced as `PerfStats::payload_clones`.
-    clones: Counter,
-    /// Internal region writes, surfaced as `RunStats::local_messages`.
-    writes: Counter,
-}
-
-impl Sinks {
-    pub(crate) fn new(plan: &ShardPlan) -> Arc<Self> {
-        Arc::new(Sinks {
-            outputs: Mutex::default(),
-            executed: plan.tasks().iter().map(|_| AtomicBool::new(false)).collect(),
-            error: Mutex::default(),
-            retries: Counter::default(),
-            clones: Counter::default(),
-            writes: Counter::default(),
-        })
-    }
-}
-
 /// Create one logical region per input slot of the plan (the runtime's
 /// first regions, so region `r` is plan input slot `r`) and attach every
 /// external input payload as its slot's physical instance.
-pub(crate) fn map_regions(rt: &LegionRuntime, plan: &ShardPlan, mut initial: InitialInputs) {
+pub(crate) fn map_regions(rt: &LegionRuntime<u32>, plan: &ShardPlan, mut initial: InitialInputs) {
     rt.create_regions(plan.num_input_slots());
-    for &ix in plan.input_tasks() {
+    rt.attach_regions(plan.input_tasks().iter().flat_map(|&ix| {
         let pt = plan.task(ix);
-        let mut supplied =
-            initial.remove(&pt.id()).expect("preflight verified inputs").into_iter();
-        for (slot, src) in pt.task.incoming.iter().enumerate() {
-            if src.is_external() {
-                let p = supplied.next().expect("preflight counted external inputs");
-                rt.attach_region(plan.slot_base(ix) + slot as u32, p);
-            }
-        }
-    }
+        let supplied = initial.remove(&pt.id()).expect("preflight verified inputs");
+        let base = plan.slot_base(ix);
+        let slots = pt.task.incoming.iter().enumerate().filter(|(_, src)| src.is_external());
+        slots.map(move |(slot, _)| base + slot as u32).zip(supplied)
+    }));
 }
 
-/// Build the fully owned single-task launcher for plan task `ix`.
-///
-/// `barriers` holds, per region, the phase barrier gating it (empty in
-/// index-launch mode): an input region with a barrier is waited on through
-/// it, which implies the region was written; every other input is a
-/// region read. Spans go on the `rank` row, on the thread of the worker
-/// that runs the task.
-pub(crate) fn build_task_launcher(
-    plan: &Arc<ShardPlan>,
+/// The regions task `ix` reads and the barriers it waits on. `barriers`
+/// holds, per region, the phase barrier gating it (empty in index-launch
+/// mode): an input region with a barrier is waited on through it, which
+/// implies the region was written; every other input is a region read.
+pub(crate) fn requirements<'a>(
+    plan: &ShardPlan,
     ix: u32,
-    registry: &Registry,
-    barriers: &Arc<Vec<Option<u32>>>,
-    sinks: &Arc<Sinks>,
-    rank: u32,
-) -> TaskLauncher {
-    let pt = plan.task(ix);
-    let callback = registry.get(pt.callback()).expect("preflight checked bindings").clone();
+    barriers: &'a [Option<u32>],
+) -> (impl Iterator<Item = u32> + 'a, impl Iterator<Item = u32> + 'a) {
     let base = plan.slot_base(ix);
-    let inputs = base..base + pt.fan_in() as u32;
-    let (mut reads, mut waits) = (Vec::with_capacity(pt.fan_in()), Vec::new());
-    for region in inputs.clone() {
-        match barriers.get(region as usize).copied().flatten() {
-            Some(b) => waits.push(b),
-            None => reads.push(region),
-        }
-    }
-    let (plan, barriers, sinks) = (plan.clone(), barriers.clone(), sinks.clone());
-
-    let mut launcher = TaskLauncher::new(
-        "dataflow-task",
-        Box::new(move |ctx| {
-            let pt = plan.task(ix);
-            let tracing = ctx.tracing();
-            // Physical regions are immutable once written, so a faulted
-            // callback re-reads the same inputs: re-execution in place.
-            let inputs: Vec<Payload> = inputs.map(|r| ctx.read_region(r)).collect();
-            let write = |outs: Vec<Payload>, stats: &mut RunStats| -> Result<()> {
-                for (payload, routes) in outs.iter().zip(&pt.routes) {
-                    for route in routes {
-                        stats.perf.payload_clones += 1;
-                        if route.is_external() {
-                            let mut outputs = sinks.outputs.lock();
-                            outputs.entry(pt.id()).or_default().push(payload.clone());
-                            continue;
-                        }
-                        let Some((consumer, slot)) = route.input else {
-                            return Err(plan.unroutable(pt.id(), route.dst));
-                        };
-                        let region = plan.slot_base(consumer) + slot;
-                        let send_start = if tracing { now_ns() } else { 0 };
-                        ctx.write_region(region, payload.clone());
-                        stats.local_messages += 1;
-                        if let Some(b) = barriers.get(region as usize).copied().flatten() {
-                            ctx.arrive(b);
-                        }
-                        if tracing {
-                            // Region writes move payloads in memory: bytes = 0.
-                            ctx.trace_sink().record(
-                                TraceEvent::span(
-                                    SpanKind::MsgSend,
-                                    send_start,
-                                    now_ns(),
-                                    rank,
-                                    ctx.worker(),
-                                )
-                                .with_task(pt.id(), pt.callback())
-                                .with_message(route.dst, 0),
-                            );
-                        }
-                    }
-                }
-                Ok(())
-            };
-            let mut stats = RunStats::default();
-            let row = (rank, ctx.worker());
-            let result = exec(pt, &callback, &inputs, row, ctx.trace_sink(), &mut stats, write);
-            sinks.clones.fetch_add(stats.perf.payload_clones);
-            sinks.retries.fetch_add(stats.recovery.retries);
-            sinks.writes.fetch_add(stats.local_messages);
-            match result {
-                Ok(()) => sinks.executed[ix as usize].store(true, Ordering::Relaxed),
-                Err(err) => {
-                    sinks.error.lock().get_or_insert(err);
-                }
-            }
-        }),
-    )
-    .with_trace_task(pt.id().0);
-    launcher.reads = reads;
-    launcher.barriers = waits;
-    launcher
+    let inputs = base..base + plan.task(ix).fan_in() as u32;
+    let barrier = move |r: u32| barriers.get(r as usize).copied().flatten();
+    (inputs.clone().filter(move |&r| barrier(r).is_none()), inputs.filter_map(barrier))
 }
 
-/// Wait for every launched task and turn the run into a report: the
-/// first task error if any, a runtime error if the pool could not run, a
-/// deadlock naming the tasks that never ran, or the outputs and counters.
-pub(crate) fn finish(rt: &LegionRuntime, plan: &ShardPlan, sinks: &Sinks) -> Result<RunReport> {
-    let outcome = rt.wait_all();
-    if let Some(err) = sinks.error.lock().take() {
-        return Err(err);
+/// What one worker gathers over a run; [`finish`] sums them at the end.
+#[derive(Default)]
+struct Worker {
+    stats: RunStats,
+    outputs: BTreeMap<TaskId, Vec<Payload>>,
+    /// Plan indices of the tasks this worker completed.
+    ran: Vec<u32>,
+    error: Option<ControllerError>,
+    /// Input buffer, reused from task to task.
+    inputs: Vec<Payload>,
+}
+
+/// Run plan task `ix` on a worker: take its input regions, execute its
+/// callback, write each internal output's region (arriving at its barrier,
+/// if any) and keep each external one. Spans go on the task's shard row
+/// when `shard_rows` (SPMD), else on row 0, on the worker's thread.
+fn run_task(
+    plan: &ShardPlan,
+    registry: &Registry,
+    barriers: &[Option<u32>],
+    shard_rows: bool,
+    w: &mut Worker,
+    ctx: &TaskCtx<'_, u32>,
+    ix: u32,
+) {
+    let (rt, pt) = (ctx.runtime, plan.task(ix));
+    let sink = rt.trace_sink();
+    let tracing = sink.enabled();
+    if tracing {
+        sink.record(
+            TraceEvent::span(SpanKind::QueueWait, ctx.ready_ns, now_ns(), HOST_RANK, ctx.worker)
+                .with_task(pt.id(), pt.callback()),
+        );
     }
+    let base = plan.slot_base(ix);
+    rt.take_regions(base..base + pt.fan_in() as u32, &mut w.inputs);
+    let rank = if shard_rows { pt.shard.0 } else { 0 };
+    let outputs = &mut w.outputs;
+    let write = |outs: Vec<Payload>, stats: &mut RunStats| -> Result<()> {
+        for (payload, routes) in outs.iter().zip(&pt.routes) {
+            for route in routes {
+                stats.perf.payload_clones += 1;
+                if route.is_external() {
+                    outputs.entry(pt.id()).or_default().push(payload.clone());
+                    continue;
+                }
+                let Some((consumer, slot)) = route.input else {
+                    return Err(plan.unroutable(pt.id(), route.dst));
+                };
+                let region = plan.slot_base(consumer) + slot;
+                let send_start = if tracing { now_ns() } else { 0 };
+                let barrier = barriers.get(region as usize).copied().flatten();
+                rt.write_region(region, payload.clone(), barrier);
+                stats.local_messages += 1;
+                if tracing {
+                    // Region writes move payloads in memory: bytes = 0.
+                    sink.record(
+                        TraceEvent::span(SpanKind::MsgSend, send_start, now_ns(), rank, ctx.worker)
+                            .with_task(pt.id(), pt.callback())
+                            .with_message(route.dst, 0),
+                    );
+                }
+            }
+        }
+        Ok(())
+    };
+    // A faulted callback is retried on the same local inputs: re-execution
+    // in place.
+    let callback = registry.get(pt.callback()).expect("preflight checked bindings");
+    let row = (rank, ctx.worker);
+    match exec(pt, callback, &w.inputs, row, sink, &mut w.stats, write) {
+        Ok(()) => w.ran.push(ix),
+        Err(err) => {
+            w.error.get_or_insert(err);
+        }
+    }
+    w.inputs.clear();
+}
+
+/// Run every launched task to the end and turn the run into a report: the
+/// first task error if any (by worker), a runtime error if the pool could
+/// not run, a deadlock naming the tasks that never ran, or the outputs and
+/// counters.
+pub(crate) fn finish(
+    rt: &LegionRuntime<u32>,
+    plan: &ShardPlan,
+    registry: &Registry,
+    barriers: &[Option<u32>],
+    shard_rows: bool,
+) -> Result<RunReport> {
+    let (outcome, workers) = rt.wait_all(
+        |_| Worker::default(),
+        |w, ctx, ix| run_task(plan, registry, barriers, shard_rows, w, ctx, ix),
+    );
     match outcome {
         WaitOutcome::Completed | WaitOutcome::Stalled { .. } => {}
         WaitOutcome::NoWorkers { outstanding } => {
@@ -209,28 +182,64 @@ pub(crate) fn finish(rt: &LegionRuntime, plan: &ShardPlan, sinks: &Sinks) -> Res
             return Err(ControllerError::Runtime(format!("legion worker {worker} panicked")));
         }
     }
+    let mut report = RunReport::default();
+    let mut ran = vec![false; plan.len()];
+    for w in workers {
+        if let Some(err) = w.error {
+            return Err(err);
+        }
+        report.stats.merge(&w.stats);
+        report.outputs.extend(w.outputs);
+        for ix in w.ran {
+            ran[ix as usize] = true;
+        }
+    }
     // A task that never ran is pending, whether its launcher stalled in
     // the runtime or no index-launch round could hold it.
-    let mut pending: Vec<TaskId> = plan
-        .tasks()
-        .iter()
-        .zip(&sinks.executed)
-        .filter(|(_, done)| !done.load(Ordering::Relaxed))
-        .map(|(pt, _)| pt.id())
-        .collect();
+    let mut pending: Vec<TaskId> =
+        plan.tasks().iter().zip(ran).filter(|(_, ran)| !ran).map(|(pt, _)| pt.id()).collect();
     if !pending.is_empty() {
         pending.sort_unstable();
         return Err(ControllerError::Deadlock { pending });
     }
-
-    let outputs = std::mem::take(&mut *sinks.outputs.lock());
-    let mut report = RunReport { outputs, ..RunReport::default() };
     report.stats.tasks_executed = plan.len() as u64;
-    report.stats.local_messages = sinks.writes.get();
-    report.stats.recovery.retries = sinks.retries.get();
-    report.stats.perf.payload_clones = sinks.clones.get();
     report.stats.perf.add_pool(&rt.stats().pool);
     Ok(report)
+}
+
+/// One SPMD run on `rt`.
+pub(crate) fn run(
+    rt: &LegionRuntime<u32>,
+    plan: &ShardPlan,
+    registry: &Registry,
+    initial: InitialInputs,
+) -> Result<RunReport> {
+    map_regions(rt, plan, initial);
+
+    // One phase barrier per cross-shard edge, kept per region.
+    let mut barriers = vec![None; plan.num_input_slots() as usize];
+    let mut count = 0;
+    for pt in plan.tasks() {
+        for route in pt.routes.iter().flatten() {
+            let Some((consumer, slot)) = route.input else { continue };
+            if route.shard != pt.shard {
+                barriers[(plan.slot_base(consumer) + slot) as usize] = Some(count);
+                count += 1;
+            }
+        }
+    }
+    assert_eq!(rt.create_barriers(count, 1), 0, "the run's barriers are the runtime's first");
+
+    // Must-epoch launch the shard tasks; each "schedules its assigned part
+    // of the task graph" as one batch of single-task launchers.
+    rt.must_epoch_launch(plan.num_shards(), |ctx, shard| {
+        let mut batch = ctx.runtime.launch_batch();
+        for &ix in plan.local(ShardId(shard)) {
+            let (reads, waits) = requirements(plan, ix, &barriers);
+            batch.launch(ix, reads, waits);
+        }
+    });
+    finish(rt, plan, registry, &barriers, true)
 }
 
 impl Controller for LegionSpmdController {
@@ -241,45 +250,7 @@ impl Controller for LegionSpmdController {
         initial: InitialInputs,
         sink: Arc<dyn TraceSink>,
     ) -> Result<RunReport> {
-        let rt = LegionRuntime::with_sink(self.workers, sink);
-        map_regions(&rt, plan, initial);
-
-        // One phase barrier per cross-shard edge, kept per region.
-        let mut barriers = vec![None; plan.num_input_slots() as usize];
-        for pt in plan.tasks() {
-            for route in pt.routes.iter().flatten() {
-                let Some((consumer, slot)) = route.input else { continue };
-                if route.shard != pt.shard {
-                    let region = plan.slot_base(consumer) + slot;
-                    barriers[region as usize] = Some(rt.create_barrier(1).id);
-                }
-            }
-        }
-        let barriers = Arc::new(barriers);
-        let sinks = Sinks::new(plan);
-
-        // Precompute each shard's launchers (the shard task's "schedule its
-        // assigned part of the task graph" work), then must-epoch launch
-        // the shard tasks which submit them.
-        let shard_tasks = (0..plan.num_shards())
-            .map(|shard| {
-                let launchers: Vec<TaskLauncher> = plan
-                    .local(ShardId(shard))
-                    .iter()
-                    .map(|&ix| build_task_launcher(plan, ix, registry, &barriers, &sinks, shard))
-                    .collect();
-                TaskLauncher::new(
-                    "spmd-shard",
-                    Box::new(move |ctx| {
-                        for l in launchers {
-                            ctx.launch(l);
-                        }
-                    }),
-                )
-            })
-            .collect();
-        rt.must_epoch_launch(shard_tasks);
-        finish(&rt, plan, &sinks)
+        run(&LegionRuntime::with_sink(self.workers, sink), plan, registry, initial)
     }
 
     fn name(&self) -> &'static str {

@@ -5,7 +5,22 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use babelflow_core::{Blob, Payload};
-use babelflow_legion::{LegionRuntime, TaskLauncher};
+use babelflow_legion::{LegionRuntime, TaskCtx, WaitOutcome};
+
+/// The item these tests launch: a boxed closure, run by [`run`].
+struct Body(Closure);
+
+type Closure = Box<dyn FnOnce(&TaskCtx<'_, Body>) + Send>;
+
+fn body(f: impl FnOnce(&TaskCtx<'_, Body>) + Send + 'static) -> Body {
+    Body(Box::new(f))
+}
+
+fn run(rt: &LegionRuntime<Body>) -> WaitOutcome {
+    rt.wait_all(|_| (), |_, ctx, Body(f)| f(ctx)).0
+}
+
+const NONE: [u32; 0] = [];
 
 #[test]
 fn deep_recursive_spawn_chain() {
@@ -13,23 +28,17 @@ fn deep_recursive_spawn_chain() {
     let rt = LegionRuntime::new(1);
     let count = Arc::new(AtomicU64::new(0));
 
-    fn spawn_chain(ctx: &babelflow_legion::TaskCtx<'_>, depth: u64, count: Arc<AtomicU64>) {
+    fn spawn_chain(ctx: &TaskCtx<'_, Body>, depth: u64, count: Arc<AtomicU64>) {
         count.fetch_add(1, Ordering::Relaxed);
         if depth == 0 {
             return;
         }
-        ctx.launch(TaskLauncher::new(
-            "chain",
-            Box::new(move |ctx| spawn_chain(ctx, depth - 1, count)),
-        ));
+        ctx.runtime.launch(body(move |ctx| spawn_chain(ctx, depth - 1, count)), NONE, NONE);
     }
 
     let c = count.clone();
-    rt.launch(TaskLauncher::new(
-        "root",
-        Box::new(move |ctx| spawn_chain(ctx, 200, c)),
-    ));
-    assert!(rt.wait_all().is_completed());
+    rt.launch(body(move |ctx| spawn_chain(ctx, 200, c)), NONE, NONE);
+    assert!(run(&rt).is_completed());
     assert_eq!(count.load(Ordering::Relaxed), 201);
     assert_eq!(rt.stats().tasks_launched, 201);
 }
@@ -37,21 +46,18 @@ fn deep_recursive_spawn_chain() {
 #[test]
 fn wide_barrier_releases_many_waiters() {
     let rt = LegionRuntime::new(4);
-    let pb = rt.create_barrier(16);
+    let pb = rt.create_barriers(1, 16);
     let released = Arc::new(AtomicU64::new(0));
     for _ in 0..8 {
         let released = released.clone();
-        rt.launch(
-            TaskLauncher::new("waiter", Box::new(move |_| {
+        rt.launch(body(move |_| {
                 released.fetch_add(1, Ordering::Relaxed);
-            }))
-            .add_barrier_wait(pb.id),
-        );
+            }), NONE, [pb]);
     }
     for _ in 0..16 {
-        rt.launch(TaskLauncher::new("arriver", Box::new(move |ctx| ctx.arrive(pb.id))));
+        rt.launch(body(move |ctx| ctx.runtime.arrive(pb)), NONE, NONE);
     }
-    assert!(rt.wait_all().is_completed());
+    assert!(run(&rt).is_completed());
     assert_eq!(released.load(Ordering::Relaxed), 8);
 }
 
@@ -64,18 +70,17 @@ fn attach_after_launch_still_releases() {
     let got = Arc::new(AtomicU64::new(0));
     let got2 = got.clone();
     rt.launch(
-        TaskLauncher::new(
-            "reader",
-            Box::new(move |ctx| {
-                let p = ctx.read_region(r);
-                let b = p.extract::<Blob>().unwrap();
-                got2.store(b.0[0] as u64, Ordering::Relaxed);
-            }),
-        )
-        .add_read(r),
+        body(move |ctx| {
+            let mut inputs = Vec::new();
+            ctx.runtime.take_regions([r], &mut inputs);
+            let b = inputs[0].extract::<Blob>().unwrap();
+            got2.store(b.0[0] as u64, Ordering::Relaxed);
+        }),
+        [r],
+        NONE,
     );
-    rt.attach_region(r, Payload::wrap(Blob(vec![42])));
-    assert!(rt.wait_all().is_completed());
+    rt.attach_regions([(r, Payload::wrap(Blob(vec![42])))]);
+    assert!(run(&rt).is_completed());
     assert_eq!(got.load(Ordering::Relaxed), 42);
 }
 
@@ -87,46 +92,42 @@ fn diamond_of_region_dependences_executes_once_each() {
     let r1 = rt.create_regions(4);
     let (r2, r3, r4) = (r1 + 1, r1 + 2, r1 + 3);
     let order = Arc::new(babelflow_core::sync::Mutex::new(Vec::<&'static str>::new()));
+    let write = |ctx: &TaskCtx<'_, Body>, r: u32, v: u8| {
+        ctx.runtime.write_region(r, Payload::wrap(Blob(vec![v])), None);
+    };
 
     let o = order.clone();
-    rt.launch(
-        TaskLauncher::new("d", Box::new(move |_| o.lock().push("d")))
-            .add_read(r3)
-            .add_read(r4),
-    );
+    rt.launch(body(move |_| o.lock().push("d")), [r3, r4], NONE);
     let o = order.clone();
     rt.launch(
-        TaskLauncher::new(
-            "c",
-            Box::new(move |ctx| {
-                o.lock().push("c");
-                ctx.write_region(r4, Payload::wrap(Blob(vec![4])));
-            }),
-        )
-        .add_read(r2),
-    );
-    let o = order.clone();
-    rt.launch(
-        TaskLauncher::new(
-            "b",
-            Box::new(move |ctx| {
-                o.lock().push("b");
-                ctx.write_region(r3, Payload::wrap(Blob(vec![3])));
-            }),
-        )
-        .add_read(r1),
-    );
-    let o = order.clone();
-    rt.launch(TaskLauncher::new(
-        "a",
-        Box::new(move |ctx| {
-            o.lock().push("a");
-            ctx.write_region(r1, Payload::wrap(Blob(vec![1])));
-            ctx.write_region(r2, Payload::wrap(Blob(vec![2])));
+        body(move |ctx| {
+            o.lock().push("c");
+            write(ctx, r4, 4);
         }),
-    ));
+        [r2],
+        NONE,
+    );
+    let o = order.clone();
+    rt.launch(
+        body(move |ctx| {
+            o.lock().push("b");
+            write(ctx, r3, 3);
+        }),
+        [r1],
+        NONE,
+    );
+    let o = order.clone();
+    rt.launch(
+        body(move |ctx| {
+            o.lock().push("a");
+            write(ctx, r1, 1);
+            write(ctx, r2, 2);
+        }),
+        NONE,
+        NONE,
+    );
 
-    assert!(rt.wait_all().is_completed());
+    assert!(run(&rt).is_completed());
     let order = order.lock();
     assert_eq!(order.len(), 4);
     assert_eq!(order[0], "a");

@@ -41,8 +41,8 @@ where
     // and receives only the initial inputs local to it.
     let mut rank_inputs: Vec<InitialInputs> = (0..nranks).map(|_| HashMap::new()).collect();
     for (task, payloads) in initial {
-        // Rank 0 rejects an input for a task the plan does not know.
-        let shard = plan.task_by_id(task).map_or(0, |pt| pt.shard.0 as usize);
+        let shard = plan.task_by_id(task).expect("preflight checked initial inputs").shard.0;
+        let shard = shard as usize;
         rank_inputs[shard].insert(task, payloads);
     }
 

@@ -439,6 +439,27 @@ fn broken_contracts_are_rejected_alike_by_every_backend() {
     }
 }
 
+/// A payload for a task with no external input slot, or for no task at
+/// all, is rejected by preflight with the same error on every backend,
+/// before any of them starts.
+#[test]
+fn initial_inputs_without_a_slot_are_rejected_alike_by_every_backend() {
+    let g = Reduction::new(4, 2);
+    let reg = hash_registry(Arc::new(g.clone()));
+    let map = ModuloMap::new(2, g.size() as u64);
+    for (probe, task) in [("root", g.root_id()), ("unknown task", TaskId(999))] {
+        let mut init = inputs(&g);
+        init.insert(task, vec![pay(7)]);
+        for (name, mut ctrl) in six_backends(None) {
+            match ctrl.run(&g, &map, &reg, init.clone()) {
+                Err(ControllerError::BadInitialInputs { task: t, expected: 0, got: 1 })
+                    if t == task => {}
+                other => panic!("{probe} on {name}: got {other:?}"),
+            }
+        }
+    }
+}
+
 /// The diamond 0 -> {1, 2} -> 3 with one defect a lenient plan keeps: an
 /// edge its consumer does not accept, so its route fills no input slot.
 fn unroutable_diamond(defect: &str) -> ExplicitGraph {

@@ -29,16 +29,18 @@ cargo bench --no-run --offline --workspace
 # processes compete for the cores. No MPI decision may lean on a clock, so
 # a starved rank must still give every case the serial golden. The work
 # pool's idle rule, which ends every Charm and Legion run, is run on the
-# starved cores too, through the unit tests of the pool and both runtimes.
+# starved cores too, through the unit tests of the pool and both runtimes,
+# and so are the channel's wake rule and the reliable layer's FIFO and
+# ack tests, through those of core and MPI.
 # The test binaries are built first, so the step times only the runs
 # (~15 s on 2 cores).
 cargo test -q --release --offline --test cross_runtime --no-run
-cargo test -q --release --offline -p babelflow-core -p babelflow-charm -p babelflow-legion --no-run
+cargo test -q --release --offline -p babelflow-core -p babelflow-mpi -p babelflow-charm -p babelflow-legion --no-run
 (set +x; while :; do :; done) & hog1=$!
 (set +x; while :; do :; done) & hog2=$!
 trap 'kill $hog1 $hog2 2>/dev/null' EXIT
 PROPTEST_LITE_CASES=256 cargo test -q --release --offline --test cross_runtime
-cargo test -q --release --offline -p babelflow-core -p babelflow-charm -p babelflow-legion
+cargo test -q --release --offline -p babelflow-core -p babelflow-mpi -p babelflow-charm -p babelflow-legion
 kill $hog1 $hog2
 trap - EXIT
 

@@ -8,8 +8,15 @@
 //! reports disconnection instead of blocking forever.
 //!
 //! Receivers that block count themselves under the lock, and a send
-//! notifies the condvar only when one is parked: `std`'s futex condvar
-//! makes a syscall on every notify, parked waiter or not.
+//! notifies the condvar only when more receivers are parked than have
+//! already been signalled: `std`'s futex condvar makes a syscall on every
+//! notify, and a receiver that was signalled but has not yet retaken the
+//! lock still counts as parked, so without the second count every send in
+//! that window would make another. A receiver that wakes for any reason
+//! (a signal, its timeout, a spurious wake-up) retires one signal, so the
+//! signalled count never exceeds the parked one and a send to a channel
+//! whose parked receivers all hold an unconsumed signal skips the notify
+//! safely: each of them will look at the queue before it parks again.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -59,6 +66,34 @@ struct State<T> {
     receivers: usize,
     /// Receivers blocked on the condvar right now.
     parked: usize,
+    /// Notifies sent to parked receivers that no waking receiver has
+    /// retired yet; at most `parked`.
+    signalled: usize,
+    /// Condvar notifies issued, for the wake-rule tests.
+    #[cfg(test)]
+    notifies: usize,
+}
+
+impl<T> State<T> {
+    /// Count a receiver back from the condvar, whatever woke it.
+    fn unpark(&mut self) {
+        self.parked -= 1;
+        self.signalled = self.signalled.saturating_sub(1);
+    }
+
+    /// Whether a send must notify: some parked receiver holds no signal.
+    /// Counts the notify the caller then makes.
+    fn signal_one(&mut self) -> bool {
+        let notify = self.parked > self.signalled;
+        if notify {
+            self.signalled += 1;
+            #[cfg(test)]
+            {
+                self.notifies += 1;
+            }
+        }
+        notify
+    }
 }
 
 struct Chan<T> {
@@ -79,7 +114,15 @@ pub struct Receiver<T> {
 /// Create an unbounded FIFO channel.
 pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
     let chan = Arc::new(Chan {
-        state: Mutex::new(State { queue: VecDeque::new(), senders: 1, receivers: 1, parked: 0 }),
+        state: Mutex::new(State {
+            queue: VecDeque::new(),
+            senders: 1,
+            receivers: 1,
+            parked: 0,
+            signalled: 0,
+            #[cfg(test)]
+            notifies: 0,
+        }),
         cv: Condvar::new(),
     });
     (Sender { chan: chan.clone() }, Receiver { chan })
@@ -89,15 +132,15 @@ impl<T> Sender<T> {
     /// Enqueue `value`; never blocks. Fails only when every receiver has
     /// been dropped, returning the value.
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        let parked = {
+        let notify = {
             let mut st = self.chan.state.lock();
             if st.receivers == 0 {
                 return Err(SendError(value));
             }
             st.queue.push_back(value);
-            st.parked > 0
+            st.signal_one()
         };
-        if parked {
+        if notify {
             self.chan.cv.notify_one();
         }
         Ok(())
@@ -139,7 +182,7 @@ impl<T> Receiver<T> {
             }
             st.parked += 1;
             self.chan.cv.wait(&mut st);
-            st.parked -= 1;
+            st.unpark();
         }
     }
 
@@ -160,7 +203,7 @@ impl<T> Receiver<T> {
             }
             st.parked += 1;
             self.chan.cv.wait_timeout(&mut st, deadline - now);
-            st.parked -= 1;
+            st.unpark();
         }
     }
 
@@ -265,6 +308,97 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).sum()
         });
         assert_eq!(total, n * (n + 1) / 2);
+    }
+
+    #[test]
+    fn sends_to_a_signalled_receiver_make_one_notify() {
+        let (tx, rx) = unbounded::<u32>();
+        std::thread::scope(|s| {
+            let first = s.spawn(|| rx.recv().unwrap());
+            while rx.chan.state.lock().parked == 0 {
+                std::thread::yield_now();
+            }
+            // Whether the receiver retakes the lock during the burst or
+            // after it, only the first send finds it unsignalled.
+            for i in 0..100 {
+                tx.send(i).unwrap();
+            }
+            assert_eq!(first.join().unwrap(), 0);
+        });
+        let st = rx.chan.state.lock();
+        assert_eq!(st.notifies, 1);
+        assert_eq!((st.queue.len(), st.parked, st.signalled), (99, 0, 0));
+    }
+
+    #[test]
+    fn mixed_receivers_lose_no_message_and_no_wake_up() {
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+        let (tx, rx) = unbounded::<u64>();
+        let (sum, count, stop) = (AtomicU64::new(0), AtomicU64::new(0), AtomicBool::new(false));
+        let (sum, count, stop) = (&sum, &count, &stop);
+        // Wait, at most 10 s, until `n` messages were taken.
+        let taken = |n: u64| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while count.load(SeqCst) < n {
+                assert!(Instant::now() < deadline, "{} of {n} taken", count.load(SeqCst));
+                std::thread::yield_now();
+            }
+        };
+        std::thread::scope(|s| {
+            let receivers: Vec<_> = (0..4u64)
+                .map(|r| {
+                    let rx = rx.clone();
+                    s.spawn(move || loop {
+                        // Two block, two time out after 20 or 60 µs: a
+                        // timeout racing a signal must not lose it.
+                        let got = if r % 2 == 0 {
+                            rx.recv().ok()
+                        } else {
+                            match rx.recv_timeout(Duration::from_micros(20 * r)) {
+                                Ok(v) => Some(v),
+                                Err(RecvTimeoutError::Timeout) if stop.load(SeqCst) => return,
+                                Err(RecvTimeoutError::Timeout) => continue,
+                                Err(RecvTimeoutError::Disconnected) => None,
+                            }
+                        };
+                        let Some(v) = got else { return };
+                        sum.fetch_add(v, SeqCst);
+                        count.fetch_add(1, SeqCst);
+                    })
+                })
+                .collect();
+            drop(rx);
+            // Two senders in bursts of one to three.
+            let burst_senders: Vec<_> = (0..2u64)
+                .map(|t| {
+                    let tx = tx.clone();
+                    s.spawn(move || {
+                        for i in 0..3000u64 {
+                            tx.send(1).unwrap();
+                            if (i + t) % 3 == 0 {
+                                std::thread::yield_now();
+                            }
+                        }
+                    })
+                })
+                .collect();
+            burst_senders.into_iter().for_each(|h| h.join().unwrap());
+            taken(6000);
+            // Only the blocking receivers are left: each send must wake
+            // one of them, or the count stalls.
+            stop.store(true, SeqCst);
+            for (r, h) in receivers.into_iter().enumerate() {
+                if r % 2 == 1 {
+                    h.join().unwrap();
+                }
+            }
+            for i in 1..=200 {
+                tx.send(1).unwrap();
+                taken(6000 + i);
+            }
+            drop(tx);
+        });
+        assert_eq!((sum.load(SeqCst), count.load(SeqCst)), (6200, 6200));
     }
 
     #[test]

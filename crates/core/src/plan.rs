@@ -28,6 +28,7 @@
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::BinaryHeap;
+use std::sync::OnceLock;
 
 use crate::controller::{ControllerError, InitialInputs, Result};
 use crate::graph::TaskGraph;
@@ -126,6 +127,8 @@ pub struct ShardPlan {
     build_queries: u64,
     lint: VerifyReport,
     enforce_lint: bool,
+    /// [`static_schedule`](Self::static_schedule), computed on first use.
+    schedule: OnceLock<Vec<u32>>,
 }
 
 impl ShardPlan {
@@ -281,6 +284,7 @@ impl ShardPlan {
             build_queries,
             lint,
             enforce_lint: true,
+            schedule: OnceLock::new(),
         }
     }
 
@@ -460,8 +464,14 @@ impl ShardPlan {
     /// task that never becomes ready (one with a dangling input, on a
     /// [`lenient`](Self::lenient) plan) in id order. Used by statically
     /// scheduled backends; derived entirely from the plan, in
-    /// O(n log n).
-    pub fn static_schedule(&self) -> Vec<u32> {
+    /// O(n log n), on the first call: later calls, and later runs with
+    /// the same plan, return the same slice. [`build`](Self::build) does
+    /// not compute it, so a plan no static scheduler runs never pays for it.
+    pub fn static_schedule(&self) -> &[u32] {
+        self.schedule.get_or_init(|| self.compute_static_schedule())
+    }
+
+    fn compute_static_schedule(&self) -> Vec<u32> {
         let mut indegree: Vec<usize> =
             self.tasks.iter().map(|pt| pt.fan_in() - pt.external_inputs).collect();
         let key = |ix: u32| Reverse((self.tasks[ix as usize].task.id, ix));
@@ -601,18 +611,17 @@ impl<'p> Pending<'p> {
         self.buffers.get_mut(slot)?.as_mut().filter(|b| b.ix() == ix)
     }
 
-    /// Deliver the host's `payloads` to task `task`, which
-    /// [`ShardPlan::preflight`] has checked; a task not in this set is a
-    /// [`Runtime`](ControllerError::Runtime) error.
+    /// Deliver the host's `payloads` to the task at plan index `ix`,
+    /// whose inputs [`ShardPlan::preflight`] has checked; a task not in
+    /// this set is a [`Runtime`](ControllerError::Runtime) error.
     pub fn deliver_initial(
         &mut self,
-        task: TaskId,
+        ix: u32,
         payloads: impl IntoIterator<Item = Payload>,
     ) -> Result<()> {
         let plan = self.plan;
-        let ix = plan.index_of(task).expect("preflight checked initial inputs");
         let Some(buf) = self.buffer(ix) else {
-            let msg = format!("initial input for non-local task {task}");
+            let msg = format!("initial input for non-local task {}", plan.task(ix).id());
             return Err(ControllerError::Runtime(msg));
         };
         for p in payloads {
@@ -845,7 +854,7 @@ mod tests {
         assert_eq!((plan.local_slot(2), plan.local_slot(3)), (1, 1));
         let err = p.deliver(TaskId(0), 2, blob()).unwrap_err();
         assert_eq!(err.to_string(), plan.unroutable(TaskId(0), TaskId(2)).to_string());
-        let err = p.deliver_initial(TaskId(0), [blob()]).unwrap_err();
+        let err = p.deliver_initial(0, [blob()]).unwrap_err();
         assert_eq!(err.to_string(), "runtime error: initial input for non-local task 0");
 
         assert!(p.deliver(TaskId(0), 1, blob()).unwrap());
@@ -890,10 +899,18 @@ mod tests {
     fn static_schedule_is_topological_and_deterministic() {
         let g = diamond();
         let plan = ShardPlan::build(&g, &ModuloMap::new(2, 4));
-        let ids: Vec<TaskId> =
-            plan.static_schedule().into_iter().map(|ix| plan.task(ix).id()).collect();
+        let ids: Vec<TaskId> = plan.static_schedule().iter().map(|&ix| plan.task(ix).id()).collect();
         // Smallest-id tie-break between the two middle tasks.
         assert_eq!(ids, [0, 1, 2, 3].map(TaskId));
+    }
+
+    #[test]
+    fn static_schedule_is_computed_once_on_first_use() {
+        let plan = ShardPlan::build(&diamond(), &ModuloMap::new(2, 4));
+        assert!(plan.schedule.get().is_none(), "build computed the schedule");
+        let first = plan.static_schedule();
+        assert!(std::ptr::eq(first, plan.static_schedule()), "recomputed");
+        assert_eq!(first, [0, 1, 2, 3]);
     }
 
     #[test]
@@ -903,7 +920,7 @@ mod tests {
         let mut g = diamond();
         g.task_mut(TaskId(0)).unwrap().incoming = vec![TaskId(42)];
         let plan = ShardPlan::build(&g, &ModuloMap::new(2, 4)).lenient();
-        assert_eq!(plan.static_schedule(), vec![0, 1, 2, 3]);
+        assert_eq!(plan.static_schedule(), [0, 1, 2, 3]);
     }
 
     #[test]

@@ -50,7 +50,8 @@ impl Controller for SerialController {
         // lists here made its runs ~14% slower (likely because the run's
         // own small allocations then reuse scattered blocks).
         for (&id, payloads) in &mut initial {
-            pending.deliver_initial(id, payloads.drain(..))?;
+            let ix = plan.index_of(id).expect("preflight checked initial inputs");
+            pending.deliver_initial(ix, payloads.drain(..))?;
         }
         // Seed the ready queue in id order so execution order is
         // reproducible.

@@ -73,7 +73,7 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
 /// A monotonically increasing `u64` counter over `AtomicU64`.
 ///
 /// The documented atomic wrapper for the substrate's hot-path counters
-/// (message sequence numbers, delivery tallies): `fetch_add` under
+/// (delivery tallies, tickets): `fetch_add` under
 /// `Relaxed` ordering, because each counter is an independent statistic —
 /// no other memory is published through it, so acquire/release fences
 /// would buy nothing and cost a barrier on weakly-ordered targets.

@@ -21,7 +21,8 @@ use std::sync::Arc;
 
 use babelflow_core::trace::{now_ns, SpanKind, TraceEvent, TraceSink};
 use babelflow_core::{
-    exec, Controller, InitialInputs, Registry, Result, RunReport, RunStats, ShardId, ShardPlan,
+    exec, Controller, InitialInputs, Pending, Registry, Result, RunReport, RunStats, ShardId,
+    ShardPlan,
 };
 
 use crate::comm::FaultPlan;
@@ -58,8 +59,8 @@ impl Controller for BlockingMpiController {
         sink: Arc<dyn TraceSink>,
     ) -> Result<RunReport> {
         let schedule = plan.static_schedule();
-        run_world(plan, &self.faults, initial, |rel, inputs| {
-            blocking_rank_main(rel, plan, registry, inputs, &schedule, &*sink)
+        run_world(plan, &self.faults, initial, |rel, pending| {
+            blocking_rank_main(rel, plan, registry, pending, schedule, &*sink)
         })
     }
 
@@ -68,17 +69,17 @@ impl Controller for BlockingMpiController {
     }
 }
 
-fn blocking_rank_main(
+fn blocking_rank_main<'a>(
     rel: &mut ReliableEndpoint,
-    plan: &ShardPlan,
+    plan: &'a ShardPlan,
     registry: &Registry,
-    initial: InitialInputs,
+    pending: Pending<'a>,
     schedule: &[u32],
-    sink: &dyn TraceSink,
+    sink: &'a dyn TraceSink,
 ) -> RankOutcome {
     let tracing = sink.enabled();
     let my_rank = rel.rank() as u32;
-    let mut state = RankState::new(plan, rel, initial, sink)?;
+    let mut state = RankState::new(plan, rel, pending, sink);
     let mut stats = RunStats::default();
     // Readiness is read off the buffers in schedule order, not queued.
     let mut unused_ready = Vec::new();

@@ -12,6 +12,11 @@
 //! reliable layer above recovers them. The world decides from exact
 //! events, never a clock, when a run is stuck ([`RankComm::hold`],
 //! [`RankComm::failed`]).
+//!
+//! A send writes no memory another sender writes: the pair's sequence
+//! number, which faults are matched against, lives in the sending
+//! endpoint, and the delivery tally is kept per sender on a cache line of
+//! its own.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
@@ -98,15 +103,18 @@ pub struct Envelope {
     pub body: babelflow_core::Bytes,
 }
 
+/// One sending rank's tally of messages accepted for delivery, alone on
+/// its cache line (128 bytes, since adjacent-line prefetch pairs lines),
+/// so ranks sending at once never write the same line.
+#[repr(align(128))]
+#[derive(Default)]
+struct SenderTally(Counter);
+
 struct Shared {
     inboxes: Vec<Sender<Envelope>>,
     faults: FaultPlan,
-    /// Per directed pair (src*n+dst) message counter for fault matching.
-    /// Lock-free ([`Counter`]) so concurrent senders never serialize on
-    /// the sequence-number hot path.
-    seq: Vec<Counter>,
-    /// Total messages accepted for delivery (post-fault).
-    delivered: Counter,
+    /// Messages accepted for delivery (post-fault), per sending rank.
+    delivered: Vec<SenderTally>,
     /// Ranks that declared themselves finished (see
     /// [`RankComm::mark_finished`]); the shutdown barrier of the reliable
     /// protocol layered on top of this transport.
@@ -147,8 +155,7 @@ impl World {
         let shared = Arc::new(Shared {
             inboxes,
             faults,
-            seq: (0..n * n).map(|_| Counter::new(0)).collect(),
-            delivered: Counter::new(0),
+            delivered: (0..n).map(|_| SenderTally::default()).collect(),
             finished: Counter::new(0),
             work: AtomicU64::new(n as u64),
             failed: AtomicUsize::new(0),
@@ -161,6 +168,7 @@ impl World {
                     rank,
                     n,
                     rx,
+                    next_seq: (0..n).map(|_| Cell::new(0)).collect(),
                     shared: shared.clone(),
                     finished_flag: Cell::new(false),
                 })
@@ -187,9 +195,10 @@ impl World {
         (0..self.size()).map(|r| self.endpoint(r)).collect()
     }
 
-    /// Messages delivered so far (after fault filtering).
+    /// Messages delivered so far (after fault filtering), summed over
+    /// the senders.
     pub fn delivered(&self) -> u64 {
-        self.shared.delivered.get()
+        self.shared.delivered.iter().map(|tally| tally.0.get()).sum()
     }
 
     /// The first rank whose endpoint dropped before it finished, if any:
@@ -204,6 +213,9 @@ pub struct RankComm {
     rank: usize,
     n: usize,
     rx: Receiver<Envelope>,
+    /// Next sequence number per destination, for fault matching: only
+    /// this endpoint sends from its rank, so it numbers its pairs alone.
+    next_seq: Box<[Cell<u64>]>,
     shared: Arc<Shared>,
     finished_flag: Cell<bool>,
 }
@@ -227,40 +239,35 @@ impl RankComm {
     /// If `dst` is out of range.
     pub fn isend(&self, dst: usize, tag: u32, body: babelflow_core::Bytes) {
         assert!(dst < self.n, "rank {dst} out of range");
-        let pair = self.rank * self.n + dst;
-        let seq = self.shared.seq[pair].next();
-        let key = (self.rank, dst, seq);
-        if self.shared.faults.drop.contains(&key) {
+        let (src, seq) = (self.rank, self.next_seq[dst].get());
+        self.next_seq[dst].set(seq + 1);
+        let (faults, key) = (&self.shared.faults, (src, dst, seq));
+        if faults.drop.contains(&key) {
             return;
         }
-        let env = Envelope { src: self.rank, tag, body };
-        if let Some((_, _, _, hold)) = self
-            .shared
-            .faults
-            .delay
-            .iter()
-            .find(|&&(s, d, q, _)| (s, d, q) == key)
-        {
+        let env = Envelope { src, tag, body };
+        if let Some(&(.., hold)) = faults.delay.iter().find(|&&(s, d, q, _)| (s, d, q) == key) {
             // Hold the message on a detached thread; subsequent sends on
             // this pair overtake it, producing the reordering under test.
             let shared = self.shared.clone();
-            let hold = *hold;
             std::thread::spawn(move || {
                 std::thread::sleep(hold);
                 // Count before the send lands so a receiver that observes
                 // the message also observes the counter.
-                shared.delivered.next();
+                shared.delivered[src].0.next();
                 let _ = shared.inboxes[dst].send(env);
             });
             return;
         }
-        let copies = if self.shared.faults.duplicate.contains(&key) { 2 } else { 1 };
-        for _ in 0..copies {
-            // A send to a rank whose endpoint (and so receiver) was dropped
-            // is a no-op, like a send that is never matched by a receive.
-            let _ = self.shared.inboxes[dst].send(env.clone());
-            self.shared.delivered.next();
+        // A send to a rank whose endpoint (and so receiver) was dropped is
+        // a no-op, like a send that is never matched by a receive.
+        let (inbox, delivered) = (&self.shared.inboxes[dst], &self.shared.delivered[src].0);
+        if faults.duplicate.contains(&key) {
+            let _ = inbox.send(env.clone());
+            delivered.next();
         }
+        let _ = inbox.send(env);
+        delivered.next();
     }
 
     /// Blocking receive of the next message from any source.
@@ -451,6 +458,43 @@ mod tests {
         let second = b.recv().unwrap();
         assert_eq!(second.body.as_ref(), b"held");
         assert_eq!(w.delivered(), 2);
+    }
+
+    #[test]
+    fn delivered_counts_every_copy_and_faults_match_per_pair_sequence_numbers() {
+        // Each directed pair numbers its own messages from 0, however the
+        // sends of the pairs interleave.
+        let faults = FaultPlan {
+            drop: vec![(0, 1, 1)],
+            duplicate: vec![(0, 2, 0), (1, 2, 1)],
+            delay: vec![(1, 0, 0, Duration::from_millis(50))],
+            ..FaultPlan::none()
+        };
+        let mut w = World::with_faults(3, faults);
+        let eps = w.endpoints();
+        let send = |src: usize, dst: usize, b: &'static [u8]| {
+            eps[src].isend(dst, 0, Bytes::from_static(b));
+        };
+        send(0, 1, b"a0"); // (0, 1, 0)
+        send(0, 2, b"b0"); // (0, 2, 0): duplicated
+        send(1, 2, b"c0"); // (1, 2, 0)
+        send(0, 1, b"a1"); // (0, 1, 1): dropped
+        send(1, 0, b"d0"); // (1, 0, 0): delayed
+        send(1, 2, b"c1"); // (1, 2, 1): duplicated
+        send(0, 1, b"a2"); // (0, 1, 2)
+        send(1, 0, b"d1"); // (1, 0, 1)
+        let bodies = |ep: &RankComm, n: usize| -> Vec<Vec<u8>> {
+            (0..n).map(|_| ep.recv().unwrap().body.to_vec()).collect()
+        };
+        assert_eq!(bodies(&eps[1], 2), [b"a0".to_vec(), b"a2".to_vec()]);
+        let to_2 = bodies(&eps[2], 5);
+        for (body, copies) in [(&b"b0"[..], 2), (&b"c0"[..], 1), (&b"c1"[..], 2)] {
+            assert_eq!(to_2.iter().filter(|b| b.as_slice() == body).count(), copies, "{body:?}");
+        }
+        // The delayed message is overtaken, and counted once it lands.
+        assert_eq!(bodies(&eps[0], 2), [b"d1".to_vec(), b"d0".to_vec()]);
+        assert_eq!(w.delivered(), 2 + 5 + 2);
+        assert!(eps.iter().all(|ep| ep.try_recv().is_none()));
     }
 
     #[test]

@@ -38,11 +38,12 @@
 //! Recovery (DESIGN.md §11): all inter-rank traffic flows through the
 //! [`ReliableEndpoint`] ack/retransmit layer, so transport drop/duplicate/
 //! reorder faults converge to exactly-once in-order delivery. A
-//! dispatched task's inputs are *retained* until it completes: a
-//! panicking callback is retried in place, and a worker that dies holding
-//! a task hands it back as it exits, for a live worker to run once (each
-//! worker the fault plan kills is pinned one of the rank's first tasks,
-//! so the death always happens). No clock decides anything: the rank is
+//! panicking callback is retried in place. A worker that dies holding a
+//! task hands it back as it exits, for a live worker to run once; the
+//! fault plan kills a worker before it runs the task, so it hands back
+//! the inputs it was handed and no copy is retained (each worker the
+//! fault plan kills is pinned one of the rank's first tasks, so the death
+//! always happens). No clock decides anything: the rank is
 //! busy while a task is in flight, and reports `Deadlock` when the
 //! world's count of busy ranks and messages in flight reaches zero with
 //! its tasks unrun. A worker that panics outside the callback fails the
@@ -53,7 +54,7 @@ use std::sync::Arc;
 use babelflow_core::sync::{Mutex, WorkPool};
 use babelflow_core::trace::{now_ns, SpanKind, TraceEvent, TraceSink};
 use babelflow_core::{
-    exec, BytesMut, Controller, ControllerError, InitialInputs, Payload, Registry, Result,
+    exec, BytesMut, Controller, ControllerError, InitialInputs, Payload, Pending, Registry, Result,
     RunReport, RunStats, ShardId, ShardPlan,
 };
 
@@ -109,8 +110,8 @@ impl Controller for MpiController {
         sink: Arc<dyn TraceSink>,
     ) -> Result<RunReport> {
         let (workers, faults) = (self.workers_per_rank, &self.faults);
-        run_world(plan, faults, initial, |rel, inputs| {
-            rank_main(rel, plan, registry, inputs, workers, faults, &*sink)
+        run_world(plan, faults, initial, |rel, pending| {
+            rank_main(rel, plan, registry, pending, workers, faults, &*sink)
         })
     }
 
@@ -138,11 +139,9 @@ struct Core<'r, 'a> {
     rel: &'r mut ReliableEndpoint,
     pool: WorkPool<WorkItem>,
     tracing: bool,
-    /// Per local slot ([`ShardPlan::local_slot`]): the inputs of a
-    /// dispatched task whose completion has not been observed yet,
-    /// retained to hand the task back if its worker dies (idempotent
-    /// re-execution).
-    inflight: Vec<Option<Vec<Payload>>>,
+    /// Per local slot ([`ShardPlan::local_slot`]): whether the task was
+    /// dispatched and its completion has not been observed yet.
+    inflight: Vec<bool>,
     /// How many of `inflight` are there.
     running: usize,
     stats: RunStats,
@@ -154,19 +153,16 @@ struct Core<'r, 'a> {
 }
 
 impl Core<'_, '_> {
-    /// Move ready buffers to the worker pool, retaining each task's inputs
-    /// in `inflight` until its completion, then settle the rank's work
-    /// with `delivered` messages retired (see [`RankState::settle`]).
-    /// Each worker the fault plan kills gets one of the rank's first
-    /// tasks pinned to it, so its death, and the hand-back, always happen.
+    /// Move ready buffers to the worker pool, marking each task in flight
+    /// until its completion, then settle the rank's work with `delivered`
+    /// messages retired (see [`RankState::settle`]). Each worker the fault
+    /// plan kills gets one of the rank's first tasks pinned to it, so its
+    /// death, and the hand-back, always happen.
     fn dispatch(&mut self, ready: Vec<u32>, delivered: u64) {
         let ready_ns = if self.tracing { now_ns() } else { 0 };
         for ix in ready {
             if let Some(inputs) = self.state.pending.take(ix) {
-                // The retained (hand-back) copy is the one input clone
-                // dispatch costs.
-                self.stats.perf.payload_clones += inputs.len() as u64;
-                self.inflight[self.plan.local_slot(ix)] = Some(inputs.clone());
+                self.inflight[self.plan.local_slot(ix)] = true;
                 self.running += 1;
                 let item = WorkItem { ix, inputs, ready_ns };
                 match self.doomed.pop() {
@@ -180,7 +176,7 @@ impl Core<'_, '_> {
 
     /// Record a worker's completion of the task at plan index `ix`: route
     /// its outputs (remote ones already serialized) and dispatch the
-    /// consumers that became ready. Removal from `inflight` is the
+    /// consumers that became ready. Clearing `inflight` is the
     /// exactly-once check.
     fn complete(
         &mut self,
@@ -189,7 +185,7 @@ impl Core<'_, '_> {
         remote: Vec<(usize, BytesMut)>,
         worker: u32,
     ) -> Result<()> {
-        if self.inflight[self.plan.local_slot(ix)].take().is_none() {
+        if !std::mem::take(&mut self.inflight[self.plan.local_slot(ix)]) {
             return Ok(());
         }
         self.running -= 1;
@@ -209,14 +205,13 @@ impl Core<'_, '_> {
         self.state.pending.is_empty() && self.running == 0
     }
 
-    /// Re-queue the task a dead worker held (plan index `ix`), from its
-    /// retained inputs.
-    fn hand_back(&mut self, ix: u32) {
-        if let Some(inputs) = &self.inflight[self.plan.local_slot(ix)] {
+    /// Re-queue the task a dead worker held (plan index `ix`), with the
+    /// inputs it was handed.
+    fn hand_back(&mut self, ix: u32, inputs: Vec<Payload>) {
+        if self.inflight[self.plan.local_slot(ix)] {
             self.stats.recovery.retries += 1;
-            self.stats.perf.payload_clones += inputs.len() as u64;
             let ready_ns = if self.tracing { now_ns() } else { 0 };
-            self.pool.push(WorkItem { ix, inputs: inputs.clone(), ready_ns });
+            self.pool.push(WorkItem { ix, inputs, ready_ns });
         }
     }
 
@@ -230,14 +225,15 @@ impl Core<'_, '_> {
 }
 
 /// Settles a worker's exit. A worker the fault plan kills dies holding
-/// the task it just picked up, and hands it back for a live worker to
-/// run. A panic outside the callback (a panicking [`TraceSink`], say) can
-/// leave a task half-routed, so it fails the rank at once.
+/// the task it just picked up, before running it, and hands it back with
+/// its inputs for a live worker to run. A panic outside the callback (a
+/// panicking [`TraceSink`], say) can leave a task half-routed, so it fails
+/// the rank at once.
 struct WorkerExit<'c, 'r, 'a> {
     core: &'c Mutex<Core<'r, 'a>>,
     worker: u32,
-    /// Plan index of the task this worker holds, if any.
-    holding: Option<u32>,
+    /// The task this worker dies holding, by plan index, and its inputs.
+    holding: Option<(u32, Vec<Payload>)>,
 }
 
 impl Drop for WorkerExit<'_, '_, '_> {
@@ -245,8 +241,8 @@ impl Drop for WorkerExit<'_, '_, '_> {
         if std::thread::panicking() {
             let msg = format!("worker {} panicked", self.worker);
             self.core.lock().fail(ControllerError::Runtime(msg));
-        } else if let Some(ix) = self.holding {
-            self.core.lock().hand_back(ix);
+        } else if let Some((ix, inputs)) = self.holding.take() {
+            self.core.lock().hand_back(ix, inputs);
         }
     }
 }
@@ -265,16 +261,16 @@ impl Drop for ClosePool<'_> {
 /// that execute ready tasks and route their outputs themselves, and a
 /// control thread that receives messages and dispatches the tasks they
 /// make ready.
-pub(crate) fn rank_main(
+pub(crate) fn rank_main<'a>(
     rel: &mut ReliableEndpoint,
-    plan: &Arc<ShardPlan>,
+    plan: &'a ShardPlan,
     registry: &Registry,
-    initial: InitialInputs,
+    pending: Pending<'a>,
     workers: usize,
     faults: &FaultPlan,
-    sink: &dyn TraceSink,
+    sink: &'a dyn TraceSink,
 ) -> RankOutcome {
-    let state = RankState::new(plan, rel, initial, sink)?;
+    let state = RankState::new(plan, rel, pending, sink);
     let tracing = sink.enabled();
     let my_rank = rel.rank() as u32;
     let mut kills: Vec<u32> = faults
@@ -290,9 +286,12 @@ pub(crate) fn rank_main(
         return Err(ControllerError::Runtime(msg));
     }
     let pool: WorkPool<WorkItem> = WorkPool::new(workers);
+    // The control thread sleeps on the inbox with the rank lock released,
+    // through its own handle.
+    let inbox = rel.comm().inbox().clone();
     let core = Mutex::new(Core {
         plan,
-        inflight: (0..plan.local(ShardId(my_rank)).len()).map(|_| None).collect(),
+        inflight: vec![false; plan.local(ShardId(my_rank)).len()],
         running: 0,
         state,
         rel,
@@ -316,10 +315,10 @@ pub(crate) fn rank_main(
                 let row = (my_rank, worker);
                 while let Some(WorkItem { ix, inputs, ready_ns }) = pool.recv(worker as usize) {
                     let pt = plan.task(ix);
-                    exit.holding = Some(ix);
                     if kills.contains(&worker) {
                         // Injected worker death: die holding the task just
                         // picked up; `exit` hands it back.
+                        exit.holding = Some((ix, inputs));
                         break;
                     }
                     if tracing {
@@ -340,7 +339,6 @@ pub(crate) fn rank_main(
                         }
                         Ok(())
                     });
-                    exit.holding = None;
                     if let Err(e) = done {
                         let mut core = core.lock();
                         core.stats.merge(&stats);
@@ -380,7 +378,7 @@ pub(crate) fn rank_main(
                 core.rel.sleep()
             };
             // Network envelopes, a worker's wake, or a retransmit deadline.
-            woke_with = sleep.until_event();
+            woke_with = sleep.until_event(&inbox);
         }
     })?;
 

@@ -19,8 +19,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use babelflow_core::{
-    InitialInputs, Payload, PlanTask, Registry, Result, RunStats, ShardId, ShardPlan, TaskGraph,
-    TaskId, TaskMap,
+    ControllerError, InitialInputs, Payload, Pending, PlanTask, Registry, Result, RunStats,
+    ShardId, ShardPlan, TaskGraph, TaskId, TaskMap,
 };
 
 use crate::comm::World;
@@ -102,12 +102,20 @@ impl InSituRank {
         self,
         local_inputs: InitialInputs,
     ) -> Result<(BTreeMap<TaskId, Vec<Payload>>, RunStats)> {
+        let plan = &*self.plan;
         run_rank(self.ep, |rel| {
+            let mut pending = Pending::local(plan, ShardId(rel.rank() as u32));
+            for (task, payloads) in local_inputs {
+                let ix = plan.index_of(task).ok_or_else(|| {
+                    ControllerError::Runtime(format!("initial input for unknown task {task}"))
+                })?;
+                pending.deliver_initial(ix, payloads)?;
+            }
             rank_main(
                 rel,
-                &self.plan,
+                plan,
                 &self.registry,
-                local_inputs,
+                pending,
                 self.workers,
                 &crate::comm::FaultPlan::none(),
                 &babelflow_core::NoopSink,

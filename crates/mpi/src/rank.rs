@@ -6,7 +6,7 @@
 //! the world's work count. The controllers differ only in when a ready
 //! task runs.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use babelflow_core::trace::{now_ns, SpanKind, TraceEvent, TraceSink, CONTROL_THREAD};
 use babelflow_core::{
@@ -22,28 +22,30 @@ use crate::wire::{DataflowMsg, TAG_DATAFLOW};
 pub(crate) type RankOutcome = Result<(BTreeMap<TaskId, Vec<Payload>>, RunStats)>;
 
 /// Run `body` on one thread per rank of `plan`'s world, each over its
-/// reliable endpoint and with the initial inputs of its own tasks, and
-/// merge the ranks' outputs and counters. A failed run reports its root
-/// cause: the error of the rank that failed first (its peers only
-/// stopped), with the pending tasks of every deadlocked rank merged.
-pub(crate) fn run_world<F>(
-    plan: &ShardPlan,
+/// reliable endpoint and with its own pending tasks, initial inputs
+/// delivered, and merge the ranks' outputs and counters. A failed run
+/// reports its root cause: the error of the rank that failed first (its
+/// peers only stopped), with the pending tasks of every deadlocked rank
+/// merged.
+pub(crate) fn run_world<'p, F>(
+    plan: &'p ShardPlan,
     faults: &FaultPlan,
     initial: InitialInputs,
     body: F,
 ) -> Result<RunReport>
 where
-    F: Fn(&mut ReliableEndpoint, InitialInputs) -> RankOutcome + Sync,
+    F: Fn(&mut ReliableEndpoint, Pending<'p>) -> RankOutcome + Sync,
 {
     let nranks = plan.num_shards() as usize;
     let mut world = World::with_faults(nranks, faults.clone());
     // "Each rank creates only the portion of the tasks assigned to it"
-    // and receives only the initial inputs local to it.
-    let mut rank_inputs: Vec<InitialInputs> = (0..nranks).map(|_| HashMap::new()).collect();
+    // and receives only the initial inputs local to it: one pass over
+    // `initial`, each input delivered by plan index to its rank's tasks.
+    let mut pending: Vec<Pending<'p>> =
+        (0..nranks).map(|rank| Pending::local(plan, ShardId(rank as u32))).collect();
     for (task, payloads) in initial {
-        let shard = plan.task_by_id(task).expect("preflight checked initial inputs").shard.0;
-        let shard = shard as usize;
-        rank_inputs[shard].insert(task, payloads);
+        let ix = plan.index_of(task).expect("preflight checked initial inputs");
+        pending[plan.task(ix).shard.0 as usize].deliver_initial(ix, payloads)?;
     }
 
     let body = &body;
@@ -51,8 +53,8 @@ where
         let handles: Vec<_> = world
             .endpoints()
             .into_iter()
-            .zip(rank_inputs)
-            .map(|(ep, inputs)| s.spawn(move || run_rank(ep, |rel| body(rel, inputs))))
+            .zip(pending)
+            .map(|(ep, pending)| s.spawn(move || run_rank(ep, |rel| body(rel, pending))))
             .collect();
         handles.into_iter().enumerate().map(|(r, h)| rank_outcome(r, h.join())).collect()
     });
@@ -175,20 +177,17 @@ pub(crate) struct RankState<'a> {
 }
 
 impl<'a> RankState<'a> {
-    /// The pending tasks of `rel`'s rank, with `initial` delivered.
+    /// The state of `rel`'s rank, whose tasks, initial inputs delivered,
+    /// are `pending`.
     pub(crate) fn new(
         plan: &'a ShardPlan,
         rel: &ReliableEndpoint,
-        initial: InitialInputs,
+        pending: Pending<'a>,
         sink: &'a dyn TraceSink,
-    ) -> Result<Self> {
+    ) -> Self {
         let shard = ShardId(rel.rank() as u32);
-        let mut pending = Pending::local(plan, shard);
-        for (task, payloads) in initial {
-            pending.deliver_initial(task, payloads)?;
-        }
         let (outputs, tracing) = (BTreeMap::new(), sink.enabled());
-        Ok(RankState { plan, shard, pending, outputs, busy: true, sink, tracing })
+        RankState { plan, shard, pending, outputs, busy: true, sink, tracing }
     }
 
     fn rank(&self) -> u32 {

@@ -23,7 +23,10 @@
 //!   number: an injected fault hits the whole batch and the protocol
 //!   recovers every part together. Per-(src, dst) FIFO order is preserved
 //!   because parts are packed in send order and unpacked in order;
-//! * unacknowledged messages are retransmitted on [`tick`] with
+//! * unacknowledged messages wait in one FIFO per destination, in
+//!   sequence order: sequence numbers are dense per destination, so an
+//!   ack finds its message by one subtraction from the FIFO's base, with
+//!   no hashing. They are retransmitted on [`tick`] with
 //!   exponential backoff, re-batched per destination in sequence order.
 //!   Retransmit deadlines live in a min-heap with lazy deletion, so a
 //!   tick examines only the entries that are due (plus stale entries for
@@ -63,7 +66,7 @@
 //! [`wait`]: ReliableEndpoint::wait
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::time::{Duration, Instant};
 
 use babelflow_core::channel::Receiver;
@@ -101,6 +104,49 @@ struct Pending {
     attempts: u32,
 }
 
+/// One destination's sent and unacknowledged messages, in sequence
+/// order: entry `i` of `fifo` is sequence number `acked_below + i`, `None`
+/// once it was acked ahead of an older one. Acks retire the front, so the
+/// front entry is always unacked and an empty FIFO means all are acked.
+#[derive(Default)]
+struct Unacked {
+    /// Every sequence number below this one is acked.
+    acked_below: u64,
+    fifo: VecDeque<Option<Pending>>,
+}
+
+impl Unacked {
+    /// The sequence number the next send to this destination takes.
+    fn next_seq(&self) -> u64 {
+        self.acked_below + self.fifo.len() as u64
+    }
+
+    /// The entry of the message with sequence number `seq`, if it was
+    /// sent and is not below the acked front.
+    fn entry(&mut self, seq: u64) -> Option<&mut Option<Pending>> {
+        let i = usize::try_from(seq.checked_sub(self.acked_below)?).ok()?;
+        self.fifo.get_mut(i)
+    }
+
+    /// The message with sequence number `seq`, if it is unacked.
+    fn get_mut(&mut self, seq: u64) -> Option<&mut Pending> {
+        self.entry(seq)?.as_mut()
+    }
+
+    /// Retire `seq`; `false` if it is not unacked (acked before, or never
+    /// sent).
+    fn ack(&mut self, seq: u64) -> bool {
+        if self.entry(seq).and_then(Option::take).is_none() {
+            return false;
+        }
+        while let Some(None) = self.fifo.front() {
+            self.fifo.pop_front();
+            self.acked_below += 1;
+        }
+        true
+    }
+}
+
 /// Retransmit timeout after `attempts` retransmissions.
 fn rto(attempts: u32) -> Duration {
     BASE_RTO * 2u32.saturating_pow(attempts.min(6))
@@ -120,19 +166,20 @@ type Deadline = Reverse<(Instant, usize, u64, u32)>;
 /// endpoint knows nothing about.
 pub struct ReliableEndpoint {
     ep: RankComm,
-    /// Next sequence number per destination rank.
-    next_seq: Vec<u64>,
-    /// Sent and not yet acked, keyed (dst, seq).
-    unacked: HashMap<(usize, u64), Pending>,
+    /// Sent and not yet acked, per destination rank.
+    unacked: Vec<Unacked>,
     /// One deadline per transmission of an `unacked` message, earliest
     /// first; lazily deleted (see [`Deadline`]).
     deadlines: BinaryHeap<Deadline>,
     /// Staged, not-yet-transmitted sends per destination: (seq, tag).
     /// The framed bytes live in `unacked`; staging holds only the key.
     outbox: Vec<Vec<(u64, u32)>>,
-    /// Ack sequence numbers staged per source, flushed as one envelope
-    /// after each incoming envelope is fully processed.
-    ack_stage: Vec<Vec<u64>>,
+    /// Acks staged per source, as `(TAG_ACK, seq)` parts, flushed as one
+    /// envelope after each incoming envelope is fully processed.
+    ack_stage: Vec<Vec<(u32, [u8; SEQ_ROOM])>>,
+    /// The parts of the envelope being transmitted; kept, like
+    /// `outbox` and `ack_stage`, so a flush allocates no list.
+    frames: Vec<(u32, Bytes)>,
     /// Auto-flush threshold for `outbox` entries.
     batch_limit: usize,
     /// Next expected sequence number per source rank.
@@ -162,19 +209,17 @@ pub struct ReliableEndpoint {
 
 /// A rank's wait for its next event (see [`ReliableEndpoint::sleep`]).
 pub struct Sleep {
-    inbox: Receiver<Envelope>,
     until: Option<Instant>,
 }
 
 impl Sleep {
-    /// Block until the next envelope arrives (`Some`) or the deadline
-    /// passes (`None`).
-    pub fn until_event(self) -> Option<Envelope> {
+    /// Block on `inbox`, the rank's own (a clone of
+    /// [`RankComm::inbox`], taken once per rank), until the next envelope
+    /// arrives (`Some`) or the deadline passes (`None`).
+    pub fn until_event(self, inbox: &Receiver<Envelope>) -> Option<Envelope> {
         match self.until {
-            Some(due) => {
-                self.inbox.recv_timeout(due.saturating_duration_since(Instant::now())).ok()
-            }
-            None => self.inbox.recv().ok(),
+            Some(due) => inbox.recv_timeout(due.saturating_duration_since(Instant::now())).ok(),
+            None => inbox.recv().ok(),
         }
     }
 }
@@ -192,11 +237,11 @@ impl ReliableEndpoint {
         let n = ep.size();
         ReliableEndpoint {
             ep,
-            next_seq: vec![0; n],
-            unacked: HashMap::new(),
+            unacked: (0..n).map(|_| Unacked::default()).collect(),
             deadlines: BinaryHeap::new(),
             outbox: vec![Vec::new(); n],
             ack_stage: vec![Vec::new(); n],
+            frames: Vec::new(),
             batch_limit: DEFAULT_BATCH_LIMIT,
             next_expected: vec![0; n],
             reorder: (0..n).map(|_| BTreeMap::new()).collect(),
@@ -256,10 +301,10 @@ impl ReliableEndpoint {
     /// # Panics
     /// If `frame` is shorter than [`SEQ_ROOM`].
     pub fn send(&mut self, dst: usize, tag: u32, mut frame: BytesMut) {
-        let seq = self.next_seq[dst];
-        self.next_seq[dst] += 1;
+        let unacked = &mut self.unacked[dst];
+        let seq = unacked.next_seq();
         frame[..SEQ_ROOM].copy_from_slice(&seq.to_le_bytes());
-        self.unacked.insert((dst, seq), Pending { tag, framed: frame.freeze(), attempts: 0 });
+        unacked.fifo.push_back(Some(Pending { tag, framed: frame.freeze(), attempts: 0 }));
         self.outbox[dst].push((seq, tag));
         if self.outbox[dst].len() >= self.batch_limit {
             self.flush_dst(dst);
@@ -279,7 +324,6 @@ impl ReliableEndpoint {
         if self.outbox[dst].is_empty() {
             return;
         }
-        let staged = std::mem::take(&mut self.outbox[dst]);
         // The RTO clock starts at actual transmission, not at staging time.
         let due = Instant::now() + rto(0);
         // A thread sleeping past this deadline (another thread sends while
@@ -288,20 +332,21 @@ impl ReliableEndpoint {
             self.sleeping = None;
             self.ep.wake();
         }
-        let mut parts = Vec::with_capacity(staged.len());
-        for (seq, tag) in staged {
-            if let Some(pending) = self.unacked.get(&(dst, seq)) {
+        let mut frames = std::mem::take(&mut self.frames);
+        for (seq, tag) in self.outbox[dst].drain(..) {
+            if let Some(pending) = self.unacked[dst].get_mut(seq) {
                 self.deadlines.push(Reverse((due, dst, seq, 0)));
-                parts.push((tag, pending.framed.clone()));
+                frames.push((tag, pending.framed.clone()));
             }
         }
-        self.transmit(dst, parts);
+        self.transmit(dst, &mut frames);
+        self.frames = frames;
     }
 
-    /// Issue one channel operation carrying `parts` to `dst`: a plain
-    /// envelope for a single part (a retained frame goes as is), a
-    /// [`TAG_BATCH`] envelope otherwise.
-    fn transmit<B: AsRef<[u8]> + Into<Bytes>>(&mut self, dst: usize, mut parts: Vec<(u32, B)>) {
+    /// Issue one channel operation carrying `parts` to `dst`, leaving
+    /// `parts` empty: a plain envelope for a single part (a retained frame
+    /// goes as is), a [`TAG_BATCH`] envelope otherwise.
+    fn transmit<B: AsRef<[u8]> + Into<Bytes>>(&mut self, dst: usize, parts: &mut Vec<(u32, B)>) {
         match parts.len() {
             0 => {}
             1 => {
@@ -310,7 +355,8 @@ impl ReliableEndpoint {
                 self.envelopes_sent += 1;
             }
             _ => {
-                let packed = pack_batch(&parts);
+                let packed = pack_batch(parts);
+                parts.clear();
                 self.ep.isend(dst, TAG_BATCH, packed);
                 self.envelopes_sent += 1;
                 self.batches_sent += 1;
@@ -343,7 +389,7 @@ impl ReliableEndpoint {
     fn handle_part(&mut self, src: usize, tag: u32, body: Bytes) {
         if tag == TAG_ACK {
             if let Some((seq, _)) = unframe(&body) {
-                if self.unacked.remove(&(src, seq)).is_none() {
+                if !self.unacked[src].ack(seq) {
                     // An ack for something no longer pending is itself a
                     // duplicate (re-ack of a retransmit, or a transport
                     // duplicate of the ack) — count it as suppressed.
@@ -359,7 +405,7 @@ impl ReliableEndpoint {
         if seq < expected {
             // Ack even duplicates — the previous ack may have been the
             // casualty of the fault plan.
-            self.ack_stage[src].push(seq);
+            self.ack_stage[src].push((TAG_ACK, seq.to_le_bytes()));
             self.stats.duplicates_suppressed += 1;
             return;
         }
@@ -369,7 +415,7 @@ impl ReliableEndpoint {
             // reorder-buffer memory at `window - 1` entries per source.
             return;
         }
-        self.ack_stage[src].push(seq);
+        self.ack_stage[src].push((TAG_ACK, seq.to_le_bytes()));
         if seq > expected {
             if self.reorder[src].insert(seq, (tag, body)).is_some() {
                 self.stats.duplicates_suppressed += 1;
@@ -386,12 +432,9 @@ impl ReliableEndpoint {
     }
 
     fn flush_acks(&mut self, src: usize) {
-        if self.ack_stage[src].is_empty() {
-            return;
-        }
-        let parts: Vec<(u32, [u8; 8])> =
-            self.ack_stage[src].drain(..).map(|s| (TAG_ACK, s.to_le_bytes())).collect();
-        self.transmit(src, parts);
+        let mut acks = std::mem::take(&mut self.ack_stage[src]);
+        self.transmit(src, &mut acks);
+        self.ack_stage[src] = acks;
     }
 
     /// Handle every envelope already queued in the inbox, without
@@ -420,7 +463,7 @@ impl ReliableEndpoint {
         let mut overdue: Vec<(usize, u64)> = Vec::new();
         while let Some(&Reverse((due, dst, seq, attempts))) = self.deadlines.peek() {
             self.rto_scanned += 1;
-            let live = self.unacked.get(&(dst, seq)).is_some_and(|p| p.attempts == attempts);
+            let live = self.unacked[dst].get_mut(seq).is_some_and(|p| p.attempts == attempts);
             if live && due > now {
                 break;
             }
@@ -438,10 +481,10 @@ impl ReliableEndpoint {
         let mut i = 0;
         while i < overdue.len() {
             let dst = overdue[i].0;
-            let mut parts = Vec::new();
+            let mut parts = std::mem::take(&mut self.frames);
             while i < overdue.len() && overdue[i].0 == dst {
                 let (_, seq) = overdue[i];
-                let pending = self.unacked.get_mut(&(dst, seq)).expect("still pending");
+                let pending = self.unacked[dst].get_mut(seq).expect("still pending");
                 pending.attempts += 1;
                 let attempts = pending.attempts;
                 self.deadlines.push(Reverse((now + rto(attempts), dst, seq, attempts)));
@@ -449,13 +492,14 @@ impl ReliableEndpoint {
                 parts.push((pending.tag, pending.framed.clone()));
                 i += 1;
             }
-            self.transmit(dst, parts);
+            self.transmit(dst, &mut parts);
+            self.frames = parts;
         }
     }
 
     /// Whether every send has been transmitted and acknowledged.
     pub fn all_acked(&self) -> bool {
-        self.unacked.is_empty()
+        self.unacked.iter().all(|u| u.fifo.is_empty())
     }
 
     /// Wait for the next event: transmit staged sends, retransmit what is
@@ -463,7 +507,7 @@ impl ReliableEndpoint {
     /// (with nothing unacked, until the next envelope), and handle every
     /// envelope queued by then.
     pub fn wait(&mut self) {
-        let env = self.sleep().until_event();
+        let env = self.sleep().until_event(self.ep.inbox());
         self.woke(env);
     }
 
@@ -475,7 +519,7 @@ impl ReliableEndpoint {
         self.tick();
         let until = self.deadlines.peek().map(|&Reverse((due, ..))| due);
         self.sleeping = Some(until);
-        Sleep { inbox: self.ep.inbox().clone(), until }
+        Sleep { until }
     }
 
     /// The second half of [`wait`](Self::wait): handle what the
@@ -580,7 +624,7 @@ mod tests {
             assert!(within(&body, batch), "a part was copied out of the batch");
         }
         // The sender still holds its own frames for retransmission.
-        assert_eq!(a.unacked.len(), parts.len());
+        assert_eq!(a.unacked[1].fifo.len(), parts.len());
     }
 
     fn exchange(faults: FaultPlan, messages: u64) -> (RecoveryStats, RecoveryStats) {
@@ -837,6 +881,63 @@ mod tests {
             .map(|(_, _, body)| u64::from_le_bytes(body.as_ref().try_into().unwrap()))
             .collect();
         assert_eq!(ready, (0..sent).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn acks_in_any_order_retire_the_unacked_fifo_from_its_front() {
+        let mut w = World::new(2);
+        let mut eps = w.endpoints();
+        let b = eps.pop().unwrap();
+        let mut a = ReliableEndpoint::new(eps.pop().unwrap());
+        for i in 0..5u8 {
+            a.send(1, 7, with_room(&[i]));
+        }
+        a.flush_sends();
+        assert_eq!(b.try_recv().expect("one batch").tag, TAG_BATCH);
+        let ack = |seq: u64| Envelope {
+            src: 1,
+            tag: TAG_ACK,
+            body: Bytes::copy_from_slice(&seq.to_le_bytes()),
+        };
+        let state = |a: &ReliableEndpoint| (a.unacked[1].acked_below, a.unacked[1].fifo.len());
+        // Acks ahead of the front leave holes; the front stays.
+        a.handle(ack(2));
+        a.handle(ack(4));
+        assert_eq!(state(&a), (0, 5));
+        // Acking the front retires it and nothing behind it still unacked.
+        a.handle(ack(0));
+        assert_eq!(state(&a), (1, 4));
+        assert!(!a.all_acked());
+        // A second ack of 2, an ack below the base and one for a message
+        // never sent are duplicates.
+        a.handle(ack(2));
+        a.handle(ack(0));
+        a.handle(ack(9));
+        assert_eq!(a.stats.duplicates_suppressed, 3);
+        // Past the RTO, exactly the two unacked messages go again, in one
+        // batch, in sequence order.
+        std::thread::sleep(BASE_RTO + Duration::from_millis(5));
+        a.tick();
+        assert_eq!(a.stats.retransmits, 2);
+        let resent = b.try_recv().expect("one retransmit batch");
+        let seqs: Vec<u64> = unpack_batch(&resent.body)
+            .expect("a batch")
+            .iter()
+            .map(|(_, framed)| unframe(framed).expect("framed").0)
+            .collect();
+        assert_eq!(seqs, [1, 3]);
+        assert!(b.try_recv().is_none());
+        a.handle(ack(3));
+        assert_eq!(state(&a), (1, 4));
+        a.handle(ack(1));
+        assert_eq!(state(&a), (5, 0));
+        assert!(a.all_acked());
+        // The next send takes the next sequence number.
+        a.send(1, 7, with_room(b"z"));
+        a.flush_sends();
+        let next = b.try_recv().expect("sent");
+        assert_eq!(unframe(&next.body).expect("framed").0, 5);
+        assert!(!a.all_acked());
     }
 
     #[test]

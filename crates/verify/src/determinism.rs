@@ -97,7 +97,8 @@ fn run_permuted(
 
     let mut pending = Pending::all(plan);
     for (id, payloads) in initial {
-        pending.deliver_initial(id, payloads)?;
+        let ix = plan.index_of(id).expect("preflight checked initial inputs");
+        pending.deliver_initial(ix, payloads)?;
     }
     let mut ready = pending.ready();
 

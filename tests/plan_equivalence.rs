@@ -173,7 +173,7 @@ fn static_schedule_matches_the_reference_order_on_every_family() {
         for shards in [1u32, 3] {
             let plan = ShardPlan::build(&*graph, &ModuloMap::new(shards, graph.size() as u64));
             let order: Vec<TaskId> =
-                plan.static_schedule().into_iter().map(|ix| plan.task(ix).id()).collect();
+                plan.static_schedule().iter().map(|&ix| plan.task(ix).id()).collect();
             assert_eq!(order, reference_static_schedule(&plan), "{name}/mod{shards}");
             assert_eq!(order.len(), graph.size(), "{name}: every task has a place");
         }

@@ -21,9 +21,6 @@ cargo test -q --offline --workspace
 # The warm-run page-fault gate again in release, the build the benchmark
 # measures (DESIGN.md §12, "Warm buffers").
 cargo test -q --release --offline -p babelflow-render --test warm_buffers
-# No other step compiles the bench targets (crates/bench/benches); build
-# them (without running) so a kernel API change cannot leave them broken.
-cargo bench --no-run --offline --workspace
 
 # Stress: the conformance suite at 4x its case budget while two CPU-bound
 # processes compete for the cores. No MPI decision may lean on a clock, so

@@ -10,7 +10,6 @@
 pub mod ablations;
 pub mod calibrate;
 pub mod figures;
-pub mod harness;
 pub mod plots;
 
 use std::io::Write as _;

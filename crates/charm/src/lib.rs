@@ -242,6 +242,53 @@ mod tests {
         }
     }
 
+    fn leaf_inputs(g: &Reduction) -> HashMap<TaskId, Vec<Payload>> {
+        g.leaf_ids().into_iter().enumerate().map(|(i, id)| (id, vec![pay(i as u64)])).collect()
+    }
+
+    #[test]
+    fn one_pe_takes_a_fixed_number_of_pool_locks_whatever_the_task_count() {
+        // On one PE every chare-to-chare message is a self-push, and the
+        // bootstrap is one batch: the pool is locked for that batch, the
+        // drain, the idle check and the reopen, on any graph size.
+        let reg = sum_registry();
+        for leaves in [16, 64, 256] {
+            let g = Reduction::new(leaves, 4);
+            let map = ModuloMap::new(1, g.size() as u64);
+            let report = CharmController::new(1).run(&g, &map, &reg, leaf_inputs(&g)).unwrap();
+            assert_eq!(report.stats.tasks_executed, g.size() as u64);
+            assert_eq!(report.stats.perf.pool_locks, 4, "Reduction({leaves}, 4)");
+            assert_eq!(report.stats.perf.parks, 0);
+        }
+    }
+
+    #[test]
+    fn a_traced_run_sends_each_bootstrap_message_once_in_causal_order() {
+        // The bootstrap enters the pool as one batch, yet each of its
+        // messages still has its own send span, and the trace of the run,
+        // same-PE self-pushes included, passes the happens-before checker.
+        let g = Reduction::new(64, 4);
+        let map = ModuloMap::new(1, g.size() as u64);
+        for pes in [1, 2, 3] {
+            let rec = babelflow_trace::TraceRecorder::shared();
+            CharmController::new(pes)
+                .run_traced(&g, &map, &sum_registry(), leaf_inputs(&g), rec.clone())
+                .unwrap();
+            let trace = rec.take();
+            let bootstrap_sends = trace
+                .events()
+                .iter()
+                .filter(|e| e.kind == babelflow_core::trace::SpanKind::MsgSend)
+                .filter(|e| e.task.is_external())
+                .count();
+            assert_eq!(bootstrap_sends, 64, "pes={pes}");
+            let plan = ShardPlan::build(&g, &map);
+            let hb = babelflow_verify::check_happens_before(&trace, &plan);
+            assert!(hb.is_clean(), "pes={pes}: {hb}");
+            assert_eq!(hb.execs, g.size(), "pes={pes}");
+        }
+    }
+
     #[test]
     fn persistent_panic_surfaces_as_task_error() {
         let g = Reduction::new(4, 2);

@@ -13,7 +13,8 @@
 //!   PE, so a delivery finds its chare without hashing;
 //! * **PEs** (threads) running a message-driven scheduler loop;
 //! * **remote method invocation**: `ctx.send(idx, …)` routes a message to
-//!   the chare's PE;
+//!   the chare's PE, or queues it on the sending PE itself when the chare
+//!   lives there;
 //! * **quiescence detection**: the PEs run on a
 //!   [`WorkPool`], whose run ends the moment no message is queued and no
 //!   entry method runs — complete if every chare retired, stalled (with
@@ -23,7 +24,9 @@
 //! A message's path writes only memory its PEs own, besides the pool's
 //! one lock: each PE keeps its own counters ([`CharmStats`], summed once
 //! the run is over) and takes its whole inbox in one acquisition of that
-//! lock.
+//! lock. A message to a chare on the sending PE skips the pool: it joins
+//! the PE's own queue, behind the inbox batch it is running, with no lock
+//! and no wake. The host's bootstrap messages enter the pool as one batch.
 //!
 //! Charm++'s periodic measurement-based load balancer (the paper's
 //! experiments "use periodic load balance") does not run on these threads:
@@ -34,7 +37,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use babelflow_core::sync::{Mutex, PoolStats, WorkPool};
+use babelflow_core::sync::{Local, Mutex, PoolStats, WorkPool};
 use babelflow_core::trace::{noop_sink, now_ns, SpanKind, TraceEvent, TraceSink, HOST_RANK};
 use babelflow_core::{ControllerError, Payload, TaskId};
 
@@ -106,8 +109,10 @@ struct Shared<'i> {
     ids: &'i [u64],
     /// Per chare index: the PE hosting the chare and its slot there.
     homes: Vec<(u32, u32)>,
-    /// PE scheduler queues. Every delivery rides its target PE's *pinned*
-    /// lane, which stealing never touches, so a chare only runs on its PE.
+    /// PE scheduler queues. A delivery from the host or another PE rides
+    /// its target PE's *pinned* lane, which stealing never touches, and
+    /// one from the same PE that PE's own queue, so a chare only runs on
+    /// its PE.
     pool: WorkPool<Delivery>,
     /// External outputs collected across PEs.
     outputs: Mutex<Outputs>,
@@ -118,16 +123,17 @@ struct Shared<'i> {
 }
 
 impl Shared<'_> {
-    /// Route a message to a chare's PE, counting it in the sending PE's
-    /// `stats` (`from_pe` is `usize::MAX` for the host's bootstrap).
-    fn send(
+    /// Address a message to chare `idx`, counting it in the sending PE's
+    /// `stats` (`from_pe` is `usize::MAX` for the host's bootstrap), and
+    /// return it with the PE that hosts the chare.
+    fn message(
         &self,
         from_pe: usize,
         stats: &mut CharmStats,
         idx: u32,
         src: TaskId,
         payload: Payload,
-    ) {
+    ) -> (usize, Delivery) {
         let pe = self.homes[idx as usize].0 as usize;
         if pe == from_pe {
             stats.local_messages += 1;
@@ -135,7 +141,6 @@ impl Shared<'_> {
             stats.cross_pe_messages += 1;
         }
         let sent_ns = if self.tracing { now_ns() } else { 0 };
-        self.pool.push_to(pe, Delivery { idx, src, payload, sent_ns });
         if self.tracing {
             let rank = if from_pe == usize::MAX { HOST_RANK } else { from_pe as u32 };
             // Payloads move by shared reference between PEs: bytes = 0.
@@ -145,11 +150,13 @@ impl Shared<'_> {
                     .with_message(TaskId(self.ids[idx as usize]), 0),
             );
         }
+        (pe, Delivery { idx, src, payload, sent_ns })
     }
 
     /// Run the entry method a delivery invokes on one of the chares
-    /// placed on `pe`, retiring the chare if it is done.
-    fn deliver(&self, state: &mut Pe<'_>, pe: usize, d: Delivery) {
+    /// placed on the PE that owns `local`, retiring the chare if it is
+    /// done.
+    fn deliver(&self, state: &mut Pe<'_>, local: &mut Local<Delivery>, d: Delivery) {
         let Delivery { idx, src, payload, sent_ns } = d;
         let slot = self.homes[idx as usize].1 as usize;
         let Some(chare) = state.chares[slot].as_mut() else {
@@ -163,12 +170,12 @@ impl Shared<'_> {
             // The in-flight + inbox time of this message, charged to the
             // receiving chare (its task id is its chare id by convention).
             self.sink.record(
-                TraceEvent::span(SpanKind::QueueWait, sent_ns, now_ns(), pe as u32, 0)
+                TraceEvent::span(SpanKind::QueueWait, sent_ns, now_ns(), local.worker() as u32, 0)
                     .with_task(TaskId(self.ids[idx as usize]), babelflow_core::CallbackId(u32::MAX))
                     .with_message(src, 0),
             );
         }
-        let mut ctx = ChareCtx { shared: self, pe, stats: &mut state.stats, self_idx: idx };
+        let mut ctx = ChareCtx { shared: self, local, stats: &mut state.stats, self_idx: idx };
         if chare.on_message(src, payload, &mut ctx) {
             state.chares[slot] = None;
             state.stats.retired += 1;
@@ -180,7 +187,8 @@ impl Shared<'_> {
 /// and emit external results.
 pub struct ChareCtx<'a> {
     shared: &'a Shared<'a>,
-    pe: usize,
+    /// The queue of the PE running this entry method.
+    local: &'a mut Local<Delivery>,
     /// The counters of the PE running this entry method.
     stats: &'a mut CharmStats,
     /// The index of the chare currently executing.
@@ -189,9 +197,14 @@ pub struct ChareCtx<'a> {
 
 impl<'a> ChareCtx<'a> {
     /// Asynchronously invoke chare `idx` with a payload (remote procedure
-    /// call in the paper's terms).
+    /// call in the paper's terms). A chare on this PE gets it through the
+    /// PE's own queue, after what that queue already holds.
     pub fn send(&mut self, idx: u32, src: TaskId, payload: Payload) {
-        self.shared.send(self.pe, self.stats, idx, src, payload);
+        let here = self.local.worker();
+        match self.shared.message(here, self.stats, idx, src, payload) {
+            (pe, d) if pe == here => self.local.push(d),
+            (pe, d) => self.shared.pool.push_to(pe, d),
+        }
     }
 
     /// Emit a result to the host application.
@@ -208,7 +221,7 @@ impl<'a> ChareCtx<'a> {
 
     /// The PE this entry method runs on (informational).
     pub fn pe(&self) -> usize {
-        self.pe
+        self.local.worker()
     }
 
     /// The runtime's trace sink, so chares can emit spans (e.g. the
@@ -291,15 +304,20 @@ impl CharmRuntime {
         // Each PE's state is the chares placed on it, constructed eagerly
         // (Charm++ constructs array elements at insertion); what is left
         // of it at quiescence never retired. PE 0, where Charm++ runs the
-        // main chare, first sends the host's bootstrap messages, so a
-        // failure while sending them is a PE failure like any other.
+        // main chare, first sends the host's bootstrap messages, as one
+        // batch, so a failure while sending them is a PE failure like any
+        // other.
         let bootstrap = Mutex::new(initial);
         let placed = |pe: usize| -> Pe<'a> {
             let mut stats = CharmStats::default();
             if pe == 0 {
-                for (idx, src, payload) in std::mem::take(&mut *bootstrap.lock()) {
-                    shared.send(usize::MAX, &mut stats, idx, src, payload);
-                }
+                let batch: Vec<_> = std::mem::take(&mut *bootstrap.lock())
+                    .into_iter()
+                    .map(|(idx, src, payload)| {
+                        shared.message(usize::MAX, &mut stats, idx, src, payload)
+                    })
+                    .collect();
+                shared.pool.push_all_to(batch);
             }
             let chares = (0..ids.len() as u32)
                 .filter(|&idx| shared.homes[idx as usize].0 as usize == pe)
@@ -309,7 +327,7 @@ impl CharmRuntime {
         };
         let pes = shared
             .pool
-            .run_until_idle(placed, |state, pe, d| shared.deliver(state, pe, d))
+            .run_until_idle(placed, |state, local, d| shared.deliver(state, local, d))
             .map_err(|pe| ControllerError::Runtime(format!("charm PE {pe} panicked")))?;
         let mut stats = CharmStats { pool: shared.pool.stats(), ..CharmStats::default() };
         for pe in &pes {

@@ -27,7 +27,7 @@
 
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::OnceLock;
 
 use crate::controller::{ControllerError, InitialInputs, Result};
@@ -129,6 +129,8 @@ pub struct ShardPlan {
     enforce_lint: bool,
     /// [`static_schedule`](Self::static_schedule), computed on first use.
     schedule: OnceLock<Vec<u32>>,
+    /// [`rounds`](Self::rounds), computed on first use.
+    rounds: OnceLock<Vec<Vec<u32>>>,
 }
 
 impl ShardPlan {
@@ -285,6 +287,7 @@ impl ShardPlan {
             lint,
             enforce_lint: true,
             schedule: OnceLock::new(),
+            rounds: OnceLock::new(),
         }
     }
 
@@ -495,6 +498,48 @@ impl ShardPlan {
         never.sort_by_key(|&ix| self.tasks[ix as usize].task.id);
         order.extend(never);
         order
+    }
+
+    /// The plan crawled into rounds of non-interfering tasks, as plan
+    /// indices in ascending order per round: a task's round is the longest
+    /// path to it from any source, so every dependency points to an earlier
+    /// round. A task with an input no producer ever fills (a
+    /// [`lenient`](Self::lenient) plan's dangling edge, or a cycle) is in
+    /// no round. Used by the index-launch controller, one launch per round;
+    /// like [`static_schedule`](Self::static_schedule) it is computed on
+    /// the first call and shared by later runs with the same plan.
+    pub fn rounds(&self) -> &[Vec<u32>] {
+        self.rounds.get_or_init(|| self.crawl_rounds())
+    }
+
+    fn crawl_rounds(&self) -> Vec<Vec<u32>> {
+        let tasks = &self.tasks;
+        let mut unmet: Vec<usize> =
+            tasks.iter().map(|pt| pt.fan_in() - pt.external_inputs).collect();
+        let mut round = vec![0usize; tasks.len()];
+        let mut queue: VecDeque<u32> =
+            (0..tasks.len() as u32).filter(|&ix| unmet[ix as usize] == 0).collect();
+        let mut rounds: Vec<Vec<u32>> = Vec::new();
+        while let Some(ix) = queue.pop_front() {
+            let r = round[ix as usize];
+            if rounds.len() <= r {
+                rounds.resize_with(r + 1, Vec::new);
+            }
+            rounds[r].push(ix);
+            for route in tasks[ix as usize].routes.iter().flatten() {
+                let Some((consumer, _)) = route.input else { continue };
+                let c = consumer as usize;
+                round[c] = round[c].max(r + 1);
+                unmet[c] -= 1;
+                if unmet[c] == 0 {
+                    queue.push_back(consumer);
+                }
+            }
+        }
+        for r in &mut rounds {
+            r.sort_unstable();
+        }
+        rounds
     }
 }
 
@@ -911,6 +956,15 @@ mod tests {
         let first = plan.static_schedule();
         assert!(std::ptr::eq(first, plan.static_schedule()), "recomputed");
         assert_eq!(first, [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn rounds_are_computed_once_on_first_use() {
+        let plan = ShardPlan::build(&diamond(), &ModuloMap::new(2, 4));
+        assert!(plan.rounds.get().is_none(), "build computed the rounds");
+        let first = plan.rounds();
+        assert!(std::ptr::eq(first, plan.rounds()), "recomputed");
+        assert_eq!(first, [vec![0], vec![1, 2], vec![3]]);
     }
 
     #[test]

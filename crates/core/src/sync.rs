@@ -163,6 +163,11 @@ impl Condvar {
 /// and steals round-robin from the other workers' floating lanes when
 /// both are empty, so a stalled or killed worker cannot strand floating
 /// work.
+///
+/// A single floating item is dealt round-robin; a batch is cut into
+/// contiguous blocks, one per floating lane in lane order
+/// ([`WorkDeques::push_blocks`]), so neighbours in a launch (the sibling
+/// leaves of one reduction node, say) start on the same worker.
 #[derive(Debug)]
 struct WorkDeques<T> {
     pinned: Vec<VecDeque<T>>,
@@ -207,6 +212,18 @@ impl<T> WorkDeques<T> {
         self.next = (self.next + 1) % self.floating.len();
         self.floating[w].push_back(item);
         self.len += 1;
+    }
+
+    /// Enqueue a batch of stealable work in contiguous blocks of
+    /// `ceil(k / lanes)` items, in order: floating lane 0 gets the first
+    /// block, lane 1 the next, and so on, so `2n` items on `n` lanes give
+    /// lane `w` the items `[2w, 2w + 2)`.
+    fn push_blocks(&mut self, items: impl ExactSizeIterator<Item = T>) {
+        let block = items.len().div_ceil(self.floating.len()).max(1);
+        for (i, item) in items.enumerate() {
+            self.floating[i / block].push_back(item);
+            self.len += 1;
+        }
     }
 
     /// Enqueue work pinned to `worker`; no other worker will pop it.
@@ -258,7 +275,6 @@ impl<T> WorkDeques<T> {
     }
 
     /// Items still pinned to `worker` (stealable by nobody).
-    #[cfg(test)]
     fn pinned_len(&self, worker: usize) -> usize {
         self.pinned[worker % self.pinned.len()].len()
     }
@@ -287,7 +303,10 @@ pub struct PoolStats {
 /// Each worker owns a *pinned* lane ([`push_to`](WorkPool::push_to)) that
 /// only it pops, and a *floating* lane ([`push`](WorkPool::push),
 /// round-robin) that idle peers steal from the back of, so a stalled or
-/// killed worker cannot strand floating work.
+/// killed worker cannot strand floating work. A batch enters under one
+/// lock: [`push_all`](WorkPool::push_all) cuts floating work into one
+/// contiguous block per lane, in order, and
+/// [`push_all_to`](WorkPool::push_all_to) pins each item to its worker.
 ///
 /// A pool is driven in one of two ways:
 /// * [`WorkPool::recv`]: consumers the caller spawns, one per worker
@@ -298,7 +317,9 @@ pub struct PoolStats {
 ///   the run itself once no work is left and no handler runs — for a
 ///   pool whose handlers produce all the work that follows (Charm PEs,
 ///   Legion workers). A worker here takes its whole pinned lane in one
-///   lock acquisition and runs that batch without the lock.
+///   lock acquisition and runs that batch without the lock, and its
+///   handlers can queue work on it through its [`Local`] queue, which
+///   takes no lock at all.
 ///
 /// Both pop through one loop. Each worker index parks on its own condvar
 /// and flags itself parked under the lock; a push wakes only a parked
@@ -391,6 +412,45 @@ impl<T> WorkPool<T> {
         self.wake(st, sleeper);
     }
 
+    /// Enqueue a batch of stealable work under one lock, in contiguous
+    /// blocks: with `k` items on `n` lanes, worker `w`'s floating lane
+    /// gets items `[w·b, (w+1)·b)` in order, `b = ceil(k / n)`. Wakes up
+    /// to `k` parked workers. Items pushed after [`close`](Self::close)
+    /// are dropped.
+    pub fn push_all<I>(&self, items: I)
+    where
+        I: IntoIterator<Item = T>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let items = items.into_iter();
+        let k = items.len();
+        if k == 0 {
+            return;
+        }
+        let mut st = self.lock();
+        if st.closed {
+            return;
+        }
+        st.deques.push_blocks(items);
+        self.wake_all(st, k, |_, _| true);
+    }
+
+    /// Enqueue a batch of `(worker, item)` pairs under one lock, each
+    /// item pinned to its worker, waking every parked worker that got
+    /// one. Items pushed after [`close`](Self::close) are dropped.
+    pub fn push_all_to(&self, items: impl IntoIterator<Item = (usize, T)>) {
+        let mut st = self.lock();
+        if st.closed {
+            return;
+        }
+        for (worker, item) in items {
+            st.deques.push_to(worker, item);
+        }
+        // A parked worker found its pinned lane empty and no push has
+        // filled it since (that push would have claimed its wake).
+        self.wake_all(st, usize::MAX, |deques, w| deques.pinned_len(w) > 0);
+    }
+
     /// Claim the wake of parked `worker` (if any) and notify it after
     /// releasing the lock.
     fn wake(&self, mut st: MutexGuard<'_, PoolState<T>>, worker: Option<usize>) {
@@ -398,6 +458,32 @@ impl<T> WorkPool<T> {
             st.parked[w] = false;
             st.wakes += 1;
             drop(st);
+            self.inner.wake[w].notify_one();
+        }
+    }
+
+    /// Claim the wakes of up to `max` parked workers that `can_take`
+    /// work now, lowest index first, and notify them after releasing the
+    /// lock.
+    fn wake_all(
+        &self,
+        mut st: MutexGuard<'_, PoolState<T>>,
+        max: usize,
+        can_take: impl Fn(&WorkDeques<T>, usize) -> bool,
+    ) {
+        let mut woken = Vec::new();
+        for w in 0..st.parked.len() {
+            if woken.len() == max {
+                break;
+            }
+            if st.parked[w] && can_take(&st.deques, w) {
+                st.parked[w] = false;
+                st.wakes += 1;
+                woken.push(w);
+            }
+        }
+        drop(st);
+        for w in woken {
             self.inner.wake[w].notify_one();
         }
     }
@@ -410,14 +496,15 @@ impl<T> WorkPool<T> {
     }
 
     /// The one pop/park loop. A [`run_until_idle`](Self::run_until_idle)
-    /// worker passes its (empty) `batch`: it takes its whole pinned lane
-    /// into it when the lane holds anything, and it closes the pool
-    /// instead of parking if it finds nothing to pop while the pool is
-    /// idle: every lane is empty, the pinned lanes of other workers
-    /// included, and every other worker is parked, so no handler is
-    /// running that could push more and no worker holds a batch. A
-    /// handler's pushes are queued before its worker comes back here, so
-    /// the pool cannot look idle while work remains.
+    /// worker passes its (empty) [`Local`] queue as `batch`: it takes its
+    /// whole pinned lane into it when the lane holds anything, and it
+    /// closes the pool instead of parking if it finds nothing to pop while
+    /// the pool is idle: every lane is empty, the pinned lanes of other
+    /// workers included, and every other worker is parked, so no handler
+    /// is running that could push more and no worker holds a batch or a
+    /// self-pushed item (a worker comes back here only once its local
+    /// queue is empty). A handler's pushes are queued before its worker
+    /// comes back here, so the pool cannot look idle while work remains.
     fn next(&self, worker: usize, mut batch: Option<&mut VecDeque<T>>) -> Option<T> {
         let w = worker % self.inner.wake.len();
         let mut st = self.lock();
@@ -449,14 +536,19 @@ impl<T> WorkPool<T> {
     /// Run one worker per lane until the pool is idle, then close it.
     ///
     /// Worker `w` starts with state `init(w)` and calls
-    /// `handle(&mut state, w, item)` on each item it pops: its pinned
-    /// lane first, then its floating lane, then a steal. It takes the
-    /// whole pinned lane at once and runs that batch in FIFO order before
-    /// it looks again, so items its handlers pin back to `w` run after
-    /// the batch. Handlers may push more work. The run ends when every
-    /// lane is empty, no handler is running and no batch is held, so it
+    /// `handle(&mut state, &mut local, item)` on each item it pops: its
+    /// local queue first, then its pinned lane, then its floating lane,
+    /// then a steal. It takes the whole pinned lane at once into its
+    /// local queue and runs that batch in FIFO order before it looks
+    /// again, so items its handlers pin back to `w` run after the batch.
+    /// Handlers may push more work, to the pool or, through
+    /// [`Local::push`], to their own worker: a self-push takes no lock,
+    /// wakes nobody and cannot be stolen, and it runs after everything
+    /// the local queue already holds. The run ends when every lane is
+    /// empty, no handler is running and no worker holds local work, so it
     /// needs no timer and cannot end while work remains; items pushed
-    /// before the call are part of the run.
+    /// before the call are part of the run. The idle rule needs nothing
+    /// new for self-pushes: a worker holding local work is not parked.
     ///
     /// Returns each worker's final state, or the index of the first worker
     /// (by index) whose `init` or `handle` unwound. An unwind closes the
@@ -470,7 +562,7 @@ impl<T> WorkPool<T> {
         T: Send,
         S: Send,
         I: Fn(usize) -> S + Sync,
-        H: Fn(&mut S, usize, T) + Sync,
+        H: Fn(&mut S, &mut Local<T>, T) + Sync,
     {
         let workers = self.inner.wake.len();
         let (init, handle) = (&init, &handle);
@@ -480,11 +572,13 @@ impl<T> WorkPool<T> {
                     s.spawn(move || {
                         let run = std::panic::AssertUnwindSafe(|| {
                             let mut state = init(w);
-                            let mut batch = VecDeque::new();
-                            while let Some(item) =
-                                batch.pop_front().or_else(|| self.next(w, Some(&mut batch)))
+                            let mut local = Local { worker: w, queue: VecDeque::new() };
+                            while let Some(item) = local
+                                .queue
+                                .pop_front()
+                                .or_else(|| self.next(w, Some(&mut local.queue)))
                             {
-                                handle(&mut state, w, item);
+                                handle(&mut state, &mut local, item);
                             }
                             state
                         });
@@ -528,6 +622,31 @@ impl<T> WorkPool<T> {
     /// Whether the pool currently holds no items.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// A [`run_until_idle`](WorkPool::run_until_idle) worker's own queue,
+/// handed to each of its handlers: the rest of the pinned batch it
+/// drained, then whatever its handlers pushed to it. Only this worker
+/// touches it, so nothing here takes the pool's lock or is counted in
+/// [`PoolStats`].
+#[derive(Debug)]
+pub struct Local<T> {
+    worker: usize,
+    queue: VecDeque<T>,
+}
+
+impl<T> Local<T> {
+    /// The index of the worker that owns this queue.
+    pub fn worker(&self) -> usize {
+        self.worker
+    }
+
+    /// Queue `item` to run on this worker after everything the queue
+    /// already holds. It takes no lock, wakes nobody and cannot be
+    /// stolen: the item waits for this worker even if a peer is idle.
+    pub fn push(&mut self, item: T) {
+        self.queue.push_back(item);
     }
 }
 
@@ -781,11 +900,11 @@ mod tests {
             pool.push_to(0, 0);
             pool.run_until_idle(
                 |_| Vec::new(),
-                |seen: &mut Vec<u32>, w, item| {
+                |seen: &mut Vec<u32>, local: &mut Local<u32>, item| {
                     seen.push(item);
                     taken.store(item, std::sync::atomic::Ordering::SeqCst);
                     if item + 1 < ITEMS {
-                        pool.push_to(1 - w, item + 1);
+                        pool.push_to(1 - local.worker(), item + 1);
                         while taken.load(std::sync::atomic::Ordering::SeqCst) == item {
                             std::thread::yield_now();
                         }
@@ -839,10 +958,10 @@ mod tests {
             move || {
                 pool.run_until_idle(
                     |_| Vec::new(),
-                    |seen: &mut Vec<u32>, w, item| {
+                    |seen: &mut Vec<u32>, local: &mut Local<u32>, item| {
                         seen.push(item);
                         if item < 20 {
-                            pool.push_to(w, item + 10);
+                            pool.push_to(local.worker(), item + 10);
                         }
                     },
                 )
@@ -850,6 +969,69 @@ mod tests {
         });
         let want: Vec<u32> = (0..5).chain(10..15).chain(20..25).collect();
         assert_eq!(states, Ok(vec![want]));
+    }
+
+    #[test]
+    fn a_block_push_gives_each_worker_a_contiguous_run() {
+        for n in [1usize, 2, 3, 4] {
+            let pool: WorkPool<usize> = WorkPool::new(n);
+            pool.push_all(0..2 * n);
+            assert_eq!(pool.stats().locks, 1, "n={n}: one lock for the whole batch");
+            // `recv` serves a worker's own floating lane first, so each
+            // worker sees exactly its block, in order, without a steal.
+            for w in 0..n {
+                assert_eq!([pool.recv(w), pool.recv(w)], [Some(2 * w), Some(2 * w + 1)], "n={n}");
+            }
+            assert!(pool.is_empty());
+            assert_eq!(pool.stats().steals, 0);
+        }
+    }
+
+    #[test]
+    fn a_block_push_wakes_a_parked_peer_to_steal() {
+        // One item lands on lane 0, whose owner is not running: the parked
+        // worker 1 must be woken, and steal it.
+        let got = within(5, || {
+            let pool: WorkPool<u32> = WorkPool::new(2);
+            std::thread::scope(|s| {
+                let thief = s.spawn(|| pool.recv(1));
+                until_parked(&pool, 1);
+                pool.push_all([7]);
+                thief.join().unwrap()
+            })
+        });
+        assert_eq!(got, Some(7));
+    }
+
+    #[test]
+    fn self_pushes_run_after_the_batch_in_fifo_order_without_a_lock() {
+        // Item 0 starts a chain of k self-pushed links while items 1 and 2
+        // are still in its worker's batch: the chain runs after them, in
+        // order, and the pool's lock count is the same for every k (the
+        // batch push, the drain, the idle check and the reopen).
+        for k in [1u32, 10, 1000] {
+            let pool: WorkPool<u32> = WorkPool::new(1);
+            pool.push_all_to((0..3).map(|v| (0, v)));
+            let states = within(5, {
+                let pool = pool.clone();
+                move || {
+                    pool.run_until_idle(
+                        |_| Vec::new(),
+                        |seen: &mut Vec<u32>, local: &mut Local<u32>, item| {
+                            seen.push(item);
+                            if item == 0 {
+                                local.push(100);
+                            } else if (100..99 + k).contains(&item) {
+                                local.push(item + 1);
+                            }
+                        },
+                    )
+                }
+            });
+            let want: Vec<u32> = (0..3).chain(100..100 + k).collect();
+            assert_eq!(states, Ok(vec![want]), "k={k}");
+            assert_eq!(pool.stats().locks, 4, "k={k}");
+        }
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //! work runs on the top-level thread — the parent-pays overhead that
 //! limits this controller's scalability (Figs. 2 and 3).
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use babelflow_core::trace::TraceSink;
@@ -42,34 +41,10 @@ impl LegionIndexLaunchController {
 /// round = longest path from any source, so every dependency points to an
 /// earlier round. A task with an input no producer ever fills (a lenient
 /// plan's dangling edge, or a cycle) is in no round; the controller
-/// reports it as pending.
-pub fn crawl_rounds(plan: &ShardPlan) -> Vec<Vec<u32>> {
-    let tasks = plan.tasks();
-    let mut unmet: Vec<usize> = tasks.iter().map(|pt| pt.fan_in() - pt.external_inputs).collect();
-    let mut round = vec![0usize; tasks.len()];
-    let mut queue: VecDeque<u32> =
-        (0..tasks.len() as u32).filter(|&ix| unmet[ix as usize] == 0).collect();
-    let mut rounds: Vec<Vec<u32>> = Vec::new();
-    while let Some(ix) = queue.pop_front() {
-        let r = round[ix as usize];
-        if rounds.len() <= r {
-            rounds.resize_with(r + 1, Vec::new);
-        }
-        rounds[r].push(ix);
-        for route in tasks[ix as usize].routes.iter().flatten() {
-            let Some((consumer, _)) = route.input else { continue };
-            let c = consumer as usize;
-            round[c] = round[c].max(r + 1);
-            unmet[c] -= 1;
-            if unmet[c] == 0 {
-                queue.push_back(consumer);
-            }
-        }
-    }
-    for r in &mut rounds {
-        r.sort_unstable();
-    }
-    rounds
+/// reports it as pending. The crawl is [`ShardPlan::rounds`], done once
+/// per plan: later runs with the same plan reuse it.
+pub fn crawl_rounds(plan: &ShardPlan) -> &[Vec<u32>] {
+    plan.rounds()
 }
 
 /// One index-launch run on `rt`: one index launch per round, all staged
@@ -83,7 +58,7 @@ pub(crate) fn run(
     map_regions(rt, plan, initial);
     for round in crawl_rounds(plan) {
         let mut batch = rt.launch_batch();
-        for ix in round {
+        for &ix in round {
             let (reads, waits) = requirements(plan, ix, &[]);
             batch.launch(ix, reads, waits);
         }

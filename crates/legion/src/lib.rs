@@ -15,7 +15,7 @@ pub mod runtime;
 pub mod spmd;
 
 pub use index_launch::{crawl_rounds, LegionIndexLaunchController};
-pub use runtime::{LaunchBatch, LegionRuntime, LegionStats, TaskCtx, WaitOutcome};
+pub use runtime::{LaunchBatch, LegionRuntime, LegionStats, Released, TaskCtx, WaitOutcome};
 pub use spmd::LegionSpmdController;
 
 #[cfg(test)]

@@ -38,11 +38,16 @@
 //! in one flat intrusive list: each region and each barrier has the head
 //! of its waiters' chain in a shared link table. The first write of a
 //! region and the trigger of a barrier walk that chain and decrement each
-//! waiter's counter; a launcher whose counter reaches zero is pushed into
-//! the workers' [`WorkPool`]. The per-task work takes the state lock once
-//! to read all of a task's inputs and once per region write (with its
-//! barrier arrival); a batch of launchers and each set-up step take it
-//! once in all ([`LegionStats::state_locks`]).
+//! waiter's counter. The launchers whose counter reaches zero come back
+//! to the caller as [`Released`], and go into the workers' [`WorkPool`]
+//! only once the state lock is released: the runtime never holds both
+//! locks. A worker keeps the first launcher its task releases and runs
+//! it next ([`TaskCtx::keep`]); the rest, and everything a launch batch
+//! makes ready, enter the pool as one batch in contiguous blocks. The
+//! per-task work takes the state lock once to read all of a task's
+//! inputs and once per region write (with its barrier arrival); a batch
+//! of launchers and each set-up step take it once in all
+//! ([`LegionStats::state_locks`]).
 //!
 //! [`LegionRuntime::wait_all`] runs the workers until that pool is idle,
 //! an exact condition, not a timer: no task is queued and no worker is
@@ -51,7 +56,7 @@
 
 use std::sync::Arc;
 
-use babelflow_core::sync::{Mutex, MutexGuard, PoolStats, WorkPool};
+use babelflow_core::sync::{Local, Mutex, MutexGuard, PoolStats, WorkPool};
 use babelflow_core::trace::{noop_sink, now_ns, TraceSink, CONTROL_THREAD};
 use babelflow_core::Payload;
 
@@ -129,6 +134,57 @@ struct Ready<T> {
     ready_ns: u64,
 }
 
+/// Launchers a state update made ready, returned by
+/// [`LegionRuntime::write_region`] and [`LegionRuntime::arrive`].
+///
+/// Dropping it queues them in the workers' pool as stealable work, in
+/// release order and under one pool lock; it is made after the state
+/// lock is released, so it never holds both. A task hands it to
+/// [`TaskCtx::keep`] instead to run the first one itself. The first
+/// launcher is kept apart from the rest, so an update that releases one
+/// (every write of a reduction) allocates nothing.
+pub struct Released<'a, T> {
+    pool: &'a WorkPool<Ready<T>>,
+    first: Option<Ready<T>>,
+    rest: Vec<Ready<T>>,
+}
+
+impl<'a, T> Released<'a, T> {
+    fn new(pool: &'a WorkPool<Ready<T>>) -> Self {
+        Released { pool, first: None, rest: Vec::new() }
+    }
+
+    fn add(&mut self, ready: Ready<T>) {
+        match self.first {
+            None => self.first = Some(ready),
+            Some(_) => self.rest.push(ready),
+        }
+    }
+
+    /// How many launchers were released.
+    pub fn len(&self) -> usize {
+        usize::from(self.first.is_some()) + self.rest.len()
+    }
+
+    /// Whether none was.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl<T> Drop for Released<'_, T> {
+    fn drop(&mut self) {
+        if let Some(first) = self.first.take() {
+            if self.rest.is_empty() {
+                self.pool.push_all([first]);
+                return;
+            }
+            self.rest.insert(0, first);
+        }
+        self.pool.push_all(self.rest.drain(..));
+    }
+}
+
 struct SchedState<T> {
     /// Physical instance of each logical region, `None` until written and
     /// again once its reader took it.
@@ -141,11 +197,8 @@ struct SchedState<T> {
     /// links.
     links: Vec<(u32, u32)>,
     /// Launchers with unmet preconditions, by launch number: the item and
-    /// its join counter (`None` once queued).
+    /// its join counter (`None` once released).
     pending: Vec<Option<(T, u32)>>,
-    /// Ready items, pushed under this state's lock: the lock order is
-    /// state, then pool.
-    pool: WorkPool<Ready<T>>,
     /// Cached `sink.enabled()`, so state updates can stamp ready times.
     tracing: bool,
     tasks_launched: u64,
@@ -165,14 +218,14 @@ fn park(head: &mut u32, links: &mut Vec<(u32, u32)>, launcher: u32) -> u32 {
 }
 
 impl<T> SchedState<T> {
-    fn queue(&mut self, item: T) {
+    fn ready(&self, item: T) -> Ready<T> {
         let ready_ns = if self.tracing { now_ns() } else { 0 };
-        self.pool.push(Ready { item, ready_ns });
+        Ready { item, ready_ns }
     }
 
     /// Decrement the join counter of each launcher on the chain starting
-    /// at `link`, queuing those that reach zero.
-    fn release(&mut self, mut link: u32) {
+    /// at `link`, releasing into `out` those that reach zero.
+    fn release(&mut self, mut link: u32, out: &mut Released<'_, T>) {
         while link != NIL {
             let (launcher, next) = self.links[link as usize];
             let slot = &mut self.pending[launcher as usize];
@@ -180,13 +233,13 @@ impl<T> SchedState<T> {
             *unmet -= 1;
             if *unmet == 0 {
                 let (item, _) = slot.take().expect("checked above");
-                self.queue(item);
+                out.add(self.ready(item));
             }
             link = next;
         }
     }
 
-    fn write(&mut self, region: u32, payload: Payload) {
+    fn write(&mut self, region: u32, payload: Payload, out: &mut Released<'_, T>) {
         let instance = self
             .regions
             .get_mut(region as usize)
@@ -194,11 +247,11 @@ impl<T> SchedState<T> {
         *instance = Some(payload);
         let head = std::mem::replace(&mut self.first_reader[region as usize], MET);
         if head != MET {
-            self.release(head);
+            self.release(head, out);
         }
     }
 
-    fn arrive(&mut self, barrier: u32) {
+    fn arrive(&mut self, barrier: u32, out: &mut Released<'_, T>) {
         let b = self.barriers.get_mut(barrier as usize).expect("arrive at unknown barrier");
         if b.remaining == 0 {
             return;
@@ -206,17 +259,18 @@ impl<T> SchedState<T> {
         b.remaining -= 1;
         if b.remaining == 0 {
             let head = std::mem::replace(&mut b.first_waiter, MET);
-            self.release(head);
+            self.release(head, out);
         }
     }
 
     /// Dependence analysis: count the launcher's unmet preconditions and
-    /// either queue it or park it on each one.
+    /// either release it into `out` or park it on each one.
     fn submit(
         &mut self,
         item: T,
         reads: impl IntoIterator<Item = u32>,
         waits: impl IntoIterator<Item = u32>,
+        out: &mut Released<'_, T>,
     ) {
         self.tasks_launched += 1;
         let launcher = self.pending.len() as u32;
@@ -233,7 +287,7 @@ impl<T> SchedState<T> {
             unmet += park(&mut b.first_waiter, &mut self.links, launcher);
         }
         if unmet == 0 {
-            self.queue(item);
+            out.add(self.ready(item));
         } else {
             self.pending.push(Some((item, unmet)));
         }
@@ -244,7 +298,7 @@ impl<T> SchedState<T> {
 /// their region/barrier preconditions trigger.
 pub struct LegionRuntime<T> {
     state: Mutex<SchedState<T>>,
-    /// The handle of the pool in `state`, for the workers.
+    /// Ready items, pushed only with the state lock released.
     pool: WorkPool<Ready<T>>,
     sink: Arc<dyn TraceSink>,
     workers: usize,
@@ -261,14 +315,36 @@ pub struct TaskCtx<'a, T> {
     /// [`now_ns`] when the item became ready, for a queue-wait span (0
     /// when tracing is off, and for must-epoch tasks).
     pub ready_ns: u64,
+    /// The running worker's own queue, until this task has kept a
+    /// successor in it; `None` from then on, and for must-epoch tasks.
+    successor: Option<&'a mut Local<Ready<T>>>,
+}
+
+impl<T> TaskCtx<'_, T> {
+    /// Run the first launcher of `released` on this worker, right after
+    /// this task, if the task runs on a pool worker and has kept none
+    /// yet (a successor cache of one). The rest are queued in the pool
+    /// as stealable work when `released` drops, so a task that makes
+    /// several launchers ready still feeds the other workers.
+    pub fn keep(&mut self, mut released: Released<'_, T>) {
+        let Some(local) = self.successor.as_deref_mut() else { return };
+        let Some(first) = released.first.take() else { return };
+        local.push(first);
+        self.successor = None;
+    }
 }
 
 /// Launchers submitted under one acquisition of the state lock, held until
 /// the batch is dropped: one index launch, or the single-task launchers one
 /// shard task stages. The submitting thread pays for the dependence
-/// analysis — the parent pays.
+/// analysis — the parent pays. The launchers that are ready at once enter
+/// the pool as one batch when it drops, in contiguous blocks, one per
+/// worker, so neighbours in launch order start on the same worker.
 pub struct LaunchBatch<'a, T> {
+    // Fields drop in declaration order: the state lock is released
+    // before `ready` queues its launchers.
     state: MutexGuard<'a, SchedState<T>>,
+    ready: Released<'a, T>,
 }
 
 impl<T> LaunchBatch<'_, T> {
@@ -280,7 +356,7 @@ impl<T> LaunchBatch<'_, T> {
         reads: impl IntoIterator<Item = u32>,
         waits: impl IntoIterator<Item = u32>,
     ) {
-        self.state.submit(item, reads, waits);
+        self.state.submit(item, reads, waits, &mut self.ready);
     }
 }
 
@@ -305,7 +381,6 @@ impl<T: Send> LegionRuntime<T> {
             barriers: Vec::new(),
             links: Vec::new(),
             pending: Vec::new(),
-            pool: pool.clone(),
             tracing: sink.enabled(),
             tasks_launched: 0,
             launches: 0,
@@ -349,11 +424,14 @@ impl<T: Send> LegionRuntime<T> {
     }
 
     /// Pre-populate regions' physical instances (external input data).
+    /// Launchers this makes ready are queued as stealable work.
     pub fn attach_regions(&self, instances: impl IntoIterator<Item = (u32, Payload)>) {
+        let mut released = Released::new(&self.pool);
         let mut st = self.lock();
         for (region, payload) in instances {
-            st.write(region, payload);
+            st.write(region, payload, &mut released);
         }
+        drop(st);
     }
 
     /// Move the physical instances of `regions` out into `into`, in order.
@@ -370,19 +448,30 @@ impl<T: Send> LegionRuntime<T> {
     }
 
     /// Write the physical instance of a region, triggering its readers,
-    /// and arrive at `barrier` if given, under one lock.
-    pub fn write_region(&self, region: u32, payload: Payload, barrier: Option<u32>) {
+    /// and arrive at `barrier` if given, under one lock. Returns the
+    /// launchers this made ready; they are queued once it drops.
+    pub fn write_region(
+        &self,
+        region: u32,
+        payload: Payload,
+        barrier: Option<u32>,
+    ) -> Released<'_, T> {
+        let mut released = Released::new(&self.pool);
         let mut st = self.lock();
-        st.write(region, payload);
+        st.write(region, payload, &mut released);
         if let Some(b) = barrier {
-            st.arrive(b);
+            st.arrive(b, &mut released);
         }
+        released
     }
 
     /// Arrive at a phase barrier; triggers it when the arrival count is
-    /// reached.
-    pub fn arrive(&self, barrier: u32) {
-        self.lock().arrive(barrier);
+    /// reached. Returns the launchers this made ready, as
+    /// [`write_region`](Self::write_region) does.
+    pub fn arrive(&self, barrier: u32) -> Released<'_, T> {
+        let mut released = Released::new(&self.pool);
+        self.lock().arrive(barrier, &mut released);
+        released
     }
 
     /// Whether a phase barrier has triggered (for polling shard tasks).
@@ -394,7 +483,7 @@ impl<T: Send> LegionRuntime<T> {
     pub fn launch_batch(&self) -> LaunchBatch<'_, T> {
         let mut state = self.lock();
         state.launches += 1;
-        LaunchBatch { state }
+        LaunchBatch { state, ready: Released::new(&self.pool) }
     }
 
     /// Launch a single task: a batch of one.
@@ -423,7 +512,8 @@ impl<T: Send> LegionRuntime<T> {
         let body = &body;
         std::thread::scope(|s| {
             for i in 0..tasks {
-                let ctx = TaskCtx { runtime: self, worker: CONTROL_THREAD, ready_ns: 0 };
+                let ctx =
+                    TaskCtx { runtime: self, worker: CONTROL_THREAD, ready_ns: 0, successor: None };
                 s.spawn(move || body(&ctx, i));
             }
         });
@@ -434,15 +524,17 @@ impl<T: Send> LegionRuntime<T> {
     /// state.
     ///
     /// Worker `w` starts with state `init(w)` and runs each item it pops
-    /// with `handle(&mut state, ctx, item)`. Call it after the top-level
-    /// launches: from then on only running tasks can make a pending task
-    /// ready, so an idle pool with a launcher still pending is a stall,
-    /// detected at once and exactly. A worker thread that panics ends the
-    /// wait with [`WaitOutcome::WorkerPanicked`] and no states.
+    /// with `handle(&mut state, ctx, item)`; the item a task keeps
+    /// ([`TaskCtx::keep`]) is the next one its worker runs. Call it after
+    /// the top-level launches: from then on only running tasks can make a
+    /// pending task ready, so an idle pool with a launcher still pending
+    /// is a stall, detected at once and exactly. A worker thread that
+    /// panics ends the wait with [`WaitOutcome::WorkerPanicked`] and no
+    /// states.
     pub fn wait_all<S: Send>(
         &self,
         init: impl Fn(usize) -> S + Sync,
-        handle: impl Fn(&mut S, &TaskCtx<'_, T>, T) + Sync,
+        handle: impl Fn(&mut S, &mut TaskCtx<'_, T>, T) + Sync,
     ) -> (WaitOutcome, Vec<S>) {
         if self.workers == 0 {
             let outstanding = self.pool.len() + self.waiting();
@@ -451,8 +543,10 @@ impl<T: Send> LegionRuntime<T> {
                 _ => (WaitOutcome::NoWorkers { outstanding }, Vec::new()),
             };
         }
-        let run = self.pool.run_until_idle(init, |state, worker, Ready { item, ready_ns }| {
-            handle(state, &TaskCtx { runtime: self, worker: worker as u32, ready_ns }, item);
+        let run = self.pool.run_until_idle(init, |state, local, Ready { item, ready_ns }| {
+            let worker = local.worker() as u32;
+            let mut ctx = TaskCtx { runtime: self, worker, ready_ns, successor: Some(local) };
+            handle(state, &mut ctx, item);
         });
         match run {
             Err(worker) => (WaitOutcome::WorkerPanicked { worker: worker as u32 }, Vec::new()),
@@ -497,9 +591,9 @@ mod tests {
     /// The unit tests' item: a named boxed closure, run by [`run`].
     struct Body(&'static str, Closure);
 
-    type Closure = Box<dyn FnOnce(&TaskCtx<'_, Body>) + Send>;
+    type Closure = Box<dyn FnOnce(&mut TaskCtx<'_, Body>) + Send>;
 
-    fn body(name: &'static str, f: impl FnOnce(&TaskCtx<'_, Body>) + Send + 'static) -> Body {
+    fn body(name: &'static str, f: impl FnOnce(&mut TaskCtx<'_, Body>) + Send + 'static) -> Body {
         Body(name, Box::new(f))
     }
 
@@ -538,7 +632,8 @@ mod tests {
         let r = rt.create_regions(1);
         let out2 = out.clone();
         rt.launch(body("consumer", move |ctx| out2.lock().push(take(ctx, r) + 1)), [r], NONE);
-        let producer = body("producer", move |ctx| ctx.runtime.write_region(r, pay(41), None));
+        let producer =
+            body("producer", move |ctx| ctx.keep(ctx.runtime.write_region(r, pay(41), None)));
         rt.launch(producer, NONE, NONE);
         assert!(run(&rt).is_completed());
         assert_eq!(*out.lock(), vec![42]);
@@ -576,11 +671,11 @@ mod tests {
         let fired2 = fired.clone();
         rt.launch(body("gated", move |_| *fired2.lock() = true), NONE, [pb]);
         // One arrival is not enough.
-        rt.launch(body("arrive1", move |ctx| ctx.runtime.arrive(pb)), NONE, NONE);
+        rt.launch(body("arrive1", move |ctx| ctx.keep(ctx.runtime.arrive(pb))), NONE, NONE);
         assert_eq!(run(&rt), WaitOutcome::Stalled { pending: 1 });
         assert!(!*fired.lock());
         // Second arrival releases the gated task.
-        rt.launch(body("arrive2", move |ctx| ctx.runtime.arrive(pb)), NONE, NONE);
+        rt.launch(body("arrive2", move |ctx| ctx.keep(ctx.runtime.arrive(pb))), NONE, NONE);
         assert!(run(&rt).is_completed());
         assert!(*fired.lock());
     }
@@ -604,7 +699,7 @@ mod tests {
             [pb],
         );
         rt.launch(
-            body("second", move |ctx| ctx.runtime.write_region(r + 1, pay(20), Some(pb))),
+            body("second", move |ctx| ctx.keep(ctx.runtime.write_region(r + 1, pay(20), Some(pb)))),
             NONE,
             NONE,
         );
@@ -659,6 +754,63 @@ mod tests {
             rt.launch(6, [r], [b]);
             assert_eq!(ran(), (WaitOutcome::Completed, vec![6]));
         }
+    }
+
+    #[test]
+    fn a_write_that_releases_eight_keeps_one_and_queues_seven() {
+        // One worker, so the run is deterministic. Producer 8 writes the
+        // region consumers 0-7 read; the chain releases them last-parked
+        // first. The worker keeps the first, 7, and runs it next without
+        // touching the pool, whose length each task records: the other
+        // seven wait there, and leave it one pop at a time.
+        let rt = LegionRuntime::<u32>::new(1);
+        let r = rt.create_regions(1);
+        let mut batch = rt.launch_batch();
+        for item in 0..8 {
+            batch.launch(item, [r], NONE);
+        }
+        batch.launch(8, NONE, NONE);
+        drop(batch);
+        let (outcome, workers) = rt.wait_all(
+            |_| Vec::new(),
+            |ran: &mut Vec<(u32, usize)>, ctx: &mut TaskCtx<'_, u32>, item| {
+                if item == 8 {
+                    let released = ctx.runtime.write_region(r, pay(1), None);
+                    assert_eq!(released.len(), 8);
+                    ctx.keep(released);
+                }
+                ran.push((item, ctx.runtime.pool.len()));
+            },
+        );
+        assert!(outcome.is_completed());
+        let want: Vec<(u32, usize)> =
+            [(8, 7), (7, 7)].into_iter().chain((0..7).rev().map(|i| (i, i as usize))).collect();
+        assert_eq!(workers, vec![want]);
+    }
+
+    #[test]
+    fn a_task_keeps_one_successor_across_its_writes() {
+        // Producer 2 writes two regions, each releasing one reader: the
+        // first released stays on the worker, the second goes to the pool.
+        let rt = LegionRuntime::<u32>::new(1);
+        let r = rt.create_regions(2);
+        let mut batch = rt.launch_batch();
+        batch.launch(0, [r], NONE);
+        batch.launch(1, [r + 1], NONE);
+        batch.launch(2, NONE, NONE);
+        drop(batch);
+        let (outcome, workers) = rt.wait_all(
+            |_| Vec::new(),
+            |ran: &mut Vec<(u32, usize)>, ctx: &mut TaskCtx<'_, u32>, item| {
+                if item == 2 {
+                    ctx.keep(ctx.runtime.write_region(r, pay(1), None));
+                    ctx.keep(ctx.runtime.write_region(r + 1, pay(2), None));
+                }
+                ran.push((item, ctx.runtime.pool.len()));
+            },
+        );
+        assert!(outcome.is_completed());
+        assert_eq!(workers, vec![vec![(2, 1), (0, 1), (1, 0)]]);
     }
 
     #[test]
@@ -724,7 +876,8 @@ mod tests {
         let r = rt.create_regions(3);
         let pb = rt.create_barriers(1, 1);
         rt.attach_regions([(r, pay(1))]);
-        rt.launch(body("fed", move |ctx| ctx.runtime.write_region(r + 1, pay(2), None)), [r], NONE);
+        let fed = body("fed", move |ctx| ctx.keep(ctx.runtime.write_region(r + 1, pay(2), None)));
+        rt.launch(fed, [r], NONE);
         rt.launch(body("starved", |_| {}), [r + 1, r + 2], NONE);
         rt.launch(body("late", |_| {}), [r + 1], [pb]);
         rt.launch(body("free", |_| {}), [r + 1], NONE);

@@ -91,15 +91,17 @@ struct Worker {
 
 /// Run plan task `ix` on a worker: take its input regions, execute its
 /// callback, write each internal output's region (arriving at its barrier,
-/// if any) and keep each external one. Spans go on the task's shard row
-/// when `shard_rows` (SPMD), else on row 0, on the worker's thread.
+/// if any) and keep each external one. The first task a write makes ready
+/// runs next on this worker; any others are queued for every worker.
+/// Spans go on the task's shard row when `shard_rows` (SPMD), else on row
+/// 0, on the worker's thread.
 fn run_task(
     plan: &ShardPlan,
     registry: &Registry,
     barriers: &[Option<u32>],
     shard_rows: bool,
     w: &mut Worker,
-    ctx: &TaskCtx<'_, u32>,
+    ctx: &mut TaskCtx<'_, u32>,
     ix: u32,
 ) {
     let (rt, pt) = (ctx.runtime, plan.task(ix));
@@ -114,6 +116,7 @@ fn run_task(
     let base = plan.slot_base(ix);
     rt.take_regions(base..base + pt.fan_in() as u32, &mut w.inputs);
     let rank = if shard_rows { pt.shard.0 } else { 0 };
+    let row = (rank, ctx.worker);
     let outputs = &mut w.outputs;
     let write = |outs: Vec<Payload>, stats: &mut RunStats| -> Result<()> {
         for (payload, routes) in outs.iter().zip(&pt.routes) {
@@ -129,12 +132,12 @@ fn run_task(
                 let region = plan.slot_base(consumer) + slot;
                 let send_start = if tracing { now_ns() } else { 0 };
                 let barrier = barriers.get(region as usize).copied().flatten();
-                rt.write_region(region, payload.clone(), barrier);
+                ctx.keep(rt.write_region(region, payload.clone(), barrier));
                 stats.local_messages += 1;
                 if tracing {
                     // Region writes move payloads in memory: bytes = 0.
                     sink.record(
-                        TraceEvent::span(SpanKind::MsgSend, send_start, now_ns(), rank, ctx.worker)
+                        TraceEvent::span(SpanKind::MsgSend, send_start, now_ns(), rank, row.1)
                             .with_task(pt.id(), pt.callback())
                             .with_message(route.dst, 0),
                     );
@@ -146,7 +149,6 @@ fn run_task(
     // A faulted callback is retried on the same local inputs: re-execution
     // in place.
     let callback = registry.get(pt.callback()).expect("preflight checked bindings");
-    let row = (rank, ctx.worker);
     match exec(pt, callback, &w.inputs, row, sink, &mut w.stats, write) {
         Ok(()) => w.ran.push(ix),
         Err(err) => {

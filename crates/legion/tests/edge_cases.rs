@@ -10,9 +10,9 @@ use babelflow_legion::{LegionRuntime, TaskCtx, WaitOutcome};
 /// The item these tests launch: a boxed closure, run by [`run`].
 struct Body(Closure);
 
-type Closure = Box<dyn FnOnce(&TaskCtx<'_, Body>) + Send>;
+type Closure = Box<dyn FnOnce(&mut TaskCtx<'_, Body>) + Send>;
 
-fn body(f: impl FnOnce(&TaskCtx<'_, Body>) + Send + 'static) -> Body {
+fn body(f: impl FnOnce(&mut TaskCtx<'_, Body>) + Send + 'static) -> Body {
     Body(Box::new(f))
 }
 
@@ -55,7 +55,7 @@ fn wide_barrier_releases_many_waiters() {
             }), NONE, [pb]);
     }
     for _ in 0..16 {
-        rt.launch(body(move |ctx| ctx.runtime.arrive(pb)), NONE, NONE);
+        rt.launch(body(move |ctx| ctx.keep(ctx.runtime.arrive(pb))), NONE, NONE);
     }
     assert!(run(&rt).is_completed());
     assert_eq!(released.load(Ordering::Relaxed), 8);

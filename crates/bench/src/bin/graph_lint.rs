@@ -33,11 +33,11 @@ fn val(p: &Payload) -> u64 {
 
 fn sum_registry() -> Registry {
     let mut r = Registry::new();
-    r.register(CallbackId(0), |inputs: Vec<Payload>, _| vec![inputs[0].clone()]);
-    r.register(CallbackId(1), |inputs: Vec<Payload>, _| {
+    r.register(CallbackId(0), |inputs: &[Payload], _| vec![inputs[0].clone()]);
+    r.register(CallbackId(1), |inputs: &[Payload], _| {
         vec![pay(inputs.iter().map(val).sum())]
     });
-    r.register(CallbackId(2), |inputs: Vec<Payload>, _| {
+    r.register(CallbackId(2), |inputs: &[Payload], _| {
         vec![pay(inputs.iter().map(val).sum())]
     });
     r

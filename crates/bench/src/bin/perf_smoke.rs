@@ -58,7 +58,7 @@ fn registry_for(graph: &dyn TaskGraph) -> Registry {
         let fan_outs = fan_outs.clone();
         reg.register(cb, move |inputs, id| {
             let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for p in &inputs {
+            for p in inputs {
                 h = (h ^ val(p)).wrapping_mul(0x100_0000_01b3).rotate_left(7);
             }
             h ^= id.0.wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -318,5 +318,47 @@ fn main() {
             eprintln!("perf smoke FAIL: {f}");
         }
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use babelflow_core::{inject_panics, FaultPlan};
+
+    use super::*;
+
+    /// Σ over the plan's tasks and slots of `routes − 1`: every route of
+    /// a slot but the last takes a clone of its output.
+    fn planned_clones(plan: &ShardPlan) -> u64 {
+        let slots = plan.tasks().iter().flat_map(|pt| &pt.routes);
+        slots.map(|routes| routes.len().saturating_sub(1) as u64).sum()
+    }
+
+    #[test]
+    fn payload_clones_follow_the_plan_on_every_backend_and_under_retries() {
+        for (family, graph) in families() {
+            let reg = registry_for(&*graph);
+            let inputs = inputs_for(&*graph);
+            let map = BlockMap::new(SHARDS, graph.size() as u64);
+            let plan = Arc::new(ShardPlan::build(&*graph, &map));
+            let want = planned_clones(&plan);
+            if family == "reduction" {
+                assert_eq!(want, 0, "a reduction routes each output once");
+            }
+            for backend in BACKENDS {
+                for panic_once in [vec![], graph.ids()] {
+                    let faults = FaultPlan { panic_once, ..FaultPlan::none() };
+                    let report = controller(backend, plan.clone())
+                        .run(&*graph, &map, &inject_panics(&reg, &faults), inputs.clone())
+                        .unwrap_or_else(|e| panic!("{backend}/{family}: {e}"));
+                    let (s, retries) = (&report.stats, faults.panic_once.len() as u64);
+                    assert_eq!(s.recovery.retries, retries, "{backend}/{family}");
+                    assert_eq!(
+                        s.perf.payload_clones, want,
+                        "{backend}/{family} with {retries} retries"
+                    );
+                }
+            }
+        }
     }
 }

@@ -19,6 +19,7 @@
 
 use std::sync::Arc;
 
+use babelflow_core::exec::route_outputs;
 use babelflow_core::sync::Mutex;
 use babelflow_core::trace::TraceSink;
 use babelflow_core::{
@@ -84,23 +85,19 @@ impl Chare for TaskChare<'_> {
         let inputs = self.buffer.take();
         let mut stats = RunStats::default();
         let (row, sink) = ((ctx.pe() as u32, 0), ctx.trace_sink());
-        let send = |outs: Vec<Payload>, stats: &mut RunStats| -> Result<()> {
-            for (slot, payload) in outs.into_iter().enumerate() {
-                for route in &pt.routes[slot] {
-                    stats.perf.payload_clones += 1;
-                    if route.is_external() {
-                        ctx.emit_external(pt.id(), payload.clone());
-                        continue;
-                    }
-                    let Some((consumer, _)) = route.input else {
-                        return Err(self.plan.unroutable(pt.id(), route.dst));
-                    };
-                    ctx.send(consumer, pt.id(), payload.clone());
+        let result = exec(pt, self.callback, &inputs, row, sink, &mut stats, |outs, stats| {
+            route_outputs(pt, outs, stats, |route, payload, _| {
+                if route.is_external() {
+                    ctx.emit_external(pt.id(), payload);
+                    return Ok(());
                 }
-            }
-            Ok(())
-        };
-        let result = exec(pt, self.callback, &inputs, row, sink, &mut stats, send);
+                let Some((consumer, _)) = route.input else {
+                    return Err(self.plan.unroutable(pt.id(), route.dst));
+                };
+                ctx.send(consumer, pt.id(), payload);
+                Ok(())
+            })
+        });
         ctx.count(stats.perf.payload_clones, stats.recovery.retries);
         if let Err(err) = result {
             fail(self.error, err);

@@ -101,8 +101,8 @@ pub struct PerfStats {
     /// Procedural `TaskGraph::task()` invocations (plan builds count each
     /// task exactly once; a controller reusing a prebuilt plan counts 0).
     pub task_queries: u64,
-    /// `Payload` handle clones made while routing outputs (refcount bumps,
-    /// not data copies — but each is avoidable bookkeeping).
+    /// `Payload` handle clones made while routing outputs, one per route
+    /// of a slot but the last (refcount bumps; the plan sets the count).
     pub payload_clones: u64,
     /// Deliveries that allocated scratch memory to locate an input slot.
     /// The plan-driven fast path keeps this at zero.

@@ -27,16 +27,16 @@ use crate::controller::{ControllerError, Result, RunStats};
 use crate::fault::MAX_TASK_RETRIES;
 use crate::ids::TaskId;
 use crate::payload::Payload;
-use crate::plan::PlanTask;
+use crate::plan::{PlanTask, Route};
 use crate::registry::Callback;
 use crate::trace::{now_ns, SpanKind, TraceEvent, TraceSink};
 
 /// Execute one ready task.
 ///
-/// Each attempt invokes `cb` on a fresh clone of `inputs` (counted in
-/// [`PerfStats::payload_clones`](crate::PerfStats), one per input per
-/// attempt). A panicking attempt is retried in place — tasks are
-/// idempotent — and counted in `stats.recovery.retries`; after
+/// Every attempt invokes `cb` on the caller's `inputs`, by reference: a
+/// callback cannot move or change them, so a retry sees the same inputs
+/// and no attempt copies them. A panicking attempt is retried in place —
+/// tasks are idempotent — and counted in `stats.recovery.retries`; after
 /// [`MAX_TASK_RETRIES`] retries the last panic surfaces as
 /// [`ControllerError::TaskError`]. Outputs of the wrong arity are
 /// [`ControllerError::BadOutputArity`]. Otherwise `route` receives the
@@ -62,8 +62,7 @@ pub fn exec<R>(
     loop {
         attempts += 1;
         let start = if tracing { now_ns() } else { 0 };
-        stats.perf.payload_clones += inputs.len() as u64;
-        let attempt = catch_invoke(cb, inputs.to_vec(), id);
+        let attempt = catch_invoke(cb, inputs, id);
         let cb_end = if tracing { now_ns() } else { 0 };
         if tracing {
             span(SpanKind::Callback, start, cb_end);
@@ -97,12 +96,33 @@ pub fn exec<R>(
     }
 }
 
+/// The routing loop of every `route` closure: `deliver` (one route's body)
+/// gets each output once per route, in slot and route order, as a clone for
+/// every route of a slot but the last, which takes the output itself
+/// (`payload_clones` += `routes − 1`). Its first error is returned.
+pub fn route_outputs(
+    pt: &PlanTask,
+    outs: Vec<Payload>,
+    stats: &mut RunStats,
+    mut deliver: impl FnMut(&Route, Payload, &mut RunStats) -> Result<()>,
+) -> Result<()> {
+    for (payload, routes) in outs.into_iter().zip(&pt.routes) {
+        let Some((last, rest)) = routes.split_last() else { continue };
+        stats.perf.payload_clones += rest.len() as u64;
+        for route in rest {
+            deliver(route, payload.clone(), stats)?;
+        }
+        deliver(last, payload, stats)?;
+    }
+    Ok(())
+}
+
 /// One guarded callback attempt: invoke `cb` and convert an unwind into
 /// `Err(message)`, so a poisoned task becomes a retried task instead of a
 /// crashed worker thread.
 fn catch_invoke(
     cb: &Callback,
-    inputs: Vec<Payload>,
+    inputs: &[Payload],
     id: TaskId,
 ) -> std::result::Result<Vec<Payload>, String> {
     match panic::catch_unwind(AssertUnwindSafe(|| cb(inputs, id))) {
@@ -145,7 +165,7 @@ mod tests {
     }
 
     fn registry(
-        cb: impl Fn(Vec<Payload>, TaskId) -> Vec<Payload> + Send + Sync + 'static,
+        cb: impl Fn(&[Payload], TaskId) -> Vec<Payload> + Send + Sync + 'static,
     ) -> Registry {
         let mut r = Registry::new();
         r.register(CallbackId(0), cb);
@@ -205,16 +225,33 @@ mod tests {
         );
     }
 
+    fn bytes(payloads: &[Payload]) -> Vec<Vec<u8>> {
+        payloads.iter().map(|p| p.extract::<Blob>().unwrap().0.clone()).collect()
+    }
+
     #[test]
-    fn clones_count_every_input_of_every_attempt() {
-        let reg = registry(|inputs, _| inputs);
-        let poisoned =
-            inject_panics(&reg, &FaultPlan { panic_once: vec![TaskId(0)], ..FaultPlan::none() });
+    fn a_retry_sees_the_same_inputs_and_clones_none() {
+        quiet_panic_hook();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let reg = {
+            let seen = seen.clone();
+            registry(move |inputs, _| {
+                let attempt = {
+                    let mut seen = seen.lock();
+                    seen.push(bytes(inputs));
+                    seen.len()
+                };
+                if attempt == 1 {
+                    panic!("{PANIC_MARKER}: first attempt");
+                }
+                inputs.to_vec()
+            })
+        };
         let plan = plan();
         let mut stats = RunStats::default();
         let routed = exec(
             plan.task(0),
-            poisoned.get(CallbackId(0)).unwrap(),
+            reg.get(CallbackId(0)).unwrap(),
             &inputs(),
             (0, 0),
             &NoopSink,
@@ -226,15 +263,55 @@ mod tests {
         )
         .unwrap();
         assert_eq!(routed, 2);
-        // Two attempts × two inputs; `route` sees the same `stats`.
-        assert_eq!(stats.perf.payload_clones, 4);
+        assert_eq!(*seen.lock(), [bytes(&inputs()), bytes(&inputs())]);
+        // Two attempts and no clone; `route` sees the same `stats`.
+        assert_eq!(stats.perf.payload_clones, 0);
         assert_eq!(stats.recovery.retries, 1);
         assert_eq!(stats.local_messages, 1);
     }
 
+    /// One task whose first output slot goes to the host three times and
+    /// whose second goes once.
+    fn fan_plan() -> ShardPlan {
+        let mut t = Task::new(TaskId(0), CallbackId(0));
+        t.incoming = vec![TaskId::EXTERNAL];
+        t.outgoing = vec![vec![TaskId::EXTERNAL; 3], vec![TaskId::EXTERNAL]];
+        let g = ExplicitGraph::new(vec![t], vec![CallbackId(0)]);
+        ShardPlan::build(&g, &ModuloMap::new(1, 1))
+    }
+
+    #[test]
+    fn routing_clones_every_route_of_a_slot_but_the_last() {
+        let plan = fan_plan();
+        let mut stats = RunStats::default();
+        let mut got = Vec::new();
+        route_outputs(plan.task(0), inputs(), &mut stats, |route, payload, _| {
+            assert!(route.is_external());
+            got.push(payload);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(bytes(&got), [[1], [1], [1], [2]]);
+        assert_eq!(stats.perf.payload_clones, 2);
+    }
+
+    #[test]
+    fn routing_stops_at_the_first_error() {
+        let plan = fan_plan();
+        let mut stats = RunStats::default();
+        let mut calls = 0;
+        let err = route_outputs(plan.task(0), inputs(), &mut stats, |_, _, _| {
+            calls += 1;
+            Err(ControllerError::Runtime("refused".into()))
+        })
+        .unwrap_err();
+        assert!(matches!(err, ControllerError::Runtime(m) if m == "refused"));
+        assert_eq!(calls, 1);
+    }
+
     #[test]
     fn a_retried_task_records_one_span_pair_per_attempt() {
-        let reg = registry(|inputs, _| inputs);
+        let reg = registry(|inputs, _| inputs.to_vec());
         let poisoned =
             inject_panics(&reg, &FaultPlan { panic_once: vec![TaskId(0)], ..FaultPlan::none() });
         let plan = plan();

@@ -238,7 +238,7 @@ mod tests {
         let poisoned = inject_panics(&r, &plan);
         let cb = poisoned.get(CallbackId(0)).unwrap();
         let panics = |cb: &crate::registry::Callback, id| {
-            panic::catch_unwind(panic::AssertUnwindSafe(|| cb(vec![], id))).is_err()
+            panic::catch_unwind(panic::AssertUnwindSafe(|| cb(&[], id))).is_err()
         };
 
         // First invocation of task 5 panics; the retry succeeds.

@@ -655,7 +655,7 @@ mod tests {
     #[test]
     fn unbound_callback_is_bf004() {
         let mut reg = Registry::new();
-        reg.register(CallbackId(0), |i, _| i);
+        reg.register(CallbackId(0), |i, _| i.to_vec());
         let rep = lint_run(&chain(), &ModuloMap::new(1, 2), &reg);
         assert_eq!(rep.count(DiagnosticCode::UnregisteredCallback), 1, "{rep}");
         assert!(rep.has_errors());

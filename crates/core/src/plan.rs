@@ -918,8 +918,8 @@ mod tests {
         let g = diamond();
         let plan = ShardPlan::build(&g, &ModuloMap::new(1, 4));
         let mut reg = Registry::new();
-        reg.register(CallbackId(0), |i, _| i);
-        reg.register(CallbackId(1), |i, _| i);
+        reg.register(CallbackId(0), |i, _| i.to_vec());
+        reg.register(CallbackId(1), |i, _| i.to_vec());
 
         // Unbound callback 2, rejected even on a lenient plan.
         for plan in [&plan, &ShardPlan::build(&g, &ModuloMap::new(1, 4)).lenient()] {
@@ -928,7 +928,7 @@ mod tests {
             assert_eq!(rep.count(DiagnosticCode::UnregisteredCallback), 1, "{rep}");
         }
 
-        reg.register(CallbackId(2), |i, _| i);
+        reg.register(CallbackId(2), |i, _| i.to_vec());
         let err = plan.preflight(&reg, &InitialInputs::new()).unwrap_err();
         assert!(matches!(
             err,

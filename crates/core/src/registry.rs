@@ -2,7 +2,7 @@
 //!
 //! The third of the user's "three basic steps": "the implementations of the
 //! tasks are connected to the task graph by registering the corresponding
-//! callbacks". A callback receives the task's inputs (one payload per input
+//! callbacks". A callback borrows the task's inputs (one payload per input
 //! slot, in slot order) and must return exactly one payload per output slot.
 
 use std::sync::Arc;
@@ -15,11 +15,11 @@ use crate::payload::Payload;
 ///
 /// Mirrors the paper's signature
 /// `int task(vector<Payload>& in, vector<Payload>& out, TaskId id)`:
-/// inputs in slot order, the executing task's id (so one callback can serve
-/// many tasks, parameterized by id), and the outputs as the return value.
-/// Callbacks must be idempotent and hold no persistent state — "the task
-/// graph assumes idempotent tasks with no persistent state".
-pub type Callback = Arc<dyn Fn(Vec<Payload>, TaskId) -> Vec<Payload> + Send + Sync>;
+/// borrowed inputs in slot order, the executing task's id (so one callback
+/// can serve many tasks, parameterized by id), and the outputs as the return
+/// value. Callbacks must be idempotent and hold no persistent state — "the
+/// task graph assumes idempotent tasks with no persistent state".
+pub type Callback = Arc<dyn Fn(&[Payload], TaskId) -> Vec<Payload> + Send + Sync>;
 
 /// A [`CallbackId`] was registered twice. Accidental double registration
 /// used to silently shadow the earlier binding — a hard bug to find once
@@ -62,7 +62,7 @@ impl Registry {
     /// [`rebind`](Self::rebind) to replace a binding deliberately.
     pub fn register<F>(&mut self, cb: CallbackId, f: F) -> &mut Self
     where
-        F: Fn(Vec<Payload>, TaskId) -> Vec<Payload> + Send + Sync + 'static,
+        F: Fn(&[Payload], TaskId) -> Vec<Payload> + Send + Sync + 'static,
     {
         self.register_arc(cb, Arc::new(f))
     }
@@ -74,7 +74,7 @@ impl Registry {
         f: F,
     ) -> std::result::Result<&mut Self, DuplicateCallback>
     where
-        F: Fn(Vec<Payload>, TaskId) -> Vec<Payload> + Send + Sync + 'static,
+        F: Fn(&[Payload], TaskId) -> Vec<Payload> + Send + Sync + 'static,
     {
         if self.callbacks.contains_key(&cb) {
             return Err(DuplicateCallback(cb));
@@ -87,7 +87,7 @@ impl Registry {
     /// e.g. swapping a production callback for a test double.
     pub fn rebind<F>(&mut self, cb: CallbackId, f: F) -> &mut Self
     where
-        F: Fn(Vec<Payload>, TaskId) -> Vec<Payload> + Send + Sync + 'static,
+        F: Fn(&[Payload], TaskId) -> Vec<Payload> + Send + Sync + 'static,
     {
         self.callbacks.insert(cb, Arc::new(f));
         self
@@ -177,7 +177,7 @@ mod tests {
             vec![Payload::wrap(Blob(vec![42]))]
         });
         let cb = r.get(CallbackId(1)).unwrap();
-        let out = cb(vec![Payload::wrap(Blob(vec![]))], TaskId(7));
+        let out = cb(&[Payload::wrap(Blob(vec![]))], TaskId(7));
         assert_eq!(out.len(), 1);
         assert_eq!(*out[0].extract::<Blob>().unwrap(), Blob(vec![42]));
     }
@@ -196,7 +196,7 @@ mod tests {
         let mut r = Registry::new();
         r.register(CallbackId(0), |_, _| vec![Payload::wrap(Blob(vec![1]))]);
         r.rebind(CallbackId(0), |_, _| vec![Payload::wrap(Blob(vec![2]))]);
-        let out = r.get(CallbackId(0)).unwrap()(vec![], TaskId(0));
+        let out = r.get(CallbackId(0)).unwrap()(&[], TaskId(0));
         assert_eq!(*out[0].extract::<Blob>().unwrap(), Blob(vec![2]));
         assert_eq!(r.len(), 1);
     }
@@ -223,7 +223,7 @@ mod tests {
     #[test]
     fn arity_declarations_are_retrievable() {
         let mut r = Registry::new();
-        r.register(CallbackId(0), |i, _| i).declare_arity(CallbackId(0), Some(2), Some(1));
+        r.register(CallbackId(0), |i, _| i.to_vec()).declare_arity(CallbackId(0), Some(2), Some(1));
         assert_eq!(r.declared_arity(CallbackId(0)), Some((Some(2), Some(1))));
         assert_eq!(r.declared_arity(CallbackId(1)), None);
     }
@@ -238,8 +238,8 @@ mod tests {
             vec![Payload::wrap(Blob(b.0.iter().map(|x| x + 1).collect()))]
         });
         let cb = r.get(CallbackId(0)).unwrap().clone();
-        let mem = cb(vec![Payload::wrap(Blob(vec![1]))], TaskId(0));
-        let wire = cb(vec![Payload::buffer(Blob(vec![1]).encode())], TaskId(0));
+        let mem = cb(&[Payload::wrap(Blob(vec![1]))], TaskId(0));
+        let wire = cb(&[Payload::buffer(Blob(vec![1]).encode())], TaskId(0));
         assert_eq!(
             *mem[0].extract::<Blob>().unwrap(),
             *wire[0].extract::<Blob>().unwrap()

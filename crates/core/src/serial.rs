@@ -10,7 +10,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use crate::controller::{Controller, InitialInputs, Result, RunReport, RunStats};
-use crate::exec::exec;
+use crate::exec::{exec, route_outputs};
 use crate::graph::TaskGraph;
 use crate::ids::TaskId;
 use crate::payload::Payload;
@@ -73,40 +73,35 @@ impl Controller for SerialController {
                 );
             }
             let cb = registry.get(pt.callback()).expect("preflight checked bindings");
-            let outputs = &mut report.outputs;
             exec(pt, cb, &inputs, (0, 0), &*sink, &mut stats, |outs, stats| {
                 stats.tasks_executed += 1;
-                for (slot, payload) in outs.into_iter().enumerate() {
-                    for route in &pt.routes[slot] {
-                        let dst = route.dst;
-                        stats.perf.payload_clones += 1;
-                        if dst.is_external() {
-                            outputs.entry(id).or_default().push(payload.clone());
-                            continue;
-                        }
-                        let send_start = if tracing { now_ns() } else { 0 };
-                        let Some((c, _)) = route.input else {
-                            return Err(plan.unroutable(id, dst));
-                        };
-                        let ready = pending.deliver(id, c, payload.clone())?;
-                        stats.local_messages += 1;
-                        if tracing {
-                            // In-memory move: no serialization, bytes = 0.
-                            sink.record(
-                                TraceEvent::span(SpanKind::MsgSend, send_start, now_ns(), 0, 0)
-                                    .with_task(id, pt.callback())
-                                    .with_message(dst, 0),
-                            );
-                        }
-                        if ready {
-                            if tracing {
-                                ready_at[c as usize] = now_ns();
-                            }
-                            queue.push_back(c);
-                        }
+                route_outputs(pt, outs, stats, |route, payload, stats| {
+                    if route.is_external() {
+                        report.outputs.entry(id).or_default().push(payload);
+                        return Ok(());
                     }
-                }
-                Ok(())
+                    let send_start = if tracing { now_ns() } else { 0 };
+                    let Some((c, _)) = route.input else {
+                        return Err(plan.unroutable(id, route.dst));
+                    };
+                    let ready = pending.deliver(id, c, payload)?;
+                    stats.local_messages += 1;
+                    if tracing {
+                        // In-memory move: no serialization, bytes = 0.
+                        sink.record(
+                            TraceEvent::span(SpanKind::MsgSend, send_start, now_ns(), 0, 0)
+                                .with_task(id, pt.callback())
+                                .with_message(route.dst, 0),
+                        );
+                    }
+                    if ready {
+                        if tracing {
+                            ready_at[c as usize] = now_ns();
+                        }
+                        queue.push_back(c);
+                    }
+                    Ok(())
+                })
             })?;
         }
         pending.drained()?;
@@ -188,7 +183,7 @@ mod tests {
         // t3 concatenates, ordered by slot.
         r.register(CallbackId(2), |inputs, _| {
             let mut v = Vec::new();
-            for p in &inputs {
+            for p in inputs {
                 v.extend_from_slice(&p.extract::<Blob>().unwrap().0);
             }
             vec![Payload::wrap(Blob(v))]

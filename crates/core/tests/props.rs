@@ -78,7 +78,7 @@ proptest! {
         reg.register(CallbackId(0), |inputs, id| {
             // Concatenate + stamp: deterministic, order-sensitive.
             let mut v = vec![id.0 as u8];
-            for p in &inputs {
+            for p in inputs {
                 v.extend_from_slice(&p.extract::<Blob>().unwrap().0);
             }
             v.truncate(32);

@@ -26,6 +26,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use babelflow_core::exec::route_outputs;
 use babelflow_core::trace::{now_ns, SpanKind, TraceEvent, TraceSink, HOST_RANK};
 use babelflow_core::{
     exec, Controller, ControllerError, InitialInputs, Payload, Registry, Result, RunReport,
@@ -117,34 +118,30 @@ fn run_task(
     rt.take_regions(base..base + pt.fan_in() as u32, &mut w.inputs);
     let rank = if shard_rows { pt.shard.0 } else { 0 };
     let row = (rank, ctx.worker);
-    let outputs = &mut w.outputs;
     let write = |outs: Vec<Payload>, stats: &mut RunStats| -> Result<()> {
-        for (payload, routes) in outs.iter().zip(&pt.routes) {
-            for route in routes {
-                stats.perf.payload_clones += 1;
-                if route.is_external() {
-                    outputs.entry(pt.id()).or_default().push(payload.clone());
-                    continue;
-                }
-                let Some((consumer, slot)) = route.input else {
-                    return Err(plan.unroutable(pt.id(), route.dst));
-                };
-                let region = plan.slot_base(consumer) + slot;
-                let send_start = if tracing { now_ns() } else { 0 };
-                let barrier = barriers.get(region as usize).copied().flatten();
-                ctx.keep(rt.write_region(region, payload.clone(), barrier));
-                stats.local_messages += 1;
-                if tracing {
-                    // Region writes move payloads in memory: bytes = 0.
-                    sink.record(
-                        TraceEvent::span(SpanKind::MsgSend, send_start, now_ns(), rank, row.1)
-                            .with_task(pt.id(), pt.callback())
-                            .with_message(route.dst, 0),
-                    );
-                }
+        route_outputs(pt, outs, stats, |route, payload, stats| {
+            if route.is_external() {
+                w.outputs.entry(pt.id()).or_default().push(payload);
+                return Ok(());
             }
-        }
-        Ok(())
+            let Some((consumer, slot)) = route.input else {
+                return Err(plan.unroutable(pt.id(), route.dst));
+            };
+            let region = plan.slot_base(consumer) + slot;
+            let send_start = if tracing { now_ns() } else { 0 };
+            let barrier = barriers.get(region as usize).copied().flatten();
+            ctx.keep(rt.write_region(region, payload, barrier));
+            stats.local_messages += 1;
+            if tracing {
+                // Region writes move payloads in memory: bytes = 0.
+                sink.record(
+                    TraceEvent::span(SpanKind::MsgSend, send_start, now_ns(), rank, row.1)
+                        .with_task(pt.id(), pt.callback())
+                        .with_message(route.dst, 0),
+                );
+            }
+            Ok(())
+        })
     };
     // A faulted callback is retried on the same local inputs: re-execution
     // in place.

@@ -8,6 +8,7 @@
 
 use std::collections::BTreeMap;
 
+use babelflow_core::exec::route_outputs;
 use babelflow_core::trace::{now_ns, SpanKind, TraceEvent, TraceSink, CONTROL_THREAD};
 use babelflow_core::{
     BytesMut, ControllerError, InitialInputs, Payload, Pending, PlanTask, Result, RunReport,
@@ -280,33 +281,29 @@ impl<'a> RankState<'a> {
         ready: &mut Vec<u32>,
     ) -> Result<()> {
         let (id, sink, rank) = (pt.id(), self.sink, self.rank());
-        for (slot, payload) in outs.into_iter().enumerate() {
-            for route in &pt.routes[slot] {
-                let dst = route.dst;
-                if route.is_external() {
-                    self.outputs.entry(id).or_default().push(payload.clone());
-                    stats.perf.payload_clones += 1;
-                } else if route.shard == self.shard {
-                    let send_start = if self.tracing { now_ns() } else { 0 };
-                    let Some((c, _)) = route.input else {
-                        return Err(self.plan.unroutable(id, dst));
-                    };
-                    if self.pending.deliver(id, c, payload.clone())? {
-                        ready.push(c);
-                    }
-                    stats.perf.payload_clones += 1;
-                    stats.local_messages += 1;
-                    if self.tracing {
-                        // In-memory move: no serialization, bytes = 0.
-                        sink.record(
-                            TraceEvent::span(SpanKind::MsgSend, send_start, now_ns(), rank, thread)
-                                .with_task(id, pt.callback())
-                                .with_message(dst, 0),
-                        );
-                    }
+        route_outputs(pt, outs, stats, |route, payload, stats| {
+            if route.is_external() {
+                self.outputs.entry(id).or_default().push(payload);
+            } else if route.shard == self.shard {
+                let send_start = if self.tracing { now_ns() } else { 0 };
+                let Some((c, _)) = route.input else {
+                    return Err(self.plan.unroutable(id, route.dst));
+                };
+                if self.pending.deliver(id, c, payload)? {
+                    ready.push(c);
+                }
+                stats.local_messages += 1;
+                if self.tracing {
+                    // In-memory move: no serialization, bytes = 0.
+                    sink.record(
+                        TraceEvent::span(SpanKind::MsgSend, send_start, now_ns(), rank, thread)
+                            .with_task(id, pt.callback())
+                            .with_message(route.dst, 0),
+                    );
                 }
             }
-        }
+            Ok(())
+        })?;
         // Counted before they leave, retired by the receiver on delivery.
         rel.comm().hold(remote.len() as u64);
         for (dst_rank, frame) in remote {

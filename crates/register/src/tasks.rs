@@ -253,7 +253,7 @@ impl RegisterConfig {
         // tie-break on the offset).
         reg.register(cb[EVAL_CB], |inputs, _id| {
             let mut best: Option<EdgeEstimate> = None;
-            for p in &inputs {
+            for p in inputs {
                 let e = *p.extract::<EdgeEstimate>().expect("estimate");
                 best = Some(match best {
                     None => e,

@@ -105,10 +105,10 @@ impl RenderConfig {
             });
         }
         reg.register(cb[reduction::REDUCE_CB], |inputs, _id| {
-            vec![Payload::wrap(composite_sorted(&inputs))]
+            vec![Payload::wrap(composite_sorted(inputs))]
         });
         reg.register(cb[reduction::ROOT_CB], |inputs, _id| {
-            vec![Payload::wrap(composite_sorted(&inputs))]
+            vec![Payload::wrap(composite_sorted(inputs))]
         });
         reg
     }
@@ -141,13 +141,13 @@ impl RenderConfig {
         {
             let g = g.clone();
             reg.register(cb[binary_swap::SWAP_CB], move |inputs, id| {
-                let frags = depth_sorted(&inputs);
+                let frags = depth_sorted(inputs);
                 let (round, i) = g.position(id);
                 split_outputs(&frags[0], &frags[1], height, round + 1, i)
             });
         }
         reg.register(cb[binary_swap::WRITE_CB], |inputs, _id| {
-            vec![Payload::wrap(composite_sorted(&inputs))]
+            vec![Payload::wrap(composite_sorted(inputs))]
         });
         reg
     }

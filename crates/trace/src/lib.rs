@@ -40,7 +40,7 @@
 //! }
 //!
 //! let mut registry = Registry::new();
-//! registry.register(CallbackId(0), |inputs, _| inputs);
+//! registry.register(CallbackId(0), |inputs, _| inputs.to_vec());
 //! let mut initial = HashMap::new();
 //! initial.insert(TaskId(0), vec![Payload::wrap(Blob(vec![21]))]);
 //!

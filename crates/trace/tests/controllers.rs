@@ -27,7 +27,7 @@ fn pay(v: u64) -> Payload {
 /// Sum-reduction registry: leaves forward, interior and root sum.
 fn registry() -> Registry {
     let mut reg = Registry::new();
-    reg.register(CallbackId(0), |inputs, _| inputs); // leaf
+    reg.register(CallbackId(0), |inputs, _| inputs.to_vec()); // leaf
     reg.register(CallbackId(1), |inputs, _| vec![pay(inputs.iter().map(val).sum())]);
     reg.register(CallbackId(2), |inputs, _| vec![pay(inputs.iter().map(val).sum())]);
     reg

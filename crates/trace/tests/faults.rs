@@ -25,7 +25,7 @@ fn pay(v: u64) -> Payload {
 
 fn registry() -> Registry {
     let mut reg = Registry::new();
-    reg.register(CallbackId(0), |inputs, _| inputs);
+    reg.register(CallbackId(0), |inputs, _| inputs.to_vec());
     reg.register(CallbackId(1), |inputs, _| vec![pay(inputs.iter().map(val).sum())]);
     reg.register(CallbackId(2), |inputs, _| {
         vec![pay(inputs.iter().map(val).sum::<u64>() + 9)]

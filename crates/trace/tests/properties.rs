@@ -26,7 +26,7 @@ fn sum_registry() -> Registry {
         u64::from_le_bytes(p.extract::<Blob>().unwrap().0.as_slice().try_into().unwrap())
     };
     let mut reg = Registry::new();
-    reg.register(CallbackId(0), |inputs, _| inputs);
+    reg.register(CallbackId(0), |inputs, _| inputs.to_vec());
     reg.register(CallbackId(1), move |inputs, _| {
         vec![pay(inputs.iter().map(val).sum())]
     });

@@ -12,9 +12,11 @@
 
 use std::sync::Arc;
 
-use babelflow_core::controller::{ControllerError, InitialInputs, Result, RunReport};
+use babelflow_core::controller::{InitialInputs, Result, RunReport};
+use babelflow_core::exec::{exec, route_outputs};
 use babelflow_core::plan::{Pending, ShardPlan};
 use babelflow_core::rng::Rng;
+use babelflow_core::trace::NoopSink;
 use babelflow_core::{canonical_outputs, Controller, Registry, SerialController, TaskGraph, TaskMap};
 
 /// Outcome of a determinism check.
@@ -108,32 +110,24 @@ fn run_permuted(
         let pt = plan.task(ix);
         let id = pt.id();
         let cb = registry.get(pt.callback()).expect("preflight checked bindings");
-        let outputs = cb(pending.take(ix).expect("ready task is pending"), id);
-        report.stats.tasks_executed += 1;
-
-        if outputs.len() != pt.fan_out() {
-            return Err(ControllerError::BadOutputArity {
-                task: id,
-                expected: pt.fan_out(),
-                got: outputs.len(),
-            });
-        }
-
-        for (slot, payload) in outputs.into_iter().enumerate() {
-            for route in &pt.routes[slot] {
+        let inputs = &pending.take(ix).expect("ready task is pending");
+        exec(pt, cb, inputs, (0, 0), &NoopSink, &mut report.stats, |outs, stats| {
+            stats.tasks_executed += 1;
+            route_outputs(pt, outs, stats, |route, payload, stats| {
                 if route.is_external() {
-                    report.outputs.entry(id).or_default().push(payload.clone());
-                    continue;
+                    report.outputs.entry(id).or_default().push(payload);
+                    return Ok(());
                 }
                 let Some((c, _)) = route.input else {
                     return Err(plan.unroutable(id, route.dst));
                 };
-                if pending.deliver(id, c, payload.clone())? {
+                if pending.deliver(id, c, payload)? {
                     ready.push(c);
                 }
-                report.stats.local_messages += 1;
-            }
-        }
+                stats.local_messages += 1;
+                Ok(())
+            })
+        })?;
     }
     pending.drained()?;
     Ok(report)

@@ -161,7 +161,7 @@ fn order_sensitive_callback_is_caught() {
             vec![pay(counter.fetch_add(1, Ordering::SeqCst))]
         });
     }
-    let concat = |inputs: Vec<Payload>, _| {
+    let concat = |inputs: &[Payload], _| {
         let bytes: Vec<u8> =
             inputs.iter().flat_map(|p| p.extract::<Blob>().unwrap().0.clone()).collect();
         vec![Payload::wrap(Blob(bytes))]

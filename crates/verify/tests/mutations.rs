@@ -109,7 +109,7 @@ fn unbound_callback_fires_bf004() {
         cbs.dedup();
         let unbound = cbs.pop().unwrap();
         for cb in cbs {
-            reg.register(cb, |i, _| i);
+            reg.register(cb, |i, _| i.to_vec());
         }
         let rep = lint_run(&g, &ModuloMap::new(2, g.size() as u64), &reg);
         let hits: Vec<_> = rep.of_code(DiagnosticCode::UnregisteredCallback).collect();
@@ -125,7 +125,7 @@ fn declared_arity_mismatch_fires_bf004() {
     let g = ExplicitGraph::from_graph(&Reduction::new(4, 2));
     let mut reg = Registry::new();
     for cb in g.callback_ids() {
-        reg.register(cb, |i, _| i);
+        reg.register(cb, |i, _| i.to_vec());
     }
     // The reduce callback takes the valence (2) inputs; declare 3.
     reg.declare_arity(CallbackId(1), Some(3), None);
@@ -282,7 +282,7 @@ fn preflight_rejects_and_lenient_overrides() {
     let map = ModuloMap::new(1, g.size() as u64);
     let mut reg = Registry::new();
     for cb in g.callback_ids() {
-        reg.register(cb, |i, _| i);
+        reg.register(cb, |i, _| i.to_vec());
     }
     let initial: babelflow_core::controller::InitialInputs = family
         .leaf_ids()

@@ -34,7 +34,7 @@ fn main() {
     let graph = Reduction::new(16, 4);
     let cb = graph.callback_ids();
     let mut registry = Registry::new();
-    registry.register(cb[reduction::LEAF_CB], |inputs, _| inputs);
+    registry.register(cb[reduction::LEAF_CB], |inputs, _| inputs.to_vec());
     registry.register(cb[reduction::REDUCE_CB], |inputs, _| {
         vec![pay(inputs.iter().map(val).sum())]
     });

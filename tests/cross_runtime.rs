@@ -156,7 +156,7 @@ fn hash_registry(graph: Arc<dyn TaskGraph + Send + Sync>) -> Registry {
         reg.register(cb, move |inputs, id| {
             let fan_out = g.task(id).map_or(1, |t| t.fan_out());
             let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for p in &inputs {
+            for p in inputs {
                 let blob = p.extract::<Blob>().expect("conformance payloads are blobs");
                 h = fnv1a(h, &blob.0).rotate_left(7);
             }

@@ -153,10 +153,10 @@ fn conduit_style_payloads_flow_through_any_runtime() {
         vec![Payload::wrap(out)]
     });
     // Reduce/root: weighted-average the means.
-    let combine = |inputs: Vec<Payload>, _id: TaskId| -> Vec<Payload> {
+    let combine = |inputs: &[Payload], _id: TaskId| -> Vec<Payload> {
         let mut sum = 0.0f64;
         let mut count = 0i64;
-        for p in &inputs {
+        for p in inputs {
             let n = p.extract::<DataNode>().unwrap();
             let c = n.as_i64("stats/count").unwrap();
             sum += n.as_f64("stats/mean").unwrap() * c as f64;

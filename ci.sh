@@ -65,9 +65,9 @@ cargo run --release --offline --example fault_drill
 
 # Perf smoke: re-measure the fast-path counters and compare against the
 # committed BENCH_controllers.json baseline. Exits nonzero if steady-state
-# graph queries or per-delivery allocations become nonzero, if structural
-# counters (payload clones) move at all, or if transport counters leave a
-# 1.5x band (see DESIGN.md §12).
+# graph queries become nonzero, if structural counters (payload clones)
+# move at all, or if transport counters leave a 1.5x band (see DESIGN.md
+# §12).
 cargo run --release --offline -p babelflow-bench --bin perf_smoke -- --check
 
 # Verifier smoke: every graph family must lint clean (zero diagnostics)

@@ -3,13 +3,13 @@
 //!
 //! * `perf_smoke` — measure and (re)write `BENCH_controllers.json`.
 //! * `perf_smoke --check` — re-measure and fail (exit 1) if the structural
-//!   counters regress against the committed baseline, if any delivery
-//!   allocates, if a run with a prebuilt plan queries the graph, or if a
-//!   fault-free run retransmits or retries a task.
+//!   counters regress against the committed baseline, if a run with a
+//!   prebuilt plan queries the graph, or if a fault-free run retransmits
+//!   or retries a task.
 //!
 //! Structural counters (`task_queries`, `payload_clones`,
-//! `delivery_allocs`, `local_messages`) are exact-compared: they are
-//! functions of graph, placement, and code path, not of scheduling. Every cell is fault-free,
+//! `local_messages`) are exact-compared: they are functions of graph,
+//! placement, and code path, not of scheduling. Every cell is fault-free,
 //! so `retransmits` must be exactly 0: the reliable layer reads queued
 //! acks before it looks for overdue messages, so only a message that is
 //! really lost (or a peer stalled past the retransmit timeout) is sent
@@ -87,7 +87,6 @@ struct Sample {
     tasks: u64,
     task_queries: u64,
     payload_clones: u64,
-    delivery_allocs: u64,
     local_messages: u64,
     envelopes_sent: u64,
     batches_sent: u64,
@@ -158,7 +157,6 @@ fn measure_matrix() -> Vec<Sample> {
                 tasks: report.stats.tasks_executed,
                 task_queries: p.task_queries,
                 payload_clones: p.payload_clones,
-                delivery_allocs: p.delivery_allocs,
                 local_messages: report.stats.local_messages,
                 envelopes_sent: p.envelopes_sent,
                 batches_sent: p.batches_sent,
@@ -178,13 +176,12 @@ fn render_json(samples: &[Sample]) -> String {
     s.push_str("  \"results\": [\n");
     for (i, r) in samples.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"family\": \"{}\", \"tasks\": {}, \"task_queries\": {}, \"payload_clones\": {}, \"delivery_allocs\": {}, \"local_messages\": {}, \"envelopes_sent\": {}, \"batches_sent\": {}, \"retransmits\": {}}}{}\n",
+            "    {{\"backend\": \"{}\", \"family\": \"{}\", \"tasks\": {}, \"task_queries\": {}, \"payload_clones\": {}, \"local_messages\": {}, \"envelopes_sent\": {}, \"batches_sent\": {}, \"retransmits\": {}}}{}\n",
             r.backend,
             r.family,
             r.tasks,
             r.task_queries,
             r.payload_clones,
-            r.delivery_allocs,
             r.local_messages,
             r.envelopes_sent,
             r.batches_sent,
@@ -203,17 +200,11 @@ fn field(j: &Json, key: &str) -> u64 {
 }
 
 /// Enforce the invariants every measurement must satisfy regardless of any
-/// baseline: zero-alloc delivery, zero steady-state graph queries and, the
-/// runs being fault-free, zero retransmits and zero retries.
+/// baseline: zero steady-state graph queries and, the runs being
+/// fault-free, zero retransmits and zero retries.
 fn check_invariants(samples: &[Sample]) -> Vec<String> {
     let mut fails = Vec::new();
     for r in samples {
-        if r.delivery_allocs != 0 {
-            fails.push(format!(
-                "{}/{}: {} per-delivery allocations (must be 0)",
-                r.backend, r.family, r.delivery_allocs
-            ));
-        }
         if r.task_queries != 0 {
             fails.push(format!(
                 "{}/{}: {} steady-state graph queries with a prebuilt plan (must be 0)",
@@ -254,7 +245,6 @@ fn check_against_baseline(baseline: &Json, samples: &[Sample]) -> Vec<String> {
             ("tasks", r.tasks),
             ("task_queries", r.task_queries),
             ("payload_clones", r.payload_clones),
-            ("delivery_allocs", r.delivery_allocs),
             ("local_messages", r.local_messages),
         ] {
             let want = field(row, key);

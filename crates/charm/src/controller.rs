@@ -14,7 +14,7 @@
 //! and starts the dataflow by delivering the initial payloads to the
 //! input chares. Graph structure comes from a [`ShardPlan`] built once up
 //! front, so chare construction and routing never re-query the procedural
-//! graph: a chare sends to the plan index its route's
+//! graph: a chare sends to the plan index and input slot its route's
 //! [`input`](babelflow_core::Route::input) names.
 
 use std::sync::Arc;
@@ -24,7 +24,7 @@ use babelflow_core::sync::Mutex;
 use babelflow_core::trace::TraceSink;
 use babelflow_core::{
     exec, Callback, Controller, ControllerError, InitialInputs, Payload, PlanBuffer, Registry,
-    Result, RunReport, RunStats, ShardPlan, TaskId,
+    Result, RunReport, RunStats, ShardPlan,
 };
 
 use crate::runtime::{Chare, ChareCtx, CharmRuntime};
@@ -65,17 +65,18 @@ fn fail(error: &ErrorSink, err: ControllerError) {
 }
 
 impl Chare for TaskChare<'_> {
-    fn on_message(&mut self, src: TaskId, payload: Payload, ctx: &mut ChareCtx<'_>) -> bool {
+    fn on_message(&mut self, slot: u32, payload: Payload, ctx: &mut ChareCtx<'_>) -> bool {
         let pt = self.plan.task(self.buffer.ix());
-        if !self.buffer.deliver(pt, src, payload) {
-            let err = ControllerError::Runtime(format!("unexpected delivery {src} -> {}", pt.id()));
-            fail(self.error, err);
-            // Retire so the run drains instead of stalling on a poisoned
-            // chare; the error sink carries the real failure out.
-            return true;
-        }
-        if !self.buffer.ready() {
-            return false;
+        match self.buffer.fill(pt, slot, payload) {
+            Ok(true) => {}
+            Ok(false) => return false,
+            Err(err) => {
+                fail(self.error, err);
+                // Retire so the run drains instead of stalling on a
+                // poisoned chare; the error sink carries the real failure
+                // out.
+                return true;
+            }
         }
         // Execute: translate the chare id back into a task and run it.
         // Chares re-execute a faulted entry method in place: inputs are
@@ -86,15 +87,11 @@ impl Chare for TaskChare<'_> {
         let mut stats = RunStats::default();
         let (row, sink) = ((ctx.pe() as u32, 0), ctx.trace_sink());
         let result = exec(pt, self.callback, &inputs, row, sink, &mut stats, |outs, stats| {
-            route_outputs(pt, outs, stats, |route, payload, _| {
-                if route.is_external() {
-                    ctx.emit_external(pt.id(), payload);
-                    return Ok(());
+            route_outputs(self.plan, pt, outs, stats, |route, payload, _| {
+                match route.input {
+                    Some(input) => ctx.send(input, pt.id(), payload),
+                    None => ctx.emit_external(pt.id(), payload),
                 }
-                let Some((consumer, _)) = route.input else {
-                    return Err(self.plan.unroutable(pt.id(), route.dst));
-                };
-                ctx.send(consumer, pt.id(), payload);
                 Ok(())
             })
         });
@@ -129,9 +126,9 @@ impl Controller for CharmController {
         let mut bootstrap = Vec::new();
         for (task, payloads) in initial {
             let ix = plan.index_of(task).expect("preflight checked initial inputs");
-            for p in payloads {
-                bootstrap.push((ix, TaskId::EXTERNAL, p));
-            }
+            let pt = plan.task(ix);
+            pt.check_initial(payloads.len())?;
+            bootstrap.extend(pt.external_slots().map(|slot| (ix, slot)).zip(payloads));
         }
 
         let rt = CharmRuntime::new(self.pes).with_sink(sink);

@@ -12,9 +12,9 @@
 //!   lives on PE `id % pes` for the whole run, in a `Vec` slot of that
 //!   PE, so a delivery finds its chare without hashing;
 //! * **PEs** (threads) running a message-driven scheduler loop;
-//! * **remote method invocation**: `ctx.send(idx, …)` routes a message to
-//!   the chare's PE, or queues it on the sending PE itself when the chare
-//!   lives there;
+//! * **remote method invocation**: `ctx.send((idx, slot), …)` routes a
+//!   message for input `slot` of chare `idx` to the chare's PE, or queues
+//!   it on the sending PE itself when the chare lives there;
 //! * **quiescence detection**: the PEs run on a
 //!   [`WorkPool`], whose run ends the moment no message is queued and no
 //!   entry method runs — complete if every chare retired, stalled (with
@@ -43,15 +43,16 @@ use babelflow_core::{ControllerError, Payload, TaskId};
 
 /// A message-driven parallel object hosted by the runtime.
 pub trait Chare: Send {
-    /// Handle one message. Returns `true` when the chare has completed all
-    /// its work and should retire (one-shot dataflow tasks retire after
-    /// executing).
-    fn on_message(&mut self, src: TaskId, payload: Payload, ctx: &mut ChareCtx<'_>) -> bool;
+    /// Handle one message, for the chare's input `slot`. Returns `true`
+    /// when the chare has completed all its work and should retire
+    /// (one-shot dataflow tasks retire after executing).
+    fn on_message(&mut self, slot: u32, payload: Payload, ctx: &mut ChareCtx<'_>) -> bool;
 }
 
-/// An entry-method invocation queued on the PE hosting chare `idx`.
+/// An entry-method invocation of input `to.1` of chare `to.0`, queued on
+/// the PE hosting the chare.
 struct Delivery {
-    idx: u32,
+    to: (u32, u32),
     src: TaskId,
     payload: Payload,
     /// [`now_ns`] at send time (0 when tracing is off); the receiving
@@ -123,14 +124,14 @@ struct Shared<'i> {
 }
 
 impl Shared<'_> {
-    /// Address a message to chare `idx`, counting it in the sending PE's
-    /// `stats` (`from_pe` is `usize::MAX` for the host's bootstrap), and
-    /// return it with the PE that hosts the chare.
+    /// Address a message to input `slot` of chare `idx`, counting it in
+    /// the sending PE's `stats` (`from_pe` is `usize::MAX` for the host's
+    /// bootstrap), and return it with the PE that hosts the chare.
     fn message(
         &self,
         from_pe: usize,
         stats: &mut CharmStats,
-        idx: u32,
+        to @ (idx, _): (u32, u32),
         src: TaskId,
         payload: Payload,
     ) -> (usize, Delivery) {
@@ -150,16 +151,16 @@ impl Shared<'_> {
                     .with_message(TaskId(self.ids[idx as usize]), 0),
             );
         }
-        (pe, Delivery { idx, src, payload, sent_ns })
+        (pe, Delivery { to, src, payload, sent_ns })
     }
 
     /// Run the entry method a delivery invokes on one of the chares
     /// placed on the PE that owns `local`, retiring the chare if it is
     /// done.
     fn deliver(&self, state: &mut Pe<'_>, local: &mut Local<Delivery>, d: Delivery) {
-        let Delivery { idx, src, payload, sent_ns } = d;
-        let slot = self.homes[idx as usize].1 as usize;
-        let Some(chare) = state.chares[slot].as_mut() else {
+        let Delivery { to: (idx, slot), src, payload, sent_ns } = d;
+        let home = self.homes[idx as usize].1 as usize;
+        let Some(chare) = state.chares[home].as_mut() else {
             // Chare already retired: dataflow chares retire only after all
             // their inputs, so this is a protocol violation. Drop and count
             // it; any resulting stall surfaces at quiescence.
@@ -176,8 +177,8 @@ impl Shared<'_> {
             );
         }
         let mut ctx = ChareCtx { shared: self, local, stats: &mut state.stats, self_idx: idx };
-        if chare.on_message(src, payload, &mut ctx) {
-            state.chares[slot] = None;
+        if chare.on_message(slot, payload, &mut ctx) {
+            state.chares[home] = None;
             state.stats.retired += 1;
         }
     }
@@ -196,12 +197,12 @@ pub struct ChareCtx<'a> {
 }
 
 impl<'a> ChareCtx<'a> {
-    /// Asynchronously invoke chare `idx` with a payload (remote procedure
-    /// call in the paper's terms). A chare on this PE gets it through the
-    /// PE's own queue, after what that queue already holds.
-    pub fn send(&mut self, idx: u32, src: TaskId, payload: Payload) {
+    /// Asynchronously invoke input `to.1` of chare `to.0` with a payload
+    /// from `src` (remote procedure call in the paper's terms). A chare on
+    /// this PE gets it through the PE's own queue, after what it holds.
+    pub fn send(&mut self, to: (u32, u32), src: TaskId, payload: Payload) {
         let here = self.local.worker();
-        match self.shared.message(here, self.stats, idx, src, payload) {
+        match self.shared.message(here, self.stats, to, src, payload) {
             (pe, d) if pe == here => self.local.push(d),
             (pe, d) => self.shared.pool.push_to(pe, d),
         }
@@ -265,8 +266,8 @@ impl CharmRuntime {
     /// `ids[idx]` and is placed on PE `ids[idx] % pes`. `factory`
     /// constructs each chare from its index, and may borrow from the
     /// caller for `'a`; `initial` is the set of bootstrap messages (from
-    /// the main chare in Charm++ terms), by chare index, sent from PE 0's
-    /// thread.
+    /// the main chare in Charm++ terms, so from [`TaskId::EXTERNAL`]), by
+    /// chare index and input slot, sent from PE 0's thread.
     ///
     /// Returns the external outputs and run statistics.
     ///
@@ -278,7 +279,7 @@ impl CharmRuntime {
         &self,
         ids: &[u64],
         factory: F,
-        initial: Vec<(u32, TaskId, Payload)>,
+        initial: Vec<((u32, u32), Payload)>,
     ) -> Result<(Outputs, CharmStats), ControllerError>
     where
         F: Fn(u32) -> Box<dyn Chare + 'a> + Sync,
@@ -313,8 +314,8 @@ impl CharmRuntime {
             if pe == 0 {
                 let batch: Vec<_> = std::mem::take(&mut *bootstrap.lock())
                     .into_iter()
-                    .map(|(idx, src, payload)| {
-                        shared.message(usize::MAX, &mut stats, idx, src, payload)
+                    .map(|(to, payload)| {
+                        shared.message(usize::MAX, &mut stats, to, TaskId::EXTERNAL, payload)
                     })
                     .collect();
                 shared.pool.push_all_to(batch);
@@ -367,12 +368,12 @@ mod tests {
     }
 
     impl Chare for Accum {
-        fn on_message(&mut self, _src: TaskId, payload: Payload, ctx: &mut ChareCtx<'_>) -> bool {
+        fn on_message(&mut self, _slot: u32, payload: Payload, ctx: &mut ChareCtx<'_>) -> bool {
             self.got.push(val(&payload));
             if self.got.len() == self.need {
                 let sum: u64 = self.got.iter().sum();
                 match self.forward_to {
-                    Some(next) => ctx.send(next, self.id, pay(sum)),
+                    Some(next) => ctx.send((next, self.id.0 as u32), self.id, pay(sum)),
                     None => ctx.emit_external(self.id, pay(sum)),
                 }
                 true
@@ -398,10 +399,10 @@ mod tests {
         for pes in [1, 2, 4] {
             let rt = CharmRuntime::new(pes);
             let initial = vec![
-                (0, TaskId::EXTERNAL, pay(1)),
-                (0, TaskId::EXTERNAL, pay(2)),
-                (1, TaskId::EXTERNAL, pay(3)),
-                (1, TaskId::EXTERNAL, pay(4)),
+                ((0, 0), pay(1)),
+                ((0, 1), pay(2)),
+                ((1, 0), pay(3)),
+                ((1, 1), pay(4)),
             ];
             let (outputs, stats) =
                 rt.run(&[0, 1, 2], chain_factory, initial).unwrap();
@@ -415,9 +416,9 @@ mod tests {
         let rt = CharmRuntime::new(2);
         // Chare 1 never gets its second value; 2 never fires.
         let initial = vec![
-            (0, TaskId::EXTERNAL, pay(1)),
-            (0, TaskId::EXTERNAL, pay(2)),
-            (1, TaskId::EXTERNAL, pay(3)),
+            ((0, 0), pay(1)),
+            ((0, 1), pay(2)),
+            ((1, 0), pay(3)),
         ];
         let err = rt.run(&[0, 1, 2], chain_factory, initial).unwrap_err();
         let stalled = [TaskId(1), TaskId(2)];
@@ -428,10 +429,10 @@ mod tests {
     fn cross_pe_and_local_messages_counted() {
         let rt = CharmRuntime::new(2);
         let initial = vec![
-            (0, TaskId::EXTERNAL, pay(1)),
-            (0, TaskId::EXTERNAL, pay(2)),
-            (1, TaskId::EXTERNAL, pay(3)),
-            (1, TaskId::EXTERNAL, pay(4)),
+            ((0, 0), pay(1)),
+            ((0, 1), pay(2)),
+            ((1, 0), pay(3)),
+            ((1, 1), pay(4)),
         ];
         let (_, stats) = rt.run(&[0, 1, 2], chain_factory, initial).unwrap();
         // Bootstraps (4, sent from "outside" = cross) + 2 forwards: 0 -> 2
@@ -445,14 +446,14 @@ mod tests {
         // message finds it gone.
         struct Once;
         impl Chare for Once {
-            fn on_message(&mut self, _: TaskId, _: Payload, _: &mut ChareCtx<'_>) -> bool {
+            fn on_message(&mut self, _: u32, _: Payload, _: &mut ChareCtx<'_>) -> bool {
                 true
             }
         }
         for pes in [1, 2] {
             let rt = CharmRuntime::new(pes);
             let factory = |_| -> Box<dyn Chare> { Box::new(Once) };
-            let initial = vec![(0, TaskId::EXTERNAL, pay(1)), (0, TaskId::EXTERNAL, pay(2))];
+            let initial = vec![((0, 0), pay(1)), ((0, 1), pay(2))];
             let (_, stats) = rt.run(&[0], factory, initial).unwrap();
             assert_eq!((stats.retired, stats.late_messages), (1, 1), "pes={pes}");
             assert_eq!(stats.cross_pe_messages, 2, "pes={pes}: bootstraps come from the host");
@@ -464,14 +465,14 @@ mod tests {
         babelflow_core::quiet_panic_hook();
         struct Bomb;
         impl Chare for Bomb {
-            fn on_message(&mut self, _: TaskId, _: Payload, _: &mut ChareCtx<'_>) -> bool {
+            fn on_message(&mut self, _: u32, _: Payload, _: &mut ChareCtx<'_>) -> bool {
                 panic!("{}: chare exploded", babelflow_core::PANIC_MARKER)
             }
         }
         let rt = CharmRuntime::new(2);
         let factory = |_| -> Box<dyn Chare> { Box::new(Bomb) };
         let started = std::time::Instant::now();
-        let err = rt.run(&[0, 1], factory, vec![(1, TaskId::EXTERNAL, pay(0))]).unwrap_err();
+        let err = rt.run(&[0, 1], factory, vec![((1, 0), pay(0))]).unwrap_err();
         assert!(matches!(&err, ControllerError::Runtime(m) if m == "charm PE 1 panicked"), "{err}");
         assert!(started.elapsed() < std::time::Duration::from_secs(2));
     }

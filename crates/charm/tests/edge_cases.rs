@@ -23,14 +23,14 @@ struct Hop {
 }
 
 impl Chare for Hop {
-    fn on_message(&mut self, _src: TaskId, payload: Payload, ctx: &mut ChareCtx<'_>) -> bool {
+    fn on_message(&mut self, _slot: u32, payload: Payload, ctx: &mut ChareCtx<'_>) -> bool {
         self.got += val(&payload);
         self.seen += 1;
         if self.seen < self.need {
             return false;
         }
         match self.next {
-            Some(n) => ctx.send(n, TaskId(self.id), pay(self.got + self.id)),
+            Some(n) => ctx.send((n, 0), TaskId(self.id), pay(self.got + self.id)),
             None => ctx.emit_external(TaskId(self.id), pay(self.got + self.id)),
         }
         true
@@ -48,8 +48,8 @@ fn oversubscription_many_chares_few_pes() {
     let indices: Vec<u64> = (0..n).collect();
     let mut initial = Vec::new();
     for i in 0..n {
-        initial.push((i as u32, TaskId::EXTERNAL, pay(i)));
-        initial.push((i as u32, TaskId::EXTERNAL, pay(1000)));
+        initial.push(((i as u32, 0), pay(i)));
+        initial.push(((i as u32, 1), pay(1000)));
     }
     let (outputs, stats) = rt.run(&indices, factory, initial).unwrap();
     assert_eq!(outputs.len(), n as usize);
@@ -64,12 +64,12 @@ fn oversubscription_many_chares_few_pes() {
 fn late_messages_are_counted_not_fatal() {
     struct Echo;
     impl Chare for Echo {
-        fn on_message(&mut self, _src: TaskId, p: Payload, ctx: &mut ChareCtx<'_>) -> bool {
+        fn on_message(&mut self, _slot: u32, p: Payload, ctx: &mut ChareCtx<'_>) -> bool {
             // Sends to chare 1 twice; chare 1 retires on its first message,
             // so the second is late.
             if ctx.self_idx == 0 {
-                ctx.send(1, TaskId(0), p.clone());
-                ctx.send(1, TaskId(0), p);
+                ctx.send((1, 0), TaskId(0), p.clone());
+                ctx.send((1, 0), TaskId(0), p);
             } else {
                 ctx.emit_external(TaskId(1), p);
             }
@@ -79,7 +79,7 @@ fn late_messages_are_counted_not_fatal() {
     let rt = CharmRuntime::new(1);
     let factory = |_| -> Box<dyn Chare> { Box::new(Echo) };
     let (outputs, stats) = rt
-        .run(&[0, 1], factory, vec![(0, TaskId::EXTERNAL, pay(7))])
+        .run(&[0, 1], factory, vec![((0, 0), pay(7))])
         .unwrap();
     assert_eq!(val(&outputs[&TaskId(1)][0]), 7);
     assert_eq!(stats.late_messages, 1);

@@ -104,8 +104,9 @@ pub struct PerfStats {
     /// `Payload` handle clones made while routing outputs, one per route
     /// of a slot but the last (refcount bumps; the plan sets the count).
     pub payload_clones: u64,
-    /// Deliveries that allocated scratch memory to locate an input slot.
-    /// The plan-driven fast path keeps this at zero.
+    /// Always 0: a delivery fills the input slot its route names and
+    /// allocates nothing. Nothing counts it; it is kept only because
+    /// perfbench reads it.
     pub delivery_allocs: u64,
     /// Envelopes handed to the transport channel (each is one channel
     /// operation and one fault-injection sequence point).
@@ -148,11 +149,10 @@ impl std::fmt::Display for PerfStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} task queries, {} payload clones, {} delivery allocs, {} envelopes ({} batched), \
+            "{} task queries, {} payload clones, {} envelopes ({} batched), \
              {} parks, {} wakes, {} pool locks",
             self.task_queries,
             self.payload_clones,
-            self.delivery_allocs,
             self.envelopes_sent,
             self.batches_sent,
             self.parks,
@@ -457,14 +457,14 @@ mod tests {
             .filter(|s| !s.is_empty())
             .map(|s| s.parse().unwrap())
             .collect();
-        assert_eq!(nums.len(), 15, "display carries exactly the fifteen counters: {text}");
+        assert_eq!(nums.len(), 14, "display carries exactly the fourteen counters: {text}");
         stats(
             nums[0],
             nums[2],
             nums[3],
             nums[1],
             (nums[4], nums[5], nums[6]),
-            (nums[7], nums[8], nums[9], nums[10], nums[11], nums[12], nums[13], nums[14]),
+            (nums[7], nums[8], 0, nums[9], nums[10], nums[11], nums[12], nums[13]),
         )
     }
 
@@ -481,7 +481,7 @@ mod tests {
             shown,
             "8 tasks, 20 local messages, 9 remote messages (1040 bytes); \
              1 retries, 4 retransmits, 3 duplicates suppressed; \
-             40 task queries, 17 payload clones, 0 delivery allocs, 9 envelopes (3 batched), \
+             40 task queries, 17 payload clones, 9 envelopes (3 batched), \
              5 parks, 4 wakes, 75 pool locks"
         );
     }

@@ -27,7 +27,7 @@ use crate::controller::{ControllerError, Result, RunStats};
 use crate::fault::MAX_TASK_RETRIES;
 use crate::ids::TaskId;
 use crate::payload::Payload;
-use crate::plan::{PlanTask, Route};
+use crate::plan::{PlanTask, Route, ShardPlan};
 use crate::registry::Callback;
 use crate::trace::{now_ns, SpanKind, TraceEvent, TraceSink};
 
@@ -99,13 +99,19 @@ pub fn exec<R>(
 /// The routing loop of every `route` closure: `deliver` (one route's body)
 /// gets each output once per route, in slot and route order, as a clone for
 /// every route of a slot but the last, which takes the output itself
-/// (`payload_clones` += `routes − 1`). Its first error is returned.
+/// (`payload_clones` += `routes − 1`). A route that fills no consumer slot
+/// fails the task first ([`ShardPlan::unroutable`]), so in `deliver` a
+/// `None` [`input`](Route::input) means the host. The first error is returned.
 pub fn route_outputs(
+    plan: &ShardPlan,
     pt: &PlanTask,
     outs: Vec<Payload>,
     stats: &mut RunStats,
     mut deliver: impl FnMut(&Route, Payload, &mut RunStats) -> Result<()>,
 ) -> Result<()> {
+    if let Some(r) = pt.routes.iter().flatten().find(|r| r.input.is_none() && !r.is_external()) {
+        return Err(plan.unroutable(pt.id(), r.dst));
+    }
     for (payload, routes) in outs.into_iter().zip(&pt.routes) {
         let Some((last, rest)) = routes.split_last() else { continue };
         stats.perf.payload_clones += rest.len() as u64;
@@ -144,7 +150,6 @@ mod tests {
     use crate::graph::ExplicitGraph;
     use crate::ids::CallbackId;
     use crate::payload::Blob;
-    use crate::plan::ShardPlan;
     use crate::registry::Registry;
     use crate::sync::Mutex;
     use crate::task::Task;
@@ -285,7 +290,7 @@ mod tests {
         let plan = fan_plan();
         let mut stats = RunStats::default();
         let mut got = Vec::new();
-        route_outputs(plan.task(0), inputs(), &mut stats, |route, payload, _| {
+        route_outputs(&plan, plan.task(0), inputs(), &mut stats, |route, payload, _| {
             assert!(route.is_external());
             got.push(payload);
             Ok(())
@@ -300,13 +305,32 @@ mod tests {
         let plan = fan_plan();
         let mut stats = RunStats::default();
         let mut calls = 0;
-        let err = route_outputs(plan.task(0), inputs(), &mut stats, |_, _, _| {
+        let err = route_outputs(&plan, plan.task(0), inputs(), &mut stats, |_, _, _| {
             calls += 1;
             Err(ControllerError::Runtime("refused".into()))
         })
         .unwrap_err();
         assert!(matches!(err, ControllerError::Runtime(m) if m == "refused"));
         assert_eq!(calls, 1);
+    }
+
+    #[test]
+    fn routing_fails_a_route_that_fills_no_slot_before_any_output_moves() {
+        // Task 0 sends its one output to the host, to the missing task 76,
+        // then to the host again.
+        let mut t = Task::new(TaskId(0), CallbackId(0));
+        t.outgoing = vec![vec![TaskId::EXTERNAL, TaskId(76), TaskId::EXTERNAL]];
+        let g = ExplicitGraph::new(vec![t], vec![CallbackId(0)]);
+        let plan = ShardPlan::build(&g, &ModuloMap::new(1, 1)).lenient();
+        let mut delivered = Vec::new();
+        let outs = inputs()[..1].to_vec();
+        let err = route_outputs(&plan, plan.task(0), outs, &mut RunStats::default(), |r, _, _| {
+            delivered.push(r.dst);
+            Ok(())
+        })
+        .unwrap_err();
+        assert_eq!(err.to_string(), plan.unroutable(TaskId(0), TaskId(76)).to_string());
+        assert!(delivered.is_empty(), "delivered {delivered:?}");
     }
 
     #[test]

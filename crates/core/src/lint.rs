@@ -2,7 +2,8 @@
 //!
 //! A [`TaskGraph`] is handed to runtimes that assume it is executable;
 //! when it is not, the failure shows up far from the cause — a
-//! controller deadlocks, or a [`PlanBuffer`] silently drops a delivery.
+//! controller deadlocks, or a run fails on a route that fills no input
+//! slot.
 //! The lint passes in this module turn those latent defects into *coded
 //! diagnostics* at plan-build time, before any task runs:
 //!
@@ -14,7 +15,7 @@
 //! | BF004 | `UnregisteredCallback` | Error / Warning | callback unbound in the registry, or bound with a declared arity the task contradicts (Error); used by a task but not advertised by the graph (Warning) |
 //! | BF005 | `UnmappedTask` | Error / Warning | `TaskMap` places a task on an out-of-range shard (Error), or the map's two directions disagree (Warning) |
 //! | BF006 | `UnreachableTask` | Error | task can never become ready (downstream of a cycle, asymmetry, or dangling producer) |
-//! | BF007 | `FanInSlotCollision` | Error | producer routes more messages to a consumer than it has slots wired — deliveries would collide in the [`PlanBuffer`] |
+//! | BF007 | `FanInSlotCollision` | Error | producer routes more messages to a consumer than it has slots wired — the extra routes fill no input slot |
 //! | BF008 | `DuplicateTaskId` | Error | `ids()` lists an id more than once |
 //! | BF009 | `SizeMismatch` | Error | `size()` disagrees with the number of ids `ids()` lists |
 //! | BF010 | `MissingTask` | Error | `ids()` lists an id for which `task(id)` returns `None` |
@@ -34,8 +35,6 @@
 //! [`lint_graph`] and [`lint_run`] are the one-call entry points: they
 //! build the plan once and add the two-way [`TaskMap`] consistency check.
 //! The dynamic trace-based checkers live in the `babelflow-verify` crate.
-//!
-//! [`PlanBuffer`]: crate::plan::PlanBuffer
 
 use crate::graph::TaskGraph;
 use crate::hash::IdMap;

@@ -11,11 +11,12 @@
 //! state needs —
 //!
 //! * an interned task table (no more `Task` clones per query),
-//! * fan-in counts and per-source input-slot maps (no per-delivery
-//!   scratch allocation: see [`PlanBuffer::deliver`]),
-//! * per-edge destination shards (no `TaskMap` calls while routing),
-//! * per-edge consumer input slots, numbered densely across the plan
-//!   (see [`Route::input`] and [`ShardPlan::slot_base`]),
+//! * fan-in counts and per-edge destination shards (no `TaskMap` calls
+//!   while routing),
+//! * per-edge consumer plan indices and input slots, numbered densely
+//!   across the plan (see [`Route::input`] and [`ShardPlan::slot_base`]):
+//!   every backend delivers a payload into the slot its route names, so
+//!   no run looks a consumer or a slot up,
 //! * the shard-local task lists and the input/output task sets that
 //!   controllers previously derived by scanning the whole id space.
 //!
@@ -56,7 +57,7 @@ pub struct Route {
     /// channel delivers. `None` for external routes and for edges the
     /// consumer does not accept (a missing task, or more routes than
     /// wired slots — possible only on a [`lenient`](ShardPlan::lenient)
-    /// plan).
+    /// plan), which [`route_outputs`](crate::exec::route_outputs) fails.
     pub input: Option<(u32, u32)>,
 }
 
@@ -77,8 +78,8 @@ pub struct PlanTask {
     /// Number of input slots fed by the host application.
     pub external_inputs: usize,
     /// Per distinct producer: the input-slot indices it feeds, in slot
-    /// order. Replaces the per-delivery
-    /// [`input_slots_from`](Task::input_slots_from) scan-and-collect.
+    /// order. The build resolves [`Route::input`] from it, and the lint
+    /// reads it; no run does.
     pub sources: Vec<(TaskId, Vec<u32>)>,
     /// Per output slot: the precomputed routes of every consumer.
     pub routes: Vec<Vec<Route>>,
@@ -103,6 +104,20 @@ impl PlanTask {
     /// Number of output slots.
     pub fn fan_out(&self) -> usize {
         self.routes.len()
+    }
+
+    /// The input slots the host application fills, in slot order.
+    pub fn external_slots(&self) -> impl Iterator<Item = u32> + '_ {
+        let slots = self.task.incoming.iter().enumerate();
+        slots.filter(|(_, src)| src.is_external()).map(|(slot, _)| slot as u32)
+    }
+
+    /// [`BadInitialInputs`](ControllerError::BadInitialInputs) unless `got`
+    /// is the number of external slots.
+    pub fn check_initial(&self, got: usize) -> Result<()> {
+        let (task, expected) = (self.id(), self.external_inputs);
+        let bad = ControllerError::BadInitialInputs { task, expected, got };
+        if got == expected { Ok(()) } else { Err(bad) }
     }
 }
 
@@ -370,8 +385,9 @@ impl ShardPlan {
         self.local_slot[ix as usize] as usize
     }
 
-    /// The error every backend fails with, before it delivers or sends,
-    /// on an edge from `src` to `dst` that fills no consumer slot
+    /// The error [`route_outputs`](crate::exec::route_outputs) fails a
+    /// task with, on every backend and before that route is delivered or
+    /// sent, on an edge from `src` to `dst` that fills no consumer slot
     /// ([`Route::input`] is `None`, only on a [`lenient`](Self::lenient)
     /// plan).
     pub fn unroutable(&self, src: TaskId, dst: TaskId) -> ControllerError {
@@ -433,14 +449,7 @@ impl ShardPlan {
         }
         for &ix in &self.inputs {
             let pt = &self.tasks[ix as usize];
-            let got = initial.get(&pt.task.id).map_or(0, Vec::len);
-            if pt.external_inputs != got {
-                return Err(ControllerError::BadInitialInputs {
-                    task: pt.task.id,
-                    expected: pt.external_inputs,
-                    got,
-                });
-            }
+            pt.check_initial(initial.get(&pt.task.id).map_or(0, Vec::len))?;
         }
         // Every input task has its key now, so any further key is a task
         // with no external slot or no task at all: find the smallest.
@@ -543,12 +552,12 @@ impl ShardPlan {
     }
 }
 
-/// Input-slot buffer for one pending task, driven by a [`PlanTask`]'s
-/// precomputed source map instead of the task's raw edge list.
+/// Input-slot buffer for one pending task, filled slot by slot as its
+/// routes name them ([`Route::input`]).
 ///
 /// It does not own a [`Task`] — the task stays interned in the plan — so
 /// creating one per pending task clones nothing, and
-/// [`PlanBuffer::deliver`] allocates nothing.
+/// [`PlanBuffer::fill`] allocates nothing.
 #[derive(Debug)]
 pub struct PlanBuffer {
     ix: u32,
@@ -568,28 +577,20 @@ impl PlanBuffer {
         self.ix
     }
 
-    /// Deliver a payload from `src` into the first free slot wired to it.
-    /// `pt` must be the plan task this buffer was created for. Returns
-    /// `false` if no such slot exists or all are filled (a duplicate or
-    /// misrouted message).
-    pub fn deliver(&mut self, pt: &PlanTask, src: TaskId, payload: Payload) -> bool {
-        debug_assert_eq!(
-            pt.fan_in(),
-            self.slots.len(),
-            "PlanBuffer used with a foreign PlanTask"
-        );
-        let Some((_, slots)) = pt.sources.iter().find(|(s, _)| *s == src) else {
-            return false;
-        };
-        for &slot in slots {
-            let cell = &mut self.slots[slot as usize];
-            if cell.is_none() {
+    /// Fill input `slot` with `payload`, and tell whether the task is
+    /// now ready. `pt` is the plan task this buffer was created for; a
+    /// slot that is full already, or that the task lacks, is a
+    /// [`Runtime`](ControllerError::Runtime) error naming it (every slot
+    /// of a spent buffer is).
+    pub fn fill(&mut self, pt: &PlanTask, slot: u32, payload: Payload) -> Result<bool> {
+        match self.slots.get_mut(slot as usize) {
+            Some(cell @ None) => {
                 *cell = Some(payload);
                 self.missing -= 1;
-                return true;
+                Ok(self.missing == 0)
             }
+            _ => Err(no_free_slot(pt, slot)),
         }
-        false
     }
 
     /// Whether all input slots are filled.
@@ -607,6 +608,11 @@ impl PlanBuffer {
         // Through `into_iter`, so the collect reuses the slots' allocation.
         std::mem::take(&mut self.slots).into_iter().map(|p| p.expect("ready buffer")).collect()
     }
+}
+
+/// The error of a delivery into a full, missing or not pending slot.
+fn no_free_slot(pt: &PlanTask, slot: u32) -> ControllerError {
+    ControllerError::Runtime(format!("task {} has no free input slot {slot}", pt.id()))
 }
 
 /// The [`PlanBuffer`]s of the tasks an executor has yet to take up,
@@ -656,38 +662,34 @@ impl<'p> Pending<'p> {
         self.buffers.get_mut(slot)?.as_mut().filter(|b| b.ix() == ix)
     }
 
-    /// Deliver the host's `payloads` to the task at plan index `ix`,
-    /// whose inputs [`ShardPlan::preflight`] has checked; a task not in
-    /// this set is a [`Runtime`](ControllerError::Runtime) error.
+    /// Fill the external slots of the task at plan index `ix` with the
+    /// host's `payloads`, in slot order. A task not in this set is a
+    /// [`Runtime`](ControllerError::Runtime) error, and a wrong payload
+    /// count [`BadInitialInputs`](ControllerError::BadInitialInputs).
     pub fn deliver_initial(
         &mut self,
         ix: u32,
-        payloads: impl IntoIterator<Item = Payload>,
+        payloads: impl ExactSizeIterator<Item = Payload>,
     ) -> Result<()> {
-        let plan = self.plan;
+        let pt = self.plan.task(ix);
         let Some(buf) = self.buffer(ix) else {
-            let msg = format!("initial input for non-local task {}", plan.task(ix).id());
+            let msg = format!("initial input for non-local task {}", pt.id());
             return Err(ControllerError::Runtime(msg));
         };
-        for p in payloads {
-            let delivered = buf.deliver(plan.task(ix), TaskId::EXTERNAL, p);
-            assert!(delivered, "preflight checked initial inputs");
+        pt.check_initial(payloads.len())?;
+        for (slot, p) in pt.external_slots().zip(payloads) {
+            buf.fill(pt, slot, p)?;
         }
         Ok(())
     }
 
-    /// Deliver `payload` from `src` to the task at plan index `ix`, and
-    /// tell whether it became ready; [`ShardPlan::unroutable`] if the task
-    /// is not pending here or has no free slot for `src`.
+    /// Fill a route's `(plan index, slot)` with `payload`, and tell whether
+    /// its task became ready; a [`Runtime`](ControllerError::Runtime)
+    /// error if the task is not pending here or the slot is full.
     #[inline]
-    pub fn deliver(&mut self, src: TaskId, ix: u32, payload: Payload) -> Result<bool> {
-        let plan = self.plan;
-        if let Some(buf) = self.buffer(ix) {
-            if buf.deliver(plan.task(ix), src, payload) {
-                return Ok(buf.ready());
-            }
-        }
-        Err(plan.unroutable(src, plan.task(ix).id()))
+    pub fn deliver(&mut self, (ix, slot): (u32, u32), payload: Payload) -> Result<bool> {
+        let pt = self.plan.task(ix);
+        self.buffer(ix).ok_or_else(|| no_free_slot(pt, slot))?.fill(pt, slot, payload)
     }
 
     /// Plan indices of the pending tasks that are ready, in id order:
@@ -867,25 +869,32 @@ mod tests {
     }
 
     #[test]
-    fn plan_buffer_fills_in_slot_order_per_source() {
+    fn plan_buffer_fills_each_named_slot_once() {
         let mut t = Task::new(TaskId(9), CallbackId(0));
         t.incoming = vec![TaskId(1), TaskId(2), TaskId(1)];
         let g = ExplicitGraph::new(vec![t], vec![CallbackId(0)]);
         let plan = ShardPlan::build(&g, &ModuloMap::new(1, 10));
-        let ix = plan.index_of(TaskId(9)).unwrap();
-        let pt = plan.task(ix);
+        let pt = plan.task(0);
+        let blob = |b| Payload::wrap(Blob(vec![b]));
+        let refused = |slot| format!("runtime error: task 9 has no free input slot {slot}");
 
-        let mut b = PlanBuffer::new(&plan, ix);
+        let mut b = PlanBuffer::new(&plan, 0);
         assert!(!b.ready());
-        assert!(b.deliver(pt, TaskId(1), Payload::wrap(Blob(vec![10]))));
-        assert!(b.deliver(pt, TaskId(1), Payload::wrap(Blob(vec![11]))));
-        assert!(!b.deliver(pt, TaskId(1), Payload::wrap(Blob(vec![12]))));
-        assert!(!b.deliver(pt, TaskId(5), Payload::wrap(Blob(vec![]))));
-        assert!(b.deliver(pt, TaskId(2), Payload::wrap(Blob(vec![20]))));
+        // Slots fill in any order; the last one readies the task.
+        assert!(!b.fill(pt, 2, blob(11)).unwrap());
+        assert!(!b.fill(pt, 0, blob(10)).unwrap());
+        // A second fill of a slot, and a slot the task lacks, are refused
+        // and change nothing.
+        for slot in [0, 2, 3] {
+            assert_eq!(b.fill(pt, slot, blob(99)).unwrap_err().to_string(), refused(slot));
+        }
+        assert!(b.fill(pt, 1, blob(20)).unwrap());
         assert!(b.ready());
         let vals: Vec<u8> =
             b.take().iter().map(|p| p.extract::<Blob>().unwrap().0[0]).collect();
         assert_eq!(vals, vec![10, 20, 11]);
+        // A spent buffer refuses every slot.
+        assert_eq!(b.fill(pt, 1, blob(21)).unwrap_err().to_string(), refused(1));
     }
 
     #[test]
@@ -897,20 +906,42 @@ mod tests {
         // shard 0 has local slot 1 too, and must not reach task 3's buffer.
         let mut p = Pending::local(&plan, ShardId(1));
         assert_eq!((plan.local_slot(2), plan.local_slot(3)), (1, 1));
-        let err = p.deliver(TaskId(0), 2, blob()).unwrap_err();
-        assert_eq!(err.to_string(), plan.unroutable(TaskId(0), TaskId(2)).to_string());
-        let err = p.deliver_initial(0, [blob()]).unwrap_err();
+        let err = p.deliver((2, 0), blob()).unwrap_err();
+        assert_eq!(err.to_string(), "runtime error: task 2 has no free input slot 0");
+        let err = p.deliver_initial(0, [blob()].into_iter()).unwrap_err();
         assert_eq!(err.to_string(), "runtime error: initial input for non-local task 0");
 
-        assert!(p.deliver(TaskId(0), 1, blob()).unwrap());
-        assert!(!p.deliver(TaskId(1), 3, blob()).unwrap());
-        assert!(p.deliver(TaskId(1), 3, blob()).is_err(), "task 3 wires one slot to task 1");
+        assert!(p.deliver((1, 0), blob()).unwrap());
+        assert!(!p.deliver((3, 0), blob()).unwrap());
+        assert!(p.deliver((3, 0), blob()).is_err(), "slot 0 of task 3 is full");
         assert_eq!(p.ready(), vec![1]);
         assert!(p.is_ready(1) && !p.is_ready(3));
         assert_eq!(p.take(1).map(|inputs| inputs.len()), Some(1));
         assert!(p.take(1).is_none() && !p.is_empty());
         let Err(ControllerError::Deadlock { pending }) = p.drained() else { panic!() };
         assert_eq!(pending, vec![TaskId(3)]);
+    }
+
+    #[test]
+    fn initial_inputs_fill_the_external_slots_in_order_or_are_refused() {
+        // 0's slots 0 and 2 come from the host, slot 1 from task 1.
+        let mut t = Task::new(TaskId(0), CallbackId(0));
+        t.incoming = vec![TaskId::EXTERNAL, TaskId(1), TaskId::EXTERNAL];
+        let g = ExplicitGraph::new(vec![t], vec![CallbackId(0)]);
+        let plan = ShardPlan::build(&g, &ModuloMap::new(1, 1)).lenient();
+        let blob = |b| Payload::wrap(Blob(vec![b]));
+        let mut p = Pending::all(&plan);
+        for got in [0, 1, 3] {
+            let err = p.deliver_initial(0, (0..got).map(|_| blob(0))).unwrap_err();
+            let bad = ControllerError::BadInitialInputs { task: TaskId(0), expected: 2, got };
+            assert_eq!(err.to_string(), bad.to_string());
+        }
+        assert_eq!(plan.task(0).external_slots().collect::<Vec<_>>(), [0, 2]);
+        p.deliver_initial(0, [blob(10), blob(12)].into_iter()).unwrap();
+        assert!(p.deliver((0, 1), blob(11)).unwrap());
+        let vals: Vec<u8> =
+            p.take(0).unwrap().iter().map(|p| p.extract::<Blob>().unwrap().0[0]).collect();
+        assert_eq!(vals, vec![10, 11, 12]);
     }
 
     #[test]

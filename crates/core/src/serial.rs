@@ -75,16 +75,13 @@ impl Controller for SerialController {
             let cb = registry.get(pt.callback()).expect("preflight checked bindings");
             exec(pt, cb, &inputs, (0, 0), &*sink, &mut stats, |outs, stats| {
                 stats.tasks_executed += 1;
-                route_outputs(pt, outs, stats, |route, payload, stats| {
-                    if route.is_external() {
+                route_outputs(plan, pt, outs, stats, |route, payload, stats| {
+                    let Some(input @ (c, _)) = route.input else {
                         report.outputs.entry(id).or_default().push(payload);
                         return Ok(());
-                    }
-                    let send_start = if tracing { now_ns() } else { 0 };
-                    let Some((c, _)) = route.input else {
-                        return Err(plan.unroutable(id, route.dst));
                     };
-                    let ready = pending.deliver(id, c, payload)?;
+                    let send_start = if tracing { now_ns() } else { 0 };
+                    let ready = pending.deliver(input, payload)?;
                     stats.local_messages += 1;
                     if tracing {
                         // In-memory move: no serialization, bytes = 0.

@@ -58,8 +58,7 @@ pub(crate) fn map_regions(rt: &LegionRuntime<u32>, plan: &ShardPlan, mut initial
         let pt = plan.task(ix);
         let supplied = initial.remove(&pt.id()).expect("preflight verified inputs");
         let base = plan.slot_base(ix);
-        let slots = pt.task.incoming.iter().enumerate().filter(|(_, src)| src.is_external());
-        slots.map(move |(slot, _)| base + slot as u32).zip(supplied)
+        pt.external_slots().map(move |slot| base + slot).zip(supplied)
     }));
 }
 
@@ -119,13 +118,10 @@ fn run_task(
     let rank = if shard_rows { pt.shard.0 } else { 0 };
     let row = (rank, ctx.worker);
     let write = |outs: Vec<Payload>, stats: &mut RunStats| -> Result<()> {
-        route_outputs(pt, outs, stats, |route, payload, stats| {
-            if route.is_external() {
+        route_outputs(plan, pt, outs, stats, |route, payload, stats| {
+            let Some((consumer, slot)) = route.input else {
                 w.outputs.entry(pt.id()).or_default().push(payload);
                 return Ok(());
-            }
-            let Some((consumer, slot)) = route.input else {
-                return Err(plan.unroutable(pt.id(), route.dst));
             };
             let region = plan.slot_base(consumer) + slot;
             let send_start = if tracing { now_ns() } else { 0 };

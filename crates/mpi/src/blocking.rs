@@ -118,7 +118,7 @@ fn blocking_rank_main<'a>(
         let cb = registry.get(pt.callback()).expect("preflight checked bindings");
         exec(pt, cb, &inputs, (my_rank, 0), sink, &mut stats, |outs, stats| {
             stats.tasks_executed += 1;
-            let remote = encode_remote(plan, pt, &outs, (my_rank, 0), sink)?;
+            let remote = encode_remote(pt, &outs, (my_rank, 0), sink);
             state.route(rel, pt, outs, remote, 0, stats, &mut unused_ready)
         })?;
         unused_ready.clear();

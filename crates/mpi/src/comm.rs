@@ -96,8 +96,8 @@ pub fn unpack_batch(body: &Bytes) -> Option<Vec<(u32, Bytes)>> {
 pub struct Envelope {
     /// Sending rank.
     pub src: usize,
-    /// User tag (the dataflow controllers encode the destination task id
-    /// here-in payload; the tag distinguishes message classes).
+    /// User tag (the dataflow controllers encode the destination in the
+    /// body; the tag distinguishes message classes).
     pub tag: u32,
     /// Serialized message body.
     pub body: babelflow_core::Bytes,

@@ -177,7 +177,9 @@ impl Core<'_, '_> {
     /// Record a worker's completion of the task at plan index `ix`: route
     /// its outputs (remote ones already serialized) and dispatch the
     /// consumers that became ready. Clearing `inflight` is the
-    /// exactly-once check.
+    /// exactly-once check. A task whose routing fails stays running, so
+    /// the rank holds its unit of work until the error ends the rank and
+    /// no peer mistakes the stop for a deadlock.
     fn complete(
         &mut self,
         ix: u32,
@@ -188,11 +190,11 @@ impl Core<'_, '_> {
         if !std::mem::take(&mut self.inflight[self.plan.local_slot(ix)]) {
             return Ok(());
         }
-        self.running -= 1;
-        self.stats.tasks_executed += 1;
         let mut ready = Vec::new();
         let pt = self.plan.task(ix);
         self.state.route(self.rel, pt, outs, remote, worker, &mut self.stats, &mut ready)?;
+        self.running -= 1;
+        self.stats.tasks_executed += 1;
         self.dispatch(ready, 0);
         if self.done() {
             self.rel.wake();
@@ -331,7 +333,7 @@ pub(crate) fn rank_main<'a>(
                     let mut stats = RunStats::default();
                     let done = exec(pt, cb, &inputs, row, sink, &mut stats, |outs, stats| {
                         // Serialize before taking the lock.
-                        let remote = encode_remote(plan, pt, &outs, row, sink)?;
+                        let remote = encode_remote(pt, &outs, row, sink);
                         let mut core = core.lock();
                         core.stats.merge(&std::mem::take(stats));
                         if let Err(e) = core.complete(ix, outs, remote, worker) {

@@ -109,7 +109,7 @@ impl InSituRank {
                 let ix = plan.index_of(task).ok_or_else(|| {
                     ControllerError::Runtime(format!("initial input for unknown task {task}"))
                 })?;
-                pending.deliver_initial(ix, payloads)?;
+                pending.deliver_initial(ix, payloads.into_iter())?;
             }
             rank_main(
                 rel,
@@ -212,6 +212,25 @@ mod tests {
         let err = r0.run(inputs).unwrap_err();
         assert!(matches!(err, ControllerError::Runtime(_)), "got {err}");
         drop(r1);
+    }
+
+    #[test]
+    fn an_extra_payload_for_an_input_task_is_refused() {
+        let graph = Arc::new(Reduction::new(4, 2));
+        let map = Arc::new(ModuloMap::new(1, babelflow_core::TaskGraph::size(&*graph) as u64));
+        let rank = InSituWorld::new(graph.clone(), map, sum_registry()).into_ranks().remove(0);
+        let leaf = rank.local_input_tasks()[0];
+        let inputs: InitialInputs = rank
+            .local_input_tasks()
+            .into_iter()
+            .map(|t| (t, if t == leaf { vec![pay(1), pay(2)] } else { vec![pay(1)] }))
+            .collect();
+        let err = rank.run(inputs).unwrap_err();
+        assert!(
+            matches!(err, ControllerError::BadInitialInputs { task, expected: 1, got: 2 }
+                if task == leaf),
+            "got {err}"
+        );
     }
 
     #[test]

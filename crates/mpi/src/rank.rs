@@ -46,7 +46,7 @@ where
         (0..nranks).map(|rank| Pending::local(plan, ShardId(rank as u32))).collect();
     for (task, payloads) in initial {
         let ix = plan.index_of(task).expect("preflight checked initial inputs");
-        pending[plan.task(ix).shard.0 as usize].deliver_initial(ix, payloads)?;
+        pending[plan.task(ix).shard.0 as usize].deliver_initial(ix, payloads.into_iter())?;
     }
 
     let body = &body;
@@ -125,31 +125,21 @@ fn rank_outcome(rank: usize, joined: std::thread::Result<RankOutcome>) -> RankOu
 /// Each payload is encoded once, into its frame (see
 /// [`DataflowMsg::encode_frame`]). This needs none of the rank's state,
 /// so a worker runs it before it takes the rank's lock. Each encoding is
-/// one `MsgSend` span on `row`, sized without the sequence room.
-/// A route that fills no consumer slot, local or remote, fails the task
-/// here ([`ShardPlan::unroutable`]), before any output moves.
+/// one `MsgSend` span on `row`, sized without the sequence room. A route
+/// that fills no consumer slot is skipped: routing fails the task first.
 pub(crate) fn encode_remote(
-    plan: &ShardPlan,
     pt: &PlanTask,
     outs: &[Payload],
     row: (u32, u32),
     sink: &dyn TraceSink,
-) -> Result<Vec<(usize, BytesMut)>> {
+) -> Vec<(usize, BytesMut)> {
     let tracing = sink.enabled();
     let mut bodies = Vec::new();
     for (slot, payload) in outs.iter().enumerate() {
         for route in &pt.routes[slot] {
-            if route.is_external() {
-                continue;
-            }
-            if route.input.is_none() {
-                return Err(plan.unroutable(pt.id(), route.dst));
-            }
-            if route.shard == pt.shard {
-                continue;
-            }
+            let Some(input) = route.input.filter(|_| route.shard != pt.shard) else { continue };
             let start = if tracing { now_ns() } else { 0 };
-            let frame = DataflowMsg::encode_frame(route.dst, pt.id(), payload);
+            let frame = DataflowMsg::encode_frame(input, pt.id(), payload);
             if tracing {
                 sink.record(
                     TraceEvent::span(SpanKind::MsgSend, start, now_ns(), row.0, row.1)
@@ -160,7 +150,7 @@ pub(crate) fn encode_remote(
             bodies.push((route.shard.0 as usize, frame));
         }
     }
-    Ok(bodies)
+    bodies
 }
 
 /// One rank's dataflow state.
@@ -210,9 +200,8 @@ impl<'a> RankState<'a> {
             let msg = DataflowMsg::decode(&body).ok_or_else(|| {
                 ControllerError::Runtime(format!("malformed message from rank {src_rank}"))
             })?;
-            let (src, dst) = (msg.src_task, msg.dst_task);
-            let ix = self.plan.index_of(dst).ok_or_else(|| self.plan.unroutable(src, dst))?;
-            let became_ready = self.pending.deliver(src, ix, Payload::Buffer(msg.payload))?;
+            let pt = self.addressee(&msg)?;
+            let became_ready = self.pending.deliver(msg.dst, Payload::Buffer(msg.payload))?;
             if self.tracing {
                 self.sink.record(
                     TraceEvent::span(
@@ -222,16 +211,35 @@ impl<'a> RankState<'a> {
                         self.shard.0,
                         CONTROL_THREAD,
                     )
-                    .with_task(dst, self.plan.task(ix).callback())
-                    .with_message(src, body.len() as u64),
+                    .with_task(pt.id(), pt.callback())
+                    .with_message(msg.src_task, body.len() as u64),
                 );
             }
             if became_ready {
-                ready.push(ix);
+                ready.push(msg.dst.0);
             }
             arrived += 1;
         }
         Ok(arrived)
+    }
+
+    /// The task whose input slot `msg` fills, checked where the frame
+    /// enters the rank (the task exists and is on this rank, the slot
+    /// exists and is wired to the frame's source); else a `Runtime` error.
+    fn addressee(&self, msg: &DataflowMsg) -> Result<&'a PlanTask> {
+        let ((ix, slot), src) = (msg.dst, msg.src_task);
+        let fault = match self.plan.tasks().get(ix as usize) {
+            None => "there is no such task",
+            Some(pt) if pt.shard != self.shard => "the task is on another rank",
+            Some(pt) => match pt.task.incoming.get(slot as usize) {
+                None => "the task has no such slot",
+                Some(&wired) if wired != src => "the slot is wired to another task",
+                Some(_) => return Ok(pt),
+            },
+        };
+        let rank = self.rank();
+        let at = format!("rank {rank}: frame from task {src} to input {slot} of plan task {ix}");
+        Err(ControllerError::Runtime(format!("{at}: {fault}")))
     }
 
     /// Hold the rank's unit of work exactly while it is `busy` (it has a
@@ -281,15 +289,14 @@ impl<'a> RankState<'a> {
         ready: &mut Vec<u32>,
     ) -> Result<()> {
         let (id, sink, rank) = (pt.id(), self.sink, self.rank());
-        route_outputs(pt, outs, stats, |route, payload, stats| {
-            if route.is_external() {
+        route_outputs(self.plan, pt, outs, stats, |route, payload, stats| {
+            let Some(input @ (c, _)) = route.input else {
                 self.outputs.entry(id).or_default().push(payload);
-            } else if route.shard == self.shard {
+                return Ok(());
+            };
+            if route.shard == self.shard {
                 let send_start = if self.tracing { now_ns() } else { 0 };
-                let Some((c, _)) = route.input else {
-                    return Err(self.plan.unroutable(id, route.dst));
-                };
-                if self.pending.deliver(id, c, payload)? {
+                if self.pending.deliver(input, payload)? {
                     ready.push(c);
                 }
                 stats.local_messages += 1;
@@ -314,5 +321,90 @@ impl<'a> RankState<'a> {
         // One envelope per destination for this task's whole fan-out.
         rel.flush_sends();
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use babelflow_core::{Blob, CallbackId, ExplicitGraph, ModuloMap, NoopSink, Task};
+
+    use super::*;
+    use crate::comm::World;
+
+    /// The diamond 0 -> {1, 2} -> 3 over two ranks: rank 1 holds tasks 1
+    /// and 3 (plan indices 1 and 3), and task 3 wires slot 0 to task 1 and
+    /// slot 1 to task 2.
+    fn diamond_plan() -> ShardPlan {
+        let task = |id: u64, incoming: &[TaskId], outgoing: &[TaskId]| {
+            let mut t = Task::new(TaskId(id), CallbackId(0));
+            t.incoming = incoming.to_vec();
+            t.outgoing = vec![outgoing.to_vec()];
+            t
+        };
+        let tasks = vec![
+            task(0, &[TaskId::EXTERNAL], &[TaskId(1), TaskId(2)]),
+            task(1, &[TaskId(0)], &[TaskId(3)]),
+            task(2, &[TaskId(0)], &[TaskId(3)]),
+            task(3, &[TaskId(1), TaskId(2)], &[TaskId::EXTERNAL]),
+        ];
+        ShardPlan::build(
+            &ExplicitGraph::new(tasks, vec![CallbackId(0)]),
+            &ModuloMap::new(2, 4),
+        )
+    }
+
+    /// Rank 1's receipt of one frame from rank 0 for input `dst` from
+    /// task `src`: the plan indices it made ready.
+    fn receive_one(dst: (u32, u32), src: u64) -> Result<Vec<u32>> {
+        let plan = diamond_plan();
+        let mut world = World::new(2);
+        let mut eps = world.endpoints().into_iter().map(ReliableEndpoint::new);
+        let (mut rank0, mut rank1) = (eps.next().unwrap(), eps.next().unwrap());
+        let frame = DataflowMsg::encode_frame(dst, TaskId(src), &Payload::wrap(Blob(vec![7])));
+        rank0.send(1, TAG_DATAFLOW, frame);
+        rank0.flush_sends();
+        rank1.drain_inbox();
+        let pending = Pending::local(&plan, ShardId(1));
+        let mut state = RankState::new(&plan, &rank1, pending, &NoopSink);
+        let mut ready = Vec::new();
+        assert_eq!(state.receive(&mut rank1, &mut ready)?, 1);
+        Ok(ready)
+    }
+
+    fn refused(dst: (u32, u32), src: u64) -> String {
+        match receive_one(dst, src) {
+            Err(ControllerError::Runtime(msg)) => msg,
+            other => panic!("{dst:?} from {src}: got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_frame_fills_the_slot_it_names() {
+        assert_eq!(receive_one((1, 0), 0).unwrap(), [1]);
+        assert_eq!(receive_one((3, 1), 2).unwrap(), [] as [u32; 0]);
+    }
+
+    #[test]
+    fn a_frame_naming_a_plan_index_out_of_range_is_refused() {
+        let at = "rank 1: frame from task 2 to input 0 of plan task 4";
+        assert_eq!(refused((4, 0), 2), format!("{at}: there is no such task"));
+    }
+
+    #[test]
+    fn a_frame_for_a_task_on_another_rank_is_refused() {
+        let at = "rank 1: frame from task 0 to input 0 of plan task 2";
+        assert_eq!(refused((2, 0), 0), format!("{at}: the task is on another rank"));
+    }
+
+    #[test]
+    fn a_frame_naming_a_slot_out_of_range_is_refused() {
+        let at = "rank 1: frame from task 2 to input 2 of plan task 3";
+        assert_eq!(refused((3, 2), 2), format!("{at}: the task has no such slot"));
+    }
+
+    #[test]
+    fn a_frame_for_a_slot_wired_to_another_producer_is_refused() {
+        let at = "rank 1: frame from task 2 to input 0 of plan task 3";
+        assert_eq!(refused((3, 0), 2), format!("{at}: the slot is wired to another task"));
     }
 }

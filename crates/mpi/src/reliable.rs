@@ -587,14 +587,14 @@ mod tests {
         let mut b = eps.pop().unwrap();
         let mut a = eps.pop().unwrap();
         let payload = Payload::wrap(Blob((0..=255).collect()));
-        let sent = DataflowMsg::encode_frame(TaskId(3), TaskId(4), &payload);
+        let sent = DataflowMsg::encode_frame((3, 1), TaskId(4), &payload);
         let allocation = (sent.as_ptr(), sent.len());
         a.send(1, TAG_DATAFLOW, sent);
         a.flush_sends();
         b.handle(b.ep.try_recv().expect("one envelope"));
         let (_, tag, body) = b.pop_ready().expect("delivered");
         let msg = DataflowMsg::decode(&body).expect("well formed");
-        assert_eq!((tag, msg.dst_task, msg.src_task), (TAG_DATAFLOW, TaskId(3), TaskId(4)));
+        assert_eq!((tag, msg.dst, msg.src_task), (TAG_DATAFLOW, (3, 1), TaskId(4)));
         assert_eq!(msg.payload, payload.to_buffer());
         assert!(within(&msg.payload, allocation), "the payload was copied on its way");
     }

@@ -100,7 +100,7 @@ fn run_permuted(
     let mut pending = Pending::all(plan);
     for (id, payloads) in initial {
         let ix = plan.index_of(id).expect("preflight checked initial inputs");
-        pending.deliver_initial(ix, payloads)?;
+        pending.deliver_initial(ix, payloads.into_iter())?;
     }
     let mut ready = pending.ready();
 
@@ -113,15 +113,12 @@ fn run_permuted(
         let inputs = &pending.take(ix).expect("ready task is pending");
         exec(pt, cb, inputs, (0, 0), &NoopSink, &mut report.stats, |outs, stats| {
             stats.tasks_executed += 1;
-            route_outputs(pt, outs, stats, |route, payload, stats| {
-                if route.is_external() {
+            route_outputs(plan, pt, outs, stats, |route, payload, stats| {
+                let Some(input @ (c, _)) = route.input else {
                     report.outputs.entry(id).or_default().push(payload);
                     return Ok(());
-                }
-                let Some((c, _)) = route.input else {
-                    return Err(plan.unroutable(id, route.dst));
                 };
-                if pending.deliver(id, c, payload)? {
+                if pending.deliver(input, payload)? {
                     ready.push(c);
                 }
                 stats.local_messages += 1;

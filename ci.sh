@@ -64,10 +64,10 @@ test -s /tmp/babelflow_trace.json
 cargo run --release --offline --example fault_drill
 
 # Perf smoke: re-measure the fast-path counters and compare against the
-# committed BENCH_controllers.json baseline. Exits nonzero if steady-state
-# graph queries become nonzero, if structural counters (payload clones)
-# move at all, or if transport counters leave a 1.5x band (see DESIGN.md
-# §12).
+# committed BENCH_controllers.json baseline. Exits nonzero if structural
+# counters (payload clones, local messages) move at all, if transport
+# counters leave a 1.5x band, or if a fault-free run retransmits or
+# retries (see DESIGN.md §12).
 cargo run --release --offline -p babelflow-bench --bin perf_smoke -- --check
 
 # Verifier smoke: every graph family must lint clean (zero diagnostics)

@@ -3,12 +3,11 @@
 //!
 //! * `perf_smoke` — measure and (re)write `BENCH_controllers.json`.
 //! * `perf_smoke --check` — re-measure and fail (exit 1) if the structural
-//!   counters regress against the committed baseline, if a run with a
-//!   prebuilt plan queries the graph, or if a fault-free run retransmits
-//!   or retries a task.
+//!   counters regress against the committed baseline, or if a fault-free
+//!   run retransmits or retries a task.
 //!
-//! Structural counters (`task_queries`, `payload_clones`,
-//! `local_messages`) are exact-compared: they are functions of graph,
+//! Structural counters (`payload_clones`, `local_messages`) are
+//! exact-compared: they are functions of graph,
 //! placement, and code path, not of scheduling. Every cell is fault-free,
 //! so `retransmits` must be exactly 0: the reliable layer reads queued
 //! acks before it looks for overdue messages, so only a message that is
@@ -85,7 +84,6 @@ struct Sample {
     backend: &'static str,
     family: &'static str,
     tasks: u64,
-    task_queries: u64,
     payload_clones: u64,
     local_messages: u64,
     envelopes_sent: u64,
@@ -134,8 +132,8 @@ fn families() -> Vec<(&'static str, Arc<dyn TaskGraph>)> {
     ]
 }
 
-/// One steady-state run per backend/family for the counters (the plan is
-/// prebuilt, so `task_queries` measures the run, not the build).
+/// One steady-state run per backend/family for the counters, with the
+/// plan prebuilt.
 fn measure_matrix() -> Vec<Sample> {
     let mut out = Vec::new();
     for (family, graph) in families() {
@@ -155,7 +153,6 @@ fn measure_matrix() -> Vec<Sample> {
                 backend,
                 family,
                 tasks: report.stats.tasks_executed,
-                task_queries: p.task_queries,
                 payload_clones: p.payload_clones,
                 local_messages: report.stats.local_messages,
                 envelopes_sent: p.envelopes_sent,
@@ -176,11 +173,10 @@ fn render_json(samples: &[Sample]) -> String {
     s.push_str("  \"results\": [\n");
     for (i, r) in samples.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"family\": \"{}\", \"tasks\": {}, \"task_queries\": {}, \"payload_clones\": {}, \"local_messages\": {}, \"envelopes_sent\": {}, \"batches_sent\": {}, \"retransmits\": {}}}{}\n",
+            "    {{\"backend\": \"{}\", \"family\": \"{}\", \"tasks\": {}, \"payload_clones\": {}, \"local_messages\": {}, \"envelopes_sent\": {}, \"batches_sent\": {}, \"retransmits\": {}}}{}\n",
             r.backend,
             r.family,
             r.tasks,
-            r.task_queries,
             r.payload_clones,
             r.local_messages,
             r.envelopes_sent,
@@ -200,17 +196,10 @@ fn field(j: &Json, key: &str) -> u64 {
 }
 
 /// Enforce the invariants every measurement must satisfy regardless of any
-/// baseline: zero steady-state graph queries and, the runs being
-/// fault-free, zero retransmits and zero retries.
+/// baseline: the runs being fault-free, zero retransmits and zero retries.
 fn check_invariants(samples: &[Sample]) -> Vec<String> {
     let mut fails = Vec::new();
     for r in samples {
-        if r.task_queries != 0 {
-            fails.push(format!(
-                "{}/{}: {} steady-state graph queries with a prebuilt plan (must be 0)",
-                r.backend, r.family, r.task_queries
-            ));
-        }
         if r.retransmits != 0 {
             fails.push(format!(
                 "{}/{}: {} retransmits on a fault-free run (must be 0)",
@@ -243,7 +232,6 @@ fn check_against_baseline(baseline: &Json, samples: &[Sample]) -> Vec<String> {
         };
         for (key, got) in [
             ("tasks", r.tasks),
-            ("task_queries", r.task_queries),
             ("payload_clones", r.payload_clones),
             ("local_messages", r.local_messages),
         ] {

@@ -23,8 +23,8 @@ use babelflow_core::exec::route_outputs;
 use babelflow_core::sync::Mutex;
 use babelflow_core::trace::TraceSink;
 use babelflow_core::{
-    exec, Callback, Controller, ControllerError, InitialInputs, Payload, PlanBuffer, Registry,
-    Result, RunReport, RunStats, ShardPlan,
+    exec, Bindings, Callbacks, Controller, ControllerError, Payload, PlanBuffer, Result,
+    RunReport, RunStats, ShardPlan,
 };
 
 use crate::runtime::{Chare, ChareCtx, CharmRuntime};
@@ -45,14 +45,14 @@ impl CharmController {
 }
 
 /// A task graph node hosted as a chare: buffers inputs, executes its
-/// callback when complete, then retires. It borrows the plan, its
-/// callback and the run's error slot, so creating and retiring chares
+/// callback when complete, then retires. It borrows the plan, the run's
+/// callbacks and the run's error slot, so creating and retiring chares
 /// writes no shared reference count; its PE counts its retries and
 /// payload clones.
 struct TaskChare<'a> {
     buffer: PlanBuffer,
     plan: &'a ShardPlan,
-    callback: &'a Callback,
+    callbacks: &'a Callbacks,
     error: &'a ErrorSink,
 }
 
@@ -86,7 +86,7 @@ impl Chare for TaskChare<'_> {
         let inputs = self.buffer.take();
         let mut stats = RunStats::default();
         let (row, sink) = ((ctx.pe() as u32, 0), ctx.trace_sink());
-        let result = exec(pt, self.callback, &inputs, row, sink, &mut stats, |outs, stats| {
+        let result = exec(pt, self.callbacks, &inputs, row, sink, &mut stats, |outs, stats| {
             route_outputs(self.plan, pt, outs, stats, |route, payload, _| {
                 match route.input {
                     Some(input) => ctx.send(input, pt.id(), payload),
@@ -107,8 +107,7 @@ impl Controller for CharmController {
     fn execute(
         &mut self,
         plan: &Arc<ShardPlan>,
-        registry: &Registry,
-        initial: InitialInputs,
+        run: Bindings,
         sink: Arc<dyn TraceSink>,
     ) -> Result<RunReport> {
         // The chare array in plan order: chare index == plan index.
@@ -116,19 +115,16 @@ impl Controller for CharmController {
         let error = ErrorSink::default();
 
         let plan: &ShardPlan = plan;
+        let Bindings { callbacks, inputs } = run;
         let factory = |ix: u32| -> Box<dyn Chare + '_> {
-            let callback =
-                registry.get(plan.task(ix).callback()).expect("preflight checked bindings");
             let buffer = PlanBuffer::new(plan, ix);
-            Box::new(TaskChare { buffer, plan, callback, error: &error })
+            Box::new(TaskChare { buffer, plan, callbacks: &callbacks, error: &error })
         };
 
         let mut bootstrap = Vec::new();
-        for (task, payloads) in initial {
-            let ix = plan.index_of(task).expect("preflight checked initial inputs");
-            let pt = plan.task(ix);
-            pt.check_initial(payloads.len())?;
-            bootstrap.extend(pt.external_slots().map(|slot| (ix, slot)).zip(payloads));
+        for (ix, payloads) in inputs {
+            let slots = plan.task(ix).external_slots().map(|slot| (ix, slot));
+            bootstrap.extend(slots.zip(payloads));
         }
 
         let rt = CharmRuntime::new(self.pes).with_sink(sink);

@@ -4,8 +4,10 @@
 //! same base class to make switching between controllers easy." In Rust the
 //! base class is the [`Controller`] trait: every backend — serial, MPI-like,
 //! Charm++-like and Legion-like — implements [`Controller::execute`] over a
-//! prebuilt [`ShardPlan`], and the trait's provided `run`/`run_traced`
-//! build that plan from a [`TaskGraph`], so an algorithm written once runs
+//! prebuilt [`ShardPlan`] and the [`Bindings`] its
+//! [`preflight`](ShardPlan::preflight) returned, and the trait's provided
+//! `run`/`run_traced` build and bind that plan from a [`TaskGraph`], a
+//! [`Registry`] and the host's inputs, so an algorithm written once runs
 //! on any of them unmodified. Each backend's `execute` supplies only
 //! scheduling and transport; running one task is the shared
 //! [`exec`](crate::exec::exec).
@@ -17,7 +19,7 @@ use crate::graph::TaskGraph;
 use crate::ids::TaskId;
 use crate::lint::VerifyReport;
 use crate::payload::Payload;
-use crate::plan::ShardPlan;
+use crate::plan::{Bindings, ShardPlan};
 use crate::registry::Registry;
 use crate::taskmap::TaskMap;
 use crate::trace::{noop_sink, TraceSink};
@@ -88,19 +90,14 @@ impl std::fmt::Display for RunStats {
 ///
 /// The build machines this repo is benchmarked on have two cores shared
 /// with other work, so wall-clock timings are too noisy to gate on. The
-/// structural counters are exact and reproducible: they measure the
-/// *work the controller avoided* — how often the procedural graph was
-/// re-queried, how many payload handles were cloned for routing, how many
-/// deliveries had to allocate, and how well the transport coalesced
+/// structural counters are exact and reproducible: how many payload
+/// handles were cloned for routing and how well the transport coalesced
 /// envelopes. The perf smoke in `ci.sh` regresses on these, not on
 /// nanoseconds. The work-pool counters (`parks`, `wakes`, `pool_locks`)
 /// attribute scheduling cost; they move with thread timing, so the perf
 /// smoke prints them and gates on none.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct PerfStats {
-    /// Procedural `TaskGraph::task()` invocations (plan builds count each
-    /// task exactly once; a controller reusing a prebuilt plan counts 0).
-    pub task_queries: u64,
     /// `Payload` handle clones made while routing outputs, one per route
     /// of a slot but the last (refcount bumps; the plan sets the count).
     pub payload_clones: u64,
@@ -127,7 +124,6 @@ pub struct PerfStats {
 impl PerfStats {
     /// Fold another shard's counters into this one.
     pub fn merge(&mut self, other: &PerfStats) {
-        self.task_queries += other.task_queries;
         self.payload_clones += other.payload_clones;
         self.delivery_allocs += other.delivery_allocs;
         self.envelopes_sent += other.envelopes_sent;
@@ -149,9 +145,8 @@ impl std::fmt::Display for PerfStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} task queries, {} payload clones, {} envelopes ({} batched), \
+            "{} payload clones, {} envelopes ({} batched), \
              {} parks, {} wakes, {} pool locks",
-            self.task_queries,
             self.payload_clones,
             self.envelopes_sent,
             self.batches_sent,
@@ -289,23 +284,21 @@ pub type Result<T> = std::result::Result<T, ControllerError>;
 
 /// A runtime backend capable of executing task graphs.
 ///
-/// A backend implements [`execute`](Self::execute) over a prebuilt,
-/// preflighted [`ShardPlan`]. Callers use the provided
+/// A backend implements [`execute`](Self::execute) over a prebuilt
+/// [`ShardPlan`] and the run's [`Bindings`]. Callers use the provided
 /// [`run`](Self::run)/[`run_traced`](Self::run_traced), which build the
-/// plan from the graph and map (charging its queries to
-/// [`PerfStats::task_queries`]), or [`with_plan`](Self::with_plan) to reuse
-/// one plan across runs.
+/// plan from the graph and map, or [`with_plan`](Self::with_plan) to reuse
+/// one plan across runs; either way the plan is bound by
+/// [`ShardPlan::preflight`] before it executes.
 pub trait Controller {
-    /// Execute `plan` with implementations from `registry` and external
-    /// inputs `initial`, emitting trace events into `sink`. Blocks until
-    /// the dataflow drains and returns the external outputs. The plan has
-    /// already passed [`ShardPlan::preflight`] against `registry` and
-    /// `initial`.
+    /// Execute `plan` with the callbacks and host inputs `run` binds,
+    /// emitting trace events into `sink`. Blocks until the dataflow drains
+    /// and returns the external outputs. `run` is what
+    /// [`ShardPlan::preflight`] returned for `plan`.
     fn execute(
         &mut self,
         plan: &Arc<ShardPlan>,
-        registry: &Registry,
-        initial: InitialInputs,
+        run: Bindings,
         sink: Arc<dyn TraceSink>,
     ) -> Result<RunReport>;
 
@@ -342,15 +335,13 @@ pub trait Controller {
         sink: Arc<dyn TraceSink>,
     ) -> Result<RunReport> {
         let plan = Arc::new(ShardPlan::build(graph, map));
-        let mut report = run_plan(self, &plan, registry, initial, sink)?;
-        report.stats.perf.task_queries += plan.build_queries();
-        Ok(report)
+        run_plan(self, &plan, registry, initial, sink)
     }
 
     /// Reuse a prebuilt `plan` on every run instead of building one: the
     /// returned controller's `run`/`run_traced` ignore their graph and map
-    /// (the plan must have been built from the same pair) and make zero
-    /// procedural graph queries.
+    /// (the plan must have been built from the same pair) and never query
+    /// the procedural graph.
     fn with_plan(self, plan: Arc<ShardPlan>) -> WithPlan<Self>
     where
         Self: Sized,
@@ -370,11 +361,10 @@ impl<C: Controller> Controller for WithPlan<C> {
     fn execute(
         &mut self,
         plan: &Arc<ShardPlan>,
-        registry: &Registry,
-        initial: InitialInputs,
+        run: Bindings,
         sink: Arc<dyn TraceSink>,
     ) -> Result<RunReport> {
-        self.inner.execute(plan, registry, initial, sink)
+        self.inner.execute(plan, run, sink)
     }
 
     fn name(&self) -> &'static str {
@@ -394,7 +384,7 @@ impl<C: Controller> Controller for WithPlan<C> {
     }
 }
 
-/// The single entry into a backend: preflight the plan, then execute it.
+/// The single entry into a backend: bind the plan, then execute it.
 fn run_plan<C: Controller + ?Sized>(
     ctrl: &mut C,
     plan: &Arc<ShardPlan>,
@@ -402,8 +392,8 @@ fn run_plan<C: Controller + ?Sized>(
     initial: InitialInputs,
     sink: Arc<dyn TraceSink>,
 ) -> Result<RunReport> {
-    plan.preflight(registry, &initial)?;
-    ctrl.execute(plan, registry, initial, sink)
+    let run = plan.preflight(registry, initial)?;
+    ctrl.execute(plan, run, sink)
 }
 
 #[cfg(test)]
@@ -416,7 +406,7 @@ mod tests {
         rb: u64,
         lm: u64,
         rec: (u64, u64, u64),
-        perf: (u64, u64, u64, u64, u64, u64, u64, u64),
+        perf: (u64, u64, u64, u64, u64, u64, u64),
     ) -> RunStats {
         RunStats {
             tasks_executed: te,
@@ -429,24 +419,23 @@ mod tests {
                 duplicates_suppressed: rec.2,
             },
             perf: PerfStats {
-                task_queries: perf.0,
-                payload_clones: perf.1,
-                delivery_allocs: perf.2,
-                envelopes_sent: perf.3,
-                batches_sent: perf.4,
-                parks: perf.5,
-                wakes: perf.6,
-                pool_locks: perf.7,
+                payload_clones: perf.0,
+                delivery_allocs: perf.1,
+                envelopes_sent: perf.2,
+                batches_sent: perf.3,
+                parks: perf.4,
+                wakes: perf.5,
+                pool_locks: perf.6,
             },
         }
     }
 
     #[test]
     fn stats_merge_adds_counters() {
-        let mut a = stats(1, 2, 3, 4, (5, 6, 7), (8, 9, 10, 11, 12, 13, 14, 15));
-        let b = stats(10, 20, 30, 40, (50, 60, 70), (80, 90, 100, 110, 120, 130, 140, 150));
+        let mut a = stats(1, 2, 3, 4, (5, 6, 7), (9, 10, 11, 12, 13, 14, 15));
+        let b = stats(10, 20, 30, 40, (50, 60, 70), (90, 100, 110, 120, 130, 140, 150));
         a.merge(&b);
-        let sum = (88, 99, 110, 121, 132, 143, 154, 165);
+        let sum = (99, 110, 121, 132, 143, 154, 165);
         assert_eq!(a, stats(11, 22, 33, 44, (55, 66, 77), sum));
     }
 
@@ -457,21 +446,21 @@ mod tests {
             .filter(|s| !s.is_empty())
             .map(|s| s.parse().unwrap())
             .collect();
-        assert_eq!(nums.len(), 14, "display carries exactly the fourteen counters: {text}");
+        assert_eq!(nums.len(), 13, "display carries exactly the thirteen counters: {text}");
         stats(
             nums[0],
             nums[2],
             nums[3],
             nums[1],
             (nums[4], nums[5], nums[6]),
-            (nums[7], nums[8], 0, nums[9], nums[10], nums[11], nums[12], nums[13]),
+            (nums[7], 0, nums[8], nums[9], nums[10], nums[11], nums[12]),
         )
     }
 
     #[test]
     fn stats_merge_then_display_round_trips() {
-        let mut a = stats(5, 7, 1024, 11, (1, 0, 2), (30, 12, 0, 6, 2, 4, 3, 50));
-        let b = stats(3, 2, 16, 9, (0, 4, 1), (10, 5, 0, 3, 1, 1, 1, 25));
+        let mut a = stats(5, 7, 1024, 11, (1, 0, 2), (12, 0, 6, 2, 4, 3, 50));
+        let b = stats(3, 2, 16, 9, (0, 4, 1), (5, 0, 3, 1, 1, 1, 25));
         a.merge(&b);
         let shown = a.to_string();
         // Every merged counter appears, in a stable order, and survives a
@@ -481,7 +470,7 @@ mod tests {
             shown,
             "8 tasks, 20 local messages, 9 remote messages (1040 bytes); \
              1 retries, 4 retransmits, 3 duplicates suppressed; \
-             40 task queries, 17 payload clones, 9 envelopes (3 batched), \
+             17 payload clones, 9 envelopes (3 batched), \
              5 parks, 4 wakes, 75 pool locks"
         );
     }
@@ -489,6 +478,6 @@ mod tests {
     #[test]
     fn clean_recovery_is_detectable() {
         assert!(RecoveryStats::default().is_clean());
-        assert!(!stats(0, 0, 0, 0, (1, 0, 0), (0, 0, 0, 0, 0, 0, 0, 0)).recovery.is_clean());
+        assert!(!stats(0, 0, 0, 0, (1, 0, 0), (0, 0, 0, 0, 0, 0, 0)).recovery.is_clean());
     }
 }

@@ -27,16 +27,18 @@ use crate::controller::{ControllerError, Result, RunStats};
 use crate::fault::MAX_TASK_RETRIES;
 use crate::ids::TaskId;
 use crate::payload::Payload;
-use crate::plan::{PlanTask, Route, ShardPlan};
+use crate::plan::{Callbacks, PlanTask, Route, ShardPlan};
 use crate::registry::Callback;
 use crate::trace::{now_ns, SpanKind, TraceEvent, TraceSink};
 
 /// Execute one ready task.
 ///
-/// Every attempt invokes `cb` on the caller's `inputs`, by reference: a
-/// callback cannot move or change them, so a retry sees the same inputs
-/// and no attempt copies them. A panicking attempt is retried in place —
-/// tasks are idempotent — and counted in `stats.recovery.retries`; after
+/// Every attempt invokes the task's callback, from the run's `callbacks`
+/// ([`Bindings`](crate::plan::Bindings)), on the caller's `inputs`, by
+/// reference: a callback cannot move or change them, so a retry sees the
+/// same inputs and no attempt copies them. A panicking attempt is retried
+/// in place — tasks are idempotent — and counted in
+/// `stats.recovery.retries`; after
 /// [`MAX_TASK_RETRIES`] retries the last panic surfaces as
 /// [`ControllerError::TaskError`]. Outputs of the wrong arity are
 /// [`ControllerError::BadOutputArity`]. Otherwise `route` receives the
@@ -46,7 +48,7 @@ use crate::trace::{now_ns, SpanKind, TraceEvent, TraceSink};
 /// `row` is the `(rank, thread)` the spans are recorded on.
 pub fn exec<R>(
     pt: &PlanTask,
-    cb: &Callback,
+    callbacks: &Callbacks,
     inputs: &[Payload],
     row: (u32, u32),
     sink: &dyn TraceSink,
@@ -54,7 +56,7 @@ pub fn exec<R>(
     route: impl FnOnce(Vec<Payload>, &mut RunStats) -> Result<R>,
 ) -> Result<R> {
     let tracing = sink.enabled();
-    let (id, callback) = (pt.id(), pt.callback());
+    let (id, callback, cb) = (pt.id(), pt.callback(), callbacks.get(pt));
     let span = |kind, start, end| {
         sink.record(TraceEvent::span(kind, start, end, row.0, row.1).with_task(id, callback));
     };
@@ -146,6 +148,7 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
+    use crate::controller::InitialInputs;
     use crate::fault::{inject_panics, quiet_panic_hook, FaultPlan, PANIC_MARKER};
     use crate::graph::ExplicitGraph;
     use crate::ids::CallbackId;
@@ -177,6 +180,12 @@ mod tests {
         r
     }
 
+    /// `reg` bound for a run of [`plan`].
+    fn bound(reg: &Registry) -> Callbacks {
+        let initial = InitialInputs::from([(TaskId(0), inputs())]);
+        plan().preflight(reg, initial).unwrap().callbacks
+    }
+
     #[derive(Default)]
     struct Spans(Mutex<Vec<TraceEvent>>);
 
@@ -194,7 +203,7 @@ mod tests {
         let mut stats = RunStats::default();
         let err = exec(
             plan.task(0),
-            reg.get(CallbackId(0)).unwrap(),
+            &bound(&reg),
             &inputs(),
             (0, 0),
             &NoopSink,
@@ -216,7 +225,7 @@ mod tests {
         let plan = plan();
         let err = exec(
             plan.task(0),
-            reg.get(CallbackId(0)).unwrap(),
+            &bound(&reg),
             &inputs(),
             (0, 0),
             &NoopSink,
@@ -256,7 +265,7 @@ mod tests {
         let mut stats = RunStats::default();
         let routed = exec(
             plan.task(0),
-            reg.get(CallbackId(0)).unwrap(),
+            &bound(&reg),
             &inputs(),
             (0, 0),
             &NoopSink,
@@ -342,7 +351,7 @@ mod tests {
         let sink = Arc::new(Spans::default());
         exec(
             plan.task(0),
-            poisoned.get(CallbackId(0)).unwrap(),
+            &bound(&poisoned),
             &inputs(),
             (3, 7),
             &*sink,

@@ -95,7 +95,7 @@ pub use lint::{
     VerifyReport,
 };
 pub use payload::{Blob, Payload, PayloadData, PayloadError};
-pub use plan::{Pending, PlanBuffer, PlanTask, Route, ShardPlan};
+pub use plan::{Bindings, Callbacks, Pending, PlanBuffer, PlanTask, Route, ShardPlan};
 pub use registry::{Callback, DuplicateCallback, Registry};
 pub use serial::{canonical_outputs, run_serial, SerialController};
 pub use stats::{graph_stats, GraphStats};

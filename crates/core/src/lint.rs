@@ -447,10 +447,11 @@ pub fn lint_bindings(plan: &ShardPlan, registry: &Registry) -> VerifyReport {
         );
     }
 
+    // By callback number, so no task looks its callback up.
+    let ids = plan.callback_ids().iter();
+    let declared: Vec<_> = ids.map(|&cb| registry.declared_arity(cb)).collect();
     for pt in plan.tasks() {
-        let Some((inputs, outputs)) = registry.declared_arity(pt.task.callback) else {
-            continue;
-        };
+        let Some((inputs, outputs)) = declared[pt.callback_ix as usize] else { continue };
         if let Some(n) = inputs {
             if n != pt.fan_in() {
                 rep.push(

@@ -18,13 +18,13 @@
 //!   every backend delivers a payload into the slot its route names, so
 //!   no run looks a consumer or a slot up,
 //! * the shard-local task lists and the input/output task sets that
-//!   controllers previously derived by scanning the whole id space.
+//!   controllers previously derived by scanning the whole id space,
+//! * per task, a dense callback number (see [`PlanTask::callback_ix`]).
 //!
-//! Controllers count their remaining procedural queries in
-//! [`PerfStats::task_queries`](crate::PerfStats) — a plan build
-//! contributes exactly `size()` queries, and a reused plan contributes
-//! zero — which is how the perf smoke proves the fast path stays fast
-//! on a machine too noisy for wall-clock gates.
+//! [`ShardPlan::preflight`] binds the plan for a run: it returns the
+//! [`Bindings`] — callbacks by callback number, host inputs by plan index —
+//! that a [`Controller`](crate::Controller) executes, so no backend looks
+//! a callback or a task up, or holds the procedural graph at all.
 
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
@@ -37,7 +37,7 @@ use crate::hash::IdMap;
 use crate::ids::{CallbackId, ShardId, TaskId};
 use crate::lint::{self, DiagnosticCode, Severity, VerifyReport};
 use crate::payload::Payload;
-use crate::registry::Registry;
+use crate::registry::{Callback, Registry};
 use crate::task::Task;
 use crate::taskmap::TaskMap;
 
@@ -75,6 +75,9 @@ pub struct PlanTask {
     pub task: Task,
     /// Shard this task is placed on by the run's [`TaskMap`].
     pub shard: ShardId,
+    /// The task's callback number: the position of its callback in
+    /// [`ShardPlan::callback_ids`], which indexes a run's [`Callbacks`].
+    pub callback_ix: u32,
     /// Number of input slots fed by the host application.
     pub external_inputs: usize,
     /// Per distinct producer: the input-slot indices it feeds, in slot
@@ -110,14 +113,6 @@ impl PlanTask {
     pub fn external_slots(&self) -> impl Iterator<Item = u32> + '_ {
         let slots = self.task.incoming.iter().enumerate();
         slots.filter(|(_, src)| src.is_external()).map(|(slot, _)| slot as u32)
-    }
-
-    /// [`BadInitialInputs`](ControllerError::BadInitialInputs) unless `got`
-    /// is the number of external slots.
-    pub fn check_initial(&self, got: usize) -> Result<()> {
-        let (task, expected) = (self.id(), self.external_inputs);
-        let bad = ControllerError::BadInitialInputs { task, expected, got };
-        if got == expected { Ok(()) } else { Err(bad) }
     }
 }
 
@@ -207,7 +202,8 @@ impl ShardPlan {
                 );
                 continue;
             }
-            if !callback_ids.contains(&task.callback) {
+            let advertised = callback_ids.iter().position(|&c| c == task.callback);
+            if advertised.is_none() {
                 lint.push(
                     DiagnosticCode::UnregisteredCallback,
                     Severity::Warning,
@@ -216,6 +212,7 @@ impl ShardPlan {
                 );
                 callback_ids.push(task.callback);
             }
+            let callback_ix = advertised.unwrap_or(callback_ids.len() - 1) as u32;
             let shard = map.shard(id);
 
             let mut sources: Vec<(TaskId, Vec<u32>)> = Vec::new();
@@ -261,7 +258,7 @@ impl ShardPlan {
             if routes.iter().flatten().any(Route::is_external) {
                 outputs.push(ix);
             }
-            tasks.push(PlanTask { task, shard, external_inputs, sources, routes });
+            tasks.push(PlanTask { task, shard, callback_ix, external_inputs, sources, routes });
         }
 
         // Resolve every internal route to the consumer slot it fills, now
@@ -408,7 +405,9 @@ impl ShardPlan {
     }
 
     /// Every callback the plan uses: the ids the graph advertised at build
-    /// time, then any a task uses without the graph advertising it.
+    /// time, then any a task uses without the graph advertising it. A
+    /// callback's position here is its callback number
+    /// ([`PlanTask::callback_ix`]).
     pub fn callback_ids(&self) -> &[CallbackId] {
         &self.callback_ids
     }
@@ -418,16 +417,14 @@ impl ShardPlan {
         self.num_shards
     }
 
-    /// How many procedural `task()` queries building this plan cost. A
-    /// controller that builds the plan itself adds this to
-    /// [`PerfStats::task_queries`](crate::PerfStats); one handed a
-    /// prebuilt plan adds nothing.
+    /// How many procedural `task()` queries building this plan cost: one
+    /// per task. Nothing after the build queries the graph.
     pub fn build_queries(&self) -> u64 {
         self.build_queries
     }
 
-    /// Plan-based preflight, with zero graph queries: the lint computed
-    /// at build time plus the registry-dependent BF004 pass
+    /// Bind the plan for one run, with zero graph queries: the lint
+    /// computed at build time plus the registry-dependent BF004 pass
     /// ([`lint_bindings`](lint::lint_bindings)), then external-input arity:
     /// each input task gets exactly one payload per external slot, and a
     /// key of `initial` for any other task, known or not, is
@@ -436,39 +433,70 @@ impl ShardPlan {
     /// rejects the run with
     /// [`LintRejected`](ControllerError::LintRejected) — on a
     /// [`lenient`](Self::lenient) plan, only a
-    /// [contract](DiagnosticCode::is_contract) one.
-    pub fn preflight(&self, registry: &Registry, initial: &InitialInputs) -> Result<()> {
-        let bindings = lint::lint_bindings(self, registry);
+    /// [contract](DiagnosticCode::is_contract) one. What passes is the
+    /// run's [`Bindings`], which every [`Controller`](crate::Controller)
+    /// executes.
+    pub fn preflight(&self, registry: &Registry, initial: InitialInputs) -> Result<Bindings> {
+        self.bind(registry, initial, &self.inputs)
+    }
+
+    /// [`preflight`](Self::preflight) for one shard's run, whose host
+    /// supplies only that shard's inputs: a payload for another shard's
+    /// input task is a [`Runtime`](ControllerError::Runtime) error.
+    pub fn preflight_shard(
+        &self,
+        shard: ShardId,
+        registry: &Registry,
+        initial: InitialInputs,
+    ) -> Result<Bindings> {
+        let local = self.local(shard).iter().copied();
+        let scope: Vec<u32> = local.filter(|&ix| self.task(ix).external_inputs > 0).collect();
+        self.bind(registry, initial, &scope)
+    }
+
+    /// The one binding pass: lint and callbacks, then the inputs of the
+    /// input tasks in `scope` (ascending plan indices), then the rest.
+    fn bind(
+        &self,
+        registry: &Registry,
+        mut initial: InitialInputs,
+        scope: &[u32],
+    ) -> Result<Bindings> {
+        let callbacks: Option<Vec<Callback>> =
+            self.callback_ids.iter().map(|&cb| registry.get(cb).cloned()).collect();
+        let bf004 = lint::lint_bindings(self, registry);
         let rejects = |d: &lint::Diagnostic| {
             d.severity == Severity::Error && (self.enforce_lint || d.code.is_contract())
         };
-        if self.lint.diagnostics().iter().chain(bindings.diagnostics()).any(rejects) {
+        // An unbound callback is a BF004 Error, so it always rejects.
+        let rejected = self.lint.diagnostics().iter().chain(bf004.diagnostics()).any(rejects);
+        let (Some(callbacks), false) = (callbacks, rejected) else {
             let mut report = self.lint.clone();
-            report.merge(bindings);
+            report.merge(bf004);
             return Err(ControllerError::LintRejected(report));
+        };
+
+        let take = |&ix: &u32| (ix, initial.remove(&self.task(ix).id()).unwrap_or_default());
+        let inputs: Vec<(u32, Vec<Payload>)> = scope.iter().map(take).collect();
+        // Any key left is a task outside the scope. Report another shard's
+        // input task first, then a short one in scope, then a task with
+        // no external slot or no task at all.
+        let mut left: Vec<(TaskId, usize)> = initial.iter().map(|(&id, p)| (id, p.len())).collect();
+        left.sort_unstable();
+        let known = |id| self.task_by_id(id).map(|pt| pt.external_inputs);
+        let foreign = left.iter().find(|&&(id, _)| known(id).is_some_and(|n| n > 0));
+        if let Some(&(task, _)) = foreign {
+            let msg = format!("initial input for non-local task {task}");
+            return Err(ControllerError::Runtime(msg));
         }
-        for &ix in &self.inputs {
-            let pt = &self.tasks[ix as usize];
-            pt.check_initial(initial.get(&pt.task.id).map_or(0, Vec::len))?;
+        let short = inputs.iter().find(|(ix, p)| p.len() != self.task(*ix).external_inputs);
+        let short = short.map(|(ix, p)| (self.task(*ix).id(), p.len()));
+        let extra = left.into_iter().find(|&(id, got)| known(id).is_none_or(|n| got > n));
+        if let Some((task, got)) = short.or(extra) {
+            let expected = known(task).unwrap_or(0);
+            return Err(ControllerError::BadInitialInputs { task, expected, got });
         }
-        // Every input task has its key now, so any further key is a task
-        // with no external slot or no task at all: find the smallest.
-        if initial.len() == self.inputs.len() {
-            return Ok(());
-        }
-        let expected = |id| self.task_by_id(id).map(|pt| pt.external_inputs);
-        let extra = initial
-            .iter()
-            .filter(|&(&id, payloads)| expected(id).is_none_or(|n| payloads.len() > n))
-            .min_by_key(|&(&id, _)| id);
-        match extra {
-            Some((&task, payloads)) => Err(ControllerError::BadInitialInputs {
-                task,
-                expected: expected(task).unwrap_or(0),
-                got: payloads.len(),
-            }),
-            None => Ok(()),
-        }
+        Ok(Bindings { callbacks: Callbacks(callbacks), inputs })
     }
 
     /// A deterministic topological execution order, as plan indices:
@@ -549,6 +577,36 @@ impl ShardPlan {
             r.sort_unstable();
         }
         rounds
+    }
+}
+
+/// A run [`ShardPlan::preflight`] accepted: what a
+/// [`Controller`](crate::Controller) executes.
+#[derive(Clone, Debug)]
+pub struct Bindings {
+    /// The implementation of every callback the plan uses.
+    pub callbacks: Callbacks,
+    /// The host's payloads for each input task in scope, by ascending
+    /// plan index, one per external slot in slot order.
+    pub inputs: Vec<(u32, Vec<Payload>)>,
+}
+
+/// A run's callback table by callback number ([`PlanTask::callback_ix`]).
+/// Only preflight makes one, so every callback of its plan is bound.
+#[derive(Clone)]
+pub struct Callbacks(Vec<Callback>);
+
+impl Callbacks {
+    /// The callback executing `pt`, a task of the plan these were bound for.
+    #[inline]
+    pub(crate) fn get(&self, pt: &PlanTask) -> &Callback {
+        &self.0[pt.callback_ix as usize]
+    }
+}
+
+impl std::fmt::Debug for Callbacks {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Callbacks({} bound)", self.0.len())
     }
 }
 
@@ -663,22 +721,17 @@ impl<'p> Pending<'p> {
     }
 
     /// Fill the external slots of the task at plan index `ix` with the
-    /// host's `payloads`, in slot order. A task not in this set is a
-    /// [`Runtime`](ControllerError::Runtime) error, and a wrong payload
-    /// count [`BadInitialInputs`](ControllerError::BadInitialInputs).
+    /// host's `payloads`, in slot order: one entry of a run's
+    /// [`Bindings::inputs`], which preflight checked. A task not pending
+    /// here is a [`Runtime`](ControllerError::Runtime) error.
     pub fn deliver_initial(
         &mut self,
         ix: u32,
-        payloads: impl ExactSizeIterator<Item = Payload>,
+        payloads: impl Iterator<Item = Payload>,
     ) -> Result<()> {
-        let pt = self.plan.task(ix);
-        let Some(buf) = self.buffer(ix) else {
-            let msg = format!("initial input for non-local task {}", pt.id());
-            return Err(ControllerError::Runtime(msg));
-        };
-        pt.check_initial(payloads.len())?;
-        for (slot, p) in pt.external_slots().zip(payloads) {
-            buf.fill(pt, slot, p)?;
+        let plan = self.plan;
+        for (slot, p) in plan.task(ix).external_slots().zip(payloads) {
+            self.deliver((ix, slot), p)?;
         }
         Ok(())
     }
@@ -909,7 +962,7 @@ mod tests {
         let err = p.deliver((2, 0), blob()).unwrap_err();
         assert_eq!(err.to_string(), "runtime error: task 2 has no free input slot 0");
         let err = p.deliver_initial(0, [blob()].into_iter()).unwrap_err();
-        assert_eq!(err.to_string(), "runtime error: initial input for non-local task 0");
+        assert_eq!(err.to_string(), "runtime error: task 0 has no free input slot 0");
 
         assert!(p.deliver((1, 0), blob()).unwrap());
         assert!(!p.deliver((3, 0), blob()).unwrap());
@@ -923,7 +976,7 @@ mod tests {
     }
 
     #[test]
-    fn initial_inputs_fill_the_external_slots_in_order_or_are_refused() {
+    fn initial_inputs_fill_the_external_slots_in_order() {
         // 0's slots 0 and 2 come from the host, slot 1 from task 1.
         let mut t = Task::new(TaskId(0), CallbackId(0));
         t.incoming = vec![TaskId::EXTERNAL, TaskId(1), TaskId::EXTERNAL];
@@ -931,11 +984,6 @@ mod tests {
         let plan = ShardPlan::build(&g, &ModuloMap::new(1, 1)).lenient();
         let blob = |b| Payload::wrap(Blob(vec![b]));
         let mut p = Pending::all(&plan);
-        for got in [0, 1, 3] {
-            let err = p.deliver_initial(0, (0..got).map(|_| blob(0))).unwrap_err();
-            let bad = ControllerError::BadInitialInputs { task: TaskId(0), expected: 2, got };
-            assert_eq!(err.to_string(), bad.to_string());
-        }
         assert_eq!(plan.task(0).external_slots().collect::<Vec<_>>(), [0, 2]);
         p.deliver_initial(0, [blob(10), blob(12)].into_iter()).unwrap();
         assert!(p.deliver((0, 1), blob(11)).unwrap());
@@ -954,13 +1002,13 @@ mod tests {
 
         // Unbound callback 2, rejected even on a lenient plan.
         for plan in [&plan, &ShardPlan::build(&g, &ModuloMap::new(1, 4)).lenient()] {
-            let err = plan.preflight(&reg, &InitialInputs::new()).unwrap_err();
+            let err = plan.preflight(&reg, InitialInputs::new()).unwrap_err();
             let ControllerError::LintRejected(rep) = err else { panic!("got {err}") };
             assert_eq!(rep.count(DiagnosticCode::UnregisteredCallback), 1, "{rep}");
         }
 
         reg.register(CallbackId(2), |i, _| i.to_vec());
-        let err = plan.preflight(&reg, &InitialInputs::new()).unwrap_err();
+        let err = plan.preflight(&reg, InitialInputs::new()).unwrap_err();
         assert!(matches!(
             err,
             ControllerError::BadInitialInputs { task, expected: 1, got: 0 } if task == TaskId(0)
@@ -968,7 +1016,93 @@ mod tests {
 
         let mut init = InitialInputs::new();
         init.insert(TaskId(0), vec![Payload::wrap(Blob(vec![]))]);
-        assert!(plan.preflight(&reg, &init).is_ok());
+        assert!(plan.preflight(&reg, init).is_ok());
+    }
+
+    #[test]
+    fn preflight_binds_callbacks_by_number_and_inputs_by_plan_index() {
+        // The graph advertises callbacks 2 and 0; task 9 uses the
+        // unadvertised 7, which is numbered after them.
+        let task = |id, cb, incoming: Vec<TaskId>| {
+            let mut t = Task::new(TaskId(id), CallbackId(cb));
+            t.incoming = incoming;
+            t.outgoing = vec![vec![TaskId::EXTERNAL]];
+            t
+        };
+        let g = ExplicitGraph::new(
+            vec![
+                task(5, 0, vec![TaskId::EXTERNAL]),
+                task(3, 2, vec![]),
+                task(9, 7, vec![TaskId::EXTERNAL, TaskId::EXTERNAL]),
+            ],
+            vec![CallbackId(2), CallbackId(0)],
+        );
+        let plan = ShardPlan::build(&g, &ModuloMap::new(1, 10));
+        assert_eq!(plan.callback_ids(), [2, 0, 7].map(CallbackId));
+        let numbers: Vec<u32> = plan.tasks().iter().map(|pt| pt.callback_ix).collect();
+        assert_eq!(numbers, [1, 0, 2]);
+
+        let mut reg = Registry::new();
+        for cb in [0u8, 2, 7] {
+            reg.register(CallbackId(cb as u32), move |_, _| vec![Payload::wrap(Blob(vec![cb]))]);
+        }
+        let blob = |b| Payload::wrap(Blob(vec![b]));
+        let init = InitialInputs::from([
+            (TaskId(9), vec![blob(90), blob(91)]),
+            (TaskId(3), vec![]),
+            (TaskId(5), vec![blob(50)]),
+        ]);
+        let run = plan.preflight(&reg, init).unwrap();
+        for pt in plan.tasks() {
+            let out = (run.callbacks.get(pt))(&[], pt.id());
+            assert_eq!(out[0].extract::<Blob>().unwrap().0, [pt.callback().0 as u8]);
+        }
+        let bytes = |ps: &[Payload]| -> Vec<u8> {
+            ps.iter().map(|p| p.extract::<Blob>().unwrap().0[0]).collect()
+        };
+        let inputs: Vec<(u32, Vec<u8>)> =
+            run.inputs.iter().map(|(ix, ps)| (*ix, bytes(ps))).collect();
+        assert_eq!(inputs, [(0, vec![50]), (2, vec![90, 91])]);
+    }
+
+    #[test]
+    fn shard_preflight_binds_only_that_shards_inputs() {
+        // Two leaves, 0 on shard 0 and 1 on shard 1, feed task 2.
+        let mut leaves = [0, 1].map(|id| {
+            let mut t = Task::new(TaskId(id), CallbackId(0));
+            t.incoming = vec![TaskId::EXTERNAL];
+            t.outgoing = vec![vec![TaskId(2)]];
+            t
+        });
+        leaves[1].incoming.push(TaskId::EXTERNAL);
+        let mut root = Task::new(TaskId(2), CallbackId(0));
+        root.incoming = vec![TaskId(0), TaskId(1)];
+        root.outgoing = vec![vec![TaskId::EXTERNAL]];
+        let [l0, l1] = leaves;
+        let g = ExplicitGraph::new(vec![l0, l1, root], vec![CallbackId(0)]);
+        let plan = ShardPlan::build(&g, &ModuloMap::new(2, 3));
+        let mut reg = Registry::new();
+        reg.register(CallbackId(0), |i, _| i.to_vec());
+        let blob = || Payload::wrap(Blob(vec![]));
+        let shard1 = |init: Vec<(u64, usize)>| {
+            let init = init.into_iter().map(|(id, n)| (TaskId(id), vec![blob(); n])).collect();
+            plan.preflight_shard(ShardId(1), &reg, init)
+        };
+
+        let run = shard1(vec![(1, 2)]).unwrap();
+        let inputs: Vec<(u32, usize)> = run.inputs.iter().map(|(ix, p)| (*ix, p.len())).collect();
+        assert_eq!(inputs, [(1, 2)]);
+        // Another shard's input task is refused before a short local one;
+        // then a short local task, then a task with no external slot.
+        let err = |init| shard1(init).unwrap_err().to_string();
+        assert_eq!(err(vec![(0, 1)]), "runtime error: initial input for non-local task 0");
+        assert_eq!(err(vec![(0, 0), (1, 2)]), "runtime error: initial input for non-local task 0");
+        let short = ControllerError::BadInitialInputs { task: TaskId(1), expected: 2, got: 1 };
+        assert_eq!(err(vec![(1, 1), (2, 1)]), short.to_string());
+        let extra = ControllerError::BadInitialInputs { task: TaskId(2), expected: 0, got: 1 };
+        assert_eq!(err(vec![(1, 2), (2, 1), (8, 0)]), extra.to_string());
+        // An empty list for a known task with no external slot is allowed.
+        assert!(shard1(vec![(1, 2), (2, 0)]).is_ok());
     }
 
     #[test]

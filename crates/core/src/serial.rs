@@ -14,7 +14,7 @@ use crate::exec::{exec, route_outputs};
 use crate::graph::TaskGraph;
 use crate::ids::TaskId;
 use crate::payload::Payload;
-use crate::plan::{Pending, ShardPlan};
+use crate::plan::{Bindings, Pending, ShardPlan};
 use crate::registry::Registry;
 use crate::trace::{now_ns, SpanKind, TraceEvent, TraceSink};
 
@@ -37,21 +37,19 @@ impl Controller for SerialController {
     fn execute(
         &mut self,
         plan: &Arc<ShardPlan>,
-        registry: &Registry,
-        mut initial: InitialInputs,
+        mut run: Bindings,
         sink: Arc<dyn TraceSink>,
     ) -> Result<RunReport> {
         let mut stats = RunStats::default();
         let tracing = sink.enabled();
 
         let mut pending = Pending::all(plan);
-        // Move the payloads but keep the emptied lists until `initial`
-        // drops after the run: freeing `dispatch`'s 4,096 one-payload
-        // lists here made its runs ~14% slower (likely because the run's
-        // own small allocations then reuse scattered blocks).
-        for (&id, payloads) in &mut initial {
-            let ix = plan.index_of(id).expect("preflight checked initial inputs");
-            pending.deliver_initial(ix, payloads.drain(..))?;
+        // Move the payloads but keep the emptied lists until `run` drops
+        // after the run: freeing `dispatch`'s 4,096 one-payload lists here
+        // made its runs ~14% slower (likely because the run's own small
+        // allocations then reuse scattered blocks).
+        for (ix, payloads) in &mut run.inputs {
+            pending.deliver_initial(*ix, payloads.drain(..))?;
         }
         // Seed the ready queue in id order so execution order is
         // reproducible.
@@ -72,8 +70,7 @@ impl Controller for SerialController {
                         .with_task(id, pt.callback()),
                 );
             }
-            let cb = registry.get(pt.callback()).expect("preflight checked bindings");
-            exec(pt, cb, &inputs, (0, 0), &*sink, &mut stats, |outs, stats| {
+            exec(pt, &run.callbacks, &inputs, (0, 0), &*sink, &mut stats, |outs, stats| {
                 stats.tasks_executed += 1;
                 route_outputs(plan, pt, outs, stats, |route, payload, stats| {
                     let Some(input @ (c, _)) = route.input else {

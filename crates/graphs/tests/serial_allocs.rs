@@ -62,7 +62,8 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Allocations of one serial run of `Reduction(leaves, 4)`, and its task
-/// count. The plan, registry, inputs and sink are made before counting.
+/// count. The plan, its bindings (callbacks and inputs) and the sink are
+/// made before counting.
 fn run_allocs(leaves: u64) -> (u64, u64) {
     let graph = Reduction::new(leaves, 4);
     let plan = Arc::new(ShardPlan::build(&graph, &ModuloMap::new(1, graph.size() as u64)));
@@ -77,12 +78,13 @@ fn run_allocs(leaves: u64) -> (u64, u64) {
         .into_iter()
         .map(|id| (id, vec![Payload::wrap(Blob(id.0.to_le_bytes().to_vec()))]))
         .collect();
+    let run = plan.preflight(&reg, initial).expect("bound run");
     let sink = noop_sink();
     let mut serial = SerialController::new();
 
     ALLOCS.with(|n| n.set(0));
     COUNTING.with(|on| on.set(true));
-    let report = serial.execute(&plan, &reg, initial, sink);
+    let report = serial.execute(&plan, run, sink);
     COUNTING.with(|on| on.set(false));
 
     let report = report.expect("serial run");

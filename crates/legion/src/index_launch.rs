@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use babelflow_core::trace::TraceSink;
-use babelflow_core::{Controller, InitialInputs, Registry, Result, RunReport, ShardPlan};
+use babelflow_core::{Bindings, Controller, Result, RunReport, ShardPlan};
 
 use crate::runtime::LegionRuntime;
 use crate::spmd::{finish, map_regions, requirements};
@@ -37,44 +37,30 @@ impl LegionIndexLaunchController {
     }
 }
 
-/// Crawl the plan into rounds of non-interfering tasks, as plan indices:
-/// round = longest path from any source, so every dependency points to an
-/// earlier round. A task with an input no producer ever fills (a lenient
-/// plan's dangling edge, or a cycle) is in no round; the controller
-/// reports it as pending. The crawl is [`ShardPlan::rounds`], done once
-/// per plan: later runs with the same plan reuse it.
-pub fn crawl_rounds(plan: &ShardPlan) -> &[Vec<u32>] {
-    plan.rounds()
-}
-
-/// One index-launch run on `rt`: one index launch per round, all staged
-/// by this (parent) thread. No task map: every point runs on "rank" 0.
-pub(crate) fn run(
-    rt: &LegionRuntime<u32>,
-    plan: &ShardPlan,
-    registry: &Registry,
-    initial: InitialInputs,
-) -> Result<RunReport> {
-    map_regions(rt, plan, initial);
-    for round in crawl_rounds(plan) {
+/// One index-launch run on `rt`: one index launch per round of
+/// [`ShardPlan::rounds`], all staged by this (parent) thread. A task in no
+/// round is reported as pending. No task map: every point runs on
+/// "rank" 0.
+pub(crate) fn run(rt: &LegionRuntime<u32>, plan: &ShardPlan, bound: Bindings) -> Result<RunReport> {
+    map_regions(rt, plan, bound.inputs);
+    for round in plan.rounds() {
         let mut batch = rt.launch_batch();
         for &ix in round {
             let (reads, waits) = requirements(plan, ix, &[]);
             batch.launch(ix, reads, waits);
         }
     }
-    finish(rt, plan, registry, &[], false)
+    finish(rt, plan, &bound.callbacks, &[], false)
 }
 
 impl Controller for LegionIndexLaunchController {
     fn execute(
         &mut self,
         plan: &Arc<ShardPlan>,
-        registry: &Registry,
-        initial: InitialInputs,
+        bound: Bindings,
         sink: Arc<dyn TraceSink>,
     ) -> Result<RunReport> {
-        run(&LegionRuntime::with_sink(self.workers, sink), plan, registry, initial)
+        run(&LegionRuntime::with_sink(self.workers, sink), plan, bound)
     }
 
     fn name(&self) -> &'static str {

@@ -14,7 +14,7 @@ pub mod index_launch;
 pub mod runtime;
 pub mod spmd;
 
-pub use index_launch::{crawl_rounds, LegionIndexLaunchController};
+pub use index_launch::LegionIndexLaunchController;
 pub use runtime::{LaunchBatch, LegionRuntime, LegionStats, Released, TaskCtx, WaitOutcome};
 pub use spmd::LegionSpmdController;
 
@@ -25,9 +25,9 @@ mod tests {
     use std::time::{Duration, Instant};
 
     use babelflow_core::{
-        canonical_outputs, run_serial, Blob, BlockMap, CallbackId, Controller, ControllerError,
-        ExplicitGraph, InitialInputs, ModuloMap, Payload, Registry, SerialController, ShardPlan,
-        Task, TaskGraph, TaskId,
+        canonical_outputs, run_serial, Bindings, Blob, BlockMap, CallbackId, Controller,
+        ControllerError, ExplicitGraph, InitialInputs, ModuloMap, Payload, Registry,
+        SerialController, ShardPlan, Task, TaskGraph, TaskId,
     };
     use babelflow_graphs::{BinarySwap, Broadcast, KWayMerge, NeighborGraph, Reduction};
 
@@ -88,7 +88,8 @@ mod tests {
     fn crawl_rounds_levelizes_reduction() {
         let g = Reduction::new(8, 2);
         let plan = ShardPlan::build(&g, &ModuloMap::new(1, g.size() as u64));
-        let rounds: Vec<Vec<TaskId>> = crawl_rounds(&plan)
+        let rounds: Vec<Vec<TaskId>> = plan
+            .rounds()
             .iter()
             .map(|round| round.iter().map(|&ix| plan.task(ix).id()).collect())
             .collect();
@@ -230,14 +231,14 @@ mod tests {
         let g = Reduction::new(64, 4);
         let plan = ShardPlan::build(&g, &ModuloMap::new(4, g.size() as u64));
         let reg = sum_registry();
-        type Run = fn(&LegionRuntime<u32>, &ShardPlan, &Registry, InitialInputs)
+        type Run = fn(&LegionRuntime<u32>, &ShardPlan, Bindings)
             -> babelflow_core::Result<babelflow_core::RunReport>;
         for (name, run, submission) in [
             ("spmd", spmd::run as Run, 1 + 1 + 4),
             ("index launch", index_launch::run, 4),
         ] {
             let rt = LegionRuntime::new(2);
-            run(&rt, &plan, &reg, reduction_inputs(&g)).unwrap();
+            run(&rt, &plan, plan.preflight(&reg, reduction_inputs(&g)).unwrap()).unwrap();
             assert_eq!(rt.stats().state_locks, 85 + 84 + 2 + 1 + submission, "{name}");
         }
     }

@@ -29,8 +29,8 @@ use std::sync::Arc;
 use babelflow_core::exec::route_outputs;
 use babelflow_core::trace::{now_ns, SpanKind, TraceEvent, TraceSink, HOST_RANK};
 use babelflow_core::{
-    exec, Controller, ControllerError, InitialInputs, Payload, Registry, Result, RunReport,
-    RunStats, ShardId, ShardPlan, TaskId,
+    exec, Bindings, Callbacks, Controller, ControllerError, Payload, Result, RunReport, RunStats,
+    ShardId, ShardPlan, TaskId,
 };
 
 use crate::runtime::{LegionRuntime, TaskCtx, WaitOutcome};
@@ -51,14 +51,16 @@ impl LegionSpmdController {
 
 /// Create one logical region per input slot of the plan (the runtime's
 /// first regions, so region `r` is plan input slot `r`) and attach every
-/// external input payload as its slot's physical instance.
-pub(crate) fn map_regions(rt: &LegionRuntime<u32>, plan: &ShardPlan, mut initial: InitialInputs) {
+/// host input payload, by plan index, as its slot's physical instance.
+pub(crate) fn map_regions(
+    rt: &LegionRuntime<u32>,
+    plan: &ShardPlan,
+    inputs: Vec<(u32, Vec<Payload>)>,
+) {
     rt.create_regions(plan.num_input_slots());
-    rt.attach_regions(plan.input_tasks().iter().flat_map(|&ix| {
-        let pt = plan.task(ix);
-        let supplied = initial.remove(&pt.id()).expect("preflight verified inputs");
+    rt.attach_regions(inputs.into_iter().flat_map(|(ix, supplied)| {
         let base = plan.slot_base(ix);
-        pt.external_slots().map(move |slot| base + slot).zip(supplied)
+        plan.task(ix).external_slots().map(move |slot| base + slot).zip(supplied)
     }));
 }
 
@@ -97,7 +99,7 @@ struct Worker {
 /// 0, on the worker's thread.
 fn run_task(
     plan: &ShardPlan,
-    registry: &Registry,
+    callbacks: &Callbacks,
     barriers: &[Option<u32>],
     shard_rows: bool,
     w: &mut Worker,
@@ -141,8 +143,7 @@ fn run_task(
     };
     // A faulted callback is retried on the same local inputs: re-execution
     // in place.
-    let callback = registry.get(pt.callback()).expect("preflight checked bindings");
-    match exec(pt, callback, &w.inputs, row, sink, &mut w.stats, write) {
+    match exec(pt, callbacks, &w.inputs, row, sink, &mut w.stats, write) {
         Ok(()) => w.ran.push(ix),
         Err(err) => {
             w.error.get_or_insert(err);
@@ -158,13 +159,13 @@ fn run_task(
 pub(crate) fn finish(
     rt: &LegionRuntime<u32>,
     plan: &ShardPlan,
-    registry: &Registry,
+    callbacks: &Callbacks,
     barriers: &[Option<u32>],
     shard_rows: bool,
 ) -> Result<RunReport> {
     let (outcome, workers) = rt.wait_all(
         |_| Worker::default(),
-        |w, ctx, ix| run_task(plan, registry, barriers, shard_rows, w, ctx, ix),
+        |w, ctx, ix| run_task(plan, callbacks, barriers, shard_rows, w, ctx, ix),
     );
     match outcome {
         WaitOutcome::Completed | WaitOutcome::Stalled { .. } => {}
@@ -203,13 +204,8 @@ pub(crate) fn finish(
 }
 
 /// One SPMD run on `rt`.
-pub(crate) fn run(
-    rt: &LegionRuntime<u32>,
-    plan: &ShardPlan,
-    registry: &Registry,
-    initial: InitialInputs,
-) -> Result<RunReport> {
-    map_regions(rt, plan, initial);
+pub(crate) fn run(rt: &LegionRuntime<u32>, plan: &ShardPlan, bound: Bindings) -> Result<RunReport> {
+    map_regions(rt, plan, bound.inputs);
 
     // One phase barrier per cross-shard edge, kept per region.
     let mut barriers = vec![None; plan.num_input_slots() as usize];
@@ -234,18 +230,17 @@ pub(crate) fn run(
             batch.launch(ix, reads, waits);
         }
     });
-    finish(rt, plan, registry, &barriers, true)
+    finish(rt, plan, &bound.callbacks, &barriers, true)
 }
 
 impl Controller for LegionSpmdController {
     fn execute(
         &mut self,
         plan: &Arc<ShardPlan>,
-        registry: &Registry,
-        initial: InitialInputs,
+        bound: Bindings,
         sink: Arc<dyn TraceSink>,
     ) -> Result<RunReport> {
-        run(&LegionRuntime::with_sink(self.workers, sink), plan, registry, initial)
+        run(&LegionRuntime::with_sink(self.workers, sink), plan, bound)
     }
 
     fn name(&self) -> &'static str {

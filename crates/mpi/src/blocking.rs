@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use babelflow_core::trace::{now_ns, SpanKind, TraceEvent, TraceSink};
 use babelflow_core::{
-    exec, Controller, InitialInputs, Pending, Registry, Result, RunReport, RunStats, ShardId,
+    exec, Bindings, Callbacks, Controller, Pending, Result, RunReport, RunStats, ShardId,
     ShardPlan,
 };
 
@@ -54,13 +54,13 @@ impl Controller for BlockingMpiController {
     fn execute(
         &mut self,
         plan: &Arc<ShardPlan>,
-        registry: &Registry,
-        initial: InitialInputs,
+        run: Bindings,
         sink: Arc<dyn TraceSink>,
     ) -> Result<RunReport> {
         let schedule = plan.static_schedule();
-        run_world(plan, &self.faults, initial, |rel, pending| {
-            blocking_rank_main(rel, plan, registry, pending, schedule, &*sink)
+        let Bindings { callbacks, inputs } = run;
+        run_world(plan, &self.faults, inputs, |rel, pending| {
+            blocking_rank_main(rel, plan, &callbacks, pending, schedule, &*sink)
         })
     }
 
@@ -72,7 +72,7 @@ impl Controller for BlockingMpiController {
 fn blocking_rank_main<'a>(
     rel: &mut ReliableEndpoint,
     plan: &'a ShardPlan,
-    registry: &Registry,
+    callbacks: &Callbacks,
     pending: Pending<'a>,
     schedule: &[u32],
     sink: &'a dyn TraceSink,
@@ -115,8 +115,7 @@ fn blocking_rank_main<'a>(
                     .with_task(task_id, pt.callback()),
             );
         }
-        let cb = registry.get(pt.callback()).expect("preflight checked bindings");
-        exec(pt, cb, &inputs, (my_rank, 0), sink, &mut stats, |outs, stats| {
+        exec(pt, callbacks, &inputs, (my_rank, 0), sink, &mut stats, |outs, stats| {
             stats.tasks_executed += 1;
             let remote = encode_remote(pt, &outs, (my_rank, 0), sink);
             state.route(rel, pt, outs, remote, 0, stats, &mut unused_ready)

@@ -54,7 +54,7 @@ use std::sync::Arc;
 use babelflow_core::sync::{Mutex, WorkPool};
 use babelflow_core::trace::{now_ns, SpanKind, TraceEvent, TraceSink};
 use babelflow_core::{
-    exec, BytesMut, Controller, ControllerError, InitialInputs, Payload, Pending, Registry, Result,
+    exec, Bindings, BytesMut, Callbacks, Controller, ControllerError, Payload, Pending, Result,
     RunReport, RunStats, ShardId, ShardPlan,
 };
 
@@ -105,13 +105,13 @@ impl Controller for MpiController {
     fn execute(
         &mut self,
         plan: &Arc<ShardPlan>,
-        registry: &Registry,
-        initial: InitialInputs,
+        run: Bindings,
         sink: Arc<dyn TraceSink>,
     ) -> Result<RunReport> {
         let (workers, faults) = (self.workers_per_rank, &self.faults);
-        run_world(plan, faults, initial, |rel, pending| {
-            rank_main(rel, plan, registry, pending, workers, faults, &*sink)
+        let Bindings { callbacks, inputs } = run;
+        run_world(plan, faults, inputs, |rel, pending| {
+            rank_main(rel, plan, &callbacks, pending, workers, faults, &*sink)
         })
     }
 
@@ -266,7 +266,7 @@ impl Drop for ClosePool<'_> {
 pub(crate) fn rank_main<'a>(
     rel: &mut ReliableEndpoint,
     plan: &'a ShardPlan,
-    registry: &Registry,
+    callbacks: &Callbacks,
     pending: Pending<'a>,
     workers: usize,
     faults: &FaultPlan,
@@ -329,9 +329,8 @@ pub(crate) fn rank_main<'a>(
                                 .with_task(pt.id(), pt.callback()),
                         );
                     }
-                    let cb = registry.get(pt.callback()).expect("preflight checked bindings");
                     let mut stats = RunStats::default();
-                    let done = exec(pt, cb, &inputs, row, sink, &mut stats, |outs, stats| {
+                    let done = exec(pt, callbacks, &inputs, row, sink, &mut stats, |outs, stats| {
                         // Serialize before taking the lock.
                         let remote = encode_remote(pt, &outs, row, sink);
                         let mut core = core.lock();

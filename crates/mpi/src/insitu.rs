@@ -19,8 +19,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use babelflow_core::{
-    ControllerError, InitialInputs, Payload, Pending, PlanTask, Registry, Result, RunStats,
-    ShardId, ShardPlan, TaskGraph, TaskId, TaskMap,
+    Bindings, InitialInputs, Payload, Pending, PlanTask, Registry, Result, RunStats, ShardId,
+    ShardPlan, TaskGraph, TaskId, TaskMap,
 };
 
 use crate::comm::World;
@@ -96,25 +96,25 @@ impl InSituRank {
     /// outputs produced by tasks on this rank.
     ///
     /// All ranks of the world must call `run` (from their own threads) for
-    /// the dataflow to complete. Input for a task another rank owns is an
-    /// error: in-situ ranks only supply their own data.
+    /// the dataflow to complete. The rank first binds the plan for its own
+    /// shard ([`ShardPlan::preflight_shard`]), as every controller does:
+    /// in-situ ranks only supply their own data.
     pub fn run(
         self,
         local_inputs: InitialInputs,
     ) -> Result<(BTreeMap<TaskId, Vec<Payload>>, RunStats)> {
-        let plan = &*self.plan;
+        let (plan, shard) = (&*self.plan, ShardId(self.rank() as u32));
         run_rank(self.ep, |rel| {
-            let mut pending = Pending::local(plan, ShardId(rel.rank() as u32));
-            for (task, payloads) in local_inputs {
-                let ix = plan.index_of(task).ok_or_else(|| {
-                    ControllerError::Runtime(format!("initial input for unknown task {task}"))
-                })?;
+            let Bindings { callbacks, inputs } =
+                plan.preflight_shard(shard, &self.registry, local_inputs)?;
+            let mut pending = Pending::local(plan, shard);
+            for (ix, payloads) in inputs {
                 pending.deliver_initial(ix, payloads.into_iter())?;
             }
             rank_main(
                 rel,
                 plan,
-                &self.registry,
+                &callbacks,
                 pending,
                 self.workers,
                 &crate::comm::FaultPlan::none(),
@@ -129,8 +129,8 @@ mod tests {
     use std::collections::HashMap;
 
     use babelflow_core::{
-        canonical_outputs, run_serial, Blob, CallbackId, ControllerError, ModuloMap, PayloadData,
-        RunReport,
+        canonical_outputs, run_serial, Blob, CallbackId, ControllerError, DiagnosticCode,
+        ExplicitGraph, ModuloMap, PayloadData, RunReport,
     };
     use babelflow_graphs::Reduction;
 
@@ -228,6 +228,55 @@ mod tests {
         let err = rank.run(inputs).unwrap_err();
         assert!(
             matches!(err, ControllerError::BadInitialInputs { task, expected: 1, got: 2 }
+                if task == leaf),
+            "got {err}"
+        );
+    }
+
+    /// The one rank of a single-rank world over `graph`, bound to `reg`.
+    fn lone_rank(graph: Arc<dyn TaskGraph>, reg: Registry) -> InSituRank {
+        let map = Arc::new(ModuloMap::new(1, graph.size() as u64));
+        InSituWorld::new(graph, map, reg).into_ranks().remove(0)
+    }
+
+    /// One payload for every input task of `rank`.
+    fn all_local_inputs(rank: &InSituRank) -> InitialInputs {
+        rank.local_input_tasks().into_iter().map(|t| (t, vec![pay(1)])).collect()
+    }
+
+    #[test]
+    fn an_unbound_callback_is_rejected_on_the_calling_thread_without_a_panic() {
+        let mut only_leaves = Registry::new();
+        only_leaves.register(CallbackId(0), |inputs, _| vec![inputs[0].clone()]);
+        let rank = lone_rank(Arc::new(Reduction::new(4, 2)), only_leaves);
+        let inputs = all_local_inputs(&rank);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rank.run(inputs)));
+        let err = outcome.expect("run panicked").unwrap_err();
+        let ControllerError::LintRejected(report) = &err else { panic!("got {err}") };
+        assert_eq!(report.count(DiagnosticCode::UnregisteredCallback), 2, "{report}");
+    }
+
+    #[test]
+    fn an_error_level_lint_finding_is_rejected_in_situ() {
+        // The root also waits on task 42, which is not in the graph.
+        let mut g = ExplicitGraph::from_graph(&Reduction::new(4, 2));
+        g.task_mut(TaskId(0)).unwrap().incoming.push(TaskId(42));
+        let rank = lone_rank(Arc::new(g), sum_registry());
+        let inputs = all_local_inputs(&rank);
+        let err = rank.run(inputs).unwrap_err();
+        let ControllerError::LintRejected(report) = &err else { panic!("got {err}") };
+        assert!(report.count(DiagnosticCode::DanglingEdge) > 0, "{report}");
+    }
+
+    #[test]
+    fn a_missing_local_input_is_refused() {
+        let rank = lone_rank(Arc::new(Reduction::new(4, 2)), sum_registry());
+        let mut inputs = all_local_inputs(&rank);
+        let leaf = rank.local_input_tasks()[1];
+        inputs.remove(&leaf);
+        let err = rank.run(inputs).unwrap_err();
+        assert!(
+            matches!(err, ControllerError::BadInitialInputs { task, expected: 1, got: 0 }
                 if task == leaf),
             "got {err}"
         );

@@ -11,8 +11,8 @@ use std::collections::BTreeMap;
 use babelflow_core::exec::route_outputs;
 use babelflow_core::trace::{now_ns, SpanKind, TraceEvent, TraceSink, CONTROL_THREAD};
 use babelflow_core::{
-    BytesMut, ControllerError, InitialInputs, Payload, Pending, PlanTask, Result, RunReport,
-    RunStats, ShardId, ShardPlan, TaskId,
+    BytesMut, ControllerError, Payload, Pending, PlanTask, Result, RunReport, RunStats, ShardId,
+    ShardPlan, TaskId,
 };
 
 use crate::comm::{FaultPlan, RankComm, World};
@@ -23,15 +23,16 @@ use crate::wire::{DataflowMsg, TAG_DATAFLOW};
 pub(crate) type RankOutcome = Result<(BTreeMap<TaskId, Vec<Payload>>, RunStats)>;
 
 /// Run `body` on one thread per rank of `plan`'s world, each over its
-/// reliable endpoint and with its own pending tasks, initial inputs
-/// delivered, and merge the ranks' outputs and counters. A failed run
+/// reliable endpoint and with its own pending tasks, the host's `inputs`
+/// (by plan index, from the run's bindings) delivered, and merge the
+/// ranks' outputs and counters. A failed run
 /// reports its root cause: the error of the rank that failed first (its
 /// peers only stopped), with the pending tasks of every deadlocked rank
 /// merged.
 pub(crate) fn run_world<'p, F>(
     plan: &'p ShardPlan,
     faults: &FaultPlan,
-    initial: InitialInputs,
+    inputs: Vec<(u32, Vec<Payload>)>,
     body: F,
 ) -> Result<RunReport>
 where
@@ -40,12 +41,10 @@ where
     let nranks = plan.num_shards() as usize;
     let mut world = World::with_faults(nranks, faults.clone());
     // "Each rank creates only the portion of the tasks assigned to it"
-    // and receives only the initial inputs local to it: one pass over
-    // `initial`, each input delivered by plan index to its rank's tasks.
+    // and receives only the initial inputs local to it.
     let mut pending: Vec<Pending<'p>> =
         (0..nranks).map(|rank| Pending::local(plan, ShardId(rank as u32))).collect();
-    for (task, payloads) in initial {
-        let ix = plan.index_of(task).expect("preflight checked initial inputs");
+    for (ix, payloads) in inputs {
         pending[plan.task(ix).shard.0 as usize].deliver_initial(ix, payloads.into_iter())?;
     }
 

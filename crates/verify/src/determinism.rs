@@ -14,9 +14,9 @@ use std::sync::Arc;
 
 use babelflow_core::controller::{InitialInputs, Result, RunReport};
 use babelflow_core::exec::{exec, route_outputs};
-use babelflow_core::plan::{Pending, ShardPlan};
+use babelflow_core::plan::{Bindings, Pending, ShardPlan};
 use babelflow_core::rng::Rng;
-use babelflow_core::trace::NoopSink;
+use babelflow_core::trace::{noop_sink, NoopSink};
 use babelflow_core::{canonical_outputs, Controller, Registry, SerialController, TaskGraph, TaskMap};
 
 /// Outcome of a determinism check.
@@ -65,17 +65,13 @@ pub fn check_determinism(
     base_seed: u64,
 ) -> Result<DeterminismReport> {
     let plan = Arc::new(ShardPlan::build(graph, map));
-    let baseline = SerialController::new().with_plan(plan.clone()).run(
-        graph,
-        map,
-        registry,
-        initial.clone(),
-    )?;
+    let run = plan.preflight(registry, initial.clone())?;
+    let baseline = SerialController::new().execute(&plan, run.clone(), noop_sink())?;
     let want = canonical_outputs(&baseline);
 
     let mut rep = DeterminismReport::default();
     for seed in base_seed..base_seed + k as u64 {
-        let report = run_permuted(&plan, registry, initial.clone(), seed)?;
+        let report = run_permuted(&plan, run.clone(), seed)?;
         rep.schedules += 1;
         if canonical_outputs(&report) != want {
             rep.divergent.push(seed);
@@ -86,20 +82,12 @@ pub fn check_determinism(
 
 /// Execute the plan with a random-order ready set: whenever more than
 /// one task is ready, a seeded pick decides which runs next. Deliveries
-/// from one producer still land in slot order (the transport FIFO). The
-/// baseline run has already preflighted `plan` against `registry` and
-/// `initial`.
-fn run_permuted(
-    plan: &Arc<ShardPlan>,
-    registry: &Registry,
-    initial: InitialInputs,
-    seed: u64,
-) -> Result<RunReport> {
+/// from one producer still land in slot order (the transport FIFO).
+fn run_permuted(plan: &Arc<ShardPlan>, run: Bindings, seed: u64) -> Result<RunReport> {
     let mut rng = Rng::seed_from_u64(seed);
 
     let mut pending = Pending::all(plan);
-    for (id, payloads) in initial {
-        let ix = plan.index_of(id).expect("preflight checked initial inputs");
+    for (ix, payloads) in run.inputs {
         pending.deliver_initial(ix, payloads.into_iter())?;
     }
     let mut ready = pending.ready();
@@ -109,9 +97,8 @@ fn run_permuted(
         let ix = ready.swap_remove(rng.random_range(0..ready.len()));
         let pt = plan.task(ix);
         let id = pt.id();
-        let cb = registry.get(pt.callback()).expect("preflight checked bindings");
         let inputs = &pending.take(ix).expect("ready task is pending");
-        exec(pt, cb, inputs, (0, 0), &NoopSink, &mut report.stats, |outs, stats| {
+        exec(pt, &run.callbacks, inputs, (0, 0), &NoopSink, &mut report.stats, |outs, stats| {
             stats.tasks_executed += 1;
             route_outputs(plan, pt, outs, stats, |route, payload, stats| {
                 let Some(input @ (c, _)) = route.input else {

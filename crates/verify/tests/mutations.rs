@@ -292,10 +292,10 @@ fn preflight_rejects_and_lenient_overrides() {
 
     let strict = ShardPlan::build(&g, &map);
     assert!(strict.enforces_lint());
-    let err = strict.preflight(&reg, &initial).unwrap_err();
+    let err = strict.preflight(&reg, initial.clone()).unwrap_err();
     assert!(err.to_string().contains("BF007"), "got: {err}");
 
     let lenient = ShardPlan::build(&g, &map).lenient();
     assert!(!lenient.enforces_lint());
-    lenient.preflight(&reg, &initial).unwrap();
+    lenient.preflight(&reg, initial).unwrap();
 }

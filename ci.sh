@@ -18,11 +18,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # Every crate's tests, not just the root package's: the verifier mutation
 # suite, the property tests and the transport FIFO tests live in members.
 cargo test -q --offline --workspace
-# The warm-run page-fault gate and the serial per-task allocation gate
-# again in release, the build the benchmark measures (DESIGN.md §12,
-# "Warm buffers" and "Borrowed inputs").
+# The warm-run page-fault gate and the serial and plan-build per-task
+# allocation gates again in release, the build the benchmark measures
+# (DESIGN.md §12, "Warm buffers", "Borrowed inputs" and "ShardPlan").
 cargo test -q --release --offline -p babelflow-render --test warm_buffers
 cargo test -q --release --offline -p babelflow-graphs --test serial_allocs
+cargo test -q --release --offline -p babelflow-graphs --test plan_allocs
 
 # Stress: the conformance suite at 4x its case budget while two CPU-bound
 # processes compete for the cores. No MPI decision may lean on a clock, so

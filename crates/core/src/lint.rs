@@ -39,7 +39,7 @@
 use crate::graph::TaskGraph;
 use crate::hash::IdMap;
 use crate::ids::{ShardId, TaskId};
-use crate::plan::{PlanTask, ShardPlan};
+use crate::plan::{levels, wired, PlanTask, ShardPlan};
 use crate::registry::Registry;
 use crate::taskmap::TaskMap;
 
@@ -261,30 +261,10 @@ fn out_edges(producer: &PlanTask, consumer: TaskId) -> usize {
         .count()
 }
 
-/// Kahn's algorithm over the resolved routes ([`Route::input`]): which
-/// tasks a run reaches if the task at plan index `c` needs `need[c]` of
-/// the resolved routes into it.
-///
-/// [`Route::input`]: crate::plan::Route::input
-fn reached(tasks: &[PlanTask], mut need: Vec<usize>) -> Vec<bool> {
-    let mut frontier: Vec<usize> = (0..tasks.len()).filter(|&ix| need[ix] == 0).collect();
-    let mut reached = vec![false; tasks.len()];
-    while let Some(ix) = frontier.pop() {
-        reached[ix] = true;
-        for (c, _) in tasks[ix].routes.iter().flatten().filter_map(|r| r.input) {
-            need[c as usize] -= 1;
-            if need[c as usize] == 0 {
-                frontier.push(c as usize);
-            }
-        }
-    }
-    reached
-}
-
-/// The ids of the tasks `reached` leaves out, sorted.
-fn sorted_ids(tasks: &[PlanTask], reached: &[bool]) -> Vec<TaskId> {
+/// The ids of the tasks with no [`levels`] entry, sorted.
+fn unreached(tasks: &[PlanTask], level: &[Option<usize>]) -> Vec<TaskId> {
     let mut ids: Vec<TaskId> =
-        tasks.iter().zip(reached).filter(|(_, &r)| !r).map(|(pt, _)| pt.id()).collect();
+        tasks.iter().zip(level).filter(|(_, l)| l.is_none()).map(|(pt, _)| pt.id()).collect();
     ids.sort_unstable();
     ids
 }
@@ -333,7 +313,7 @@ pub fn lint_plan(
                     format!("output edge to nonexistent task {}", route.dst),
                 ),
                 Some(dst) => {
-                    if !dst.sources.iter().any(|(s, _)| *s == id) {
+                    if !dst.task.incoming.contains(&id) {
                         rep.push(
                             DiagnosticCode::FanInSlotCollision,
                             Severity::Error,
@@ -350,11 +330,8 @@ pub fn lint_plan(
 
         // Consumer-side edges: BF002 for unknown producers, BF003 for
         // slots that never fill, BF007 for deliveries that collide.
-        for (src, slots) in &pt.sources {
-            if src.is_external() {
-                continue;
-            }
-            let Some(producer) = pt_of(*src) else {
+        for (src, in_n) in pt.producers() {
+            let Some(producer) = pt_of(src) else {
                 rep.push(
                     DiagnosticCode::DanglingEdge,
                     Severity::Error,
@@ -363,7 +340,6 @@ pub fn lint_plan(
                 );
                 continue;
             };
-            let in_n = slots.len();
             let out_n = out_edges(producer, id);
             if in_n > out_n {
                 rep.push(
@@ -399,8 +375,7 @@ pub fn lint_plan(
     for (c, _) in tasks.iter().flat_map(|pt| pt.routes.iter().flatten()).filter_map(|r| r.input) {
         agreed[c as usize] += 1;
     }
-    let acyclic = reached(tasks, agreed);
-    let cyclic: Vec<TaskId> = sorted_ids(tasks, &acyclic);
+    let cyclic: Vec<TaskId> = unreached(tasks, &levels(tasks, agreed));
     for &id in &cyclic {
         rep.push(
             DiagnosticCode::CycleDetected,
@@ -413,9 +388,7 @@ pub fn lint_plan(
     // BF006: a task runs iff every input slot it wires to a task is
     // filled by a task that runs. Tasks that never do and that Kahn
     // already attributed to a cycle keep their BF001 instead.
-    let wired = tasks.iter().map(|pt| pt.fan_in() - pt.external_inputs).collect();
-    let will_run = reached(tasks, wired);
-    let mut stuck = sorted_ids(tasks, &will_run);
+    let mut stuck = unreached(tasks, &levels(tasks, wired(tasks)));
     stuck.retain(|id| cyclic.binary_search(id).is_err());
     for id in stuck {
         rep.push(

@@ -17,8 +17,8 @@
 //!   across the plan (see [`Route::input`] and [`ShardPlan::slot_base`]):
 //!   every backend delivers a payload into the slot its route names, so
 //!   no run looks a consumer or a slot up,
-//! * the shard-local task lists and the input/output task sets that
-//!   controllers previously derived by scanning the whole id space,
+//! * the shard-local task lists and the input task set that controllers
+//!   previously derived by scanning the whole id space,
 //! * per task, a dense callback number (see [`PlanTask::callback_ix`]).
 //!
 //! [`ShardPlan::preflight`] binds the plan for a run: it returns the
@@ -28,7 +28,7 @@
 
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::sync::OnceLock;
 
 use crate::controller::{ControllerError, InitialInputs, Result};
@@ -53,11 +53,12 @@ pub struct Route {
     pub shard: ShardId,
     /// The receiver's plan index and the input slot this edge fills: the
     /// `k`-th route from a producer to a consumer fills the `k`-th slot
-    /// the consumer wires to that producer, the order in which a FIFO
-    /// channel delivers. `None` for external routes and for edges the
-    /// consumer does not accept (a missing task, or more routes than
-    /// wired slots — possible only on a [`lenient`](ShardPlan::lenient)
-    /// plan), which [`route_outputs`](crate::exec::route_outputs) fails.
+    /// of the consumer's `task.incoming` that names that producer, the
+    /// order in which a FIFO channel delivers. `None` for external routes
+    /// and for edges the consumer does not accept (a missing task, or more
+    /// routes than wired slots — possible only on a
+    /// [`lenient`](ShardPlan::lenient) plan), which
+    /// [`route_outputs`](crate::exec::route_outputs) fails.
     pub input: Option<(u32, u32)>,
 }
 
@@ -68,10 +69,14 @@ impl Route {
     }
 }
 
-/// An interned task plus everything precomputed about its edges.
+/// An interned task plus everything precomputed about its edges. Each
+/// edge is kept once on each side: the consumer's input slots are its
+/// `task.incoming`, and the producer's [`routes`](Self::routes) name the
+/// slot each of its messages fills.
 #[derive(Debug, Clone)]
 pub struct PlanTask {
-    /// The task exactly as the procedural graph returned it.
+    /// The task exactly as the procedural graph returned it; its
+    /// `incoming` names the producer of every input slot.
     pub task: Task,
     /// Shard this task is placed on by the run's [`TaskMap`].
     pub shard: ShardId,
@@ -80,10 +85,6 @@ pub struct PlanTask {
     pub callback_ix: u32,
     /// Number of input slots fed by the host application.
     pub external_inputs: usize,
-    /// Per distinct producer: the input-slot indices it feeds, in slot
-    /// order. The build resolves [`Route::input`] from it, and the lint
-    /// reads it; no run does.
-    pub sources: Vec<(TaskId, Vec<u32>)>,
     /// Per output slot: the precomputed routes of every consumer.
     pub routes: Vec<Vec<Route>>,
 }
@@ -114,6 +115,15 @@ impl PlanTask {
         let slots = self.task.incoming.iter().enumerate();
         slots.filter(|(_, src)| src.is_external()).map(|(slot, _)| slot as u32)
     }
+
+    /// Each distinct producer task of the input slots, in the order of its
+    /// first slot, with the number of slots it feeds. The host is left out.
+    pub fn producers(&self) -> impl Iterator<Item = (TaskId, usize)> + '_ {
+        let incoming = &self.task.incoming;
+        let firsts = incoming.iter().enumerate();
+        let firsts = firsts.filter(|&(s, src)| !src.is_external() && !incoming[..s].contains(src));
+        firsts.map(|(s, &src)| (src, incoming[s..].iter().filter(|&&t| t == src).count()))
+    }
 }
 
 /// A fully precomputed execution plan for one `(graph, map)` pair.
@@ -131,7 +141,6 @@ pub struct ShardPlan {
     /// (`u32::MAX` for a task mapped to no shard).
     local_slot: Vec<u32>,
     inputs: Vec<u32>,
-    outputs: Vec<u32>,
     callback_ids: Vec<CallbackId>,
     num_shards: u32,
     build_queries: u64,
@@ -159,7 +168,6 @@ impl ShardPlan {
         let mut locals = vec![Vec::new(); num_shards as usize];
         let mut local_slot = Vec::with_capacity(size);
         let mut inputs = Vec::new();
-        let mut outputs = Vec::new();
         let mut callback_ids = graph.callback_ids();
         let mut build_queries = 0u64;
         let mut lint = VerifyReport::new();
@@ -214,14 +222,6 @@ impl ShardPlan {
             }
             let callback_ix = advertised.unwrap_or(callback_ids.len() - 1) as u32;
             let shard = map.shard(id);
-
-            let mut sources: Vec<(TaskId, Vec<u32>)> = Vec::new();
-            for (slot, &src) in task.incoming.iter().enumerate() {
-                match sources.iter_mut().find(|(s, _)| *s == src) {
-                    Some((_, slots)) => slots.push(slot as u32),
-                    None => sources.push((src, vec![slot as u32])),
-                }
-            }
             let external_inputs =
                 task.incoming.iter().filter(|t| t.is_external()).count();
 
@@ -255,27 +255,19 @@ impl ShardPlan {
             if external_inputs > 0 {
                 inputs.push(ix);
             }
-            if routes.iter().flatten().any(Route::is_external) {
-                outputs.push(ix);
-            }
-            tasks.push(PlanTask { task, shard, callback_ix, external_inputs, sources, routes });
+            tasks.push(PlanTask { task, shard, callback_ix, external_inputs, routes });
         }
 
         // Resolve every internal route to the consumer slot it fills, now
-        // that every consumer's `sources` map exists.
-        let mut sent: Vec<TaskId> = Vec::new();
-        for p in 0..tasks.len() {
-            let src = tasks[p].task.id;
-            sent.clear();
-            for slot in 0..tasks[p].routes.len() {
-                for r in 0..tasks[p].routes[slot].len() {
-                    let dst = tasks[p].routes[slot][r].dst;
-                    let Some(&c) = index.get(&dst) else { continue };
-                    let k = sent.iter().filter(|&&t| t == dst).count();
-                    sent.push(dst);
-                    let wired = tasks[c as usize].sources.iter().find(|(s, _)| *s == src);
-                    tasks[p].routes[slot][r].input =
-                        wired.and_then(|(_, slots)| slots.get(k)).map(|&s| (c, s));
+        // that every task is interned: each consumer's slots, in slot
+        // order, take its producer's first route to it that is still free.
+        for c in 0..tasks.len() {
+            let dst = tasks[c].task.id;
+            for slot in 0..tasks[c].task.incoming.len() {
+                let Some(&p) = index.get(&tasks[c].task.incoming[slot]) else { continue };
+                let mut routes = tasks[p as usize].routes.iter_mut().flatten();
+                if let Some(route) = routes.find(|r| r.dst == dst && r.input.is_none()) {
+                    route.input = Some((c as u32, slot as u32));
                 }
             }
         }
@@ -292,7 +284,6 @@ impl ShardPlan {
             locals,
             local_slot,
             inputs,
-            outputs,
             callback_ids,
             num_shards,
             build_queries,
@@ -397,11 +388,6 @@ impl ShardPlan {
     /// Plan indices of tasks with host-supplied inputs.
     pub fn input_tasks(&self) -> &[u32] {
         &self.inputs
-    }
-
-    /// Plan indices of tasks producing host-consumed outputs.
-    pub fn output_tasks(&self) -> &[u32] {
-        &self.outputs
     }
 
     /// Every callback the plan uses: the ids the graph advertised at build
@@ -512,8 +498,7 @@ impl ShardPlan {
     }
 
     fn compute_static_schedule(&self) -> Vec<u32> {
-        let mut indegree: Vec<usize> =
-            self.tasks.iter().map(|pt| pt.fan_in() - pt.external_inputs).collect();
+        let mut indegree = wired(&self.tasks);
         let key = |ix: u32| Reverse((self.tasks[ix as usize].task.id, ix));
         let mut frontier: BinaryHeap<_> = (0..self.tasks.len() as u32)
             .filter(|&ix| indegree[ix as usize] == 0)
@@ -546,38 +531,43 @@ impl ShardPlan {
     /// like [`static_schedule`](Self::static_schedule) it is computed on
     /// the first call and shared by later runs with the same plan.
     pub fn rounds(&self) -> &[Vec<u32>] {
-        self.rounds.get_or_init(|| self.crawl_rounds())
-    }
-
-    fn crawl_rounds(&self) -> Vec<Vec<u32>> {
-        let tasks = &self.tasks;
-        let mut unmet: Vec<usize> =
-            tasks.iter().map(|pt| pt.fan_in() - pt.external_inputs).collect();
-        let mut round = vec![0usize; tasks.len()];
-        let mut queue: VecDeque<u32> =
-            (0..tasks.len() as u32).filter(|&ix| unmet[ix as usize] == 0).collect();
-        let mut rounds: Vec<Vec<u32>> = Vec::new();
-        while let Some(ix) = queue.pop_front() {
-            let r = round[ix as usize];
-            if rounds.len() <= r {
-                rounds.resize_with(r + 1, Vec::new);
-            }
-            rounds[r].push(ix);
-            for route in tasks[ix as usize].routes.iter().flatten() {
-                let Some((consumer, _)) = route.input else { continue };
-                let c = consumer as usize;
-                round[c] = round[c].max(r + 1);
-                unmet[c] -= 1;
-                if unmet[c] == 0 {
-                    queue.push_back(consumer);
+        self.rounds.get_or_init(|| {
+            let mut rounds: Vec<Vec<u32>> = Vec::new();
+            for (ix, level) in levels(&self.tasks, wired(&self.tasks)).into_iter().enumerate() {
+                let Some(level) = level else { continue };
+                if rounds.len() <= level {
+                    rounds.resize_with(level + 1, Vec::new);
                 }
+                rounds[level].push(ix as u32);
+            }
+            rounds
+        })
+    }
+}
+
+/// Per task: how many of its input slots a task fills, not the host.
+pub(crate) fn wired(tasks: &[PlanTask]) -> Vec<usize> {
+    tasks.iter().map(|pt| pt.fan_in() - pt.external_inputs).collect()
+}
+
+/// Kahn's algorithm over the resolved routes ([`Route::input`]), if the
+/// task at index `c` of `tasks` needs `need[c]` of the routes into it: per
+/// task, its level — the longest path to it from a task that needs none —
+/// or `None` if a run never reaches it.
+pub(crate) fn levels(tasks: &[PlanTask], mut need: Vec<usize>) -> Vec<Option<usize>> {
+    let mut level = vec![0; tasks.len()];
+    let mut frontier: Vec<usize> = (0..tasks.len()).filter(|&ix| need[ix] == 0).collect();
+    while let Some(ix) = frontier.pop() {
+        for (c, _) in tasks[ix].routes.iter().flatten().filter_map(|r| r.input) {
+            let c = c as usize;
+            level[c] = level[c].max(level[ix] + 1);
+            need[c] -= 1;
+            if need[c] == 0 {
+                frontier.push(c);
             }
         }
-        for r in &mut rounds {
-            r.sort_unstable();
-        }
-        rounds
     }
+    need.iter().zip(level).map(|(&n, l)| (n == 0).then_some(l)).collect()
 }
 
 /// A run [`ShardPlan::preflight`] accepted: what a
@@ -917,7 +907,6 @@ mod tests {
         assert_eq!(ids(plan.local(ShardId(0))), vec![0, 2]);
         assert_eq!(ids(plan.local(ShardId(1))), vec![1, 3]);
         assert_eq!(ids(plan.input_tasks()), vec![0]);
-        assert_eq!(ids(plan.output_tasks()), vec![3]);
         assert_eq!(plan.num_shards(), 2);
     }
 
@@ -1130,6 +1119,44 @@ mod tests {
         let first = plan.rounds();
         assert!(std::ptr::eq(first, plan.rounds()), "recomputed");
         assert_eq!(first, [vec![0], vec![1, 2], vec![3]]);
+    }
+
+    #[test]
+    fn the_tasks_in_no_round_are_those_the_lint_finds_stuck() {
+        // A diamond whose task 2 also waits for the missing task 42, and
+        // tasks 5 and 6, which feed each other and task 7.
+        let task = |id, incoming: &[u64], outgoing: &[&[u64]]| {
+            let mut t = Task::new(TaskId(id), CallbackId(0));
+            t.incoming = incoming.iter().map(|&p| TaskId(p)).collect();
+            t.outgoing = outgoing.iter().map(|d| d.iter().map(|&c| TaskId(c)).collect()).collect();
+            t
+        };
+        let g = ExplicitGraph::new(
+            vec![
+                task(0, &[], &[&[1, 2]]),
+                task(1, &[0], &[&[3]]),
+                task(2, &[0, 42], &[&[3]]),
+                task(3, &[1, 2], &[]),
+                task(5, &[6], &[&[6]]),
+                task(6, &[5], &[&[5], &[7]]),
+                task(7, &[6], &[]),
+            ],
+            vec![CallbackId(0)],
+        );
+        let plan = ShardPlan::build(&g, &ModuloMap::new(2, 8)).lenient();
+        let rep = plan.lint();
+        let cyclic = rep.of_code(DiagnosticCode::CycleDetected);
+        let unreachable = rep.of_code(DiagnosticCode::UnreachableTask);
+        let mut stuck: Vec<TaskId> = cyclic.chain(unreachable).filter_map(|d| d.task).collect();
+        stuck.sort_unstable();
+        assert_eq!(stuck, [2, 3, 5, 6, 7].map(TaskId), "{rep}");
+
+        assert_eq!(plan.rounds(), [vec![0], vec![1]]);
+        let in_rounds = plan.rounds().concat();
+        let ixs = 0..plan.len() as u32;
+        let left: Vec<TaskId> =
+            ixs.filter(|ix| !in_rounds.contains(ix)).map(|ix| plan.task(ix).id()).collect();
+        assert_eq!(left, stuck);
     }
 
     #[test]

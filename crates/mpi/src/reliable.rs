@@ -36,7 +36,7 @@
 //!   by one incoming envelope into one reply envelope, delivers in
 //!   sequence order via a *bounded* reorder buffer, and counts suppressed
 //!   duplicates. Arrivals beyond the
-//!   [`reorder window`](ReliableEndpoint::with_reorder_window) are dropped
+//!   [`reorder window`](DEFAULT_REORDER_WINDOW) are dropped
 //!   *without* an ack — the sender retransmits once the window has
 //!   advanced — so duplicate-suppression and reordering state stay
 //!   bounded per source no matter how far a runaway sender races ahead;
@@ -90,8 +90,8 @@ pub const BASE_RTO: Duration = Duration::from_millis(20);
 /// [`flush_sends`](ReliableEndpoint::flush_sends) of that destination.
 pub const DEFAULT_BATCH_LIMIT: usize = 64;
 
-/// Default reorder window: out-of-order arrivals this far (or further)
-/// ahead of the next expected sequence number are dropped unacked, keeping
+/// The reorder window: out-of-order arrivals this far (or further) ahead
+/// of the next expected sequence number are dropped unacked, keeping
 /// per-source reorder/dedup memory bounded at `window - 1` entries.
 pub const DEFAULT_REORDER_WINDOW: u64 = 1024;
 
@@ -185,11 +185,9 @@ pub struct ReliableEndpoint {
     /// Next expected sequence number per source rank.
     next_expected: Vec<u64>,
     /// Out-of-order arrivals per source, waiting for the gap to fill.
-    /// Bounded: only seqs in `(expected, expected + reorder_window)` are
-    /// ever stored.
+    /// Bounded: only seqs in `(expected, expected + DEFAULT_REORDER_WINDOW)`
+    /// are ever stored.
     reorder: Vec<BTreeMap<u64, (u32, Bytes)>>,
-    /// Acceptance horizon for out-of-order arrivals.
-    reorder_window: u64,
     /// In-order messages ready for the application: (src, tag, body).
     ready: VecDeque<(usize, u32, Bytes)>,
     /// Protocol counters, merged into the run's `RunStats`.
@@ -245,7 +243,6 @@ impl ReliableEndpoint {
             batch_limit: DEFAULT_BATCH_LIMIT,
             next_expected: vec![0; n],
             reorder: (0..n).map(|_| BTreeMap::new()).collect(),
-            reorder_window: DEFAULT_REORDER_WINDOW,
             ready: VecDeque::new(),
             stats: RecoveryStats::default(),
             envelopes_sent: 0,
@@ -259,13 +256,6 @@ impl ReliableEndpoint {
     /// knob; the default is [`DEFAULT_BATCH_LIMIT`].
     pub fn with_batch_limit(mut self, limit: usize) -> Self {
         self.batch_limit = limit.max(1);
-        self
-    }
-
-    /// Set the reorder window (minimum 1). Mostly a test knob; the
-    /// default is [`DEFAULT_REORDER_WINDOW`].
-    pub fn with_reorder_window(mut self, window: u64) -> Self {
-        self.reorder_window = window.max(1);
         self
     }
 
@@ -409,7 +399,7 @@ impl ReliableEndpoint {
             self.stats.duplicates_suppressed += 1;
             return;
         }
-        if seq >= expected + self.reorder_window {
+        if seq >= expected + DEFAULT_REORDER_WINDOW {
             // Beyond the reorder window: drop *without* acking, so the
             // sender retransmits once the window has advanced. This bounds
             // reorder-buffer memory at `window - 1` entries per source.
@@ -778,28 +768,34 @@ mod tests {
     fn out_of_window_arrivals_are_dropped_unacked() {
         let mut w = World::new(2);
         let mut eps = w.endpoints();
-        let mut b = ReliableEndpoint::new(eps.pop().unwrap()).with_reorder_window(2);
+        let mut b = ReliableEndpoint::new(eps.pop().unwrap());
         let _a = eps.pop().unwrap();
         let part = |seq: u64| {
             let mut body = with_room(b"p");
             body[..SEQ_ROOM].copy_from_slice(&seq.to_le_bytes());
             Envelope { src: 0, tag: 7, body: body.freeze() }
         };
-        // seq 3 is >= expected(0) + window(2): dropped, no ack, no state.
-        b.handle(part(3));
+        const W: u64 = DEFAULT_REORDER_WINDOW;
+        // seq W is >= expected(0) + W: dropped, no ack, no state.
+        b.handle(part(W));
         assert!(b.reorder[0].is_empty());
         assert_eq!(b.envelopes_sent, 0, "no ack for an out-of-window arrival");
-        // seq 1 is in-window: buffered and acked.
-        b.handle(part(1));
+        // seq W - 1 is in-window: buffered and acked.
+        b.handle(part(W - 1));
         assert_eq!(b.reorder[0].len(), 1);
         assert_eq!(b.envelopes_sent, 1);
-        // seq 0 fills the gap: both deliver, window advances.
-        b.handle(part(0));
+        // seqs 0..W-1 fill the gap: all W deliver, the window advances.
+        for seq in 0..W - 1 {
+            b.handle(part(seq));
+        }
         assert_eq!(b.pop_ready().map(|(_, _, body)| body.len()), Some(1));
-        assert!(b.pop_ready().is_some());
+        assert_eq!(std::iter::from_fn(|| b.pop_ready()).count() as u64, W - 1);
         assert!(b.reorder[0].is_empty());
-        // seq 3 is now in-window (expected 2, window 2) and is accepted.
-        b.handle(part(3));
+        // Now expected is W: seq 2W is out of the window again and seq
+        // 2W - 1 is the last seq in it.
+        b.handle(part(2 * W));
+        assert!(b.reorder[0].is_empty());
+        b.handle(part(2 * W - 1));
         assert_eq!(b.reorder[0].len(), 1);
     }
 

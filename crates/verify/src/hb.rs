@@ -283,11 +283,8 @@ pub fn check_happens_before(trace: &Trace, plan: &ShardPlan) -> HbReport {
             rep.violations.push(HbViolation::MissingExec { task: pt.id() });
             continue;
         };
-        for (src, slots) in &pt.sources {
-            if src.is_external() || slots.is_empty() {
-                continue;
-            }
-            let Some(&exec_p) = first_exec.get(src) else {
+        for (src, _) in pt.producers() {
+            let Some(&exec_p) = first_exec.get(&src) else {
                 continue; // flagged as MissingExec at the producer
             };
             let proven = match (event_vc.get(&exec_p), event_vc.get(&exec_t)) {
@@ -305,7 +302,7 @@ pub fn check_happens_before(trace: &Trace, plan: &ShardPlan) -> HbReport {
             } else {
                 rep.violations.push(HbViolation::ExecBeforeInput {
                     task: pt.id(),
-                    producer: *src,
+                    producer: src,
                 });
             }
         }

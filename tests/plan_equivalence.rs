@@ -34,8 +34,8 @@ fn families() -> Vec<(&'static str, Arc<dyn TaskGraph>)> {
 }
 
 /// Field-by-field comparison of a built plan against fresh procedural
-/// queries: tasks, placement, slot sources, routes, shard-local lists, and
-/// the input/output/callback summaries.
+/// queries: tasks, placement, routes and the input slots they fill,
+/// shard-local lists, and the input/callback summaries.
 fn assert_plan_matches(name: &str, graph: &dyn TaskGraph, map: &dyn TaskMap) {
     let plan = ShardPlan::build(graph, map);
 
@@ -55,22 +55,6 @@ fn assert_plan_matches(name: &str, graph: &dyn TaskGraph, map: &dyn TaskMap) {
         let externals = task.incoming.iter().filter(|s| s.is_external()).count();
         assert_eq!(pt.external_inputs, externals, "{name}: {id} external inputs");
 
-        // Slot sources: reassembling (producer -> slots) must reproduce the
-        // incoming vector exactly, slot indices in slot order per producer.
-        let mut rebuilt: Vec<Option<TaskId>> = vec![None; task.incoming.len()];
-        for (src, slots) in &pt.sources {
-            let mut last = None;
-            for &slot in slots {
-                assert!(rebuilt[slot as usize].replace(*src).is_none(), "{name}: {id} slot reuse");
-                assert!(last < Some(slot) || last.is_none(), "{name}: {id} slots out of order");
-                last = Some(slot);
-            }
-        }
-        // Every slot — external ones included, since hosts deliver initial
-        // inputs under the EXTERNAL producer — maps back to `incoming`.
-        let expected: Vec<Option<TaskId>> = task.incoming.iter().map(|s| Some(*s)).collect();
-        assert_eq!(rebuilt, expected, "{name}: {id} slot map");
-
         // Routes: one per outgoing consumer, in slot order, each carrying
         // the destination's shard (or the external marker).
         assert_eq!(pt.routes.len(), task.outgoing.len(), "{name}: {id} fan-out");
@@ -89,6 +73,28 @@ fn assert_plan_matches(name: &str, graph: &dyn TaskGraph, map: &dyn TaskMap) {
                     );
                 }
             }
+        }
+    }
+
+    // Routes and input slots are in bijection: every internal route names
+    // a slot of its consumer that is wired to its producer, and every
+    // internal input slot of every task is named by exactly one route.
+    let mut named = vec![0u32; plan.num_input_slots() as usize];
+    for pt in plan.tasks() {
+        for route in pt.routes.iter().flatten().filter(|r| !r.is_external()) {
+            let (c, s) = route.input.unwrap_or_else(|| panic!("{name}: {} unresolved", pt.id()));
+            let consumer = &plan.task(c).task;
+            let edge = format!("{name}: {} -> {}", pt.id(), route.dst);
+            assert_eq!(consumer.id, route.dst, "{edge}: plan index");
+            assert_eq!(consumer.incoming[s as usize], pt.id(), "{edge}: slot {s}");
+            named[(plan.slot_base(c) + s) as usize] += 1;
+        }
+    }
+    for (ix, pt) in plan.tasks().iter().enumerate() {
+        for (s, src) in pt.task.incoming.iter().enumerate() {
+            let n = named[(plan.slot_base(ix as u32) + s as u32) as usize];
+            let want = u32::from(!src.is_external());
+            assert_eq!(n, want, "{name}: {} slot {s} is named by {n} routes", pt.id());
         }
     }
 
@@ -112,11 +118,6 @@ fn assert_plan_matches(name: &str, graph: &dyn TaskGraph, map: &dyn TaskMap) {
         sorted(resolve(plan.input_tasks())),
         sorted(graph.input_tasks()),
         "{name}: input tasks"
-    );
-    assert_eq!(
-        sorted(resolve(plan.output_tasks())),
-        sorted(graph.output_tasks()),
-        "{name}: output tasks"
     );
     let cb_set = |v: &[CallbackId]| v.iter().copied().collect::<BTreeSet<_>>();
     assert!(
@@ -176,6 +177,18 @@ fn static_schedule_matches_the_reference_order_on_every_family() {
                 plan.static_schedule().iter().map(|&ix| plan.task(ix).id()).collect();
             assert_eq!(order, reference_static_schedule(&plan), "{name}/mod{shards}");
             assert_eq!(order.len(), graph.size(), "{name}: every task has a place");
+        }
+    }
+}
+
+#[test]
+fn rounds_hold_every_task_once_on_every_family() {
+    for (name, graph) in families() {
+        for shards in [1u32, 3] {
+            let plan = ShardPlan::build(&*graph, &ModuloMap::new(shards, graph.size() as u64));
+            let mut held: Vec<u32> = plan.rounds().concat();
+            held.sort_unstable();
+            assert_eq!(held, (0..plan.len() as u32).collect::<Vec<_>>(), "{name}/mod{shards}");
         }
     }
 }

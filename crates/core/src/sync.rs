@@ -10,11 +10,19 @@
 //! locks protect (queues, counters, rank state) stays structurally
 //! valid across a panic, so propagating poison would only turn one failure
 //! into a cascade of secondary ones.
+//!
+//! The runtimes take their atomics, their once-cells and their scoped
+//! threads from here too, re-exported from `std`, so that every
+//! synchronization point of a backend is named in this one module.
 
 use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;
 use std::time::Duration;
+
+pub use std::sync::atomic::{AtomicU32, Ordering};
+pub use std::sync::OnceLock;
+pub use std::thread::scope;
 
 /// A mutual-exclusion lock whose `lock()` returns the guard directly.
 #[derive(Debug, Default)]
@@ -218,12 +226,13 @@ impl<T> WorkDeques<T> {
     /// `ceil(k / lanes)` items, in order: floating lane 0 gets the first
     /// block, lane 1 the next, and so on, so `2n` items on `n` lanes give
     /// lane `w` the items `[2w, 2w + 2)`.
-    fn push_blocks(&mut self, items: impl ExactSizeIterator<Item = T>) {
-        let block = items.len().div_ceil(self.floating.len()).max(1);
-        for (i, item) in items.enumerate() {
-            self.floating[i / block].push_back(item);
-            self.len += 1;
+    fn push_blocks(&mut self, mut items: impl ExactSizeIterator<Item = T>) {
+        let k = items.len();
+        let block = k.div_ceil(self.floating.len()).max(1);
+        for lane in &mut self.floating {
+            lane.extend(items.by_ref().take(block));
         }
+        self.len += k;
     }
 
     /// Enqueue work pinned to `worker`; no other worker will pop it.

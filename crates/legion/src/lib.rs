@@ -222,24 +222,27 @@ mod tests {
     }
 
     #[test]
-    fn state_locks_are_one_per_task_read_and_one_per_internal_write() {
-        // Reduction(64, 4) has 85 tasks and 84 internal routes. Set-up
-        // takes 2 locks (create the regions, attach the inputs) and the
-        // end-of-run check 1. SPMD adds the barriers, the must-epoch
-        // launch and one batch per shard (4); index launch one batch per
-        // round (4). A lock per input or per launcher would show here.
-        let g = Reduction::new(64, 4);
-        let plan = ShardPlan::build(&g, &ModuloMap::new(4, g.size() as u64));
-        let reg = sum_registry();
+    fn state_locks_are_taken_by_set_up_and_launch_batches_only() {
+        // Task reads, writes and arrivals take no state lock, so the count
+        // does not grow with the tasks. Both runs take one lock to create
+        // the regions with their inputs and one for the end-of-run check.
+        // SPMD adds the barriers, the must-epoch launch and one batch per
+        // shard (4); index launch one batch per round, which grows with
+        // the depth of the graph only.
         type Run = fn(&LegionRuntime<u32>, &ShardPlan, Bindings)
             -> babelflow_core::Result<babelflow_core::RunReport>;
-        for (name, run, submission) in [
-            ("spmd", spmd::run as Run, 1 + 1 + 4),
-            ("index launch", index_launch::run, 4),
-        ] {
-            let rt = LegionRuntime::new(2);
-            run(&rt, &plan, plan.preflight(&reg, reduction_inputs(&g)).unwrap()).unwrap();
-            assert_eq!(rt.stats().state_locks, 85 + 84 + 2 + 1 + submission, "{name}");
+        let reg = sum_registry();
+        for (leaves, rounds) in [(64, 4), (1024, 6)] {
+            let g = Reduction::new(leaves, 4);
+            let plan = ShardPlan::build(&g, &ModuloMap::new(4, g.size() as u64));
+            assert_eq!(plan.rounds().len(), rounds);
+            for (name, run, locks) in
+                [("spmd", spmd::run as Run, 8), ("index launch", index_launch::run, 2 + rounds)]
+            {
+                let rt = LegionRuntime::new(2);
+                run(&rt, &plan, plan.preflight(&reg, reduction_inputs(&g)).unwrap()).unwrap();
+                assert_eq!(rt.stats().state_locks, locks as u64, "{name}, {leaves} leaves");
+            }
         }
     }
 

@@ -10,9 +10,9 @@
 //!
 //! * **logical regions**, numbered densely by
 //!   [`LegionRuntime::create_regions`], and their physical instances (a
-//!   [`Payload`] written once into the region store and moved out by its
-//!   one reader). The controllers create one region per consumer input
-//!   slot of the plan;
+//!   [`Payload`] written once into the region and moved out by its one
+//!   reader). The controllers create one region per consumer input slot
+//!   of the plan;
 //! * **region requirements**: a launcher declares the regions it reads;
 //!   the runtime derives execution dependencies from data, not from
 //!   explicit task edges;
@@ -33,21 +33,30 @@
 //! item, so a launch allocates no body and the handler borrows whatever
 //! the run needs.
 //!
-//! Scheduling is join counting under one state lock. A pending launcher
-//! holds the number of its reads and barrier waits not yet met, and waits
-//! in one flat intrusive list: each region and each barrier has the head
-//! of its waiters' chain in a shared link table. The first write of a
-//! region and the trigger of a barrier walk that chain and decrement each
-//! waiter's counter. The launchers whose counter reaches zero come back
-//! to the caller as [`Released`], and go into the workers' [`WorkPool`]
-//! only once the state lock is released: the runtime never holds both
-//! locks. A worker keeps the first launcher its task releases and runs
-//! it next ([`TaskCtx::keep`]); the rest, and everything a launch batch
-//! makes ready, enter the pool as one batch in contiguous blocks. The
-//! per-task work takes the state lock once to read all of a task's
-//! inputs and once per region write (with its barrier arrival); a batch
-//! of launchers and each set-up step take it once in all
-//! ([`LegionStats::state_locks`]).
+//! Scheduling is join counting with no lock on the per-task path. Each
+//! region and each barrier keeps the head of its waiters' chain in an
+//! atomic. A launch links a waiter in with a CAS; the first write of a
+//! region, or the arrival that triggers a barrier, swaps in `MET` and
+//! walks the chain. A chain's last waiter is named by the head, or by the
+//! link before it, so a region with one reader needs no link at all. A
+//! launcher that parks has an atomic join counter, which starts at
+//! `PARKING` while the launch links it in and is settled once at the end,
+//! so a trigger racing the launch cannot release it early; the decrement
+//! that reaches zero owns the launcher and hands it back to the caller as
+//! [`Released`]. A region's payload passes from its writer to its reader
+//! through the region's own cell. Regions, barriers, wait-list links and
+//! launchers live in tables whose entries never move, so a worker reaches
+//! one while a launch appends more.
+//!
+//! Only launches, set-up and the end-of-run check take the one state lock
+//! ([`LegionStats::state_locks`]); reads, writes and arrivals take none.
+//! Only the lock holder links waiters in, so a chain's head changes under
+//! anyone else only to `MET`. Released launchers go into the workers'
+//! [`WorkPool`] once the state lock, if held, is released: the runtime
+//! never holds both locks. A worker keeps the first launcher its task
+//! releases and runs it next ([`TaskCtx::keep`]); the rest, and everything
+//! a launch batch makes ready, enter the pool as one batch in contiguous
+//! blocks.
 //!
 //! [`LegionRuntime::wait_all`] runs the workers until that pool is idle,
 //! an exact condition, not a timer: no task is queued and no worker is
@@ -56,7 +65,9 @@
 
 use std::sync::Arc;
 
-use babelflow_core::sync::{Local, Mutex, MutexGuard, PoolStats, WorkPool};
+use babelflow_core::sync::{
+    scope, AtomicU32, Local, Mutex, MutexGuard, OnceLock, Ordering, PoolStats, WorkPool,
+};
 use babelflow_core::trace::{noop_sink, now_ns, TraceSink, CONTROL_THREAD};
 use babelflow_core::Payload;
 
@@ -65,6 +76,14 @@ const NIL: u32 = u32::MAX;
 /// Head of the list of a region written or a barrier triggered: a wait on
 /// it is met at once.
 const MET: u32 = u32::MAX - 1;
+/// Tags a wait-list reference that names a launcher, the list's last
+/// waiter, rather than a link: launcher `id` is `LAST | id`. Every other
+/// reference below [`MET`] is a link's index.
+const LAST: u32 = 1 << 31;
+/// A parking launcher's join counter until its launch settles it: larger
+/// than any launch's count of preconditions, so no trigger can bring it
+/// to zero before then.
+const PARKING: u32 = 1 << 31;
 
 /// How a [`LegionRuntime::wait_all`] ended.
 ///
@@ -112,19 +131,148 @@ pub struct LegionStats {
     /// Launches processed: a single-task launch, an index launch, a
     /// shard task's batch and a must-epoch launch count one each.
     pub launches: u64,
-    /// Acquisitions of the state lock by set-up, launches, reads, writes,
-    /// arrivals and the end-of-run check; [`LegionRuntime::stats`] does
-    /// not count. Exact for a given run: it depends on no thread timing.
+    /// Acquisitions of the state lock: one per set-up step, per launch
+    /// batch, per must-epoch launch and per end-of-run check. Task reads,
+    /// writes and arrivals take none, so a run's count does not grow with
+    /// its tasks; [`LegionRuntime::stats`] does not count. Exact for a
+    /// given run: it depends on no thread timing.
     pub state_locks: u64,
     /// The workers' pool (timing-dependent).
     pub pool: PoolStats,
 }
 
+/// Log2 of the entries in a [`Table`]'s second chunk.
+const CHUNK_BITS: u32 = 10;
+
+/// An append-only table whose entries never move, in chunks created once:
+/// the first holds as many entries as the table's first growth asks for,
+/// and chunk `k > 0` holds `2^(CHUNK_BITS + k - 1)`. A thread that holds
+/// an entry's index reads it with no lock while the table grows. Only the
+/// state lock's holder grows a table.
+struct Table<E> {
+    /// Entries published so far. A growth stores it (Release) after the
+    /// chunks and `first_chunk` it covers are set, and [`Table::get`]
+    /// loads it (Acquire) before it reads them.
+    len: AtomicU32,
+    /// Entries in the chunks created so far (the grower's own count).
+    built: AtomicU32,
+    /// Entries in the first chunk, set by the first growth.
+    first_chunk: AtomicU32,
+    chunks: [OnceLock<Box<[E]>>; 33 - CHUNK_BITS as usize],
+}
+
+impl<E: Default> Table<E> {
+    fn new() -> Self {
+        Table {
+            len: AtomicU32::new(0),
+            built: AtomicU32::new(0),
+            first_chunk: AtomicU32::new(0),
+            chunks: std::array::from_fn(|_| OnceLock::new()),
+        }
+    }
+
+    /// The chunk holding entry `i`, and its offset there.
+    fn locate(&self, i: u32) -> (usize, usize) {
+        let first_chunk = self.first_chunk.load(Ordering::Relaxed);
+        if i < first_chunk {
+            return (0, i as usize);
+        }
+        let j = u64::from(i - first_chunk) + (1 << CHUNK_BITS);
+        let k = j.ilog2() - CHUNK_BITS;
+        (k as usize + 1, (j - (1 << (k + CHUNK_BITS))) as usize)
+    }
+
+    fn len(&self) -> u32 {
+        self.len.load(Ordering::Acquire)
+    }
+
+    /// Publish `n` more entries; returns the index of the first. Entry
+    /// `i` of a chunk this growth creates is built as `make(i)`, in index
+    /// order; every other entry has its default state. Indices stay below
+    /// `MET & !LAST`, so a [`LAST`]-tagged one is never `NIL` or `MET`.
+    fn grow_with(&self, n: u32, mut make: impl FnMut(u32) -> E) -> u32 {
+        let first = self.len.load(Ordering::Relaxed);
+        let end = first.checked_add(n).filter(|&end| end <= MET & !LAST);
+        let end = end.expect("table index space");
+        let mut built = self.built.load(Ordering::Relaxed);
+        while built < end {
+            let (k, size) = if built == 0 {
+                self.first_chunk.store(n, Ordering::Relaxed);
+                (0, n)
+            } else {
+                let k = self.locate(built).0;
+                (k, 1 << (CHUNK_BITS as usize + k - 1))
+            };
+            let start = built;
+            self.chunks[k].get_or_init(|| {
+                let entry = |i| if i < end { make(i) } else { E::default() };
+                (start..start + size).map(entry).collect()
+            });
+            built += size;
+        }
+        self.built.store(built, Ordering::Relaxed);
+        self.len.store(end, Ordering::Release);
+        first
+    }
+
+    /// [`grow_with`](Self::grow_with) in the default state.
+    fn grow(&self, n: u32) -> u32 {
+        self.grow_with(n, |_| E::default())
+    }
+
+    /// Entry `i`, if published.
+    fn get(&self, i: u32) -> Option<&E> {
+        if i >= self.len() {
+            return None;
+        }
+        let (k, offset) = self.locate(i);
+        self.chunks[k].get().map(|chunk| &chunk[offset])
+    }
+}
+
+struct Region {
+    /// The physical instance, `None` until written and again once its
+    /// reader took it.
+    instance: Mutex<Option<Payload>>,
+    /// Head of the readers' chain, or [`MET`] once written.
+    first_reader: AtomicU32,
+}
+
+impl Default for Region {
+    fn default() -> Self {
+        Region { instance: Mutex::new(None), first_reader: AtomicU32::new(NIL) }
+    }
+}
+
+#[derive(Default)]
 struct Barrier {
     /// Arrivals still needed to trigger.
-    remaining: u32,
-    /// Head of the waiters' chain in [`SchedState::links`].
-    first_waiter: u32,
+    remaining: AtomicU32,
+    /// Head of the waiters' chain, or [`MET`] once triggered.
+    first_waiter: AtomicU32,
+}
+
+/// One entry of a wait list, written before a CAS publishes it and never
+/// changed after.
+#[derive(Default)]
+struct Link {
+    launcher: AtomicU32,
+    next: AtomicU32,
+}
+
+/// A launcher that parked on at least one precondition.
+struct Launcher<T> {
+    /// The item, until the decrement that reaches zero takes it.
+    item: Mutex<Option<T>>,
+    /// Preconditions not yet met, plus [`PARKING`] until the launch
+    /// settles; 0 once released.
+    unmet: AtomicU32,
+}
+
+impl<T> Default for Launcher<T> {
+    fn default() -> Self {
+        Launcher { item: Mutex::new(None), unmet: AtomicU32::new(0) }
+    }
 }
 
 /// An item whose preconditions are all met, queued in the worker pool.
@@ -138,9 +286,9 @@ struct Ready<T> {
 /// [`LegionRuntime::write_region`] and [`LegionRuntime::arrive`].
 ///
 /// Dropping it queues them in the workers' pool as stealable work, in
-/// release order and under one pool lock; it is made after the state
-/// lock is released, so it never holds both. A task hands it to
-/// [`TaskCtx::keep`] instead to run the first one itself. The first
+/// release order and under one pool lock; a launch batch drops it only
+/// after releasing the state lock, so it never holds both. A task hands it
+/// to [`TaskCtx::keep`] instead to run the first one itself. The first
 /// launcher is kept apart from the rest, so an update that releases one
 /// (every write of a reduction) allocates nothing.
 pub struct Released<'a, T> {
@@ -185,122 +333,29 @@ impl<T> Drop for Released<'_, T> {
     }
 }
 
-struct SchedState<T> {
-    /// Physical instance of each logical region, `None` until written and
-    /// again once its reader took it.
-    regions: Vec<Option<Payload>>,
-    /// Per region: the head of its readers' chain in `links`, or [`MET`]
-    /// once written.
-    first_reader: Vec<u32>,
-    barriers: Vec<Barrier>,
-    /// Every region's and barrier's wait list, as `(launcher, next)`
-    /// links.
-    links: Vec<(u32, u32)>,
-    /// Launchers with unmet preconditions, by launch number: the item and
-    /// its join counter (`None` once released).
-    pending: Vec<Option<(T, u32)>>,
-    /// Cached `sink.enabled()`, so state updates can stamp ready times.
-    tracing: bool,
+/// What only launches, set-up and the end-of-run check touch.
+#[derive(Default)]
+struct SchedState {
     tasks_launched: u64,
     launches: u64,
     locks: u64,
 }
 
-/// Link `launcher` into the wait list headed by `head`; returns 1 if it
-/// now waits, 0 if the list was already met.
-fn park(head: &mut u32, links: &mut Vec<(u32, u32)>, launcher: u32) -> u32 {
-    if *head == MET {
-        return 0;
-    }
-    links.push((launcher, *head));
-    *head = links.len() as u32 - 1;
-    1
-}
-
-impl<T> SchedState<T> {
-    fn ready(&self, item: T) -> Ready<T> {
-        let ready_ns = if self.tracing { now_ns() } else { 0 };
-        Ready { item, ready_ns }
-    }
-
-    /// Decrement the join counter of each launcher on the chain starting
-    /// at `link`, releasing into `out` those that reach zero.
-    fn release(&mut self, mut link: u32, out: &mut Released<'_, T>) {
-        while link != NIL {
-            let (launcher, next) = self.links[link as usize];
-            let slot = &mut self.pending[launcher as usize];
-            let (_, unmet) = slot.as_mut().expect("waiters are pending");
-            *unmet -= 1;
-            if *unmet == 0 {
-                let (item, _) = slot.take().expect("checked above");
-                out.add(self.ready(item));
-            }
-            link = next;
-        }
-    }
-
-    fn write(&mut self, region: u32, payload: Payload, out: &mut Released<'_, T>) {
-        let instance = self
-            .regions
-            .get_mut(region as usize)
-            .unwrap_or_else(|| panic!("write of unknown region {region}"));
-        *instance = Some(payload);
-        let head = std::mem::replace(&mut self.first_reader[region as usize], MET);
-        if head != MET {
-            self.release(head, out);
-        }
-    }
-
-    fn arrive(&mut self, barrier: u32, out: &mut Released<'_, T>) {
-        let b = self.barriers.get_mut(barrier as usize).expect("arrive at unknown barrier");
-        if b.remaining == 0 {
-            return;
-        }
-        b.remaining -= 1;
-        if b.remaining == 0 {
-            let head = std::mem::replace(&mut b.first_waiter, MET);
-            self.release(head, out);
-        }
-    }
-
-    /// Dependence analysis: count the launcher's unmet preconditions and
-    /// either release it into `out` or park it on each one.
-    fn submit(
-        &mut self,
-        item: T,
-        reads: impl IntoIterator<Item = u32>,
-        waits: impl IntoIterator<Item = u32>,
-        out: &mut Released<'_, T>,
-    ) {
-        self.tasks_launched += 1;
-        let launcher = self.pending.len() as u32;
-        let mut unmet = 0;
-        for r in reads {
-            let head = self
-                .first_reader
-                .get_mut(r as usize)
-                .unwrap_or_else(|| panic!("read of unknown region {r}"));
-            unmet += park(head, &mut self.links, launcher);
-        }
-        for b in waits {
-            let b = self.barriers.get_mut(b as usize).expect("wait on unknown barrier");
-            unmet += park(&mut b.first_waiter, &mut self.links, launcher);
-        }
-        if unmet == 0 {
-            out.add(self.ready(item));
-        } else {
-            self.pending.push(Some((item, unmet)));
-        }
-    }
-}
-
 /// The Legion-like runtime: a worker pool executing launched items as
 /// their region/barrier preconditions trigger.
 pub struct LegionRuntime<T> {
-    state: Mutex<SchedState<T>>,
+    state: Mutex<SchedState>,
+    regions: Table<Region>,
+    barriers: Table<Barrier>,
+    /// Every region's and barrier's wait list.
+    links: Table<Link>,
+    /// Launchers that parked, in the order they did.
+    launchers: Table<Launcher<T>>,
     /// Ready items, pushed only with the state lock released.
     pool: WorkPool<Ready<T>>,
     sink: Arc<dyn TraceSink>,
+    /// Cached `sink.enabled()`, so triggers can stamp ready times.
+    tracing: bool,
     workers: usize,
 }
 
@@ -341,9 +396,10 @@ impl<T> TaskCtx<'_, T> {
 /// the pool as one batch when it drops, in contiguous blocks, one per
 /// worker, so neighbours in launch order start on the same worker.
 pub struct LaunchBatch<'a, T> {
+    runtime: &'a LegionRuntime<T>,
     // Fields drop in declaration order: the state lock is released
     // before `ready` queues its launchers.
-    state: MutexGuard<'a, SchedState<T>>,
+    state: MutexGuard<'a, SchedState>,
     ready: Released<'a, T>,
 }
 
@@ -356,7 +412,138 @@ impl<T> LaunchBatch<'_, T> {
         reads: impl IntoIterator<Item = u32>,
         waits: impl IntoIterator<Item = u32>,
     ) {
-        self.state.submit(item, reads, waits, &mut self.ready);
+        self.state.tasks_launched += 1;
+        self.runtime.submit(item, reads, waits, &mut self.ready);
+    }
+}
+
+impl<T> LegionRuntime<T> {
+    fn ready(&self, item: T) -> Ready<T> {
+        let ready_ns = if self.tracing { now_ns() } else { 0 };
+        Ready { item, ready_ns }
+    }
+
+    /// Count `met` more preconditions of `launcher` as met, releasing it
+    /// into `out` if that was the last. The decrement is AcqRel, so the
+    /// one that reaches zero sees the item its launch stored and every
+    /// payload the earlier triggers wrote.
+    fn join(&self, launcher: &Launcher<T>, met: u32, out: &mut Released<'_, T>) {
+        if launcher.unmet.fetch_sub(met, Ordering::AcqRel) == met {
+            let item = launcher.item.lock().take().expect("a launcher is released once");
+            out.add(self.ready(item));
+        }
+    }
+
+    fn launcher(&self, id: u32) -> &Launcher<T> {
+        self.launchers.get(id).expect("waiters are launchers")
+    }
+
+    /// Mark the list headed by `head` met and release its waiters into
+    /// `out`; a list already met is left as it is. The swap is AcqRel: a
+    /// launch that loads `MET` (Acquire) sees what was written before the
+    /// trigger, and the trigger sees the links the launches' CAS published.
+    fn trigger(&self, head: &AtomicU32, out: &mut Released<'_, T>) {
+        let mut next = head.swap(MET, Ordering::AcqRel);
+        if next == MET {
+            return;
+        }
+        while next != NIL {
+            if next & LAST != 0 {
+                self.join(self.launcher(next & !LAST), 1, out);
+                return;
+            }
+            let link = self.links.get(next).expect("waiters are links");
+            self.join(self.launcher(link.launcher.load(Ordering::Relaxed)), 1, out);
+            next = link.next.load(Ordering::Relaxed);
+        }
+    }
+
+    /// Link `launcher` (made on first use) into the list headed by
+    /// `head`; returns 1 if it now waits there, 0 if the list was met.
+    /// The first waiter of a list is named by the head itself, with no
+    /// link. Called only under the state lock, so nothing but a trigger's
+    /// `MET` can replace the head under it.
+    fn park<'s>(&'s self, head: &AtomicU32, launcher: &mut Option<(u32, &'s Launcher<T>)>) -> u32 {
+        let first = head.load(Ordering::Acquire);
+        if first == MET {
+            return 0;
+        }
+        // The counter and the link are stored Relaxed: the CAS below
+        // publishes them (Release) and a trigger's swap (Acquire) reads them.
+        let (id, _) = *launcher.get_or_insert_with(|| {
+            let id = self.launchers.grow(1);
+            let l = self.launcher(id);
+            l.unmet.store(PARKING, Ordering::Relaxed);
+            (id, l)
+        });
+        let waiter = if first == NIL {
+            LAST | id
+        } else {
+            let ix = self.links.grow(1);
+            let link = self.links.get(ix).expect("just published");
+            link.launcher.store(id, Ordering::Relaxed);
+            link.next.store(first, Ordering::Relaxed);
+            ix
+        };
+        match head.compare_exchange(first, waiter, Ordering::Release, Ordering::Acquire) {
+            Ok(_) => 1,
+            Err(now) => {
+                debug_assert_eq!(now, MET, "only the state lock's holder links waiters in");
+                0
+            }
+        }
+    }
+
+    /// Dependence analysis: park the launcher on each unmet precondition
+    /// and settle its join counter, or release it into `out` if none is.
+    fn submit(
+        &self,
+        item: T,
+        reads: impl IntoIterator<Item = u32>,
+        waits: impl IntoIterator<Item = u32>,
+        out: &mut Released<'_, T>,
+    ) {
+        let mut launcher = None;
+        let mut parked = 0;
+        for r in reads {
+            let region =
+                self.regions.get(r).unwrap_or_else(|| panic!("read of unknown region {r}"));
+            parked += self.park(&region.first_reader, &mut launcher);
+        }
+        for b in waits {
+            let barrier = self.barriers.get(b).expect("wait on unknown barrier");
+            parked += self.park(&barrier.first_waiter, &mut launcher);
+        }
+        match launcher {
+            Some((_, l)) if parked > 0 => {
+                *l.item.lock() = Some(item);
+                self.join(l, PARKING - parked, out);
+            }
+            // Every list it found open was met before it linked in.
+            Some((_, l)) => {
+                l.unmet.store(0, Ordering::Relaxed);
+                out.add(self.ready(item));
+            }
+            None => out.add(self.ready(item)),
+        }
+    }
+
+    fn write(&self, region: u32, payload: Payload, out: &mut Released<'_, T>) {
+        let r = self
+            .regions
+            .get(region)
+            .unwrap_or_else(|| panic!("write of unknown region {region}"));
+        *r.instance.lock() = Some(payload);
+        self.trigger(&r.first_reader, out);
+    }
+
+    fn arrive_at(&self, barrier: u32, out: &mut Released<'_, T>) {
+        let b = self.barriers.get(barrier).expect("arrive at unknown barrier");
+        // Arrivals past the count find it triggered and change nothing.
+        let arrive = |remaining: u32| remaining.checked_sub(1);
+        if b.remaining.fetch_update(Ordering::AcqRel, Ordering::Acquire, arrive) == Ok(1) {
+            self.trigger(&b.first_waiter, out);
+        }
     }
 }
 
@@ -374,23 +561,21 @@ impl<T: Send> LegionRuntime<T> {
     /// and [`wait_all`](Self::wait_all) reports
     /// [`WaitOutcome::NoWorkers`].
     pub fn with_sink(workers: usize, sink: Arc<dyn TraceSink>) -> Self {
-        let pool = WorkPool::new(workers);
-        let state = Mutex::new(SchedState {
-            regions: Vec::new(),
-            first_reader: Vec::new(),
-            barriers: Vec::new(),
-            links: Vec::new(),
-            pending: Vec::new(),
+        LegionRuntime {
+            state: Mutex::new(SchedState::default()),
+            regions: Table::new(),
+            barriers: Table::new(),
+            links: Table::new(),
+            launchers: Table::new(),
+            pool: WorkPool::new(workers),
             tracing: sink.enabled(),
-            tasks_launched: 0,
-            launches: 0,
-            locks: 0,
-        });
-        LegionRuntime { state, pool, sink, workers }
+            sink,
+            workers,
+        }
     }
 
     /// Take the state lock, counting the acquisition.
-    fn lock(&self) -> MutexGuard<'_, SchedState<T>> {
+    fn lock(&self) -> MutexGuard<'_, SchedState> {
         let mut st = self.state.lock();
         st.locks += 1;
         st
@@ -404,34 +589,54 @@ impl<T: Send> LegionRuntime<T> {
     /// Create `count` logical regions without physical instances; returns
     /// the number of the first (the rest follow densely).
     pub fn create_regions(&self, count: u32) -> u32 {
-        let mut st = self.lock();
-        let first = st.regions.len();
-        let end = first + count as usize;
-        st.regions.resize(end, None);
-        st.first_reader.resize(end, NIL);
-        first as u32
+        self.create_mapped_regions(count, [])
+    }
+
+    /// [`create_regions`](Self::create_regions), then
+    /// [`attach_regions`](Self::attach_regions) under the same lock. A
+    /// region this call creates in a new chunk of the region table is
+    /// built holding its instance, with no atomic touched, when the
+    /// instances come in ascending region order: the controllers map all
+    /// of a run's regions this way.
+    pub fn create_mapped_regions(
+        &self,
+        count: u32,
+        instances: impl IntoIterator<Item = (u32, Payload)>,
+    ) -> u32 {
+        let mut released = Released::new(&self.pool);
+        let st = self.lock();
+        let mut instances = instances.into_iter().peekable();
+        let first = self.regions.grow_with(count, |r| {
+            let instance = instances.next_if(|&(at, _)| at == r).map(|(_, payload)| payload);
+            let head = if instance.is_some() { MET } else { NIL };
+            Region { instance: Mutex::new(instance), first_reader: AtomicU32::new(head) }
+        });
+        for (region, payload) in instances {
+            self.write(region, payload, &mut released);
+        }
+        drop(st);
+        first
     }
 
     /// Create `count` phase barriers, each expecting `arrivals` arrivals;
     /// returns the id of the first (the rest follow densely).
     pub fn create_barriers(&self, count: u32, arrivals: u32) -> u32 {
-        let mut st = self.lock();
-        let first = st.barriers.len() as u32;
+        let _st = self.lock();
         let first_waiter = if arrivals == 0 { MET } else { NIL };
-        let barrier = || Barrier { remaining: arrivals, first_waiter };
-        st.barriers.extend(std::iter::repeat_with(barrier).take(count as usize));
+        let first = self.barriers.grow(count);
+        // Release, for the arrivals' and waits' Acquire on these words.
+        for b in first..first + count {
+            let b = self.barriers.get(b).expect("just published");
+            b.remaining.store(arrivals, Ordering::Release);
+            b.first_waiter.store(first_waiter, Ordering::Release);
+        }
         first
     }
 
     /// Pre-populate regions' physical instances (external input data).
     /// Launchers this makes ready are queued as stealable work.
     pub fn attach_regions(&self, instances: impl IntoIterator<Item = (u32, Payload)>) {
-        let mut released = Released::new(&self.pool);
-        let mut st = self.lock();
-        for (region, payload) in instances {
-            st.write(region, payload, &mut released);
-        }
-        drop(st);
+        self.create_mapped_regions(0, instances);
     }
 
     /// Move the physical instances of `regions` out into `into`, in order.
@@ -441,15 +646,15 @@ impl<T: Send> LegionRuntime<T> {
     /// If a region has no physical instance (dependence analysis
     /// guarantees one for a declared read that was not taken before).
     pub fn take_regions(&self, regions: impl IntoIterator<Item = u32>, into: &mut Vec<Payload>) {
-        let mut st = self.lock();
         into.extend(regions.into_iter().map(|r| {
-            st.regions[r as usize].take().unwrap_or_else(|| panic!("read of unmapped region {r}"))
+            let instance = self.regions.get(r).and_then(|region| region.instance.lock().take());
+            instance.unwrap_or_else(|| panic!("read of unmapped region {r}"))
         }));
     }
 
     /// Write the physical instance of a region, triggering its readers,
-    /// and arrive at `barrier` if given, under one lock. Returns the
-    /// launchers this made ready; they are queued once it drops.
+    /// and arrive at `barrier` if given. Returns the launchers this made
+    /// ready; they are queued once it drops.
     pub fn write_region(
         &self,
         region: u32,
@@ -457,10 +662,9 @@ impl<T: Send> LegionRuntime<T> {
         barrier: Option<u32>,
     ) -> Released<'_, T> {
         let mut released = Released::new(&self.pool);
-        let mut st = self.lock();
-        st.write(region, payload, &mut released);
+        self.write(region, payload, &mut released);
         if let Some(b) = barrier {
-            st.arrive(b, &mut released);
+            self.arrive_at(b, &mut released);
         }
         released
     }
@@ -470,20 +674,21 @@ impl<T: Send> LegionRuntime<T> {
     /// [`write_region`](Self::write_region) does.
     pub fn arrive(&self, barrier: u32) -> Released<'_, T> {
         let mut released = Released::new(&self.pool);
-        self.lock().arrive(barrier, &mut released);
+        self.arrive_at(barrier, &mut released);
         released
     }
 
     /// Whether a phase barrier has triggered (for polling shard tasks).
     pub fn barrier_triggered(&self, barrier: u32) -> bool {
-        self.lock().barriers[barrier as usize].remaining == 0
+        let b = self.barriers.get(barrier).expect("poll of unknown barrier");
+        b.remaining.load(Ordering::Acquire) == 0
     }
 
     /// Start a batch of launches, counted as one launch.
     pub fn launch_batch(&self) -> LaunchBatch<'_, T> {
         let mut state = self.lock();
         state.launches += 1;
-        LaunchBatch { state, ready: Released::new(&self.pool) }
+        LaunchBatch { runtime: self, state, ready: Released::new(&self.pool) }
     }
 
     /// Launch a single task: a batch of one.
@@ -510,7 +715,7 @@ impl<T: Send> LegionRuntime<T> {
         st.tasks_launched += u64::from(tasks);
         drop(st);
         let body = &body;
-        std::thread::scope(|s| {
+        scope(|s| {
             for i in 0..tasks {
                 let ctx =
                     TaskCtx { runtime: self, worker: CONTROL_THREAD, ready_ns: 0, successor: None };
@@ -557,15 +762,24 @@ impl<T: Send> LegionRuntime<T> {
         }
     }
 
+    /// Launchers that parked and are not released yet.
+    fn pending(&self) -> impl Iterator<Item = &Launcher<T>> {
+        let launchers = &self.launchers;
+        let parked = (0..launchers.len()).map(|id| launchers.get(id).expect("published"));
+        parked.filter(|l| l.unmet.load(Ordering::Acquire) != 0)
+    }
+
     /// How many launchers still wait on preconditions.
     fn waiting(&self) -> usize {
-        self.lock().pending.iter().flatten().count()
+        let _st = self.lock();
+        self.pending().count()
     }
 
     /// `name` of each launcher still waiting on preconditions, in launch
     /// order (diagnostics after a stalled [`wait_all`](Self::wait_all)).
-    pub fn stalled<R>(&self, name: impl FnMut(&T) -> R) -> Vec<R> {
-        self.state.lock().pending.iter().flatten().map(|(item, _)| item).map(name).collect()
+    pub fn stalled<R>(&self, mut name: impl FnMut(&T) -> R) -> Vec<R> {
+        let _st = self.state.lock();
+        self.pending().filter_map(|l| l.item.lock().as_ref().map(&mut name)).collect()
     }
 
     /// Snapshot of the runtime counters.
@@ -648,6 +862,49 @@ mod tests {
         assert_eq!(rt.create_regions(1), 5);
         assert_eq!((rt.create_barriers(1, 1), rt.create_barriers(2, 4)), (0, 1));
         assert_eq!(rt.create_barriers(1, 1), 3);
+    }
+
+    #[test]
+    fn a_table_builds_entries_in_the_chunks_a_growth_creates() {
+        // The first chunk holds 3 entries, the second 1024 and the third
+        // 2048: the second growth creates both, the third finds entry 2003
+        // in an existing chunk, where it keeps its default.
+        let table = Table::<AtomicU32>::new();
+        let make = |i| AtomicU32::new(i + 1);
+        assert_eq!((table.grow_with(3, make), table.grow_with(2000, make)), (0, 3));
+        assert_eq!(table.grow_with(1, make), 2003);
+        let value = |i| table.get(i).map(|e| e.load(Ordering::Relaxed));
+        assert!((0..2003).all(|i| value(i) == Some(i + 1)));
+        assert_eq!((value(2003), value(2004)), (Some(0), None));
+        assert_eq!((table.locate(1026), table.locate(1027)), ((1, 1023), (2, 0)));
+    }
+
+    #[test]
+    fn mapped_regions_hold_their_instances_in_new_and_existing_chunks() {
+        // Regions 1-3 fill a new chunk; regions 4-5 land in that chunk's
+        // spare entries and are written as attached ones are.
+        let rt = LegionRuntime::<u32>::new(2);
+        assert_eq!(rt.create_regions(1), 0);
+        assert_eq!(rt.create_mapped_regions(3, [(1, pay(1)), (3, pay(3))]), 1);
+        assert_eq!(rt.create_mapped_regions(2, [(4, pay(4)), (0, pay(0))]), 4);
+        let mut batch = rt.launch_batch();
+        for r in 0..6 {
+            batch.launch(r, [r], NONE);
+        }
+        drop(batch);
+        let (outcome, workers) = rt.wait_all(
+            |_| Vec::new(),
+            |ran: &mut Vec<u64>, ctx: &mut TaskCtx<'_, u32>, r| {
+                let mut inputs = Vec::new();
+                ctx.runtime.take_regions([r], &mut inputs);
+                ran.push(val(&inputs[0]));
+            },
+        );
+        assert_eq!(outcome, WaitOutcome::Stalled { pending: 2 });
+        let mut ran = workers.concat();
+        ran.sort_unstable();
+        assert_eq!(ran, vec![0, 1, 3, 4]);
+        assert_eq!(rt.stalled(|&r| r), vec![2, 5]);
     }
 
     #[test]
@@ -811,6 +1068,69 @@ mod tests {
         );
         assert!(outcome.is_completed());
         assert_eq!(workers, vec![vec![(2, 1), (0, 1), (1, 0)]]);
+    }
+
+    #[test]
+    fn racing_launches_and_triggers_run_every_launcher_once() {
+        // Items 0..4 write region r, items 4..10 arrive (three arrivals per
+        // barrier) and items 10..13 are spawners. They start in one
+        // shuffled batch, so the workers race: a spawner's batch links
+        // readers in while the other workers write and arrive. Each spawner
+        // launches a reader of every region, a waiter on every barrier and
+        // one task on regions 0 and 1 and barrier 0, so each list has
+        // several waiters, some linked before its trigger and some after.
+        // Spawner 0's readers move the payload out and check it.
+        const REGIONS: u32 = 4;
+        const ARRIVALS: u32 = 3;
+        const SPAWNERS: u32 = 3;
+        const SPAWNED: u32 = 10 + SPAWNERS;
+        const PER_SPAWNER: u32 = REGIONS + 2 + 1;
+        const ITEMS: u32 = SPAWNED + SPAWNERS * PER_SPAWNER;
+        for iteration in 0..1200 {
+            let rt = LegionRuntime::<u32>::new(2 + iteration % 3);
+            let r = rt.create_regions(REGIONS);
+            let b = rt.create_barriers(2, ARRIVALS);
+            let mut batch = rt.launch_batch();
+            for k in 0..SPAWNED {
+                batch.launch(k * 5 % SPAWNED, NONE, NONE);
+            }
+            drop(batch);
+            let (outcome, workers) = rt.wait_all(
+                |_| Vec::new(),
+                |ran: &mut Vec<u32>, ctx: &mut TaskCtx<'_, u32>, item| {
+                    let runtime = ctx.runtime;
+                    match item {
+                        0..REGIONS => {
+                            ctx.keep(runtime.write_region(r + item, pay(item.into()), None));
+                        }
+                        4..10 => ctx.keep(runtime.arrive(b + (item - 4) / ARRIVALS)),
+                        10..SPAWNED => {
+                            let first = SPAWNED + (item - 10) * PER_SPAWNER;
+                            let mut batch = runtime.launch_batch();
+                            for k in 0..REGIONS {
+                                batch.launch(first + k, [r + k], NONE);
+                            }
+                            batch.launch(first + REGIONS, NONE, [b]);
+                            batch.launch(first + REGIONS + 1, NONE, [b + 1]);
+                            batch.launch(first + REGIONS + 2, [r, r + 1], [b]);
+                        }
+                        _ if item < SPAWNED + REGIONS => {
+                            let k = item - SPAWNED;
+                            let mut inputs = Vec::new();
+                            runtime.take_regions([r + k], &mut inputs);
+                            assert_eq!(val(&inputs[0]), u64::from(k));
+                        }
+                        _ => {}
+                    }
+                    ran.push(item);
+                },
+            );
+            assert_eq!(outcome, WaitOutcome::Completed, "iteration {iteration}");
+            let mut ran = workers.concat();
+            ran.sort_unstable();
+            assert_eq!(ran, (0..ITEMS).collect::<Vec<_>>(), "iteration {iteration}");
+            assert!(rt.stalled(|&item| item).is_empty());
+        }
     }
 
     #[test]

@@ -50,18 +50,22 @@ impl LegionSpmdController {
 }
 
 /// Create one logical region per input slot of the plan (the runtime's
-/// first regions, so region `r` is plan input slot `r`) and attach every
-/// host input payload, by plan index, as its slot's physical instance.
+/// first regions, so region `r` is plan input slot `r`), each host input
+/// payload, by plan index, already its slot's physical instance. The
+/// payloads come in ascending slot order, so every input region is built
+/// holding its payload.
 pub(crate) fn map_regions(
     rt: &LegionRuntime<u32>,
     plan: &ShardPlan,
     inputs: Vec<(u32, Vec<Payload>)>,
 ) {
-    rt.create_regions(plan.num_input_slots());
-    rt.attach_regions(inputs.into_iter().flat_map(|(ix, supplied)| {
-        let base = plan.slot_base(ix);
-        plan.task(ix).external_slots().map(move |slot| base + slot).zip(supplied)
-    }));
+    rt.create_mapped_regions(
+        plan.num_input_slots(),
+        inputs.into_iter().flat_map(|(ix, supplied)| {
+            let base = plan.slot_base(ix);
+            plan.task(ix).external_slots().map(move |slot| base + slot).zip(supplied)
+        }),
+    );
 }
 
 /// The regions task `ix` reads and the barriers it waits on. `barriers`
